@@ -30,8 +30,8 @@ func (p *Pool) LookupHit(sig string) (*Entry, bool) {
 	return e, ok
 }
 
-// SelectCandidates is an epoch source.
-func (p *Pool) SelectCandidates(col string) []*Entry {
+// SelectSupersets is an epoch source.
+func (p *Pool) SelectSupersets(col string) []*Entry {
 	return p.byCol[col]
 }
 
@@ -59,6 +59,32 @@ func (r *Recycler) staleForQuery(e *Entry, qEpoch uint64) bool {
 // depsFresh is a guard predicate.
 func (r *Recycler) depsFresh(e *Entry) bool {
 	return r.epoch[e.Sig] == e.Epoch
+}
+
+// epochView mirrors the guard hoisted out of a candidate scan: one
+// evaluation per query, consulted per entry without further locking.
+type epochView struct{ stale []string }
+
+// epochViewFor evaluates the guard once. Building a view consults
+// nothing — only view.usable(e) does.
+func (r *Recycler) epochViewFor(qEpoch uint64) epochView {
+	var v epochView
+	for sig, ep := range r.epoch {
+		if ep > qEpoch {
+			v.stale = append(v.stale, sig)
+		}
+	}
+	return v
+}
+
+// usable is a guard predicate (EpochSanitizers).
+func (v epochView) usable(e *Entry) bool {
+	for _, s := range v.stale {
+		if s == e.Sig {
+			return false
+		}
+	}
+	return true
 }
 
 // noteReuse is the reuse-accounting sink.
@@ -93,18 +119,40 @@ func (r *Recycler) goodServe(sig string, qEpoch uint64) int {
 
 // badSubsume accounts candidate reuse without the per-entry guard.
 func (r *Recycler) badSubsume(col string, qEpoch uint64) {
-	for _, e := range r.pool.SelectCandidates(col) {
+	for _, e := range r.pool.SelectSupersets(col) {
 		r.noteReuse(e) // want "serves pool entry \"e\" without consulting"
 	}
 }
 
 // goodSubsume filters stale candidates first.
 func (r *Recycler) goodSubsume(col string, qEpoch uint64) {
-	for _, e := range r.pool.SelectCandidates(col) {
+	for _, e := range r.pool.SelectSupersets(col) {
 		if r.staleForQuery(e, qEpoch) {
 			continue
 		}
 		r.noteReuse(e)
+	}
+}
+
+// goodHoisted evaluates the guard once, outside the candidate loop,
+// and judges every candidate against the view.
+func (r *Recycler) goodHoisted(col string, qEpoch uint64) {
+	view := r.epochViewFor(qEpoch)
+	for _, e := range r.pool.SelectSupersets(col) {
+		if !view.usable(e) {
+			continue
+		}
+		r.noteReuse(e)
+	}
+}
+
+// badHoisted builds the view but never consults it per candidate:
+// having evaluated the guard says nothing about this entry's tables.
+func (r *Recycler) badHoisted(col string, qEpoch uint64) {
+	view := r.epochViewFor(qEpoch)
+	_ = view
+	for _, e := range r.pool.SelectSupersets(col) {
+		r.noteReuse(e) // want "serves pool entry \"e\" without consulting"
 	}
 }
 

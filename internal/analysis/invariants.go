@@ -150,22 +150,27 @@ var CatalogMutators = map[string]bool{
 // and the subsumption/column indexes, which only the writer lock
 // keeps consistent. Len/Bytes/All/Dump/TypeBreakdown/ReusedStats are
 // included — they iterate or read state mutated under the writer
-// lock, so an unlocked call races structural changes.
+// lock, so an unlocked call races structural changes. pushLeaf /
+// dropLeaf / popLeaf are the leaf frontier's mutators: the heap and
+// the entries' heapPos/heapTick fields are plain data under the lock.
 var RequiresWriterLock = map[string]bool{
-	"repro/internal/recycler.(*Pool).Get":                true,
-	"repro/internal/recycler.(*Pool).Add":                true,
-	"repro/internal/recycler.(*Pool).Remove":             true,
-	"repro/internal/recycler.(*Pool).Leaves":             true,
-	"repro/internal/recycler.(*Pool).EntriesByColumn":    true,
-	"repro/internal/recycler.(*Pool).SelectCandidates":   true,
-	"repro/internal/recycler.(*Pool).LikeCandidates":     true,
-	"repro/internal/recycler.(*Pool).SemijoinCandidates": true,
-	"repro/internal/recycler.(*Pool).All":                true,
-	"repro/internal/recycler.(*Pool).Len":                true,
-	"repro/internal/recycler.(*Pool).Bytes":              true,
-	"repro/internal/recycler.(*Pool).Dump":               true,
-	"repro/internal/recycler.(*Pool).TypeBreakdown":      true,
-	"repro/internal/recycler.(*Pool).ReusedStats":        true,
+	"repro/internal/recycler.(*Pool).Get":             true,
+	"repro/internal/recycler.(*Pool).Add":             true,
+	"repro/internal/recycler.(*Pool).Remove":          true,
+	"repro/internal/recycler.(*Pool).pushLeaf":        true,
+	"repro/internal/recycler.(*Pool).dropLeaf":        true,
+	"repro/internal/recycler.(*Pool).popLeaf":         true,
+	"repro/internal/recycler.(*Pool).EntriesByColumn": true,
+	"repro/internal/recycler.(*Pool).SelectSupersets": true,
+	"repro/internal/recycler.(*Pool).SelectOverlaps":  true,
+	"repro/internal/recycler.(*Pool).LikeCandidates":  true,
+	"repro/internal/recycler.(*Pool).SemijoinOver":    true,
+	"repro/internal/recycler.(*Pool).All":             true,
+	"repro/internal/recycler.(*Pool).Len":             true,
+	"repro/internal/recycler.(*Pool).Bytes":           true,
+	"repro/internal/recycler.(*Pool).Dump":            true,
+	"repro/internal/recycler.(*Pool).TypeBreakdown":   true,
+	"repro/internal/recycler.(*Pool).ReusedStats":     true,
 }
 
 // WriterLockRequired is the lock RequiresWriterLock refers to.
@@ -198,12 +203,15 @@ var WriterContextFuncs = map[string]bool{
 	"repro/internal/recycler.(*Recycler).propagateJoin":          true,
 	"repro/internal/recycler.(*Recycler).cleanCache":             true,
 	"repro/internal/recycler.(*Recycler).pickVictims":            true,
+	"repro/internal/recycler.(*Recycler).pickLRU":                true,
 	"repro/internal/recycler.(*Recycler).pickVictimsMem":         true,
 	"repro/internal/recycler.(*Recycler).evict":                  true,
 	"repro/internal/recycler.(*Recycler).columnDeps":             true,
 	"repro/internal/recycler.(*Recycler).noteDeltaRows":          true,
 	"repro/internal/recycler.(*Recycler).parentInfo":             true,
-	"repro/internal/recycler.(*Recycler).isSubsetOf":             true,
+	"repro/internal/recycler.(*Recycler).smallestSuperset":       true,
+	"repro/internal/recycler.(*Recycler).overlapSnaps":           true,
+	"repro/internal/recycler.(*Recycler).smallestSemijoin":       true,
 }
 
 // ---------------------------------------------------------------------
@@ -319,19 +327,24 @@ var IdentitySourceFields = map[string]bool{
 // entry content: anything read from one is unusable until an epoch
 // guard said so for the asking query.
 var EpochSources = map[string]bool{
-	"repro/internal/recycler.(*Pool).LookupHit":          true,
-	"repro/internal/recycler.(*Pool).Lookup":             true,
-	"repro/internal/recycler.(*Pool).SelectCandidates":   true,
-	"repro/internal/recycler.(*Pool).LikeCandidates":     true,
-	"repro/internal/recycler.(*Pool).SemijoinCandidates": true,
+	"repro/internal/recycler.(*Pool).LookupHit":       true,
+	"repro/internal/recycler.(*Pool).Lookup":          true,
+	"repro/internal/recycler.(*Pool).SelectSupersets": true,
+	"repro/internal/recycler.(*Pool).SelectOverlaps":  true,
+	"repro/internal/recycler.(*Pool).LikeCandidates":  true,
+	"repro/internal/recycler.(*Pool).SemijoinOver":    true,
 }
 
 // EpochSanitizers are the guard predicates: a call with the entry (or
-// its deps) as an argument marks the value consulted.
+// its deps) as an argument marks the value consulted. epochView.usable
+// is the guard hoisted out of a candidate loop: the view is evaluated
+// once per scan (epochViewFor, one stateMu acquisition), and it is the
+// per-entry call on the view — not having built one — that counts.
 var EpochSanitizers = map[string]bool{
 	"repro/internal/recycler.(*Recycler).usable":        true,
 	"repro/internal/recycler.(*Recycler).staleForQuery": true,
 	"repro/internal/recycler.(*Recycler).depsFresh":     true,
+	"repro/internal/recycler.(epochView).usable":        true,
 }
 
 // EpochSinks are the reuse paths: serving or accounting a cached

@@ -1,6 +1,7 @@
 package recycler
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -68,4 +69,51 @@ func BenchmarkRecyclerParallelMiss(b *testing.B) {
 			f.rec.EndQuery(qid)
 		}
 	})
+}
+
+// missPathSizes are the pool sizes the miss-path benchmarks run at. The
+// point of the pair below is the shape of the curve: every step of a
+// miss is O(log n) or O(answer) in the pool size, so ns/op at 1e4
+// entries should sit within a small factor of ns/op at 1e2 — where a
+// per-admission scan of the pool (or of a column's selects) would be
+// 100x apart.
+var missPathSizes = []int{100, 1_000, 10_000}
+
+// BenchmarkExitAtCap measures one admission into a pool that sits at
+// its entry cap, so every Exit also evicts: signature, epoch guard, LRU
+// victim off the leaf frontier, entry construction and indexing.
+func BenchmarkExitAtCap(b *testing.B) {
+	for _, n := range missPathSizes {
+		b.Run(fmt.Sprintf("pool=%d", n), func(b *testing.B) {
+			g := newExitRig(Config{Admission: KeepAll, Eviction: EvictLRU, Subsumption: true}, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if g.admit() == 0 {
+					b.Fatal("admission denied")
+				}
+			}
+		})
+	}
+}
+
+var sinkEntry mal.EntryResult
+
+// BenchmarkSubsumeSelectMiss measures Entry for a select that nothing in
+// the pool answers while n-1 selects over the same column are pooled:
+// the exact-match miss plus a subsumption search that comes back empty.
+func BenchmarkSubsumeSelectMiss(b *testing.B) {
+	for _, n := range missPathSizes {
+		b.Run(fmt.Sprintf("pool=%d", n), func(b *testing.B) {
+			g := newExitRig(Config{Admission: KeepAll, Eviction: EvictLRU, Subsumption: true}, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkEntry = g.miss()
+			}
+			if sinkEntry.Hit || sinkEntry.Rewrite != nil {
+				b.Fatalf("expected a miss, got %+v", sinkEntry)
+			}
+		})
+	}
 }

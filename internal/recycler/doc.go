@@ -23,8 +23,12 @@
 //     A warm pool serves concurrent hits without serialising.
 //   - A single coarse writer lock still serialises every structural
 //     change — admission, eviction, invalidation, delta propagation and
-//     the subsumption-index scans — because lineage edges, the
+//     the subsumption-index searches — because lineage edges, the
 //     invalidation index and the byte accounting must change together.
+//     Every index it guards (the leaf frontier eviction pops from, the
+//     per-column range index, the semijoin pair map) is maintained by
+//     Add and Remove, so no step of a miss, an admission or an LRU
+//     eviction costs more than O(log n) in the pool size.
 //   - Combined subsumption snapshots its candidate pieces under the
 //     writer lock, executes the piecewise selects and the merge with no
 //     lock held, and re-validates every piece after re-acquiring the

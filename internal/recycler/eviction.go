@@ -1,6 +1,9 @@
 package recycler
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // EvictionKind selects the eviction policy (paper §4.3).
 type EvictionKind int
@@ -30,34 +33,26 @@ func (k EvictionKind) String() string {
 }
 
 // cleanCache frees room for a new intermediate of the given size,
-// and/or one pool entry when the entry limit is reached. It iterates
-// over successive leaf frontiers: evicting one frontier may expose new
-// leaves. Entries pinned by currently active queries are protected;
-// when the active queries' own intermediates fill the pool, the
-// protection is lifted except for the direct arguments of the pending
-// admission (the footnote-3 exception). Caller holds the writer lock;
-// the active-query set is snapshotted once instead of re-reading
-// stateMu per leaf.
-func (r *Recycler) cleanCache(needBytes int64, needEntries int, protect map[uint64]bool) bool {
-	active := r.activeSnapshot()
-	pinnedByActive := func(e *Entry) bool { return active[e.pinnedQuery.Load()] }
-	guard := 0
+// and/or one pool entry when the entry limit is reached. It works in
+// rounds over the pool's leaf frontier: a round picks its victims among
+// the leaves that exist when it starts and then evicts them, so leaves
+// that an eviction exposes are first considered in the next round.
+// Entries pinned by currently active queries are passed over; when the
+// active queries' own intermediates fill the pool, the pins are lifted
+// except for the direct arguments of the pending admission (protect —
+// the footnote-3 exception). Caller holds the writer lock; the
+// active-query set is snapshotted once instead of re-reading stateMu
+// per leaf.
+func (r *Recycler) cleanCache(needBytes int64, needEntries int, protect []uint64) bool {
+	var buf [8]uint64
+	active := r.activeSnapshot(buf[:0])
 	for needBytes > 0 || needEntries > 0 {
-		guard++
-		if guard > 1_000_000 {
-			return false
-		}
-		leaves := r.pool.Leaves(pinnedByActive)
-		leaves = filterProtected(leaves, protect)
-		if len(leaves) == 0 {
+		victims := r.pickVictims(needBytes, protect, active)
+		if len(victims) == 0 && len(active) > 0 {
 			// Active-queries-fill-pool exception: consider pinned
 			// leaves too, still excluding direct arguments.
-			leaves = filterProtected(r.pool.Leaves(nil), protect)
-			if len(leaves) == 0 {
-				return false
-			}
+			victims = r.pickVictims(needBytes, protect, nil)
 		}
-		victims := r.pickVictims(leaves, needBytes, needEntries)
 		if len(victims) == 0 {
 			return false
 		}
@@ -69,68 +64,112 @@ func (r *Recycler) cleanCache(needBytes int64, needEntries int, protect map[uint
 			// before the in-memory entry goes. Only capacity evictions
 			// demote — invalidated entries are stale by definition.
 			r.demoteLocked(v)
+			if r.testOnVictim != nil {
+				r.testOnVictim(v)
+			}
 			r.evict(v)
 		}
 	}
 	return true
 }
 
-func filterProtected(leaves []*Entry, protect map[uint64]bool) []*Entry {
-	if len(protect) == 0 {
-		return leaves
-	}
-	out := leaves[:0]
-	for _, e := range leaves {
-		if !protect[e.ID] {
-			out = append(out, e)
-		}
-	}
-	return out
+// evictable reports whether a leaf is neither a direct argument of the
+// pending admission nor pinned by one of the given active queries.
+func evictable(e *Entry, protect, active []uint64) bool {
+	return !slices.Contains(protect, e.ID) && !slices.Contains(active, e.pinnedQuery.Load())
 }
 
-// pickVictims chooses the leaves to evict under the active policy.
-func (r *Recycler) pickVictims(leaves []*Entry, needBytes int64, needEntries int) []*Entry {
+// pickVictims chooses one round's victims under the active policy
+// among the leaves that are neither protected nor pinned by a query in
+// active: with needBytes > 0 enough of them to free that much (all of
+// them when even that falls short — the caller iterates), otherwise
+// the single worst one (the entry-limit variant).
+func (r *Recycler) pickVictims(needBytes int64, protect, active []uint64) []*Entry {
+	if r.cfg.Eviction != EvictBP && r.cfg.Eviction != EvictHP {
+		return r.pickLRU(needBytes, protect, active)
+	}
+	// Benefit and history metrics move with every reuse and with the
+	// clock, so no standing order exists to pop from: rank the current
+	// frontier. In id order, which fixes how ties fall.
+	var leaves []*Entry
+	for _, e := range r.pool.frontier {
+		if evictable(e, protect, active) {
+			leaves = append(leaves, e)
+		}
+	}
+	if len(leaves) == 0 {
+		return nil
+	}
+	sort.Slice(leaves, func(i, j int) bool { return leaves[i].ID < leaves[j].ID })
 	if needBytes > 0 {
 		return r.pickVictimsMem(leaves, needBytes)
 	}
-	// Entry-limit variant: evict the single worst leaf per round.
-	if needEntries <= 0 {
-		return nil
-	}
 	return []*Entry{r.worstLeaf(leaves)}
+}
+
+// pickLRU pops leaves oldest-first until enough bytes are freed (or,
+// for the entry limit, one is found). Ineligible leaves are set aside
+// and pushed back. Victims leave the frontier here; the caller evicts
+// them all.
+func (r *Recycler) pickLRU(needBytes int64, protect, active []uint64) []*Entry {
+	var victims, aside []*Entry
+	var freed int64
+	more := false
+	for len(victims) == 0 || freed <= needBytes {
+		e := r.pool.popLeaf()
+		if e == nil {
+			break
+		}
+		if !evictable(e, protect, active) {
+			aside = append(aside, e)
+			continue
+		}
+		if len(victims) > 0 && freed >= needBytes {
+			// Exactly enough freed: e only tells that the frontier
+			// holds more than was needed.
+			aside = append(aside, e)
+			more = true
+			break
+		}
+		victims = append(victims, e)
+		freed += e.Bytes
+	}
+	for _, e := range aside {
+		r.pool.pushLeaf(e)
+	}
+	if needBytes > 0 && !more && freed <= needBytes {
+		// Even the whole frontier falls short: it goes in id order, the
+		// order rounds are defined in (eviction_ref_test.go holds the
+		// victim sequence to it); only a partial round is by recency.
+		sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
+	}
+	return victims
+}
+
+// benefit is the metric BP/HP rank leaves by.
+func (r *Recycler) benefit(e *Entry, now int64) float64 {
+	if r.cfg.Eviction == EvictHP {
+		return e.HistoryBenefit(now)
+	}
+	return e.Benefit()
 }
 
 func (r *Recycler) worstLeaf(leaves []*Entry) *Entry {
 	now := r.pool.Now()
 	worst := leaves[0]
 	for _, e := range leaves[1:] {
-		if r.less(e, worst, now) {
+		if r.benefit(e, now) < r.benefit(worst, now) {
 			worst = e
 		}
 	}
 	return worst
 }
 
-// less orders entries by eviction preference: true when a should be
-// evicted before b.
-func (r *Recycler) less(a, b *Entry, now int64) bool {
-	switch r.cfg.Eviction {
-	case EvictLRU:
-		return a.LastUseTick.Load() < b.LastUseTick.Load()
-	case EvictBP:
-		return a.Benefit() < b.Benefit()
-	case EvictHP:
-		return a.HistoryBenefit(now) < b.HistoryBenefit(now)
-	}
-	return a.LastUseTick.Load() < b.LastUseTick.Load()
-}
-
-// pickVictimsMem solves the memory variant. For LRU it walks the
-// leaves oldest-first until enough bytes are freed. For BP/HP it
-// solves the complementary binary knapsack with the greedy
-// 2-approximation the paper describes: keep the most beneficial
-// leaves that fit in (total - required), evict the rest; the greedy
-// keep-set is compared with the single item of maximum profit.
+// pickVictimsMem solves the memory variant for BP/HP: the
+// complementary binary knapsack with the greedy 2-approximation the
+// paper describes — keep the most beneficial leaves that fit in
+// (total - required), evict the rest; the greedy keep-set is compared
+// with the single item of maximum profit.
 func (r *Recycler) pickVictimsMem(leaves []*Entry, needBytes int64) []*Entry {
 	var total int64
 	for _, e := range leaves {
@@ -140,28 +179,9 @@ func (r *Recycler) pickVictimsMem(leaves []*Entry, needBytes int64) []*Entry {
 		// Evict the whole frontier; the caller iterates.
 		return leaves
 	}
-	if r.cfg.Eviction == EvictLRU {
-		s := append([]*Entry(nil), leaves...)
-		sort.Slice(s, func(i, j int) bool { return s[i].LastUseTick.Load() < s[j].LastUseTick.Load() })
-		var out []*Entry
-		var freed int64
-		for _, e := range s {
-			if freed >= needBytes {
-				break
-			}
-			out = append(out, e)
-			freed += e.Bytes
-		}
-		return out
-	}
 
 	now := r.pool.Now()
-	benefit := func(e *Entry) float64 {
-		if r.cfg.Eviction == EvictHP {
-			return e.HistoryBenefit(now)
-		}
-		return e.Benefit()
-	}
+	benefit := func(e *Entry) float64 { return r.benefit(e, now) }
 	capacity := total - needBytes
 
 	// Greedy by profit per unit weight.

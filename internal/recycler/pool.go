@@ -91,6 +91,12 @@ type Entry struct {
 	DependsOn  []uint64
 	dependents int
 
+	// heapPos is the entry's position in the pool's leaf frontier plus
+	// one (0 = not a leaf), heapTick the LastUseTick reading the
+	// frontier currently orders it by (see Pool.frontier). Writer lock.
+	heapPos  int
+	heapTick int64
+
 	// SubsetOf records the derivation edge created by subsumption:
 	// this entry's result is a subset of the referenced entry's
 	// result. Zero when not derived.
@@ -182,10 +188,10 @@ type sigShard struct {
 //
 // Synchronisation: the signature index is sharded with per-shard
 // RWMutexes so concurrent hit-path lookups do not serialise. Every
-// other index (entries, selIdx, likeIdx, semiIdx, byCol), the byte
-// accounting and the lifetime counters are guarded by the owning
-// Recycler's writer lock; methods touching them document that the
-// caller holds it.
+// other index (entries, frontier, selIdx, likeIdx, semiIdx, byCol),
+// the byte accounting and the lifetime counters are guarded by the
+// owning Recycler's writer lock; methods touching them document that
+// the caller holds it.
 type Pool struct {
 	shards [numSigShards]sigShard
 
@@ -196,13 +202,23 @@ type Pool struct {
 	canonByID sync.Map // uint64 -> string
 
 	entries map[uint64]*Entry
-	// selIdx indexes valid range-select entries by column operand key.
-	selIdx map[string][]*Entry
+	// frontier holds the leaves — the valid entries with no in-pool
+	// dependents, the only ones eviction may take (paper §4.3) — as a
+	// min-heap on (heapTick, ID). Add and Remove keep membership exact
+	// as dependent counts cross zero. The ordering is lazy: a hit moves
+	// an entry's LastUseTick without the writer lock, so heapTick may
+	// lag behind it. Ticks only grow, which makes a lagging key a lower
+	// bound: the entry surfaces no later than it should, and popLeaf
+	// re-sorts it when it does.
+	frontier []*Entry
+	// selIdx indexes valid range-select entries by column operand key
+	// (see selindex.go).
+	selIdx map[string]*selNode
 	// likeIdx indexes valid likeselect entries by column operand key.
 	likeIdx map[string][]*Entry
-	// semiIdx indexes valid semijoin entries by left-operand
-	// provenance.
-	semiIdx map[uint64][]*Entry
+	// semiIdx indexes valid semijoin entries by the provenances of
+	// their (left, right) operands.
+	semiIdx map[[2]uint64]*Entry
 	// byCol indexes entries by persistent column dependency for
 	// invalidation.
 	byCol map[ColumnRef]map[uint64]*Entry
@@ -233,9 +249,9 @@ type Pool struct {
 func NewPool() *Pool {
 	p := &Pool{
 		entries: make(map[uint64]*Entry),
-		selIdx:  make(map[string][]*Entry),
+		selIdx:  make(map[string]*selNode),
 		likeIdx: make(map[string][]*Entry),
-		semiIdx: make(map[uint64][]*Entry),
+		semiIdx: make(map[[2]uint64]*Entry),
 		byCol:   make(map[ColumnRef]map[uint64]*Entry),
 	}
 	for i := range p.shards {
@@ -350,17 +366,20 @@ func (p *Pool) Add(e *Entry) {
 	p.totalBytes += e.Bytes
 	p.Admitted++
 	if e.IsRangeSelect {
-		p.selIdx[e.SelColKey] = append(p.selIdx[e.SelColKey], e)
+		p.selIdx[e.SelColKey] = selInsert(p.selIdx[e.SelColKey], &selNode{e: e, prio: selPrio(e.ID)})
 	}
 	if e.IsLike {
 		p.likeIdx[e.LikeColKey] = append(p.likeIdx[e.LikeColKey], e)
 	}
 	if e.IsSemijoin {
-		p.semiIdx[e.SemiLeft] = append(p.semiIdx[e.SemiLeft], e)
+		p.semiIdx[[2]uint64{e.SemiLeft, e.SemiRight}] = e
 	}
+	p.pushLeaf(e)
 	for _, d := range e.DependsOn {
 		if parent := p.entries[d]; parent != nil {
-			parent.dependents++
+			if parent.dependents++; parent.dependents == 1 {
+				p.dropLeaf(parent)
+			}
 		}
 	}
 	for _, c := range e.Deps {
@@ -393,17 +412,28 @@ func (p *Pool) Remove(e *Entry) {
 	p.totalBytes -= e.Bytes
 	p.Evicted++
 	if e.IsRangeSelect {
-		p.selIdx[e.SelColKey] = removeEntry(p.selIdx[e.SelColKey], e)
+		if t := selDelete(p.selIdx[e.SelColKey], e); t != nil {
+			p.selIdx[e.SelColKey] = t
+		} else {
+			delete(p.selIdx, e.SelColKey)
+		}
 	}
 	if e.IsLike {
-		p.likeIdx[e.LikeColKey] = removeEntry(p.likeIdx[e.LikeColKey], e)
+		if s := removeEntry(p.likeIdx[e.LikeColKey], e); len(s) > 0 {
+			p.likeIdx[e.LikeColKey] = s
+		} else {
+			delete(p.likeIdx, e.LikeColKey)
+		}
 	}
-	if e.IsSemijoin {
-		p.semiIdx[e.SemiLeft] = removeEntry(p.semiIdx[e.SemiLeft], e)
+	if k := [2]uint64{e.SemiLeft, e.SemiRight}; e.IsSemijoin && p.semiIdx[k] == e {
+		delete(p.semiIdx, k)
 	}
+	p.dropLeaf(e)
 	for _, d := range e.DependsOn {
 		if parent := p.entries[d]; parent != nil {
-			parent.dependents--
+			if parent.dependents--; parent.dependents == 0 {
+				p.pushLeaf(parent)
+			}
 		}
 	}
 	for _, c := range e.Deps {
@@ -413,33 +443,105 @@ func (p *Pool) Remove(e *Entry) {
 	}
 }
 
+// removeEntry swap-deletes e from s. The vacated slot is cleared: the
+// slack of the backing array must not keep an evicted entry — and the
+// BATs it holds — reachable.
 func removeEntry(s []*Entry, e *Entry) []*Entry {
 	for i, x := range s {
 		if x == e {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
+			last := len(s) - 1
+			s[i], s[last] = s[last], nil
+			return s[:last]
 		}
 	}
 	return s
 }
 
-// Leaves returns the valid entries with no in-pool dependents,
-// skipping those for which pinned reports true (nil lifts the
-// protection). Eviction operates on leaves only, preserving lineage
-// (paper §4.3). Caller holds the recycler writer lock.
-func (p *Pool) Leaves(pinned func(*Entry) bool) []*Entry {
-	var out []*Entry
-	for _, e := range p.entries {
-		if e.dependents > 0 {
-			continue
-		}
-		if pinned != nil && pinned(e) {
-			continue
-		}
-		out = append(out, e)
+// leafBefore is the frontier's heap order.
+func leafBefore(a, b *Entry) bool {
+	if a.heapTick != b.heapTick {
+		return a.heapTick < b.heapTick
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return a.ID < b.ID
+}
+
+// pushLeaf enters e into the frontier, keyed by its current
+// LastUseTick. Caller holds the recycler writer lock.
+func (p *Pool) pushLeaf(e *Entry) {
+	e.heapTick = e.LastUseTick.Load()
+	p.frontier = append(p.frontier, e)
+	e.heapPos = len(p.frontier)
+	p.siftUp(e.heapPos - 1)
+}
+
+// dropLeaf takes e out of the frontier (no-op when it is not in it).
+// Caller holds the recycler writer lock.
+func (p *Pool) dropLeaf(e *Entry) {
+	i, last := e.heapPos-1, len(p.frontier)-1
+	if i < 0 {
+		return
+	}
+	e.heapPos = 0
+	moved := p.frontier[last]
+	p.frontier[last] = nil
+	p.frontier = p.frontier[:last]
+	if i == last {
+		return
+	}
+	p.frontier[i] = moved
+	moved.heapPos = i + 1
+	p.siftDown(i)
+	p.siftUp(i)
+}
+
+// popLeaf removes and returns the least recently used leaf, nil when
+// the frontier is empty. A top whose LastUseTick moved since it was
+// keyed is re-keyed and sifted down first — this is where hits taken
+// without the writer lock reach the ordering, so the leaf returned is
+// the exact LRU minimum. Caller holds the recycler writer lock.
+func (p *Pool) popLeaf() *Entry {
+	for len(p.frontier) > 0 {
+		e := p.frontier[0]
+		if t := e.LastUseTick.Load(); t != e.heapTick {
+			e.heapTick = t
+			p.siftDown(0)
+			continue
+		}
+		p.dropLeaf(e)
+		return e
+	}
+	return nil
+}
+
+func (p *Pool) siftUp(i int) {
+	h := p.frontier
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !leafBefore(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		h[i].heapPos, h[parent].heapPos = i+1, parent+1
+		i = parent
+	}
+}
+
+func (p *Pool) siftDown(i int) {
+	h := p.frontier
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if leafBefore(h[c], h[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		h[i].heapPos, h[least].heapPos = i+1, least+1
+		i = least
+	}
 }
 
 // EntriesByColumn returns the entries depending on a persistent
@@ -454,18 +556,31 @@ func (p *Pool) EntriesByColumn(c ColumnRef) []*Entry {
 	return out
 }
 
-// SelectCandidates returns the valid range-select entries over the
-// given column operand key. Caller holds the recycler writer lock.
-func (p *Pool) SelectCandidates(colKey string) []*Entry { return p.selIdx[colKey] }
+// SelectSupersets returns the valid range-select entries over the
+// given column operand key whose range contains the target range, in
+// (lower bound, id) order. Caller holds the recycler writer lock.
+func (p *Pool) SelectSupersets(colKey string, lo any, incLo bool, hi any, incHi bool) []*Entry {
+	return p.selIdx[colKey].supersets(nil, lo, incLo, hi, incHi)
+}
+
+// SelectOverlaps returns the valid range-select entries over the column
+// whose range intersects [lo, hi] (closed-interval semantics, see
+// rangesOverlap), in (lower bound, id) order. Caller holds the recycler
+// writer lock.
+func (p *Pool) SelectOverlaps(colKey string, lo, hi any) []*Entry {
+	return p.selIdx[colKey].overlaps(nil, lo, hi)
+}
 
 // LikeCandidates returns the valid likeselect entries over the column.
 // Caller holds the recycler writer lock.
 func (p *Pool) LikeCandidates(colKey string) []*Entry { return p.likeIdx[colKey] }
 
-// SemijoinCandidates returns the valid semijoin entries whose left
-// operand has the given provenance. Caller holds the recycler writer
-// lock.
-func (p *Pool) SemijoinCandidates(leftProv uint64) []*Entry { return p.semiIdx[leftProv] }
+// SemijoinOver returns the valid semijoin entry over the operands with
+// the given provenances, nil when there is none. Caller holds the
+// recycler writer lock.
+func (p *Pool) SemijoinOver(leftProv, rightProv uint64) *Entry {
+	return p.semiIdx[[2]uint64{leftProv, rightProv}]
+}
 
 // All returns all valid entries in id order. Caller holds the recycler
 // writer lock when racing structural changes matters.

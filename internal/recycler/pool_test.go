@@ -52,33 +52,35 @@ func TestPoolLineageDependents(t *testing.T) {
 	child.DependsOn = []uint64{parent.ID}
 	p.Add(child)
 
-	leaves := p.Leaves(nil)
-	if len(leaves) != 1 || leaves[0] != child {
-		t.Fatalf("leaves = %v", leaves)
+	if len(p.frontier) != 1 || p.frontier[0] != child {
+		t.Fatalf("frontier = %v", p.frontier)
 	}
 	p.Remove(child)
-	leaves = p.Leaves(nil)
-	if len(leaves) != 1 || leaves[0] != parent {
+	if len(p.frontier) != 1 || p.frontier[0] != parent {
 		t.Fatal("parent did not become leaf after child eviction")
 	}
 }
 
-func TestPoolPinnedLeavesExcluded(t *testing.T) {
-	p := NewPool()
+func TestPickVictimsPassesOverPinnedLeaves(t *testing.T) {
+	r := New(nil, Config{})
 	e := mkEntry("a", 100, time.Millisecond)
-	p.Add(e)
+	r.pool.Add(e)
 	e.pinnedQuery.Store(7)
-	pinnedBy := func(q uint64) func(*Entry) bool {
-		return func(e *Entry) bool { return e.pinnedQuery.Load() == q }
-	}
-	if len(p.Leaves(pinnedBy(7))) != 0 {
+	if len(r.pickVictims(100, nil, []uint64{7})) != 0 {
 		t.Fatal("pinned leaf not excluded")
 	}
-	if len(p.Leaves(pinnedBy(8))) != 1 {
-		t.Fatal("unpinned query should see the leaf")
+	if len(r.pool.frontier) != 1 {
+		t.Fatal("passed-over leaf did not return to the frontier")
 	}
-	if len(p.Leaves(nil)) != 1 {
-		t.Fatal("Leaves(nil) must include pinned entries (footnote-3 path)")
+	if v := r.pickVictims(100, nil, []uint64{8}); len(v) != 1 || v[0] != e {
+		t.Fatal("a leaf pinned by a finished query must be evictable")
+	}
+	r.pool.pushLeaf(e)
+	if len(r.pickVictims(100, []uint64{e.ID}, nil)) != 0 {
+		t.Fatal("protected leaf not excluded")
+	}
+	if len(r.pickVictims(100, nil, nil)) != 1 {
+		t.Fatal("lifting the pins must include pinned entries (footnote-3 path)")
 	}
 }
 
@@ -131,7 +133,7 @@ func TestPoolSubsumptionIndexes(t *testing.T) {
 	sel.IsRangeSelect = true
 	sel.SelColKey = "e1"
 	p.Add(sel)
-	if got := p.SelectCandidates("e1"); len(got) != 1 {
+	if got := p.SelectOverlaps("e1", nil, nil); len(got) != 1 {
 		t.Fatalf("select candidates = %d", len(got))
 	}
 	like := mkEntry("l", 100, time.Millisecond)
@@ -143,16 +145,19 @@ func TestPoolSubsumptionIndexes(t *testing.T) {
 	}
 	semi := mkEntry("sj", 100, time.Millisecond)
 	semi.IsSemijoin = true
-	semi.SemiLeft = 42
+	semi.SemiLeft, semi.SemiRight = 42, 43
 	p.Add(semi)
-	if got := p.SemijoinCandidates(42); len(got) != 1 {
-		t.Fatalf("semijoin candidates = %d", len(got))
+	if p.SemijoinOver(42, 43) != semi {
+		t.Fatal("semijoin not indexed")
 	}
 	p.Remove(sel)
 	p.Remove(like)
 	p.Remove(semi)
-	if len(p.SelectCandidates("e1"))+len(p.LikeCandidates("e1"))+len(p.SemijoinCandidates(42)) != 0 {
+	if len(p.SelectOverlaps("e1", nil, nil))+len(p.LikeCandidates("e1")) != 0 || p.SemijoinOver(42, 43) != nil {
 		t.Fatal("indexes not cleaned on removal")
+	}
+	if len(p.selIdx)+len(p.likeIdx)+len(p.semiIdx) != 0 {
+		t.Fatal("emptied index keys not dropped")
 	}
 }
 
@@ -253,9 +258,16 @@ func TestRangesOverlap(t *testing.T) {
 	}
 }
 
-func TestIsSubsetOfChains(t *testing.T) {
+func TestSmallestSemijoinFollowsChainsAndRanges(t *testing.T) {
 	p := NewPool()
 	r := &Recycler{pool: p, cfg: Config{}, adm: newAdmission(KeepAll, 0)}
+	const x = 77 // provenance of the left operand
+	semiOver := func(right *Entry) *Entry {
+		sj := mkEntry("sj-"+right.Sig, 10, time.Millisecond)
+		sj.IsSemijoin, sj.SemiLeft, sj.SemiRight = true, x, right.ID
+		p.Add(sj)
+		return sj
+	}
 	a := mkEntry("a", 10, time.Millisecond)
 	p.Add(a)
 	b := mkEntry("b", 10, time.Millisecond)
@@ -264,30 +276,28 @@ func TestIsSubsetOfChains(t *testing.T) {
 	c := mkEntry("c", 10, time.Millisecond)
 	c.SubsetOf = b.ID
 	p.Add(c)
-	if !r.isSubsetOf(c.ID, a.ID) {
-		t.Fatal("transitive derivation chain not detected")
+	sjA, sjC := semiOver(a), semiOver(c)
+	if got := r.smallestSemijoin(epochView{}, x, c.ID); got != sjA {
+		t.Fatalf("transitive derivation chain not followed: got %v", got)
 	}
-	if r.isSubsetOf(a.ID, c.ID) {
-		t.Fatal("reverse direction must fail")
+	if got := r.smallestSemijoin(epochView{}, x, a.ID); got != nil {
+		t.Fatalf("reverse direction must fail: got %v (sjC = e%d)", got, sjC.ID)
 	}
 	// Range-based subset: two selects over the same column.
-	s1 := mkEntry("s1", 10, time.Millisecond)
-	s1.IsRangeSelect = true
-	s1.SelColKey = "e9"
-	s1.SelLo, s1.SelHi = int64(0), int64(100)
-	s1.SelIncLo, s1.SelIncHi = true, true
-	p.Add(s1)
-	s2 := mkEntry("s2", 10, time.Millisecond)
-	s2.IsRangeSelect = true
-	s2.SelColKey = "e9"
-	s2.SelLo, s2.SelHi = int64(10), int64(20)
-	s2.SelIncLo, s2.SelIncHi = true, true
-	p.Add(s2)
-	if !r.isSubsetOf(s2.ID, s1.ID) {
-		t.Fatal("range containment subset not detected")
+	sel := func(sig string, lo, hi int64) *Entry {
+		e := mkEntry(sig, 10, time.Millisecond)
+		e.IsRangeSelect, e.SelColKey = true, "e9"
+		e.SelLo, e.SelHi, e.SelIncLo, e.SelIncHi = lo, hi, true, true
+		p.Add(e)
+		return e
 	}
-	if r.isSubsetOf(s1.ID, s2.ID) {
-		t.Fatal("superset direction must fail")
+	s1, s2 := sel("s1", 0, 100), sel("s2", 10, 20)
+	sj1, sj2 := semiOver(s1), semiOver(s2)
+	if got := r.smallestSemijoin(epochView{}, x, s2.ID); got != sj1 {
+		t.Fatalf("range containment subset not detected: got %v", got)
+	}
+	if got := r.smallestSemijoin(epochView{}, x, s1.ID); got != nil {
+		t.Fatalf("superset direction must fail: got %v (sj2 = e%d)", got, sj2.ID)
 	}
 }
 

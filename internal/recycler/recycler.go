@@ -1,6 +1,7 @@
 package recycler
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,6 +169,9 @@ type Recycler struct {
 	// under the writer lock — the window a concurrent invalidation
 	// must not be able to slip stale pieces through.
 	testBeforeRevalidate func()
+	// testOnVictim, when set by tests, observes every capacity eviction
+	// in order (the victim-equivalence differential suite).
+	testOnVictim func(*Entry)
 }
 
 // New creates a recycler over the given catalog.
@@ -425,16 +429,15 @@ func (r *Recycler) EndQuery(queryID uint64) {
 	r.stateMu.Unlock()
 }
 
-// activeSnapshot copies the active-query set, so eviction can test
-// pins without re-taking stateMu per leaf.
-func (r *Recycler) activeSnapshot() map[uint64]bool {
+// activeSnapshot appends the active-query set to dst, so eviction can
+// test pins without re-taking stateMu per leaf.
+func (r *Recycler) activeSnapshot(dst []uint64) []uint64 {
 	r.stateMu.RLock()
 	defer r.stateMu.RUnlock()
-	m := make(map[uint64]bool, len(r.active))
 	for q := range r.active {
-		m[q] = true
+		dst = append(dst, q)
 	}
-	return m
+	return dst
 }
 
 // staleSinceLocked reports whether any of the dep tables committed an
@@ -470,6 +473,45 @@ func (r *Recycler) staleForQuery(queryID uint64, deps []ColumnRef) bool {
 // commit. Takes stateMu shared; safe with or without the writer lock.
 func (r *Recycler) usable(ctx *mal.Ctx, e *Entry) bool {
 	return !r.staleForQuery(ctx.QueryID, e.Deps)
+}
+
+// epochView is the epoch guard's verdict for one query, taken once: the
+// tables whose intermediates the query must not consume (empty in the
+// common case of no commit since it began). The subsumption searches
+// judge every candidate of a scan against one view instead of taking
+// stateMu per candidate. That is as tight as usable(): both verdicts
+// precede the use they license, and the scan holds the writer lock, so
+// no pool fix-up can land in between.
+type epochView struct{ stale []string }
+
+// epochViewFor evaluates the guard for a query. Takes stateMu shared;
+// safe with or without the writer lock.
+func (r *Recycler) epochViewFor(queryID uint64) epochView {
+	r.stateMu.RLock()
+	defer r.stateMu.RUnlock()
+	var v epochView
+	if began, ok := r.active[queryID]; ok {
+		// Every table with a commit in flight has a tableEpoch stamp
+		// (OnBeforeUpdate sets both), so this loop sees them all.
+		for t, ep := range r.tableEpoch {
+			if ep > began || r.pending[t] > 0 {
+				v.stale = append(v.stale, t)
+			}
+		}
+	}
+	return v
+}
+
+// usable is Recycler.usable against the view.
+func (v epochView) usable(e *Entry) bool {
+	for _, t := range v.stale {
+		for _, d := range e.Deps {
+			if d.Table == t {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // signature derives the structured plan.Signature of an instruction
@@ -630,7 +672,8 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 		r.adm.refund(key)
 		return 0, "deny:too-large:refunded"
 	}
-	protect := protectSet(args)
+	var buf [4]uint64
+	protect := lineageOf(buf[:0], args)
 	if r.cfg.MaxBytes > 0 && r.pool.Bytes()+bytes > r.cfg.MaxBytes {
 		if !r.cleanCache(r.pool.Bytes()+bytes-r.cfg.MaxBytes, 0, protect) {
 			r.adm.refund(key)
@@ -643,7 +686,7 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 			return 0, "deny:no-room:refunded"
 		}
 	}
-	e := r.buildEntry(ctx, pc, in, args, ret, elapsed, sig, sigKey, deps)
+	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, deps)
 	if rw != nil {
 		e.SubsetOf = rw.SubsetOf
 	}
@@ -652,25 +695,27 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 	return e.ID, "admit:granted"
 }
 
-func protectSet(args []mal.Value) map[uint64]bool {
-	m := make(map[uint64]bool, len(args))
+// lineageOf appends the distinct pool-entry provenances of the BAT
+// arguments to dst: the lineage edges of the instruction's result, and
+// the entries an admission of it must not evict.
+func lineageOf(dst []uint64, args []mal.Value) []uint64 {
 	for _, a := range args {
-		if a.IsBat() && a.Prov != 0 {
-			m[a.Prov] = true
+		if a.IsBat() && a.Prov != 0 && !slices.Contains(dst, a.Prov) {
+			dst = append(dst, a.Prov)
 		}
 	}
-	return m
+	return dst
 }
 
 // buildEntry captures an executed instruction instance into a pool
 // entry, deriving lineage edges, column dependencies and subsumption
 // metadata.
-func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key string, deps []ColumnRef) *Entry {
+func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key string, deps []ColumnRef) *Entry {
 	now := r.pool.Tick()
 	e := &Entry{
 		Sig:       key,
-		OpName:    in.Name(),
-		Render:    plan.RenderInstr(in.Name(), args),
+		OpName:    sig.Op,
+		Render:    plan.RenderInstr(sig.Op, args),
 		Result:    ret,
 		Bytes:     ret.Bytes(),
 		Tuples:    ret.Tuples(),
@@ -684,13 +729,7 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 	e.LastUseTick.Store(now)
 	e.deltaClass = plan.ClassifyOp(e.OpName)
 	e.deltaOneTable = depsOneTable(deps)
-	seen := map[uint64]bool{}
-	for _, a := range args {
-		if a.IsBat() && a.Prov != 0 && !seen[a.Prov] {
-			seen[a.Prov] = true
-			e.DependsOn = append(e.DependsOn, a.Prov)
-		}
-	}
+	e.DependsOn = lineageOf(nil, args)
 	e.Deps = deps
 	// The canonical signature (provenance-free, stable across restarts)
 	// keys the disk tier; every BAT argument's producer is still in the
@@ -701,12 +740,16 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 		e.CanonSig, e.SpillArgs, _ = sig.Canonical(r.pool.canonOf)
 	}
 
-	switch in.Name() {
+	switch sig.Op {
 	case "algebra.select":
 		lo, hi, il, ih := mal.SelectBounds(args)
-		e.IsRangeSelect = true
-		e.SelColKey = args[0].Key()
-		e.SelLo, e.SelHi, e.SelIncLo, e.SelIncHi = lo, hi, il, ih
+		// The range index orders entries by their bounds, and NaN has
+		// no place in an order: such a select stays an exact-match line.
+		if !isNaN(lo) && !isNaN(hi) {
+			e.IsRangeSelect = true
+			e.SelColKey = args[0].Key()
+			e.SelLo, e.SelHi, e.SelIncLo, e.SelIncHi = lo, hi, il, ih
+		}
 	case "algebra.likeselect":
 		e.IsLike = true
 		e.LikeColKey = args[0].Key()
@@ -717,6 +760,11 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 		e.SemiRight = args[1].Prov
 	}
 	return e
+}
+
+func isNaN(v any) bool {
+	f, ok := v.(float64)
+	return ok && f != f
 }
 
 // columnDeps derives the persistent columns an instruction's result
@@ -743,7 +791,6 @@ func (r *Recycler) columnDeps(in *mal.Instr, args []mal.Value) ([]ColumnRef, boo
 		}
 		return deps, true
 	}
-	set := map[ColumnRef]bool{}
 	var out []ColumnRef
 	for _, a := range args {
 		if !a.IsBat() || a.Prov == 0 {
@@ -754,8 +801,7 @@ func (r *Recycler) columnDeps(in *mal.Instr, args []mal.Value) ([]ColumnRef, boo
 			return nil, false
 		}
 		for _, d := range parent.Deps {
-			if !set[d] {
-				set[d] = true
+			if !slices.Contains(out, d) {
 				out = append(out, d)
 			}
 		}

@@ -399,7 +399,8 @@ func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []m
 	// against its real size, not the (possibly view-accounted) size
 	// recorded at demotion.
 	admit := true
-	protect := protectSet(args)
+	var buf [4]uint64
+	protect := lineageOf(buf[:0], args)
 	bytes := rec.Result.Bytes()
 	if r.cfg.MaxBytes > 0 && bytes > r.cfg.MaxBytes {
 		admit = false
@@ -416,7 +417,7 @@ func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []m
 		// admitted without paying a credit, so the credit bookkeeping
 		// (reuse refunds, eviction refunds) must not attach to the
 		// current instruction — it would mint credits never charged.
-		e := entryFromSpill(rec, key, lineageOf(args), r.pool.Tick())
+		e := entryFromSpill(rec, key, lineageOf(nil, args), r.pool.Tick())
 		r.pool.Add(e)
 		e.pinnedQuery.Store(ctx.QueryID)
 		val = e.Result
@@ -440,20 +441,6 @@ func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []m
 		reason = "hit:spill-disk-only"
 	}
 	return mal.EntryResult{Hit: true, Val: val, Reason: reason}, true
-}
-
-// lineageOf extracts the distinct pool-entry provenances of the BAT
-// arguments (the lineage edges of a reloaded entry).
-func lineageOf(args []mal.Value) []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, a := range args {
-		if a.IsBat() && a.Prov != 0 && !seen[a.Prov] {
-			seen[a.Prov] = true
-			out = append(out, a.Prov)
-		}
-	}
-	return out
 }
 
 // Prewarm loads every spilled record that survives epoch validation

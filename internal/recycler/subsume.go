@@ -1,6 +1,7 @@
 package recycler
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -14,9 +15,12 @@ import (
 // intermediates whose union covers — the result the planned
 // instruction would compute.
 //
-// The candidate scans walk the pool's subsumption indexes and
-// therefore run under the writer lock. Combined subsumption's operator
-// execution (the piecewise selects and the merge) does NOT: the
+// The candidate searches read the pool's subsumption indexes and
+// therefore run under the writer lock. They cost O(log n) plus the
+// candidates they report in the number of pooled selects and semijoins
+// (see selindex.go), and judge every candidate against one epochView
+// instead of taking stateMu per candidate. Combined subsumption's
+// operator execution (the piecewise selects and the merge) does NOT: the
 // chosen candidates are snapshotted under the lock, the algebra runs
 // over the immutable snapshots with no lock held, and the result is
 // only admitted after re-acquiring the writer lock and re-validating
@@ -87,6 +91,49 @@ type pieceSnap struct {
 	result       mal.Value
 }
 
+// smaller orders subsumption sources by the cost model — the operand
+// size — with the older entry winning a tie, so the choice does not
+// depend on how an index happens to be laid out.
+func smaller(e, best *Entry) bool {
+	return best == nil || e.Tuples < best.Tuples || (e.Tuples == best.Tuples && e.ID < best.ID)
+}
+
+// smallestSuperset is the singleton search (§5.1): the smallest usable
+// range select over the column whose range contains the target. Caller
+// holds the writer lock.
+func (r *Recycler) smallestSuperset(view epochView, colKey string, lo any, incLo bool, hi any, incHi bool) *Entry {
+	var best *Entry
+	for _, e := range r.pool.SelectSupersets(colKey, lo, incLo, hi, incHi) {
+		if view.usable(e) && smaller(e, best) {
+			best = e
+		}
+	}
+	return best
+}
+
+// overlapSnaps builds R for Algorithm 2: snapshots of the usable range
+// selects over the column that overlap the target, oldest first, capped
+// at MaxCombined for safety. Caller holds the writer lock.
+func (r *Recycler) overlapSnaps(view epochView, colKey string, lo, hi any) []pieceSnap {
+	cands := r.pool.SelectOverlaps(colKey, lo, hi)
+	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
+	var R []pieceSnap
+	for _, e := range cands {
+		if !view.usable(e) {
+			continue
+		}
+		R = append(R, pieceSnap{
+			e: e, lo: e.SelLo, hi: e.SelHi,
+			incLo: e.SelIncLo, incHi: e.SelIncHi,
+			tuples: e.Tuples, result: e.Result,
+		})
+		if len(R) >= r.cfg.MaxCombined {
+			break
+		}
+	}
+	return R
+}
+
 // subsumeSelect implements select subsumption: first the singleton
 // form (one superset intermediate, §5.1), then the combined form over
 // a set of overlapping intermediates (§5.2, Algorithm 2).
@@ -95,27 +142,8 @@ func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal
 	colKey := args[0].Key()
 
 	r.lockWriter()
-	cands := r.pool.SelectCandidates(colKey)
-	if len(cands) == 0 {
-		r.mu.Unlock()
-		return mal.EntryResult{}
-	}
-
-	// Singleton: the cost model is the operand size, so pick the
-	// smallest superset intermediate.
-	var best *Entry
-	for _, e := range cands {
-		if !r.usable(ctx, e) {
-			continue
-		}
-		if !rangeContains(e.SelLo, e.SelIncLo, e.SelHi, e.SelIncHi, lo, incLo, hi, incHi) {
-			continue
-		}
-		if best == nil || e.Tuples < best.Tuples {
-			best = e
-		}
-	}
-	if best != nil {
+	view := r.epochViewFor(ctx.QueryID)
+	if best := r.smallestSuperset(view, colKey, lo, incLo, hi, incHi); best != nil {
 		r.noteReuse(ctx, in, best)
 		newArgs := append([]mal.Value(nil), args...)
 		newArgs[0] = best.Result
@@ -130,25 +158,9 @@ func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal
 		return mal.EntryResult{}
 	}
 
-	// R: snapshots of candidates overlapping the target range, capped
-	// for safety. The writer lock is released after the copy; search
-	// and piecewise execution run over the snapshots without it.
-	var R []pieceSnap
-	for _, e := range cands {
-		if !r.usable(ctx, e) {
-			continue
-		}
-		if rangesOverlap(e.SelLo, e.SelHi, lo, hi) {
-			R = append(R, pieceSnap{
-				e: e, lo: e.SelLo, hi: e.SelHi,
-				incLo: e.SelIncLo, incHi: e.SelIncHi,
-				tuples: e.Tuples, result: e.Result,
-			})
-			if len(R) >= r.cfg.MaxCombined {
-				break
-			}
-		}
-	}
+	// The writer lock is released after the copy; search and piecewise
+	// execution run over the snapshots without it.
+	R := r.overlapSnaps(view, colKey, lo, hi)
 	r.mu.Unlock()
 	return r.combinedSelect(ctx, pc, in, args, lo, hi, incLo, incHi, R)
 }
@@ -349,11 +361,9 @@ func (r *Recycler) subsumeLike(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) ma
 	colKey := args[0].Key()
 	target := args[1].S
 	r.lockWriter()
+	view := r.epochViewFor(ctx.QueryID)
 	var best *Entry
 	for _, e := range r.pool.LikeCandidates(colKey) {
-		if !r.usable(ctx, e) {
-			continue
-		}
 		lit, pure := algebra.LikeLiteral(e.LikePat)
 		if !pure || lit == "" {
 			continue
@@ -361,7 +371,7 @@ func (r *Recycler) subsumeLike(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) ma
 		if !literalRunContains(target, lit) {
 			continue
 		}
-		if best == nil || e.Tuples < best.Tuples {
+		if view.usable(e) && smaller(e, best) {
 			best = e
 		}
 	}
@@ -390,30 +400,14 @@ func literalRunContains(pattern, lit string) bool {
 }
 
 // subsumeSemijoin implements semijoin subsumption (§5.1): semijoin(X, W)
-// can reuse a cached semijoin(X, V) when W ⊂ V. The subset test uses
-// the derivation edges recorded by earlier subsumptions plus range
-// containment between select entries.
+// can reuse a cached semijoin(X, V) when W ⊂ V.
 func (r *Recycler) subsumeSemijoin(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) mal.EntryResult {
 	px, pw := args[0].Prov, args[1].Prov
 	if px == 0 || pw == 0 {
 		return mal.EntryResult{}
 	}
 	r.lockWriter()
-	var best *Entry
-	for _, e := range r.pool.SemijoinCandidates(px) {
-		if !r.usable(ctx, e) {
-			continue
-		}
-		if e.SemiRight == pw {
-			continue // exact match handled earlier; defensive
-		}
-		if !r.isSubsetOf(pw, e.SemiRight) {
-			continue
-		}
-		if best == nil || e.Tuples < best.Tuples {
-			best = e
-		}
-	}
+	best := r.smallestSemijoin(r.epochViewFor(ctx.QueryID), px, pw)
 	if best == nil {
 		r.mu.Unlock()
 		return mal.EntryResult{}
@@ -427,26 +421,35 @@ func (r *Recycler) subsumeSemijoin(ctx *mal.Ctx, in *mal.Instr, args []mal.Value
 	return mal.EntryResult{Rewrite: &mal.Rewrite{Args: newArgs, SubsetOf: id}, Reason: "rewrite:subsume-semijoin"}
 }
 
-// isSubsetOf reports whether the result of entry a is a subset of the
-// result of entry b, established either through recorded derivation
-// edges (a was computed from b by subsumption) or through range
-// containment of selects over the same column operand. Caller holds
-// the writer lock.
-func (r *Recycler) isSubsetOf(a, b uint64) bool {
-	for id := a; id != 0; {
-		if id == b {
-			return true
+// smallestSemijoin finds the smallest usable semijoin(X, V) with W ⊂ V.
+// Rather than testing every cached semijoin over X, it enumerates the
+// known supersets V of W — few — and looks each (X, V) pair up: the
+// entries W was derived from by subsumption (the recorded SubsetOf
+// edges), and, when W is a range select, the selects over the same
+// column operand whose range contains W's. Caller holds the writer
+// lock.
+func (r *Recycler) smallestSemijoin(view epochView, px, pw uint64) *Entry {
+	var best *Entry
+	consider := func(v uint64) {
+		if v == pw {
+			return // exact match handled earlier
 		}
-		e := r.pool.Get(id)
+		if e := r.pool.SemijoinOver(px, v); e != nil && view.usable(e) && smaller(e, best) {
+			best = e
+		}
+	}
+	for v := pw; v != 0; {
+		consider(v)
+		e := r.pool.Get(v)
 		if e == nil {
 			break
 		}
-		id = e.SubsetOf
+		v = e.SubsetOf
 	}
-	ea, eb := r.pool.Get(a), r.pool.Get(b)
-	if ea != nil && eb != nil && ea.IsRangeSelect && eb.IsRangeSelect && ea.SelColKey == eb.SelColKey {
-		return rangeContains(eb.SelLo, eb.SelIncLo, eb.SelHi, eb.SelIncHi,
-			ea.SelLo, ea.SelIncLo, ea.SelHi, ea.SelIncHi)
+	if w := r.pool.Get(pw); w != nil && w.IsRangeSelect {
+		for _, e := range r.pool.SelectSupersets(w.SelColKey, w.SelLo, w.SelIncLo, w.SelHi, w.SelIncHi) {
+			consider(e.ID)
+		}
 	}
-	return false
+	return best
 }

@@ -5,6 +5,8 @@
 # profiles/:
 #   profiles/skybench.pprof   whole-run profile of the naive baseline
 #   profiles/kernels.pprof    internal/algebra Kernel* benchmarks
+#   profiles/misspath.pprof   recycler miss path (admit at the cap,
+#                             missed select) at 1e2..1e4 pool entries
 #   profiles/*.top.txt        `go tool pprof -top` summaries
 # Usage: scripts/profile.sh [objects] [queries]   (defaults 20000 200)
 set -euo pipefail
@@ -23,10 +25,18 @@ go test ./internal/algebra/ -run '^$' -bench 'BenchmarkKernel' \
   -benchtime 100x -cpuprofile profiles/kernels.pprof \
   -o profiles/algebra.test >/dev/null
 
+echo "== recycler miss path (ns/op must not scale with pool size) =="
+go test ./internal/recycler/ -run '^$' \
+  -bench 'BenchmarkExitAtCap|BenchmarkSubsumeSelectMiss' \
+  -benchtime 20000x -benchmem -cpuprofile profiles/misspath.pprof \
+  -o profiles/recycler.test | tee profiles/misspath.bench.txt
+
 echo "== top functions =="
 go tool pprof -top -nodecount 25 profiles/skybench.pprof \
   | tee profiles/skybench.top.txt
 go tool pprof -top -nodecount 25 profiles/algebra.test profiles/kernels.pprof \
   | tee profiles/kernels.top.txt
+go tool pprof -top -nodecount 25 profiles/recycler.test profiles/misspath.pprof \
+  | tee profiles/misspath.top.txt
 
 echo "profiles written to profiles/ (open with: go tool pprof -http :8080 <file>)"
