@@ -45,7 +45,7 @@ func NewCatalog() *catalog.Catalog { return catalog.New() }
 // handles) may call Exec/ExecSQL against one engine sharing a single
 // recycle pool, the paper's multi-user setting. Each query itself runs
 // on the dataflow scheduler, executing independent plan instructions
-// in parallel; WithSeqExec restores the classical sequential
+// in parallel; WithWorkers(1) restores the classical sequential
 // interpreter loop.
 type Engine struct {
 	cat      *catalog.Catalog
@@ -70,7 +70,8 @@ type Option func(*Engine)
 // keepall/crd/adapt (§4.2) with Credits as the k parameter, Eviction
 // selects lru/bp/hp (§4.3), MaxBytes/MaxEntries bound the pool,
 // Subsumption and CombinedSubsumption enable the §5 matching
-// extensions, and Sync picks invalidate vs propagate (§6). Spill
+// extensions, and Sync picks the update-synchronisation preset
+// (invalidate, propagate or maintain, §6). Spill
 // attaches a disk tier (internal/store) so eviction demotes entries
 // instead of destroying them and a restarted engine can pre-warm via
 // Recycler.Prewarm. See docs/TUNING.md for guidance on choosing a
@@ -96,19 +97,6 @@ func WithOptimizer(opts opt.Options) Option {
 // instruction; leave it off for throughput benchmarks of naive runs.
 func WithMeasure() Option {
 	return func(e *Engine) { e.measure = true }
-}
-
-// WithSeqExec selects the sequential interpreter (mal.RunSeq) instead
-// of the dataflow scheduler — the paper's original single-threaded
-// execution model, and the baseline the scheduler is benchmarked
-// against.
-//
-// Deprecated: WithSeqExec is exactly WithWorkers(1); call that
-// directly. A single worker is the one source of truth for sequential
-// execution, and WithWorkers composes with later overrides where two
-// spellings of the same knob do not.
-func WithSeqExec() Option {
-	return WithWorkers(1)
 }
 
 // WithWorkers bounds the per-query dataflow parallelism: n is the

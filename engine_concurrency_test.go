@@ -118,7 +118,7 @@ func TestConcurrentQueriesAndDML(t *testing.T) {
 // sequential engine and a dataflow engine and compares results.
 func TestSeqAndDataflowEnginesAgree(t *testing.T) {
 	cat := demoCatalog()
-	seqEng := NewEngine(cat, WithSeqExec())
+	seqEng := NewEngine(cat, WithWorkers(1))
 	parEng := NewEngine(cat, WithWorkers(4))
 	tmpl := seqEng.Compile(demoTemplate())
 

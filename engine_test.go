@@ -118,33 +118,3 @@ func TestEngineExecSQL(t *testing.T) {
 		t.Fatal("want parse error")
 	}
 }
-
-// TestWithSeqExecIsWithWorkers1 pins the deprecated alias: WithSeqExec
-// is exactly WithWorkers(1) — one source of truth for sequential
-// execution — and composes with later overrides the way any
-// WithWorkers call does (last one wins).
-func TestWithSeqExecIsWithWorkers1(t *testing.T) {
-	cat := demoCatalog()
-	if got := NewEngine(cat, WithSeqExec()).workers; got != 1 {
-		t.Fatalf("WithSeqExec workers = %d, want 1", got)
-	}
-	if got := NewEngine(cat, WithWorkers(1)).workers; got != 1 {
-		t.Fatalf("WithWorkers(1) workers = %d, want 1", got)
-	}
-	// Later options override earlier ones, in both spellings.
-	if got := NewEngine(cat, WithSeqExec(), WithWorkers(4)).workers; got != 4 {
-		t.Fatalf("WithSeqExec then WithWorkers(4) = %d, want 4", got)
-	}
-	if got := NewEngine(cat, WithWorkers(4), WithSeqExec()).workers; got != 1 {
-		t.Fatalf("WithWorkers(4) then WithSeqExec = %d, want 1", got)
-	}
-	// The alias still executes correctly end to end.
-	eng := NewEngine(cat, WithSeqExec())
-	res, err := eng.ExecSQL("SELECT COUNT(*) FROM demo.t WHERE k BETWEEN 10 AND 20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Results[0].Val.I != 11 {
-		t.Fatalf("count = %d", res.Results[0].Val.I)
-	}
-}

@@ -14,7 +14,7 @@ package analysis
 // doc comment, PR 3): a lock may only be acquired while every held
 // lock has a strictly smaller rank. The catalog mutex sits above the
 // recycler locks because recycler code consults the catalog while
-// holding its own locks (spillRecordLocked → TableStamp, maintain →
+// holding its own locks (spillRecordLocked → TableStamp, applyCommit →
 // refreshBindFromCatalog), never the reverse.
 // ---------------------------------------------------------------------
 
@@ -185,30 +185,25 @@ var WriterContextFuncs = map[string]bool{
 	"repro/internal/recycler.(*Recycler).exitLocked":             true,
 	"repro/internal/recycler.(*Recycler).spillRecordLocked":      true,
 	"repro/internal/recycler.(*Recycler).demoteLocked":           true,
-	"repro/internal/recycler.(*Recycler).maintain":               true,
-	"repro/internal/recycler.(*Recycler).maintainNonDelta":       true,
-	"repro/internal/recycler.(*Recycler).maintainBind":           true,
-	"repro/internal/recycler.(*Recycler).maintainFilter":         true,
-	"repro/internal/recycler.(*Recycler).maintainProject":        true,
-	"repro/internal/recycler.(*Recycler).maintainAgg":            true,
-	"repro/internal/recycler.(*Recycler).maintParent":            true,
+	"repro/internal/recycler.(*Recycler).applyCommit":            true,
+	"repro/internal/recycler.(*commitWalk).parent":               true,
+	"repro/internal/recycler.(*commitWalk).rowsetParent":         true,
+	"repro/internal/recycler.(*commitWalk).base":                 true,
+	"repro/internal/recycler.(*commitWalk).filter":               true,
+	"repro/internal/recycler.(*commitWalk).project":              true,
+	"repro/internal/recycler.(*commitWalk).splitAppend":          true,
+	"repro/internal/recycler.(*commitWalk).agg":                  true,
+	"repro/internal/recycler.(*commitWalk).view":                 true,
+	"repro/internal/recycler.(*commitWalk).join":                 true,
 	"repro/internal/recycler.(*Recycler).refreshBindFromCatalog": true,
 	"repro/internal/recycler.(*Recycler).refreshResult":          true,
 	"repro/internal/recycler.(*Recycler).invalidate":             true,
-	"repro/internal/recycler.(*Recycler).propagate":              true,
-	"repro/internal/recycler.(*Recycler).propagateBind":          true,
-	"repro/internal/recycler.(*Recycler).propagateBindIdx":       true,
-	"repro/internal/recycler.(*Recycler).propagateSelect":        true,
-	"repro/internal/recycler.(*Recycler).propagateView":          true,
-	"repro/internal/recycler.(*Recycler).propagateJoin":          true,
 	"repro/internal/recycler.(*Recycler).cleanCache":             true,
 	"repro/internal/recycler.(*Recycler).pickVictims":            true,
 	"repro/internal/recycler.(*Recycler).pickLRU":                true,
 	"repro/internal/recycler.(*Recycler).pickVictimsMem":         true,
 	"repro/internal/recycler.(*Recycler).evict":                  true,
 	"repro/internal/recycler.(*Recycler).columnDeps":             true,
-	"repro/internal/recycler.(*Recycler).noteDeltaRows":          true,
-	"repro/internal/recycler.(*Recycler).parentInfo":             true,
 	"repro/internal/recycler.(*Recycler).smallestSuperset":       true,
 	"repro/internal/recycler.(*Recycler).overlapSnaps":           true,
 	"repro/internal/recycler.(*Recycler).smallestSemijoin":       true,

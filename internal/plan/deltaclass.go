@@ -1,12 +1,18 @@
 package plan
 
-// DeltaClass classifies an operation for the recycler's incremental
-// maintenance mode: which delta-propagation rule (if any) keeps a
-// pooled result of the operation consistent under an INSERT/DELETE
-// commit to a base table. The classification is static — purely a
-// property of the operation name — and deliberately conservative:
-// anything not provably maintainable in O(|delta|) with bit-identical
-// results classifies DeltaNone and falls back to invalidation.
+// DeltaClass classifies an operation for the recycler's update
+// synchronisation (paper §6): which delta rule, if any, keeps a pooled
+// result of the operation consistent under a commit to a base table.
+// The recycler holds exactly one rule per class and walks a commit's
+// affected entries through them; DeltaNone is the class of operations
+// that have no rule and invalidate. The recycler's three SyncMode
+// values are presets that mask classes off — "invalidate" masks all of
+// them — so a class describes what CAN be maintained, not what a given
+// configuration does maintain.
+//
+// The classification is static — purely a property of the operation
+// name — and conservative: anything without a sound rule classifies
+// DeltaNone.
 //
 // Select-chain fusion (opt.PlanFusion) does not interact with this
 // classification: fusion is an execution-time rewrite that leaves the
@@ -18,10 +24,11 @@ type DeltaClass int
 
 // Delta classes.
 const (
-	// DeltaNone: no sound O(delta) rule — invalidate on update.
+	// DeltaNone: no sound delta rule — invalidate on update.
 	DeltaNone DeltaClass = iota
-	// DeltaBase: a catalog bind; refreshes directly from storage and
-	// seeds the propagation with the commit's own insert delta.
+	// DeltaBase: a catalog bind (sql.bind, sql.bindIdxbat); refreshes
+	// directly from storage and seeds the propagation with the
+	// commit's own insert delta.
 	DeltaBase
 	// DeltaFilter: a row filter (select/uselect/likeselect/
 	// notlikeselect/selectNotNil) over one rowset parent; maintained
@@ -38,6 +45,18 @@ const (
 	// (floating-point addition is non-associative, and recomputing in
 	// parent order is what keeps the result bit-identical).
 	DeltaAgg
+	// DeltaView: a zero-cost viewpoint change (reverse / mirror /
+	// markT); re-derived from the maintained parent, which is sound
+	// under inserts and deletes alike. Its result is no longer headed
+	// by base-table oids, so the rowset classes above do not apply
+	// over it.
+	DeltaView
+	// DeltaJoin: an equi-join; insert-only differential
+	// δL⋈R ∪ L⋈δR ∪ δL⋈δR appended to the old result (§6.3). Any
+	// delete falls back. The appended rows are the rows a recompute
+	// adds, but a recompute interleaves L⋈δR with the old rows: the
+	// result is the same bag in a different order.
+	DeltaJoin
 )
 
 // String names the class for diagnostics.
@@ -51,6 +70,10 @@ func (c DeltaClass) String() string {
 		return "project"
 	case DeltaAgg:
 		return "agg"
+	case DeltaView:
+		return "view"
+	case DeltaJoin:
+		return "join"
 	}
 	return "none"
 }
@@ -59,17 +82,13 @@ func (c DeltaClass) String() string {
 //
 // Deliberately excluded (they classify DeltaNone):
 //
-//	sql.bindIdxbat        delta depends on two tables' alignment
-//	algebra.join          sound insert-only differential exists (the
-//	                      propagate mode uses it) but not with deletes
-//	algebra.markT         deletes punch holes in the dense tail
-//	bat.reverse/mirror    value-headed views; head tombstoning unsound
 //	group.* / aggr.sum    grouped aggregates need per-group state
 //	aggr.min/max/avg...   MIN/MAX not maintainable under deletes
 //	algebra.sort/topn     order statistics, recompute
+//	algebra.kunique ...   everything else: no rule written
 func ClassifyOp(op string) DeltaClass {
 	switch op {
-	case "sql.bind":
+	case "sql.bind", "sql.bindIdxbat":
 		return DeltaBase
 	case "algebra.select", "algebra.uselect", "algebra.likeselect",
 		"algebra.notlikeselect", "algebra.selectNotNil":
@@ -78,6 +97,10 @@ func ClassifyOp(op string) DeltaClass {
 		return DeltaProject
 	case "aggr.count", "aggr.sumInt", "aggr.sumFlt":
 		return DeltaAgg
+	case "bat.reverse", "bat.mirror", "algebra.markT":
+		return DeltaView
+	case "algebra.join":
+		return DeltaJoin
 	}
 	return DeltaNone
 }

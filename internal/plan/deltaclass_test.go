@@ -14,20 +14,20 @@ func TestClassifyOp(t *testing.T) {
 		"aggr.count":            DeltaAgg,
 		"aggr.sumInt":           DeltaAgg,
 		"aggr.sumFlt":           DeltaAgg,
+		"sql.bindIdxbat":        DeltaBase,
+		"bat.reverse":           DeltaView,
+		"bat.mirror":            DeltaView,
+		"algebra.markT":         DeltaView,
+		"algebra.join":          DeltaJoin,
 		// Excluded shapes must stay excluded: each has a documented
 		// soundness obstruction (see ClassifyOp).
-		"sql.bindIdxbat": DeltaNone,
-		"algebra.join":   DeltaNone,
-		"algebra.markT":  DeltaNone,
-		"bat.reverse":    DeltaNone,
-		"bat.mirror":     DeltaNone,
-		"group.new":      DeltaNone,
-		"aggr.sum":       DeltaNone,
-		"aggr.min":       DeltaNone,
-		"aggr.max":       DeltaNone,
-		"algebra.sort":   DeltaNone,
-		"algebra.topn":   DeltaNone,
-		"":               DeltaNone,
+		"group.new":    DeltaNone,
+		"aggr.sum":     DeltaNone,
+		"aggr.min":     DeltaNone,
+		"aggr.max":     DeltaNone,
+		"algebra.sort": DeltaNone,
+		"algebra.topn": DeltaNone,
+		"":             DeltaNone,
 	}
 	for op, want := range cases {
 		if got := ClassifyOp(op); got != want {
@@ -39,7 +39,8 @@ func TestClassifyOp(t *testing.T) {
 func TestDeltaClassString(t *testing.T) {
 	for c, want := range map[DeltaClass]string{
 		DeltaNone: "none", DeltaBase: "base", DeltaFilter: "filter",
-		DeltaProject: "project", DeltaAgg: "agg",
+		DeltaProject: "project", DeltaAgg: "agg", DeltaView: "view",
+		DeltaJoin: "join",
 	} {
 		if c.String() != want {
 			t.Errorf("DeltaClass(%d).String() = %q, want %q", c, c.String(), want)

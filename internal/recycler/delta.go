@@ -1,0 +1,449 @@
+package recycler
+
+import (
+	"cmp"
+	"slices"
+	"sort"
+	"time"
+
+	"repro/internal/algebra"
+	"repro/internal/bat"
+	"repro/internal/catalog"
+	"repro/internal/mal"
+	"repro/internal/plan"
+)
+
+// This file is the one delta engine behind every SyncMode (paper §6).
+// A commit's affected pool entries are walked once, in admission (=
+// topological) order; each entry's cached plan.DeltaClass selects its
+// rule from deltaRules, and the entry invalidates when the class has
+// no rule, the preset masks the rule off, the rule fails, or a parent
+// fell back (its parent is then no longer valid, which fails the rule).
+// "Drop everything" (§6.4) is the empty mask; §6.3 propagation and
+// full incremental maintenance are two other masks over the same
+// table:
+//
+//	class    rule                                          falls back when
+//	base     refresh from the catalog; the commit's        table/column gone
+//	         inserts seed the walk, the old pooled result
+//	         yields the deleted rows' values
+//	filter   SplitHeads(old) ∪ P(parent δ+)                parent not a rowset
+//	project  SplitHeads(old) ∪ (δL ⋉ δR) — appended rows   parent not a rowset
+//	         carry fresh oids larger than every old head,
+//	         so the δL⋉R and L⋉δR cross terms vanish
+//	agg      count/int-sum apply the delta arithmetically; parent not a rowset,
+//	         float sums recompute over the maintained      kind mismatch
+//	         parent (FP addition is non-associative; parent
+//	         order is what keeps the bits a recompute's)
+//	view     re-derive from the maintained parent          parent fell back
+//	join     append δL⋈R ∪ L⋈δR ∪ δL⋈δR (same bag as a     any delete
+//	         recompute, appended rather than interleaved)
+//
+// A rowset is a result still headed by its base table's oids — what
+// base, filter and project produce. The commit's dead-oid set
+// tombstones every rowset over the table consistently, which is what
+// SplitHeads relies on; it means nothing over a view's or join's
+// re-headed result, nor over an entry whose column dependencies span
+// two tables, so the three rowset rules refuse those parents.
+//
+// In-place updates (CommitUpdate) report the overwritten oids in
+// ev.Deleted but tombstone nothing, and a panicked mutation
+// (CommitInvalidate) may be half applied: no delta rule is sound for
+// either. Binds refresh from the catalog after an in-place update;
+// every other affected entry invalidates.
+
+// ruleMask is a set of plan.DeltaClass values: the rules a SyncMode
+// preset leaves switched on.
+type ruleMask uint8
+
+func (m ruleMask) has(c plan.DeltaClass) bool { return m&(1<<c) != 0 }
+
+// The three SyncMode presets. propagate is the paper's §6.3 operator
+// set; maintain trades its views and joins for projections and
+// aggregates, which is what keeps whole select-project-aggregate
+// plans warm across commits. rowsetClasses is not a preset: it names
+// the classes whose result keeps base-table oids as heads.
+const (
+	invalidateRules ruleMask = 0
+	propagateRules  ruleMask = 1<<plan.DeltaBase | 1<<plan.DeltaFilter | 1<<plan.DeltaView | 1<<plan.DeltaJoin
+	maintainRules   ruleMask = 1<<plan.DeltaBase | 1<<plan.DeltaFilter | 1<<plan.DeltaProject | 1<<plan.DeltaAgg
+	rowsetClasses   ruleMask = 1<<plan.DeltaBase | 1<<plan.DeltaFilter | 1<<plan.DeltaProject
+)
+
+// deltaRules holds the one rule of each class: it brings the entry up
+// to date with the commit and reports what it changed, or reports
+// false and leaves the entry to be invalidated. DeltaNone has none.
+var deltaRules = [...]func(*commitWalk, *Entry) (change, bool){
+	plan.DeltaNone:    nil,
+	plan.DeltaBase:    (*commitWalk).base,
+	plan.DeltaFilter:  (*commitWalk).filter,
+	plan.DeltaProject: (*commitWalk).project,
+	plan.DeltaAgg:     (*commitWalk).agg,
+	plan.DeltaView:    (*commitWalk).view,
+	plan.DeltaJoin:    (*commitWalk).join,
+}
+
+// change is what one rule did to one entry: the rows it appended
+// (already pushed through the entry's own operator), the rows it
+// tombstoned out (with their values — recovered from the old pooled
+// result, since the catalog reports deleted oids only), and the
+// entry's pre-commit result, which the join rule's cross terms read.
+// On a delete commit a view's change carries no rows although the view
+// shrank: nothing reads them, since the rowset rules refuse view
+// parents and the join rule refuses delete commits.
+type change struct {
+	added, removed, old *bat.BAT
+}
+
+// commitWalk is the state of one applyCommit. done holds the change of
+// every entry a rule succeeded on and nothing else: an affected entry
+// missing from it was either not reached yet (impossible for a parent —
+// parents are admitted, hence walked, first) or fell back and is no
+// longer valid.
+type commitWalk struct {
+	r    *Recycler
+	ev   catalog.UpdateEvent
+	dead map[bat.Oid]struct{}
+	done map[uint64]change
+}
+
+// commitSummary reports one walk's outcome for the trace layer: how
+// many entries were delta-maintained, how many fell back to
+// invalidation, and why (cause → count).
+type commitSummary struct {
+	maintained int
+	fallback   int
+	causes     map[string]int
+}
+
+func (s *commitSummary) fellBack(cause string) {
+	s.fallback++
+	if s.causes == nil {
+		s.causes = map[string]int{}
+	}
+	s.causes[cause]++
+}
+
+// applyCommit brings every pool entry depending on refs up to date
+// with the committed event, by delta rule where rules allows and by
+// invalidation otherwise. Caller holds the writer lock. The returned
+// summary feeds the commit trace event (emitted by OnUpdate after the
+// lock is released); it and the maintenance counters stay zero under
+// the empty mask, which has nothing to fall back from.
+func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules ruleMask) (sum commitSummary) {
+	var affected []*Entry
+	for _, ref := range refs {
+		for _, e := range r.pool.byCol[ref] {
+			affected = append(affected, e)
+		}
+	}
+	// Admission order is topological order: parents first.
+	slices.SortFunc(affected, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
+	affected = slices.Compact(affected)
+	if rules == invalidateRules {
+		for _, e := range affected {
+			r.invalidate(e)
+		}
+		return sum
+	}
+	start := time.Now()
+	defer func() {
+		r.maintained.Add(int64(sum.maintained))
+		r.maintainFallback.Add(int64(sum.fallback))
+		r.maintainNs.Add(time.Since(start).Nanoseconds())
+	}()
+
+	w := &commitWalk{r: r, ev: ev, done: make(map[uint64]change, len(affected))}
+	nonDelta := ""
+	switch ev.Kind {
+	case catalog.CommitUpdate:
+		nonDelta = "inplace-update"
+	case catalog.CommitInvalidate:
+		nonDelta = "panic-invalidate"
+	default:
+		w.dead = make(map[bat.Oid]struct{}, len(ev.Deleted))
+		for _, o := range ev.Deleted {
+			w.dead[o] = struct{}{}
+		}
+	}
+	for _, e := range affected {
+		if !e.valid.Load() {
+			continue
+		}
+		old := e.Result.Bat
+		var ch change
+		var cause string
+		switch rule := deltaRules[e.deltaClass]; {
+		case nonDelta != "":
+			if ev.Kind != catalog.CommitUpdate || e.OpName != "sql.bind" || len(e.Args) == 0 || !r.refreshBindFromCatalog(e) {
+				cause = nonDelta
+			}
+		case len(e.Args) == 0:
+			// Reloaded from the disk tier: no argument snapshot to apply
+			// a delta against.
+			cause = "no-arg-snapshot"
+		case rule == nil || !rules.has(e.deltaClass):
+			cause = "ineligible-op"
+		default:
+			var ok bool
+			if ch, ok = rule(w, e); !ok {
+				cause = "rule-failed" // includes a parent's fallback poisoning the child
+			}
+		}
+		if cause != "" {
+			sum.fellBack(cause)
+			r.invalidate(e)
+			continue
+		}
+		sum.maintained++
+		ch.old = old
+		w.done[e.ID] = ch
+		if n := rows(ch.added) + rows(ch.removed); n > 0 {
+			r.deltaRows.Add(int64(n))
+		}
+	}
+	return sum
+}
+
+func rows(b *bat.BAT) int {
+	if b == nil {
+		return 0
+	}
+	return b.Len()
+}
+
+// parent resolves argument i's producer and what this walk did to it.
+// ok reports the parent is valid and either untouched by the commit or
+// already brought up to date; a parent that fell back was invalidated
+// and so takes the child down with it.
+func (w *commitWalk) parent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
+	pe = w.r.pool.Get(e.Args[i].Prov)
+	if pe == nil || !pe.valid.Load() {
+		return nil, change{}, false
+	}
+	if ch, ok = w.done[pe.ID]; !ok {
+		ch.old = pe.Result.Bat // untouched by this commit
+	}
+	return pe, ch, true
+}
+
+// rowsetParent is parent for the rules that tombstone by head oid: it
+// additionally requires the parent to be a rowset and e's column
+// dependencies to name one base table (see the file comment).
+func (w *commitWalk) rowsetParent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
+	pe, ch, ok = w.parent(e, i)
+	ok = ok && e.deltaOneTable && rowsetClasses.has(pe.deltaClass) && pe.Result.Kind == mal.VBat
+	return pe, ch, ok
+}
+
+// refreshBindFromCatalog re-binds an entry's column and swaps the
+// result in place. False when the table or column vanished.
+func (r *Recycler) refreshBindFromCatalog(e *Entry) bool {
+	t := r.cat.Table(e.Args[0].S, e.Args[1].S)
+	if t == nil {
+		return false
+	}
+	c := t.Column(e.Args[2].S)
+	if c == nil {
+		return false
+	}
+	r.refreshResult(e, mal.BatV(c.Bind()))
+	return true
+}
+
+// base refreshes a bind from the catalog and seeds the walk: the
+// commit's insert delta becomes the entry's, and the deleted rows'
+// values are split out of the OLD pooled result (the tombstoned slots
+// survive there) for downstream aggregates. A join index (child oid →
+// parent oid) is headed by its own table's oids, so only that table's
+// commits add or remove rows: those headed by the commit's oids.
+func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
+	t := w.r.cat.Table(e.Args[0].S, e.Args[1].S)
+	if t == nil {
+		return ch, false
+	}
+	if t == w.ev.Table && e.Result.Kind == mal.VBat {
+		_, ch.removed = algebra.SplitHeads(e.Result.Bat, w.dead)
+	}
+	if e.OpName == "sql.bind" {
+		ch.added = w.ev.Inserts[e.Args[2].S]
+		return ch, w.r.refreshBindFromCatalog(e)
+	}
+	nb := t.BindIdx(e.Args[2].S)
+	w.r.refreshResult(e, mal.BatV(nb))
+	if t == w.ev.Table {
+		for _, d := range w.ev.Inserts { // any column: they share the inserted heads
+			first := bat.OidAt(d.Head, 0)
+			at := func(o bat.Oid) int {
+				return sort.Search(nb.Len(), func(i int) bool { return bat.OidAt(nb.Head, i) >= o })
+			}
+			ch.added = nb.Slice(at(first), at(first+bat.Oid(d.Len())))
+			break
+		}
+	}
+	return ch, true
+}
+
+// applyFilter pushes a filter entry's own predicate over a parent
+// delta, re-reading the captured scalar arguments.
+func applyFilter(e *Entry, pDelta *bat.BAT) *bat.BAT {
+	switch e.OpName {
+	case "algebra.select":
+		lo, hi, il, ih := mal.SelectBounds(e.Args)
+		return algebra.Select(pDelta, lo, hi, il, ih)
+	case "algebra.uselect":
+		return algebra.Uselect(pDelta, e.Args[1].Scalar())
+	case "algebra.likeselect":
+		return algebra.LikeSelect(pDelta, e.Args[1].S)
+	case "algebra.notlikeselect":
+		return algebra.NotLikeSelect(pDelta, e.Args[1].S)
+	case "algebra.selectNotNil":
+		return algebra.SelectNotNil(pDelta)
+	}
+	return nil
+}
+
+// filter appends the entry's predicate over the parent's insert delta
+// and splits the tombstoned heads off (with their values, kept for
+// downstream aggregates).
+func (w *commitWalk) filter(e *Entry) (ch change, ok bool) {
+	_, p, ok := w.rowsetParent(e, 0)
+	if !ok || e.Result.Kind != mal.VBat {
+		return ch, false
+	}
+	if rows(p.added) > 0 {
+		if ch.added = applyFilter(e, p.added); ch.added == nil {
+			return ch, false
+		}
+	}
+	return w.splitAppend(e, ch.added), true
+}
+
+// project applies the semijoin rule. Old rows and fresh delta rows live
+// in disjoint oid ranges, so the only surviving cross term is δL ⋉ δR;
+// deletes tombstone both sides' rows under the same base oids, which
+// SplitHeads handles wholesale.
+func (w *commitWalk) project(e *Entry) (ch change, ok bool) {
+	_, l, okL := w.rowsetParent(e, 0)
+	_, r, okR := w.rowsetParent(e, 1)
+	if !okL || !okR || e.Result.Kind != mal.VBat {
+		return ch, false
+	}
+	if rows(l.added) > 0 && rows(r.added) > 0 {
+		ch.added = algebra.Semijoin(l.added, r.added)
+	}
+	return w.splitAppend(e, ch.added), true
+}
+
+// splitAppend is the rowset update shared by filter and project: drop
+// the commit's dead heads from e's result, append added, swap it in.
+func (w *commitWalk) splitAppend(e *Entry, added *bat.BAT) change {
+	cur, removed := algebra.SplitHeads(e.Result.Bat, w.dead)
+	if rows(added) > 0 {
+		cur = bat.Append(cur, added)
+	}
+	w.r.refreshResult(e, mal.BatV(cur))
+	return change{added: added, removed: removed}
+}
+
+// agg maintains the flat additive aggregates. Count and int sum apply
+// the parent's delta arithmetically (exact — integer addition is
+// associative); float sum recomputes over the parent's maintained
+// rowset, whose row order equals a from-scratch recompute's, so the
+// resulting bits are identical to one. The change it reports is the
+// parent's: those are the rows the aggregate absorbed.
+func (w *commitWalk) agg(e *Entry) (ch change, ok bool) {
+	pe, p, ok := w.rowsetParent(e, 0)
+	if !ok {
+		return ch, false
+	}
+	isInt := func(b *bat.BAT) bool { return b == nil || b.Tail.Kind() == bat.KInt }
+	switch {
+	case e.OpName == "aggr.count" && e.Result.Kind == mal.VInt:
+		w.r.refreshResult(e, mal.IntV(algebra.DeltaCount(e.Result.I, p.added, p.removed)))
+	case e.OpName == "aggr.sumInt" && e.Result.Kind == mal.VInt && isInt(p.added) && isInt(p.removed):
+		w.r.refreshResult(e, mal.IntV(algebra.DeltaSumInt(e.Result.I, p.added, p.removed)))
+	case e.OpName == "aggr.sumFlt" && e.Result.Kind == mal.VFloat && pe.Result.Bat.Tail.Kind() == bat.KFloat:
+		w.r.refreshResult(e, mal.FloatV(algebra.SumFloat(pe.Result.Bat)))
+	default:
+		return ch, false
+	}
+	return change{added: p.added, removed: p.removed}, true
+}
+
+// view re-derives a zero-cost viewpoint operator from the parent's
+// maintained result and forwards the parent's insert delta through the
+// same transformation. markT's dense tail re-extends over the parent:
+// inserts append at the end, so the prefix is unchanged and the delta
+// is the appended slice (§6.3: the sequence continues with the next
+// row identifier).
+func (w *commitWalk) view(e *Entry) (ch change, ok bool) {
+	pe, p, ok := w.parent(e, 0)
+	if !ok || pe.Result.Kind != mal.VBat || e.Result.Kind != mal.VBat {
+		return ch, false
+	}
+	parent := pe.Result.Bat
+	var nb *bat.BAT
+	switch e.OpName {
+	case "bat.reverse":
+		nb = parent.Reverse()
+		if p.added != nil {
+			ch.added = p.added.Reverse()
+		}
+	case "bat.mirror":
+		nb = parent.Mirror()
+		if p.added != nil {
+			ch.added = p.added.Mirror()
+		}
+	case "algebra.markT":
+		nb = parent.MarkT(e.Args[1].O)
+		if old := e.Result.Bat.Len(); nb.Len() > old {
+			ch.added = nb.Slice(old, nb.Len())
+		}
+	default:
+		return ch, false
+	}
+	w.r.refreshResult(e, mal.BatV(nb))
+	return ch, true
+}
+
+// join is differential insert re-evaluation (Blakeley et al., via
+// paper §6.3): δL⋈Rold ∪ Lold⋈δR ∪ δL⋈δR appended to the cached
+// result. Differential deletes are what the paper flags as complex;
+// any delete falls back.
+func (w *commitWalk) join(e *Entry) (ch change, ok bool) {
+	_, l, okL := w.parent(e, 0)
+	_, r, okR := w.parent(e, 1)
+	if len(w.dead) > 0 || !okL || !okR || l.old == nil || r.old == nil || e.Result.Kind != mal.VBat {
+		return ch, false
+	}
+	for _, term := range [3][2]*bat.BAT{{l.added, r.old}, {l.old, r.added}, {l.added, r.added}} {
+		if rows(term[0]) == 0 || rows(term[1]) == 0 {
+			continue
+		}
+		t := algebra.Join(term[0], term[1])
+		if ch.added == nil {
+			ch.added = t
+		} else {
+			ch.added = bat.Append(ch.added, t)
+		}
+	}
+	if rows(ch.added) > 0 {
+		w.r.refreshResult(e, mal.BatV(bat.Append(e.Result.Bat, ch.added)))
+	}
+	return ch, true
+}
+
+// depsOneTable reports whether every column dependency names the same
+// base table.
+func depsOneTable(deps []ColumnRef) bool {
+	if len(deps) == 0 {
+		return false
+	}
+	for _, d := range deps[1:] {
+		if d.Table != deps[0].Table {
+			return false
+		}
+	}
+	return true
+}

@@ -3,55 +3,81 @@ package recycler
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/mal"
+	"repro/internal/opt"
 	"repro/internal/sqlfe"
 )
 
-// Differential harness for incremental maintenance: random SQL
-// statements warm a maintain-mode pool, then randomized update batches
+// Differential harness for the delta engine, run once per SyncMode
+// preset: random statements warm a pool, then randomized update batches
 // (appends, deletions, in-place updates, duplicates, empty deltas)
-// commit against the catalog, and after every batch each statement is
-// executed twice — once against the maintained pool and once as a
-// from-scratch recompute with no recycler attached. The two result
-// sets must be bit-identical: same columns, same scalar bits, same BAT
-// contents in the same order. Any unsound delta rule, any entry left
+// commit against two tables, and after every batch each statement is
+// executed twice — once against the pool and once as a from-scratch
+// recompute with no recycler attached. The two result sets must be
+// bit-identical: same columns, same scalar bits, same BAT heads and
+// tails in the same order. Any unsound delta rule, any entry left
 // holding pre-commit data, any float summed in a different order shows
-// up as a diff.
+// up as a diff. The one sanctioned difference is row ORDER below a
+// cross-table join: the join rule appends L⋈δR where a recompute
+// interleaves it (plan.DeltaJoin), so those statements compare as bags.
 
-type diffHarness struct {
-	cat *catalog.Catalog
-	tb  *catalog.Table
-	fe  *sqlfe.Frontend
-	rec *Recycler
-	qid uint64
+type diffStmt struct {
+	name   string
+	tmpl   *mal.Template
+	params []mal.Value
+	bag    bool // rows compare as a multiset (see above)
 }
 
-func newDiffHarness(rng *rand.Rand, rows int) *diffHarness {
+type diffHarness struct {
+	cat    *catalog.Catalog
+	tb, ub *catalog.Table
+	fe     *sqlfe.Frontend
+	rec    *Recycler
+	qid    uint64
+}
+
+// newDiffHarness builds sys.t(a, b, f) and sys.u(k, c) with a join
+// index t.a → u.k, so plans can reach every rule: filters, projections
+// and aggregates over t, an equi-join t.a = u.k, and sql.bindIdxbat.
+func newDiffHarness(rng *rand.Rand, rows int, mode SyncMode) *diffHarness {
 	cat := catalog.New()
+	ub := cat.CreateTable("sys", "u", []catalog.ColDef{
+		{Name: "k", Kind: bat.KInt},
+		{Name: "c", Kind: bat.KInt},
+	})
 	tb := cat.CreateTable("sys", "t", []catalog.ColDef{
 		{Name: "a", Kind: bat.KInt},
 		{Name: "b", Kind: bat.KInt},
 		{Name: "f", Kind: bat.KFloat},
 	})
+	ubatch := make([]catalog.Row, rows/4+1)
+	for i := range ubatch {
+		ubatch[i] = diffRowU(rng)
+	}
+	ub.Append(ubatch)
 	batch := make([]catalog.Row, rows)
 	for i := range batch {
 		batch[i] = diffRow(rng)
 	}
 	tb.Append(batch)
+	tb.DefineJoinIndex("fk_a", "a", ub, "k")
 	return &diffHarness{
 		cat: cat,
 		tb:  tb,
+		ub:  ub,
 		fe:  sqlfe.NewFrontend(cat),
-		rec: New(cat, Config{Admission: KeepAll, Sync: SyncMaintain}),
+		rec: New(cat, Config{Admission: KeepAll, Sync: mode}),
 	}
 }
 
-// diffRow samples one row; a and b land in the predicate value space
-// [0,50) so random statements select non-trivial subsets.
+// diffRow samples one row of t; a and b land in the predicate value
+// space [0,50) so random statements select non-trivial subsets.
 func diffRow(rng *rand.Rand) catalog.Row {
 	return catalog.Row{
 		"a": int64(rng.Intn(50)),
@@ -60,56 +86,74 @@ func diffRow(rng *rand.Rand) catalog.Row {
 	}
 }
 
-// maintained executes sql against the recycled stack (pool hits serve
-// maintained entries).
-func (h *diffHarness) maintained(t *testing.T, sql string) []mal.Result {
+// diffRowU samples one row of u; k shares a's value space so the
+// equi-join matches, with repeats on both sides.
+func diffRowU(rng *rand.Rand) catalog.Row {
+	return catalog.Row{"k": int64(rng.Intn(50)), "c": int64(rng.Intn(1000))}
+}
+
+// sql compiles one statement of the single-table SQL subset.
+func (h *diffHarness) sql(t *testing.T, q string) diffStmt {
 	t.Helper()
-	tmpl, params, err := h.fe.Compile(sql)
+	tmpl, params, err := h.fe.Compile(q)
 	if err != nil {
-		t.Fatalf("compile %q: %v", sql, err)
+		t.Fatalf("compile %q: %v", q, err)
 	}
+	return diffStmt{name: q, tmpl: tmpl, params: params}
+}
+
+// pooled executes st against the recycled stack (pool hits serve
+// whatever the preset kept).
+func (h *diffHarness) pooled(t *testing.T, st diffStmt) []mal.Result {
+	t.Helper()
 	h.qid++
 	ctx := &mal.Ctx{Cat: h.cat, Hook: h.rec, QueryID: h.qid}
-	h.rec.BeginQuery(h.qid, tmpl.ID)
+	h.rec.BeginQuery(h.qid, st.tmpl.ID)
 	defer h.rec.EndQuery(h.qid)
-	if err := mal.Run(ctx, tmpl, params...); err != nil {
-		t.Fatalf("maintained run %q: %v", sql, err)
+	if err := mal.Run(ctx, st.tmpl, st.params...); err != nil {
+		t.Fatalf("pooled run %q: %v", st.name, err)
 	}
 	return ctx.Results
 }
 
-// recompute executes sql from scratch: same template, no recycler.
-func (h *diffHarness) recompute(t *testing.T, sql string) []mal.Result {
+// recompute executes st from scratch: same template, no recycler.
+func (h *diffHarness) recompute(t *testing.T, st diffStmt) []mal.Result {
 	t.Helper()
-	tmpl, params, err := h.fe.Compile(sql)
-	if err != nil {
-		t.Fatalf("compile %q: %v", sql, err)
-	}
 	ctx := &mal.Ctx{Cat: h.cat}
-	if err := mal.Run(ctx, tmpl, params...); err != nil {
-		t.Fatalf("recompute %q: %v", sql, err)
+	if err := mal.Run(ctx, st.tmpl, st.params...); err != nil {
+		t.Fatalf("recompute %q: %v", st.name, err)
 	}
 	return ctx.Results
 }
 
-func (h *diffHarness) check(t *testing.T, seed int64, batch int, stmts []string) {
+func (h *diffHarness) check(t *testing.T, seed int64, batch int, stmts []diffStmt) {
 	t.Helper()
-	for _, sql := range stmts {
-		want := h.recompute(t, sql)
-		got := h.maintained(t, sql)
-		if !diffResultsBitIdentical(want, got) {
-			t.Fatalf("seed %d batch %d: maintained result differs from recompute for %q\nwant %v\ngot  %v",
-				seed, batch, sql, want, got)
+	for _, st := range stmts {
+		want := h.recompute(t, st)
+		got := h.pooled(t, st)
+		if !diffResultsBitIdentical(want, got, st.bag) {
+			t.Fatalf("seed %d batch %d: pooled result differs from recompute for %q\nwant %v\ngot  %v",
+				seed, batch, st.name, want, got)
 		}
 	}
 }
 
 // diffResultsBitIdentical compares two result sets exactly: same
-// columns, same scalar bits, same BAT contents in the same order (the
-// PR 5 equivalence-workload comparator, applied across commits).
-func diffResultsBitIdentical(a, b []mal.Result) bool {
+// columns, same scalar bits, same BAT rows in the same order — or, for
+// a bag statement, the same rows in any order.
+func diffResultsBitIdentical(a, b []mal.Result, bag bool) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	rowsOf := func(x *bat.BAT) []string {
+		out := make([]string, x.Len())
+		for j := range out {
+			out[j] = fmt.Sprintf("%#v|%#v", x.Head.Get(j), x.Tail.Get(j))
+		}
+		if bag {
+			sort.Strings(out)
+		}
+		return out
 	}
 	for i := range a {
 		if a[i].Name != b[i].Name {
@@ -125,13 +169,8 @@ func diffResultsBitIdentical(a, b []mal.Result) bool {
 			}
 			continue
 		}
-		if va.Bat.Len() != vb.Bat.Len() {
+		if !slices.Equal(rowsOf(va.Bat), rowsOf(vb.Bat)) {
 			return false
-		}
-		for j := 0; j < va.Bat.Len(); j++ {
-			if va.Bat.Tail.Get(j) != vb.Bat.Tail.Get(j) {
-				return false
-			}
 		}
 	}
 	return true
@@ -140,22 +179,25 @@ func diffResultsBitIdentical(a, b []mal.Result) bool {
 // diffPred renders one random conjunct over a or b.
 func diffPred(rng *rand.Rand) string {
 	col := []string{"a", "b"}[rng.Intn(2)]
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0:
 		lo := rng.Intn(40)
 		return fmt.Sprintf("%s BETWEEN %d AND %d", col, lo, lo+rng.Intn(15)+1)
 	case 1:
 		return fmt.Sprintf("%s >= %d", col, rng.Intn(40))
+	case 2:
+		return fmt.Sprintf("%s = %d", col, rng.Intn(50))
 	default:
 		return fmt.Sprintf("%s <= %d", col, rng.Intn(50))
 	}
 }
 
-// diffStatements samples the statement set: counts, additive integer
-// and float aggregates, and plain projections — every maintainable
-// shape (bind → selects → semijoins → aggregate) the eligibility
-// rules cover.
-func diffStatements(rng *rand.Rand) []string {
+// diffStatements samples the statement set. The SQL half covers every
+// rowset shape (bind → selects → semijoins → aggregate); the
+// hand-built plans reach the view and join rules, sql.bindIdxbat and
+// the rowset rules' refusals, which the single-table SQL subset cannot
+// express.
+func (h *diffHarness) diffStatements(t *testing.T, rng *rand.Rand) []diffStmt {
 	where := func() string {
 		s := diffPred(rng)
 		if rng.Intn(2) == 1 {
@@ -163,53 +205,120 @@ func diffStatements(rng *rand.Rand) []string {
 		}
 		return s
 	}
-	return []string{
-		"SELECT COUNT(*) FROM sys.t WHERE " + where(),
-		"SELECT SUM(a) FROM sys.t WHERE " + where(),
-		"SELECT SUM(f) FROM sys.t WHERE " + where(),
-		"SELECT a, f FROM sys.t WHERE " + where(),
-		"SELECT COUNT(*) FROM sys.t WHERE " + where(),
+	str := func(s string) mal.Arg { return mal.C(mal.StrV(s)) }
+	bind := func(b *mal.Builder, tbl, col string) mal.Arg {
+		return b.Op1("sql", "bind", str("sys"), str(tbl), str(col), mal.C(mal.IntV(0)))
+	}
+	export := func(name string, b *mal.Builder, cols ...mal.Arg) *mal.Template {
+		for i, c := range cols {
+			b.Do("sql", "exportCol", str(fmt.Sprintf("%s%d", name, i)), c)
+		}
+		return opt.Optimize(b.Freeze(), opt.Options{})
+	}
+
+	// Fig. 3's shape: select → markT → reverse → join with a second
+	// column of the same table. New right-side rows are only ever
+	// referenced by new left-side rows, so row order survives.
+	fig3 := mal.NewBuilder("diff_fig3")
+	lo := int64(rng.Intn(30))
+	sel := fig3.Op1("algebra", "select", bind(fig3, "t", "a"), mal.C(mal.IntV(lo)), mal.C(mal.IntV(lo+int64(rng.Intn(20)))), mal.C(mal.BoolV(true)), mal.C(mal.BoolV(true)))
+	rev := fig3.Op1("bat", "reverse", fig3.Op1("algebra", "markT", sel, mal.C(mal.OidV(0))))
+	fig3Out := fig3.Op1("algebra", "join", rev, bind(fig3, "t", "b"))
+
+	// t.a = u.k by value, then u.c fetched through the matched oids.
+	eq := mal.NewBuilder("diff_equijoin")
+	pairs := eq.Op1("algebra", "join", bind(eq, "t", "a"), eq.Op1("bat", "reverse", bind(eq, "u", "k")))
+	eqOut := eq.Op1("algebra", "join", pairs, bind(eq, "u", "c"))
+
+	// The same join through the foreign-key index.
+	fk := mal.NewBuilder("diff_fkjoin")
+	idx := fk.Op1("sql", "bindIdxbat", str("sys"), str("t"), str("fk_a"))
+	fkOut := fk.Op1("algebra", "join", idx, bind(fk, "u", "c"))
+	fkMirror := fk.Op1("bat", "mirror", idx)
+
+	// The rowset rules' two refusals. A select over a reversed bind is
+	// headed by column VALUES: tombstoning it by oid would drop the
+	// wrong rows. A semijoin of a t column against a u rowset depends on
+	// two tables: a commit to u moves it, but no rule sees that delta.
+	guard := mal.NewBuilder("diff_guards")
+	olo := int64(rng.Intn(40))
+	overView := guard.Op1("algebra", "select", guard.Op1("bat", "reverse", bind(guard, "t", "a")),
+		mal.C(mal.OidV(bat.Oid(olo))), mal.C(mal.OidV(bat.Oid(olo+30))), mal.C(mal.BoolV(true)), mal.C(mal.BoolV(true)))
+	uSel := guard.Op1("algebra", "select", bind(guard, "u", "c"), mal.C(mal.IntV(0)), mal.C(mal.IntV(700)), mal.C(mal.BoolV(true)), mal.C(mal.BoolV(true)))
+	twoTables := guard.Op1("algebra", "semijoin", bind(guard, "t", "b"), uSel)
+
+	return []diffStmt{
+		{name: "guards", tmpl: export("g", guard, overView, twoTables)},
+		h.sql(t, "SELECT COUNT(*) FROM sys.t WHERE "+where()),
+		h.sql(t, "SELECT SUM(a) FROM sys.t WHERE "+where()),
+		h.sql(t, "SELECT SUM(f) FROM sys.t WHERE "+where()),
+		h.sql(t, "SELECT a, f FROM sys.t WHERE "+where()),
+		h.sql(t, "SELECT COUNT(*) FROM sys.t WHERE "+where()),
+		{name: "fig3", tmpl: export("fig3", fig3, fig3Out)},
+		{name: "equijoin", tmpl: export("eq", eq, pairs, eqOut), bag: true},
+		{name: "fkjoin", tmpl: export("fk", fk, fkOut, fkMirror)},
 	}
 }
 
-// TestMaintainDifferential is the PR's backbone: 1000 randomized
-// update batches across 8 seeds, every maintained statement
+// TestMaintainDifferential is the delta engine's backbone: per preset,
+// 1000 randomized update batches across 8 seeds, every pooled statement
 // bit-identical to a from-scratch recompute after every batch.
 func TestMaintainDifferential(t *testing.T) {
 	const seeds = 8
-	const batchesPerSeed = 125 // 8 x 125 = 1000 batches
-	for s := 0; s < seeds; s++ {
-		seed := int64(9000 + s)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runMaintainDifferential(t, seed, batchesPerSeed)
-		})
+	const batchesPerSeed = 125 // 8 x 125 = 1000 batches per preset
+	for _, mode := range []SyncMode{SyncInvalidate, SyncPropagate, SyncMaintain} {
+		name, _ := mode.preset()
+		for s := 0; s < seeds; s++ {
+			seed := int64(9000 + s)
+			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
+				runMaintainDifferential(t, mode, seed, batchesPerSeed)
+			})
+		}
 	}
 }
 
-func runMaintainDifferential(t *testing.T, seed int64, batches int) {
-	t.Logf("differential seed %d (%d batches)", seed, batches)
+// diffTable is one table's live-row bookkeeping, so deletions and
+// in-place updates target real oids.
+type diffTable struct {
+	tb     *catalog.Table
+	row    func(*rand.Rand) catalog.Row
+	updCol string
+	live   []bat.Oid
+	next   bat.Oid
+}
+
+func newDiffTable(tb *catalog.Table, row func(*rand.Rand) catalog.Row, updCol string) *diffTable {
+	d := &diffTable{tb: tb, row: row, updCol: updCol, next: bat.Oid(tb.NumRows())}
+	for o := bat.Oid(0); o < d.next; o++ {
+		d.live = append(d.live, o)
+	}
+	return d
+}
+
+func runMaintainDifferential(t *testing.T, mode SyncMode, seed int64, batches int) {
 	rng := rand.New(rand.NewSource(seed))
-	h := newDiffHarness(rng, rng.Intn(150)+50)
+	h := newDiffHarness(rng, rng.Intn(150)+50, mode)
 	defer h.rec.Close()
-	stmts := diffStatements(rng)
+	stmts := h.diffStatements(t, rng)
 
 	// Warm the pool (and verify the first pass already matches).
 	h.check(t, seed, -1, stmts)
 
-	// Live-row bookkeeping so deletions target real oids.
-	live := make([]bat.Oid, h.tb.NumRows())
-	for i := range live {
-		live[i] = bat.Oid(i)
+	tables := []*diffTable{
+		newDiffTable(h.tb, diffRow, "a"),
+		newDiffTable(h.ub, diffRowU, "c"),
 	}
-	next := bat.Oid(len(live))
-
 	for i := 0; i < batches; i++ {
+		d := tables[0]
+		if rng.Intn(4) == 0 {
+			d = tables[1]
+		}
 		switch op := rng.Intn(10); {
 		case op < 5: // append
 			k := rng.Intn(5) + 1
 			rows := make([]catalog.Row, k)
 			for j := range rows {
-				rows[j] = diffRow(rng)
+				rows[j] = d.row(rng)
 			}
 			if k > 1 && rng.Intn(4) == 0 {
 				// Duplicate rows: the same values repeated within one
@@ -218,46 +327,53 @@ func runMaintainDifferential(t *testing.T, seed int64, batches int) {
 					rows[j] = rows[0]
 				}
 			}
-			if rng.Intn(8) == 0 {
+			if d == tables[0] && rng.Intn(8) == 0 {
 				// Empty-delta batch: values outside every predicate's
-				// range, so filter deltas select nothing and aggregates
-				// move by the unfiltered rows only.
+				// range (and every join key), so filter deltas select
+				// nothing and aggregates move by the unfiltered rows only.
 				for j := range rows {
 					rows[j]["a"] = int64(1000)
 					rows[j]["b"] = int64(1000)
 				}
 			}
-			h.tb.Append(rows)
+			d.tb.Append(rows)
 			for j := 0; j < k; j++ {
-				live = append(live, next)
-				next++
+				d.live = append(d.live, d.next)
+				d.next++
 			}
 		case op < 8: // delete
-			if len(live) == 0 {
+			if len(d.live) == 0 {
 				continue
 			}
 			k := rng.Intn(4) + 1
 			if rng.Intn(20) == 0 {
-				k = len(live) // all-deleted: the table empties entirely
+				k = len(d.live) // all-deleted: the table empties entirely
 			}
-			if k > len(live) {
-				k = len(live)
+			if k > len(d.live) {
+				k = len(d.live)
 			}
-			rng.Shuffle(len(live), func(x, y int) { live[x], live[y] = live[y], live[x] })
-			h.tb.Delete(append([]bat.Oid(nil), live[:k]...))
-			live = live[k:]
+			rng.Shuffle(len(d.live), func(x, y int) { d.live[x], d.live[y] = d.live[y], d.live[x] })
+			d.tb.Delete(append([]bat.Oid(nil), d.live[:k]...))
+			d.live = d.live[k:]
 		default: // in-place update: the non-delta fallback path
-			if len(live) == 0 {
+			if len(d.live) == 0 {
 				continue
 			}
-			o := live[rng.Intn(len(live))]
-			h.tb.UpdateInPlace("a", []bat.Oid{o}, []any{int64(rng.Intn(50))})
+			o := d.live[rng.Intn(len(d.live))]
+			d.tb.UpdateInPlace(d.updCol, []bat.Oid{o}, []any{int64(rng.Intn(50))})
 		}
 		h.check(t, seed, i, stmts)
 	}
 
+	// The differential must not have run vacuously, and the counters
+	// must say what the preset did: nothing is maintained under
+	// invalidate, something is under the other two.
 	st := h.rec.Snapshot()
-	if st.Maintained == 0 {
+	if mode == SyncInvalidate {
+		if st.Maintained != 0 || st.MaintainFallback != 0 || st.DeltaRows != 0 || st.MaintainTime != 0 || st.Invalidated == 0 {
+			t.Fatalf("seed %d: invalidate preset reported maintenance (stats %+v)", seed, st)
+		}
+	} else if st.Maintained == 0 || st.DeltaRows == 0 {
 		t.Fatalf("seed %d: no entries were maintained — the differential ran vacuously (stats %+v)", seed, st)
 	}
 	t.Logf("seed %d: maintained %d, fallback %d, delta rows %d, invalidated %d",
@@ -270,15 +386,15 @@ func runMaintainDifferential(t *testing.T, seed int64, batches int) {
 // rows.
 func TestMaintainEdgeCases(t *testing.T) {
 	const seed = 4242
-	stmts := []string{
-		"SELECT COUNT(*) FROM sys.t WHERE a BETWEEN 10 AND 20",
-		"SELECT SUM(a) FROM sys.t WHERE b <= 25",
-		"SELECT SUM(f) FROM sys.t WHERE a >= 5 AND b BETWEEN 0 AND 40",
-		"SELECT a, f FROM sys.t WHERE a BETWEEN 0 AND 49",
-	}
 	rng := rand.New(rand.NewSource(seed))
-	h := newDiffHarness(rng, 80)
+	h := newDiffHarness(rng, 80, SyncMaintain)
 	defer h.rec.Close()
+	stmts := []diffStmt{
+		h.sql(t, "SELECT COUNT(*) FROM sys.t WHERE a BETWEEN 10 AND 20"),
+		h.sql(t, "SELECT SUM(a) FROM sys.t WHERE b <= 25"),
+		h.sql(t, "SELECT SUM(f) FROM sys.t WHERE a >= 5 AND b BETWEEN 0 AND 40"),
+		h.sql(t, "SELECT a, f FROM sys.t WHERE a BETWEEN 0 AND 49"),
+	}
 	h.check(t, seed, -1, stmts)
 
 	// Empty delta: values outside every predicate — entries must stay

@@ -126,11 +126,11 @@ type Entry struct {
 	// delta propagation re-executes against them.
 	Args []mal.Value
 
-	// deltaClass/deltaOneTable cache the static maintenance
-	// eligibility check (SyncMaintain): the operation's delta class
-	// and whether every column dependency names one base table. Both
-	// are computed once at admission — entries rehydrated from the
-	// disk tier keep the zero value (DeltaNone) and always fall back.
+	// deltaClass/deltaOneTable cache what the commit walk (delta.go)
+	// needs to pick the entry's rule: the operation's delta class and
+	// whether every column dependency names one base table. Both are
+	// computed once at admission — entries rehydrated from the disk
+	// tier keep the zero value (DeltaNone) and always fall back.
 	deltaClass    plan.DeltaClass
 	deltaOneTable bool
 

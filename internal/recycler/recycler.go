@@ -13,24 +13,26 @@ import (
 )
 
 // SyncMode selects how the pool reacts to updates of persistent data
-// (paper §6).
+// (paper §6). There is one mechanism — a commit's affected entries
+// are walked through one table of per-operator-class delta rules, and
+// an entry without an applicable rule invalidates (delta.go) — and a
+// mode is a preset naming which classes' rules are switched on.
 type SyncMode int
 
-// Synchronisation modes.
+// Synchronisation presets.
 const (
-	// SyncInvalidate immediately invalidates every intermediate
-	// affected by an update, column-wise. This is the mode the paper's
-	// implementation evaluates (§6.4).
+	// SyncInvalidate switches every rule off: each intermediate
+	// affected by an update is invalidated at once, column-wise. This
+	// is what the paper's implementation evaluates (§6.4).
 	SyncInvalidate SyncMode = iota
-	// SyncPropagate pushes insert/delete deltas through the cheap
-	// operator classes (bind, select, reverse, mirror, markT) and
-	// invalidates the rest (§6.3, Fig. 3).
+	// SyncPropagate is the paper's §6.3 operator set (Fig. 3): binds,
+	// filters, the zero-cost views (reverse, mirror, markT) and
+	// insert-only joins carry the delta; the rest invalidates.
 	SyncPropagate
-	// SyncMaintain treats eligible pool entries as materialized views
-	// and applies the commit's INSERT/DELETE delta through their
-	// lineage (select chains, projections and flat additive aggregates
-	// over a single base table; see maintain.go), falling back to
-	// invalidation per entry where no sound O(delta) rule exists.
+	// SyncMaintain treats select-project-aggregate plans over a single
+	// base table as materialized views: binds, filters, projections
+	// and flat additive aggregates carry the delta, deletes included;
+	// the rest invalidates.
 	SyncMaintain
 )
 
@@ -146,10 +148,9 @@ type Recycler struct {
 	staleDropped atomic.Int64
 	prewarmed    atomic.Int64
 
-	// Incremental-maintenance counters (SyncMaintain): entries whose
-	// results were delta-maintained across commits, entries that fell
-	// back to invalidation, total time spent in maintenance passes and
-	// total delta rows physically applied.
+	// Delta-engine counters (see Stats): entries whose results a rule
+	// carried across commits, entries that fell back to invalidation,
+	// total time spent walking and total delta rows physically applied.
 	maintained       atomic.Int64
 	maintainFallback atomic.Int64
 	maintainNs       atomic.Int64
@@ -327,12 +328,15 @@ type Stats struct {
 	Prewarmed    int64
 	StaleDropped int64
 
-	// Incremental-maintenance counters (zero outside SyncMaintain):
-	// Maintained counts entries delta-maintained across commits,
-	// MaintainFallback counts affected entries that invalidated
-	// instead (no sound delta rule, or a parent fell back),
-	// MaintainTime is the total time spent in maintenance passes, and
-	// DeltaRows counts the delta rows physically applied.
+	// Delta-engine counters, counted under every preset that switches
+	// a rule on (SyncPropagate, SyncMaintain) and zero under
+	// SyncInvalidate, which has no rule to fall back from and reports
+	// Invalidated only: Maintained counts entries a delta rule carried
+	// across a commit, MaintainFallback counts affected entries that
+	// invalidated instead (no rule in the preset, the rule failed, or
+	// a parent fell back), MaintainTime is the total time spent in the
+	// commit walk, and DeltaRows counts the delta rows physically
+	// applied.
 	Maintained       int64
 	MaintainFallback int64
 	MaintainTime     time.Duration

@@ -10,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/mal"
 	"repro/internal/opt"
+	"repro/internal/trace"
 )
 
 // --- test fixtures -------------------------------------------------
@@ -682,6 +683,40 @@ func TestPropagationInvalidatesJoins(t *testing.T) {
 	ctx := f.run(t, tmpl, mal.IntV(10), mal.IntV(60))
 	if got := resultInt(t, ctx, 0); got != 52 {
 		t.Fatalf("semijoin after propagate = %d, want 52", got)
+	}
+}
+
+// TestCommitEventPerPreset pins what a commit reports under each
+// preset: the event is named after the mode, the invalidate preset
+// reports invalidated= only (and leaves the maintenance counters at
+// zero), and the other two report what the walk maintained and why the
+// rest fell back.
+func TestCommitEventPerPreset(t *testing.T) {
+	for _, c := range []struct {
+		mode                 SyncMode
+		event, detail        string
+		maintained, fallback int64
+	}{
+		{SyncInvalidate, "commit.invalidate", "table=sys.t invalidated=3", 0, 0},
+		{SyncPropagate, "commit.propagate", "table=sys.t invalidated=1 maintained=2 fallback=1 fallback.ineligible-op=1", 2, 1},
+		{SyncMaintain, "commit.maintain", "table=sys.t invalidated=0 maintained=3 fallback=0", 3, 0},
+	} {
+		f := newFixture(t, Config{Admission: KeepAll, Sync: c.mode})
+		tr := trace.New(trace.Config{})
+		f.rec.SetTracer(tr)
+		f.run(t, selectCountTemplate(), mal.IntV(10), mal.IntV(20)) // bind, select, count
+		tableOf(f).Append([]catalog.Row{{"v": int64(15), "w": int64(1)}})
+		evs := tr.Events()
+		if len(evs) == 0 {
+			t.Fatalf("%s: no commit event", c.event)
+		}
+		if ev := evs[len(evs)-1]; ev.Name != c.event || ev.Detail != c.detail {
+			t.Errorf("commit event = %s %q, want %s %q", ev.Name, ev.Detail, c.event, c.detail)
+		}
+		st := f.rec.Snapshot()
+		if st.Maintained != c.maintained || st.MaintainFallback != c.fallback || (st.MaintainTime != 0) != (c.mode != SyncInvalidate) {
+			t.Errorf("%s: stats maintained=%d fallback=%d time=%v, want %d/%d", c.event, st.Maintained, st.MaintainFallback, st.MaintainTime, c.maintained, c.fallback)
+		}
 	}
 }
 

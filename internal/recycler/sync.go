@@ -10,23 +10,19 @@ import (
 	"repro/internal/mal"
 )
 
-// This file implements recycle pool synchronisation with updates
-// (paper §6). The default mode mirrors the implementation the paper
-// evaluates (§6.4): immediate, column-wise invalidation of all
-// intermediates affected by a committed DML statement. The propagate
-// mode implements the §6.3 design-space extension: insert/delete
-// deltas are pushed through the cheap operator classes and only the
-// remainder of each cached plan is invalidated.
+// This file is the catalog.UpdateListener half of recycle pool
+// synchronisation with updates (paper §6): it orders a commit's pool
+// fix-up against the lock-free hit path. The fix-up itself — one
+// lineage walk over a rule table — is delta.go.
 //
 // Ordering contract with the lock-free hit path: OnBeforeUpdate
 // publishes pending++ (stateMu) BEFORE the mutation becomes visible,
 // and OnUpdate publishes the epoch bump and pending-- (stateMu) only
-// AFTER the pool fix-up (invalidation or refresh) completed under the
-// writer lock. While pending > 0, every hit and admission touching the
-// table is refused, so a reader can never pair a pre-update pool
-// result with a post-update verdict from the epoch guard — the guard
-// state a reader observes is always at least as new as the pool state
-// it read.
+// AFTER the pool fix-up (applyCommit) completed under the writer lock.
+// While pending > 0, every hit and admission touching the table is
+// refused, so a reader can never pair a pre-update pool result with a
+// post-update verdict from the epoch guard — the guard state a reader
+// observes is always at least as new as the pool state it read.
 
 // OnBeforeUpdate implements catalog.UpdateListener: it marks the
 // table as having a commit in flight and advances the update epoch
@@ -54,11 +50,23 @@ func (r *Recycler) OnAbortUpdate(t *catalog.Table) {
 	}
 }
 
+// preset resolves a SyncMode to what it is: a name for the commit
+// trace event and a mask over the one rule table (delta.go).
+func (m SyncMode) preset() (name string, rules ruleMask) {
+	switch m {
+	case SyncPropagate:
+		return "propagate", propagateRules
+	case SyncMaintain:
+		return "maintain", maintainRules
+	}
+	return "invalidate", invalidateRules
+}
+
 // OnUpdate implements catalog.UpdateListener. When a tracer is
-// attached, a commit summary event (mode, invalidated count, maintain
-// applied vs. fallback with causes) is emitted AFTER the writer lock
-// is released — trace calls under the writer lock are forbidden by
-// the lockorder analyzer.
+// attached, a commit summary event (preset, invalidated count, entries
+// maintained vs. fallen back with causes) is emitted AFTER the writer
+// lock is released — trace calls under the writer lock are forbidden
+// by the lockorder analyzer.
 func (r *Recycler) OnUpdate(ev catalog.UpdateEvent) {
 	tr := r.tracer.Load()
 	var t0 time.Time
@@ -76,23 +84,8 @@ func (r *Recycler) OnUpdate(ev catalog.UpdateEvent) {
 	// Fix the pool up first (under the writer lock, with pending still
 	// > 0 shielding the hit path), then publish the commit epoch.
 	invalBefore := r.pool.Invalidated
-	var sum maintSummary
-	mode := "invalidate"
-	switch r.cfg.Sync {
-	case SyncMaintain:
-		mode = "maintain"
-		sum = r.maintain(ev, refs)
-	case SyncPropagate:
-		mode = "propagate"
-		r.propagate(ev, refs)
-	default:
-		// Immediate column-wise invalidation.
-		for _, ref := range refs {
-			for _, e := range r.pool.EntriesByColumn(ref) {
-				r.invalidate(e)
-			}
-		}
-	}
+	mode, rules := r.cfg.Sync.preset()
+	sum := r.applyCommit(ev, refs, rules)
 	invalidated := r.pool.Invalidated - invalBefore
 
 	r.publishCommit(qname)
@@ -103,8 +96,8 @@ func (r *Recycler) OnUpdate(ev catalog.UpdateEvent) {
 }
 
 // commitDetail renders a commit event's detail string, including the
-// maintain pass's fallback causes in deterministic order.
-func commitDetail(qname string, invalidated int64, sum maintSummary) string {
+// walk's fallback causes in deterministic order.
+func commitDetail(qname string, invalidated int64, sum commitSummary) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "table=%s invalidated=%d", qname, invalidated)
 	if sum.maintained > 0 || sum.fallback > 0 {
@@ -189,12 +182,4 @@ func (r *Recycler) refreshResult(e *Entry, v mal.Value) {
 	e.Tuples = v.Tuples()
 	sh.mu.Unlock()
 	r.pool.totalBytes += e.Bytes
-}
-
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -97,11 +97,11 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	metric("repro_pool_spill_stale_drops_total", "counter",
 		"Spilled intermediates lazily dropped as epoch-stale.", st.Engine.Recycler.StaleDropped)
 	metric("repro_pool_maintained_total", "counter",
-		"Pool entries delta-maintained across commits (maintain mode).", st.Engine.Recycler.Maintained)
+		"Pool entries a delta rule carried across commits (propagate and maintain presets).", st.Engine.Recycler.Maintained)
 	metric("repro_pool_maintain_fallback_total", "counter",
 		"Affected entries that invalidated instead of maintaining.", st.Engine.Recycler.MaintainFallback)
 	metric("repro_pool_maintain_seconds_total", "counter",
-		"Total time spent in incremental maintenance passes.", st.Engine.Recycler.MaintainTime.Seconds())
+		"Total time spent in commit delta walks.", st.Engine.Recycler.MaintainTime.Seconds())
 	metric("repro_pool_delta_rows_total", "counter",
 		"Delta rows physically applied to maintained entries.", st.Engine.Recycler.DeltaRows)
 
