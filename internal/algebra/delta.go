@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"slices"
+
 	"repro/internal/bat"
 )
 
@@ -17,33 +19,56 @@ import (
 // from-scratch recompute would produce — the bit-identity the
 // differential tests assert.
 
-// SplitHeads partitions b's rows by head membership in dead: kept
-// holds the survivors (exactly DeleteHeads(b, dead)), removed the
-// rows whose head is in dead. Aggregate maintenance needs the removed
-// rows' VALUES — the catalog only reports deleted oids, but the
-// pre-update pooled result still carries the tombstoned rows, so the
-// split recovers them without touching base storage. Both outputs
-// preserve b's row order.
-func SplitHeads(b *bat.BAT, dead map[bat.Oid]struct{}) (kept, removed *bat.BAT) {
-	if len(dead) == 0 {
-		return b, nil
-	}
-	n := b.Len()
-	keep := make([]int, 0, n)
-	var drop []int
-	for i := 0; i < n; i++ {
-		if _, ok := dead[bat.OidAt(b.Head, i)]; ok {
-			drop = append(drop, i)
-		} else {
-			keep = append(keep, i)
+// DeadPositions returns, ascending, the positions of b whose head is in
+// dead (ascending, distinct oids — what a delete commit reports). A
+// sorted head is binary-searched once per dead oid, so a commit that
+// kills nothing in b costs O(|dead| log |b|); an unsorted head is
+// scanned, probing dead by binary search.
+func DeadPositions(b *bat.BAT, dead []bat.Oid) []int {
+	var pos []int
+	switch h := b.Head.(type) {
+	case *bat.DenseOids:
+		for _, o := range dead {
+			if o >= h.Start && o < h.Start+bat.Oid(h.N) {
+				pos = append(pos, int(o-h.Start))
+			}
+		}
+	case *bat.Oids:
+		if b.HeadSorted {
+			// Duplicate heads (a rowset below a join never has them, but
+			// the contract does not forbid it) sit in one run.
+			for _, o := range dead {
+				i, _ := slices.BinarySearch(h.V, o)
+				for ; i < len(h.V) && h.V[i] == o; i++ {
+					pos = append(pos, i)
+				}
+			}
+			break
+		}
+		for i, o := range h.V {
+			if _, ok := slices.BinarySearch(dead, o); ok {
+				pos = append(pos, i)
+			}
 		}
 	}
-	if len(drop) == 0 {
+	return pos
+}
+
+// SplitHeads partitions b's rows by head membership in dead (ascending,
+// distinct): kept holds the survivors, removed the rows whose head is
+// in dead. Aggregate maintenance needs the removed rows' VALUES — the
+// catalog only reports deleted oids, but the pre-update pooled result
+// still carries the tombstoned rows, so the split recovers them without
+// touching base storage. Both outputs preserve b's row order, and b
+// itself comes back as kept, uncopied, when none of its heads is dead.
+func SplitHeads(b *bat.BAT, dead []bat.Oid) (kept, removed *bat.BAT) {
+	pos := DeadPositions(b, dead)
+	if len(pos) == 0 {
 		return b, nil
 	}
-	kept = bat.Gather(b, keep)
+	kept = bat.New(bat.Drop(b.Head, pos), bat.Drop(b.Tail, pos))
 	kept.HeadSorted = b.HeadSorted
-	removed = bat.Gather(b, drop)
+	removed = bat.Gather(b, pos)
 	removed.HeadSorted = b.HeadSorted
 	return kept, removed
 }

@@ -1,18 +1,14 @@
 package algebra
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bat"
 )
 
-func deadSet(oids ...bat.Oid) map[bat.Oid]struct{} {
-	m := make(map[bat.Oid]struct{}, len(oids))
-	for _, o := range oids {
-		m[o] = struct{}{}
-	}
-	return m
-}
+func deadSet(oids ...bat.Oid) []bat.Oid { return oids }
 
 func TestSplitHeads(t *testing.T) {
 	b := bat.New(bat.NewOids([]bat.Oid{0, 2, 5, 7}), bat.NewInts([]int64{10, 20, 30, 40}))
@@ -73,5 +69,87 @@ func TestDeltaSumInt(t *testing.T) {
 	merged := bat.Append(kept, add)
 	if got, want := DeltaSumInt(SumInt(base), add, removed), SumInt(merged); got != want {
 		t.Fatalf("delta sum %d != recomputed sum %d", got, want)
+	}
+}
+
+// splitHeadsRef is the map-probing SplitHeads this package shipped
+// before the sorted-slice one, kept as the reference.
+func splitHeadsRef(b *bat.BAT, dead map[bat.Oid]struct{}) (kept, removed *bat.BAT) {
+	if len(dead) == 0 {
+		return b, nil
+	}
+	var keep, drop []int
+	for i := 0; i < b.Len(); i++ {
+		if _, ok := dead[bat.OidAt(b.Head, i)]; ok {
+			drop = append(drop, i)
+		} else {
+			keep = append(keep, i)
+		}
+	}
+	if len(drop) == 0 {
+		return b, nil
+	}
+	return bat.Gather(b, keep), bat.Gather(b, drop)
+}
+
+// TestSplitHeadsMatchesReference compares the binary-searching split
+// with the map-probing reference over random rowsets: dense, sorted
+// (with the occasional duplicate head) and shuffled heads, dead sets
+// that miss, graze and cover them.
+func TestSplitHeadsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	same := func(x, y *bat.BAT) bool {
+		if x == nil || y == nil {
+			return x == y
+		}
+		return slices.Equal(bat.MaterialiseOids(x.Head), bat.MaterialiseOids(y.Head)) &&
+			slices.Equal(x.Tail.(*bat.Ints).V, y.Tail.(*bat.Ints).V)
+	}
+	for round := 0; round < 2000; round++ {
+		n := rng.Intn(40)
+		tail := make([]int64, n)
+		for i := range tail {
+			tail[i] = rng.Int63n(1000)
+		}
+		var b *bat.BAT
+		switch shape := rng.Intn(3); shape {
+		case 0:
+			b = bat.New(bat.NewDense(bat.Oid(rng.Intn(5)), n), bat.NewInts(tail))
+		default:
+			heads := make([]bat.Oid, n)
+			next := bat.Oid(rng.Intn(5))
+			for i := range heads {
+				heads[i] = next
+				next += bat.Oid(rng.Intn(4)) // 0: a duplicate head
+			}
+			b = bat.New(bat.NewOids(heads), bat.NewInts(tail))
+			b.HeadSorted = true
+			if shape == 2 {
+				rng.Shuffle(n, func(i, j int) { heads[i], heads[j] = heads[j], heads[i] })
+				b.HeadSorted = false
+			}
+		}
+		set := map[bat.Oid]struct{}{}
+		for i := rng.Intn(8); i > 0; i-- {
+			set[bat.Oid(rng.Intn(130))] = struct{}{}
+		}
+		dead := make([]bat.Oid, 0, len(set))
+		for o := range set {
+			dead = append(dead, o)
+		}
+		slices.Sort(dead)
+
+		kept, removed := SplitHeads(b, dead)
+		wantKept, wantRemoved := splitHeadsRef(b, set)
+		if !same(kept, wantKept) || !same(removed, wantRemoved) {
+			t.Fatalf("round %d: split of %s by %v\nkept    %v\nwant    %v\nremoved %v\nwant    %v",
+				round, b.Dump(0), dead, kept.Dump(0), wantKept.Dump(0), removed, wantRemoved)
+		}
+		if (wantKept == b) != (kept == b) {
+			t.Fatalf("round %d: an untouched input must come back uncopied, a touched one must not", round)
+		}
+		if removed != nil && (kept.HeadSorted != b.HeadSorted || removed.HeadSorted != b.HeadSorted) {
+			t.Fatalf("round %d: split lost the head order flag", round)
+		}
 	}
 }

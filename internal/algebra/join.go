@@ -237,30 +237,6 @@ func AntiSemijoin(l, r *bat.BAT) *bat.BAT {
 	return out
 }
 
-// DeleteHeads returns the rows of b whose head oid is not in the given
-// set. Used by update invalidation/propagation paths.
-func DeleteHeads(b *bat.BAT, dead map[bat.Oid]struct{}) *bat.BAT {
-	if len(dead) == 0 {
-		return b
-	}
-	n := b.Len()
-	sel := make(bat.SelectionVector, n)
-	j := 0
-	for i := 0; i < n; i++ {
-		sel[j] = int32(i)
-		if _, ok := dead[bat.OidAt(b.Head, i)]; !ok {
-			j++
-		}
-	}
-	sel = sel[:j]
-	if len(sel) == n {
-		return b
-	}
-	out := bat.GatherSel(b, sel)
-	out.HeadSorted = b.HeadSorted
-	return out
-}
-
 // KUnique implements bat.kunique: it retains the first occurrence of
 // every distinct head value, preserving order. Heads of any base type
 // are supported (queries often reverse a value column into the head

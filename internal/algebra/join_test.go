@@ -71,17 +71,6 @@ func TestKUnique(t *testing.T) {
 	}
 }
 
-func TestDeleteHeads(t *testing.T) {
-	b := bat.New(bat.NewOids([]bat.Oid{1, 2, 3}), bat.NewInts([]int64{10, 20, 30}))
-	out := DeleteHeads(b, map[bat.Oid]struct{}{2: {}})
-	if out.Len() != 2 || bat.OidAt(out.Head, 1) != 3 {
-		t.Fatalf("DeleteHeads wrong: %s", out.Dump(5))
-	}
-	if DeleteHeads(b, nil) != b {
-		t.Fatal("DeleteHeads with empty set should be identity")
-	}
-}
-
 // Property: semijoin(L, R) keeps exactly the rows of L whose head is in
 // head(R), in order — and the semijoin subsumption condition holds:
 // if W ⊆ V then semijoin(semijoin(X, V), W) == semijoin(X, W). (§5.1)

@@ -14,13 +14,16 @@ package analysis
 // doc comment, PR 3): a lock may only be acquired while every held
 // lock has a strictly smaller rank. The catalog mutex sits above the
 // recycler locks because recycler code consults the catalog while
-// holding its own locks (spillRecordLocked → TableStamp, applyCommit →
-// refreshBindFromCatalog), never the reverse.
+// holding its own locks (spillRecordLocked → TableStamp, the commit
+// walk → Column.Bind), never the reverse. A table's commit mutex
+// sits below them all: a DML statement holds it from its announcement
+// through the listeners' fix-up, which takes the recycler locks.
 // ---------------------------------------------------------------------
 
 // LockRanks maps "pkg/path.Type.field" of every ranked mutex to its
 // level in the hierarchy.
 var LockRanks = map[string]int{
+	"repro/internal/catalog.Table.commitMu":    5,  // one table's DML statements, announcement to notification
 	"repro/internal/recycler.Recycler.mu":      10, // writer lock (level 1)
 	"repro/internal/recycler.Recycler.stateMu": 20, // epoch guard state (level 2)
 	"repro/internal/recycler.sigShard.mu":      30, // signature index shards (level 3)
@@ -132,17 +135,27 @@ var ListenerMethods = map[string]bool{
 	"OnDrop":         true,
 }
 
-// CatalogMutators are the catalog methods a listener must not call.
+// CatalogMutators are the catalog methods a listener must not call:
+// every DDL/DML entry point of the real catalog, plus the
+// Catalog-level Drop/Append/Delete/UpdateInPlace spellings the
+// lockorder test fixture declares.
 var CatalogMutators = map[string]bool{
 	"repro/internal/catalog.(*Catalog).CreateTable":    true,
-	"repro/internal/catalog.(*Catalog).Drop":           true,
-	"repro/internal/catalog.(*Catalog).Append":         true,
-	"repro/internal/catalog.(*Catalog).Delete":         true,
-	"repro/internal/catalog.(*Catalog).UpdateInPlace":  true,
+	"repro/internal/catalog.(*Catalog).DropTable":      true,
+	"repro/internal/catalog.(*Table).Append":           true,
+	"repro/internal/catalog.(*Table).Delete":           true,
+	"repro/internal/catalog.(*Table).UpdateInPlace":    true,
+	"repro/internal/catalog.(*Table).DefineKeyIndex":   true,
+	"repro/internal/catalog.(*Table).DefineJoinIndex":  true,
 	"repro/internal/catalog.(*Catalog).AddListener":    true,
 	"repro/internal/catalog.(*Catalog).RemoveListener": true,
 	"repro/internal/catalog.(*Catalog).SetCommitHook":  true,
 	"repro/internal/catalog.(*Catalog).ImportTable":    true,
+	// lockorder/testdata/catalog
+	"repro/internal/catalog.(*Catalog).Drop":          true,
+	"repro/internal/catalog.(*Catalog).Append":        true,
+	"repro/internal/catalog.(*Catalog).Delete":        true,
+	"repro/internal/catalog.(*Catalog).UpdateInPlace": true,
 }
 
 // RequiresWriterLock lists the Pool methods whose doc contract says
@@ -244,6 +257,8 @@ var AtomicFields = map[string]bool{
 	"repro/internal/recycler.Recycler.maintainFallback": true,
 	"repro/internal/recycler.Recycler.maintainNs":       true,
 	"repro/internal/recycler.Recycler.deltaRows":        true,
+	// catalog — published by the first bind under the shared lock
+	"repro/internal/catalog.Column.live": true,
 	// optimizer statistics — bumped from concurrent compilations
 	"repro/internal/opt.Stats.CSEMerged": true,
 	"repro/internal/opt.Stats.Commuted":  true,

@@ -187,8 +187,9 @@ func GatherVector(vec Vector, idx []int) Vector {
 }
 
 // Append concatenates two BATs (used by delta propagation). The result
-// owns fresh storage and inherits no sortedness guarantees except what
-// can be cheaply verified.
+// owns fresh storage — unless one side is empty, when it is the other —
+// and inherits no sortedness guarantees except what can be cheaply
+// verified.
 func Append(a, b *BAT) *BAT {
 	if b.Len() == 0 {
 		return a
@@ -196,9 +197,16 @@ func Append(a, b *BAT) *BAT {
 	if a.Len() == 0 {
 		return b
 	}
-	out := New(AppendVectors(a.Head, b.Head), AppendVectors(a.Tail, b.Tail))
-	if a.HeadSorted && b.HeadSorted && OidAt(a.Head, a.Len()-1) <= OidAt(b.Head, 0) {
-		out.HeadSorted = true
-	}
+	return a.Slice(0, a.Len()).Extend(b)
+}
+
+// Extend is Append through a's own room: b's rows are written past a's
+// length where a's vectors have room, a itself is unchanged, and the
+// caller must own that room (see Extend for vectors; a view made by
+// Slice owns none, so extending one copies).
+func (a *BAT) Extend(b *BAT) *BAT {
+	out := New(Extend(a.Head, b.Head), Extend(a.Tail, b.Tail))
+	out.HeadSorted = a.HeadSorted && b.HeadSorted &&
+		(a.Len() == 0 || b.Len() == 0 || OidAt(a.Head, a.Len()-1) <= OidAt(b.Head, 0))
 	return out
 }

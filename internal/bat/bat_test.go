@@ -2,6 +2,7 @@ package bat
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +107,75 @@ func TestAppendVectorsDense(t *testing.T) {
 		if out.V[i] != w {
 			t.Fatalf("out[%d]=%d want %d", i, out.V[i], w)
 		}
+	}
+}
+
+// TestExtendKeepsPublishedHeaders pins the storage contract: Extend
+// writes past the published length where there is room, moves the
+// storage with a bounded step where there is not, never changes the
+// header it was given, and a view owns no room.
+func TestExtendKeepsPublishedHeaders(t *testing.T) {
+	v0 := NewInts([]int64{1, 2, 3}) // no room: the first extension moves
+	v1 := Extend(v0, NewInts([]int64{4})).(*Ints)
+	if &v1.V[0] == &v0.V[0] || len(v0.V) != 3 || cap(v1.V) != growCap(4) {
+		t.Fatalf("extension without room: len %d cap %d", len(v0.V), cap(v1.V))
+	}
+	big := NewInts(make([]int64, 1600))
+	moved := Extend(big, NewInts([]int64{7})).(*Ints)
+	if room := cap(moved.V) - len(moved.V); room != 100 {
+		t.Fatalf("growth step left %d slots of room for 1601 rows, want 100", room)
+	}
+	v2 := Extend(moved, NewInts([]int64{8, 9})).(*Ints)
+	if &v2.V[0] != &moved.V[0] {
+		t.Fatal("extension with room moved the storage")
+	}
+	if len(moved.V) != 1601 || moved.V[1600] != 7 || v2.V[1601] != 8 || v2.V[1602] != 9 {
+		t.Fatalf("published header disturbed: len %d", len(moved.V))
+	}
+	view := v2.Slice(0, 1601)
+	v3 := Extend(view, NewInts([]int64{-1})).(*Ints)
+	if &v3.V[0] == &v2.V[0] || v2.V[1601] != 8 {
+		t.Fatal("extending a view wrote into its source's room")
+	}
+	if v3.ByteSize() != int64(len(v3.V))*8 {
+		t.Fatal("a moved extension is accounted as a view")
+	}
+
+	heads := Extend(NewOids([]Oid{0, 1}), NewDense(5, 2)).(*Oids)
+	if len(heads.V) != 4 || heads.V[2] != 5 || heads.V[3] != 6 {
+		t.Fatalf("oids extended by a dense run: %v", heads.V)
+	}
+	a := New(NewOids([]Oid{0, 4}), NewInts([]int64{10, 40}))
+	a.HeadSorted = true
+	if out := a.Extend(New(NewDense(9, 1), NewInts([]int64{90}))); out.Len() != 3 || !out.HeadSorted || a.Len() != 2 {
+		t.Fatalf("BAT extend: %s", out.Dump(0))
+	}
+	if out := a.Extend(New(NewDense(2, 1), NewInts([]int64{20}))); out.HeadSorted {
+		t.Fatal("an out-of-order extension kept the sorted flag")
+	}
+}
+
+func TestDrop(t *testing.T) {
+	v := NewStrings([]string{"a", "b", "c", "d", "e"})
+	for _, c := range []struct {
+		pos  []int
+		want string
+	}{
+		{nil, "abcde"}, {[]int{0}, "bcde"}, {[]int{4}, "abcd"}, {[]int{1, 2}, "ade"}, {[]int{0, 2, 4}, "bd"}, {[]int{0, 1, 2, 3, 4}, ""},
+	} {
+		got := Drop(v, c.pos).(*Strings)
+		if strings.Join(got.V, "") != c.want {
+			t.Fatalf("Drop %v = %v, want %q", c.pos, got.V, c.want)
+		}
+	}
+	// Positions may be oids (a column's dead slots are its dead oids),
+	// and a dense vector is dropped without being materialised first.
+	live := Drop(NewDense(10, 5), []Oid{1, 3}).(*Oids)
+	if len(live.V) != 3 || live.V[0] != 10 || live.V[1] != 12 || live.V[2] != 14 {
+		t.Fatalf("Drop on dense: %v", live.V)
+	}
+	if len(v.V) != 5 || v.V[1] != "b" {
+		t.Fatal("Drop changed its input")
 	}
 }
 

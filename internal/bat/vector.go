@@ -91,7 +91,8 @@ type Vector interface {
 	// ByteSize returns the memory attributed to this vector. Views over
 	// shared storage report only their administrative overhead.
 	ByteSize() int64
-	// Slice returns a view of elements [i, j). The view shares storage.
+	// Slice returns a view of elements [i, j). The view shares storage
+	// but none of the room past j (see the storage contract above Extend).
 	Slice(i, j int) Vector
 	// Get returns the element at index i boxed as an any. Intended for
 	// tests, debugging and the generic fallback paths; hot operator
@@ -127,7 +128,7 @@ func (o *Oids) ByteSize() int64 {
 }
 
 // Slice implements Vector.
-func (o *Oids) Slice(i, j int) Vector { return &Oids{V: o.V[i:j], view: true} }
+func (o *Oids) Slice(i, j int) Vector { return &Oids{V: o.V[i:j:j], view: true} }
 
 // Get implements Vector.
 func (o *Oids) Get(i int) any { return o.V[i] }
@@ -163,6 +164,14 @@ func (d *DenseOids) Get(i int) any { return d.Start + Oid(i) }
 // At returns the oid at index i.
 func (d *DenseOids) At(i int) Oid { return d.Start + Oid(i) }
 
+// appendTo appends the oids at indices [i, j) to dst.
+func (d *DenseOids) appendTo(dst []Oid, i, j int) []Oid {
+	for ; i < j; i++ {
+		dst = append(dst, d.At(i))
+	}
+	return dst
+}
+
 // Ints is an int64 vector.
 type Ints struct {
 	V    []int64
@@ -187,7 +196,7 @@ func (x *Ints) ByteSize() int64 {
 }
 
 // Slice implements Vector.
-func (x *Ints) Slice(i, j int) Vector { return &Ints{V: x.V[i:j], view: true} }
+func (x *Ints) Slice(i, j int) Vector { return &Ints{V: x.V[i:j:j], view: true} }
 
 // Get implements Vector.
 func (x *Ints) Get(i int) any { return x.V[i] }
@@ -216,7 +225,7 @@ func (x *Floats) ByteSize() int64 {
 }
 
 // Slice implements Vector.
-func (x *Floats) Slice(i, j int) Vector { return &Floats{V: x.V[i:j], view: true} }
+func (x *Floats) Slice(i, j int) Vector { return &Floats{V: x.V[i:j:j], view: true} }
 
 // Get implements Vector.
 func (x *Floats) Get(i int) any { return x.V[i] }
@@ -249,7 +258,7 @@ func (x *Strings) ByteSize() int64 {
 }
 
 // Slice implements Vector.
-func (x *Strings) Slice(i, j int) Vector { return &Strings{V: x.V[i:j], view: true} }
+func (x *Strings) Slice(i, j int) Vector { return &Strings{V: x.V[i:j:j], view: true} }
 
 // Get implements Vector.
 func (x *Strings) Get(i int) any { return x.V[i] }
@@ -278,7 +287,7 @@ func (x *Dates) ByteSize() int64 {
 }
 
 // Slice implements Vector.
-func (x *Dates) Slice(i, j int) Vector { return &Dates{V: x.V[i:j], view: true} }
+func (x *Dates) Slice(i, j int) Vector { return &Dates{V: x.V[i:j:j], view: true} }
 
 // Get implements Vector.
 func (x *Dates) Get(i int) any { return x.V[i] }
@@ -307,7 +316,7 @@ func (x *Bools) ByteSize() int64 {
 }
 
 // Slice implements Vector.
-func (x *Bools) Slice(i, j int) Vector { return &Bools{V: x.V[i:j], view: true} }
+func (x *Bools) Slice(i, j int) Vector { return &Bools{V: x.V[i:j:j], view: true} }
 
 // Get implements Vector.
 func (x *Bools) Get(i int) any { return x.V[i] }
@@ -376,71 +385,114 @@ func FromAnys(k Kind, vals []any) Vector {
 	panic(fmt.Sprintf("bat: FromAnys of unknown kind %d", k))
 }
 
+// Storage contract. A vector is immutable below its length: nothing
+// ever rewrites an element a published header can reach. The room
+// between a header's length and its backing array's capacity belongs to
+// whoever owns that header — a catalog column or its live tail, a pool
+// entry's maintained rowset —
+// and Extend fills it without disturbing any header published earlier:
+// they keep their length and never see the new slots. Slice clips the
+// capacity it hands out, so a view owns no room and extending one
+// always copies.
+
+// growCap is the capacity a vector of n elements is given when it has
+// to move: a bounded step of room (n/16) rather than Go's 1.25x, so the
+// slack a growing column carries stays a few percent of its size.
+func growCap(n int) int { return n + n/16 }
+
+func extend[T any](v, d []T) []T {
+	if len(d) > cap(v)-len(v) {
+		v = append(make([]T, 0, growCap(len(v)+len(d))), v...)
+	}
+	return append(v, d...)
+}
+
+// Extend returns a vector holding v's elements followed by d's. When
+// v's backing array has room the new elements are written past v's
+// length and the result shares v's storage; otherwise the storage
+// moves, with room for the extensions to come. v itself is unchanged
+// either way. The caller must own v's room (see the storage contract):
+// two Extends of one header would hand out the same slots twice.
+func Extend(v, d Vector) Vector {
+	if v.Kind() != d.Kind() {
+		panic(fmt.Sprintf("bat: extend of mismatched kinds %v and %v", v.Kind(), d.Kind()))
+	}
+	switch vv := v.(type) {
+	case *Oids:
+		return NewOids(extend(vv.V, MaterialiseOids(d)))
+	case *DenseOids:
+		out := make([]Oid, 0, growCap(vv.N+d.Len()))
+		return NewOids(append(vv.appendTo(out, 0, vv.N), MaterialiseOids(d)...))
+	case *Ints:
+		return NewInts(extend(vv.V, d.(*Ints).V))
+	case *Floats:
+		return NewFloats(extend(vv.V, d.(*Floats).V))
+	case *Strings:
+		return NewStrings(extend(vv.V, d.(*Strings).V))
+	case *Dates:
+		return NewDates(extend(vv.V, d.(*Dates).V))
+	case *Bools:
+		return NewBools(extend(vv.V, d.(*Bools).V))
+	}
+	panic("bat: extend of unknown vector type")
+}
+
 // AppendVectors concatenates two vectors of the same kind into a newly
 // materialised vector. It is used by delta propagation and combined
 // subsumption merges.
-func AppendVectors(a, b Vector) Vector {
-	if a.Kind() != b.Kind() {
-		panic(fmt.Sprintf("bat: append of mismatched kinds %v and %v", a.Kind(), b.Kind()))
+func AppendVectors(a, b Vector) Vector { return Extend(a.Slice(0, a.Len()), b) }
+
+func drop[T any, I ~int | ~uint64](v []T, pos []I) []T {
+	// Copy the whole backing array, room included, then close the gaps.
+	// Appending to nil is the one allocation the runtime does not zero
+	// first — half the cost of copying a large vector — and taking the
+	// room along means a delete does not cost its owner the room its
+	// last move bought. The rows a delete removes tend to be recent, so
+	// little is moved twice.
+	out := append([]T(nil), v[:cap(v)]...)[:len(v)]
+	if len(pos) == 0 {
+		return out
 	}
-	switch av := a.(type) {
-	case *Oids:
-		out := make([]Oid, 0, a.Len()+b.Len())
-		out = append(out, av.V...)
-		out = appendOids(out, b)
-		return NewOids(out)
-	case *DenseOids:
-		out := make([]Oid, 0, a.Len()+b.Len())
-		for i := 0; i < av.N; i++ {
-			out = append(out, av.At(i))
+	to := int(pos[0])
+	for i, p := range pos {
+		next := len(v)
+		if i+1 < len(pos) {
+			next = int(pos[i+1])
 		}
-		out = appendOids(out, b)
-		return NewOids(out)
-	case *Ints:
-		bv := b.(*Ints)
-		out := make([]int64, 0, a.Len()+b.Len())
-		out = append(out, av.V...)
-		out = append(out, bv.V...)
-		return NewInts(out)
-	case *Floats:
-		bv := b.(*Floats)
-		out := make([]float64, 0, a.Len()+b.Len())
-		out = append(out, av.V...)
-		out = append(out, bv.V...)
-		return NewFloats(out)
-	case *Strings:
-		bv := b.(*Strings)
-		out := make([]string, 0, a.Len()+b.Len())
-		out = append(out, av.V...)
-		out = append(out, bv.V...)
-		return NewStrings(out)
-	case *Dates:
-		bv := b.(*Dates)
-		out := make([]Date, 0, a.Len()+b.Len())
-		out = append(out, av.V...)
-		out = append(out, bv.V...)
-		return NewDates(out)
-	case *Bools:
-		bv := b.(*Bools)
-		out := make([]bool, 0, a.Len()+b.Len())
-		out = append(out, av.V...)
-		out = append(out, bv.V...)
-		return NewBools(out)
+		to += copy(out[to:], v[int(p)+1:next])
 	}
-	panic("bat: append of unknown vector type")
+	return out[:to]
 }
 
-func appendOids(dst []Oid, b Vector) []Oid {
-	switch bv := b.(type) {
+// Drop materialises v without the elements at the given positions,
+// which must be ascending and distinct. The result owns fresh storage
+// with as much room as v had, plus the slots the dropped elements gave
+// up. The caller must be allowed to read v's room (be its owner, or
+// hold whatever lock its owner extends it under).
+func Drop[I ~int | ~uint64](v Vector, pos []I) Vector {
+	switch vv := v.(type) {
 	case *Oids:
-		return append(dst, bv.V...)
+		return NewOids(drop(vv.V, pos))
 	case *DenseOids:
-		for i := 0; i < bv.N; i++ {
-			dst = append(dst, bv.At(i))
+		out := make([]Oid, 0, growCap(vv.N-len(pos))) // no room to inherit: a growth step's worth
+		from := 0
+		for _, p := range pos {
+			out = vv.appendTo(out, from, int(p))
+			from = int(p) + 1
 		}
-		return dst
+		return NewOids(vv.appendTo(out, from, vv.N))
+	case *Ints:
+		return NewInts(drop(vv.V, pos))
+	case *Floats:
+		return NewFloats(drop(vv.V, pos))
+	case *Strings:
+		return NewStrings(drop(vv.V, pos))
+	case *Dates:
+		return NewDates(drop(vv.V, pos))
+	case *Bools:
+		return NewBools(drop(vv.V, pos))
 	}
-	panic("bat: appendOids of non-oid vector")
+	panic("bat: drop of unknown vector type")
 }
 
 // OidAt extracts the oid at index i from an oid-kinded vector.
@@ -460,11 +512,7 @@ func MaterialiseOids(v Vector) []Oid {
 	case *Oids:
 		return o.V
 	case *DenseOids:
-		out := make([]Oid, o.N)
-		for i := range out {
-			out[i] = o.At(i)
-		}
-		return out
+		return o.appendTo(make([]Oid, 0, o.N), 0, o.N)
 	}
 	panic("bat: MaterialiseOids on non-oid vector")
 }

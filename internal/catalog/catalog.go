@@ -1,9 +1,12 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bat"
 )
@@ -177,9 +180,9 @@ type UpdateEvent struct {
 	// oids, tail: appended values). Nil when the statement only
 	// deleted rows.
 	Inserts map[string]*bat.BAT
-	// Deleted holds the oids removed by the statement
-	// (CommitDelete), or the oids whose values were overwritten
-	// (CommitUpdate).
+	// Deleted holds the oids removed by the statement, ascending and
+	// distinct (CommitDelete), or the oids whose values were
+	// overwritten, in the caller's order (CommitUpdate).
 	Deleted []bat.Oid
 }
 
@@ -250,6 +253,8 @@ func (c *Catalog) DropTable(schema, name string) {
 	if t == nil {
 		return
 	}
+	t.commitMu.Lock()
+	defer t.commitMu.Unlock()
 	ls := t.preNotify()
 	c.mu.Lock()
 	cur, ok := c.tables[key(schema, name)]
@@ -321,8 +326,21 @@ type Table struct {
 	catalog   *Catalog
 	colByName map[string]*Column
 
-	nrows   int
-	deleted map[bat.Oid]struct{}
+	// commitMu serialises the table's DML statements from announcement
+	// to listener notification, so listeners see commits one at a time
+	// and in commit order: whatever a listener derived from the previous
+	// commit is exactly the state the next one's delta applies to.
+	commitMu sync.Mutex
+
+	nrows int
+	// deleted holds the tombstoned oids in ascending order and live its
+	// complement in [0, nrows) — the head of every bind, kept while the
+	// table has tombstones (nil over a dense table). A delete replaces
+	// both slices rather than editing them (exports and binds share
+	// them); an append extends live past its published length. The
+	// columns keep the matching tails (Column.live).
+	deleted []bat.Oid
+	live    *bat.Oids
 
 	// Version counts committed updates; bind results are tagged with
 	// it so staleness is detectable.
@@ -374,45 +392,69 @@ type Column struct {
 	KindOf bat.Kind
 	// Data holds the committed values; row oid i maps to Data[i].
 	// Deleted rows keep their slot (tombstoned via Table.deleted).
+	// Storage is immutable below the published length and append-only
+	// above it: Append writes the new rows past Data's length and
+	// publishes a new header (bat.Extend), so every header handed out
+	// earlier — bind views, exported states, pooled results — keeps its
+	// length and values. Only UpdateInPlace rewrites published slots.
 	Data bat.Vector
 	// Sorted is a declared property enabling view-based range selects.
 	Sorted bool
+
+	// live is, while the table has tombstones, Data without the dead
+	// slots: the tail of every bind of the column. The first such bind
+	// builds it (under the shared lock, hence the atomic) and every
+	// commit from then on keeps it in step the way it keeps Table.live —
+	// an append extends it in place, a delete makes one typed copy — so
+	// only the columns queries actually bind pay for it, and binding
+	// one never copies again. Nil until then and over a dense table.
+	live atomic.Pointer[liveTail]
 }
+
+// liveTail boxes a column's live tail for the atomic pointer.
+type liveTail struct{ bat.Vector }
 
 // QName returns the fully qualified column name.
 func (c *Column) QName() string { return c.Table.QName() + "." + c.Name }
 
 // Bind returns a BAT over the live rows of the column, the engine's
-// sql.bind. Without deletions this is a zero-copy dense-headed view;
-// with tombstones the head materialises the surviving oids. The view
-// snapshots the column under the shared lock, so a bind taken before a
-// concurrent append keeps its consistent pre-update length.
+// sql.bind, without copying: over a dense table a dense-headed view of
+// the column, over a table with tombstones a view of the table's
+// live-oid list (shared by every bind of the table) heading a view of
+// the column's live tail (built by the column's first bind under
+// tombstones, maintained by the commits after it). The view snapshots
+// the column under the shared lock, so a bind taken before a
+// concurrent commit keeps its consistent pre-update rows.
 func (c *Column) Bind() *bat.BAT {
 	t := c.Table
 	t.catalog.mu.RLock()
 	defer t.catalog.mu.RUnlock()
-	if len(t.deleted) == 0 {
+	var b *bat.BAT
+	if t.live == nil {
 		// The tail is a view over the committed column: binding
 		// materialises nothing, so recycle pool accounting must not
 		// charge the column's storage to the bind intermediate.
-		b := bat.New(bat.NewDense(0, c.Data.Len()), c.Data.Slice(0, c.Data.Len()))
-		b.TailSorted = c.Sorted
-		return b
-	}
-	live := make([]int, 0, t.nrows-len(t.deleted))
-	for i := 0; i < t.nrows; i++ {
-		if _, dead := t.deleted[bat.Oid(i)]; !dead {
-			live = append(live, i)
+		b = bat.New(bat.NewDense(0, c.Data.Len()), c.Data.Slice(0, c.Data.Len()))
+	} else {
+		tail := c.live.Load()
+		if tail == nil {
+			// Commits are locked out, so concurrent first binds build
+			// equal tails; whichever is published first is kept.
+			c.live.CompareAndSwap(nil, &liveTail{bat.Drop(c.Data, t.deleted)})
+			tail = c.live.Load()
 		}
+		b = t.liveBAT(tail.Slice(0, tail.Len()))
 	}
-	heads := make([]bat.Oid, len(live))
-	for i, p := range live {
-		heads[i] = bat.Oid(p)
-	}
-	b := bat.New(bat.NewOids(heads), bat.GatherVector(c.Data, live))
+	b.TailSorted = c.Sorted
+	return b
+}
+
+// liveBAT heads one value per live row with the live oids. Caller
+// holds the catalog lock and the table has tombstones.
+func (t *Table) liveBAT(tail bat.Vector) *bat.BAT {
+	b := bat.New(t.live.Slice(0, t.live.Len()), tail)
 	b.HeadSorted = true
 	b.KeyUnique = true
-	b.TailSorted = c.Sorted
 	return b
 }
 
@@ -439,13 +481,18 @@ func (t *Table) hookLocked(rec CommitRecord) {
 }
 
 // Append inserts rows and commits them as one update event.
-// It returns the oid of the first inserted row.
+// It returns the oid of the first inserted row. The rows land past the
+// columns' published length (see Column.Data), so the commit costs the
+// rows it adds, not the rows the table holds; a load into an empty
+// table adopts the row vectors as the columns, with no slack.
 func (t *Table) Append(rows []Row) bat.Oid {
 	if len(rows) == 0 {
 		t.catalog.mu.RLock()
 		defer t.catalog.mu.RUnlock()
 		return bat.Oid(t.nrows)
 	}
+	t.commitMu.Lock()
+	defer t.commitMu.Unlock()
 	ls := t.preNotify()
 	var ev UpdateEvent
 	committed := false
@@ -456,103 +503,80 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		t.catalog.mu.Lock()
 		defer t.catalog.mu.Unlock()
 		first := bat.Oid(t.nrows)
-		inserts := make(map[string]*bat.BAT, len(t.Cols))
-		logging := t.catalog.commitHook != nil
-		var deltas map[string]bat.Vector
-		if logging {
-			deltas = make(map[string]bat.Vector, len(t.Cols))
+		// Every delta is built before any column moves: a row value of
+		// the wrong type panics here, with the table untouched.
+		deltas := make([]bat.Vector, len(t.Cols))
+		for i, c := range t.Cols {
+			deltas[i] = buildDelta(c.KindOf, rows, c.Name)
 		}
-		cols := make([]string, 0, len(t.Cols))
-		for _, c := range t.Cols {
-			delta := buildDelta(c.KindOf, rows, c.Name)
-			c.Data = bat.AppendVectors(c.Data, delta)
-			db := bat.New(bat.NewDense(first, len(rows)), delta)
-			inserts[c.Name] = db
-			if logging {
-				deltas[c.Name] = delta
-			}
-			cols = append(cols, c.Name)
+		inserts := make(map[string]*bat.BAT, len(t.Cols))
+		var logged map[string]bat.Vector
+		if t.catalog.commitHook != nil {
+			logged = make(map[string]bat.Vector, len(t.Cols))
+		}
+		cols := make([]string, len(t.Cols))
+		for i, c := range t.Cols {
+			delta := deltas[i]
 			if c.Sorted {
-				c.Sorted = stillSorted(c.Data)
+				c.Sorted = staysSorted(c.Data, delta)
 			}
+			if c.Data.Len() == 0 {
+				c.Data = delta
+			} else {
+				c.Data = bat.Extend(c.Data, delta)
+			}
+			if tail := c.live.Load(); tail != nil {
+				c.live.Store(&liveTail{bat.Extend(tail.Vector, delta)})
+			}
+			inserts[c.Name] = bat.New(bat.NewDense(first, len(rows)), delta)
+			if logged != nil {
+				logged[c.Name] = delta
+			}
+			cols[i] = c.Name
+		}
+		if t.live != nil {
+			t.live = bat.Extend(t.live, bat.NewDense(first, len(rows))).(*bat.Oids)
 		}
 		t.nrows += len(rows)
 		t.maintainIndexesOnAppend(first, rows)
 		ev = UpdateEvent{Table: t, Kind: CommitInsert, Cols: cols, Inserts: inserts}
 		t.commitLocked()
-		t.hookLocked(CommitRecord{Kind: CommitInsert, Inserts: deltas, FirstOid: first, NumRows: len(rows)})
+		t.hookLocked(CommitRecord{Kind: CommitInsert, Inserts: logged, FirstOid: first, NumRows: len(rows)})
 		return first
 	}()
 	committed = true
 	return first
 }
 
-func stillSorted(v bat.Vector) bool {
-	n := v.Len()
-	if n < 2 {
-		return true
+// staysSorted reports whether a sorted column stays non-decreasing
+// once delta follows its last committed value. Kinds without an order
+// answer false, which only costs the sorted-select fast path.
+func staysSorted(data, delta bat.Vector) bool {
+	switch d := delta.(type) {
+	case *bat.Ints:
+		return nonDecreasing(data.(*bat.Ints).V, d.V)
+	case *bat.Floats:
+		return nonDecreasing(data.(*bat.Floats).V, d.V)
+	case *bat.Strings:
+		return nonDecreasing(data.(*bat.Strings).V, d.V)
+	case *bat.Dates:
+		return nonDecreasing(data.(*bat.Dates).V, d.V)
+	case *bat.Oids:
+		return nonDecreasing(data.(*bat.Oids).V, d.V)
 	}
-	// Only verify the boundary region; appends to sorted columns are
-	// rare and correctness only needs a conservative answer.
-	for i := 1; i < n; i++ {
-		if algebraCmp(v.Get(i-1), v.Get(i)) > 0 {
+	return false
+}
+
+func nonDecreasing[T cmp.Ordered](committed, delta []T) bool {
+	if n := len(committed); n > 0 && len(delta) > 0 && committed[n-1] > delta[0] {
+		return false
+	}
+	for i := 1; i < len(delta); i++ {
+		if delta[i-1] > delta[i] {
 			return false
 		}
 	}
 	return true
-}
-
-// algebraCmp duplicates algebra.Cmp to avoid an import cycle (algebra
-// depends only on bat; catalog is beneath algebra for binds).
-func algebraCmp(a, b any) int {
-	switch av := a.(type) {
-	case int64:
-		bv := b.(int64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-		return 0
-	case float64:
-		bv := b.(float64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-		return 0
-	case string:
-		bv := b.(string)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-		return 0
-	case bat.Date:
-		bv := b.(bat.Date)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-		return 0
-	case bat.Oid:
-		bv := b.(bat.Oid)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-		return 0
-	}
-	panic(fmt.Sprintf("catalog: cmp of unsupported type %T", a))
 }
 
 func buildDelta(k bat.Kind, rows []Row, col string) bat.Vector {
@@ -597,52 +621,105 @@ func buildDelta(k bat.Kind, rows []Row, col string) bat.Vector {
 	panic("catalog: delta of unsupported kind")
 }
 
-// Delete tombstones the given oids and commits one update event.
+// Delete tombstones the given oids and commits one update event, which
+// reports the rows actually removed in ascending oid order.
 func (t *Table) Delete(oids []bat.Oid) {
 	if len(oids) == 0 {
 		return
 	}
+	t.commitMu.Lock()
+	defer t.commitMu.Unlock()
+	// Everything a delete copies is copied before the statement is
+	// announced, under the shared lock: commitMu keeps the table's rows
+	// still until the result is installed, so neither readers nor the
+	// listeners' commit window wait for the copies.
+	next := t.prepareDelete(oids)
+	if len(next.really) == 0 {
+		return
+	}
 	ls := t.preNotify()
 	var ev UpdateEvent
-	committed, noop := false, false
-	defer func() {
-		if noop {
-			t.abortNotify(ls)
-		} else {
-			t.completeNotify(ls, &committed, &ev)
-		}
-	}()
+	committed := false
+	defer t.completeNotify(ls, &committed, &ev)
 	func() {
 		t.catalog.mu.Lock()
 		defer t.catalog.mu.Unlock()
-		if t.deleted == nil {
-			t.deleted = make(map[bat.Oid]struct{}, len(oids))
-		}
-		var really []bat.Oid
-		for _, o := range oids {
-			if int(o) >= t.nrows {
-				continue
-			}
-			if _, dup := t.deleted[o]; dup {
-				continue
-			}
-			t.deleted[o] = struct{}{}
-			really = append(really, o)
-		}
-		if len(really) == 0 {
-			noop = true
-			return
-		}
-		t.maintainIndexesOnDelete(really)
+		t.installLocked(next)
+		t.maintainIndexesOnDelete(next.really)
 		cols := make([]string, len(t.Cols))
 		for i, c := range t.Cols {
 			cols[i] = c.Name
 		}
-		ev = UpdateEvent{Table: t, Kind: CommitDelete, Cols: cols, Deleted: really}
+		ev = UpdateEvent{Table: t, Kind: CommitDelete, Cols: cols, Deleted: next.really}
 		t.commitLocked()
-		t.hookLocked(CommitRecord{Kind: CommitDelete, Deleted: really})
+		t.hookLocked(CommitRecord{Kind: CommitDelete, Deleted: next.really})
 		committed = true
 	}()
+}
+
+// deletion is a delete ready to install: the rows it really removes
+// (ascending, distinct, live), and the table's tombstones, live oids and
+// per-column live tails (nil: the column had none) without them.
+type deletion struct {
+	really, deleted []bat.Oid
+	live            *bat.Oids
+	tails           []*liveTail
+}
+
+// installLocked makes a prepared deletion the table's state. Caller
+// holds commitMu (since before prepareDelete) and the write lock.
+func (t *Table) installLocked(d deletion) {
+	t.deleted, t.live = d.deleted, d.live
+	for i, c := range t.Cols {
+		// Nil where prepareDelete found no live tail: one a reader built
+		// since still holds the dead rows, and goes with this store.
+		c.live.Store(d.tails[i])
+	}
+}
+
+// prepareDelete computes the table state after deleting oids. Caller
+// holds commitMu, so the rows cannot change before it installs the
+// result.
+func (t *Table) prepareDelete(oids []bat.Oid) deletion {
+	t.catalog.mu.RLock()
+	defer t.catalog.mu.RUnlock()
+	really := slices.Clone(oids)
+	slices.Sort(really)
+	really = slices.DeleteFunc(slices.Compact(really), func(o bat.Oid) bool {
+		_, dead := slices.BinarySearch(t.deleted, o)
+		return dead || o >= bat.Oid(t.nrows)
+	})
+	d := deletion{really: really, tails: make([]*liveTail, len(t.Cols))}
+	if len(really) == 0 {
+		return d
+	}
+	if t.live == nil {
+		d.live = bat.Drop(bat.NewDense(0, t.nrows), really).(*bat.Oids)
+	} else {
+		pos := make([]int, len(really))
+		for i, o := range really {
+			pos[i], _ = slices.BinarySearch(t.live.V, o)
+		}
+		d.live = bat.Drop(t.live, pos).(*bat.Oids)
+		for i, c := range t.Cols {
+			if tail := c.live.Load(); tail != nil {
+				d.tails[i] = &liveTail{bat.Drop(tail.Vector, pos)}
+			}
+		}
+	}
+	d.deleted = mergeOids(t.deleted, really)
+	return d
+}
+
+// mergeOids merges two ascending, disjoint oid lists into a new one.
+func mergeOids(a, b []bat.Oid) []bat.Oid {
+	out := make([]bat.Oid, 0, len(a)+len(b))
+	for _, o := range b {
+		i, _ := slices.BinarySearch(a, o)
+		out = append(append(out, a[:i]...), o)
+		a = a[i:]
+	}
+	return append(out, a...)
 }
 
 // UpdateInPlace overwrites a single column's values at the given oids
@@ -650,11 +727,11 @@ func (t *Table) Delete(oids []bat.Oid) {
 // updates invalidate only the columns directly affected). The deltas
 // are reported as a combined delete+insert on the column.
 //
-// Unlike Append (whose storage is copy-on-write), the overwrite lands
-// in the committed vector itself: binds taken *after* the update see
-// the new values, but a session still holding a view bound before the
-// update would observe the write mid-query. Run in-place updates only
-// when no query is concurrently reading the affected column — the
+// Unlike Append (which only writes past the published length), the
+// overwrite lands in published slots: binds taken *after* the update
+// see the new values, but a session still holding a view bound before
+// the update would observe the write mid-query. Run in-place updates
+// only when no query is concurrently reading the affected column — the
 // same exclusion covers the durable store's background readers
 // (checkpoint serialisation and recycle pool spilling), which read
 // bind views over the committed vectors without the catalog lock.
@@ -666,6 +743,8 @@ func (t *Table) UpdateInPlace(col string, oids []bat.Oid, vals []any) {
 	if len(oids) == 0 {
 		return
 	}
+	t.commitMu.Lock()
+	defer t.commitMu.Unlock()
 	ls := t.preNotify()
 	ev := UpdateEvent{Table: t, Kind: CommitUpdate, Cols: []string{col}, Deleted: oids}
 	committed := false
@@ -693,6 +772,7 @@ func (t *Table) UpdateInPlace(col string, oids []bat.Oid, vals []any) {
 		default:
 			panic("catalog: update of unsupported column type")
 		}
+		c.live.Store(nil) // a copy taken before the overwrite: the next bind rebuilds it
 		t.commitLocked()
 		t.hookLocked(CommitRecord{
 			Kind: CommitUpdate, UpdCol: col,
@@ -773,7 +853,15 @@ func (t *Table) defineKeyIndexLocked(col string) {
 	t.keyIndexes[col] = idx
 }
 
-// LookupKey returns the oid of the row whose key column equals v.
+// HasKeyIndex reports whether col carries a unique key index, i.e.
+// whether LookupKey may be asked about it.
+func (t *Table) HasKeyIndex(col string) bool {
+	t.catalog.mu.RLock()
+	defer t.catalog.mu.RUnlock()
+	return t.keyIndexes[col] != nil
+}
+
+// LookupKey returns the oid of the live row whose key column equals v.
 func (t *Table) LookupKey(col string, v int64) (bat.Oid, bool) {
 	t.catalog.mu.RLock()
 	defer t.catalog.mu.RUnlock()
@@ -783,7 +871,7 @@ func (t *Table) LookupKey(col string, v int64) (bat.Oid, bool) {
 	}
 	o, ok := idx[v]
 	if ok {
-		if _, dead := t.deleted[o]; dead {
+		if _, dead := slices.BinarySearch(t.deleted, o); dead {
 			return 0, false
 		}
 	}
@@ -848,23 +936,13 @@ func (t *Table) BindIdx(idxName string) *bat.BAT {
 	if !ok {
 		panic(fmt.Sprintf("catalog: unknown join index %s on %s", idxName, t.QName()))
 	}
-	if len(t.deleted) == 0 {
-		b := bat.New(bat.NewDense(0, len(ji)), bat.NewOids(ji))
-		return b
+	// The index grows by in-place append like the columns do; clipping
+	// the capacity keeps that room out of the bind's reach.
+	tails := bat.NewOids(ji[:len(ji):len(ji)])
+	if t.live == nil {
+		return bat.New(bat.NewDense(0, len(ji)), tails)
 	}
-	heads := make([]bat.Oid, 0, len(ji)-len(t.deleted))
-	tails := make([]bat.Oid, 0, len(ji)-len(t.deleted))
-	for i, p := range ji {
-		if _, dead := t.deleted[bat.Oid(i)]; dead {
-			continue
-		}
-		heads = append(heads, bat.Oid(i))
-		tails = append(tails, p)
-	}
-	b := bat.New(bat.NewOids(heads), bat.NewOids(tails))
-	b.HeadSorted = true
-	b.KeyUnique = true
-	return b
+	return t.liveBAT(bat.Drop(tails, t.deleted))
 }
 
 func (t *Table) maintainIndexesOnAppend(first bat.Oid, rows []Row) {
@@ -908,11 +986,12 @@ type JoinIndexDef struct {
 }
 
 // TableState is a consistent export of one table's durable state, the
-// unit a checkpoint serialises. Data holds references to the committed
-// column vectors: appends are copy-on-write, so the referenced storage
-// is immutable under concurrent DML — with the same caveat as
-// UpdateInPlace, which overwrites storage in place and therefore must
-// not run concurrently with a checkpoint.
+// unit a checkpoint serialises. Data and Deleted hold references to
+// the committed storage: appends write only past the length the
+// exported headers carry and deletes replace the tombstone list, so
+// what an export can reach is immutable under concurrent DML — with
+// the same caveat as UpdateInPlace, which overwrites published slots
+// and therefore must not run concurrently with a checkpoint.
 type TableState struct {
 	Schema, Name string
 	// Cols carries the definitions with their *current* Sorted flags
@@ -954,6 +1033,7 @@ func (c *Catalog) ExportState() ([]TableState, uint64) {
 			Schema:  t.Schema,
 			Name:    t.Name,
 			NRows:   t.nrows,
+			Deleted: t.deleted,
 			Version: t.Version,
 			Created: t.created,
 		}
@@ -961,10 +1041,6 @@ func (c *Catalog) ExportState() ([]TableState, uint64) {
 			ts.Cols = append(ts.Cols, ColDef{Name: col.Name, Kind: col.KindOf, Sorted: col.Sorted})
 			ts.Data = append(ts.Data, col.Data)
 		}
-		for o := range t.deleted {
-			ts.Deleted = append(ts.Deleted, o)
-		}
-		sort.Slice(ts.Deleted, func(i, j int) bool { return ts.Deleted[i] < ts.Deleted[j] })
 		for col := range t.keyIndexes {
 			ts.KeyIndexCols = append(ts.KeyIndexCols, col)
 		}
@@ -1010,15 +1086,20 @@ func (c *Catalog) ImportTable(ts TableState) (*Table, error) {
 		if ts.Data[i].Len() != ts.NRows {
 			return nil, fmt.Errorf("catalog: import of %s.%s.%s: %d values for %d rows", ts.Schema, ts.Name, d.Name, ts.Data[i].Len(), ts.NRows)
 		}
-		col := &Column{Table: t, Name: d.Name, KindOf: d.Kind, Data: ts.Data[i], Sorted: d.Sorted}
+		// A view: the importer owns none of the room the exporting
+		// catalog's columns may still be appending into.
+		col := &Column{Table: t, Name: d.Name, KindOf: d.Kind, Data: ts.Data[i].Slice(0, ts.NRows), Sorted: d.Sorted}
 		t.Cols = append(t.Cols, col)
 		t.colByName[d.Name] = col
 	}
 	if len(ts.Deleted) > 0 {
-		t.deleted = make(map[bat.Oid]struct{}, len(ts.Deleted))
-		for _, o := range ts.Deleted {
-			t.deleted[o] = struct{}{}
+		t.deleted = slices.Clone(ts.Deleted)
+		slices.Sort(t.deleted)
+		t.deleted = slices.Compact(t.deleted)
+		if last := t.deleted[len(t.deleted)-1]; last >= bat.Oid(ts.NRows) {
+			return nil, fmt.Errorf("catalog: import of %s.%s: tombstone %d beyond %d rows", ts.Schema, ts.Name, last, ts.NRows)
 		}
+		t.live = bat.Drop(bat.NewDense(0, ts.NRows), t.deleted).(*bat.Oids)
 	}
 	for _, col := range ts.KeyIndexCols {
 		t.defineKeyIndexLocked(col)

@@ -26,17 +26,17 @@ type DeltaClass int
 const (
 	// DeltaNone: no sound delta rule — invalidate on update.
 	DeltaNone DeltaClass = iota
-	// DeltaBase: a catalog bind (sql.bind, sql.bindIdxbat); refreshes
-	// directly from storage and seeds the propagation with the
-	// commit's own insert delta.
+	// DeltaBase: a catalog bind (sql.bind, sql.bindIdxbat); maintained
+	// as its own old result minus the commit's dead rows plus the
+	// commit's insert delta, which seeds the propagation.
 	DeltaBase
 	// DeltaFilter: a row filter (select/uselect/likeselect/
 	// notlikeselect/selectNotNil) over one rowset parent; maintained
-	// as DeleteHeads(old) ∪ P(parent delta).
+	// as SplitHeads(old) ∪ P(parent delta).
 	DeltaFilter
 	// DeltaProject: a projection (semijoin of a bind against a rowset)
 	// over two parents of the same base table; maintained as
-	// DeleteHeads(old) ∪ Semijoin(δL, δR) — old rows cannot match
+	// SplitHeads(old) ∪ Semijoin(δL, δR) — old rows cannot match
 	// fresh-oid delta rows and vice versa, so the cross terms vanish.
 	DeltaProject
 	// DeltaAgg: a flat additive aggregate (count / int sum / float

@@ -1,0 +1,160 @@
+package recycler
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/bat"
+	"repro/internal/catalog"
+	"repro/internal/mal"
+	"repro/internal/sky"
+	"repro/internal/sqlfe"
+)
+
+// commitFixture is the sky-rw write path in process: sky.photoobj (23
+// columns) under a KeepAll / SyncMaintain recycler whose pool is warm
+// with 64 bounding-box COUNT(*) chains — three bound columns (ra, dec,
+// mode) and a few hundred filter / project / aggregate entries, the
+// pool the benchmark's sky-rw workload commits against. It is in that
+// workload's steady state: a row has been committed into every
+// statement's box (each chain has been through maintenance once, the
+// columns have taken their first capacity growth) and one row deleted
+// again, so the table carries a tombstone and every bind is
+// materialised.
+type commitFixture struct {
+	rec   *Recycler
+	tb    *catalog.Table
+	rng   *rand.Rand
+	boxes [][4]float64 // raLo, raHi, decLo, decHi
+	objid int64
+}
+
+func newCommitFixture(tb testing.TB, objects int) *commitFixture {
+	db := sky.Generate(objects, 1)
+	f := &commitFixture{
+		rec:   New(db.Cat, Config{Admission: KeepAll, Sync: SyncMaintain}),
+		tb:    db.Table("photoobj"),
+		rng:   rand.New(rand.NewSource(7)),
+		objid: int64(0x0500000000000000) + 100_000_000,
+	}
+	tb.Cleanup(f.rec.Close)
+	fe := sqlfe.NewFrontend(db.Cat)
+	for qid := uint64(1); qid <= 64; qid++ {
+		raLo := float64(f.rng.Intn(640)) * 0.5
+		decLo := float64(f.rng.Intn(300))*0.5 - 85
+		box := [4]float64{raLo, raLo + float64(f.rng.Intn(8)+1)*0.5, decLo, decLo + float64(f.rng.Intn(6)+1)*0.5}
+		f.boxes = append(f.boxes, box)
+		q := fmt.Sprintf("SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN %g AND %g AND dec BETWEEN %g AND %g AND mode = 1",
+			box[0], box[1], box[2], box[3])
+		tmpl, params, err := fe.Compile(q)
+		if err != nil {
+			tb.Fatalf("compile %q: %v", q, err)
+		}
+		ctx := &mal.Ctx{Cat: db.Cat, Hook: f.rec, QueryID: qid}
+		f.rec.BeginQuery(qid, tmpl.ID)
+		err = mal.Run(ctx, tmpl, params...)
+		f.rec.EndQuery(qid)
+		if err != nil {
+			tb.Fatalf("warm %q: %v", q, err)
+		}
+	}
+	for i := range f.boxes {
+		f.insertInto(i)
+	}
+	f.tb.Delete([]bat.Oid{f.insert()})
+	if st := f.rec.Snapshot(); st.Maintained == 0 || st.MaintainFallback != 0 || st.Invalidated != 0 {
+		tb.Fatalf("fixture pool is not maintained: %+v", st)
+	}
+	return f
+}
+
+// insert commits one full row whose ra/dec land inside one of the
+// warm statements' boxes, so the delta reaches that chain.
+func (f *commitFixture) insert() bat.Oid { return f.insertInto(f.rng.Intn(len(f.boxes))) }
+
+func (f *commitFixture) insertInto(i int) bat.Oid {
+	box := f.boxes[i]
+	row := catalog.Row{}
+	for _, c := range f.tb.Cols {
+		switch {
+		case c.Name == "objid":
+			row[c.Name] = f.objid
+			f.objid++
+		case c.Name == "ra":
+			row[c.Name] = box[0] + f.rng.Float64()*(box[1]-box[0])
+		case c.Name == "dec":
+			row[c.Name] = box[2] + f.rng.Float64()*(box[3]-box[2])
+		case c.Name == "mode":
+			row[c.Name] = int64(f.rng.Intn(2) + 1)
+		case c.KindOf == bat.KInt:
+			row[c.Name] = int64(f.rng.Intn(8))
+		default:
+			row[c.Name] = 10 + f.rng.Float64()*15
+		}
+	}
+	return f.tb.Append([]catalog.Row{row})
+}
+
+var commitBenchSizes = []int{20_000, 200_000}
+
+// BenchmarkCommitInsert times one single-row INSERT commit — catalog
+// append plus the recycler's maintenance walk — at two table sizes.
+// ns/op must not track the table size.
+func BenchmarkCommitInsert(b *testing.B) {
+	for _, n := range commitBenchSizes {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			f := newCommitFixture(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.insert()
+			}
+		})
+	}
+}
+
+// BenchmarkCommitDelete times one single-row DELETE commit of an
+// earlier insert: at most one typed copy per bound column.
+func BenchmarkCommitDelete(b *testing.B) {
+	for _, n := range commitBenchSizes {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			f := newCommitFixture(b, n)
+			oids := make([]bat.Oid, b.N)
+			for i := range oids {
+				oids[i] = f.insert()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, o := range oids {
+				f.tb.Delete([]bat.Oid{o})
+			}
+		})
+	}
+}
+
+// TestCommitAllocations pins the O(delta) insert commit: one
+// single-row insert into the 200k-row, 23-column table with the warm
+// maintained pool may allocate 64 KB (a copy-on-write append of the
+// columns alone is 37 MB).
+func TestCommitAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 200k-row catalog")
+	}
+	f := newCommitFixture(t, 200_000)
+	f.insert() // the walk's own first-use allocations
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const commits = 10
+	for i := 0; i < commits; i++ {
+		f.insert()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / commits; per > 64<<10 {
+		t.Fatalf("one insert commit allocated %d bytes, want <= %d", per, 64<<10)
+	}
+	if st := f.rec.Snapshot(); st.MaintainFallback != 0 || st.Invalidated != 0 {
+		t.Fatalf("commits fell back: %+v", st)
+	}
+}

@@ -24,9 +24,10 @@ import (
 // table:
 //
 //	class    rule                                          falls back when
-//	base     refresh from the catalog; the commit's        table/column gone
-//	         inserts seed the walk, the old pooled result
-//	         yields the deleted rows' values
+//	base     re-bind (a view: the catalog keeps each bound  table/column gone
+//	         column's live tail in step with its commits);
+//	         the commit's inserts seed the walk, the dead
+//	         rows' values come out of the old result
 //	filter   SplitHeads(old) ∪ P(parent δ+)                parent not a rowset
 //	project  SplitHeads(old) ∪ (δL ⋉ δR) — appended rows   parent not a rowset
 //	         carry fresh oids larger than every old head,
@@ -45,6 +46,16 @@ import (
 // SplitHeads relies on; it means nothing over a view's or join's
 // re-headed result, nor over an entry whose column dependencies span
 // two tables, so the three rowset rules refuse those parents.
+//
+// A rule works only where the delta lands: it returns before touching
+// its entry when its parents report no rows added or removed (a view:
+// when its parent's result is the object it was), so an entry the
+// commit does not reach costs its parents' lookups — and still counts
+// as maintained, having been proven current. A commit therefore costs
+// the rows it moves, not the pool or the table: a bind is re-bound as a
+// view, a rowset the delta lands in is extended past its published
+// length (bat.Extend) on an insert and copied once on a delete, and
+// nothing re-reads base storage.
 //
 // In-place updates (CommitUpdate) report the overwritten oids in
 // ev.Deleted but tombstone nothing, and a panicked mutation
@@ -95,15 +106,16 @@ type change struct {
 	added, removed, old *bat.BAT
 }
 
-// commitWalk is the state of one applyCommit. done holds the change of
-// every entry a rule succeeded on and nothing else: an affected entry
-// missing from it was either not reached yet (impossible for a parent —
-// parents are admitted, hence walked, first) or fell back and is no
-// longer valid.
+// commitWalk is the state of one applyCommit. dead is the commit's
+// tombstoned oids, ascending. done holds the change of every entry a
+// rule moved and nothing else: a valid entry missing from it is as the
+// commit found it — out of the delta's reach, or not walked yet
+// (impossible for a parent — parents are admitted, hence walked,
+// first); one that fell back is no longer valid.
 type commitWalk struct {
 	r    *Recycler
 	ev   catalog.UpdateEvent
-	dead map[bat.Oid]struct{}
+	dead []bat.Oid
 	done map[uint64]change
 }
 
@@ -132,14 +144,17 @@ func (s *commitSummary) fellBack(cause string) {
 // the empty mask, which has nothing to fall back from.
 func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules ruleMask) (sum commitSummary) {
 	var affected []*Entry
+	r.pool.walks++
 	for _, ref := range refs {
 		for _, e := range r.pool.byCol[ref] {
-			affected = append(affected, e)
+			if e.walk != r.pool.walks {
+				e.walk = r.pool.walks
+				affected = append(affected, e)
+			}
 		}
 	}
 	// Admission order is topological order: parents first.
 	slices.SortFunc(affected, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
-	affected = slices.Compact(affected)
 	if rules == invalidateRules {
 		for _, e := range affected {
 			r.invalidate(e)
@@ -153,7 +168,7 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 		r.maintainNs.Add(time.Since(start).Nanoseconds())
 	}()
 
-	w := &commitWalk{r: r, ev: ev, done: make(map[uint64]change, len(affected))}
+	w := &commitWalk{r: r, ev: ev, done: map[uint64]change{}}
 	nonDelta := ""
 	switch ev.Kind {
 	case catalog.CommitUpdate:
@@ -161,10 +176,7 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 	case catalog.CommitInvalidate:
 		nonDelta = "panic-invalidate"
 	default:
-		w.dead = make(map[bat.Oid]struct{}, len(ev.Deleted))
-		for _, o := range ev.Deleted {
-			w.dead[o] = struct{}{}
-		}
+		w.dead = ev.Deleted
 	}
 	for _, e := range affected {
 		if !e.valid.Load() {
@@ -196,9 +208,12 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 			continue
 		}
 		sum.maintained++
-		ch.old = old
-		w.done[e.ID] = ch
-		if n := rows(ch.added) + rows(ch.removed); n > 0 {
+		n := rows(ch.added) + rows(ch.removed)
+		if n > 0 || e.Result.Bat != old {
+			ch.old = old
+			w.done[e.ID] = ch
+		}
+		if n > 0 {
 			r.deltaRows.Add(int64(n))
 		}
 	}
@@ -227,6 +242,13 @@ func (w *commitWalk) parent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
 	return pe, ch, true
 }
 
+// still reports that the walk left parent pe's result the object it
+// was, given pe's change as parent returned it.
+func (ch change) still(pe *Entry) bool { return ch.old == pe.Result.Bat }
+
+// empty reports that the change neither added nor removed a row.
+func (ch change) empty() bool { return rows(ch.added)+rows(ch.removed) == 0 }
+
 // rowsetParent is parent for the rules that tombstone by head oid: it
 // additionally requires the parent to be a rowset and e's column
 // dependencies to name one base table (see the file comment).
@@ -236,7 +258,8 @@ func (w *commitWalk) rowsetParent(e *Entry, i int) (pe *Entry, ch change, ok boo
 	return pe, ch, ok
 }
 
-// refreshBindFromCatalog re-binds an entry's column and swaps the
+// refreshBindFromCatalog re-binds an entry's column — a view, whatever
+// the table's size or tombstones (catalog.Column.Bind) — and swaps the
 // result in place. False when the table or column vanished.
 func (r *Recycler) refreshBindFromCatalog(e *Entry) bool {
 	t := r.cat.Table(e.Args[0].S, e.Args[1].S)
@@ -251,19 +274,26 @@ func (r *Recycler) refreshBindFromCatalog(e *Entry) bool {
 	return true
 }
 
-// base refreshes a bind from the catalog and seeds the walk: the
-// commit's insert delta becomes the entry's, and the deleted rows'
-// values are split out of the OLD pooled result (the tombstoned slots
-// survive there) for downstream aggregates. A join index (child oid →
-// parent oid) is headed by its own table's oids, so only that table's
-// commits add or remove rows: those headed by the commit's oids.
+// base seeds the walk and re-binds: binding copies nothing (the
+// catalog keeps each bound column's live tail in step with its
+// commits), the commit's insert delta becomes the entry's, and the
+// rows it tombstoned are read out of the OLD pooled result — the
+// catalog reports deleted oids only — for the aggregates downstream. A
+// join index (child oid → parent oid) is headed by its own table's
+// oids, so only that table's commits add or remove rows.
 func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
 	t := w.r.cat.Table(e.Args[0].S, e.Args[1].S)
-	if t == nil {
+	if t == nil || e.Result.Kind != mal.VBat {
 		return ch, false
 	}
-	if t == w.ev.Table && e.Result.Kind == mal.VBat {
-		_, ch.removed = algebra.SplitHeads(e.Result.Bat, w.dead)
+	if t != w.ev.Table {
+		return ch, true // the index's parent table committed: no row of t moved
+	}
+	old := e.Result.Bat
+	pos := algebra.DeadPositions(old, w.dead)
+	if len(pos) > 0 {
+		ch.removed = bat.Gather(old, pos)
+		ch.removed.HeadSorted = old.HeadSorted
 	}
 	if e.OpName == "sql.bind" {
 		ch.added = w.ev.Inserts[e.Args[2].S]
@@ -271,15 +301,13 @@ func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
 	}
 	nb := t.BindIdx(e.Args[2].S)
 	w.r.refreshResult(e, mal.BatV(nb))
-	if t == w.ev.Table {
-		for _, d := range w.ev.Inserts { // any column: they share the inserted heads
-			first := bat.OidAt(d.Head, 0)
-			at := func(o bat.Oid) int {
-				return sort.Search(nb.Len(), func(i int) bool { return bat.OidAt(nb.Head, i) >= o })
-			}
-			ch.added = nb.Slice(at(first), at(first+bat.Oid(d.Len())))
-			break
+	for _, d := range w.ev.Inserts { // any column: they share the inserted heads
+		first := bat.OidAt(d.Head, 0)
+		at := func(o bat.Oid) int {
+			return sort.Search(nb.Len(), func(i int) bool { return bat.OidAt(nb.Head, i) >= o })
 		}
+		ch.added = nb.Slice(at(first), at(first+bat.Oid(d.Len())))
+		break
 	}
 	return ch, true
 }
@@ -311,6 +339,9 @@ func (w *commitWalk) filter(e *Entry) (ch change, ok bool) {
 	if !ok || e.Result.Kind != mal.VBat {
 		return ch, false
 	}
+	if p.empty() {
+		return ch, true
+	}
 	if rows(p.added) > 0 {
 		if ch.added = applyFilter(e, p.added); ch.added == nil {
 			return ch, false
@@ -329,6 +360,9 @@ func (w *commitWalk) project(e *Entry) (ch change, ok bool) {
 	if !okL || !okR || e.Result.Kind != mal.VBat {
 		return ch, false
 	}
+	if l.empty() && r.empty() {
+		return ch, true
+	}
 	if rows(l.added) > 0 && rows(r.added) > 0 {
 		ch.added = algebra.Semijoin(l.added, r.added)
 	}
@@ -336,13 +370,22 @@ func (w *commitWalk) project(e *Entry) (ch change, ok bool) {
 }
 
 // splitAppend is the rowset update shared by filter and project: drop
-// the commit's dead heads from e's result, append added, swap it in.
+// the commit's dead heads from e's result, append added, swap it in —
+// or leave e alone when the commit turns out not to reach it.
 func (w *commitWalk) splitAppend(e *Entry, added *bat.BAT) change {
 	cur, removed := algebra.SplitHeads(e.Result.Bat, w.dead)
-	if rows(added) > 0 {
-		cur = bat.Append(cur, added)
+	if rows(added) == 0 {
+		if added = nil; removed == nil {
+			return change{}
+		}
+	} else {
+		if removed == nil && !e.ownsRoom {
+			cur = cur.Slice(0, cur.Len())
+		}
+		cur = cur.Extend(added)
 	}
 	w.r.refreshResult(e, mal.BatV(cur))
+	e.ownsRoom = true
 	return change{added: added, removed: removed}
 }
 
@@ -356,6 +399,9 @@ func (w *commitWalk) agg(e *Entry) (ch change, ok bool) {
 	pe, p, ok := w.rowsetParent(e, 0)
 	if !ok {
 		return ch, false
+	}
+	if p.empty() {
+		return ch, true
 	}
 	isInt := func(b *bat.BAT) bool { return b == nil || b.Tail.Kind() == bat.KInt }
 	switch {
@@ -381,6 +427,9 @@ func (w *commitWalk) view(e *Entry) (ch change, ok bool) {
 	pe, p, ok := w.parent(e, 0)
 	if !ok || pe.Result.Kind != mal.VBat || e.Result.Kind != mal.VBat {
 		return ch, false
+	}
+	if p.still(pe) {
+		return ch, true
 	}
 	parent := pe.Result.Bat
 	var nb *bat.BAT

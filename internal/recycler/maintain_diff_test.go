@@ -2,6 +2,7 @@ package recycler
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -429,5 +430,121 @@ func TestMaintainEdgeCases(t *testing.T) {
 	st := h.rec.Snapshot()
 	if st.Maintained == 0 {
 		t.Fatalf("edge cases maintained nothing: %+v", st)
+	}
+}
+
+// TestMaintainStorageCorners drives the corners of append-in-place
+// storage through every preset, pooled vs recompute after every
+// commit: single-row batches until the columns (and, under tombstones,
+// their live tails) have moved to larger storage three times; two
+// entries sharing one result the walk built, room included, because a
+// kernel handed its input through (only the entry the result was built
+// for may extend into it); a row deleted and re-inserted under a fresh
+// oid, then deleted again while it sits in a tail's freshly written
+// room; the last live row deleted, with an append right behind the
+// tombstone; and the table emptied and refilled.
+func TestMaintainStorageCorners(t *testing.T) {
+	for _, mode := range []SyncMode{SyncInvalidate, SyncPropagate, SyncMaintain} {
+		name, _ := mode.preset()
+		t.Run(name, func(t *testing.T) {
+			const seed = 777
+			rng := rand.New(rand.NewSource(seed))
+			h := newDiffHarness(rng, 64, mode)
+			defer h.rec.Close()
+			stmts := h.diffStatements(t, rng)
+			step := 0
+			check := func() {
+				t.Helper()
+				h.check(t, seed, step, stmts)
+				step++
+			}
+			check()
+
+			colCap := func() int { return cap(h.tb.MustColumn("a").Data.(*bat.Ints).V) }
+			next := bat.Oid(h.tb.NumRows())
+			insert := func(r catalog.Row) bat.Oid {
+				h.tb.Append([]catalog.Row{r})
+				next++
+				return next - 1
+			}
+
+			h.tb.Delete([]bat.Oid{3}) // from here on every bind of t is materialised
+			check()
+			for growths, last := 0, colCap(); growths < 3; {
+				insert(diffRow(rng))
+				check()
+				if c := colCap(); c != last {
+					growths, last = growths+1, c
+				}
+			}
+
+			// wide = f of every row with a in range, and notNil = wide
+			// without nil f. wide is warmed first and takes an insert, so
+			// its result is one the walk built, with room; notNil is
+			// planned after that, when no f is nil yet, so selectNotNil
+			// hands wide's result through and the two entries share it.
+			aliasing := func(notNil bool) diffStmt {
+				b := mal.NewBuilder(fmt.Sprintf("diff_alias_%v", notNil))
+				str := func(s string) mal.Arg { return mal.C(mal.StrV(s)) }
+				bind := func(col string) mal.Arg {
+					return b.Op1("sql", "bind", str("sys"), str("t"), str(col), mal.C(mal.IntV(0)))
+				}
+				yes := mal.C(mal.BoolV(true))
+				sel := b.Op1("algebra", "select", bind("a"), mal.C(mal.IntV(0)), mal.C(mal.IntV(100000)), yes, yes)
+				out := b.Op1("algebra", "semijoin", bind("f"), sel)
+				if notNil {
+					out = b.Op1("algebra", "selectNotNil", out)
+				}
+				b.Do("sql", "exportCol", str("f"), out)
+				return diffStmt{name: b.Freeze().Name, tmpl: opt.Optimize(b.Freeze(), opt.Options{})}
+			}
+			stmts = append(stmts, aliasing(false))
+			check()
+			insert(catalog.Row{"a": int64(7), "b": int64(1), "f": 0.5})
+			check()
+			stmts = append(stmts, aliasing(true))
+			check()
+			shared := map[*bat.BAT]int{}
+			for _, e := range h.rec.pool.entries {
+				if e.Result.Kind == mal.VBat {
+					shared[e.Result.Bat]++
+				}
+			}
+			if !slices.ContainsFunc(slices.Collect(maps.Values(shared)), func(n int) bool { return n > 1 }) {
+				t.Fatal("no two entries share a result: the aliasing corner is not covered")
+			}
+			// One row only wide takes, then one both take: were notNil to
+			// extend the shared result in place as well, it would write
+			// the second row over the first in wide's result.
+			insert(catalog.Row{"a": int64(7), "b": int64(1), "f": bat.NilFloat()})
+			insert(catalog.Row{"a": int64(7), "b": int64(1), "f": 0.75})
+			check()
+
+			row := catalog.Row{"a": int64(12), "b": int64(12), "f": 1.5}
+			o := insert(row)
+			h.tb.Delete([]bat.Oid{o})
+			check()
+			o = insert(row)
+			check()
+			h.tb.Delete([]bat.Oid{o}) // o is the last live row
+			check()
+			o = insert(row)
+			h.tb.Delete([]bat.Oid{o - 2, o})
+			check()
+
+			all := make([]bat.Oid, next)
+			for i := range all {
+				all[i] = bat.Oid(i)
+			}
+			h.tb.Delete(all)
+			check()
+			insert(row)
+			insert(diffRow(rng))
+			check()
+
+			if st := h.rec.Snapshot(); mode != SyncInvalidate && (st.Maintained == 0 || st.DeltaRows == 0) {
+				t.Fatalf("nothing was maintained: %+v", st)
+			}
+		})
 	}
 }

@@ -133,6 +133,17 @@ type Entry struct {
 	// tier keep the zero value (DeltaNone) and always fall back.
 	deltaClass    plan.DeltaClass
 	deltaOneTable bool
+	// walk is the number of the last commit walk that collected the
+	// entry (Pool.walks then): an entry indexed under several of a
+	// commit's columns is collected once. Guarded by the writer lock.
+	walk uint64
+	// ownsRoom records that the commit walk itself allocated the
+	// result's vectors, for this entry alone, so the room behind them is
+	// the entry's to extend into (bat.Extend's storage contract). A
+	// result a kernel or the catalog produced may be another entry's
+	// result too — kernels hand inputs through — and is copied once
+	// before its first extension. Guarded by the writer lock.
+	ownsRoom bool
 
 	valid       atomic.Bool
 	pinnedQuery atomic.Uint64 // query currently protecting the entry
@@ -225,6 +236,7 @@ type Pool struct {
 
 	totalBytes int64
 	nextID     uint64
+	walks      uint64 // commit walks so far (see Entry.walk)
 	tick       atomic.Int64
 
 	// Lifetime counters (writer lock), except reuses which is bumped on

@@ -37,8 +37,9 @@ import (
 //
 // Concurrency caveat: the spiller serialises entry results off the hot
 // path, and bind-class results are views over committed column
-// storage. Append/Delete are copy-on-write and safe; UpdateInPlace
-// overwrites that storage in place and already carries a no-concurrent-
+// storage. Append writes only past the published length and Delete
+// replaces the tombstone list, so both are safe; UpdateInPlace
+// overwrites published slots and already carries a no-concurrent-
 // readers contract — the spiller (like checkpoint serialisation) is
 // one of those readers.
 

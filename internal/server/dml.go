@@ -258,20 +258,51 @@ func execDelete(cat *catalog.Catalog, toks []string) (int, error) {
 	if p.pos != len(p.toks) {
 		return 0, fmt.Errorf("DELETE supports a single col = literal predicate; trailing %q", p.peek())
 	}
-	// Scan the committed column for matching oids. Bind snapshots the
-	// live rows, so tombstoned rows are never re-deleted.
-	b := col.Bind()
-	var oids []bat.Oid
-	for i := 0; i < b.Len(); i++ {
-		if b.Tail.Get(i) == want {
-			oids = append(oids, b.Head.Get(i).(bat.Oid))
-		}
-	}
+	oids := matchingOids(t, col, want)
 	if len(oids) == 0 {
 		return 0, nil
 	}
 	t.Delete(oids)
 	return len(oids), nil
+}
+
+// matchingOids returns the live rows whose col equals want: one probe
+// when col carries a unique key index, a typed scan of the bound
+// column otherwise. Bind snapshots the live rows and LookupKey skips
+// tombstones, so a deleted row is never deleted again.
+func matchingOids(t *catalog.Table, col *catalog.Column, want any) []bat.Oid {
+	if key, isInt := want.(int64); isInt && t.HasKeyIndex(col.Name) {
+		if oid, ok := t.LookupKey(col.Name, key); ok {
+			return []bat.Oid{oid}
+		}
+		return nil
+	}
+	b := col.Bind()
+	switch tail := b.Tail.(type) {
+	case *bat.Ints:
+		return headsWhere(b.Head, tail.V, want.(int64))
+	case *bat.Floats:
+		return headsWhere(b.Head, tail.V, want.(float64))
+	case *bat.Strings:
+		return headsWhere(b.Head, tail.V, want.(string))
+	case *bat.Dates:
+		return headsWhere(b.Head, tail.V, want.(bat.Date))
+	case *bat.Bools:
+		return headsWhere(b.Head, tail.V, want.(bool))
+	case *bat.Oids:
+		return headsWhere(b.Head, tail.V, want.(bat.Oid))
+	}
+	return nil
+}
+
+func headsWhere[T comparable](head bat.Vector, vals []T, want T) []bat.Oid {
+	var oids []bat.Oid
+	for i, v := range vals {
+		if v == want {
+			oids = append(oids, bat.OidAt(head, i))
+		}
+	}
+	return oids
 }
 
 // parseLiteral consumes one literal and coerces it to the column kind.

@@ -85,3 +85,33 @@ func TestExecDMLErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestExecDeleteByKey runs the same DELETE statements against a column
+// with and without a unique key index: the index probe and the typed
+// scan must agree on a hit, a missing key, a second delete of the same
+// (now tombstoned) row, and a key re-inserted after its delete.
+func TestExecDeleteByKey(t *testing.T) {
+	for _, keyed := range []bool{false, true} {
+		cat := dmlCatalog()
+		tab := cat.MustTable("sys", "m")
+		if keyed {
+			tab.DefineKeyIndex("id")
+		}
+		for _, c := range []struct {
+			sql     string
+			n, rows int
+		}{
+			{"DELETE FROM m WHERE id = 2", 1, 1},
+			{"DELETE FROM m WHERE id = 2", 0, 1},
+			{"DELETE FROM m WHERE id = 999", 0, 1},
+			{"INSERT INTO m (id, val, tag, day) VALUES (2, 0, 'again', DATE '2001-01-01')", 1, 2},
+			{"DELETE FROM m WHERE id = 2", 1, 1},
+			{"DELETE FROM m WHERE id = 1", 1, 0},
+		} {
+			_, n, err := execDML(cat, c.sql)
+			if err != nil || n != c.n || tab.NumRows() != c.rows {
+				t.Fatalf("keyed=%v %q: n=%d rows=%d err=%v, want n=%d rows=%d", keyed, c.sql, n, tab.NumRows(), err, c.n, c.rows)
+			}
+		}
+	}
+}

@@ -7,6 +7,8 @@
 #   profiles/kernels.pprof    internal/algebra Kernel* benchmarks
 #   profiles/misspath.pprof   recycler miss path (admit at the cap,
 #                             missed select) at 1e2..1e4 pool entries
+#   profiles/commit.pprof     single-row INSERT / DELETE commits against a
+#                             warm maintained pool at 20k and 200k rows
 #   profiles/*.top.txt        `go tool pprof -top` summaries
 # Usage: scripts/profile.sh [objects] [queries]   (defaults 20000 200)
 set -euo pipefail
@@ -31,6 +33,12 @@ go test ./internal/recycler/ -run '^$' \
   -benchtime 20000x -benchmem -cpuprofile profiles/misspath.pprof \
   -o profiles/recycler.test | tee profiles/misspath.bench.txt
 
+echo "== commit path (an insert must not scale with the table) =="
+go test ./internal/recycler/ -run '^$' \
+  -bench 'BenchmarkCommitInsert|BenchmarkCommitDelete' \
+  -benchtime 300x -benchmem -cpuprofile profiles/commit.pprof \
+  -o profiles/recycler.test | tee profiles/commit.bench.txt
+
 echo "== top functions =="
 go tool pprof -top -nodecount 25 profiles/skybench.pprof \
   | tee profiles/skybench.top.txt
@@ -38,5 +46,7 @@ go tool pprof -top -nodecount 25 profiles/algebra.test profiles/kernels.pprof \
   | tee profiles/kernels.top.txt
 go tool pprof -top -nodecount 25 profiles/recycler.test profiles/misspath.pprof \
   | tee profiles/misspath.top.txt
+go tool pprof -top -nodecount 25 profiles/recycler.test profiles/commit.pprof \
+  | tee profiles/commit.top.txt
 
 echo "profiles written to profiles/ (open with: go tool pprof -http :8080 <file>)"
