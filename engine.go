@@ -48,15 +48,14 @@ func NewCatalog() *catalog.Catalog { return catalog.New() }
 // in parallel; WithWorkers(1) restores the classical sequential
 // interpreter loop.
 type Engine struct {
-	cat      *catalog.Catalog
-	rec      *recycler.Recycler
-	fe       *sqlfe.Frontend
-	tracer   *trace.Tracer
-	queryID  atomic.Uint64
-	errors   atomic.Uint64
-	measure  bool
-	workers  int
-	noFusion bool
+	cat     *catalog.Catalog
+	rec     *recycler.Recycler
+	fe      *sqlfe.Frontend
+	tracer  *trace.Tracer
+	queryID atomic.Uint64
+	errors  atomic.Uint64
+	measure bool
+	workers int
 }
 
 // Option configures an Engine at construction time. Options are
@@ -106,19 +105,6 @@ func WithMeasure() Option {
 // allowed but cannot add parallelism beyond the machine.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
-}
-
-// WithFusion toggles fused select-chain execution (on by default).
-// Fusion collapses optimizer-annotated filter chains into one kernel
-// pass at run time without changing plan identity; recycled or
-// measured executions of monitored chains never fuse regardless of
-// this setting, so the recycler's observable behaviour is identical
-// either way. Turning it off (WithFusion(false)) restores strict
-// per-instruction execution — useful for differential testing and for
-// attributing time to individual instructions in EXPLAIN ANALYZE.
-// See docs/TUNING.md.
-func WithFusion(enabled bool) Option {
-	return func(e *Engine) { e.noFusion = !enabled }
 }
 
 // WithTracer attaches the observability layer (internal/trace): every
@@ -237,7 +223,7 @@ func (e *Engine) ExecTraced(sql string, parse, optimize time.Duration, t *mal.Te
 // controls whether the finished trace is returned to the caller.
 func (e *Engine) exec(t *mal.Template, params []mal.Value, sql string, wantTrace bool, parse, optimize time.Duration) (*ExecResult, *trace.QueryTrace, error) {
 	qid := e.queryID.Add(1)
-	ctx := &mal.Ctx{Cat: e.cat, QueryID: qid, Measure: e.measure, Workers: e.workers, NoFusion: e.noFusion}
+	ctx := &mal.Ctx{Cat: e.cat, QueryID: qid, Measure: e.measure, Workers: e.workers}
 	var rec *trace.Recorder
 	if e.tracer != nil {
 		rec = trace.NewRecorder(qid, sql, len(t.Instrs))

@@ -32,7 +32,7 @@ func BenchmarkSelectScan100k(b *testing.B) {
 	data := randInts(100_000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Select(data, int64(1000), int64(200_000), true, true)
+		Filter(data, inRange(int64(1000), int64(200_000), true, true))
 	}
 }
 
@@ -45,7 +45,7 @@ func BenchmarkSelectSortedView100k(b *testing.B) {
 	data.TailSorted = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Select(data, int64(1000), int64(50_000), true, true)
+		Filter(data, inRange(int64(1000), int64(50_000), true, true))
 	}
 }
 
@@ -53,7 +53,7 @@ func BenchmarkUselect100k(b *testing.B) {
 	data := randInts(100_000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Uselect(data, int64(4242))
+		Filter(data, equalTo(int64(4242)))
 	}
 }
 
@@ -73,7 +73,7 @@ func BenchmarkHashJoin100k(b *testing.B) {
 
 func BenchmarkSemijoin100k(b *testing.B) {
 	l := randInts(100_000, 4)
-	sub := Select(l, int64(0), int64(1<<19), true, true)
+	sub := Filter(l, inRange(int64(0), int64(1<<19), true, true))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Semijoin(l, sub)
@@ -107,14 +107,14 @@ func BenchmarkLikeSelect100k(b *testing.B) {
 	data := bat.NewDenseHead(bat.NewStrings(v))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LikeSelect(data, "%green%")
+		Filter(data, Pred{Kind: PredLike, Pattern: "%green%"})
 	}
 }
 
 func BenchmarkMergeDedupSorted(b *testing.B) {
 	base := randFloats(200_000, 7)
-	p1 := Select(base, 10.0, 25.0, true, true)
-	p2 := Select(base, 20.0, 35.0, true, true)
+	p1 := Filter(base, inRange(10.0, 25.0, true, true))
+	p2 := Filter(base, inRange(20.0, 35.0, true, true))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MergeDedupByHead([]*bat.BAT{p1, p2})

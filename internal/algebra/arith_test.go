@@ -58,19 +58,19 @@ func TestAvgFloat(t *testing.T) {
 
 func TestNotLikeSelect(t *testing.T) {
 	b := bat.NewDenseHead(bat.NewStrings([]string{"promo pack", "standard", bat.NilStr, "promo box"}))
-	r := NotLikeSelect(b, "promo%")
+	r := Filter(b, Pred{Kind: PredNotLike, Pattern: "promo%"})
 	if r.Len() != 1 || r.Tail.Get(0) != "standard" {
 		t.Fatalf("notlike wrong: %s", r.Dump(5))
 	}
-	// LikeSelect and NotLikeSelect partition the non-nil rows.
-	l := LikeSelect(b, "promo%")
+	// LIKE and NOT LIKE filters partition the non-nil rows.
+	l := Filter(b, Pred{Kind: PredLike, Pattern: "promo%"})
 	if l.Len()+r.Len() != 3 {
 		t.Fatalf("partition broken: %d + %d != 3", l.Len(), r.Len())
 	}
 }
 
-// Property: for any pattern built from literals, %, and _, LikeSelect
-// and NotLikeSelect partition the non-nil input rows.
+// Property: for any pattern built from literals, %, and _, the LIKE
+// and NOT LIKE filters partition the non-nil input rows.
 func TestLikePartitionProperty(t *testing.T) {
 	alphabet := []string{"a", "b", "%", "_"}
 	fn := func(seed int64) bool {
@@ -89,8 +89,8 @@ func TestLikePartitionProperty(t *testing.T) {
 			vals[i] = s
 		}
 		b := bat.NewDenseHead(bat.NewStrings(vals))
-		l := LikeSelect(b, pat)
-		nl := NotLikeSelect(b, pat)
+		l := Filter(b, Pred{Kind: PredLike, Pattern: pat})
+		nl := Filter(b, Pred{Kind: PredNotLike, Pattern: pat})
 		return l.Len()+nl.Len() == n
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {

@@ -22,7 +22,7 @@ func BenchmarkKernelSelect(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			for i := 0; i < b.N; i++ {
-				Select(data, int64(1000), int64(1<<19), true, true)
+				Filter(data, inRange(int64(1000), int64(1<<19), true, true))
 			}
 		})
 	}
@@ -34,7 +34,7 @@ func BenchmarkKernelSelectFloat(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			for i := 0; i < b.N; i++ {
-				Select(data, 45.0, 270.0, true, true)
+				Filter(data, inRange(45.0, 270.0, true, true))
 			}
 		})
 	}
@@ -103,24 +103,65 @@ func BenchmarkKernelGroup(b *testing.B) {
 func BenchmarkKernelFusedChain(b *testing.B) {
 	for _, n := range kernelSizes {
 		data := randInts(n, 16)
-		steps := []FusedStep{
-			{Kind: FuseSelect, Lo: int64(1000), Hi: int64(1 << 19), IncLo: true, IncHi: true},
-			{Kind: FuseSelect, Lo: int64(2000), Hi: int64(1 << 18), IncLo: true, IncHi: true},
-			{Kind: FuseSelect, Lo: int64(4000), Hi: int64(1 << 17), IncLo: true, IncHi: true},
+		steps := []Pred{
+			inRange(int64(1000), int64(1<<19), true, true),
+			inRange(int64(2000), int64(1<<18), true, true),
+			inRange(int64(4000), int64(1<<17), true, true),
 		}
 		b.Run(fmt.Sprintf("unfused/rows=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			for i := 0; i < b.N; i++ {
-				s1 := Select(data, int64(1000), int64(1<<19), true, true)
-				s2 := Select(s1, int64(2000), int64(1<<18), true, true)
-				Select(s2, int64(4000), int64(1<<17), true, true)
+				s1 := Filter(data, inRange(int64(1000), int64(1<<19), true, true))
+				s2 := Filter(s1, inRange(int64(2000), int64(1<<18), true, true))
+				Filter(s2, inRange(int64(4000), int64(1<<17), true, true))
 			}
 		})
 		b.Run(fmt.Sprintf("fused/rows=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			for i := 0; i < b.N; i++ {
-				FusedSelect(data, steps)
+				Filter(data, steps...)
 			}
 		})
+	}
+}
+
+// BenchmarkKernelSelectPaths covers the Filter paths the single-op
+// entry points used to own: equality, not-nil, the sorted-tail binary
+// search (a zero-copy view) and a fused chain mixing predicate kinds
+// across a column switch.
+func BenchmarkKernelSelectPaths(b *testing.B) {
+	for _, n := range kernelSizes {
+		rng := rand.New(rand.NewSource(17))
+		small := make([]int64, n)
+		sorted := make([]int64, n)
+		for i := range small {
+			small[i] = int64(rng.Intn(16))
+			if rng.Intn(10) == 0 {
+				small[i] = bat.NilInt
+			}
+			sorted[i] = int64(i)
+		}
+		ints := bat.NewDenseHead(bat.NewInts(small))
+		sortedInts := bat.NewDenseHead(bat.NewInts(sorted))
+		sortedInts.TailSorted = true
+		floats := randFloats(n, 18)
+		cases := []struct {
+			name  string
+			base  *bat.BAT
+			preds []Pred
+		}{
+			{"uselect", randInts(n, 19), []Pred{equalTo(int64(4242))}},
+			{"notnil", ints, []Pred{{Kind: PredNotNil}}},
+			{"sorted", sortedInts, []Pred{inRange(int64(n/4), int64(n/2), true, false)}},
+			{"mixed", floats, []Pred{inRange(45.0, 270.0, true, true), {Kind: PredSwitch, Col: ints}, {Kind: PredNotNil}, equalTo(int64(3))}},
+		}
+		for _, c := range cases {
+			b.Run(fmt.Sprintf("%s/rows=%d", c.name, n), func(b *testing.B) {
+				b.SetBytes(int64(n * 8))
+				for i := 0; i < b.N; i++ {
+					Filter(c.base, c.preds...)
+				}
+			})
+		}
 	}
 }

@@ -240,6 +240,15 @@ func randVector(rng *rand.Rand, kind bat.Kind, n int, sorted bool) bat.Vector {
 			sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 		}
 		return bat.NewOids(v)
+	case bat.KBool:
+		v := make([]bool, n)
+		for i := range v {
+			v[i] = rng.Intn(2) == 0
+		}
+		if sorted {
+			sort.Slice(v, func(i, j int) bool { return !v[i] && v[j] })
+		}
+		return bat.NewBools(v)
 	}
 	panic("unsupported kind")
 }
@@ -260,6 +269,8 @@ func randBound(rng *rand.Rand, kind bat.Kind) any {
 		return []string{"", "a", "ab", "b", "z"}[rng.Intn(5)]
 	case bat.KOid:
 		return bat.Oid(rng.Intn(44))
+	case bat.KBool:
+		return rng.Intn(2) == 0
 	}
 	panic("unsupported kind")
 }
@@ -299,7 +310,7 @@ func expectPairs(t *testing.T, ctxt string, base, out *bat.BAT, idx []int) {
 	}
 }
 
-var diffKinds = []bat.Kind{bat.KInt, bat.KFloat, bat.KDate, bat.KStr, bat.KOid}
+var diffKinds = []bat.Kind{bat.KInt, bat.KFloat, bat.KDate, bat.KStr, bat.KOid, bat.KBool}
 
 // --- differential tests ----------------------------------------------------
 
@@ -313,7 +324,7 @@ func TestSelectMatchesSeedReference(t *testing.T) {
 		b.TailSorted = sorted
 		lo, hi := randBound(rng, kind), randBound(rng, kind)
 		incLo, incHi := rng.Intn(2) == 0, rng.Intn(2) == 0
-		got := Select(b, lo, hi, incLo, incHi)
+		got := Filter(b, inRange(lo, hi, incLo, incHi))
 		want := refSelect(b, lo, hi, incLo, incHi)
 		expectPairs(t, "select", b, got, want)
 	}
@@ -331,7 +342,7 @@ func TestUselectMatchesSeedReference(t *testing.T) {
 		if v == nil {
 			continue
 		}
-		got := Uselect(b, v)
+		got := Filter(b, equalTo(v))
 		want := refUselect(b, v)
 		if got.Len() != len(want) {
 			t.Fatalf("uselect %v n=%d v=%v: got %d rows, want %d", kind, n, v, got.Len(), len(want))
@@ -350,7 +361,7 @@ func TestSelectNotNilMatchesSeedReference(t *testing.T) {
 		kind := diffKinds[rng.Intn(len(diffKinds))]
 		n := rng.Intn(60) + 1
 		b := bat.New(bat.NewDense(0, n), randVector(rng, kind, n, false))
-		got := SelectNotNil(b)
+		got := Filter(b, Pred{Kind: PredNotNil})
 		want := refSelectNotNil(b)
 		expectPairs(t, "selectNotNil", b, got, want)
 	}
@@ -545,13 +556,13 @@ func TestFusedSelectMatchesUnfusedChain(t *testing.T) {
 		}
 		base := cols[rng.Intn(len(cols))]
 		nsteps := rng.Intn(4) + 1
-		var steps []FusedStep
+		var steps []Pred
 		cur := base
 		unfused := base
 		for s := 0; s < nsteps; s++ {
 			if s > 0 && rng.Intn(2) == 0 {
 				col := cols[rng.Intn(len(cols))]
-				steps = append(steps, FusedStep{Kind: FuseSwitch, Col: col})
+				steps = append(steps, Pred{Kind: PredSwitch, Col: col})
 				unfused = Semijoin(col, unfused)
 				cur = col
 				continue
@@ -561,31 +572,31 @@ func TestFusedSelectMatchesUnfusedChain(t *testing.T) {
 			case kind == bat.KStr && rng.Intn(2) == 0:
 				pat := []string{"%a%", "%b%", "a%", "%z"}[rng.Intn(4)]
 				if rng.Intn(2) == 0 {
-					steps = append(steps, FusedStep{Kind: FuseLike, Pattern: pat})
-					unfused = LikeSelect(unfused, pat)
+					steps = append(steps, Pred{Kind: PredLike, Pattern: pat})
+					unfused = Filter(unfused, Pred{Kind: PredLike, Pattern: pat})
 				} else {
-					steps = append(steps, FusedStep{Kind: FuseNotLike, Pattern: pat})
-					unfused = NotLikeSelect(unfused, pat)
+					steps = append(steps, Pred{Kind: PredNotLike, Pattern: pat})
+					unfused = Filter(unfused, Pred{Kind: PredNotLike, Pattern: pat})
 				}
 			case rng.Intn(4) == 0:
-				steps = append(steps, FusedStep{Kind: FuseNotNil})
-				unfused = SelectNotNil(unfused)
+				steps = append(steps, Pred{Kind: PredNotNil})
+				unfused = Filter(unfused, Pred{Kind: PredNotNil})
 			default:
 				lo, hi := randBound(rng, kind), randBound(rng, kind)
 				incLo, incHi := rng.Intn(2) == 0, rng.Intn(2) == 0
-				steps = append(steps, FusedStep{Kind: FuseSelect, Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi})
-				unfused = Select(unfused, lo, hi, incLo, incHi)
+				steps = append(steps, inRange(lo, hi, incLo, incHi))
+				unfused = Filter(unfused, inRange(lo, hi, incLo, incHi))
 			}
 		}
 		// Optionally terminate with a uselect.
 		if rng.Intn(3) == 0 {
 			v := randBound(rng, cur.Tail.Kind())
 			if v != nil {
-				steps = append(steps, FusedStep{Kind: FuseUselect, V: v})
-				unfused = Uselect(unfused, v)
+				steps = append(steps, equalTo(v))
+				unfused = Filter(unfused, equalTo(v))
 			}
 		}
-		got := FusedSelect(base, steps)
+		got := Filter(base, steps...)
 		if got.Len() != unfused.Len() {
 			t.Fatalf("trial %d: fused %d rows, unfused %d", trial, got.Len(), unfused.Len())
 		}
@@ -598,7 +609,7 @@ func TestFusedSelectMatchesUnfusedChain(t *testing.T) {
 			}
 		}
 		// Flags may be more conservative than the per-instruction chain
-		// (e.g. SelectNotNil's no-drop early return keeps KeyUnique where
+		// (e.g. a lone not-nil Filter's no-drop early return keeps KeyUnique where
 		// the fused pass clears it) but must never claim a property the
 		// data lacks.
 		h := headsOf(got)

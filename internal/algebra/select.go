@@ -1,469 +1,398 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/bat"
 )
 
-// Range selection kernels. The scan paths are monomorphized per vector
-// kind and run branch-free inner loops over the typed slices directly
-// (store position, conditionally advance — no Get(i) any boxing, no
-// append growth). Bounds are normalised once per call into a closed
-// typed interval whose low end already excludes the type's nil
-// sentinel, so the hot loop is two comparisons per element.
-
-// Select implements the range selection algebra.select(b, lo, hi,
-// incLo, incHi): it returns the (head, tail) pairs of b whose tail
-// value falls in the given range. A nil bound means unbounded on that
-// side. Nil tail values never qualify. On tail-sorted BATs the
-// selection degrades to a binary search returning a view, matching the
-// paper's observation that range selects over ordered columns are
-// near-zero cost (§2.3).
-func Select(b *bat.BAT, lo, hi any, incLo, incHi bool) *bat.BAT {
-	if b.TailSorted && sortedRangeApplies(b.Tail, lo, hi) {
-		return selectSortedRange(b, lo, hi, incLo, incHi)
-	}
-	sel := rangeSel(b.Tail, lo, hi, incLo, incHi)
-	out := bat.GatherSel(b, sel)
-	out.HeadSorted = b.HeadSorted
-	out.KeyUnique = b.KeyUnique
-	return out
-}
-
-// sortedRangeApplies reports whether the binary-search fast path is
-// valid for the given bounds. With both bounds set it always is. With
-// an open bound it holds only for kinds whose nil sentinel occupies an
-// end of the sort order (ints and dates: nil is the type minimum, a
-// prefix of the sorted column; oids: nil is the maximum, a suffix).
-// Float nil is NaN and string nil "\x00" sorts above "", so open-bound
-// selects on those fall back to the scan, which skips nils explicitly.
-func sortedRangeApplies(tail bat.Vector, lo, hi any) bool {
-	if lo != nil && hi != nil {
-		return true
-	}
-	switch tail.(type) {
-	case *bat.Ints, *bat.Dates, *bat.Oids, *bat.DenseOids:
-		return true
-	}
-	return false
-}
-
-// selectSortedRange binary-searches the sorted tail for the qualifying
-// run and returns it as a zero-copy view. Open bounds clamp to the
-// first non-nil element (nils sort to one end for the kinds routed
-// here; see sortedRangeApplies).
-func selectSortedRange(b *bat.BAT, lo, hi any, incLo, incHi bool) *bat.BAT {
-	n := b.Len()
-	var start, end int
-	switch t := b.Tail.(type) {
-	case *bat.Ints:
-		start, end = sortedBounds(t.V, bat.NilInt+1, math.MaxInt64, asInt(lo), asInt(hi), incLo, incHi)
-	case *bat.Dates:
-		start, end = sortedBounds(t.V, bat.NilDate+1, bat.Date(math.MaxInt32), asDate(lo), asDate(hi), incLo, incHi)
-	case *bat.Oids:
-		start, end = sortedBounds(t.V, 0, bat.NilOid-1, asOid(lo), asOid(hi), incLo, incHi)
-	case *bat.DenseOids:
-		r := normOidRange(lo, hi, incLo, incHi)
-		start, end = denseOidRange(t, r)
-	case *bat.Floats:
-		// Seed-compatible closed-bound search: comparisons go through
-		// cmpOrdered so NaN (nil) compares "equal" to any bound, as the
-		// boxed Cmp path did.
-		start = sort.Search(n, func(i int) bool {
-			c := cmpOrdered(t.V[i], lo.(float64))
-			if incLo {
-				return c >= 0
-			}
-			return c > 0
-		})
-		end = sort.Search(n, func(i int) bool {
-			c := cmpOrdered(t.V[i], hi.(float64))
-			if incHi {
-				return c > 0
-			}
-			return c >= 0
-		})
-	default:
-		at := func(i int) any { return b.Tail.Get(i) }
-		start = sort.Search(n, func(i int) bool {
-			c := Cmp(at(i), lo)
-			if incLo {
-				return c >= 0
-			}
-			return c > 0
-		})
-		end = sort.Search(n, func(i int) bool {
-			c := Cmp(at(i), hi)
-			if incHi {
-				return c > 0
-			}
-			return c >= 0
-		})
-	}
-	if end < start {
-		end = start
-	}
-	out := b.Slice(start, end)
-	out.TailSorted = true
-	return out
-}
-
-// sortedBounds finds [start, end) of the qualifying run in a sorted
-// typed slice. nilLo/nilHi are the open-bound substitutes: the
-// smallest and largest non-nil values of the kind.
-func sortedBounds[T int64 | bat.Date | bat.Oid](v []T, nilLo, nilHi T, lo, hi *T, incLo, incHi bool) (int, int) {
-	n := len(v)
-	lov, hiv := nilLo, nilHi
-	loInc, hiInc := true, true
-	if lo != nil {
-		lov, loInc = *lo, incLo
-		if lov < nilLo {
-			lov, loInc = nilLo, true
-		}
-	}
-	if hi != nil {
-		hiv, hiInc = *hi, incHi
-		if hiv > nilHi {
-			hiv, hiInc = nilHi, true
-		}
-	}
-	start := sort.Search(n, func(i int) bool {
-		if loInc {
-			return v[i] >= lov
-		}
-		return v[i] > lov
-	})
-	end := sort.Search(n, func(i int) bool {
-		if hiInc {
-			return v[i] > hiv
-		}
-		return v[i] >= hiv
-	})
-	return start, end
-}
-
-func asInt(v any) *int64 {
-	if v == nil {
-		return nil
-	}
-	x := v.(int64)
-	return &x
-}
-
-func asDate(v any) *bat.Date {
-	if v == nil {
-		return nil
-	}
-	x := v.(bat.Date)
-	return &x
-}
-
-func asOid(v any) *bat.Oid {
-	if v == nil {
-		return nil
-	}
-	x := v.(bat.Oid)
-	return &x
-}
-
-// --- normalised typed ranges ---------------------------------------------
+// The selection kernel. Every row filter the engine runs — one select,
+// uselect, selectNotNil, likeselect or notlikeselect instruction, a
+// fused conjunct chain, the recycler's delta filter rule and combined
+// subsumption's piecewise re-selects — is one Filter call over a list
+// of Preds. A SelectionVector of surviving positions is refined
+// predicate by predicate and only the survivors are materialised, once:
+// the streaming-iterator composition idiom mapped onto MAL filters.
 //
-// Each range is a closed interval [lo, hi] in the kind's domain with
-// the nil sentinel already excluded, so scan loops need exactly two
-// comparisons and no nil test. empty short-circuits contradictory
-// bounds (e.g. an exclusive bound at the domain edge).
+// Each predicate kind has one generic loop over the typed slice. Handed
+// a nil selection it scans every row — store the position, advance the
+// write cursor only when the predicate holds: no branch, no boxing, no
+// append growth — and otherwise refines the given selection in place.
+// Range bounds are normalised once per call into a closed typed
+// interval that already excludes the nil sentinel, so the range loop is
+// two comparisons per row and no nil test.
 
-type intRange struct {
-	lo, hi int64
-	empty  bool
+// PredKind identifies what a Pred tests.
+type PredKind uint8
+
+// Predicate kinds.
+const (
+	// PredRange keeps the rows whose value lies in Range; nil values
+	// never qualify.
+	PredRange PredKind = iota
+	// PredEq keeps the rows equal to V. Nil sentinels are not special
+	// (one matches itself; float NaN matches nothing). As the last
+	// predicate it yields the uselect shape: a tail sharing the head's
+	// storage, as MonetDB's void-tailed uselect results do.
+	PredEq
+	// PredNotNil drops the rows holding the kind's nil sentinel.
+	PredNotNil
+	// PredLike and PredNotLike keep the non-nil strings that do / do not
+	// match the SQL LIKE Pattern ('%' any run, '_' any character).
+	PredLike
+	PredNotLike
+	// PredSwitch makes Col the active column: a semijoin against a bind
+	// positionally aligned with the filtered BAT (same dense head), which
+	// a fused chain reduces to a column switch.
+	PredSwitch
+)
+
+// Pred is one conjunct of a filter.
+type Pred struct {
+	Kind    PredKind
+	Range   Range    // PredRange
+	V       any      // PredEq
+	Pattern string   // PredLike, PredNotLike
+	Col     *bat.BAT // PredSwitch
 }
 
-func normIntRange(lo, hi any, incLo, incHi bool) intRange {
-	r := intRange{lo: bat.NilInt + 1, hi: math.MaxInt64}
-	if lo != nil {
-		v := lo.(int64)
-		if !incLo {
-			if v == math.MaxInt64 {
-				r.empty = true
-				return r
+// Filter returns the (head, tail) pairs of b that satisfy every
+// predicate, bit-identical to applying them one at a time. Head order
+// is kept; KeyUnique survives range and equality predicates only.
+//
+// The first predicate over a tail-sorted BAT binary-searches its run
+// instead of scanning (§2.3: range selects over ordered columns are
+// near-zero cost), and a lone range predicate returns that run as a
+// zero-copy view. A lone not-nil predicate that drops nothing returns b
+// itself.
+func Filter(b *bat.BAT, preds ...Pred) *bat.BAT {
+	if len(preds) == 0 {
+		return b
+	}
+	cur := b
+	headSorted, keyUnique := b.HeadSorted, b.KeyUnique
+	var sel bat.SelectionVector // nil: every row of cur
+	for i := range preds {
+		p := &preds[i]
+		switch p.Kind {
+		case PredSwitch:
+			cur = p.Col
+			headSorted, keyUnique = cur.HeadSorted, cur.KeyUnique
+			continue
+		case PredNotNil, PredLike, PredNotLike:
+			keyUnique = false
+		}
+		if sel == nil && cur.TailSorted {
+			if start, end, ok := sortedRun(cur.Tail, p); ok {
+				if len(preds) == 1 && p.Kind == PredRange {
+					out := b.Slice(start, end)
+					out.TailSorted = true
+					return out
+				}
+				sel = span(start, end)
+				continue
 			}
-			v++
 		}
-		if v > r.lo {
-			r.lo = v
-		}
+		sel = p.scan(cur.Tail, sel)
 	}
-	if hi != nil {
-		v := hi.(int64)
-		if !incHi {
-			if v == math.MinInt64 {
-				r.empty = true
-				return r
-			}
-			v--
-		}
-		if v < r.hi {
-			r.hi = v
-		}
+	if len(preds) == 1 && preds[0].Kind == PredNotNil && (sel == nil || len(sel) == b.Len()) {
+		return b
 	}
-	r.empty = r.lo > r.hi
-	return r
+	if sel == nil {
+		sel = bat.NewFullSel(cur.Len())
+	}
+	var out *bat.BAT
+	if preds[len(preds)-1].Kind == PredEq {
+		hv := bat.NewOids(bat.GatherOidsSel(cur.Head, sel))
+		out = bat.New(hv, hv.Slice(0, len(sel)))
+	} else {
+		out = bat.GatherSel(cur, sel)
+	}
+	out.HeadSorted, out.KeyUnique = headSorted, keyUnique
+	return out
 }
 
-type dateRange struct {
-	lo, hi bat.Date
-	empty  bool
-}
-
-func normDateRange(lo, hi any, incLo, incHi bool) dateRange {
-	r := dateRange{lo: bat.NilDate + 1, hi: bat.Date(math.MaxInt32)}
-	if lo != nil {
-		v := lo.(bat.Date)
-		if !incLo {
-			if v == bat.Date(math.MaxInt32) {
-				r.empty = true
-				return r
-			}
-			v++
-		}
-		if v > r.lo {
-			r.lo = v
-		}
+// sortedRun binary-searches a sorted tail for the positions [start,
+// end) that p keeps; ok is false where no search applies. Int-like
+// kinds always qualify: their nil sentinel occupies an end of the sort
+// order (ints and dates the minimum, oids the maximum) and the
+// normalised interval excludes it. Float nil is NaN and string nil
+// "\x00" sorts above "", so those search only between two given bounds,
+// keeping the seed's boxed-Cmp behaviour there (a NaN compares equal to
+// every bound); floats never search for equality.
+func sortedRun(tail bat.Vector, p *Pred) (start, end int, ok bool) {
+	r := p.Range
+	switch p.Kind {
+	case PredEq:
+		r = point(p.V)
+	case PredRange:
+	default:
+		return 0, 0, false
 	}
-	if hi != nil {
-		v := hi.(bat.Date)
-		if !incHi {
-			if v == bat.Date(math.MinInt32) {
-				r.empty = true
-				return r
-			}
-			v--
-		}
-		if v < r.hi {
-			r.hi = v
-		}
-	}
-	r.empty = r.lo > r.hi
-	return r
-}
-
-type oidRange struct {
-	lo, hi bat.Oid
-	empty  bool
-}
-
-func normOidRange(lo, hi any, incLo, incHi bool) oidRange {
-	r := oidRange{lo: 0, hi: bat.NilOid - 1}
-	if lo != nil {
-		v := lo.(bat.Oid)
-		if !incLo {
-			if v == bat.NilOid {
-				r.empty = true
-				return r
-			}
-			v++
-		}
-		if v > r.lo {
-			r.lo = v
-		}
-	}
-	if hi != nil {
-		v := hi.(bat.Oid)
-		if !incHi {
-			if v == 0 {
-				r.empty = true
-				return r
-			}
-			v--
-		}
-		if v < r.hi {
-			r.hi = v
-		}
-	}
-	r.empty = r.lo > r.hi
-	return r
-}
-
-type fltRange struct {
-	lo, hi float64
-	empty  bool
-}
-
-func normFltRange(lo, hi any, incLo, incHi bool) fltRange {
-	r := fltRange{lo: math.Inf(-1), hi: math.Inf(1)}
-	if lo != nil {
-		v := lo.(float64)
-		if !incLo {
-			if math.IsInf(v, 1) {
-				r.empty = true
-				return r
-			}
-			v = math.Nextafter(v, math.Inf(1))
-		}
-		if v > r.lo {
-			r.lo = v
-		}
-	}
-	if hi != nil {
-		v := hi.(float64)
-		if !incHi {
-			if math.IsInf(v, -1) {
-				r.empty = true
-				return r
-			}
-			v = math.Nextafter(v, math.Inf(-1))
-		}
-		if v < r.hi {
-			r.hi = v
-		}
-	}
-	r.empty = r.lo > r.hi
-	return r
-}
-
-// denseOidRange intersects a dense oid run with a normalised range,
-// returning positional [start, end).
-func denseOidRange(t *bat.DenseOids, r oidRange) (int, int) {
-	if r.empty || t.N == 0 {
-		return 0, 0
-	}
-	start, end := 0, t.N
-	if r.lo > t.Start {
-		start = int(r.lo - t.Start)
-		if start > t.N {
-			start = t.N
-		}
-	}
-	last := t.Start + bat.Oid(t.N-1)
-	if r.hi < last {
-		end = t.N - int(last-r.hi)
-		if end < 0 {
-			end = 0
-		}
-	}
-	if end < start {
-		end = start
-	}
-	return start, end
-}
-
-// rangeSel scans the tail and returns the qualifying positions. The
-// per-kind loops are branch-free: store the candidate position, then
-// advance the write cursor only when the predicate holds.
-func rangeSel(tail bat.Vector, lo, hi any, incLo, incHi bool) bat.SelectionVector {
 	switch t := tail.(type) {
 	case *bat.Ints:
-		r := normIntRange(lo, hi, incLo, incHi)
-		if r.empty {
-			return nil
-		}
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			if v >= r.lo && v <= r.hi {
-				j++
-			}
-		}
-		return sel[:j]
-	case *bat.Floats:
-		r := normFltRange(lo, hi, incLo, incHi)
-		if r.empty {
-			return nil
-		}
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, v := range t.V {
-			// NaN (the float nil) fails both comparisons.
-			sel[j] = int32(i)
-			if v >= r.lo && v <= r.hi {
-				j++
-			}
-		}
-		return sel[:j]
+		start, end = intRun(t.V, intDom, p)
 	case *bat.Dates:
-		r := normDateRange(lo, hi, incLo, incHi)
-		if r.empty {
-			return nil
-		}
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			if v >= r.lo && v <= r.hi {
-				j++
-			}
-		}
-		return sel[:j]
+		start, end = intRun(t.V, dateDom, p)
 	case *bat.Oids:
-		r := normOidRange(lo, hi, incLo, incHi)
-		if r.empty {
-			return nil
-		}
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			if v >= r.lo && v <= r.hi {
-				j++
-			}
-		}
-		return sel[:j]
+		start, end = intRun(t.V, oidDom, p)
 	case *bat.DenseOids:
-		r := normOidRange(lo, hi, incLo, incHi)
-		start, end := denseOidRange(t, r)
-		sel := make(bat.SelectionVector, end-start)
-		for i := range sel {
-			sel[i] = int32(start + i)
+		if lo, hi, ok := oidDom.interval(p); ok {
+			start, end = denseSpan(t, lo, hi)
 		}
-		return sel
+	case *bat.Floats:
+		if p.Kind == PredEq || r.Lo == nil || r.Hi == nil {
+			return 0, 0, false
+		}
+		start, end = sortedSpan(t.V, r.Lo.(float64), r.IncLo, r.Hi.(float64), r.IncHi)
 	case *bat.Strings:
-		return scanStringsRange(t.V, lo, hi, incLo, incHi, nil)
-	case *bat.Bools:
-		return scanBoolsRange(t.V, lo, hi, incLo, incHi, nil)
+		if r.Lo == nil || r.Hi == nil {
+			return 0, 0, false
+		}
+		start, end = sortedSpan(t.V, r.Lo.(string), r.IncLo, r.Hi.(string), r.IncHi)
 	default:
-		panic(fmt.Sprintf("algebra: select over unsupported tail %T", tail))
+		return 0, 0, false
 	}
+	return start, end, true
 }
 
-// scanStringsRange selects string positions in range; when sel is
-// non-nil only those positions are considered (fusion refinement).
-// String compares dominate, so the loop keeps plain branches.
-func scanStringsRange(v []string, lo, hi any, incLo, incHi bool, sel bat.SelectionVector) bat.SelectionVector {
-	var lov, hiv string
-	if lo != nil {
-		lov = lo.(string)
+func intRun[T int64 | bat.Date | bat.Oid](v []T, d domain[T], p *Pred) (start, end int) {
+	lo, hi, ok := d.interval(p)
+	if !ok {
+		return 0, 0
 	}
-	if hi != nil {
-		hiv = hi.(string)
+	start, _ = slices.BinarySearch(v, lo)
+	if end = len(v); hi+1 > hi {
+		end, _ = slices.BinarySearch(v, hi+1)
 	}
-	keep := func(x string) bool {
-		if x == bat.NilStr {
-			return false
+	return start, max(start, end)
+}
+
+// sortedSpan finds [start, end) of the values of sorted v within the
+// bounds. The tests are written so that an unordered element (NaN)
+// compares equal to both bounds, as cmpOrdered does.
+func sortedSpan[T cmp.Ordered](v []T, lo T, incLo bool, hi T, incHi bool) (int, int) {
+	start := sort.Search(len(v), func(i int) bool { return v[i] > lo || incLo && !(v[i] < lo) })
+	end := sort.Search(len(v), func(i int) bool { return v[i] > hi || !incHi && !(v[i] < hi) })
+	return start, max(start, end)
+}
+
+// denseSpan intersects a dense oid run with the closed [lo, hi],
+// returning positional [start, end).
+func denseSpan(t *bat.DenseOids, lo, hi bat.Oid) (int, int) {
+	if t.N == 0 {
+		return 0, 0
+	}
+	last := t.Start + bat.Oid(t.N-1)
+	lo, hi = max(lo, t.Start), min(hi, last)
+	if lo > hi {
+		return 0, 0
+	}
+	return int(lo - t.Start), int(hi-t.Start) + 1
+}
+
+// scan refines sel (nil: every row) to the positions of tail that p
+// keeps. The result is never nil, except that a not-nil predicate over
+// a kind without a nil representation hands sel back untouched.
+func (p *Pred) scan(tail bat.Vector, sel bat.SelectionVector) bat.SelectionVector {
+	if p.Kind == PredLike || p.Kind == PredNotLike {
+		t, ok := tail.(*bat.Strings)
+		if !ok {
+			panic(fmt.Sprintf("algebra: like filter over non-string tail %T", tail))
 		}
-		if lo != nil {
-			if incLo {
-				if x < lov {
-					return false
-				}
-			} else if x <= lov {
-				return false
+		pat, want := p.Pattern, p.Kind == PredLike
+		return scanStrings(t.V, func(x string) bool { return x != bat.NilStr && likeMatch(pat, x) == want }, sel)
+	}
+	switch t := tail.(type) {
+	case *bat.Ints:
+		return scanNum(t.V, intDom, p, sel)
+	case *bat.Dates:
+		return scanNum(t.V, dateDom, p, sel)
+	case *bat.Oids:
+		return scanNum(t.V, oidDom, p, sel)
+	case *bat.Floats:
+		return scanNum(t.V, fltDom, p, sel)
+	case *bat.Strings:
+		switch p.Kind {
+		case PredEq:
+			return scanEq(t.V, p.V.(string), sel)
+		case PredNotNil:
+			return scanNotNil(t.V, bat.NilStr, sel)
+		}
+		return scanStrings(t.V, p.Range.strKeep(), sel)
+	case *bat.Bools:
+		// No nil, and false < true: a range keeps one value, both or none.
+		switch p.Kind {
+		case PredEq:
+			return scanEq(t.V, p.V.(bool), sel)
+		case PredNotNil:
+			return sel
+		}
+		switch f, tr := p.Range.Contains(point(false)), p.Range.Contains(point(true)); {
+		case f && tr:
+			return sel
+		case f || tr:
+			return scanEq(t.V, tr, sel)
+		}
+	case *bat.DenseOids:
+		// Positions are values here: a selection, ascending, keeps the
+		// run of its positions inside the interval.
+		if p.Kind == PredNotNil {
+			return sel
+		}
+		start, end := 0, 0
+		if lo, hi, ok := oidDom.interval(p); ok {
+			start, end = denseSpan(t, lo, hi)
+		}
+		if sel == nil {
+			return span(start, end)
+		}
+		i := sort.Search(len(sel), func(i int) bool { return int(sel[i]) >= start })
+		k := sort.Search(len(sel), func(k int) bool { return int(sel[k]) >= end })
+		return sel[i:max(i, k)]
+	default:
+		panic(fmt.Sprintf("algebra: filter over unsupported tail %T", tail))
+	}
+	return none(sel)
+}
+
+func scanNum[T number](v []T, d domain[T], p *Pred, sel bat.SelectionVector) bat.SelectionVector {
+	switch p.Kind {
+	case PredEq:
+		return scanEq(v, p.V.(T), sel)
+	case PredNotNil:
+		return scanNotNil(v, d.nil, sel)
+	}
+	if lo, hi, ok := d.closed(p.Range); ok {
+		return scanRange(v, lo, hi, sel)
+	}
+	return none(sel)
+}
+
+// none is the empty refinement of sel — never nil, which means "every
+// row".
+func none(sel bat.SelectionVector) bat.SelectionVector {
+	if sel == nil {
+		return bat.SelectionVector{}
+	}
+	return sel[:0]
+}
+
+// span is the selection [start, end).
+func span(start, end int) bat.SelectionVector {
+	s := make(bat.SelectionVector, end-start)
+	for i := range s {
+		s[i] = int32(start + i)
+	}
+	return s
+}
+
+// --- the typed loops -----------------------------------------------------
+
+// scanRange keeps the positions whose value lies in [lo, hi]. The two
+// bound tests are separate conditional moves rather than one && branch
+// the predictor must guess; NaN fails both.
+func scanRange[T number](v []T, lo, hi T, sel bat.SelectionVector) bat.SelectionVector {
+	if sel == nil {
+		out := make(bat.SelectionVector, len(v))
+		j := 0
+		for i, x := range v {
+			out[j] = int32(i)
+			k := j + 1
+			if !(x >= lo) {
+				k = j
+			}
+			if !(x <= hi) {
+				k = j
+			}
+			j = k
+		}
+		return out[:j]
+	}
+	j := 0
+	for _, p := range sel {
+		x := v[p]
+		sel[j] = p
+		k := j + 1
+		if !(x >= lo) {
+			k = j
+		}
+		if !(x <= hi) {
+			k = j
+		}
+		j = k
+	}
+	return sel[:j]
+}
+
+// scanEq keeps the positions whose value equals w.
+func scanEq[T comparable](v []T, w T, sel bat.SelectionVector) bat.SelectionVector {
+	if sel == nil {
+		out := make(bat.SelectionVector, len(v))
+		j := 0
+		for i, x := range v {
+			out[j] = int32(i)
+			if x == w {
+				j++
 			}
 		}
-		if hi != nil {
-			if incHi {
-				if x > hiv {
-					return false
-				}
-			} else if x >= hiv {
-				return false
-			}
-		}
-		return true
+		return out[:j]
 	}
+	j := 0
+	for _, p := range sel {
+		sel[j] = p
+		if v[p] == w {
+			j++
+		}
+	}
+	return sel[:j]
+}
+
+// scanNotNil keeps the positions whose value is not nilv. x != x is
+// what drops a float NaN, which compares unequal to itself and to
+// nilv; for every other kind it folds to false.
+func scanNotNil[T comparable](v []T, nilv T, sel bat.SelectionVector) bat.SelectionVector {
+	if sel == nil {
+		out := make(bat.SelectionVector, len(v))
+		j := 0
+		for i, x := range v {
+			out[j] = int32(i)
+			k := j + 1
+			if x != x {
+				k = j
+			}
+			if x == nilv {
+				k = j
+			}
+			j = k
+		}
+		return out[:j]
+	}
+	j := 0
+	for _, p := range sel {
+		x := v[p]
+		sel[j] = p
+		k := j + 1
+		if x != x {
+			k = j
+		}
+		if x == nilv {
+			k = j
+		}
+		j = k
+	}
+	return sel[:j]
+}
+
+// scanStrings keeps the positions whose string keep accepts. String
+// compares and LIKE matching dominate, so the loop keeps plain
+// branches.
+func scanStrings(v []string, keep func(string) bool, sel bat.SelectionVector) bat.SelectionVector {
 	if sel == nil {
 		out := make(bat.SelectionVector, 0, len(v)/4+1)
 		for i, x := range v {
@@ -483,315 +412,181 @@ func scanStringsRange(v []string, lo, hi any, incLo, incHi bool, sel bat.Selecti
 	return sel[:j]
 }
 
-// scanBoolsRange mirrors the seed's bool range semantics (false < true,
-// no nil representation).
-func scanBoolsRange(v []bool, lo, hi any, incLo, incHi bool, sel bat.SelectionVector) bat.SelectionVector {
-	keep := func(x bool) bool {
-		if lo != nil && Cmp(x, lo) < 0 {
-			return false
-		}
-		if hi != nil && Cmp(x, hi) > 0 {
-			return false
-		}
-		return true
-	}
-	if sel == nil {
-		out := make(bat.SelectionVector, 0, len(v))
-		for i, x := range v {
-			if keep(x) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	j := 0
-	for _, p := range sel {
-		if keep(v[p]) {
-			sel[j] = p
-			j++
-		}
-	}
-	return sel[:j]
+// --- ranges ------------------------------------------------------------------
+
+// Range is a range predicate's bounds over boxed scalars: Lo ≤/< v ≤/<
+// Hi, where a nil bound is open. It is the one definition of what an
+// exclusive, open or nil endpoint means: the scans normalise it
+// (domain.closed, strKeep) and the recycler's subsumption
+// reasons with its methods.
+type Range struct {
+	Lo, Hi       any
+	IncLo, IncHi bool
 }
 
-// Uselect implements the equality selection algebra.uselect(b, v):
-// the rows of b whose tail equals v. The result's tail shares the
-// head's storage (the tail carries no information, as with MonetDB's
-// void-tailed uselect results). Sorted tails binary-search the
-// equality run instead of scanning.
-func Uselect(b *bat.BAT, v any) *bat.BAT {
-	var heads []bat.Oid
-	if b.TailSorted && uselectSortedApplies(b.Tail) {
-		start, end := sortedEqualRun(b.Tail, v)
-		heads = make([]bat.Oid, end-start)
-		switch h := b.Head.(type) {
-		case *bat.Oids:
-			copy(heads, h.V[start:end])
-		case *bat.DenseOids:
-			for i := range heads {
-				heads[i] = h.Start + bat.Oid(start+i)
-			}
-		default:
-			for i := range heads {
-				heads[i] = bat.OidAt(b.Head, start+i)
-			}
-		}
-	} else {
-		sel := equalitySel(b.Tail, v)
-		heads = bat.GatherOidsSel(b.Head, sel)
-	}
-	hv := bat.NewOids(heads)
-	out := bat.New(hv, hv.Slice(0, len(heads)))
-	out.HeadSorted = b.HeadSorted
-	out.KeyUnique = b.KeyUnique
-	return out
+// point is the range holding exactly v.
+func point(v any) Range { return Range{Lo: v, Hi: v, IncLo: true, IncHi: true} }
+
+type number interface {
+	int64 | bat.Date | bat.Oid | float64
 }
 
-// uselectSortedApplies restricts the sorted equality fast path to
-// kinds with total order under ==; float columns may contain NaN,
-// which breaks binary-search invariants, so they scan.
-func uselectSortedApplies(tail bat.Vector) bool {
-	switch tail.(type) {
-	case *bat.Ints, *bat.Dates, *bat.Oids, *bat.DenseOids, *bat.Strings:
-		return true
+// domain is a numeric kind's non-nil values [min, max] and its nil:
+// just outside one end for the int-like kinds, NaN — outside every
+// order — for floats.
+type domain[T number] struct{ min, max, nil T }
+
+var (
+	intDom  = domain[int64]{min: bat.NilInt + 1, max: math.MaxInt64, nil: bat.NilInt}
+	dateDom = domain[bat.Date]{min: bat.NilDate + 1, max: math.MaxInt32, nil: bat.NilDate}
+	oidDom  = domain[bat.Oid]{min: 0, max: bat.NilOid - 1, nil: bat.NilOid}
+	fltDom  = domain[float64]{min: math.Inf(-1), max: math.Inf(1), nil: math.NaN()}
+)
+
+// closed normalises r to the closed interval [lo, hi] of non-nil
+// values it admits; ok is false when that is empty (contradictory
+// bounds, or an exclusive bound at the domain's edge).
+func (d domain[T]) closed(r Range) (lo, hi T, ok bool) {
+	lo, hi = d.min, d.max
+	if r.Lo != nil {
+		v := r.Lo.(T)
+		if !r.IncLo {
+			if v >= d.max {
+				return lo, hi, false
+			}
+			v = adjacent(v, 1)
+		}
+		if v > lo { // a NaN bound leaves its side open
+			lo = v
+		}
 	}
-	return false
+	if r.Hi != nil {
+		v := r.Hi.(T)
+		if !r.IncHi {
+			if v <= d.min {
+				return lo, hi, false
+			}
+			v = adjacent(v, -1)
+		}
+		if v < hi {
+			hi = v
+		}
+	}
+	return lo, hi, lo <= hi
 }
 
-// sortedEqualRun returns positional [start, end) of tail values == v.
-func sortedEqualRun(tail bat.Vector, v any) (int, int) {
-	switch t := tail.(type) {
-	case *bat.Ints:
-		w := v.(int64)
-		start := sort.Search(len(t.V), func(i int) bool { return t.V[i] >= w })
-		end := sort.Search(len(t.V), func(i int) bool { return t.V[i] > w })
-		return start, end
-	case *bat.Dates:
-		w := v.(bat.Date)
-		start := sort.Search(len(t.V), func(i int) bool { return t.V[i] >= w })
-		end := sort.Search(len(t.V), func(i int) bool { return t.V[i] > w })
-		return start, end
-	case *bat.Oids:
-		w := v.(bat.Oid)
-		start := sort.Search(len(t.V), func(i int) bool { return t.V[i] >= w })
-		end := sort.Search(len(t.V), func(i int) bool { return t.V[i] > w })
-		return start, end
-	case *bat.Strings:
-		w := v.(string)
-		start := sort.Search(len(t.V), func(i int) bool { return t.V[i] >= w })
-		end := sort.Search(len(t.V), func(i int) bool { return t.V[i] > w })
-		return start, end
-	case *bat.DenseOids:
-		w := v.(bat.Oid)
-		if w >= t.Start && w < t.Start+bat.Oid(t.N) {
-			p := int(w - t.Start)
-			return p, p + 1
-		}
-		return 0, 0
+// interval is the closed interval a range or equality predicate
+// admits. An equality's value is taken as given: a nil sentinel matches
+// itself.
+func (d domain[T]) interval(p *Pred) (T, T, bool) {
+	if p.Kind == PredEq {
+		w := p.V.(T)
+		return w, w, true
 	}
-	panic("algebra: sortedEqualRun on unsupported tail")
+	return d.closed(p.Range)
 }
 
-// equalitySel scans the tail for positions equal to v. Branch-free
-// store-then-advance loops per kind; matches the seed's semantics (nil
-// sentinels are NOT excluded — equality with the sentinel matches it).
-func equalitySel(tail bat.Vector, v any) bat.SelectionVector {
-	switch t := tail.(type) {
-	case *bat.Ints:
-		w := v.(int64)
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, x := range t.V {
-			sel[j] = int32(i)
-			if x == w {
-				j++
-			}
-		}
-		return sel[:j]
-	case *bat.Strings:
-		w := v.(string)
-		sel := make(bat.SelectionVector, 0, 8)
-		for i, x := range t.V {
-			if x == w {
-				sel = append(sel, int32(i))
-			}
-		}
-		return sel
-	case *bat.Dates:
-		w := v.(bat.Date)
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, x := range t.V {
-			sel[j] = int32(i)
-			if x == w {
-				j++
-			}
-		}
-		return sel[:j]
-	case *bat.Floats:
-		w := v.(float64)
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, x := range t.V {
-			sel[j] = int32(i)
-			if x == w {
-				j++
-			}
-		}
-		return sel[:j]
-	case *bat.Oids:
-		w := v.(bat.Oid)
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, x := range t.V {
-			sel[j] = int32(i)
-			if x == w {
-				j++
-			}
-		}
-		return sel[:j]
-	case *bat.DenseOids:
-		w := v.(bat.Oid)
-		if w >= t.Start && w < t.Start+bat.Oid(t.N) {
-			return bat.SelectionVector{int32(w - t.Start)}
-		}
-		return nil
-	case *bat.Bools:
-		w := v.(bool)
-		sel := make(bat.SelectionVector, len(t.V))
-		j := 0
-		for i, x := range t.V {
-			sel[j] = int32(i)
-			if x == w {
-				j++
-			}
-		}
-		return sel[:j]
-	default:
-		panic(fmt.Sprintf("algebra: uselect over unsupported tail %T", tail))
+// adjacent is the next value of x's kind above (dir 1) or below (dir
+// -1) it: x±1, or the adjacent float.
+func adjacent[T number](x T, dir int) T {
+	if f, ok := any(x).(float64); ok {
+		return any(math.Nextafter(f, float64(dir)*math.Inf(1))).(T)
+	}
+	return x + T(dir)
+}
+
+// strKeep is the string range test; nil strings never qualify.
+func (r Range) strKeep() func(string) bool {
+	var lo, hi string
+	if r.Lo != nil {
+		lo = r.Lo.(string)
+	}
+	if r.Hi != nil {
+		hi = r.Hi.(string)
+	}
+	return func(x string) bool {
+		return x != bat.NilStr &&
+			(r.Lo == nil || x > lo || r.IncLo && x == lo) &&
+			(r.Hi == nil || x < hi || r.IncHi && x == hi)
 	}
 }
 
-// SelectNotNil implements algebra.selectNotNil: rows whose tail is not
-// the type's nil sentinel.
-func SelectNotNil(b *bat.BAT) *bat.BAT {
-	n := b.Len()
-	var sel bat.SelectionVector
-	switch t := b.Tail.(type) {
-	case *bat.Ints:
-		sel = make(bat.SelectionVector, n)
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			if v != bat.NilInt {
-				j++
-			}
-		}
-		sel = sel[:j]
-	case *bat.Floats:
-		sel = make(bat.SelectionVector, n)
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			// v == v is false exactly for NaN, the float nil.
-			if v == v {
-				j++
-			}
-		}
-		sel = sel[:j]
-	case *bat.Strings:
-		sel = make(bat.SelectionVector, n)
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			if v != bat.NilStr {
-				j++
-			}
-		}
-		sel = sel[:j]
-	case *bat.Dates:
-		sel = make(bat.SelectionVector, n)
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			if v != bat.NilDate {
-				j++
-			}
-		}
-		sel = sel[:j]
-	case *bat.Oids:
-		sel = make(bat.SelectionVector, n)
-		j := 0
-		for i, v := range t.V {
-			sel[j] = int32(i)
-			if v != bat.NilOid {
-				j++
-			}
-		}
-		sel = sel[:j]
-	default:
-		return b
-	}
-	if len(sel) == n {
-		return b
-	}
-	out := bat.GatherSel(b, sel)
-	out.HeadSorted = b.HeadSorted
-	return out
+// The endpoint algebra of combined and singleton subsumption (§5). It
+// compares endpoints as written, by Cmp: an exclusive and an inclusive
+// bound that admit the same integers are still different endpoints.
+
+// Contains reports whether every value t admits, r admits.
+func (r Range) Contains(t Range) bool {
+	return outer(r.Lo, r.IncLo, t.Lo, t.IncLo, -1) && outer(r.Hi, r.IncHi, t.Hi, t.IncHi, 1)
 }
 
-// LikeSelect implements string pattern selection with SQL LIKE
-// semantics ('%' matches any run, '_' any single character). It
-// returns the qualifying (head, tail) pairs.
-func LikeSelect(b *bat.BAT, pattern string) *bat.BAT {
-	t, ok := b.Tail.(*bat.Strings)
-	if !ok {
-		panic("algebra: likeselect over non-string tail")
+// outer reports whether endpoint a reaches at least as far as b below
+// (dir -1) or above (dir 1) — on a tie, a must include the point if b
+// does. An open (nil) endpoint reaches everything.
+func outer(a any, aInc bool, b any, bInc bool, dir int) bool {
+	if a == nil || b == nil {
+		return a == nil
 	}
-	m := CompileLike(pattern)
-	sel := make(bat.SelectionVector, 0, b.Len()/8+1)
-	for i, v := range t.V {
-		if v != bat.NilStr && m.Match(v) {
-			sel = append(sel, int32(i))
-		}
-	}
-	out := bat.GatherSel(b, sel)
-	out.HeadSorted = b.HeadSorted
-	return out
+	c := Cmp(a, b) * dir
+	return c > 0 || c == 0 && (aInc || !bInc)
 }
 
-// NotLikeSelect returns the rows whose string tail does NOT match the
-// LIKE pattern (nils excluded), the complement of LikeSelect.
-func NotLikeSelect(b *bat.BAT, pattern string) *bat.BAT {
-	t, ok := b.Tail.(*bat.Strings)
-	if !ok {
-		panic("algebra: notlikeselect over non-string tail")
-	}
-	m := CompileLike(pattern)
-	sel := make(bat.SelectionVector, 0, b.Len())
-	for i, v := range t.V {
-		if v != bat.NilStr && !m.Match(v) {
-			sel = append(sel, int32(i))
-		}
-	}
-	out := bat.GatherSel(b, sel)
-	out.HeadSorted = b.HeadSorted
-	return out
+// Overlaps reports whether r and o intersect, reading both as closed
+// intervals: conservative, which can only add a harmless extra piece to
+// a combined cover.
+func (r Range) Overlaps(o Range) bool {
+	return !gap(r.Lo, true, o.Hi, true) && !gap(o.Lo, true, r.Hi, true)
 }
 
-// LikeMatcher matches SQL LIKE patterns without regexp.
-type LikeMatcher struct {
-	pattern string
+// Mergeable reports whether r ∪ o is one solid interval: they
+// intersect, or touch at a point at least one of them includes. Two
+// ranges both EXCLUDING the shared point (a < 44 and a > 44) leave a
+// hole there, and a cover built over the hole drops the rows equal to
+// it.
+func (r Range) Mergeable(o Range) bool {
+	return !gap(r.Lo, r.IncLo, o.Hi, o.IncHi) && !gap(o.Lo, o.IncLo, r.Hi, r.IncHi)
 }
 
-// CompileLike prepares a matcher for the given LIKE pattern.
-func CompileLike(pattern string) *LikeMatcher { return &LikeMatcher{pattern: pattern} }
+// gap reports that the lower endpoint lies above the upper one, or on
+// it with neither including the point.
+func gap(lo any, incLo bool, hi any, incHi bool) bool {
+	if lo == nil || hi == nil {
+		return false
+	}
+	c := Cmp(lo, hi)
+	return c > 0 || c == 0 && !incLo && !incHi
+}
 
-// Match reports whether s matches the pattern.
-func (m *LikeMatcher) Match(s string) bool { return likeMatch(m.pattern, s) }
+// Union returns the smallest range holding r and o — their union when
+// they are Mergeable. On a tied endpoint the union keeps the point if
+// either range does.
+func (r Range) Union(o Range) Range {
+	var u Range
+	u.Lo, u.IncLo = extend(r.Lo, r.IncLo, o.Lo, o.IncLo, -1)
+	u.Hi, u.IncHi = extend(r.Hi, r.IncHi, o.Hi, o.IncHi, 1)
+	return u
+}
 
+// extend picks the outer of two endpoints: the lower when dir < 0, the
+// upper when dir > 0; open wins.
+func extend(a any, aInc bool, b any, bInc bool, dir int) (any, bool) {
+	if a == nil || b == nil {
+		return nil, false
+	}
+	switch c := Cmp(a, b) * dir; {
+	case c == 0:
+		return a, aInc || bInc
+	case c > 0:
+		return a, aInc
+	}
+	return b, bInc
+}
+
+// --- LIKE ----------------------------------------------------------------
+
+// likeMatch reports whether s matches the SQL LIKE pattern p, without
+// regexp: an iterative two-pointer match backtracking on '%'.
 func likeMatch(p, s string) bool {
-	// Iterative two-pointer algorithm with backtracking on '%'.
 	pi, si := 0, 0
 	star, mark := -1, 0
 	for si < len(s) {
@@ -820,36 +615,15 @@ func likeMatch(p, s string) bool {
 // LikeLiteral extracts the longest literal run of a LIKE pattern (the
 // pattern with wildcards stripped). Used by the recycler's like
 // subsumption test: if pat1 = %lit1% and lit1 is a substring of the
-// literal of pat2, every match of pat2 matches pat1.
+// literal of pat2, every match of pat2 matches pat1. pureInfix reports
+// that the pattern is exactly %lit%.
 func LikeLiteral(pattern string) (lit string, pureInfix bool) {
-	pureInfix = len(pattern) >= 2 && pattern[0] == '%' && pattern[len(pattern)-1] == '%'
-	var cur, best []byte
-	for i := 0; i < len(pattern); i++ {
-		c := pattern[i]
-		if c == '%' || c == '_' {
-			if len(cur) > len(best) {
-				best = cur
-			}
-			cur = nil
-			if c == '_' {
-				pureInfix = false
-			}
-			continue
-		}
-		cur = append(cur, c)
-	}
-	if len(cur) > len(best) {
-		best = cur
-	}
-	if pureInfix {
-		// pure infix means the pattern is exactly %lit%
-		inner := pattern[1 : len(pattern)-1]
-		for i := 0; i < len(inner); i++ {
-			if inner[i] == '%' || inner[i] == '_' {
-				pureInfix = false
-				break
-			}
+	for _, run := range strings.FieldsFunc(pattern, func(r rune) bool { return r == '%' || r == '_' }) {
+		if len(run) > len(lit) {
+			lit = run
 		}
 	}
-	return string(best), pureInfix
+	n := len(pattern)
+	pureInfix = n >= 2 && pattern[0] == '%' && pattern[n-1] == '%' && !strings.ContainsAny(pattern[1:n-1], "%_")
+	return lit, pureInfix
 }

@@ -10,9 +10,17 @@ import (
 
 func intBAT(vals ...int64) *bat.BAT { return bat.NewDenseHead(bat.NewInts(vals)) }
 
+// inRange is the range predicate lo ≤/< v ≤/< hi; a nil bound is open.
+func inRange(lo, hi any, incLo, incHi bool) Pred {
+	return Pred{Kind: PredRange, Range: Range{Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}}
+}
+
+// equalTo is the equality predicate v == w.
+func equalTo(w any) Pred { return Pred{Kind: PredEq, V: w} }
+
 func TestSelectIntRange(t *testing.T) {
 	b := intBAT(5, 1, 9, 3, 7)
-	r := Select(b, int64(3), int64(7), true, true)
+	r := Filter(b, inRange(int64(3), int64(7), true, true))
 	if r.Len() != 3 {
 		t.Fatalf("len = %d, want 3", r.Len())
 	}
@@ -26,11 +34,11 @@ func TestSelectIntRange(t *testing.T) {
 
 func TestSelectExclusiveBounds(t *testing.T) {
 	b := intBAT(3, 4, 5, 6, 7)
-	r := Select(b, int64(3), int64(7), false, false)
+	r := Filter(b, inRange(int64(3), int64(7), false, false))
 	if r.Len() != 3 {
 		t.Fatalf("len = %d, want 3 (exclusive)", r.Len())
 	}
-	r2 := Select(b, int64(3), int64(7), true, false)
+	r2 := Filter(b, inRange(int64(3), int64(7), true, false))
 	if r2.Len() != 4 {
 		t.Fatalf("len = %d, want 4 (half-open)", r2.Len())
 	}
@@ -38,20 +46,20 @@ func TestSelectExclusiveBounds(t *testing.T) {
 
 func TestSelectOpenBounds(t *testing.T) {
 	b := intBAT(1, 2, 3)
-	if r := Select(b, nil, int64(2), true, true); r.Len() != 2 {
+	if r := Filter(b, inRange(nil, int64(2), true, true)); r.Len() != 2 {
 		t.Fatalf("hi-only len = %d", r.Len())
 	}
-	if r := Select(b, int64(2), nil, true, true); r.Len() != 2 {
+	if r := Filter(b, inRange(int64(2), nil, true, true)); r.Len() != 2 {
 		t.Fatalf("lo-only len = %d", r.Len())
 	}
-	if r := Select(b, nil, nil, true, true); r.Len() != 3 {
+	if r := Filter(b, inRange(nil, nil, true, true)); r.Len() != 3 {
 		t.Fatalf("open len = %d", r.Len())
 	}
 }
 
 func TestSelectSkipsNil(t *testing.T) {
 	b := intBAT(1, bat.NilInt, 3)
-	r := Select(b, nil, nil, true, true)
+	r := Filter(b, inRange(nil, nil, true, true))
 	if r.Len() != 2 {
 		t.Fatalf("nil not skipped: len = %d", r.Len())
 	}
@@ -64,7 +72,7 @@ func TestSelectSortedUsesView(t *testing.T) {
 	}
 	b := intBAT(vals...)
 	b.TailSorted = true
-	r := Select(b, int64(10), int64(90), true, true)
+	r := Filter(b, inRange(int64(10), int64(90), true, true))
 	if r.Len() != 81 {
 		t.Fatalf("sorted select len = %d", r.Len())
 	}
@@ -81,7 +89,7 @@ func TestSelectSortedUsesView(t *testing.T) {
 func TestSelectDates(t *testing.T) {
 	d := func(y, m, dd int) bat.Date { return MkDate(y, m, dd) }
 	b := bat.NewDenseHead(bat.NewDates([]bat.Date{d(1996, 6, 30), d(1996, 7, 1), d(1996, 8, 15), d(1996, 10, 1)}))
-	r := Select(b, d(1996, 7, 1), d(1996, 10, 1), true, false)
+	r := Filter(b, inRange(d(1996, 7, 1), d(1996, 10, 1), true, false))
 	if r.Len() != 2 {
 		t.Fatalf("date range len = %d, want 2", r.Len())
 	}
@@ -89,7 +97,7 @@ func TestSelectDates(t *testing.T) {
 
 func TestUselect(t *testing.T) {
 	b := bat.NewDenseHead(bat.NewStrings([]string{"R", "A", "R", "N"}))
-	r := Uselect(b, "R")
+	r := Filter(b, equalTo("R"))
 	if r.Len() != 2 || bat.OidAt(r.Head, 0) != 0 || bat.OidAt(r.Head, 1) != 2 {
 		t.Fatalf("uselect wrong: %s", r.Dump(10))
 	}
@@ -101,14 +109,14 @@ func TestUselect(t *testing.T) {
 
 func TestSelectNotNil(t *testing.T) {
 	b := bat.NewDenseHead(bat.NewFloats([]float64{1.5, bat.NilFloat(), 2.5}))
-	r := SelectNotNil(b)
+	r := Filter(b, Pred{Kind: PredNotNil})
 	if r.Len() != 2 {
 		t.Fatalf("len = %d", r.Len())
 	}
 	// Identity when no nils present.
 	c := bat.NewDenseHead(bat.NewInts([]int64{1, 2}))
-	if SelectNotNil(c) != c {
-		t.Fatal("SelectNotNil should be identity without nils")
+	if Filter(c, Pred{Kind: PredNotNil}) != c {
+		t.Fatal("a not-nil Filter should be identity without nils")
 	}
 }
 
@@ -138,7 +146,7 @@ func TestLikeMatch(t *testing.T) {
 
 func TestLikeSelect(t *testing.T) {
 	b := bat.NewDenseHead(bat.NewStrings([]string{"forest green", "red", "lime green shiny", bat.NilStr}))
-	r := LikeSelect(b, "%green%")
+	r := Filter(b, Pred{Kind: PredLike, Pattern: "%green%"})
 	if r.Len() != 2 {
 		t.Fatalf("likeselect len = %d", r.Len())
 	}
@@ -180,8 +188,8 @@ func TestSelectSortedEqualsScan(t *testing.T) {
 		lo := int64(rng.Intn(30))
 		hi := lo + int64(rng.Intn(10))
 		incLo, incHi := rng.Intn(2) == 0, rng.Intn(2) == 0
-		a := Select(b, lo, hi, incLo, incHi)
-		c := Select(bs, lo, hi, incLo, incHi)
+		a := Filter(b, inRange(lo, hi, incLo, incHi))
+		c := Filter(bs, inRange(lo, hi, incLo, incHi))
 		if a.Len() != c.Len() {
 			return false
 		}
@@ -216,9 +224,9 @@ func TestSelectSubsumptionEquivalence(t *testing.T) {
 		if hi2 < lo2 {
 			hi2 = lo2
 		}
-		super := Select(b, lo1, hi1, true, true)
-		direct := Select(b, lo2, hi2, true, true)
-		viaSuper := Select(super, lo2, hi2, true, true)
+		super := Filter(b, inRange(lo1, hi1, true, true))
+		direct := Filter(b, inRange(lo2, hi2, true, true))
+		viaSuper := Filter(super, inRange(lo2, hi2, true, true))
 		if direct.Len() != viaSuper.Len() {
 			return false
 		}
@@ -232,5 +240,44 @@ func TestSelectSubsumptionEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: a chain whose first predicate binary-searches a sorted tail
+// equals the same predicates applied one Filter at a time.
+func TestFilterSortedFirstMatchesStepwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(80) + 1
+		sorted := bat.New(bat.NewDense(3, n), randVector(rng, bat.KInt, n, true))
+		sorted.TailSorted = true
+		other := bat.New(bat.NewDense(3, n), randVector(rng, bat.KInt, n, false))
+		preds := []Pred{inRange(randBound(rng, bat.KInt), randBound(rng, bat.KInt), rng.Intn(2) == 0, rng.Intn(2) == 0)}
+		if rng.Intn(3) == 0 {
+			preds[0] = equalTo(int64(rng.Intn(40)))
+			preds = append(preds, Pred{Kind: PredSwitch, Col: other})
+		}
+		stepwise := Filter(sorted, preds...)
+		if len(preds) == 2 {
+			stepwise = Semijoin(other, Filter(sorted, preds[0]))
+		}
+		for k := rng.Intn(3) + 1; k > 0; k-- {
+			p := inRange(randBound(rng, bat.KInt), randBound(rng, bat.KInt), rng.Intn(2) == 0, rng.Intn(2) == 0)
+			if rng.Intn(3) == 0 {
+				p = Pred{Kind: PredNotNil}
+			}
+			preds = append(preds, p)
+			stepwise = Filter(stepwise, p)
+		}
+		got := Filter(sorted, preds...)
+		if got.Len() != stepwise.Len() {
+			t.Fatalf("trial %d: chain %d rows, stepwise %d", trial, got.Len(), stepwise.Len())
+		}
+		for i := 0; i < got.Len(); i++ {
+			if bat.OidAt(got.Head, i) != bat.OidAt(stepwise.Head, i) || got.Tail.Get(i) != stepwise.Tail.Get(i) {
+				t.Fatalf("trial %d row %d: (%v, %v) want (%v, %v)", trial, i,
+					bat.OidAt(got.Head, i), got.Tail.Get(i), bat.OidAt(stepwise.Head, i), stepwise.Tail.Get(i))
+			}
+		}
 	}
 }

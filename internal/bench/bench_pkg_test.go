@@ -230,13 +230,11 @@ var skyDB = sky.Generate(30000, 19)
 func TestSkyBatchShape(t *testing.T) {
 	w := sky.SampleWorkload(skyDB, 60, 3)
 	row := SkyBatch(skyDB, w, 1, 3)
-	// Keepall recycling must beat naive by a wide margin on this
-	// highly repetitive workload (the paper reports ~10x or more). The
-	// ratio check is skipped under the race detector: instrumentation
-	// taxes the naive arm's scans and the recycler's bookkeeping very
-	// differently, so the wall-clock ratio is meaningless there.
-	if !raceEnabled && row.KeepAll*2 > row.Naive {
-		t.Errorf("keepall %v vs naive %v: expected >= 2x speedup", row.KeepAll, row.Naive)
+	// Counts only: the wall-clock speedup this workload buys (the paper
+	// reports ~10x or more) is the benchmark ledger's claim, not a unit
+	// test's. Keepall must admit and then reuse most monitored work.
+	if row.PeakMem <= 0 {
+		t.Errorf("keepall admitted nothing (peak pool %d bytes)", row.PeakMem)
 	}
 	if row.Reused < 0.5 {
 		t.Errorf("reuse fraction = %.2f, want >= 0.5", row.Reused)
@@ -324,9 +322,14 @@ func TestThroughput(t *testing.T) {
 	for _, r := range rows {
 		byName[r.Strategy] = r
 	}
-	// Recycling improves throughput on the overlap-heavy batch.
-	if byName["keepall"].QPS <= byName["naive"].QPS {
-		t.Errorf("keepall QPS %.1f <= naive %.1f", byName["keepall"].QPS, byName["naive"].QPS)
+	// Counts only (QPS is the benchmark ledger's claim): the naive arm
+	// reuses nothing, keepall admits intermediates and reuses them on
+	// the overlap-heavy batch.
+	if n := byName["naive"]; n.Hits != 0 || n.Entries != 0 {
+		t.Errorf("naive hits %d entries %d, want 0/0", n.Hits, n.Entries)
+	}
+	if k := byName["keepall"]; k.Hits == 0 || k.Entries == 0 {
+		t.Errorf("keepall hits %d entries %d, want both > 0", k.Hits, k.Entries)
 	}
 	var buf bytes.Buffer
 	PrintThroughput(&buf, rows)

@@ -552,6 +552,8 @@ type ThroughputRow struct {
 	Queries  int
 	Elapsed  time.Duration
 	QPS      float64
+	Hits     int // non-bind pool hits
+	Entries  int // pool entries after the batch
 }
 
 // Throughput runs the batch under the naive and keepall strategies.
@@ -565,6 +567,8 @@ func Throughput(db *tpch.DB, items []WorkItem) []ThroughputRow {
 			Queries:  len(items),
 			Elapsed:  res.Elapsed,
 			QPS:      float64(len(items)) / res.Elapsed.Seconds(),
+			Hits:     res.Hits,
+			Entries:  res.Entries,
 		}
 	}
 	return []ThroughputRow{

@@ -10,7 +10,7 @@ import (
 // Fused select-chain execution. The optimizer annotates templates with
 // FusedChains (internal/opt.PlanFusion); at run time an eligible chain
 // skips its member instructions and evaluates the whole filter chain
-// in one pass at the last member's pc via algebra.FusedSelect. The
+// in one pass at the last member's pc via algebra.Filter. The
 // rewrite is invisible to the plan: signatures, pool keys and the
 // dependency DAG are those of the original instructions, and the last
 // member's result slot receives a value bit-identical to unfused
@@ -60,11 +60,12 @@ func stepFused(ctx *Ctx, pc int, in *Instr, worker int, ci int, last bool, spanS
 	return nil
 }
 
-// evalFusedChain translates the chain's members into FusedSteps and
-// runs the fused kernel. Column switches are checked for positional
-// alignment at run time (both heads dense over the same oid range); a
-// chain that fails the check falls back to per-member evaluation with
-// chain-local intermediates, preserving exact semantics.
+// evalFusedChain maps the chain's members to predicates (FilterPred;
+// a semijoin member is a column switch) and runs them as one
+// algebra.Filter. Column switches are checked for positional alignment
+// at run time (both heads dense over the same oid range); a chain that
+// fails the check falls back to per-member evaluation with chain-local
+// intermediates, preserving exact semantics.
 func evalFusedChain(ctx *Ctx, ch *FusedChain) (Value, int, error) {
 	t := ctx.Template
 	resolve := func(a Arg) Value {
@@ -73,50 +74,30 @@ func evalFusedChain(ctx *Ctx, ch *FusedChain) (Value, int, error) {
 		}
 		return ctx.Stack[a.Var]
 	}
-	first := &t.Instrs[ch.Pcs[0]]
-	base, err := wantBat(resolve(first.Args[0]))
+	base, err := wantBat(resolve(t.Instrs[ch.Pcs[0]].Args[0]))
 	if err != nil {
 		return Value{}, 0, err
 	}
-	steps := make([]algebra.FusedStep, 0, len(ch.Pcs))
-	aligned := true
+	preds := make([]algebra.Pred, 0, len(ch.Pcs))
 	for _, pc := range ch.Pcs {
 		in := &t.Instrs[pc]
-		switch in.Op {
-		case "select":
-			args := make([]Value, len(in.Args))
-			for i, a := range in.Args {
-				args[i] = resolve(a)
-			}
-			lo, hi, incLo, incHi := SelectBounds(args)
-			steps = append(steps, algebra.FusedStep{Kind: algebra.FuseSelect, Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi})
-		case "uselect":
-			steps = append(steps, algebra.FusedStep{Kind: algebra.FuseUselect, V: resolve(in.Args[1]).Scalar()})
-		case "selectNotNil":
-			steps = append(steps, algebra.FusedStep{Kind: algebra.FuseNotNil})
-		case "likeselect":
-			steps = append(steps, algebra.FusedStep{Kind: algebra.FuseLike, Pattern: resolve(in.Args[1]).S})
-		case "notlikeselect":
-			steps = append(steps, algebra.FusedStep{Kind: algebra.FuseNotLike, Pattern: resolve(in.Args[1]).S})
-		case "semijoin":
-			col, cerr := wantBat(resolve(in.Args[0]))
-			if cerr != nil || !alignedHeads(base, col) {
-				aligned = false
-			} else {
-				steps = append(steps, algebra.FusedStep{Kind: algebra.FuseSwitch, Col: col})
-			}
-		default:
-			aligned = false
+		args := make([]Value, len(in.Args))
+		for i, a := range in.Args {
+			args[i] = resolve(a)
 		}
-		if !aligned {
-			break
+		name := in.Name()
+		p, ok := FilterPred(name, args)
+		if name == "algebra.semijoin" && len(args) == 2 {
+			p.Kind, p.Col = algebra.PredSwitch, args[0].Bat
+			ok = args[0].IsBat() && p.Col != nil && alignedHeads(base, p.Col)
 		}
+		if !ok {
+			ret, err := evalChainUnfused(ctx, ch)
+			return ret, base.Len(), err
+		}
+		preds = append(preds, p)
 	}
-	if !aligned {
-		ret, err := evalChainUnfused(ctx, ch)
-		return ret, base.Len(), err
-	}
-	return BatV(algebra.FusedSelect(base, steps)), base.Len(), nil
+	return BatV(algebra.Filter(base, preds...)), base.Len(), nil
 }
 
 // alignedHeads reports whether two BATs share a dense head over the

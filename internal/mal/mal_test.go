@@ -289,7 +289,8 @@ func TestMarkedCount(t *testing.T) {
 
 func TestSelectBoundsOpenEnds(t *testing.T) {
 	args := []Value{BatV(nil), VoidV(), IntV(5), BoolV(true), BoolV(false)}
-	lo, hi, il, ih := SelectBounds(args)
+	p, _ := FilterPred("algebra.select", args)
+	lo, hi, il, ih := p.Range.Lo, p.Range.Hi, p.Range.IncLo, p.Range.IncHi
 	if lo != nil || hi.(int64) != 5 || !il || ih {
 		t.Fatalf("bounds = %v %v %v %v", lo, hi, il, ih)
 	}

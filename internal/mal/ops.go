@@ -21,10 +21,19 @@ func init() {
 	RegisterOp("sql.exportCol", opExportCol)
 
 	// Binary relational algebra.
-	RegisterOp("algebra.select", opSelect)
-	RegisterOp("algebra.uselect", opUselect)
-	RegisterOp("algebra.likeselect", opLikeSelect)
-	RegisterOp("algebra.selectNotNil", opSelectNotNil)
+	for name := range filterKinds {
+		RegisterOp(name, func(_ *Ctx, _ *Instr, args []Value) (Value, error) {
+			p, ok := FilterPred(name, args)
+			if !ok {
+				return Value{}, errArity
+			}
+			b, err := wantBat(args[0])
+			if err != nil {
+				return Value{}, err
+			}
+			return BatV(algebra.Filter(b, p)), nil
+		})
+	}
 	RegisterOp("algebra.join", opJoin)
 	RegisterOp("algebra.semijoin", opSemijoin)
 	RegisterOp("algebra.kunique", opKUnique)
@@ -63,7 +72,6 @@ func init() {
 	RegisterOp("mtime.addyears", opAddYears)
 
 	// Extended operations used by the TPC-H and SkyServer templates.
-	RegisterOp("algebra.notlikeselect", opNotLikeSelect)
 	RegisterOp("algebra.union", opUnion)
 	RegisterOp("algebra.antisemijoin", opAntiSemijoin)
 	RegisterOp("batcalc.lt", opCalcLt)
@@ -135,59 +143,56 @@ func opExportCol(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	return VoidV(), nil
 }
 
-// SelectBounds extracts the range-select bounds from an
-// algebra.select argument list (b, lo, hi, incLo, incHi). VVoid
-// bounds are open. Exposed for the recycler's subsumption analysis.
-func SelectBounds(args []Value) (lo, hi any, incLo, incHi bool) {
-	if args[1].Kind != VVoid {
-		lo = args[1].Scalar()
-	}
-	if args[2].Kind != VVoid {
-		hi = args[2].Scalar()
-	}
-	return lo, hi, args[3].B, args[4].B
+// filterKinds names the filter instructions: each keeps the rows of
+// its first argument that satisfy one algebra.Pred of this kind.
+var filterKinds = map[string]algebra.PredKind{
+	"algebra.select":        algebra.PredRange,
+	"algebra.uselect":       algebra.PredEq,
+	"algebra.selectNotNil":  algebra.PredNotNil,
+	"algebra.likeselect":    algebra.PredLike,
+	"algebra.notlikeselect": algebra.PredNotLike,
 }
 
-func opSelect(_ *Ctx, _ *Instr, args []Value) (Value, error) {
-	if len(args) != 5 {
-		return Value{}, errArity
-	}
-	b, err := wantBat(args[0])
-	if err != nil {
-		return Value{}, err
-	}
-	lo, hi, incLo, incHi := SelectBounds(args)
-	return BatV(algebra.Select(b, lo, hi, incLo, incHi)), nil
+// IsFilter reports whether the named operation is a filter.
+func IsFilter(name string) bool {
+	_, ok := filterKinds[name]
+	return ok
 }
 
-func opUselect(_ *Ctx, _ *Instr, args []Value) (Value, error) {
-	if len(args) != 2 {
-		return Value{}, errArity
+// FilterPred maps a filter instruction's arguments to the predicate it
+// applies to args[0]: select(b, lo, hi, incLo, incHi) with VVoid bounds
+// open, uselect(b, v), selectNotNil(b), likeselect(b, pattern) and
+// notlikeselect(b, pattern). ok is false when name is not a filter or
+// the argument count does not fit it. Execution, fused chains, the
+// recycler's delta filter rule and its subsumption analysis all read
+// filters through this one mapping.
+func FilterPred(name string, args []Value) (p algebra.Pred, ok bool) {
+	if p.Kind, ok = filterKinds[name]; !ok {
+		return p, false
 	}
-	b, err := wantBat(args[0])
-	if err != nil {
-		return Value{}, err
+	switch p.Kind {
+	case algebra.PredRange:
+		if ok = len(args) == 5; ok {
+			p.Range.IncLo, p.Range.IncHi = args[3].B, args[4].B
+			if args[1].Kind != VVoid {
+				p.Range.Lo = args[1].Scalar()
+			}
+			if args[2].Kind != VVoid {
+				p.Range.Hi = args[2].Scalar()
+			}
+		}
+	case algebra.PredEq:
+		if ok = len(args) == 2; ok {
+			p.V = args[1].Scalar()
+		}
+	case algebra.PredNotNil:
+		ok = len(args) == 1
+	default:
+		if ok = len(args) == 2; ok {
+			p.Pattern = args[1].S
+		}
 	}
-	return BatV(algebra.Uselect(b, args[1].Scalar())), nil
-}
-
-func opLikeSelect(_ *Ctx, _ *Instr, args []Value) (Value, error) {
-	if len(args) != 2 {
-		return Value{}, errArity
-	}
-	b, err := wantBat(args[0])
-	if err != nil {
-		return Value{}, err
-	}
-	return BatV(algebra.LikeSelect(b, args[1].S)), nil
-}
-
-func opSelectNotNil(_ *Ctx, _ *Instr, args []Value) (Value, error) {
-	b, err := wantBat(args[0])
-	if err != nil {
-		return Value{}, err
-	}
-	return BatV(algebra.SelectNotNil(b)), nil
+	return p, ok
 }
 
 func opJoin(_ *Ctx, _ *Instr, args []Value) (Value, error) {
@@ -445,14 +450,6 @@ func opCalcYear(_ *Ctx, _ *Instr, args []Value) (Value, error) {
 		return Value{}, err
 	}
 	return BatV(algebra.Year(b)), nil
-}
-
-func opNotLikeSelect(_ *Ctx, _ *Instr, args []Value) (Value, error) {
-	b, err := wantBat(args[0])
-	if err != nil {
-		return Value{}, err
-	}
-	return BatV(algebra.NotLikeSelect(b, args[1].S)), nil
 }
 
 func opUnion(_ *Ctx, _ *Instr, args []Value) (Value, error) {

@@ -13,19 +13,6 @@ import "repro/internal/mal"
 // whether a chain actually fuses (see mal.Ctx.NoFusion and the
 // eligibility rule in internal/mal/fused.go).
 
-// selectLike reports whether in starts or extends a chain by filtering
-// the rows of its first argument.
-func selectLike(in *mal.Instr) bool {
-	if in.Module != "algebra" {
-		return false
-	}
-	switch in.Op {
-	case "select", "uselect", "selectNotNil", "likeselect", "notlikeselect":
-		return true
-	}
-	return false
-}
-
 // isBind reports whether in is a catalogue column bind.
 func isBind(in *mal.Instr) bool {
 	return in.Module == "sql" && in.Op == "bind" && len(in.Args) == 4
@@ -76,7 +63,7 @@ func PlanFusion(t *mal.Template) int {
 	var chains []mal.FusedChain
 	for pc := 0; pc < n; pc++ {
 		in := &t.Instrs[pc]
-		if inChain[pc] || !selectLike(in) || len(in.Args) == 0 || in.Args[0].IsConst() {
+		if inChain[pc] || !mal.IsFilter(in.Name()) || len(in.Args) == 0 || in.Args[0].IsConst() {
 			continue
 		}
 		// Column switches are only provably aligned when the chain's
@@ -103,7 +90,7 @@ func PlanFusion(t *mal.Template) int {
 			switch {
 			case isSemijoinSwitch(t, nin, ret, alignKey, producer):
 				headsOnly = false
-			case !headsOnly && selectLike(nin) && !nin.Args[0].IsConst() && nin.Args[0].Var == ret:
+			case !headsOnly && mal.IsFilter(nin.Name()) && !nin.Args[0].IsConst() && nin.Args[0].Var == ret:
 				headsOnly = nin.Op == "uselect"
 			default:
 				goto done

@@ -1,5 +1,7 @@
 package plan
 
+import "repro/internal/mal"
+
 // DeltaClass classifies an operation for the recycler's update
 // synchronisation (paper §6): which delta rule, if any, keeps a pooled
 // result of the operation consistent under a commit to a base table.
@@ -30,9 +32,9 @@ const (
 	// as its own old result minus the commit's dead rows plus the
 	// commit's insert delta, which seeds the propagation.
 	DeltaBase
-	// DeltaFilter: a row filter (select/uselect/likeselect/
-	// notlikeselect/selectNotNil) over one rowset parent; maintained
-	// as SplitHeads(old) ∪ P(parent delta).
+	// DeltaFilter: a row filter (mal.IsFilter: select/uselect/
+	// likeselect/notlikeselect/selectNotNil) over one rowset parent;
+	// maintained as SplitHeads(old) ∪ P(parent delta).
 	DeltaFilter
 	// DeltaProject: a projection (semijoin of a bind against a rowset)
 	// over two parents of the same base table; maintained as
@@ -87,12 +89,12 @@ func (c DeltaClass) String() string {
 //	algebra.sort/topn     order statistics, recompute
 //	algebra.kunique ...   everything else: no rule written
 func ClassifyOp(op string) DeltaClass {
+	if mal.IsFilter(op) {
+		return DeltaFilter
+	}
 	switch op {
 	case "sql.bind", "sql.bindIdxbat":
 		return DeltaBase
-	case "algebra.select", "algebra.uselect", "algebra.likeselect",
-		"algebra.notlikeselect", "algebra.selectNotNil":
-		return DeltaFilter
 	case "algebra.semijoin":
 		return DeltaProject
 	case "aggr.count", "aggr.sumInt", "aggr.sumFlt":

@@ -312,28 +312,9 @@ func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
 	return ch, true
 }
 
-// applyFilter pushes a filter entry's own predicate over a parent
-// delta, re-reading the captured scalar arguments.
-func applyFilter(e *Entry, pDelta *bat.BAT) *bat.BAT {
-	switch e.OpName {
-	case "algebra.select":
-		lo, hi, il, ih := mal.SelectBounds(e.Args)
-		return algebra.Select(pDelta, lo, hi, il, ih)
-	case "algebra.uselect":
-		return algebra.Uselect(pDelta, e.Args[1].Scalar())
-	case "algebra.likeselect":
-		return algebra.LikeSelect(pDelta, e.Args[1].S)
-	case "algebra.notlikeselect":
-		return algebra.NotLikeSelect(pDelta, e.Args[1].S)
-	case "algebra.selectNotNil":
-		return algebra.SelectNotNil(pDelta)
-	}
-	return nil
-}
-
-// filter appends the entry's predicate over the parent's insert delta
-// and splits the tombstoned heads off (with their values, kept for
-// downstream aggregates).
+// filter appends the entry's predicate (re-read from the captured
+// arguments) over the parent's insert delta and splits the tombstoned
+// heads off (with their values, kept for downstream aggregates).
 func (w *commitWalk) filter(e *Entry) (ch change, ok bool) {
 	_, p, ok := w.rowsetParent(e, 0)
 	if !ok || e.Result.Kind != mal.VBat {
@@ -343,9 +324,11 @@ func (w *commitWalk) filter(e *Entry) (ch change, ok bool) {
 		return ch, true
 	}
 	if rows(p.added) > 0 {
-		if ch.added = applyFilter(e, p.added); ch.added == nil {
+		pred, isFilter := mal.FilterPred(e.OpName, e.Args)
+		if !isFilter {
 			return ch, false
 		}
+		ch.added = algebra.Filter(p.added, pred)
 	}
 	return w.splitAppend(e, ch.added), true
 }

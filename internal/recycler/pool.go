@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/mal"
 	"repro/internal/plan"
 	"repro/internal/trace"
@@ -107,10 +108,9 @@ type Entry struct {
 	Deps []ColumnRef
 
 	// Select-specific matching metadata (subsumption analysis).
-	IsRangeSelect      bool
-	SelColKey          string // Key() of the column operand
-	SelLo, SelHi       any    // nil = open bound
-	SelIncLo, SelIncHi bool
+	IsRangeSelect bool
+	SelColKey     string        // Key() of the column operand
+	Sel           algebra.Range // the select's bounds
 
 	// Like-specific metadata.
 	IsLike     bool
@@ -571,16 +571,16 @@ func (p *Pool) EntriesByColumn(c ColumnRef) []*Entry {
 // SelectSupersets returns the valid range-select entries over the
 // given column operand key whose range contains the target range, in
 // (lower bound, id) order. Caller holds the recycler writer lock.
-func (p *Pool) SelectSupersets(colKey string, lo any, incLo bool, hi any, incHi bool) []*Entry {
-	return p.selIdx[colKey].supersets(nil, lo, incLo, hi, incHi)
+func (p *Pool) SelectSupersets(colKey string, t algebra.Range) []*Entry {
+	return p.selIdx[colKey].supersets(nil, t)
 }
 
 // SelectOverlaps returns the valid range-select entries over the column
-// whose range intersects [lo, hi] (closed-interval semantics, see
-// rangesOverlap), in (lower bound, id) order. Caller holds the recycler
-// writer lock.
-func (p *Pool) SelectOverlaps(colKey string, lo, hi any) []*Entry {
-	return p.selIdx[colKey].overlaps(nil, lo, hi)
+// whose range intersects t (closed-interval semantics, see
+// algebra.Range.Overlaps), in (lower bound, id) order. Caller holds the
+// recycler writer lock.
+func (p *Pool) SelectOverlaps(colKey string, t algebra.Range) []*Entry {
+	return p.selIdx[colKey].overlaps(nil, t)
 }
 
 // LikeCandidates returns the valid likeselect entries over the column.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/bat"
 	"repro/internal/mal"
 )
@@ -133,7 +134,7 @@ func TestPoolSubsumptionIndexes(t *testing.T) {
 	sel.IsRangeSelect = true
 	sel.SelColKey = "e1"
 	p.Add(sel)
-	if got := p.SelectOverlaps("e1", nil, nil); len(got) != 1 {
+	if got := p.SelectOverlaps("e1", algebra.Range{}); len(got) != 1 {
 		t.Fatalf("select candidates = %d", len(got))
 	}
 	like := mkEntry("l", 100, time.Millisecond)
@@ -153,7 +154,7 @@ func TestPoolSubsumptionIndexes(t *testing.T) {
 	p.Remove(sel)
 	p.Remove(like)
 	p.Remove(semi)
-	if len(p.SelectOverlaps("e1", nil, nil))+len(p.LikeCandidates("e1")) != 0 || p.SemijoinOver(42, 43) != nil {
+	if len(p.SelectOverlaps("e1", algebra.Range{}))+len(p.LikeCandidates("e1")) != 0 || p.SemijoinOver(42, 43) != nil {
 		t.Fatal("indexes not cleaned on removal")
 	}
 	if len(p.selIdx)+len(p.likeIdx)+len(p.semiIdx) != 0 {
@@ -239,7 +240,7 @@ func TestRangeContains(t *testing.T) {
 		{int64(0), int64(10), true, false, int64(1), int64(10), true, false, true},
 	}
 	for i, c := range cases {
-		got := rangeContains(c.cLo, c.cIL, c.cHi, c.cIH, c.tLo, c.tIL, c.tHi, c.tIH)
+		got := algebra.Range{Lo: c.cLo, Hi: c.cHi, IncLo: c.cIL, IncHi: c.cIH}.Contains(algebra.Range{Lo: c.tLo, Hi: c.tHi, IncLo: c.tIL, IncHi: c.tIH})
 		if got != c.want {
 			t.Errorf("case %d: got %v, want %v", i, got, c.want)
 		}
@@ -247,6 +248,9 @@ func TestRangeContains(t *testing.T) {
 }
 
 func TestRangesOverlap(t *testing.T) {
+	rangesOverlap := func(aLo, aHi, bLo, bHi any) bool {
+		return algebra.Range{Lo: aLo, Hi: aHi}.Overlaps(algebra.Range{Lo: bLo, Hi: bHi})
+	}
 	if !rangesOverlap(int64(0), int64(5), int64(5), int64(9)) {
 		t.Fatal("touching ranges overlap")
 	}
@@ -287,7 +291,7 @@ func TestSmallestSemijoinFollowsChainsAndRanges(t *testing.T) {
 	sel := func(sig string, lo, hi int64) *Entry {
 		e := mkEntry(sig, 10, time.Millisecond)
 		e.IsRangeSelect, e.SelColKey = true, "e9"
-		e.SelLo, e.SelHi, e.SelIncLo, e.SelIncHi = lo, hi, true, true
+		e.Sel = algebra.Range{Lo: lo, Hi: hi, IncLo: true, IncHi: true}
 		p.Add(e)
 		return e
 	}

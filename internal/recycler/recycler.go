@@ -746,13 +746,13 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Va
 
 	switch sig.Op {
 	case "algebra.select":
-		lo, hi, il, ih := mal.SelectBounds(args)
+		p, _ := mal.FilterPred(sig.Op, args)
 		// The range index orders entries by their bounds, and NaN has
 		// no place in an order: such a select stays an exact-match line.
-		if !isNaN(lo) && !isNaN(hi) {
+		if !isNaN(p.Range.Lo) && !isNaN(p.Range.Hi) {
 			e.IsRangeSelect = true
 			e.SelColKey = args[0].Key()
-			e.SelLo, e.SelHi, e.SelIncLo, e.SelIncHi = lo, hi, il, ih
+			e.Sel = p.Range
 		}
 	case "algebra.likeselect":
 		e.IsLike = true

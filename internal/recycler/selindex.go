@@ -43,12 +43,12 @@ func selPrio(id uint64) uint64 {
 // selBefore orders entries by (lower bound, id); nil sorts first.
 func selBefore(a, b *Entry) bool {
 	switch {
-	case a.SelLo == nil && b.SelLo != nil:
+	case a.Sel.Lo == nil && b.Sel.Lo != nil:
 		return true
-	case a.SelLo != nil && b.SelLo == nil:
+	case a.Sel.Lo != nil && b.Sel.Lo == nil:
 		return false
-	case a.SelLo != nil:
-		if c := algebra.Cmp(a.SelLo, b.SelLo); c != 0 {
+	case a.Sel.Lo != nil:
+		if c := algebra.Cmp(a.Sel.Lo, b.Sel.Lo); c != 0 {
 			return c < 0
 		}
 	}
@@ -57,7 +57,7 @@ func selBefore(a, b *Entry) bool {
 
 // fix recomputes the subtree maximum from the node and its children.
 func (n *selNode) fix() {
-	n.maxHi, n.hiOpen = n.e.SelHi, n.e.SelHi == nil
+	n.maxHi, n.hiOpen = n.e.Sel.Hi, n.e.Sel.Hi == nil
 	for _, c := range [2]*selNode{n.left, n.right} {
 		if c == nil || n.hiOpen {
 			continue
@@ -82,10 +82,10 @@ func (n *selNode) endsBelow(v any) bool {
 // startsAbove reports whether the node's interval starts after v
 // (v nil = the target is unbounded below, so only nil starts qualify).
 func (n *selNode) startsAbove(v any) bool {
-	if n.e.SelLo == nil {
+	if n.e.Sel.Lo == nil {
 		return false
 	}
-	return v == nil || algebra.Cmp(n.e.SelLo, v) > 0
+	return v == nil || algebra.Cmp(n.e.Sel.Lo, v) > 0
 }
 
 // selSplit cuts the tree into the nodes before e and the nodes after.
@@ -153,32 +153,32 @@ func selDelete(t *selNode, e *Entry) *selNode {
 	return t
 }
 
-// supersets appends the entries whose range contains the target.
-func (n *selNode) supersets(out []*Entry, lo any, incLo bool, hi any, incHi bool) []*Entry {
-	if n == nil || n.endsBelow(hi) {
+// supersets appends the entries whose range contains the target t.
+func (n *selNode) supersets(out []*Entry, t algebra.Range) []*Entry {
+	if n == nil || n.endsBelow(t.Hi) {
 		return out
 	}
-	out = n.left.supersets(out, lo, incLo, hi, incHi)
-	if n.startsAbove(lo) {
+	out = n.left.supersets(out, t)
+	if n.startsAbove(t.Lo) {
 		return out // so does everything to the right
 	}
-	if e := n.e; rangeContains(e.SelLo, e.SelIncLo, e.SelHi, e.SelIncHi, lo, incLo, hi, incHi) {
-		out = append(out, e)
-	}
-	return n.right.supersets(out, lo, incLo, hi, incHi)
-}
-
-// overlaps appends the entries whose range intersects [lo, hi].
-func (n *selNode) overlaps(out []*Entry, lo, hi any) []*Entry {
-	if n == nil || (lo != nil && n.endsBelow(lo)) {
-		return out
-	}
-	out = n.left.overlaps(out, lo, hi)
-	if hi != nil && n.startsAbove(hi) {
-		return out
-	}
-	if rangesOverlap(n.e.SelLo, n.e.SelHi, lo, hi) {
+	if n.e.Sel.Contains(t) {
 		out = append(out, n.e)
 	}
-	return n.right.overlaps(out, lo, hi)
+	return n.right.supersets(out, t)
+}
+
+// overlaps appends the entries whose range intersects t.
+func (n *selNode) overlaps(out []*Entry, t algebra.Range) []*Entry {
+	if n == nil || (t.Lo != nil && n.endsBelow(t.Lo)) {
+		return out
+	}
+	out = n.left.overlaps(out, t)
+	if t.Hi != nil && n.startsAbove(t.Hi) {
+		return out
+	}
+	if n.e.Sel.Overlaps(t) {
+		out = append(out, n.e)
+	}
+	return n.right.overlaps(out, t)
 }

@@ -28,55 +28,6 @@ import (
 // invalidation between snapshot and admission aborts the combined hit
 // instead of resurrecting stale pieces.
 
-// rangeContains reports whether the candidate range [cLo, cHi]
-// contains the target range [tLo, tHi], honouring open bounds (nil)
-// and inclusiveness flags.
-func rangeContains(cLo any, cIncLo bool, cHi any, cIncHi bool, tLo any, tIncLo bool, tHi any, tIncHi bool) bool {
-	// Lower bound.
-	if cLo != nil {
-		if tLo == nil {
-			return false
-		}
-		switch c := algebra.Cmp(cLo, tLo); {
-		case c > 0:
-			return false
-		case c == 0:
-			if tIncLo && !cIncLo {
-				return false
-			}
-		}
-	}
-	// Upper bound.
-	if cHi != nil {
-		if tHi == nil {
-			return false
-		}
-		switch c := algebra.Cmp(cHi, tHi); {
-		case c < 0:
-			return false
-		case c == 0:
-			if tIncHi && !cIncHi {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// rangesOverlap reports whether two closed ranges intersect. Open
-// bounds count as infinite. Inclusiveness is treated conservatively
-// (closed-interval semantics), which can only cause a harmless extra
-// piece in a combined cover.
-func rangesOverlap(aLo, aHi, bLo, bHi any) bool {
-	if aLo != nil && bHi != nil && algebra.Cmp(aLo, bHi) > 0 {
-		return false
-	}
-	if bLo != nil && aHi != nil && algebra.Cmp(bLo, aHi) > 0 {
-		return false
-	}
-	return true
-}
-
 // pieceSnap is a consistent copy of one combined-subsumption candidate
 // taken under the writer lock: the entry pointer for re-validation
 // plus the matching metadata and result the unlocked search and
@@ -84,11 +35,10 @@ func rangesOverlap(aLo, aHi, bLo, bHi any) bool {
 // bounds: a union of ranges that EXCLUDE a shared boundary point has a
 // hole there, and treating it as a solid interval serves wrong covers.
 type pieceSnap struct {
-	e            *Entry
-	lo, hi       any
-	incLo, incHi bool
-	tuples       int
-	result       mal.Value
+	e      *Entry
+	r      algebra.Range
+	tuples int
+	result mal.Value
 }
 
 // smaller orders subsumption sources by the cost model — the operand
@@ -101,9 +51,9 @@ func smaller(e, best *Entry) bool {
 // smallestSuperset is the singleton search (§5.1): the smallest usable
 // range select over the column whose range contains the target. Caller
 // holds the writer lock.
-func (r *Recycler) smallestSuperset(view epochView, colKey string, lo any, incLo bool, hi any, incHi bool) *Entry {
+func (r *Recycler) smallestSuperset(view epochView, colKey string, t algebra.Range) *Entry {
 	var best *Entry
-	for _, e := range r.pool.SelectSupersets(colKey, lo, incLo, hi, incHi) {
+	for _, e := range r.pool.SelectSupersets(colKey, t) {
 		if view.usable(e) && smaller(e, best) {
 			best = e
 		}
@@ -114,19 +64,15 @@ func (r *Recycler) smallestSuperset(view epochView, colKey string, lo any, incLo
 // overlapSnaps builds R for Algorithm 2: snapshots of the usable range
 // selects over the column that overlap the target, oldest first, capped
 // at MaxCombined for safety. Caller holds the writer lock.
-func (r *Recycler) overlapSnaps(view epochView, colKey string, lo, hi any) []pieceSnap {
-	cands := r.pool.SelectOverlaps(colKey, lo, hi)
+func (r *Recycler) overlapSnaps(view epochView, colKey string, t algebra.Range) []pieceSnap {
+	cands := r.pool.SelectOverlaps(colKey, t)
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
 	var R []pieceSnap
 	for _, e := range cands {
 		if !view.usable(e) {
 			continue
 		}
-		R = append(R, pieceSnap{
-			e: e, lo: e.SelLo, hi: e.SelHi,
-			incLo: e.SelIncLo, incHi: e.SelIncHi,
-			tuples: e.Tuples, result: e.Result,
-		})
+		R = append(R, pieceSnap{e: e, r: e.Sel, tuples: e.Tuples, result: e.Result})
 		if len(R) >= r.cfg.MaxCombined {
 			break
 		}
@@ -138,12 +84,12 @@ func (r *Recycler) overlapSnaps(view epochView, colKey string, lo, hi any) []pie
 // form (one superset intermediate, §5.1), then the combined form over
 // a set of overlapping intermediates (§5.2, Algorithm 2).
 func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value) mal.EntryResult {
-	lo, hi, incLo, incHi := mal.SelectBounds(args)
+	p, _ := mal.FilterPred("algebra.select", args)
 	colKey := args[0].Key()
 
 	r.lockWriter()
 	view := r.epochViewFor(ctx.QueryID)
-	if best := r.smallestSuperset(view, colKey, lo, incLo, hi, incHi); best != nil {
+	if best := r.smallestSuperset(view, colKey, p.Range); best != nil {
 		r.noteReuse(ctx, in, best)
 		newArgs := append([]mal.Value(nil), args...)
 		newArgs[0] = best.Result
@@ -153,16 +99,16 @@ func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal
 		return mal.EntryResult{Rewrite: &mal.Rewrite{Args: newArgs, SubsetOf: id}, Reason: "rewrite:subsume-select"}
 	}
 
-	if !r.cfg.CombinedSubsumption || lo == nil || hi == nil {
+	if !r.cfg.CombinedSubsumption || p.Range.Lo == nil || p.Range.Hi == nil {
 		r.mu.Unlock()
 		return mal.EntryResult{}
 	}
 
 	// The writer lock is released after the copy; search and piecewise
 	// execution run over the snapshots without it.
-	R := r.overlapSnaps(view, colKey, lo, hi)
+	R := r.overlapSnaps(view, colKey, p.Range)
 	r.mu.Unlock()
-	return r.combinedSelect(ctx, pc, in, args, lo, hi, incLo, incHi, R)
+	return r.combinedSelect(ctx, pc, in, args, p, R)
 }
 
 // combinedSelect runs Algorithm 2 over the snapshotted candidates:
@@ -175,7 +121,7 @@ func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal
 // the merged result; if any piece was invalidated or refreshed in the
 // meantime the combined hit is abandoned (the interpreter then simply
 // executes the instruction).
-func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, lo, hi any, incLo, incHi bool, R []pieceSnap) mal.EntryResult {
+func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, p algebra.Pred, R []pieceSnap) mal.EntryResult {
 	searchStart := time.Now()
 	if len(R) < 2 {
 		overhead := time.Since(searchStart)
@@ -185,51 +131,11 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 
 	baseCost := args[0].Tuples() // C(A): size of the regular operand
 	type partial struct {
-		mask         uint32
-		lo, hi       any // union interval (single interval by construction)
-		incLo, incHi bool
-		cost         int
+		mask uint32
+		r    algebra.Range // union interval (single interval by construction)
+		cost int
 	}
-	// ext extends one endpoint of the union. On a tie the union keeps
-	// the point if EITHER range does (inclusive wins).
-	ext := func(a any, aInc bool, b any, bInc bool, min bool) (any, bool) {
-		if a == nil {
-			return nil, false
-		}
-		if b == nil {
-			return nil, false
-		}
-		switch c := algebra.Cmp(a, b); {
-		case c == 0:
-			return a, aInc || bInc
-		case (c < 0) == min:
-			return a, aInc
-		default:
-			return b, bInc
-		}
-	}
-	// solidUnion reports whether two ranges union into one solid
-	// interval: they intersect, or they touch at a boundary point that
-	// at least one of them includes. Two ranges both EXCLUDING the
-	// shared point (e.g. a < 44 and a > 44) leave a hole at it and must
-	// not merge — a cover built over the hole silently drops the rows
-	// equal to the boundary.
-	solidUnion := func(aLo any, aIncLo bool, aHi any, aIncHi bool, bLo any, bIncLo bool, bHi any, bIncHi bool) bool {
-		if aLo != nil && bHi != nil {
-			if c := algebra.Cmp(aLo, bHi); c > 0 || (c == 0 && !aIncLo && !bIncHi) {
-				return false
-			}
-		}
-		if bLo != nil && aHi != nil {
-			if c := algebra.Cmp(bLo, aHi); c > 0 || (c == 0 && !bIncLo && !aIncHi) {
-				return false
-			}
-		}
-		return true
-	}
-	covers := func(p partial) bool {
-		return rangeContains(p.lo, p.incLo, p.hi, p.incHi, lo, incLo, hi, incHi)
-	}
+	covers := func(u partial) bool { return u.r.Contains(p.Range) }
 
 	var sol *partial
 	solCost := baseCost
@@ -244,17 +150,17 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 	budget := 4096
 	p1 := make([]partial, 0, len(R))
 	for i, s := range R {
-		p := partial{mask: 1 << uint(i), lo: s.lo, hi: s.hi, incLo: s.incLo, incHi: s.incHi, cost: s.tuples}
-		seen[p.mask] = true
-		if p.cost < solCost && covers(p) {
+		u := partial{mask: 1 << uint(i), r: s.r, cost: s.tuples}
+		seen[u.mask] = true
+		if u.cost < solCost && covers(u) {
 			// Degenerate: a single candidate covers (would have been
 			// caught by singleton subsumption with exact flags; keep
 			// for robustness).
-			q := p
-			sol, solCost = &q, p.cost
+			q := u
+			sol, solCost = &q, u.cost
 			continue
 		}
-		p1 = append(p1, p)
+		p1 = append(p1, u)
 	}
 	for n := 1; n < len(R) && len(p1) > 0 && budget > 0; n++ {
 		var p2 []partial
@@ -264,19 +170,14 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 				if s.mask&bit != 0 || seen[s.mask|bit] {
 					continue
 				}
-				if !solidUnion(s.lo, s.incLo, s.hi, s.incHi, c.lo, c.incLo, c.hi, c.incHi) {
+				if !s.r.Mergeable(c.r) {
 					continue
 				}
 				seen[s.mask|bit] = true
 				if budget--; budget <= 0 {
 					break
 				}
-				u := partial{
-					mask: s.mask | bit,
-					cost: s.cost + c.tuples,
-				}
-				u.lo, u.incLo = ext(s.lo, s.incLo, c.lo, c.incLo, true)
-				u.hi, u.incHi = ext(s.hi, s.incHi, c.hi, c.incHi, false)
+				u := partial{mask: s.mask | bit, r: s.r.Union(c.r), cost: s.cost + c.tuples}
 				if u.cost >= solCost {
 					continue // cut unpromising partial solutions
 				}
@@ -304,7 +205,7 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 		if sol.mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		parts = append(parts, algebra.Select(s.result.Bat, lo, hi, incLo, incHi))
+		parts = append(parts, algebra.Filter(s.result.Bat, p))
 	}
 	merged := algebra.MergeDedupByHead(parts)
 	elapsed := time.Since(execStart)
@@ -447,7 +348,7 @@ func (r *Recycler) smallestSemijoin(view epochView, px, pw uint64) *Entry {
 		v = e.SubsetOf
 	}
 	if w := r.pool.Get(pw); w != nil && w.IsRangeSelect {
-		for _, e := range r.pool.SelectSupersets(w.SelColKey, w.SelLo, w.SelIncLo, w.SelHi, w.SelIncHi) {
+		for _, e := range r.pool.SelectSupersets(w.SelColKey, w.Sel) {
 			consider(e.ID)
 		}
 	}

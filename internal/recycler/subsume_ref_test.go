@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/mal"
 )
 
@@ -34,7 +35,7 @@ func smallestSupersetRef(r *Recycler, ctx *mal.Ctx, colKey string, lo any, incLo
 		if !r.usable(ctx, e) {
 			continue
 		}
-		if !rangeContains(e.SelLo, e.SelIncLo, e.SelHi, e.SelIncHi, lo, incLo, hi, incHi) {
+		if !e.Sel.Contains(algebra.Range{Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}) {
 			continue
 		}
 		if best == nil || e.Tuples < best.Tuples {
@@ -50,7 +51,7 @@ func overlapSnapsRef(r *Recycler, ctx *mal.Ctx, colKey string, lo, hi any) []*En
 		if !r.usable(ctx, e) {
 			continue
 		}
-		if rangesOverlap(e.SelLo, e.SelHi, lo, hi) {
+		if e.Sel.Overlaps(algebra.Range{Lo: lo, Hi: hi}) {
 			R = append(R, e)
 			if len(R) >= r.cfg.MaxCombined {
 				break
@@ -76,8 +77,7 @@ func isSubsetOfRef(r *Recycler, a, b uint64) bool {
 	}
 	ea, eb := r.pool.Get(a), r.pool.Get(b)
 	if ea != nil && eb != nil && ea.IsRangeSelect && eb.IsRangeSelect && ea.SelColKey == eb.SelColKey {
-		return rangeContains(eb.SelLo, eb.SelIncLo, eb.SelHi, eb.SelIncHi,
-			ea.SelLo, ea.SelIncLo, ea.SelHi, ea.SelIncHi)
+		return eb.Sel.Contains(ea.Sel)
 	}
 	return false
 }
@@ -149,8 +149,8 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 			col := cols[rng.Intn(len(cols))]
 			e := mkEntry(fmt.Sprintf("sel%d", step), 8, time.Microsecond)
 			e.IsRangeSelect, e.SelColKey = true, col
-			e.SelLo, e.SelHi = bound(col), bound(col)
-			e.SelIncLo, e.SelIncHi = rng.Intn(2) == 0, rng.Intn(2) == 0
+			e.Sel.Lo, e.Sel.Hi = bound(col), bound(col)
+			e.Sel.IncLo, e.Sel.IncHi = rng.Intn(2) == 0, rng.Intn(2) == 0
 			if all := live(); len(all) > 0 && rng.Intn(3) == 0 {
 				e.SubsetOf = all[rng.Intn(len(all))].ID
 			}
@@ -198,7 +198,7 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 		col := cols[rng.Intn(len(cols))]
 		lo, hi := bound(col), bound(col)
 		incLo, incHi := rng.Intn(2) == 0, rng.Intn(2) == 0
-		got, want := r.smallestSuperset(view, col, lo, incLo, hi, incHi), smallestSupersetRef(r, ctx, col, lo, incLo, hi, incHi)
+		got, want := r.smallestSuperset(view, col, algebra.Range{Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}), smallestSupersetRef(r, ctx, col, lo, incLo, hi, incHi)
 		if got != want {
 			t.Fatalf("seed %d step %d: superset of %s %v..%v: indexed e%d, linear e%d", seed, step, col, lo, hi, entryID(got), entryID(want))
 		}
@@ -207,7 +207,7 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 		}
 		if lo != nil && hi != nil {
 			var gotR []uint64
-			for _, s := range r.overlapSnaps(view, col, lo, hi) {
+			for _, s := range r.overlapSnaps(view, col, algebra.Range{Lo: lo, Hi: hi}) {
 				gotR = append(gotR, s.e.ID)
 			}
 			var wantR []uint64

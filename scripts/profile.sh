@@ -4,7 +4,10 @@
 # guesswork (docs/ARCHITECTURE.md "Kernel layer"). Artifacts land in
 # profiles/:
 #   profiles/skybench.pprof   whole-run profile of the naive baseline
-#   profiles/kernels.pprof    internal/algebra Kernel* benchmarks
+#   profiles/kernels.pprof    internal/algebra Kernel* benchmarks (range,
+#                             float, SelectPaths: uselect / not-nil /
+#                             sorted view / mixed chain, fused chain,
+#                             join, group)
 #   profiles/misspath.pprof   recycler miss path (admit at the cap,
 #                             missed select) at 1e2..1e4 pool entries
 #   profiles/commit.pprof     single-row INSERT / DELETE commits against a
@@ -23,7 +26,7 @@ go run ./cmd/skybench -objects "$objects" -n "$queries" \
   -cpuprofile profiles/skybench.pprof naive
 
 echo "== kernel microbenchmarks =="
-go test ./internal/algebra/ -run '^$' -bench 'BenchmarkKernel' \
+go test ./internal/algebra/ -run '^$' -bench 'BenchmarkKernel|BenchmarkKernelSelectPaths' \
   -benchtime 100x -cpuprofile profiles/kernels.pprof \
   -o profiles/algebra.test >/dev/null
 
