@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // One testing.B benchmark per table/figure of the paper's evaluation
 // (Sections 7 and 8). Each benchmark regenerates the experiment at a

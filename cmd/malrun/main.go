@@ -22,11 +22,11 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/algebra"
 	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/mal"
-	"repro/internal/opt"
 	"repro/internal/recycler"
 	"repro/internal/sky"
 	"repro/internal/tpch"
@@ -50,13 +50,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tmpl, err := mal.ParseTemplate(string(src))
+	parsed, err := mal.ParseTemplate(string(src))
 	if err != nil {
 		fatal(err)
 	}
-	opt.Optimize(tmpl, opt.Options{})
-	fmt.Printf("parsed template %s (%d instructions, %d marked for recycling)\n",
-		tmpl.Name, len(tmpl.Instrs), tmpl.MarkedCount(false))
 
 	var cat *catalog.Catalog
 	switch *db {
@@ -68,38 +65,33 @@ func main() {
 		fatal(fmt.Errorf("unknown db %q", *db))
 	}
 
+	var opts []repro.Option
+	if !*noRecycle {
+		opts = append(opts, repro.WithRecycler(recycler.Config{
+			Admission: recycler.KeepAll, Subsumption: true, CombinedSubsumption: true,
+		}))
+	}
+	eng := repro.NewEngine(cat, opts...)
+	tmpl := eng.Compile(parsed)
+	fmt.Printf("parsed template %s (%d instructions, %d marked for recycling)\n",
+		tmpl.Name, len(tmpl.Instrs), tmpl.MarkedCount(false))
+
 	vals, err := parseParams(tmpl, *params)
 	if err != nil {
 		fatal(err)
 	}
-
-	var rec *recycler.Recycler
-	if !*noRecycle {
-		rec = recycler.New(cat, recycler.Config{
-			Admission: recycler.KeepAll, Subsumption: true, CombinedSubsumption: true,
-		})
-	}
 	for i := 1; i <= *repeat; i++ {
-		ctx := &mal.Ctx{Cat: cat, QueryID: uint64(i)}
-		if rec != nil {
-			ctx.Hook = rec
-			rec.BeginQuery(uint64(i), tmpl.ID)
-		}
-		start := time.Now()
-		if err := mal.Run(ctx, tmpl, vals...); err != nil {
+		res, err := eng.Exec(tmpl, vals...)
+		if err != nil {
 			fatal(err)
 		}
-		if rec != nil {
-			rec.EndQuery(uint64(i))
-		}
-		elapsed := time.Since(start)
 		fmt.Printf("run %d: %v (hits %d/%d, subsumed %d)\n", i,
-			elapsed.Round(time.Microsecond), ctx.Stats.Hits, ctx.Stats.Marked, ctx.Stats.Subsumed)
-		for _, r := range ctx.Results {
+			res.Stats.Elapsed.Round(time.Microsecond), res.Stats.Hits, res.Stats.Marked, res.Stats.Subsumed)
+		for _, r := range res.Results {
 			fmt.Printf("  %s = %s\n", r.Name, renderResult(r.Val))
 		}
 	}
-	if rec != nil && *dumpPool {
+	if rec := eng.Recycler(); rec != nil && *dumpPool {
 		fmt.Println()
 		fmt.Print(rec.DumpPool())
 	}

@@ -1,6 +1,9 @@
 // Command skybench regenerates the SkyServer experiments of the paper
-// (Fig. 14, Table III and Fig. 15). See DESIGN.md for the experiment
-// index.
+// (Fig. 14, Table III and Fig. 15) and runs the count gates CI holds
+// the engine to. Throughput, latency, multi-client and restart numbers
+// are not measured here: they are taken on the served path by the
+// benchmark/ harness (sky-hot, sky-explore, sky-rw, tpch-mix) and
+// scripts/persistence_smoke.sh.
 //
 // Usage:
 //
@@ -11,53 +14,34 @@
 //	batch    batch splits 4x25 / 2x50 / 1x100 (+ -n scaling) (Fig. 14)
 //	table3   recycle pool breakdown after the batch (Table III)
 //	subsume  B2/B4 combined-subsumption micro-benchmarks (Fig. 15)
-//	mt       multi-client throughput over one shared recycler pool,
-//	         sequential interpreter vs dataflow scheduler (§6 multi-user)
-//	serve    closed-loop HTTP load against an in-process server
-//	         (internal/server): -clients workers for -duration, naive
-//	         vs shared-recycler, measuring over-the-wire speedup
-//	restart  durable-store cycle (internal/store): warm a server, shut
-//	         it down gracefully, recover snapshot + WAL, and compare
-//	         cold vs warm-pool first-N-queries latency after restart
+//	naive    naive single-stream QPS of the full kernel stack; exits
+//	         non-zero if it is below -min-naive-speedup times
+//	         -seed-naive-qps (the CI kernel gate)
 //	equiv    equivalent-query workload: semantically equal SQL spelled
 //	         differently (shuffled conjuncts, literal variants, BETWEEN
 //	         splits), exact-hit rate with the normalization pipeline
 //	         off vs on; exits non-zero if the normalized rate is below
 //	         -min-hit-rate (the CI gate)
 //	rw       mixed read/write workload at -write-frac DML, run under
-//	         invalidate vs propagate vs maintain; exits non-zero if
-//	         maintain's exact-hit rate is below -min-maintain-ratio
-//	         times invalidate's (the CI gate)
-//	all      everything above except serve and restart (those need
-//	         wall-clock time and a durable store of their own)
+//	         invalidate vs propagate vs maintain, each on a freshly
+//	         generated catalog; exits non-zero if maintain's exact-hit
+//	         rate is below -min-maintain-ratio times invalidate's (the
+//	         CI gate)
+//	all      everything above
 //
-// Several experiments may be named in one invocation; they share one
-// generated catalog and accumulate into one -json report, and the
-// exit code aggregates every gate that ran.
-//
-// All workload generators take -seed (and the catalog generator
-// -dbseed), so mt/serve/restart runs are reproducible across hosts.
-// -json FILE additionally writes the machine-readable per-mode rows
-// (QPS, hit/miss/subsumption counts, lock waits) of the experiments
-// that ran, conventionally to BENCH_recycle.json, so the perf
-// trajectory is diffable across PRs.
+// Several experiments may be named in one invocation; all but rw share
+// one generated catalog, and the exit code aggregates every gate that
+// ran. All workload generators take -seed (and the catalog generator
+// -dbseed), so runs are reproducible across hosts.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"runtime"
 	"runtime/pprof"
-	"time"
 
-	"repro"
 	"repro/internal/bench"
-	"repro/internal/recycler"
-	"repro/internal/server"
 	"repro/internal/sky"
 )
 
@@ -68,11 +52,6 @@ func main() {
 	sel := flag.Float64("s", 0.02, "seed query selectivity (micro-benchmarks)")
 	seed := flag.Int64("seed", 42, "workload random seed (reproducible runs across hosts)")
 	dbseed := flag.Int64("dbseed", 17, "catalog generator random seed")
-	clients := flag.Int("clients", max(4, runtime.GOMAXPROCS(0)), "max concurrent clients (mt and serve experiments)")
-	workers := flag.Int("workers", 0, "per-query dataflow workers (mt experiment; 0 = max(2, GOMAXPROCS))")
-	duration := flag.Duration("duration", 5*time.Second, "closed-loop run length per configuration (serve experiment)")
-	first := flag.Int("first", 25, "first-N queries measured after restart (restart experiment)")
-	jsonPath := flag.String("json", "", "write machine-readable per-mode results to FILE (e.g. BENCH_recycle.json)")
 	variants := flag.Int("variants", 3, "equivalent spellings per query (equiv experiment)")
 	minHitRate := flag.Float64("min-hit-rate", 0.95, "fail the equiv experiment when the normalized exact-hit rate is below this")
 	writeFrac := flag.Float64("write-frac", 0.10, "fraction of DML operations in the rw experiment")
@@ -105,26 +84,14 @@ func main() {
 	if len(exps) == 0 {
 		exps = []string{"all"}
 	}
-	report := bench.NewReport()
-	writeReport := func() {
-		if *jsonPath == "" {
-			return
-		}
-		if err := report.Write(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d mode rows to %s\n", len(report.Modes), *jsonPath)
-	}
-
-	// The catalog is generated once and shared by the experiments of
-	// one invocation (restart builds its own inside the durable store's
-	// lifecycle, so it never forces generation here).
+	fmt.Printf("# SkyServer experiments, %d objects\n\n", *objects)
+	gen := func() *sky.DB { return sky.Generate(*objects, *dbseed) }
+	// The read-only experiments of one invocation share one catalog; rw
+	// writes, so it generates a fresh catalog per sync preset.
 	var db *sky.DB
 	getDB := func() *sky.DB {
 		if db == nil {
-			fmt.Printf("# SkyServer experiments, %d objects\n\n", *objects)
-			db = sky.Generate(*objects, *dbseed)
+			db = gen()
 		}
 		return db
 	}
@@ -134,39 +101,31 @@ func main() {
 	ok := true
 	for _, exp := range exps {
 		switch exp {
-		case "restart":
-			runRestart(*objects, *n, *first, *seed, *dbseed)
 		case "batch":
-			runBatch(getDB(), *n, *seed, report)
+			runBatch(getDB(), *n, *seed)
 		case "table3":
 			runTable3(getDB(), *n, *seed)
 		case "subsume":
 			runSubsume(getDB(), *seeds, *sel, *seed)
-		case "mt":
-			runMT(getDB(), *n, *clients, *workers, *seed, report)
-		case "serve":
-			runServe(getDB(), *n, *clients, *duration, *seed, report)
 		case "equiv":
-			ok = runEquiv(getDB(), *n, *variants, *seed, *minHitRate, report) && ok
+			ok = runEquiv(getDB(), *n, *variants, *seed, *minHitRate) && ok
 		case "rw":
-			ok = runRW(getDB(), *n, *writeFrac, *seed, *minMaintainRatio, report) && ok
+			ok = runRW(gen, *n, *writeFrac, *seed, *minMaintainRatio) && ok
 		case "naive":
-			ok = runNaive(getDB(), *n, *seed, *seedNaiveQPS, *minNaiveSpeedup, report) && ok
+			ok = runNaive(getDB(), *n, *seed, *seedNaiveQPS, *minNaiveSpeedup) && ok
 		case "all":
 			d := getDB()
-			runBatch(d, *n, *seed, report)
+			runBatch(d, *n, *seed)
 			runTable3(d, *n, *seed)
 			runSubsume(d, *seeds, *sel, *seed)
-			runMT(d, *n, *clients, *workers, *seed, report)
-			ok = runNaive(d, *n, *seed, *seedNaiveQPS, *minNaiveSpeedup, report) && ok
-			ok = runEquiv(d, *n, *variants, *seed, *minHitRate, report) && ok
-			ok = runRW(d, *n, *writeFrac, *seed, *minMaintainRatio, report) && ok
+			ok = runNaive(d, *n, *seed, *seedNaiveQPS, *minNaiveSpeedup) && ok
+			ok = runEquiv(d, *n, *variants, *seed, *minHitRate) && ok
+			ok = runRW(gen, *n, *writeFrac, *seed, *minMaintainRatio) && ok
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
 			os.Exit(2)
 		}
 	}
-	writeReport()
 	stopProfile()
 	if !ok {
 		os.Exit(1)
@@ -178,14 +137,10 @@ func main() {
 // it also gates: the current kernels must deliver at least minSpeedup
 // times the frozen seed-kernel value (the CI regression gate for the
 // raw-speed kernel pass).
-func runNaive(db *sky.DB, n int, seed int64, seedQPS, minSpeedup float64, report *bench.Report) bool {
+func runNaive(db *sky.DB, n int, seed int64, seedQPS, minSpeedup float64) bool {
 	fmt.Printf("== Naive single-stream baseline: %d queries, sequential interpreter, no recycler ==\n", n)
 	res := bench.RunNaiveStream(db, n, seed)
 	bench.PrintNaive(os.Stdout, res, seedQPS)
-	if seedQPS > 0 {
-		report.AddNaiveBaseline("seed", bench.NaiveResult{QPS: seedQPS})
-	}
-	report.AddNaiveBaseline("current", res)
 	if seedQPS > 0 && res.QPS < minSpeedup*seedQPS {
 		fmt.Fprintf(os.Stderr, "FAIL: naive single-stream QPS %.1f is %.2fx the seed-kernel baseline %.1f (gate %.1fx)\n",
 			res.QPS, res.QPS/seedQPS, seedQPS, minSpeedup)
@@ -200,7 +155,7 @@ func runNaive(db *sky.DB, n int, seed int64, seedQPS, minSpeedup float64, report
 // off (every spelling its own template — variants miss) and on (one
 // template — variants hit exactly). Returns false when the normalized
 // exact-hit rate misses the gate.
-func runEquiv(db *sky.DB, n, variants int, seed int64, minRate float64, report *bench.Report) bool {
+func runEquiv(db *sky.DB, n, variants int, seed int64, minRate float64) bool {
 	fmt.Printf("== Equivalent-query workload: %d queries x %d spellings (shuffled conjuncts, literal variants) ==\n", n, variants)
 	queries := bench.EquivWorkload(n, variants, seed)
 	rows := []bench.EquivResult{
@@ -208,9 +163,6 @@ func runEquiv(db *sky.DB, n, variants int, seed int64, minRate float64, report *
 		bench.RunEquiv(db, queries, true),
 	}
 	bench.PrintEquiv(os.Stdout, rows)
-	for _, r := range rows {
-		report.AddEquiv(r)
-	}
 	norm := rows[1]
 	if rate := norm.ExactHitRate(); rate < minRate {
 		fmt.Fprintf(os.Stderr, "FAIL: normalized exact-hit rate %.1f%% below gate %.1f%%\n",
@@ -225,22 +177,14 @@ func runEquiv(db *sky.DB, n, variants int, seed int64, minRate float64, report *
 // runRW measures update synchronisation under churn: the same mixed
 // read/write workload (bounding-box COUNTs over sky.photoobj with DML
 // interleaved at writeFrac) run under invalidate, propagate and
-// maintain. With repeating reads, what survives each commit is exactly
-// what each mode's rules keep alive, so the exact-hit rate separates
-// them. Returns false when maintain's rate misses the gate relative to
-// invalidate's.
-func runRW(db *sky.DB, n int, writeFrac float64, seed int64, minRatio float64, report *bench.Report) bool {
+// maintain, each on a catalog fresh from gen. With repeating reads,
+// what survives each commit is exactly what each mode's rules keep
+// alive, so the exact-hit rate separates them. Returns false when
+// maintain's rate misses the gate relative to invalidate's.
+func runRW(gen func() *sky.DB, n int, writeFrac float64, seed int64, minRatio float64) bool {
 	fmt.Printf("== Mixed read/write workload: %d ops, %.0f%% writes, per sync mode ==\n", n, 100*writeFrac)
-	stmts := bench.RWStatements(12, seed)
-	rows := []bench.RWResult{
-		bench.RunRW(db, stmts, n, writeFrac, seed, "invalidate", recycler.SyncInvalidate),
-		bench.RunRW(db, stmts, n, writeFrac, seed, "propagate", recycler.SyncPropagate),
-		bench.RunRW(db, stmts, n, writeFrac, seed, "maintain", recycler.SyncMaintain),
-	}
+	rows := bench.RWPresets(gen, n, writeFrac, seed)
 	bench.PrintRW(os.Stdout, rows)
-	for _, r := range rows {
-		report.AddRW(r)
-	}
 	inval, maint := rows[0], rows[2]
 	ratio := 0.0
 	if inval.ExactHitRate() > 0 {
@@ -258,34 +202,7 @@ func runRW(db *sky.DB, n int, writeFrac float64, seed int64, minRatio float64, r
 	return true
 }
 
-// runRestart exercises the durable store: boot on a fresh directory,
-// warm the pool, shut down gracefully (spill + checkpoint), recover,
-// and measure cold vs warm-pool first-N-queries latency over HTTP.
-func runRestart(objects, n, first int, seed, dbseed int64) {
-	fmt.Printf("== Restart: cold vs warm recycle pool, %d objects, %d-query warmup ==\n", objects, n)
-	dir, err := os.MkdirTemp("", "skybench-restart-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// os.Exit skips defers, so the data directory (snapshot + WAL +
-	// spill files) is removed explicitly on every path.
-	phases, err := runRestartExperiment(os.Stdout, restartConfig{
-		Dir: dir, Objects: objects, N: n, First: first, Seed: seed, DBSeed: dbseed,
-	})
-	os.RemoveAll(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if phases[1].FirstHits == 0 || phases[1].Reuses == 0 {
-		fmt.Fprintln(os.Stderr, "FAIL: warm-started server served no pool hits on the first iteration")
-		os.Exit(1)
-	}
-	fmt.Println()
-}
-
-func runBatch(db *sky.DB, n int, seed int64, report *bench.Report) {
+func runBatch(db *sky.DB, n int, seed int64) {
 	fmt.Printf("== Fig. 14: recycler effect on the %d-query batch ==\n", n)
 	w := sky.SampleWorkload(db, n, seed)
 	var rows []bench.Fig14Row
@@ -293,9 +210,6 @@ func runBatch(db *sky.DB, n int, seed int64, report *bench.Report) {
 		rows = append(rows, bench.SkyBatch(db, w, segments, seed))
 	}
 	bench.PrintFig14(os.Stdout, rows)
-	for _, r := range rows {
-		report.AddBatch(r, n)
-	}
 	fmt.Println()
 }
 
@@ -303,123 +217,6 @@ func runTable3(db *sky.DB, n int, seed int64) {
 	fmt.Println("== Table III: recycle pool content after the batch ==")
 	w := sky.SampleWorkload(db, n, seed)
 	bench.PrintTable3(os.Stdout, bench.Table3(db, w))
-	fmt.Println()
-}
-
-// runMT measures multi-client throughput: the sampled workload driven
-// by 1..maxClients concurrent sessions sharing one recycler pool, with
-// the sequential interpreter and the dataflow scheduler, naive and
-// recycled. Each configuration starts from a warmed catalog and an
-// empty pool.
-func runMT(db *sky.DB, n, maxClients, workers int, seed int64, report *bench.Report) {
-	if workers <= 0 {
-		// Force at least two workers so the scheduler path is exercised
-		// even on single-core hosts (where it cannot win wall-clock,
-		// only stay close to the sequential loop).
-		workers = max(2, runtime.GOMAXPROCS(0))
-	}
-	fmt.Printf("== Multi-client throughput: %d queries, shared recycler pool, up to %d clients, %d dataflow workers ==\n",
-		n, maxClients, workers)
-	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("   (GOMAXPROCS=1: goroutines interleave on one core; expect parity, not speedup)")
-	}
-	w := sky.SampleWorkload(db, n, seed)
-	warm := bench.SkyWarmup(w)
-
-	counts := []int{1}
-	for c := 2; c < maxClients; c *= 2 {
-		counts = append(counts, c)
-	}
-	if maxClients > 1 {
-		counts = append(counts, maxClients)
-	}
-
-	var rows []bench.MTRow
-	for _, recycled := range []bool{false, true} {
-		for _, c := range counts {
-			for _, seq := range []bool{true, false} {
-				var r *bench.Runner
-				if recycled {
-					r = bench.NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll, Subsumption: true})
-				} else {
-					r = bench.NewNaive(db.Cat, false)
-				}
-				if seq {
-					r.Workers = 1
-				} else {
-					r.Workers = workers
-				}
-				r.Warmup(warm)
-				rows = append(rows, bench.SkyMultiClient(r, w, c))
-				if r.Rec != nil {
-					r.Rec.Close()
-				}
-			}
-		}
-	}
-	bench.PrintMT(os.Stdout, rows)
-	for _, r := range rows {
-		report.AddMT(r)
-	}
-	fmt.Println()
-}
-
-// runServe measures the recycler over the wire: an in-process HTTP
-// server (the same stack cmd/reprod runs) is driven by `clients`
-// closed-loop workers for `dur`, once without and once with a shared
-// recycler. The workload is the SkyServer SQL mix, so overlapping
-// bounding-box searches from different clients meet in the pool.
-func runServe(db *sky.DB, n, clients int, dur time.Duration, seed int64, report *bench.Report) {
-	fmt.Printf("== Closed-loop HTTP load: %d clients for %v per configuration ==\n", clients, dur)
-	queries := bench.SkySQLWorkload(n, seed)
-	var rows []bench.LoadResult
-	for _, recycled := range []bool{false, true} {
-		opts := []repro.Option{}
-		label := "naive"
-		if recycled {
-			label = "recycled"
-			opts = append(opts, repro.WithRecycler(recycler.Config{
-				Admission: recycler.KeepAll, Subsumption: true,
-			}))
-		}
-		eng := repro.NewEngine(db.Cat, opts...)
-		srv := server.New(eng, server.Config{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "listen: %v\n", err)
-			os.Exit(1)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-
-		res := bench.HTTPLoad("http://"+ln.Addr().String(), queries, clients, dur)
-		res.Label = label
-		rows = append(rows, res)
-
-		st := srv.Stats()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		hs.Shutdown(ctx)
-		srv.Shutdown(ctx)
-		cancel()
-		if recycled {
-			fmt.Printf("   pool after run: %d entries / %d KB, %d reuses, active queries %d\n",
-				st.Engine.Recycler.Entries, st.Engine.Recycler.Bytes/1024,
-				st.Engine.Recycler.Reuses, st.Engine.ActiveQueries)
-			fmt.Printf("   recycler lock wait: writer %v (%d blocked), shards %v (%d blocked)\n",
-				st.Engine.Recycler.WriterLockWait.Round(time.Microsecond), st.Engine.Recycler.WriterLockWaits,
-				st.Engine.Recycler.ShardLockWait.Round(time.Microsecond), st.Engine.Recycler.ShardLockWaits)
-		}
-		if rec := eng.Recycler(); rec != nil {
-			rec.Close()
-		}
-	}
-	bench.PrintLoad(os.Stdout, rows)
-	for _, r := range rows {
-		report.AddServe(r)
-	}
-	if rows[0].QPS > 0 {
-		fmt.Printf("over-the-wire speedup (recycled/naive QPS): %.2fx\n", rows[1].QPS/rows[0].QPS)
-	}
 	fmt.Println()
 }
 

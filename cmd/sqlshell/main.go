@@ -23,11 +23,11 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/catalog"
 	"repro/internal/mal"
 	"repro/internal/recycler"
 	"repro/internal/sky"
-	"repro/internal/sqlfe"
 	"repro/internal/tpch"
 	"repro/internal/trace"
 )
@@ -54,18 +54,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	fe := sqlfe.NewFrontend(cat)
-	var rec *recycler.Recycler
+	opts := []repro.Option{repro.WithTracer(trace.New(trace.Config{}))}
 	if !*noRecycle {
-		rec = recycler.New(cat, recycler.Config{
+		opts = append(opts, repro.WithRecycler(recycler.Config{
 			Admission: recycler.KeepAll, Subsumption: true, CombinedSubsumption: true,
-		})
+		}))
 		fmt.Println("recycler: keepall, subsumption on (\\pool to inspect, \\q to quit)")
 	}
+	eng := repro.NewEngine(cat, opts...)
+	rec := eng.Recycler()
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	qid := uint64(0)
 	fmt.Print("sql> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -93,11 +93,10 @@ func main() {
 				fmt.Println("pool cleared")
 			}
 		default:
-			qid++
 			if rest, ok := stripExplainAnalyze(line); ok {
-				explainAnalyze(fe, cat, rec, qid, rest)
+				explainAnalyze(eng, rest)
 			} else {
-				runSQL(fe, cat, rec, qid, line)
+				runSQL(eng, line)
 			}
 		}
 		fmt.Print("sql> ")
@@ -115,29 +114,16 @@ func stripExplainAnalyze(line string) (string, bool) {
 	return strings.Join(fields[2:], " "), true
 }
 
-// explainAnalyze executes the statement with a trace recorder attached
-// and renders the span table instead of the result rows.
-func explainAnalyze(fe *sqlfe.Frontend, cat *catalog.Catalog, rec *recycler.Recycler, qid uint64, src string) {
-	tmpl, params, tm, err := fe.CompileTimed(src)
+// explainAnalyze executes the statement traced and renders the span
+// table (front-end stages included) instead of the result rows.
+func explainAnalyze(eng *repro.Engine, src string) {
+	res, qt, err := eng.ExecSQLTraced(src)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	trec := trace.NewRecorder(qid, src, len(tmpl.Instrs))
-	trec.SetStages(tm.Parse, tm.Optimize)
-	ctx := &mal.Ctx{Cat: cat, QueryID: qid, Trace: trec}
-	if rec != nil {
-		ctx.Hook = rec
-		rec.BeginQuery(qid, tmpl.ID)
-		defer rec.EndQuery(qid)
-	}
-	if err := mal.Run(ctx, tmpl, params...); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	qt := trec.Finish(tmpl.Name, ctx.Stats.Elapsed)
 	qt.Format(os.Stdout)
-	for _, r := range ctx.Results {
+	for _, r := range res.Results {
 		if r.Val.Kind == mal.VBat {
 			fmt.Printf("-- result %s: %d tuples\n", r.Name, r.Val.Bat.Len())
 		} else {
@@ -146,37 +132,25 @@ func explainAnalyze(fe *sqlfe.Frontend, cat *catalog.Catalog, rec *recycler.Recy
 	}
 }
 
-func runSQL(fe *sqlfe.Frontend, cat *catalog.Catalog, rec *recycler.Recycler, qid uint64, src string) {
-	tmpl, params, err := fe.Compile(src)
+func runSQL(eng *repro.Engine, src string) {
+	res, err := eng.ExecSQL(src)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	ctx := &mal.Ctx{Cat: cat, QueryID: qid}
-	if rec != nil {
-		ctx.Hook = rec
-		rec.BeginQuery(qid, tmpl.ID)
-		defer rec.EndQuery(qid)
-	}
-	start := time.Now()
-	if err := mal.Run(ctx, tmpl, params...); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	elapsed := time.Since(start)
-	for _, r := range ctx.Results {
+	for _, r := range res.Results {
 		if r.Val.Kind == mal.VBat {
 			fmt.Printf("%s = %s\n", r.Name, r.Val.Bat.Dump(10))
 		} else {
 			fmt.Printf("%s = %s\n", r.Name, r.Val.String())
 		}
 	}
-	if rec != nil {
+	elapsed := res.Stats.Elapsed.Round(time.Microsecond)
+	if rec := eng.Recycler(); rec != nil {
 		fmt.Printf("-- %v, hits %d/%d, subsumed %d, pool %d entries / %d KB\n",
-			elapsed.Round(time.Microsecond),
-			ctx.Stats.HitsNonBind, ctx.Stats.MarkedNonBind, ctx.Stats.Subsumed,
+			elapsed, res.Stats.HitsNonBind, res.Stats.MarkedNonBind, res.Stats.Subsumed,
 			rec.PoolLen(), rec.PoolBytes()/1024)
 	} else {
-		fmt.Printf("-- %v\n", elapsed.Round(time.Microsecond))
+		fmt.Printf("-- %v\n", elapsed)
 	}
 }

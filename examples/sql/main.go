@@ -10,21 +10,20 @@ import (
 	"fmt"
 	"time"
 
+	"repro"
 	"repro/internal/mal"
 	"repro/internal/recycler"
-	"repro/internal/sqlfe"
 	"repro/internal/tpch"
 )
 
 func main() {
 	fmt.Println("generating TPC-H data at SF 0.01 ...")
 	db := tpch.Generate(0.01, 7)
-	fe := sqlfe.NewFrontend(db.Cat)
-	rec := recycler.New(db.Cat, recycler.Config{
+	eng := repro.NewEngine(db.Cat, repro.WithRecycler(recycler.Config{
 		Admission:           recycler.KeepAll,
 		Subsumption:         true,
 		CombinedSubsumption: true,
-	})
+	}))
 
 	queries := []string{
 		"SELECT COUNT(*) FROM sys.lineitem WHERE l_quantity BETWEEN 10 AND 40",
@@ -36,27 +35,17 @@ func main() {
 		"SELECT COUNT(*) FROM sys.orders WHERE o_orderdate >= DATE '1996-04-01' AND o_orderdate < DATE '1996-10-01'",
 	}
 
-	var qid uint64
 	for _, src := range queries {
-		tmpl, params, err := fe.Compile(src)
+		res, err := eng.ExecSQL(src)
 		if err != nil {
 			panic(err)
 		}
-		qid++
-		rec.BeginQuery(qid, tmpl.ID)
-		ctx := &mal.Ctx{Cat: db.Cat, Hook: rec, QueryID: qid}
-		start := time.Now()
-		if err := mal.Run(ctx, tmpl, params...); err != nil {
-			panic(err)
-		}
-		rec.EndQuery(qid)
-		elapsed := time.Since(start)
 		fmt.Printf("\n%s\n", src)
 		fmt.Printf("  -> %v  hits=%d/%d subsumed=%d combined=%d\n",
-			elapsed.Round(time.Microsecond),
-			ctx.Stats.HitsNonBind, ctx.Stats.MarkedNonBind,
-			ctx.Stats.Subsumed, ctx.Stats.Combined)
-		for _, r := range ctx.Results {
+			res.Stats.Elapsed.Round(time.Microsecond),
+			res.Stats.HitsNonBind, res.Stats.MarkedNonBind,
+			res.Stats.Subsumed, res.Stats.Combined)
+		for _, r := range res.Results {
 			if r.Val.Kind == mal.VBat {
 				fmt.Printf("  %s = %s\n", r.Name, r.Val.Bat.Dump(4))
 			} else {
@@ -65,7 +54,8 @@ func main() {
 		}
 	}
 
+	st := eng.StatsSnapshot()
 	fmt.Printf("\nquery cache: %d templates for %d queries (%d cache hits)\n",
-		fe.CacheSize(), len(queries), fe.Hits)
-	fmt.Printf("recycle pool: %d entries, %d KB\n", rec.PoolLen(), rec.PoolBytes()/1024)
+		st.TemplateCache.Size, len(queries), st.TemplateCache.Hits)
+	fmt.Printf("recycle pool: %d entries, %d KB\n", st.Recycler.Entries, st.Recycler.Bytes/1024)
 }

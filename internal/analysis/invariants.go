@@ -270,10 +270,9 @@ var AtomicFields = map[string]bool{
 	"repro/internal/server.Server.active":         true,
 	"repro/internal/server.preparedCache.hitsN":   true,
 	"repro/internal/server.preparedCache.missesN": true,
-	// store + mal + bench
-	"repro/internal/store.Store.walErr":   true,
-	"repro/internal/mal.Template.dag":     true,
-	"repro/internal/bench.Runner.queryID": true,
+	// store + mal
+	"repro/internal/store.Store.walErr": true,
+	"repro/internal/mal.Template.dag":   true,
 }
 
 // MutexGuardedFields lists plain fields whose consistency comes from

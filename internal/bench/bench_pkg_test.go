@@ -82,16 +82,22 @@ func TestMicroProfileQ14Overhead(t *testing.T) {
 	}
 }
 
+// TestFig6Shape checks the summary's shape only: the Q18 inter-query
+// reuse it illustrates is asserted in counts by TestMicroProfileQ18Shape,
+// and a wall-clock ratio of millisecond runs is no unit-test gate.
 func TestFig6Shape(t *testing.T) {
-	rows := Fig6(benchDB, []int{18, 14}, 5, 3)
-	byQ := map[int]Fig6Row{}
-	for _, r := range rows {
-		byQ[r.QNum] = r
+	qnums := []int{18, 14}
+	rows := Fig6(benchDB, qnums, 5, 3)
+	if len(rows) != len(qnums) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(qnums))
 	}
-	// Q18 recycled average must beat its first (cold) instance by a
-	// wide margin.
-	if byQ[18].RecycleAvg*2 > byQ[18].RecycleFirst {
-		t.Errorf("Q18 avg %v vs first %v: expected >=2x gap", byQ[18].RecycleAvg, byQ[18].RecycleFirst)
+	for i, r := range rows {
+		if r.QNum != qnums[i] {
+			t.Errorf("row %d is Q%d, want Q%d", i, r.QNum, qnums[i])
+		}
+		if r.NaiveAvg <= 0 || r.RecycleFirst <= 0 || r.RecycleAvg <= 0 {
+			t.Errorf("Q%d: zero duration in %+v", r.QNum, r)
+		}
 	}
 }
 

@@ -7,14 +7,11 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"repro/internal/mal"
+	"repro"
 	"repro/internal/opt"
 	"repro/internal/recycler"
 	"repro/internal/sky"
-	"repro/internal/sqlfe"
-	"repro/internal/trace"
 )
 
 // This file implements the equivalent-query workload: semantically
@@ -136,13 +133,6 @@ type EquivResult struct {
 	// compiled — n under normalization, roughly n*(variants+1)
 	// without.
 	Templates int
-	Wall      time.Duration
-	QPS       float64
-	LockWaits int64
-	LockWait  time.Duration
-	// Per-statement latency percentiles over every executed statement
-	// (canonical + variants), from a bucketed trace.Histogram.
-	P50, P95, P99 time.Duration
 }
 
 // ExactHitRate returns variant pool hits over variant potential hits.
@@ -151,40 +141,6 @@ func (r *EquivResult) ExactHitRate() float64 {
 		return 0
 	}
 	return float64(r.Hits) / float64(r.Marked)
-}
-
-// sqlRunner is the minimal SQL execution stack the workload needs:
-// front end + recycler + interpreter, wired the way repro.Engine wires
-// them. (bench deliberately does not import the repro facade: the root
-// package's own tests import bench.)
-type sqlRunner struct {
-	db  *sky.DB
-	fe  *sqlfe.Frontend
-	rec *recycler.Recycler
-	qid uint64
-}
-
-func newSQLRunner(db *sky.DB, opts opt.Options) *sqlRunner {
-	return &sqlRunner{
-		db:  db,
-		fe:  sqlfe.NewFrontendOpt(db.Cat, opts),
-		rec: recycler.New(db.Cat, recycler.Config{Admission: recycler.KeepAll}),
-	}
-}
-
-func (s *sqlRunner) execSQL(src string) (*mal.Ctx, error) {
-	tmpl, params, err := s.fe.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	s.qid++
-	ctx := &mal.Ctx{Cat: s.db.Cat, Hook: s.rec, QueryID: s.qid}
-	s.rec.BeginQuery(s.qid, tmpl.ID)
-	defer s.rec.EndQuery(s.qid)
-	if err := mal.Run(ctx, tmpl, params...); err != nil {
-		return nil, err
-	}
-	return ctx, nil
 }
 
 // RunEquiv executes the workload against a fresh recycled engine
@@ -198,50 +154,38 @@ func RunEquiv(db *sky.DB, queries []EquivQuery, normalized bool) EquivResult {
 		mode = "baseline"
 		opts = opt.Options{SkipNormalizeSQL: true, SkipCSE: true, SkipCommute: true}
 	}
-	r := newSQLRunner(db, opts)
-	defer r.rec.Close()
+	eng := repro.NewEngine(db.Cat,
+		repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll}),
+		repro.WithOptimizer(opts))
+	defer eng.Recycler().Close()
 
 	res := EquivResult{Mode: mode, Queries: len(queries)}
-	var lat trace.Histogram
-	start := time.Now()
 	for _, q := range queries {
-		q0 := time.Now()
-		if _, err := r.execSQL(q.Canonical); err != nil {
+		if _, err := eng.ExecSQL(q.Canonical); err != nil {
 			panic(fmt.Sprintf("equiv: canonical %q: %v", q.Canonical, err))
 		}
-		lat.Observe(time.Since(q0))
 		for _, v := range q.Variants {
-			q0 = time.Now()
-			ctx, err := r.execSQL(v)
+			r, err := eng.ExecSQL(v)
 			if err != nil {
 				panic(fmt.Sprintf("equiv: variant %q: %v", v, err))
 			}
-			lat.Observe(time.Since(q0))
 			res.Variants++
-			res.Marked += ctx.Stats.MarkedNonBind
-			res.Hits += ctx.Stats.HitsNonBind
+			res.Marked += r.Stats.MarkedNonBind
+			res.Hits += r.Stats.HitsNonBind
 		}
 	}
-	res.Wall = time.Since(start)
-	res.P50, res.P95, res.P99 = lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99)
-	if res.Wall > 0 {
-		res.QPS = float64(res.Queries+res.Variants) / res.Wall.Seconds()
-	}
-	st := r.rec.Snapshot()
-	res.Templates = r.fe.CacheSize()
-	res.LockWaits = st.WriterLockWaits + st.ShardLockWaits
-	res.LockWait = st.WriterLockWait + st.ShardLockWait
+	res.Templates = eng.StatsSnapshot().TemplateCache.Size
 	return res
 }
 
 // PrintEquiv renders the before/after comparison.
 func PrintEquiv(w io.Writer, rows []EquivResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Mode\tQueries\tVariants\tTemplates\tExactHits\tPotential\tHitRate\tQPS")
+	fmt.Fprintln(tw, "Mode\tQueries\tVariants\tTemplates\tExactHits\tPotential\tHitRate")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%.0f\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%.1f%%\n",
 			r.Mode, r.Queries, r.Variants, r.Templates, r.Hits, r.Marked,
-			100*r.ExactHitRate(), r.QPS)
+			100*r.ExactHitRate())
 	}
 	tw.Flush()
 }

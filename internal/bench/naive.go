@@ -12,9 +12,8 @@ import (
 // This file implements the naive single-stream baseline: the SkyServer
 // workload mix driven by ONE client with no recycler, no measurement
 // hooks and the sequential interpreter. It is the denominator of every
-// recycled-vs-naive ratio the other experiments report, so its QPS is
-// recorded in BENCH_recycle.json (experiment "naive-baseline") and CI
-// gates kernel regressions against the recorded seed value.
+// recycled-vs-naive ratio the other experiments report, and CI gates
+// kernel regressions on its QPS against a recorded seed value.
 
 // NaiveResult is one naive single-stream run.
 type NaiveResult struct {
@@ -33,7 +32,7 @@ func RunNaiveStream(db *sky.DB, n int, seed int64) NaiveResult {
 	// arena joins AND fused select chains — unlike the ratio
 	// experiments, which hold fusion off on both arms.
 	r.NoFusion = false
-	r.Warmup(SkyWarmup(w))
+	r.Warmup(skyWarmup(w))
 	var lat trace.Histogram
 	start := time.Now()
 	for _, q := range w.Batch {
@@ -48,22 +47,6 @@ func RunNaiveStream(db *sky.DB, n int, seed int64) NaiveResult {
 	}
 	res.P50, res.P95, res.P99 = lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99)
 	return res
-}
-
-// AddNaiveBaseline records a naive single-stream row. Mode "current" is
-// this run; mode "seed" carries the frozen pre-kernel-pass value the CI
-// gate compares against (0 when unset).
-func (r *Report) AddNaiveBaseline(mode string, n NaiveResult) {
-	r.Add(ModeStat{
-		Experiment: "naive-baseline",
-		Mode:       mode,
-		Clients:    1,
-		Queries:    n.Queries,
-		QPS:        n.QPS,
-		P50NS:      n.P50.Nanoseconds(),
-		P95NS:      n.P95.Nanoseconds(),
-		P99NS:      n.P99.Nanoseconds(),
-	})
 }
 
 // PrintNaive renders the baseline row and, when a seed value is known,

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -9,17 +8,17 @@ import (
 	"repro/internal/recycler"
 )
 
-// Runner executes templates against one engine configuration. A single
-// runner may be shared by many client goroutines (the multi-user
-// experiments): query ids are drawn atomically and each Run builds a
-// fresh context.
+// Runner executes hand-built templates against one engine
+// configuration, one query at a time: each Run builds a fresh context
+// on the sequential interpreter. SQL experiments go through
+// repro.Engine instead; Runner exists for the switch Engine does not
+// have, NoFusion.
 type Runner struct {
 	Cat      *catalog.Catalog
 	Rec      *recycler.Recycler // nil = naive execution
 	Measure  bool               // time marked instructions in naive mode
-	Workers  int                // per-query dataflow parallelism (0 = GOMAXPROCS, 1 = sequential)
 	NoFusion bool               // disable fused select-chain execution
-	queryID  atomic.Uint64
+	queryID  uint64
 }
 
 // NewNaive builds a runner without recycling (optionally measuring
@@ -27,8 +26,7 @@ type Runner struct {
 //
 // Runners reproduce the paper's single-threaded experiments, whose
 // admission/eviction bookkeeping is defined in terms of program-order
-// execution, so they default to the sequential interpreter
-// (Workers = 1). The multi-client harness sets Workers explicitly.
+// execution, so they always run the sequential interpreter.
 //
 // They also disable select-chain fusion: a recycled run of monitored
 // instructions never fuses (admission is per instruction), so the
@@ -37,20 +35,20 @@ type Runner struct {
 // naive-baseline experiment (RunNaiveStream) measures the full kernel
 // stack, fusion included, and is gated separately in CI.
 func NewNaive(cat *catalog.Catalog, measure bool) *Runner {
-	return &Runner{Cat: cat, Measure: measure, Workers: 1, NoFusion: true}
+	return &Runner{Cat: cat, Measure: measure, NoFusion: true}
 }
 
-// NewRecycled builds a runner with a fresh recycler. Sequential by
-// default, like NewNaive.
+// NewRecycled builds a runner with a fresh recycler.
 func NewRecycled(cat *catalog.Catalog, cfg recycler.Config) *Runner {
-	return &Runner{Cat: cat, Rec: recycler.New(cat, cfg), Workers: 1, NoFusion: true}
+	return &Runner{Cat: cat, Rec: recycler.New(cat, cfg), NoFusion: true}
 }
 
 // Run executes one query instance and returns its context (with
 // statistics filled in).
 func (r *Runner) Run(tmpl *mal.Template, params ...mal.Value) (*mal.Ctx, error) {
-	qid := r.queryID.Add(1)
-	ctx := &mal.Ctx{Cat: r.Cat, QueryID: qid, Measure: r.Measure, Workers: r.Workers, NoFusion: r.NoFusion}
+	r.queryID++
+	qid := r.queryID
+	ctx := &mal.Ctx{Cat: r.Cat, QueryID: qid, Measure: r.Measure, Workers: 1, NoFusion: r.NoFusion}
 	if r.Rec != nil {
 		ctx.Hook = r.Rec
 		r.Rec.BeginQuery(qid, tmpl.ID)

@@ -5,16 +5,12 @@ import (
 	"io"
 	"math/rand"
 	"text/tabwriter"
-	"time"
 
+	"repro"
 	"repro/internal/bat"
 	"repro/internal/catalog"
-	"repro/internal/mal"
-	"repro/internal/opt"
 	"repro/internal/recycler"
 	"repro/internal/sky"
-	"repro/internal/sqlfe"
-	"repro/internal/trace"
 )
 
 // This file implements the mixed read/write workload: the SkyServer
@@ -30,25 +26,19 @@ import (
 
 // RWResult is one sync mode's outcome over the mixed workload.
 type RWResult struct {
-	Mode   string // "invalidate", "propagate" or "maintain"
-	Reads  int
-	Writes int
+	Mode      string // "invalidate", "propagate" or "maintain"
+	StartRows int    // live sky.photoobj rows when the run began
+	Reads     int
+	Writes    int
 	// Marked/Hits count non-bind monitored instructions and pool hits
 	// over the read statements (the warmup pass is excluded).
 	Marked int
 	Hits   int
-	Wall   time.Duration
-	QPS    float64
 	// Recycler counters after the run: what the writes did to the pool.
 	Invalidated int64
 	Maintained  int64
 	Fallback    int64
 	DeltaRows   int64
-	LockWaits   int64
-	LockWait    time.Duration
-	// Per-read-statement latency percentiles (writes excluded; the
-	// reads are what the sync modes differentiate).
-	P50, P95, P99 time.Duration
 }
 
 // ExactHitRate returns read pool hits over read potential hits.
@@ -59,11 +49,11 @@ func (r *RWResult) ExactHitRate() float64 {
 	return float64(r.Hits) / float64(r.Marked)
 }
 
-// RWStatements samples k distinct bounding-box COUNT statements over
+// rwStatements samples k distinct bounding-box COUNT statements over
 // sky.photoobj. Every statement compiles to a maintainable chain
 // (bind, range selects, semijoins, aggr.count), so the workload
 // separates the sync modes rather than the eligibility rules.
-func RWStatements(k int, seed int64) []string {
+func rwStatements(k int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]string, 0, k)
 	seen := map[string]bool{}
@@ -112,33 +102,38 @@ func rwRow(t *catalog.Table, rng *rand.Rand, objid int64) catalog.Row {
 	return r
 }
 
-// RunRW executes n operations — reads cycling through the statement
+// RWPresets runs the mixed workload once per sync preset — invalidate,
+// propagate, maintain, in that order — each on its own catalog from
+// gen. The workload appends rows with objids derived from the catalog
+// size and seed, so presets sharing one catalog would start from each
+// other's leftovers and re-append the same "unique" keys; every preset
+// must start from the same freshly generated table.
+func RWPresets(gen func() *sky.DB, n int, writeFrac float64, seed int64) []RWResult {
+	stmts := rwStatements(12, seed)
+	return []RWResult{
+		runRW(gen(), stmts, n, writeFrac, seed, "invalidate", recycler.SyncInvalidate),
+		runRW(gen(), stmts, n, writeFrac, seed, "propagate", recycler.SyncPropagate),
+		runRW(gen(), stmts, n, writeFrac, seed, "maintain", recycler.SyncMaintain),
+	}
+}
+
+// runRW executes n operations — reads cycling through the statement
 // set, writes (row appends and deletions of previously appended rows)
-// at writeFrac — against a fresh recycled stack configured with the
+// at writeFrac — against a fresh recycled engine configured with the
 // given sync mode. The statement set is executed once beforehand to
 // warm the pool; absent writes every read would then hit exactly.
-func RunRW(db *sky.DB, stmts []string, n int, writeFrac float64, seed int64, mode string, sync recycler.SyncMode) RWResult {
-	fe := sqlfe.NewFrontendOpt(db.Cat, opt.Options{})
-	rec := recycler.New(db.Cat, recycler.Config{Admission: recycler.KeepAll, Sync: sync})
+func runRW(db *sky.DB, stmts []string, n int, writeFrac float64, seed int64, mode string, sync recycler.SyncMode) RWResult {
+	eng := repro.NewEngine(db.Cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll, Sync: sync}))
+	rec := eng.Recycler()
 	defer rec.Close()
 
-	var qid uint64
-	exec := func(src string) (hits, marked int) {
-		tmpl, params, err := fe.Compile(src)
-		if err != nil {
-			panic(fmt.Sprintf("rw: compile %q: %v", src, err))
-		}
-		qid++
-		ctx := &mal.Ctx{Cat: db.Cat, Hook: rec, QueryID: qid}
-		rec.BeginQuery(qid, tmpl.ID)
-		err = mal.Run(ctx, tmpl, params...)
-		rec.EndQuery(qid)
+	exec := func(src string) *repro.ExecResult {
+		r, err := eng.ExecSQL(src)
 		if err != nil {
 			panic(fmt.Sprintf("rw: %q: %v", src, err))
 		}
-		return ctx.Stats.HitsNonBind, ctx.Stats.MarkedNonBind
+		return r
 	}
-
 	for _, s := range stmts {
 		exec(s)
 	}
@@ -148,9 +143,7 @@ func RunRW(db *sky.DB, stmts []string, n int, writeFrac float64, seed int64, mod
 	nextObjid := int64(0x0500000000000000) + int64(db.Objects) + seed*1_000_000
 	var appended []bat.Oid
 
-	res := RWResult{Mode: mode}
-	var lat trace.Histogram
-	start := time.Now()
+	res := RWResult{Mode: mode, StartRows: t.NumRows()}
 	for i := 0; i < n; i++ {
 		if rng.Float64() < writeFrac {
 			res.Writes++
@@ -173,16 +166,9 @@ func RunRW(db *sky.DB, stmts []string, n int, writeFrac float64, seed int64, mod
 			continue
 		}
 		res.Reads++
-		q0 := time.Now()
-		h, m := exec(stmts[res.Reads%len(stmts)])
-		lat.Observe(time.Since(q0))
-		res.Hits += h
-		res.Marked += m
-	}
-	res.Wall = time.Since(start)
-	res.P50, res.P95, res.P99 = lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99)
-	if res.Wall > 0 {
-		res.QPS = float64(res.Reads+res.Writes) / res.Wall.Seconds()
+		r := exec(stmts[res.Reads%len(stmts)])
+		res.Hits += r.Stats.HitsNonBind
+		res.Marked += r.Stats.MarkedNonBind
 	}
 
 	st := rec.Snapshot()
@@ -190,19 +176,17 @@ func RunRW(db *sky.DB, stmts []string, n int, writeFrac float64, seed int64, mod
 	res.Maintained = st.Maintained
 	res.Fallback = st.MaintainFallback
 	res.DeltaRows = st.DeltaRows
-	res.LockWaits = st.WriterLockWaits + st.ShardLockWaits
-	res.LockWait = st.WriterLockWait + st.ShardLockWait
 	return res
 }
 
 // PrintRW renders the per-mode comparison.
 func PrintRW(w io.Writer, rows []RWResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Mode\tReads\tWrites\tExactHits\tPotential\tHitRate\tQPS\tInvalidated\tMaintained\tFallback\tDeltaRows")
+	fmt.Fprintln(tw, "Mode\tStartRows\tReads\tWrites\tExactHits\tPotential\tHitRate\tInvalidated\tMaintained\tFallback\tDeltaRows")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1f%%\t%.0f\t%d\t%d\t%d\t%d\n",
-			r.Mode, r.Reads, r.Writes, r.Hits, r.Marked,
-			100*r.ExactHitRate(), r.QPS,
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%d\t%d\t%d\t%d\n",
+			r.Mode, r.StartRows, r.Reads, r.Writes, r.Hits, r.Marked,
+			100*r.ExactHitRate(),
 			r.Invalidated, r.Maintained, r.Fallback, r.DeltaRows)
 	}
 	tw.Flush()

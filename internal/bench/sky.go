@@ -24,6 +24,21 @@ type Fig14Row struct {
 	Segments int
 }
 
+// skyWarmup derives the warmup list touching every distinct template
+// of the batch once (the experimental preparation of §7: factor out
+// cold IO, start from an empty pool).
+func skyWarmup(batch *sky.Workload) []WarmupQuery {
+	var warm []WarmupQuery
+	seen := map[string]bool{}
+	for _, q := range batch.Batch {
+		if !seen[q.Kind] {
+			seen[q.Kind] = true
+			warm = append(warm, WarmupQuery{Templ: batch.Template(q.Kind), Params: q.Params})
+		}
+	}
+	return warm
+}
+
 // SkyBatch reproduces Fig. 14: the sampled workload executed in
 // segments (4x25, 2x50, 1x100 over a 100-query batch), cleaning the
 // recycle pool between segments. The CRD/LRU runner's memory limit is
@@ -32,7 +47,7 @@ func SkyBatch(db *sky.DB, batch *sky.Workload, segments int, seed int64) Fig14Ro
 	n := len(batch.Batch)
 	segLen := n / segments
 
-	warm := SkyWarmup(batch)
+	warm := skyWarmup(batch)
 
 	runSegments := func(r *Runner) (time.Duration, int, int, int64) {
 		var total time.Duration
