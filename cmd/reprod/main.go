@@ -70,7 +70,7 @@ func run() int {
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "max wait for an execution slot (0 = as long as the client waits)")
 	maxRows := flag.Int("max-rows", 1000, "per-column row cap on responses")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-	workers := flag.Int("workers", 0, "per-query dataflow workers (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "goroutines per query: the calling one plus up to n-1 helpers (0 = GOMAXPROCS, 1 = program order)")
 
 	noRecycle := flag.Bool("norecycle", false, "disable the recycler (baseline serving)")
 	admission := flag.String("admission", "keepall", "admission policy: keepall, crd or adapt")

@@ -44,8 +44,9 @@ func NewCatalog() *catalog.Catalog { return catalog.New() }
 // An Engine is safe for concurrent use: many goroutines (or Session
 // handles) may call Exec/ExecSQL against one engine sharing a single
 // recycle pool, the paper's multi-user setting. Each query itself runs
-// on the dataflow scheduler, executing independent plan instructions
-// in parallel; WithWorkers(1) restores the classical sequential
+// on the calling goroutine (mal.Run), which hands independent kernels
+// to helper goroutines only when several are ready at once;
+// WithWorkers(1) executes in program order, the classical sequential
 // interpreter loop.
 type Engine struct {
 	cat     *catalog.Catalog
@@ -98,11 +99,12 @@ func WithMeasure() Option {
 	return func(e *Engine) { e.measure = true }
 }
 
-// WithWorkers bounds the per-query dataflow parallelism: n is the
-// maximum number of independent plan instructions one query executes
-// concurrently. n = 0 (the default) uses one worker per CPU
-// (GOMAXPROCS); n = 1 forces sequential execution; n > GOMAXPROCS is
-// allowed but cannot add parallelism beyond the machine.
+// WithWorkers bounds the per-query parallelism: n is the maximum
+// number of goroutines one query executes on — the calling one plus
+// n-1 helpers, started only when independent kernels are ready at the
+// same time. n = 0 (the default) uses GOMAXPROCS; n = 1 executes in
+// program order; n > GOMAXPROCS is allowed but cannot add parallelism
+// beyond the machine.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/mal"
 	"repro/internal/recycler"
 )
 
@@ -111,28 +110,5 @@ func TestConcurrentQueriesAndDML(t *testing.T) {
 	}
 	if tb.NumRows() != 1020 {
 		t.Fatalf("rows after appends = %d, want 1020", tb.NumRows())
-	}
-}
-
-// TestSeqAndDataflowEnginesAgree runs the same compiled template on a
-// sequential engine and a dataflow engine and compares results.
-func TestSeqAndDataflowEnginesAgree(t *testing.T) {
-	cat := demoCatalog()
-	seqEng := NewEngine(cat, WithWorkers(1))
-	parEng := NewEngine(cat, WithWorkers(4))
-	tmpl := seqEng.Compile(demoTemplate())
-
-	for lo := int64(0); lo < 100; lo += 10 {
-		rs, err := seqEng.Exec(tmpl, mal.IntV(lo), mal.IntV(lo+25))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := parEng.Exec(tmpl, mal.IntV(lo), mal.IntV(lo+25))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.Results[0].Val.F != rp.Results[0].Val.F {
-			t.Fatalf("lo=%d: seq=%v dataflow=%v", lo, rs.Results[0].Val.F, rp.Results[0].Val.F)
-		}
 	}
 }

@@ -308,13 +308,15 @@ var SinglesigAllowedFuncs = map[string]bool{
 	"repro/internal/mal.(*Instr).StaticSig": true,
 }
 
-// IdentitySources name the functions and fields whose string results
-// are identity-bearing: deriving a *new* string from one (fmt.Sprintf,
-// concatenation) and using it as a map key is an ad-hoc identity.
+// IdentitySources name the functions and fields whose string (for
+// AppendKey, byte) results are identity-bearing: deriving a *new*
+// string from one (fmt.Sprintf, concatenation) and using it as a map
+// key is an ad-hoc identity.
 var IdentitySourceFuncs = map[string]bool{
 	"repro/internal/mal.(*Instr).Name":          true,
 	"repro/internal/mal.(*Instr).StaticSig":     true,
 	"repro/internal/plan.RenderInstr":           true,
+	"repro/internal/plan.AppendKey":             true,
 	"repro/internal/plan.(Signature).Key":       true,
 	"repro/internal/plan.(Signature).Canonical": true,
 }

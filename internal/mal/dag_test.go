@@ -75,14 +75,14 @@ func TestDAGRebuiltAfterRewrite(t *testing.T) {
 	}
 }
 
-// TestDataflowMatchesSeq runs the same plan through the sequential
-// loop and the worker-pool scheduler and requires identical exports,
+// TestDataflowMatchesSeq runs the same plan without helpers (program
+// order) and with up to three and requires identical exports,
 // including program-order export sequence.
 func TestDataflowMatchesSeq(t *testing.T) {
 	tmpl := diamondTemplate()
 
-	seq := &Ctx{QueryID: 1}
-	if err := RunSeq(seq, tmpl, IntV(10)); err != nil {
+	seq := &Ctx{QueryID: 1, Workers: 1}
+	if err := Run(seq, tmpl, IntV(10)); err != nil {
 		t.Fatal(err)
 	}
 	par := &Ctx{QueryID: 2, Workers: 4}
@@ -117,8 +117,8 @@ func TestDataflowErrorPropagates(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error from unknown op")
 	}
-	seqCtx := &Ctx{QueryID: 2}
-	seqErr := RunSeq(seqCtx, tmpl, IntV(1))
+	seqCtx := &Ctx{QueryID: 2, Workers: 1}
+	seqErr := Run(seqCtx, tmpl, IntV(1))
 	if seqErr == nil || err.Error() != seqErr.Error() {
 		t.Fatalf("error mismatch:\n  dataflow: %v\n  seq:      %v", err, seqErr)
 	}

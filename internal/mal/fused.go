@@ -29,23 +29,15 @@ func fusionEligible(ctx *Ctx, ci int) bool {
 	return !(ch.AnyMarked && (ctx.Hook != nil || ctx.Measure))
 }
 
-// stepFused handles one instruction belonging to a fused chain.
-// Non-last members complete trivially (their single-use results only
-// exist inside the chain); the last member resolves the whole chain
-// and writes its own result slot. Under the dataflow scheduler the
-// chain's internal data dependencies serialise the members, so every
-// operand bind has completed by the time the last member runs.
-func stepFused(ctx *Ctx, pc int, in *Instr, worker int, ci int, last bool, spanStart time.Time) error {
-	t := ctx.Template
-	ch := &t.fused[ci]
+// stepFused executes chain ci at its last member pc: it resolves the
+// whole chain and writes the last member's result slot. Non-last
+// members complete at probe time without work (their single-use
+// results only exist inside the chain). The chain's internal data
+// dependencies order the members, so every operand bind has completed
+// by the time the last member runs.
+func stepFused(ctx *Ctx, pc int, in *Instr, worker int, ci int, spanStart time.Time) error {
+	ch := &ctx.Template.fused[ci]
 	tr := ctx.Trace
-	if !last {
-		if tr != nil {
-			tr.SetFused(pc, ch.Pcs[len(ch.Pcs)-1:])
-			tr.EndSpan(pc, in.Name(), worker, spanStart, 0, 0, 0, 0)
-		}
-		return nil
-	}
 	ret, rowsIn, err := evalFusedChain(ctx, ch)
 	if err != nil {
 		return err

@@ -1,8 +1,10 @@
 package mal
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,16 +43,18 @@ type EntryResult struct {
 // recycler run-time support (Algorithm 1). A nil hook disables
 // recycling entirely.
 //
-// Implementations must be safe for concurrent use: the dataflow
-// scheduler invokes Entry and Exit from multiple goroutines — across
-// sessions sharing one hook, and for independent instructions within
-// a single query — and the interpreter takes no lock around either
+// Implementations must be safe for concurrent use: sessions sharing one
+// hook call it from their own goroutines, and within one query Exit may
+// run on a helper goroutine (see Run) concurrently with the next
+// instruction's Entry. The interpreter takes no lock around either
 // call, so all synchronisation (including any work an implementation
 // performs on behalf of a hit, such as combined subsumption's
 // piecewise execution) is the hook's own responsibility. Mutations of
-// per-query state must go through Ctx.UpdateStats.
+// per-query state must go through Ctx.UpdateStats. Neither call may
+// retain args: the slice is the query's scratch space.
 type RecyclerHook interface {
-	// Entry is called before executing a marked instruction.
+	// Entry is called before executing a marked instruction, always on
+	// the goroutine that called Run.
 	Entry(ctx *Ctx, pc int, in *Instr, args []Value) EntryResult
 	// Exit is called after a marked instruction executed (normally or
 	// through a rewrite) and decides admission to the pool. It returns
@@ -115,9 +119,10 @@ type Ctx struct {
 	// even without a hook (needed to report potential savings for
 	// naive runs).
 	Measure bool
-	// Workers bounds the intra-query parallelism of Run: 0 uses
-	// GOMAXPROCS, 1 forces sequential execution, n > 1 runs at most n
-	// independent instructions concurrently.
+	// Workers bounds the goroutines Run may use for this query: the
+	// calling one plus at most Workers-1 helpers, each started only when
+	// needed. 0 uses GOMAXPROCS; 1 means no helpers, which executes the
+	// plan in program order.
 	Workers int
 	// NoFusion disables fused select-chain execution for this context,
 	// forcing the per-instruction interpreter path even on templates
@@ -125,10 +130,10 @@ type Ctx struct {
 	NoFusion bool
 
 	// Trace, when non-nil, records one span per executed instruction.
-	// Span slots are written lock-free: each pc runs exactly once on
-	// one worker goroutine and the dataflow completion channel orders
-	// those writes before Finish. Nil disables tracing at the cost of
-	// a pointer test per instruction.
+	// Span slots are written lock-free: each pc completes exactly once
+	// on one goroutine, and a helper's completion channel orders its
+	// writes before Finish. Nil disables tracing at the cost of a
+	// pointer test per instruction.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives stage-latency observations
 	// (recycler lookup, schedule) into the process-wide histograms.
@@ -140,8 +145,8 @@ type Ctx struct {
 	Stats    QueryStats
 	Results  []Result
 
-	// mu guards Stats and Results while the dataflow scheduler runs
-	// instructions of this query on several goroutines.
+	// mu guards Stats and Results while helpers run instructions of
+	// this query on several goroutines.
 	mu sync.Mutex
 }
 
@@ -157,7 +162,7 @@ func (ctx *Ctx) UpdateStats(f func(*QueryStats)) {
 
 // AppendResult exports one named result. Export instructions are
 // chained in the dependency DAG, so results arrive in program order
-// even under the dataflow scheduler.
+// even when helpers execute them.
 func (ctx *Ctx) AppendResult(r Result) {
 	ctx.mu.Lock()
 	ctx.Results = append(ctx.Results, r)
@@ -165,171 +170,253 @@ func (ctx *Ctx) AppendResult(r Result) {
 }
 
 // begin validates the parameters and resets the context for one run.
-func (ctx *Ctx) begin(t *Template, params []Value) error {
+// The stack and the per-query argument slab share one allocation; the
+// slab (returned) holds nargs values.
+func (ctx *Ctx) begin(t *Template, params []Value, nargs int) ([]Value, error) {
 	if len(params) != len(t.Params) {
-		return fmt.Errorf("mal: %s expects %d params, got %d", t.Name, len(t.Params), len(params))
+		return nil, fmt.Errorf("mal: %s expects %d params, got %d", t.Name, len(t.Params), len(params))
 	}
+	vals := make([]Value, t.NumVars+nargs)
 	ctx.Template = t
-	ctx.Stack = make([]Value, t.NumVars)
+	ctx.Stack = vals[:t.NumVars:t.NumVars]
 	ctx.Results = ctx.Results[:0]
 	ctx.Stats = QueryStats{QueryID: ctx.QueryID}
 	for i, p := range params {
 		if p.Kind != t.Params[i].Kind {
-			return fmt.Errorf("mal: %s param %s expects %v, got %v", t.Name, t.Params[i].Name, t.Params[i].Kind, p.Kind)
+			return nil, fmt.Errorf("mal: %s param %s expects %v, got %v", t.Name, t.Params[i].Name, t.Params[i].Kind, p.Kind)
 		}
 		ctx.Stack[i] = p
 	}
-	return nil
+	return vals[t.NumVars:], nil
 }
 
 func wrapErr(t *Template, pc int, err error) error {
 	return fmt.Errorf("mal: %s pc=%d %s: %w", t.Name, pc, t.Instrs[pc].Name(), err)
 }
 
-// Run executes template t with the given parameter values on the
-// dataflow scheduler: the template's dependency DAG (derived at Freeze
-// time) drives a worker pool that executes independent instructions
-// concurrently, MonetDB's dataflow-optimizer analogue. ctx.Workers
-// bounds the parallelism; Workers == 1 (or a single-instruction plan)
-// falls back to RunSeq.
+// Run executes template t with the given parameter values. There is
+// one executor, and it runs on the calling goroutine: it walks the
+// template's dependency DAG (derived once per template) and probes
+// every instruction as soon as its predecessors completed — binding
+// arguments, taking a fused chain, asking the recycler hook's Entry —
+// so a pool hit completes the instruction on the spot. A miss leaves a
+// kernel to execute (then Exit). The calling goroutine runs kernels
+// itself; only when a kernel is ready while other instructions are
+// ready too does it hand the kernel to a helper goroutine, at most
+// ctx.Workers-1 of them per query, each started on first need.
+// All-hit queries and chain plans therefore never start a goroutine or
+// touch a channel, and with Workers == 1 the plan runs in program
+// order (the ready set yields its lowest pc first).
+//
+// A panic in an instruction, inline or on a helper, becomes the query's
+// error. On the first error the executor stops probing, drains the
+// kernels in flight and returns that error.
 func Run(ctx *Ctx, t *Template, params ...Value) error {
+	d := t.DAG()
+	slab, err := ctx.begin(t, params, d.argOff[len(d.argOff)-1])
+	if err != nil {
+		return err
+	}
+	start := time.Now()
 	workers := ctx.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(t.Instrs) {
-		workers = len(t.Instrs)
-	}
-	if workers <= 1 {
-		return RunSeq(ctx, t, params...)
-	}
-	if err := ctx.begin(t, params); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := runDataflow(ctx, t, workers); err != nil {
+	x := executor{ctx: ctx, t: t, d: d, slab: slab, maxHelpers: min(workers, len(t.Instrs)) - 1}
+	if err := x.run(start); err != nil {
 		return err
 	}
 	ctx.Stats.Elapsed = time.Since(start)
 	return nil
 }
 
-// RunSeq executes template t in program order on the calling goroutine
-// — the classical operator-at-a-time loop. It is the fallback for
-// single-worker contexts and the reference semantics the dataflow
-// scheduler must preserve.
-func RunSeq(ctx *Ctx, t *Template, params ...Value) error {
-	if err := ctx.begin(t, params); err != nil {
-		return err
-	}
-	if ctx.Trace != nil {
-		ctx.Trace.SetParents(dagParents(t))
-	}
-	start := time.Now()
-	for pc := range t.Instrs {
-		if err := step(ctx, pc, &t.Instrs[pc], 0); err != nil {
-			return wrapErr(t, pc, err)
-		}
-	}
-	ctx.Stats.Elapsed = time.Since(start)
-	return nil
+// executor is the state of one Run. Only the calling goroutine touches
+// it; helpers see kernels and send completions.
+type executor struct {
+	ctx  *Ctx
+	t    *Template
+	d    *DAG
+	slab []Value // argument slab, partitioned by d.argOff
+
+	indeg []int32
+	// ready holds the pcs whose predecessors completed, sorted
+	// descending so the lowest pops off the end.
+	ready []int32
+
+	maxHelpers int
+	helpers    int // started so far
+	busy       int // kernels handed to helpers and not yet completed
+	work       chan kernel
+	done       chan completion
+	err        error
 }
 
-// dagParents inverts the dependency DAG's successor lists into
-// per-instruction parent lists for the trace tree.
-func dagParents(t *Template) [][]int {
-	d := t.DAG()
-	parents := make([][]int, len(t.Instrs))
-	for pc, succs := range d.Succs {
-		for _, s := range succs {
-			parents[s] = append(parents[s], pc)
-		}
-	}
-	return parents
+// kernel is a probed instruction that still has to execute: its bound
+// arguments and the recycler's verdict on the miss.
+type kernel struct {
+	pc        int
+	in        *Instr
+	fn        OpFunc
+	args      []Value
+	rw        *Rewrite
+	reason    string
+	lookup    time.Duration
+	spanStart time.Time
+	monitored bool // the hook saw the miss: Exit follows the kernel
+	fused     int  // 1 + the fused chain this is the last member of; 0 if none
 }
 
-// runDataflow schedules the template's instructions over a worker
-// pool. A single coordinator (the calling goroutine) owns the ready
-// queue: workers report completions, the coordinator decrements
-// successor in-degrees and enqueues instructions as they become
-// runnable. On the first error it stops issuing work, drains what is
-// in flight and returns the error. Channel capacities equal the
-// instruction count, so neither side ever blocks on a full buffer.
-func runDataflow(ctx *Ctx, t *Template, workers int) error {
-	var schedStart time.Time
+type completion struct {
+	pc  int
+	err error
+}
+
+// run executes the plan; start is when Run began, which also starts the
+// schedule stage (set-up up to the first probe).
+func (x *executor) run(start time.Time) error {
+	ctx, n := x.ctx, len(x.t.Instrs)
+	ctx.Trace.SetParents(x.d.Parents)
+	buf := make([]int32, 2*n)
+	x.indeg, x.ready = buf[:n], buf[n:n]
+	for pc, nd := range x.d.NDeps {
+		x.indeg[pc] = int32(nd)
+	}
+	for i := len(x.d.Roots) - 1; i >= 0; i-- {
+		x.ready = append(x.ready, int32(x.d.Roots[i]))
+	}
 	if ctx.Trace != nil || ctx.Metrics != nil {
-		schedStart = time.Now()
-	}
-	if ctx.Trace != nil {
-		ctx.Trace.SetParents(dagParents(t))
-	}
-	d := t.DAG()
-	n := len(t.Instrs)
-	indeg := append([]int(nil), d.NDeps...)
-	type completion struct {
-		pc  int
-		err error
-	}
-	ready := make(chan int, n)
-	done := make(chan completion, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for pc := range ready {
-				done <- completion{pc, step(ctx, pc, &t.Instrs[pc], worker)}
-			}
-		}(w)
-	}
-	issued := 0
-	for _, pc := range d.Roots {
-		ready <- pc
-		issued++
-	}
-	if !schedStart.IsZero() {
-		sd := time.Since(schedStart)
+		sd := time.Since(start)
 		if ctx.Metrics != nil {
 			ctx.Metrics.Schedule.Observe(sd)
 		}
 		ctx.Trace.SetSchedule(sd)
 	}
-	var firstErr error
-	for completed := 0; completed < issued; completed++ {
-		c := <-done
-		if c.err != nil {
-			if firstErr == nil {
-				firstErr = wrapErr(t, c.pc, c.err)
+	for {
+		x.collect(false)
+		if x.err != nil || len(x.ready) == 0 {
+			if x.busy == 0 {
+				break
 			}
+			x.collect(true)
 			continue
 		}
-		if firstErr != nil {
-			continue // draining; do not issue successors
-		}
-		for _, s := range d.Succs[c.pc] {
-			if indeg[s]--; indeg[s] == 0 {
-				ready <- s
-				issued++
+		pc := int(x.ready[len(x.ready)-1])
+		x.ready = x.ready[:len(x.ready)-1]
+		k, done, err := x.probe(pc)
+		if err == nil && !done {
+			if len(x.ready) > 0 && x.handOff(k) {
+				continue
 			}
+			err = execute(ctx, &k, 0)
 		}
+		x.finish(pc, err)
 	}
-	close(ready)
-	wg.Wait()
-	return firstErr
+	if x.work != nil {
+		close(x.work)
+	}
+	return x.err
 }
 
-func step(ctx *Ctx, pc int, in *Instr, worker int) error {
-	tr := ctx.Trace // nil when tracing is disabled: the only cost below is pointer tests
-	var spanStart time.Time
-	if tr != nil {
-		spanStart = time.Now()
+// finish completes pc: the first error is kept (and stops further
+// probing), otherwise successors whose last predecessor this was
+// become ready.
+func (x *executor) finish(pc int, err error) {
+	if err != nil {
+		if x.err == nil {
+			x.err = wrapErr(x.t, pc, err)
+		}
+		return
 	}
-	if ctx.Template.fusedAt != nil {
-		if ci, last, ok := ctx.Template.fusedChainAt(pc); ok && fusionEligible(ctx, ci) {
-			return stepFused(ctx, pc, in, worker, ci, last, spanStart)
+	if x.err != nil {
+		return
+	}
+	for _, s := range x.d.Succs[pc] {
+		if x.indeg[s]--; x.indeg[s] == 0 {
+			i, _ := slices.BinarySearchFunc(x.ready, int32(s), func(a, b int32) int { return cmp.Compare(b, a) })
+			x.ready = slices.Insert(x.ready, i, int32(s))
 		}
 	}
-	args := make([]Value, len(in.Args))
+}
+
+// handOff gives k to an idle helper, starting one if the query may
+// have another. It reports false when every allowed helper is busy.
+func (x *executor) handOff(k kernel) bool {
+	if x.busy == x.helpers {
+		if x.helpers == x.maxHelpers {
+			return false
+		}
+		if x.work == nil {
+			// Capacity maxHelpers: busy never exceeds it, so neither
+			// side ever blocks on a full buffer.
+			x.work = make(chan kernel, x.maxHelpers)
+			x.done = make(chan completion, x.maxHelpers)
+		}
+		x.helpers++
+		go helper(x.ctx, x.work, x.done, x.helpers)
+	}
+	x.busy++
+	x.work <- k
+	return true
+}
+
+// collect finishes the helpers' completed kernels; block waits for at
+// least one.
+func (x *executor) collect(block bool) {
+	for x.busy > 0 {
+		var c completion
+		if block {
+			c, block = <-x.done, false
+		} else {
+			select {
+			case c = <-x.done:
+			default:
+				return
+			}
+		}
+		x.busy--
+		x.finish(c.pc, c.err)
+	}
+}
+
+// helper executes handed-off kernels until the query closes work.
+// Trace worker ids: 0 is the calling goroutine, helpers count from 1.
+func helper(ctx *Ctx, work <-chan kernel, done chan<- completion, worker int) {
+	for k := range work {
+		done <- completion{k.pc, execute(ctx, &k, worker)}
+	}
+}
+
+// panicked converts a recovered panic into the instruction's error.
+func panicked(r any) error { return fmt.Errorf("panic: %v", r) }
+
+// probe is the first half of an instruction: bind its arguments, take
+// a fused chain, and ask the recycler. done reports the instruction
+// complete (a pool hit, or a fused chain's skipped member); otherwise
+// k is the kernel left to execute.
+func (x *executor) probe(pc int) (k kernel, done bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicked(r)
+		}
+	}()
+	ctx := x.ctx
+	in := &x.t.Instrs[pc]
+	tr := ctx.Trace // nil when tracing is disabled: the only cost below is pointer tests
+	k = kernel{pc: pc, in: in}
+	if ci, last, ok := x.t.fusedChainAt(pc); ok && fusionEligible(ctx, ci) {
+		if tr != nil {
+			k.spanStart = time.Now()
+		}
+		if !last {
+			tr.SetFused(pc, x.t.fused[ci].Pcs[len(x.t.fused[ci].Pcs)-1:])
+			tr.EndSpan(pc, in.Name(), 0, k.spanStart, 0, 0, 0, 0)
+			return k, true, nil
+		}
+		k.fused = ci + 1
+		return k, false, nil
+	}
+	lo, hi := x.d.argOff[pc], x.d.argOff[pc+1]
+	args := x.slab[lo:hi:hi]
 	for i, a := range in.Args {
 		if a.IsConst() {
 			args[i] = a.Const
@@ -337,96 +424,90 @@ func step(ctx *Ctx, pc int, in *Instr, worker int) error {
 			args[i] = ctx.Stack[a.Var]
 		}
 	}
-
-	fn := lookupOp(in.Name())
-	if fn == nil {
-		return fmt.Errorf("unknown operation")
+	k.args = args
+	if k.fn = LookupOp(in.Name()); k.fn == nil {
+		return k, false, fmt.Errorf("unknown operation")
 	}
-
-	if in.Marked && ctx.Hook != nil {
+	if in.Marked && (ctx.Hook != nil || ctx.Measure) {
 		ctx.UpdateStats(func(s *QueryStats) {
 			s.Marked++
 			if in.Module != "sql" {
 				s.MarkedNonBind++
 			}
 		})
-		var lookStart time.Time
-		if tr != nil || ctx.Metrics != nil {
-			lookStart = time.Now()
+	}
+	monitored := in.Marked && ctx.Hook != nil
+	// One clock read starts the span and, for a monitored instruction,
+	// the recycler lookup: on an all-hit query clock reads are a large
+	// share of what the executor itself costs.
+	if tr != nil || monitored && ctx.Metrics != nil {
+		k.spanStart = time.Now()
+	}
+	if !monitored {
+		return k, false, nil
+	}
+	res := ctx.Hook.Entry(ctx, pc, in, args)
+	if !k.spanStart.IsZero() {
+		k.lookup = time.Since(k.spanStart)
+		if ctx.Metrics != nil {
+			ctx.Metrics.RecyclerLookup.Observe(k.lookup)
 		}
-		res := ctx.Hook.Entry(ctx, pc, in, args)
-		var lookup time.Duration
-		if !lookStart.IsZero() {
-			lookup = time.Since(lookStart)
-			if ctx.Metrics != nil {
-				ctx.Metrics.RecyclerLookup.Observe(lookup)
-			}
-		}
-		if res.Hit {
-			if in.Ret >= 0 {
-				ctx.Stack[in.Ret] = res.Val
-			}
-			if tr != nil {
-				tr.SetRecycle(pc, reasonOr(res.Reason, "hit"))
-				tr.EndSpan(pc, in.Name(), worker, spanStart, lookup, spanRows(args), res.Val.Tuples(), res.Val.Bytes())
-			}
-			return nil
-		}
-		execArgs := args
-		if res.Rewrite != nil {
-			execArgs = res.Rewrite.Args
-		}
-		start := time.Now()
-		ret, err := fn(ctx, in, execArgs)
-		elapsed := time.Since(start)
-		if err != nil {
-			return err
-		}
-		ctx.UpdateStats(func(s *QueryStats) { s.TimeInMarked += elapsed })
-		prov := ctx.Hook.Exit(ctx, pc, in, args, ret, elapsed, res.Rewrite)
-		ret.Prov = prov
+	}
+	if res.Hit {
 		if in.Ret >= 0 {
-			ctx.Stack[in.Ret] = ret
+			ctx.Stack[in.Ret] = res.Val
 		}
 		if tr != nil {
-			tr.SetRecycle(pc, reasonOr(res.Reason, "miss"))
-			tr.EndSpan(pc, in.Name(), worker, spanStart, lookup, spanRows(args), ret.Tuples(), ret.Bytes())
+			tr.SetRecycle(pc, reasonOr(res.Reason, "hit"))
+			tr.EndSpan(pc, in.Name(), 0, k.spanStart, k.lookup, spanRows(args), res.Val.Tuples(), res.Val.Bytes())
 		}
-		return nil
+		return k, true, nil
 	}
+	k.monitored, k.rw, k.reason = true, res.Rewrite, res.Reason
+	return k, false, nil
+}
 
-	// Regular execution without recycling.
-	if in.Marked && ctx.Measure {
-		ctx.UpdateStats(func(s *QueryStats) {
-			s.Marked++
-			if in.Module != "sql" {
-				s.MarkedNonBind++
-			}
-		})
-		start := time.Now()
-		ret, err := fn(ctx, in, args)
-		elapsed := time.Since(start)
-		if err != nil {
-			return err
+// execute is the second half of an instruction: run the kernel (with
+// the rewrite's arguments, if the recycler asked for one) and, for a
+// monitored miss, offer the result to the hook's Exit.
+func execute(ctx *Ctx, k *kernel, worker int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicked(r)
 		}
-		ctx.UpdateStats(func(s *QueryStats) { s.TimeInMarked += elapsed })
-		if in.Ret >= 0 {
-			ctx.Stack[in.Ret] = ret
-		}
-		if tr != nil {
-			tr.EndSpan(pc, in.Name(), worker, spanStart, 0, spanRows(args), ret.Tuples(), ret.Bytes())
-		}
-		return nil
+	}()
+	in := k.in
+	if k.fused > 0 {
+		return stepFused(ctx, k.pc, in, worker, k.fused-1, k.spanStart)
 	}
-	ret, err := fn(ctx, in, args)
+	timed := in.Marked && (k.monitored || ctx.Measure)
+	execArgs := k.args
+	if k.rw != nil {
+		execArgs = k.rw.Args
+	}
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	ret, err := k.fn(ctx, in, execArgs)
 	if err != nil {
 		return err
+	}
+	if timed {
+		elapsed := time.Since(start)
+		ctx.UpdateStats(func(s *QueryStats) { s.TimeInMarked += elapsed })
+		if k.monitored {
+			ret.Prov = ctx.Hook.Exit(ctx, k.pc, in, k.args, ret, elapsed, k.rw)
+		}
 	}
 	if in.Ret >= 0 {
 		ctx.Stack[in.Ret] = ret
 	}
-	if tr != nil {
-		tr.EndSpan(pc, in.Name(), worker, spanStart, 0, spanRows(args), ret.Tuples(), ret.Bytes())
+	if tr := ctx.Trace; tr != nil {
+		if k.monitored {
+			tr.SetRecycle(k.pc, reasonOr(k.reason, "miss"))
+		}
+		tr.EndSpan(k.pc, in.Name(), worker, k.spanStart, k.lookup, spanRows(k.args), ret.Tuples(), ret.Bytes())
 	}
 	return nil
 }
@@ -459,7 +540,9 @@ var opRegistry = map[string]OpFunc{}
 // overwrite earlier ones (used by tests to stub ops).
 func RegisterOp(name string, fn OpFunc) { opRegistry[name] = fn }
 
-func lookupOp(name string) OpFunc { return opRegistry[name] }
+// LookupOp returns the operation registered under "module.op", nil if
+// none (tests wrap an op and restore it with it).
+func LookupOp(name string) OpFunc { return opRegistry[name] }
 
 // HasOp reports whether an operation is registered.
 func HasOp(name string) bool { return opRegistry[name] != nil }
@@ -468,7 +551,7 @@ func HasOp(name string) bool { return opRegistry[name] != nil }
 // outside the normal interpreter loop. The optimizer's constant folder
 // and the recycler's delta propagation use it.
 func Eval(ctx *Ctx, in *Instr, args []Value) (Value, error) {
-	fn := lookupOp(in.Name())
+	fn := LookupOp(in.Name())
 	if fn == nil {
 		return Value{}, fmt.Errorf("mal: unknown operation %s", in.Name())
 	}

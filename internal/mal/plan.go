@@ -2,6 +2,7 @@ package mal
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -25,9 +26,12 @@ func C(v Value) Arg { return Arg{Var: -1, Const: v} }
 func (a Arg) IsConst() bool { return a.Var < 0 }
 
 // Instr is one abstract-machine instruction: module.op applied to
-// arguments, assigning result(s) to variable slots.
+// arguments, assigning result(s) to variable slots. Module and Op are
+// fixed at construction.
 type Instr struct {
 	Module, Op string
+	// name caches "module.op" for instructions built by a Builder.
+	name string
 	// Ret is the output variable slot (all engine ops are single-
 	// assignment, matching the paper's linear plans). Ret < 0 means
 	// the instruction is executed for its side effects only.
@@ -44,14 +48,20 @@ type Instr struct {
 	ParamDep bool
 }
 
-// Name returns "module.op".
-func (in *Instr) Name() string { return in.Module + "." + in.Op }
+// Name returns "module.op". Builder-made instructions carry it
+// precomputed; only hand-assembled ones concatenate.
+func (in *Instr) Name() string {
+	if in.name != "" {
+		return in.name
+	}
+	return in.Module + "." + in.Op
+}
 
 // HasSideEffect reports whether the instruction mutates query-visible
 // state beyond its result slot (the export family appends to the shared
 // result set). Side-effecting instructions keep program order relative
-// to each other under the dataflow scheduler, and root liveness in the
-// dead-code pass.
+// to each other even when helpers run instructions concurrently, and
+// root liveness in the dead-code pass.
 func (in *Instr) HasSideEffect() bool {
 	return in.Ret < 0 || in.Module == "sql" && (in.Op == "exportValue" || in.Op == "exportCol")
 }
@@ -180,18 +190,18 @@ func (b *Builder) alloc(name string) int {
 // to the result variable.
 func (b *Builder) Op1(module, op string, args ...Arg) Arg {
 	slot := b.alloc(fmt.Sprintf("X%d", b.nextVar))
-	b.t.Instrs = append(b.t.Instrs, Instr{Module: module, Op: op, Ret: slot, Args: args})
+	b.t.Instrs = append(b.t.Instrs, Instr{Module: module, Op: op, name: module + "." + op, Ret: slot, Args: args})
 	return V(slot)
 }
 
 // Do appends a side-effect instruction with no result variable.
 func (b *Builder) Do(module, op string, args ...Arg) {
-	b.t.Instrs = append(b.t.Instrs, Instr{Module: module, Op: op, Ret: -1, Args: args})
+	b.t.Instrs = append(b.t.Instrs, Instr{Module: module, Op: op, name: module + "." + op, Ret: -1, Args: args})
 }
 
-// Freeze finalises and returns the template. The dependency DAG for
-// the dataflow scheduler derives lazily on first use (and the
-// optimizer rebuilds it after rewriting the plan), so templates that
+// Freeze finalises and returns the template. The executor's dependency
+// DAG derives lazily on first use (and the optimizer rebuilds it after
+// rewriting the plan), so templates that
 // go straight into opt.Optimize do not pay for a graph that is
 // immediately discarded.
 func (b *Builder) Freeze() *Template {
@@ -213,6 +223,13 @@ type DAG struct {
 	// Roots lists the instructions with no predecessors — the initial
 	// ready set.
 	Roots []int
+	// Parents[i] lists instruction i's predecessors in ascending order
+	// (the trace tree's edges; shared by every trace of the template).
+	Parents [][]int
+
+	// argOff partitions one per-query argument slab by instruction:
+	// instruction i binds its arguments into slab[argOff[i]:argOff[i+1]].
+	argOff []int
 }
 
 // BuildDAG (re)derives the dependency DAG from the current instruction
@@ -235,7 +252,7 @@ func (t *Template) DAG() *DAG {
 
 func buildDAG(t *Template) *DAG {
 	n := len(t.Instrs)
-	d := &DAG{NDeps: make([]int, n), Succs: make([][]int, n)}
+	d := &DAG{NDeps: make([]int, n), Succs: make([][]int, n), Parents: make([][]int, n), argOff: make([]int, n+1)}
 	producer := make([]int, t.NumVars)
 	for i := range producer {
 		producer[i] = -1
@@ -279,7 +296,11 @@ func buildDAG(t *Template) *DAG {
 		}
 		if d.NDeps[i] == 0 {
 			d.Roots = append(d.Roots, i)
+		} else {
+			slices.Sort(preds)
+			d.Parents[i] = preds
 		}
+		d.argOff[i+1] = d.argOff[i] + len(in.Args)
 	}
 	return d
 }

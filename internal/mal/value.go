@@ -143,28 +143,39 @@ func (v Value) EqualConst(o Value) bool {
 // instructions with equal op names and equal argument keys compute the
 // same result, which is the recycler's run-time matching criterion.
 func (v Value) Key() string {
+	var buf [32]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's encoding to dst without allocating. Every
+// key is a kind letter plus a form that cannot contain the separators
+// the signature encoders join keys with, except a string, which is
+// length-prefixed ("s3:a,b"): a key list therefore parses back
+// unambiguously, so distinct operand lists never share a key.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.Kind {
 	case VBat:
-		return "e" + strconv.FormatUint(v.Prov, 10)
+		return strconv.AppendUint(append(dst, 'e'), v.Prov, 10)
 	case VInt:
-		return "i" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
 	case VFloat:
-		return "f" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.F, 'g', -1, 64)
 	case VStr:
-		return "s" + v.S
+		dst = strconv.AppendInt(append(dst, 's'), int64(len(v.S)), 10)
+		return append(append(dst, ':'), v.S...)
 	case VDate:
-		return "d" + strconv.FormatInt(int64(v.D), 10)
+		return strconv.AppendInt(append(dst, 'd'), int64(v.D), 10)
 	case VBool:
 		if v.B {
-			return "bT"
+			return append(dst, "bT"...)
 		}
-		return "bF"
+		return append(dst, "bF"...)
 	case VOid:
-		return "o" + strconv.FormatUint(uint64(v.O), 10)
+		return strconv.AppendUint(append(dst, 'o'), uint64(v.O), 10)
 	case VVoid:
-		return "v"
+		return append(dst, 'v')
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // String renders the value for debugging and pool dumps.

@@ -18,7 +18,7 @@
 //
 //   - Key() — the run-time exact-match key. BAT operands are named by
 //     the recycle pool entry id of their producer ("e12"), scalars by
-//     their typed literal key ("i7", "f0.5", "sfoo"). Entry ids die
+//     their typed literal key ("i7", "f0.5", "s3:foo"). Entry ids die
 //     with the process (and with evictions), so this key is only
 //     meaningful while the producers are pooled.
 //   - Canonical() — the durable, provenance-free key. Each BAT operand
@@ -35,22 +35,15 @@ import (
 	"repro/internal/mal"
 )
 
-// Operand is one argument of a signed instruction instance.
-type Operand struct {
-	// Bat marks a BAT operand; Prov is the recycle pool entry id of
-	// its producer.
-	Bat  bool
-	Prov uint64
-	// Key is the normalized literal matching key of a scalar operand.
-	Key string
-}
-
 // Signature is the structured semantic identity of one instruction
-// instance: the operation plus its canonical operands. Build it with
-// Sign; derive string keys with Key, Render and Canonical.
+// instance: the operation plus its operand values, BAT operands
+// standing for the pool entry that produced them (their Prov). Build
+// it with Sign; derive string keys with Key and Canonical.
 type Signature struct {
-	Op   string
-	Args []Operand
+	Op string
+	// Args aliases the instance's argument values: a Signature is a
+	// transient view and must not outlive the slice it was signed over.
+	Args []mal.Value
 }
 
 // Sign derives the signature of an instruction instance from its
@@ -59,41 +52,43 @@ type Signature struct {
 // admission credit): such an instance has no semantic identity the
 // pool could match, so neither matching nor admission is possible.
 func Sign(op string, args []mal.Value) (Signature, bool) {
-	s := Signature{Op: op, Args: make([]Operand, len(args))}
-	for i, a := range args {
-		if a.IsBat() {
-			if a.Prov == 0 {
-				return Signature{}, false
-			}
-			s.Args[i] = Operand{Bat: true, Prov: a.Prov}
-		} else {
-			s.Args[i] = Operand{Key: a.Key()}
+	for _, a := range args {
+		if a.IsBat() && a.Prov == 0 {
+			return Signature{}, false
 		}
 	}
-	return s, true
+	return Signature{Op: op, Args: args}, true
 }
 
-// Key renders the run-time exact-match key: operation plus the
-// provenance id of every BAT operand and the literal key of every
-// scalar. Two instances with equal keys compute the same result — the
-// recycler's matching criterion (paper §3.2).
-func (s Signature) Key() string {
-	var sb strings.Builder
-	sb.WriteString(s.Op)
-	sb.WriteByte('(')
-	for i, a := range s.Args {
+// AppendKey appends the run-time exact-match key of op over args to
+// dst — operation plus the provenance id of every BAT operand and the
+// literal key (mal.Value.AppendKey) of every scalar — without
+// allocating beyond dst's growth. Two instances with equal keys compute
+// the same result — the recycler's matching criterion (paper §3.2) —
+// and, literals being length-prefixed where they could contain a
+// separator, unequal operand lists never share a key. ok=false reports
+// a BAT operand without provenance (see Sign). It is the one key
+// encoder: Signature.Key is its string form, and the recycler's
+// exact-match probe encodes into a stack buffer with it.
+func AppendKey(dst []byte, op string, args []mal.Value) ([]byte, bool) {
+	dst = append(append(dst, op...), '(')
+	for i, a := range args {
+		if a.IsBat() && a.Prov == 0 {
+			return dst, false
+		}
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		if a.Bat {
-			sb.WriteByte('e')
-			writeUint(&sb, a.Prov)
-		} else {
-			sb.WriteString(a.Key)
-		}
+		dst = a.AppendKey(dst)
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return append(dst, ')'), true
+}
+
+// Key renders the run-time exact-match key (AppendKey as a string).
+func (s Signature) Key() string {
+	var buf [128]byte
+	key, _ := AppendKey(buf[:0], s.Op, s.Args)
+	return string(key)
 }
 
 // renderMaxConst bounds the rendered length of one scalar constant in
@@ -145,14 +140,14 @@ type CanonArg struct {
 func (s Signature) Canonical(resolve func(uint64) (string, bool)) (canon string, args []CanonArg, ok bool) {
 	args = make([]CanonArg, len(s.Args))
 	for i, a := range s.Args {
-		if a.Bat {
+		if a.IsBat() {
 			c, found := resolve(a.Prov)
 			if !found {
 				return "", nil, false
 			}
 			args[i] = CanonArg{Bat: true, Canon: c}
 		} else {
-			args[i] = CanonArg{Key: a.Key}
+			args[i] = CanonArg{Key: a.Key()}
 		}
 	}
 	return CanonKey(s.Op, args), args, true

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -32,7 +34,7 @@ func TestKeyScalarKinds(t *testing.T) {
 	if !ok {
 		t.Fatal("scalar-only signature must sign")
 	}
-	if got := sig.Key(); got != "x.y(i-4,f0.5,sab,bT,v)" {
+	if got := sig.Key(); got != "x.y(i-4,f0.5,s2:ab,bT,v)" {
 		t.Fatalf("key = %q", got)
 	}
 }
@@ -121,5 +123,72 @@ func TestRenderInstrHandlesDegenerateBat(t *testing.T) {
 	r := RenderInstr("algebra.select", []mal.Value{batVal(0), mal.IntV(3)})
 	if !strings.HasPrefix(r, "algebra.select(e") {
 		t.Fatalf("render = %q", r)
+	}
+}
+
+// TestKeysInjective: operand lists whose string literals are made of
+// the encoders' own separators never share a run-time or canonical key
+// unless they are the same list.
+func TestKeysInjective(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = ",()[]:s0e1"
+	randStr := func() string {
+		b := make([]byte, rng.Intn(6))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	// Producers 1..3 have canonical signatures over separator-laden
+	// literals too, all distinct.
+	canons := map[uint64]string{}
+	for p := uint64(1); p <= 3; p++ {
+		canons[p] = CanonKey("sql.bind", []CanonArg{{Key: mal.StrV(fmt.Sprint(p, ",)", randStr())).Key()}})
+	}
+	canonOf := func(id uint64) (string, bool) { c, ok := canons[id]; return c, ok }
+	randVal := func() mal.Value {
+		switch rng.Intn(4) {
+		case 0:
+			return batVal(uint64(1 + rng.Intn(3)))
+		case 1:
+			return mal.IntV(int64(rng.Intn(3)))
+		default:
+			return mal.StrV(randStr())
+		}
+	}
+	describe := func(args []mal.Value) string {
+		var sb strings.Builder
+		for _, a := range args {
+			fmt.Fprintf(&sb, "%d %q %d %d|", a.Kind, a.S, a.I, a.Prov)
+		}
+		return sb.String()
+	}
+	runtime, canonical := map[string]string{}, map[string]string{}
+	for i := 0; i < 50000; i++ {
+		args := make([]mal.Value, 1+rng.Intn(3))
+		for j := range args {
+			args[j] = randVal()
+		}
+		desc := describe(args)
+		key, ok := AppendKey(nil, "algebra.select", args)
+		if !ok {
+			t.Fatal("provenanced operands must encode")
+		}
+		if prev, seen := runtime[string(key)]; seen && prev != desc {
+			t.Fatalf("run-time key %q shared by %s and %s", key, prev, desc)
+		}
+		runtime[string(key)] = desc
+		sig, _ := Sign("algebra.select", args)
+		if sig.Key() != string(key) {
+			t.Fatalf("Signature.Key %q != AppendKey %q", sig.Key(), key)
+		}
+		canon, _, ok := sig.Canonical(canonOf)
+		if !ok {
+			t.Fatal("canonical must resolve")
+		}
+		if prev, seen := canonical[canon]; seen && prev != desc {
+			t.Fatalf("canonical key %q shared by %s and %s", canon, prev, desc)
+		}
+		canonical[canon] = desc
 	}
 }

@@ -21,10 +21,10 @@ func TestStaleAdmissionRefusedAfterUpdate(t *testing.T) {
 	// query's intermediates reach recycleExit).
 	f.queryID++
 	qid := f.queryID
-	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
+	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
 	f.rec.BeginQuery(qid, tmpl.ID)
 	f.cat.MustTable("sys", "t").Append([]catalog.Row{{"v": int64(1000), "w": int64(0)}})
-	if err := mal.RunSeq(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
+	if err := mal.Run(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
 		t.Fatal(err)
 	}
 	f.rec.EndQuery(qid)
@@ -59,8 +59,8 @@ func TestStaleHitRefusedAfterUpdate(t *testing.T) {
 	f.rec.BeginQuery(qid, tmpl.ID) // begins under the pre-commit epoch
 	f.cat.MustTable("sys", "t").Append([]catalog.Row{{"v": int64(25), "w": int64(0)}})
 
-	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
-	if err := mal.RunSeq(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
+	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+	if err := mal.Run(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
 		t.Fatal(err)
 	}
 	f.rec.EndQuery(qid)
@@ -99,8 +99,8 @@ func TestQueryBeginningDuringCommitWindowRefused(t *testing.T) {
 	f.queryID++
 	qid := f.queryID
 	f.rec.BeginQuery(qid, tmpl.ID) // begins inside the commit window
-	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
-	if err := mal.RunSeq(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
+	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+	if err := mal.Run(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Stats.Hits != 0 {
@@ -129,11 +129,11 @@ func TestUnrelatedUpdateDoesNotBlockAdmission(t *testing.T) {
 
 	f.queryID++
 	qid := f.queryID
-	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
+	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
 	f.rec.BeginQuery(qid, tmpl.ID)
 	// Commit to a table the query does not depend on, mid-flight.
 	other.Append([]catalog.Row{{"x": int64(1)}})
-	if err := mal.RunSeq(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
+	if err := mal.Run(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
 		t.Fatal(err)
 	}
 	f.rec.EndQuery(qid)

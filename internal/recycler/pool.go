@@ -285,14 +285,18 @@ func (p *Pool) canonOf(id uint64) (string, bool) {
 	return c.(string), true
 }
 
-// shard maps a signature to its shard (FNV-1a).
-func (p *Pool) shard(sig string) *sigShard {
+// shard maps a signature to its shard.
+func (p *Pool) shard(sig string) *sigShard { return &p.shards[sigHash(sig)%numSigShards] }
+
+// sigHash is FNV-1a over a signature in either spelling, so the hit
+// path can hash its stack-encoded key without converting it.
+func sigHash[S string | []byte](sig S) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(sig); i++ {
 		h ^= uint32(sig[i])
 		h *= 16777619
 	}
-	return &p.shards[h%numSigShards]
+	return h
 }
 
 // Tick advances and returns the virtual clock.
@@ -333,9 +337,11 @@ func (p *Pool) Lookup(sig string) *Entry {
 // signature and copies the entry's Result out under one shard read
 // lock, so a concurrent refreshResult (which swaps Result under the
 // shard's write lock) can never be observed torn. Blocked acquisitions
-// are counted for the contention telemetry.
-func (p *Pool) LookupHit(sig string) (e *Entry, res mal.Value, ok bool) {
-	sh := p.shard(sig)
+// are counted for the contention telemetry. The key is the caller's
+// encoding buffer (plan.AppendKey): indexing with string(key) does not
+// allocate.
+func (p *Pool) LookupHit(key []byte) (e *Entry, res mal.Value, ok bool) {
+	sh := &p.shards[sigHash(key)%numSigShards]
 	if !sh.mu.TryRLock() {
 		start := time.Now()
 		sh.mu.RLock()
@@ -346,7 +352,7 @@ func (p *Pool) LookupHit(sig string) (e *Entry, res mal.Value, ok bool) {
 			m.ShardLockWait.Observe(wait)
 		}
 	}
-	e = sh.bySig[sig]
+	e = sh.bySig[string(key)]
 	if e != nil {
 		res = e.Result
 	}

@@ -522,10 +522,11 @@ func (v epochView) usable(e *Entry) bool {
 // instance together with its encoded run-time matching key. It reports
 // matchable=false when a BAT argument has unknown provenance, in which
 // case neither matching nor admission is possible (the lineage was
-// cut, e.g. by an exhausted credit). This is the recycler's ONLY
-// identity derivation: the pool index, the spill tier's canonical keys
-// and the pool-dump rendering are all derived from the same Signature
-// value (see internal/plan).
+// cut, e.g. by an exhausted credit). The pool index, the spill tier's
+// canonical keys and the pool-dump rendering are all derived from this
+// Signature value (see internal/plan); Entry's exact probe encodes the
+// same key with plan.AppendKey, the one key encoder, without building
+// a Signature.
 func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string, matchable bool) {
 	sig, matchable = plan.Sign(in.Name(), args)
 	if !matchable {
@@ -547,28 +548,34 @@ func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string,
 // pre-commit OnBeforeUpdate makes usable() refuse the entry before
 // the underlying data can have changed. The subsumption paths scan
 // pool indexes and therefore take the writer lock (see subsume.go).
+//
+// The exact probe allocates nothing: the key is encoded into a stack
+// buffer and the pool indexes with it directly. A plan.Signature is
+// only built past a miss (spill reload, subsumption, Exit).
 func (r *Recycler) Entry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value) mal.EntryResult {
-	sig, key, matchable := signature(in, args)
-	if matchable {
-		if e, res, ok := r.pool.LookupHit(key); ok && r.usable(ctx, e) {
-			r.noteReuse(ctx, in, e)
-			ctx.UpdateStats(func(s *mal.QueryStats) {
-				s.Hits++
-				if in.Module != "sql" {
-					s.HitsNonBind++
-				}
-			})
-			return mal.EntryResult{Hit: true, Val: res, Reason: "hit:exact"}
-		}
-		// Second tier: an exact miss consults the disk-backed spill
-		// store before falling through to subsumption or recomputation.
-		if r.cfg.Spill != nil {
-			if res, ok := r.reloadFromSpill(ctx, pc, in, args, sig, key); ok {
-				return res
+	var buf [256]byte
+	key, matchable := plan.AppendKey(buf[:0], in.Name(), args)
+	if !matchable {
+		return mal.EntryResult{}
+	}
+	if e, res, ok := r.pool.LookupHit(key); ok && r.usable(ctx, e) {
+		r.noteReuse(ctx, in, e)
+		ctx.UpdateStats(func(s *mal.QueryStats) {
+			s.Hits++
+			if in.Module != "sql" {
+				s.HitsNonBind++
 			}
+		})
+		return mal.EntryResult{Hit: true, Val: res, Reason: "hit:exact"}
+	}
+	// Second tier: an exact miss consults the disk-backed spill store
+	// before falling through to subsumption or recomputation.
+	if r.cfg.Spill != nil {
+		if res, ok := r.reloadFromSpill(ctx, pc, in, args, key); ok {
+			return res
 		}
 	}
-	if r.cfg.Subsumption && matchable {
+	if r.cfg.Subsumption {
 		switch in.Name() {
 		case "algebra.select":
 			return r.subsumeSelect(ctx, pc, in, args)

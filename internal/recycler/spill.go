@@ -320,17 +320,18 @@ func entryFromSpill(rec *SpillRecord, sig string, dependsOn []uint64, tick int64
 // the instruction's canonical signature names a spilled record that
 // survives epoch validation, the record is re-admitted to the pool and
 // served as a hit; a record whose dependency versions no longer match
-// is dropped — the lazy invalidation of the tier. sig is the
-// instruction instance's structured signature, key its encoded
-// run-time form (the same values the exact-match lookup just missed
-// on); the canonical lookup key is derived from sig, lock-free,
-// through the pool's canonByID mirror.
-func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, sig plan.Signature, key string) (mal.EntryResult, bool) {
+// is dropped — the lazy invalidation of the tier. runtimeKey is the
+// instance's encoded run-time key (the exact-match lookup just missed
+// on it; the caller checked it is matchable); the canonical lookup key
+// is derived from the instance's signature, lock-free, through the
+// pool's canonByID mirror.
+func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, runtimeKey []byte) (mal.EntryResult, bool) {
 	tier := r.cfg.Spill
 	if tier == nil || tier.Empty() {
 		// Cheap gate: a cold tier must not add per-miss work.
 		return mal.EntryResult{}, false
 	}
+	sig, _ := plan.Sign(in.Name(), args)
 	canon, _, ok := sig.Canonical(r.pool.canonOf)
 	if !ok {
 		return mal.EntryResult{}, false
@@ -368,6 +369,7 @@ func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []m
 		return mal.EntryResult{}, false
 	}
 
+	key := string(runtimeKey)
 	r.lockWriter()
 	defer r.mu.Unlock()
 	// Re-validate under the writer lock: a commit may have landed

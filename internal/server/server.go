@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -312,12 +315,62 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers with v encoded by encoding/json. The body is
+// encoded before the header goes out, so a value JSON cannot represent
+// turns into a 500 with an error body instead of a 200 with none.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		enc.Encode(errorResponse{Error: "server: encode response: " + err.Error()})
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody sends a complete JSON body with its Content-Length, so the
+// response is never chunked.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
+}
+
+// bufPool recycles the /query request and response buffers. Buffers
+// that grew past maxPooledBuf (a huge statement or result) are dropped
+// rather than pinned in the pool.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		*b = (*b)[:0]
+		bufPool.Put(b)
+	}
+}
+
+// readBody appends the whole request body to dst.
+func readBody(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 func (s *Server) gateError(w http.ResponseWriter, err error) {
@@ -328,9 +381,17 @@ func (s *Server) gateError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
+// handleQuery answers POST /query. The request is decoded from a
+// pooled buffer, and a plain (non-trace) answer is encoded straight
+// from the result vectors into another one (appendQueryResponse);
+// ?trace=1 answers go through encoding/json.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
+	in := getBuf()
+	defer putBuf(in)
+	body, err := readBody((*in)[:0], r.Body)
+	*in = body
+	if err != nil || json.Unmarshal(body, &req) != nil || req.SQL == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "body must be JSON {\"sql\": \"SELECT ...\"}"})
 		return
 	}
@@ -340,10 +401,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 	s.queries.Add(1)
+	traced := r.URL.Query().Get("trace") == "1"
 	var res *repro.ExecResult
 	var qt *trace.QueryTrace
-	var err error
-	if r.URL.Query().Get("trace") == "1" {
+	if traced {
 		res, qt, err = s.execSQLTraced(req.SQL)
 	} else {
 		res, err = s.execSQL(req.SQL)
@@ -357,11 +418,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.MaxRows > 0 && req.MaxRows < maxRows {
 		maxRows = req.MaxRows
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Results: encodeResults(res.Results, maxRows),
-		Stats:   encodeStats(res.Stats),
-		Trace:   qt,
-	})
+	if traced {
+		writeJSON(w, http.StatusOK, QueryResponse{
+			Results: encodeResults(res.Results, maxRows),
+			Stats:   encodeStats(res.Stats),
+			Trace:   qt,
+		})
+		return
+	}
+	out := getBuf()
+	defer putBuf(out)
+	*out = appendQueryResponse((*out)[:0], res.Results, maxRows, res.Stats)
+	writeBody(w, http.StatusOK, *out)
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {

@@ -19,7 +19,7 @@ import (
 
 // newTestServer builds a small SkyServer catalog served with a
 // keepall recycler — the shared-pool multi-user setup of the paper.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	db := sky.Generate(2000, 17)
 	eng := repro.NewEngine(db.Cat, repro.WithRecycler(recycler.Config{
@@ -167,6 +167,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	const clients = 8
 	var wg sync.WaitGroup
 	codes := make(chan int, clients*20)
+	var firstDone sync.Once
+	first := make(chan struct{})
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -182,12 +184,14 @@ func TestGracefulShutdownDrains(t *testing.T) {
 					k, k+3, 50+k%30, 50+(k+7)%30)
 				_, code := postQuery(t, ts.URL, sql)
 				codes <- code
+				firstDone.Do(func() { close(first) })
 			}
 		}(c)
 	}
 
-	// Let some queries get in flight, then drain.
-	time.Sleep(20 * time.Millisecond)
+	// Drain once the first query completed: the others are in flight
+	// or still to come.
+	<-first
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

@@ -157,29 +157,22 @@ func (s *Server) serveLine(w *bufio.Writer, sess *repro.Session, word, line stri
 		res.Stats.HitsNonBind, res.Stats.MarkedNonBind)
 }
 
-// rowEscaper keeps stored values from breaking the protocol framing:
-// the field separator (tab), the statement terminator (newline) and
-// the escape character itself are escaped on the way out.
-var rowEscaper = strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n", "\r", "\\r")
-
+// writeRow writes one result column as a ROW line. Column values go
+// through appendCell's row spelling, which escapes the field separator
+// (tab), the statement terminator (newline, carriage return) and the
+// escape character itself, so stored data cannot break the framing; a
+// scalar is written in its display form, escaped the same way.
 func writeRow(w *bufio.Writer, r mal.Result, maxRows int) {
-	fmt.Fprintf(w, "ROW %s", r.Name)
+	line := append(append(make([]byte, 0, 64), "ROW "...), r.Name...)
 	if r.Val.Kind != mal.VBat {
-		fmt.Fprintf(w, "\t%s", rowEscaper.Replace(r.Val.String()))
-		fmt.Fprintln(w)
-		return
-	}
-	b := r.Val.Bat
-	if b != nil {
-		n := b.Len()
-		if n > maxRows {
-			n = maxRows
-		}
+		line = appendRowEscaped(append(line, '\t'), r.Val.String())
+	} else if b := r.Val.Bat; b != nil {
+		n := min(b.Len(), maxRows)
 		for i := 0; i < n; i++ {
-			fmt.Fprintf(w, "\t%s", rowEscaper.Replace(fmt.Sprintf("%v", jsonValue(b.Tail.Get(i)))))
+			line = appendCell(append(line, '\t'), b.Tail, i, rowWire)
 		}
 	}
-	fmt.Fprintln(w)
+	w.Write(append(line, '\n'))
 }
 
 func firstWord(line string) string {

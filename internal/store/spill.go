@@ -248,8 +248,16 @@ func (sp *Spill) Metas() []*recycler.SpillRecord {
 	return out
 }
 
+// spillFormat tags the metadata frame with the key encoding its canonical
+// signatures use. Format 2 length-prefixes string literals ("s3:abc");
+// an untagged record predates that, and its keys could alias new ones
+// (its literal '3:abc' reads like a new 'abc'), so it does not decode
+// and is removed at open like a corrupt file.
+const spillFormat uint32 = 0x32_4c_50_53 // "SPL2"
+
 func encodeSpillMeta(rec *recycler.SpillRecord) []byte {
 	e := &enc{}
+	e.u32(spillFormat)
 	e.str(rec.CanonSig)
 	e.str(rec.OpName)
 	e.str(rec.Render)
@@ -278,6 +286,9 @@ func encodeSpillMeta(rec *recycler.SpillRecord) []byte {
 
 func decodeSpillMeta(payload []byte) (*recycler.SpillRecord, error) {
 	d := &dec{b: payload}
+	if d.u32() != spillFormat {
+		return nil, ErrCorrupt
+	}
 	rec := &recycler.SpillRecord{
 		CanonSig: d.str(),
 		OpName:   d.str(),

@@ -2,12 +2,15 @@ package store
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/bat"
 	"repro/internal/catalog"
+	"repro/internal/mal"
 	"repro/internal/recycler"
 	"repro/internal/sky"
 )
@@ -584,5 +587,61 @@ func TestMaintainStaleSpillDropped(t *testing.T) {
 	}
 	if got := countOf(t, res2); got != before+1 {
 		t.Fatalf("post-restart result %d, want recomputed %d", got, before+1)
+	}
+}
+
+// TestSpillOldFormatRecordDoesNotLoad: a record written before the
+// length-prefixed literal encoding carries no format tag. Its canonical
+// keys could alias new ones, so opening the tier removes it like a
+// corrupt file, while a current record next to it loads.
+func TestSpillOldFormatRecordDoesNotLoad(t *testing.T) {
+	dir := t.TempDir()
+	tier, err := openSpill(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recycler.SpillRecord{
+		CanonSig: "algebra.likeselect([sql.bind(s3:sky,s8:dbobjec,s4:name,i0)],s5:3:abc)",
+		OpName:   "algebra.likeselect",
+		Args:     []recycler.SpillArg{{Bat: true, Canon: "sql.bind(s3:sky,s8:dbobjec,s4:name,i0)"}, {Key: "s5:3:abc"}},
+		Result:   mal.IntV(7),
+	}
+	tier.Spill(rec)
+
+	old := *rec
+	old.CanonSig = "algebra.likeselect([sql.bind(ssky,sdbobjec,sname,i0)],s3:abc)"
+	meta := encodeSpillMeta(&old)[4:] // the untagged layout
+	val := &enc{}
+	encodeValue(val, old.Result)
+	oldPath := filepath.Join(dir, "0123456789abcdef.spl")
+	f, err := os.Create(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(f, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(f, val.b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := openSpill(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := reopened.Stats(); n != 1 {
+		t.Fatalf("reopened tier holds %d records, want only the current one", n)
+	}
+	if _, ok := reopened.Lookup(old.CanonSig); ok {
+		t.Fatal("old-format record loaded")
+	}
+	if got, ok := reopened.Lookup(rec.CanonSig); !ok || got.Result.I != 7 {
+		t.Fatalf("current record lost: %+v %v", got, ok)
+	}
+	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
+		t.Fatalf("old-format file not removed at open: %v", err)
 	}
 }

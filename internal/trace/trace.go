@@ -12,9 +12,9 @@
 // run anywhere, which is what makes lock-wait histograms possible.
 //
 // The Recorder itself is lock-free for span writes: spans are indexed
-// by program counter, each pc executes exactly once on one worker
-// goroutine, and the dataflow scheduler's completion channel provides
-// the happens-before edge to the goroutine that calls Finish.
+// by program counter, each pc completes exactly once on one goroutine
+// (the query's own or a helper), and a helper's completion channel
+// provides the happens-before edge to the goroutine that calls Finish.
 package trace
 
 import (
@@ -179,8 +179,8 @@ func (r *Recorder) SetStages(parse, optimize time.Duration) {
 	r.stages.Optimize = optimize
 }
 
-// SetSchedule records the dataflow scheduling stage (DAG build +
-// worker spawn + root dispatch).
+// SetSchedule records the scheduling stage (trace parents, in-degree
+// and ready-set set-up before the first instruction is probed).
 func (r *Recorder) SetSchedule(d time.Duration) {
 	if r == nil {
 		return

@@ -12,6 +12,9 @@
 #                             missed select) at 1e2..1e4 pool entries
 #   profiles/commit.pprof     single-row INSERT / DELETE commits against a
 #                             warm maintained pool at 20k and 200k rows
+#   profiles/hit.pprof        a whole-query exact hit through Engine.Exec
+#                             (tracer on); hit-server.pprof the same
+#                             statement as a POST /query round trip
 #   profiles/*.top.txt        `go tool pprof -top` summaries
 # Usage: scripts/profile.sh [objects] [queries]   (defaults 20000 200)
 set -euo pipefail
@@ -42,6 +45,14 @@ go test ./internal/recycler/ -run '^$' \
   -benchtime 300x -benchmem -cpuprofile profiles/commit.pprof \
   -o profiles/recycler.test | tee profiles/commit.bench.txt
 
+echo "== hit path (a full hit should cost what the pool probes cost) =="
+go test . -run '^$' -bench 'BenchmarkEngineHit' \
+  -benchtime 20000x -benchmem -cpuprofile profiles/hit.pprof \
+  -o profiles/repro.test | tee profiles/hit.bench.txt
+go test ./internal/server/ -run '^$' -bench 'BenchmarkServerQueryHit' \
+  -benchtime 5000x -benchmem -cpuprofile profiles/hit-server.pprof \
+  -o profiles/server.test | tee -a profiles/hit.bench.txt
+
 echo "== top functions =="
 go tool pprof -top -nodecount 25 profiles/skybench.pprof \
   | tee profiles/skybench.top.txt
@@ -51,5 +62,9 @@ go tool pprof -top -nodecount 25 profiles/recycler.test profiles/misspath.pprof 
   | tee profiles/misspath.top.txt
 go tool pprof -top -nodecount 25 profiles/recycler.test profiles/commit.pprof \
   | tee profiles/commit.top.txt
+go tool pprof -top -nodecount 25 profiles/repro.test profiles/hit.pprof \
+  | tee profiles/hit.top.txt
+go tool pprof -top -nodecount 25 profiles/server.test profiles/hit-server.pprof \
+  | tee profiles/hit-server.top.txt
 
 echo "profiles written to profiles/ (open with: go tool pprof -http :8080 <file>)"
