@@ -4,6 +4,10 @@
 // together with the pool statistics after every statement — a live
 // view of the paper's mechanism.
 //
+// INSERT INTO ... VALUES and DELETE FROM ... WHERE col = literal
+// commit through the same engine, so the next query shows the
+// recycler's update synchronisation (§6).
+//
 // Usage:
 //
 //	sqlshell -db tpch -sf 0.01
@@ -122,6 +126,10 @@ func explainAnalyze(eng *repro.Engine, src string) {
 		fmt.Println("error:", err)
 		return
 	}
+	if res.Op != "" {
+		fmt.Printf("-- %s %d rows (writes are not traced)\n", res.Op, res.RowsAffected)
+		return
+	}
 	qt.Format(os.Stdout)
 	for _, r := range res.Results {
 		if r.Val.Kind == mal.VBat {
@@ -136,6 +144,10 @@ func runSQL(eng *repro.Engine, src string) {
 	res, err := eng.ExecSQL(src)
 	if err != nil {
 		fmt.Println("error:", err)
+		return
+	}
+	if res.Op != "" {
+		fmt.Printf("-- %s %d rows\n", res.Op, res.RowsAffected)
 		return
 	}
 	for _, r := range res.Results {

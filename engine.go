@@ -26,6 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/algebra"
+	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/mal"
 	"repro/internal/opt"
@@ -52,6 +54,7 @@ type Engine struct {
 	cat     *catalog.Catalog
 	rec     *recycler.Recycler
 	fe      *sqlfe.Frontend
+	stmts   stmtCache
 	tracer  *trace.Tracer
 	queryID atomic.Uint64
 	errors  atomic.Uint64
@@ -121,7 +124,7 @@ func WithTracer(t *trace.Tracer) Option {
 
 // NewEngine creates an engine over the catalog.
 func NewEngine(cat *catalog.Catalog, opts ...Option) *Engine {
-	e := &Engine{cat: cat, fe: sqlfe.NewFrontend(cat)}
+	e := &Engine{cat: cat, fe: sqlfe.NewFrontend(cat), stmts: stmtCache{m: make(map[string]cachedStmt)}}
 	for _, o := range opts {
 		o(e)
 	}
@@ -146,51 +149,128 @@ func (e *Engine) Compile(t *mal.Template) *mal.Template {
 	return opt.Optimize(t, opt.Options{})
 }
 
-// ExecResult carries a query's exported results and statistics.
+// ExecResult carries a statement's outcome: a query's exported
+// results and statistics, or a write's verb and row count.
 type ExecResult struct {
 	Results []mal.Result
 	Stats   mal.QueryStats
+	// Op is "insert" or "delete" for a write and empty for a query;
+	// RowsAffected is the number of rows the write inserted or deleted.
+	Op           string
+	RowsAffected int
 }
 
-// ExecSQL parses, compiles (through the template cache) and executes
-// an SQL query in the supported subset. Literals are factored into
-// template parameters, so repeated shapes share one template and the
-// recycler can match across instances (paper §2.2).
+// ExecSQL runs one SQL statement. A SELECT compiles through the
+// template cache and executes: literals are factored into template
+// parameters, so repeated shapes share one template and the recycler
+// can match across instances (paper §2.2). An INSERT or DELETE commits
+// through the catalog (Table.Append / Table.Delete), so the recycler's
+// commit listeners and the durability hook see it like any in-process
+// update (§6).
+//
+// A SELECT text seen before is served from the engine's exact-text
+// statement cache: the stored template and parameters re-run with no
+// front-end work at all.
 func (e *Engine) ExecSQL(src string) (*ExecResult, error) {
-	tmpl, params, tm, err := e.CompileSQLTimed(src)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := e.exec(tmpl, params, src, false, tm.Parse, tm.Optimize)
+	res, _, err := e.execSQL(src, false)
 	return res, err
 }
 
 // ExecSQLTraced is ExecSQL returning the per-instruction query trace
-// as well. The trace is non-nil only when a tracer is attached
-// (WithTracer); EXPLAIN ANALYZE and the server's ?trace=1 path build
-// on it.
+// as well. The trace is non-nil only for a query on an engine with a
+// tracer (WithTracer); EXPLAIN ANALYZE and the server's ?trace=1 path
+// build on it.
 func (e *Engine) ExecSQLTraced(src string) (*ExecResult, *trace.QueryTrace, error) {
-	tmpl, params, tm, err := e.CompileSQLTimed(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.exec(tmpl, params, src, true, tm.Parse, tm.Optimize)
+	return e.execSQL(src, true)
 }
 
-// CompileSQL parses the SQL text and returns the cached template plus
-// this instance's parameter values, without executing. Servers use it
-// to implement prepared statements over the shared shape cache.
-// Failed compiles count toward EngineStats.Errors, like failed
-// executions.
+func (e *Engine) execSQL(src string, wantTrace bool) (*ExecResult, *trace.QueryTrace, error) {
+	if st, ok := e.stmts.get(src); ok {
+		return e.exec(st.tmpl, st.params, src, wantTrace, 0, 0)
+	}
+	t0 := time.Now()
+	stmt, err := sqlfe.ParseStatement(src)
+	if err != nil {
+		e.errors.Add(1)
+		return nil, nil, err
+	}
+	var res *ExecResult
+	switch s := stmt.(type) {
+	case *sqlfe.Query:
+		tmpl, params, tm, err := e.compileQuery(s, t0)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.stmts.put(src, cachedStmt{tmpl, params})
+		return e.exec(tmpl, params, src, wantTrace, tm.Parse, tm.Optimize)
+	case *sqlfe.Insert:
+		res, err = e.insert(s)
+	case *sqlfe.Delete:
+		res, err = e.delete(s)
+	}
+	if err != nil {
+		e.errors.Add(1)
+	}
+	return res, nil, err
+}
+
+// insert applies a parsed INSERT.
+func (e *Engine) insert(s *sqlfe.Insert) (*ExecResult, error) {
+	t, rows, err := s.Bind(e.cat)
+	if err != nil {
+		return nil, err
+	}
+	t.Append(rows)
+	return &ExecResult{Op: "insert", RowsAffected: len(rows)}, nil
+}
+
+// delete applies a parsed DELETE: one probe when the column carries a
+// unique key index, one equality filter over the bound column (the
+// same kernel a uselect runs) otherwise. Bind snapshots the live rows
+// and LookupKey skips tombstones, so a deleted row is never deleted
+// twice.
+func (e *Engine) delete(s *sqlfe.Delete) (*ExecResult, error) {
+	t, col, v, err := s.Bind(e.cat)
+	if err != nil {
+		return nil, err
+	}
+	var oids []bat.Oid
+	if v.Kind == mal.VInt && t.HasKeyIndex(col.Name) {
+		if oid, ok := t.LookupKey(col.Name, v.I); ok {
+			oids = []bat.Oid{oid}
+		}
+	} else {
+		eq, _ := mal.FilterPred("algebra.uselect", []mal.Value{{}, v}) // a filter name with its arity: always ok
+		rows := algebra.Filter(col.Bind(), eq)
+		oids = make([]bat.Oid, rows.Len())
+		for i := range oids {
+			oids[i] = bat.OidAt(rows.Head, i)
+		}
+	}
+	t.Delete(oids)
+	return &ExecResult{Op: "delete", RowsAffected: len(oids)}, nil
+}
+
+// CompileSQL parses a SELECT and returns the cached template plus this
+// instance's parameter values, without executing (and without the
+// statement cache). Failed compiles count toward EngineStats.Errors,
+// like failed executions.
 func (e *Engine) CompileSQL(src string) (*mal.Template, []mal.Value, error) {
-	tmpl, params, _, err := e.CompileSQLTimed(src)
+	t0 := time.Now()
+	q, err := sqlfe.Parse(src)
+	if err != nil {
+		e.errors.Add(1)
+		return nil, nil, err
+	}
+	tmpl, params, _, err := e.compileQuery(q, t0)
 	return tmpl, params, err
 }
 
-// CompileSQLTimed is CompileSQL plus front-end stage timing; when a
-// tracer is attached the parse/optimize histograms are fed here.
-func (e *Engine) CompileSQLTimed(src string) (*mal.Template, []mal.Value, sqlfe.CompileTiming, error) {
-	tmpl, params, tm, err := e.fe.CompileTimed(src)
+// compileQuery compiles a query parsed since start through the front
+// end's shape cache; when a tracer is attached the parse/optimize
+// histograms are fed here.
+func (e *Engine) compileQuery(q *sqlfe.Query, start time.Time) (*mal.Template, []mal.Value, sqlfe.CompileTiming, error) {
+	tmpl, params, tm, err := e.fe.CompileQuery(q, start)
 	if err != nil {
 		e.errors.Add(1)
 		return nil, nil, tm, err
@@ -212,11 +292,9 @@ func (e *Engine) Exec(t *mal.Template, params ...mal.Value) (*ExecResult, error)
 }
 
 // ExecTraced is Exec returning the per-instruction query trace as
-// well. sql labels the trace; parse/optimize, when known (a compile
-// the caller timed itself, e.g. through a prepared-statement cache),
-// seed the trace's front-end stages.
-func (e *Engine) ExecTraced(sql string, parse, optimize time.Duration, t *mal.Template, params ...mal.Value) (*ExecResult, *trace.QueryTrace, error) {
-	return e.exec(t, params, sql, true, parse, optimize)
+// well; sql labels the trace.
+func (e *Engine) ExecTraced(sql string, t *mal.Template, params ...mal.Value) (*ExecResult, *trace.QueryTrace, error) {
+	return e.exec(t, params, sql, true, 0, 0)
 }
 
 // exec is the shared execution body. When a tracer is attached every
@@ -274,6 +352,15 @@ type EngineStats struct {
 
 	// TemplateCache reports the SQL front end's shape cache.
 	TemplateCache sqlfe.CacheStats
+	// Statements reports the exact-text statement cache in front of it.
+	Statements StatementStats
+}
+
+// StatementStats is a snapshot of the engine's statement cache.
+type StatementStats struct {
+	Hits   uint64 // SELECTs re-run from a cached text
+	Misses uint64 // SELECTs compiled through the front end and cached
+	Texts  int    // distinct SQL texts cached
 }
 
 // StatsSnapshot captures the engine-wide statistics. It is safe to
@@ -286,6 +373,7 @@ func (e *Engine) StatsSnapshot() EngineStats {
 		Queries:       e.queryID.Load(),
 		Errors:        e.errors.Load(),
 		TemplateCache: e.fe.CacheStats(),
+		Statements:    e.stmts.stats(),
 	}
 	if e.rec != nil {
 		s.Recycling = true
@@ -313,7 +401,8 @@ type Session struct {
 // NewSession opens a client session on the engine.
 func (e *Engine) NewSession() *Session { return &Session{e: e} }
 
-// ExecSQL executes one SQL query on the session's engine.
+// ExecSQL executes one SQL statement on the session's engine. Only
+// queries count toward the session's statistics.
 func (s *Session) ExecSQL(src string) (*ExecResult, error) {
 	res, err := s.e.ExecSQL(src)
 	s.note(res)
@@ -328,8 +417,8 @@ func (s *Session) Exec(t *mal.Template, params ...mal.Value) (*ExecResult, error
 }
 
 func (s *Session) note(res *ExecResult) {
-	if res == nil {
-		return
+	if res == nil || res.Op != "" {
+		return // failed, or a write: only queries count
 	}
 	s.mu.Lock()
 	s.queries++
@@ -352,4 +441,55 @@ func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SessionStats{Queries: s.queries, Hits: s.hits, Marked: s.marked, SumQueryTime: s.elapsed}
+}
+
+// stmtCacheLimit bounds the statement cache.
+const stmtCacheLimit = 1024
+
+// stmtCache keys SELECTs on their exact SQL text: a repeated text
+// skips lexing, parsing, normalization and parameter extraction and
+// re-runs the stored template with the stored parameters. Only SELECTs
+// enter — every INSERT text is new, and caching writes would push hot
+// queries out. When full, an arbitrary entry is dropped (map iteration
+// order), good enough for entries that are all equally cheap to
+// rebuild.
+type stmtCache struct {
+	mu     sync.Mutex
+	m      map[string]cachedStmt
+	hits   atomic.Uint64
+	misses atomic.Uint64
+}
+
+type cachedStmt struct {
+	tmpl   *mal.Template
+	params []mal.Value
+}
+
+func (c *stmtCache) get(src string) (cachedStmt, bool) {
+	c.mu.Lock()
+	st, ok := c.m[src]
+	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	}
+	return st, ok
+}
+
+func (c *stmtCache) put(src string, st cachedStmt) {
+	c.misses.Add(1)
+	c.mu.Lock()
+	if _, ok := c.m[src]; !ok && len(c.m) >= stmtCacheLimit {
+		for k := range c.m {
+			delete(c.m, k)
+			break
+		}
+	}
+	c.m[src] = st
+	c.mu.Unlock()
+}
+
+func (c *stmtCache) stats() StatementStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return StatementStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Texts: len(c.m)}
 }

@@ -55,7 +55,7 @@ func main() {
 	}
 
 	st := eng.StatsSnapshot()
-	fmt.Printf("\nquery cache: %d templates for %d queries (%d cache hits)\n",
-		st.TemplateCache.Size, len(queries), st.TemplateCache.Hits)
+	fmt.Printf("\nquery cache: %d templates for %d queries (%d repeated texts, %d shape hits)\n",
+		st.TemplateCache.Size, len(queries), st.Statements.Hits, st.TemplateCache.Hits)
 	fmt.Printf("recycle pool: %d entries, %d KB\n", st.Recycler.Entries, st.Recycler.Bytes/1024)
 }

@@ -233,8 +233,10 @@ var WriterContextFuncs = map[string]bool{
 // regression this table exists to catch.
 var AtomicFields = map[string]bool{
 	// repro (engine)
-	"repro.Engine.queryID": true,
-	"repro.Engine.errors":  true,
+	"repro.Engine.queryID":   true,
+	"repro.Engine.errors":    true,
+	"repro.stmtCache.hits":   true,
+	"repro.stmtCache.misses": true,
 	// pool entries — the lock-free hit path mutates these concurrently
 	"repro/internal/recycler.Entry.SavedTotal":  true,
 	"repro/internal/recycler.Entry.LastUseTick": true,
@@ -263,13 +265,11 @@ var AtomicFields = map[string]bool{
 	"repro/internal/opt.Stats.CSEMerged": true,
 	"repro/internal/opt.Stats.Commuted":  true,
 	// server counters
-	"repro/internal/server.Server.queries":        true,
-	"repro/internal/server.Server.execs":          true,
-	"repro/internal/server.Server.errorsN":        true,
-	"repro/internal/server.Server.rejected":       true,
-	"repro/internal/server.Server.active":         true,
-	"repro/internal/server.preparedCache.hitsN":   true,
-	"repro/internal/server.preparedCache.missesN": true,
+	"repro/internal/server.Server.queries":  true,
+	"repro/internal/server.Server.execs":    true,
+	"repro/internal/server.Server.errorsN":  true,
+	"repro/internal/server.Server.rejected": true,
+	"repro/internal/server.Server.active":   true,
 	// store + mal
 	"repro/internal/store.Store.walErr": true,
 	"repro/internal/mal.Template.dag":   true,

@@ -3,26 +3,28 @@
 // recycler is designed for: many clients' queries sharing one recycle
 // pool (the SkyServer setting of §8).
 //
-// Two protocols front one shared Engine:
+// Two protocols front one shared Engine, and both are codecs over
+// Engine.ExecSQL — the one place a statement is parsed and run:
 //
 //   - HTTP/JSON: POST /query executes a SELECT and returns rows plus
-//     per-query recycler statistics; POST /exec runs a small DML
-//     subset (INSERT, DELETE) for effect, exercising the update
-//     synchronisation path (§6) over the wire; GET /stats returns the
-//     engine-wide EngineStats snapshot as JSON; GET /metrics renders
-//     the same counters in Prometheus text format; GET /healthz is a
-//     liveness probe.
+//     per-query recycler statistics; POST /exec runs an INSERT or
+//     DELETE for effect, exercising the update synchronisation path
+//     (§6) over the wire (each endpoint refuses the other's statements
+//     with a 400 before they run); GET /stats returns the engine-wide
+//     EngineStats snapshot as JSON; GET /metrics renders the same
+//     counters in Prometheus text format; GET /healthz is a liveness
+//     probe.
 //   - A line-oriented TCP protocol: one repro.Session per connection,
 //     one SQL statement per line, results as tab-separated ROW lines
 //     terminated by an OK or ERR line (see tcp.go for the grammar).
 //
 // Every statement passes a configurable max-concurrency admission
 // gate, so a flood of clients queues at the door instead of piling
-// onto the interpreter. Identical statement texts are served from a
-// server-side prepared-statement cache keyed on the SQL string, which
-// skips the parser entirely and feeds the same shape-cached template
-// the SQL front end would produce — repeated traffic reaches the
-// recycler's matcher with minimal overhead.
+// onto the interpreter. Identical SELECT texts are served from the
+// engine's exact-text statement cache, which skips the SQL front end
+// entirely — repeated traffic reaches the recycler's matcher with
+// minimal overhead; /stats and /metrics report it as the prepared_*
+// counters.
 //
 // Shutdown drains: new statements are refused, in-flight ones run to
 // completion (releasing their recycler pins via Engine.Exec's paired

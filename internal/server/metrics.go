@@ -40,8 +40,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		"Statements compiled through the SQL front end.", st.Server.PreparedMisses)
 	metric("repro_server_prepared_texts", "gauge",
 		"Distinct SQL texts in the prepared-statement cache.", st.Server.PreparedTexts)
-	metric("repro_server_prepared_shapes", "gauge",
-		"Distinct normalized shapes those texts collapse onto (texts/shapes = spellings shared per shape).", st.Server.PreparedShapes)
 
 	metric("repro_engine_queries_total", "counter",
 		"Queries started by the engine.", st.Engine.Queries)

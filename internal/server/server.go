@@ -18,6 +18,7 @@ import (
 
 	"repro"
 	"repro/internal/mal"
+	"repro/internal/sqlfe"
 	"repro/internal/trace"
 )
 
@@ -62,15 +63,13 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 	connWG    sync.WaitGroup // TCP connection handlers
 
-	prepared *preparedCache
-
 	// metrics is the engine tracer's histogram registry, or a detached
 	// (never-fed) one when tracing is off so /metrics always exposes the
 	// full set of families.
 	metrics *trace.Metrics
 
-	queries  atomic.Uint64 // /query + TCP SELECTs accepted past the gate
-	execs    atomic.Uint64 // /exec statements accepted past the gate
+	queries  atomic.Uint64 // /query + TCP queries accepted past the gate
+	execs    atomic.Uint64 // /exec + TCP writes accepted past the gate
 	errorsN  atomic.Uint64 // statements that returned an error
 	rejected atomic.Uint64 // statements refused (gate timeout or shutdown)
 	active   atomic.Int64  // statements currently past the gate
@@ -91,12 +90,11 @@ func New(eng *repro.Engine, cfg Config) *Server {
 		metrics = trace.NewMetrics()
 	}
 	return &Server{
-		eng:      eng,
-		cfg:      cfg,
-		gate:     make(chan struct{}, cfg.MaxConcurrency),
-		conns:    make(map[net.Conn]struct{}),
-		prepared: newPreparedCache(1024),
-		metrics:  metrics,
+		eng:     eng,
+		cfg:     cfg,
+		gate:    make(chan struct{}, cfg.MaxConcurrency),
+		conns:   make(map[net.Conn]struct{}),
+		metrics: metrics,
 	}
 }
 
@@ -141,29 +139,12 @@ func (s *Server) release() {
 	<-s.gate
 }
 
-// execSQL runs one SELECT through the prepared-statement cache under
-// the gate (already acquired by the caller).
-func (s *Server) execSQL(src string) (*repro.ExecResult, error) {
-	tmpl, params, err := s.prepared.compile(s.eng, src)
-	if err != nil {
-		return nil, err
-	}
-	return s.eng.Exec(tmpl, params...)
-}
-
-// execSQLTraced is execSQL returning the per-instruction trace as
-// well (nil when the engine has no tracer). Front-end timings are not
-// threaded through the prepared cache — a prepared hit skips the
-// front end entirely — so the trace's parse/optimize stages read zero
-// here; the stage histograms are still fed on cache misses inside
-// Engine.CompileSQL.
-func (s *Server) execSQLTraced(src string) (*repro.ExecResult, *trace.QueryTrace, error) {
-	tmpl, params, err := s.prepared.compile(s.eng, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.eng.ExecTraced(src, 0, 0, tmpl, params...)
-}
+// The HTTP endpoints are typed: each refuses the other's statements
+// before they run.
+var (
+	errQueryWrite = errors.New("server: /query runs SELECT; send INSERT and DELETE to /exec")
+	errExecQuery  = errors.New("server: /exec runs INSERT and DELETE; send SELECT to /query")
+)
 
 // Shutdown gracefully stops the server: listeners close, new
 // statements are refused, in-flight statements run to completion
@@ -404,10 +385,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	traced := r.URL.Query().Get("trace") == "1"
 	var res *repro.ExecResult
 	var qt *trace.QueryTrace
-	if traced {
-		res, qt, err = s.execSQLTraced(req.SQL)
-	} else {
-		res, err = s.execSQL(req.SQL)
+	switch {
+	case sqlfe.IsWrite(req.SQL):
+		err = errQueryWrite
+	case traced:
+		res, qt, err = s.eng.ExecSQLTraced(req.SQL)
+	default:
+		res, err = s.eng.ExecSQL(req.SQL)
 	}
 	if err != nil {
 		s.errorsN.Add(1)
@@ -444,13 +428,19 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 	s.execs.Add(1)
-	op, n, err := execDML(s.eng.Catalog(), req.SQL)
+	var res *repro.ExecResult
+	var err error
+	if sqlfe.IsWrite(req.SQL) {
+		res, err = s.eng.ExecSQL(req.SQL)
+	} else {
+		err = errExecQuery
+	}
 	if err != nil {
 		s.errorsN.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, ExecResponse{Op: op, RowsAffected: n})
+	writeJSON(w, http.StatusOK, ExecResponse{Op: res.Op, RowsAffected: res.RowsAffected})
 }
 
 // StatsResponse is the body of GET /stats: the engine snapshot plus
@@ -468,23 +458,21 @@ type ServerStats struct {
 	Rejected       uint64 `json:"rejected"`
 	Active         int64  `json:"active"`
 	MaxConcurrency int    `json:"max_concurrency"`
+	// PreparedHits / PreparedMisses / PreparedTexts mirror the
+	// engine's exact-text statement cache (EngineStats.Statements):
+	// SELECTs re-run from a cached text, SELECTs compiled and cached,
+	// and the texts held. Texts over EngineStats.TemplateCache.Size is
+	// the spellings each normalized shape absorbed.
 	PreparedHits   uint64 `json:"prepared_hits"`
 	PreparedMisses uint64 `json:"prepared_misses"`
-	// PreparedTexts / PreparedShapes report the prepared-statement
-	// cache's normalized-shape sharing: how many distinct SQL texts
-	// are cached and how many normalized shapes they collapse onto.
-	// texts/shapes is the average number of spellings each shape
-	// absorbed.
-	PreparedTexts  int `json:"prepared_texts"`
-	PreparedShapes int `json:"prepared_shapes"`
+	PreparedTexts  int    `json:"prepared_texts"`
 }
 
 // Stats snapshots the serving layer and the engine underneath.
 func (s *Server) Stats() StatsResponse {
-	ph, pm := s.prepared.stats()
-	texts, shapes := s.prepared.shapeStats()
+	es := s.eng.StatsSnapshot()
 	return StatsResponse{
-		Engine: s.eng.StatsSnapshot(),
+		Engine: es,
 		Server: ServerStats{
 			Queries:        s.queries.Load(),
 			Execs:          s.execs.Load(),
@@ -492,10 +480,9 @@ func (s *Server) Stats() StatsResponse {
 			Rejected:       s.rejected.Load(),
 			Active:         s.active.Load(),
 			MaxConcurrency: s.cfg.MaxConcurrency,
-			PreparedHits:   ph,
-			PreparedMisses: pm,
-			PreparedTexts:  texts,
-			PreparedShapes: shapes,
+			PreparedHits:   es.Statements.Hits,
+			PreparedMisses: es.Statements.Misses,
+			PreparedTexts:  es.Statements.Texts,
 		},
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/mal"
+	"repro/internal/sqlfe"
 )
 
 // The TCP protocol: one UTF-8 line per statement, one response block
@@ -18,15 +19,16 @@ import (
 //
 //	ROW <name>\t<value>[\t<value>]*     one per exported result column
 //	OK <cols> cols <elapsed> hits=<h>/<m>
+//	OK <insert|delete> <n> rows         a write's whole response
 //	ERR <message>
 //
 // Tab, newline, carriage return and backslash inside string values
 // are escaped as \t, \n, \r and \\ so stored data can never break the
 // line/tab framing.
 //
-// Client commands (case-insensitive): SELECT ... runs a query;
-// INSERT/DELETE run DML; STATS prints a one-line pool summary; QUIT
-// closes the connection. Each connection owns one repro.Session, so
+// Client commands (case-insensitive): STATS prints a one-line pool
+// summary; QUIT closes the connection; every other line is one SQL
+// statement for the connection's repro.Session (Session.ExecSQL), so
 // per-client counters accumulate server-side and all sessions share
 // the engine's recycle pool.
 
@@ -94,7 +96,7 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // protectedServeLine runs one statement, converting a panic anywhere
-// below (engine, catalog, DML) into an ERR response instead of
+// below (engine, catalog) into an ERR response instead of
 // killing the whole server process: one poisoned statement must not
 // take down every other connection.
 func (s *Server) protectedServeLine(w *bufio.Writer, sess *repro.Session, word, line string) {
@@ -109,44 +111,31 @@ func (s *Server) protectedServeLine(w *bufio.Writer, sess *repro.Session, word, 
 
 // serveLine executes one statement line and writes its response block.
 func (s *Server) serveLine(w *bufio.Writer, sess *repro.Session, word, line string) {
-	switch word {
-	case "STATS":
+	if word == "STATS" {
 		st := sess.Stats()
 		es := s.eng.StatsSnapshot()
 		fmt.Fprintf(w, "OK session queries=%d hits=%d/%d pool entries=%d bytes=%d reuses=%d\n",
 			st.Queries, st.Hits, st.Marked, es.Recycler.Entries, es.Recycler.Bytes, es.Recycler.Reuses)
 		return
-	case "INSERT", "DELETE":
-		if err := s.acquire(context.Background()); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
-		}
-		defer s.release() // deferred so a panicking statement cannot leak the slot
-		s.execs.Add(1)
-		op, n, err := execDML(s.eng.Catalog(), line)
-		if err != nil {
-			s.errorsN.Add(1)
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
-		}
-		fmt.Fprintf(w, "OK %s %d rows\n", op, n)
-		return
 	}
-	// Everything else goes to the SQL front end.
 	if err := s.acquire(context.Background()); err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	defer s.release()
-	s.queries.Add(1)
-	tmpl, params, err := s.prepared.compile(s.eng, line)
-	var res *repro.ExecResult
-	if err == nil {
-		res, err = sess.Exec(tmpl, params...)
+	defer s.release() // deferred so a panicking statement cannot leak the slot
+	if sqlfe.IsWrite(line) {
+		s.execs.Add(1)
+	} else {
+		s.queries.Add(1)
 	}
+	res, err := sess.ExecSQL(line)
 	if err != nil {
 		s.errorsN.Add(1)
 		fmt.Fprintf(w, "ERR %v\n", err)
+		return
+	}
+	if res.Op != "" {
+		fmt.Fprintf(w, "OK %s %d rows\n", res.Op, res.RowsAffected)
 		return
 	}
 	for _, r := range res.Results {

@@ -2,6 +2,7 @@ package sqlfe
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/algebra"
@@ -25,31 +26,26 @@ func Compile(cat *catalog.Catalog, q *Query) (*mal.Template, []mal.Value, error)
 // gating and the pass-statistics collector the front end threads
 // through every compile).
 func CompileOpt(cat *catalog.Catalog, q *Query, opts opt.Options) (*mal.Template, []mal.Value, error) {
-	schema := q.Schema
-	if schema == "" {
-		schema = "sys"
-	}
-	tbl := cat.Table(schema, q.Table)
-	if tbl == nil {
-		return nil, nil, fmt.Errorf("sqlfe: unknown table %s.%s", schema, q.Table)
+	tbl, err := table(cat, q.Schema, q.Table)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	c := &compiler{
-		b:      mal.NewBuilder("sql:" + q.Shape()),
-		cat:    cat,
-		schema: schema,
-		tbl:    tbl,
+		b:   mal.NewBuilder("sql:" + q.Shape()),
+		cat: cat,
+		tbl: tbl,
 	}
 	// Declare parameters first (builder requirement): walk the
 	// literal positions.
 	var params []mal.Value
 	for pi := range q.Preds {
 		p := &q.Preds[pi]
-		col := tbl.Column(p.Col)
-		if col == nil {
-			return nil, nil, fmt.Errorf("sqlfe: unknown column %s", p.Col)
+		col, err := column(tbl, p.Col)
+		if err != nil {
+			return nil, nil, err
 		}
-		for ai, lit := range p.Args {
+		for _, lit := range p.Args {
 			kind, val, err := paramFor(col.KindOf, lit)
 			if err != nil {
 				return nil, nil, fmt.Errorf("sqlfe: predicate on %s: %w", p.Col, err)
@@ -57,7 +53,6 @@ func CompileOpt(cat *catalog.Catalog, q *Query, opts opt.Options) (*mal.Template
 			name := fmt.Sprintf("A%d", len(params))
 			c.paramArgs = append(c.paramArgs, c.b.Param(name, kind))
 			params = append(params, val)
-			_ = ai
 		}
 	}
 	if q.Having != nil {
@@ -88,20 +83,16 @@ func CompileOpt(cat *catalog.Catalog, q *Query, opts opt.Options) (*mal.Template
 // HAVING, then LIMIT); q must already be normalized when the cached
 // template was compiled from a normalized query.
 func ExtractParams(cat *catalog.Catalog, q *Query) ([]mal.Value, error) {
-	schema := q.Schema
-	if schema == "" {
-		schema = "sys"
-	}
-	tbl := cat.Table(schema, q.Table)
-	if tbl == nil {
-		return nil, fmt.Errorf("sqlfe: unknown table %s.%s", schema, q.Table)
+	tbl, err := table(cat, q.Schema, q.Table)
+	if err != nil {
+		return nil, err
 	}
 	var params []mal.Value
 	for pi := range q.Preds {
 		p := &q.Preds[pi]
-		col := tbl.Column(p.Col)
-		if col == nil {
-			return nil, fmt.Errorf("sqlfe: unknown column %s", p.Col)
+		col, err := column(tbl, p.Col)
+		if err != nil {
+			return nil, err
 		}
 		for _, lit := range p.Args {
 			_, val, err := paramFor(col.KindOf, lit)
@@ -122,6 +113,83 @@ func ExtractParams(cat *catalog.Catalog, q *Query) ([]mal.Value, error) {
 		params = append(params, mal.IntV(int64(q.Limit)))
 	}
 	return params, nil
+}
+
+// table resolves [schema.]name; an unqualified name is in "sys" (the
+// TPC-H schema).
+func table(cat *catalog.Catalog, schema, name string) (*catalog.Table, error) {
+	if schema == "" {
+		schema = "sys"
+	}
+	if t := cat.Table(schema, name); t != nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("sqlfe: unknown table %s.%s", schema, name)
+}
+
+// column resolves a column of t.
+func column(t *catalog.Table, name string) (*catalog.Column, error) {
+	if c := t.Column(name); c != nil {
+		return c, nil
+	}
+	return nil, fmt.Errorf("sqlfe: unknown column %s.%s", t.QName(), name)
+}
+
+// Bind resolves the INSERT against the catalog: the target table and
+// one row per VALUES tuple, each literal typed to its column exactly as
+// a query parameter is (paramFor). The column list must name every
+// column of the table once — together with the tuple-length check this
+// guarantees Table.Append sees every column of every row.
+func (ins *Insert) Bind(cat *catalog.Catalog) (*catalog.Table, []catalog.Row, error) {
+	t, err := table(cat, ins.Schema, ins.Table)
+	if err != nil {
+		return nil, nil, err
+	}
+	cols := make([]*catalog.Column, len(ins.Cols))
+	for i, name := range ins.Cols {
+		if cols[i], err = column(t, name); err != nil {
+			return nil, nil, err
+		}
+		if slices.Contains(ins.Cols[:i], name) {
+			return nil, nil, fmt.Errorf("sqlfe: column %s listed twice", name)
+		}
+	}
+	if len(cols) != len(t.Cols) {
+		return nil, nil, fmt.Errorf("sqlfe: INSERT must list all %d columns of %s (got %d)", len(t.Cols), t.QName(), len(cols))
+	}
+	rows := make([]catalog.Row, len(ins.Rows))
+	for r, lits := range ins.Rows {
+		if len(lits) != len(cols) {
+			return nil, nil, fmt.Errorf("sqlfe: VALUES row %d has %d values for %d columns", r+1, len(lits), len(cols))
+		}
+		rows[r] = make(catalog.Row, len(cols))
+		for i, lit := range lits {
+			_, v, err := paramFor(cols[i].KindOf, lit)
+			if err != nil {
+				return nil, nil, fmt.Errorf("sqlfe: column %s: %w", cols[i].Name, err)
+			}
+			rows[r][cols[i].Name] = v.Scalar()
+		}
+	}
+	return t, rows, nil
+}
+
+// Bind resolves the DELETE against the catalog: the table, the
+// predicate column and its literal typed to the column.
+func (d *Delete) Bind(cat *catalog.Catalog) (*catalog.Table, *catalog.Column, mal.Value, error) {
+	t, err := table(cat, d.Schema, d.Table)
+	if err != nil {
+		return nil, nil, mal.Value{}, err
+	}
+	col, err := column(t, d.Col)
+	if err != nil {
+		return nil, nil, mal.Value{}, err
+	}
+	_, v, err := paramFor(col.KindOf, d.Arg)
+	if err != nil {
+		return nil, nil, mal.Value{}, fmt.Errorf("sqlfe: predicate on %s: %w", d.Col, err)
+	}
+	return t, col, v, nil
 }
 
 // paramFor types a literal against its column kind, promoting ints to
@@ -199,7 +267,6 @@ func parseISODate(s string) (bat.Date, error) {
 type compiler struct {
 	b         *mal.Builder
 	cat       *catalog.Catalog
-	schema    string
 	tbl       *catalog.Table
 	paramArgs []mal.Arg
 	havingArg mal.Arg
@@ -238,7 +305,7 @@ func (c *compiler) cs(s string) mal.Arg { return mal.C(mal.StrV(s)) }
 func (c *compiler) cb(v bool) mal.Arg   { return mal.C(mal.BoolV(v)) }
 func (c *compiler) open() mal.Arg       { return mal.C(mal.VoidV()) }
 func (c *compiler) bind(col string) mal.Arg {
-	return c.b.Op1("sql", "bind", c.cs(c.schema), c.cs(c.tbl.Name), c.cs(col), mal.C(mal.IntV(0)))
+	return c.b.Op1("sql", "bind", c.cs(c.tbl.Schema), c.cs(c.tbl.Name), c.cs(col), mal.C(mal.IntV(0)))
 }
 
 func (c *compiler) takeParam() mal.Arg {

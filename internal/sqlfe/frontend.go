@@ -24,20 +24,9 @@ type Frontend struct {
 	// commuted instructions) across every compile this front end runs.
 	optStats opt.Stats
 
-	mu    sync.Mutex
-	cache map[string]*shapeEntry
-	// hits/misses instrument the query cache.
-	Hits, Misses int
-}
-
-// shapeEntry is one cached shape: the compiled template plus the
-// number of compiles that mapped onto it. Behind a text-keyed layer
-// (the server's prepared-statement cache) each compile is a distinct
-// SQL text, so Compiles-1 counts the texts this shape absorbed beyond
-// the first — the sharing the normalization pipeline buys.
-type shapeEntry struct {
-	tmpl     *mal.Template
-	compiles int
+	mu           sync.Mutex
+	cache        map[string]*mal.Template
+	hits, misses int // read through CacheStats
 }
 
 // NewFrontend creates a front end over the catalog with the default
@@ -50,7 +39,7 @@ func NewFrontend(cat *catalog.Catalog) *Frontend {
 // configuration. opts.Stats is ignored: the front end installs its own
 // collector (see CacheStats).
 func NewFrontendOpt(cat *catalog.Catalog, opts opt.Options) *Frontend {
-	f := &Frontend{cat: cat, opts: opts, cache: make(map[string]*shapeEntry)}
+	f := &Frontend{cat: cat, opts: opts, cache: make(map[string]*mal.Template)}
 	f.opts.Stats = &f.optStats
 	return f
 }
@@ -79,13 +68,19 @@ func (f *Frontend) Compile(src string) (*mal.Template, []mal.Value, error) {
 // few tens of nanoseconds against parse work in the microseconds, so
 // there is no untimed variant.
 func (f *Frontend) CompileTimed(src string) (*mal.Template, []mal.Value, CompileTiming, error) {
-	var tm CompileTiming
 	t0 := time.Now()
 	q, err := Parse(src)
 	if err != nil {
-		tm.Parse = time.Since(t0)
-		return nil, nil, tm, err
+		return nil, nil, CompileTiming{Parse: time.Since(t0)}, err
 	}
+	return f.CompileQuery(q, t0)
+}
+
+// CompileQuery is CompileTimed for a query the caller parsed itself,
+// starting at start: the reported Parse stage runs from start, so it
+// covers the caller's parse too.
+func (f *Frontend) CompileQuery(q *Query, start time.Time) (*mal.Template, []mal.Value, CompileTiming, error) {
+	var tm CompileTiming
 	if !f.opts.SkipNormalizeSQL {
 		q = Normalize(q)
 	}
@@ -102,19 +97,17 @@ func (f *Frontend) CompileTimed(src string) (*mal.Template, []mal.Value, Compile
 		// text spelled its conjuncts — and the optimizer-pass
 		// counters only ever count work on templates that live.
 		params, err := ExtractParams(f.cat, q)
-		tm.Parse = time.Since(t0)
+		tm.Parse = time.Since(start)
 		tm.CacheHit = true
 		if err != nil {
 			return nil, nil, tm, err
 		}
 		f.mu.Lock()
-		f.Hits++
-		cached.compiles++
-		tmpl := cached.tmpl
+		f.hits++
 		f.mu.Unlock()
-		return tmpl, params, tm, nil
+		return cached, params, tm, nil
 	}
-	tm.Parse = time.Since(t0)
+	tm.Parse = time.Since(start)
 
 	o0 := time.Now()
 	tmpl, params, err := CompileOpt(f.cat, q, f.opts)
@@ -123,14 +116,13 @@ func (f *Frontend) CompileTimed(src string) (*mal.Template, []mal.Value, Compile
 		return nil, nil, tm, err
 	}
 	f.mu.Lock()
-	f.Misses++
+	f.misses++
 	if prev := f.cache[shape]; prev != nil {
 		// A concurrent compile published the shape first; keep the
 		// winner so every caller shares one template instance.
-		prev.compiles++
-		tmpl = prev.tmpl
+		tmpl = prev
 	} else {
-		f.cache[shape] = &shapeEntry{tmpl: tmpl, compiles: 1}
+		f.cache[shape] = tmpl
 	}
 	f.mu.Unlock()
 	return tmpl, params, tm, nil
@@ -157,16 +149,14 @@ type CacheStats struct {
 	Commuted  int64
 }
 
-// CacheStats returns the template-cache counters under the cache lock
-// (the exported Hits/Misses fields are not safe to read while other
-// goroutines compile).
+// CacheStats returns the template-cache counters under the cache lock.
 func (f *Frontend) CacheStats() CacheStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return CacheStats{
 		Size:      len(f.cache),
-		Hits:      f.Hits,
-		Misses:    f.Misses,
+		Hits:      f.hits,
+		Misses:    f.misses,
 		CSEMerged: f.optStats.CSEMerged.Load(),
 		Commuted:  f.optStats.Commuted.Load(),
 	}

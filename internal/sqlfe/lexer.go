@@ -30,6 +30,7 @@ var keywords = map[string]bool{
 	"LIKE": true, "NOT": true, "COUNT": true, "SUM": true, "AVG": true,
 	"MIN": true, "MAX": true, "DISTINCT": true, "AS": true, "DATE": true,
 	"ORDER": true, "ASC": true, "DESC": true,
+	"INSERT": true, "INTO": true, "VALUES": true, "DELETE": true,
 }
 
 type lexer struct {
@@ -40,7 +41,9 @@ type lexer struct {
 
 // lex tokenises the query text.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Most tokens span several bytes, so one allocation usually holds
+	// them all; the bound keeps a huge literal from sizing a huge slice.
+	l := &lexer{src: src, toks: make([]token, 0, min(len(src)/3, 128)+2)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -134,12 +137,27 @@ func (l *lexer) ident() {
 		break
 	}
 	text := l.src[start:l.pos]
-	up := strings.ToUpper(text)
-	if keywords[up] {
-		l.toks = append(l.toks, token{kind: tkKeyword, text: up, pos: start})
+	if isKeyword(text) {
+		l.toks = append(l.toks, token{kind: tkKeyword, text: strings.ToUpper(text), pos: start})
 		return
 	}
 	l.toks = append(l.toks, token{kind: tkIdent, text: strings.ToLower(text), pos: start})
+}
+
+// isKeyword reports whether text is a keyword in any case. It folds
+// into a stack buffer, so the identifiers that are not keywords — most
+// of an INSERT's words — cost no allocation.
+func isKeyword(text string) bool {
+	var up [8]byte // the longest keyword, DISTINCT
+	if len(text) > len(up) {
+		return false
+	}
+	// Clearing 0x20 upper-cases a-z and maps no other byte onto A-Z,
+	// and keywords are A-Z only.
+	for i := 0; i < len(text); i++ {
+		up[i] = text[i] &^ 0x20
+	}
+	return keywords[string(up[:len(text)])]
 }
 
 func (l *lexer) op() {

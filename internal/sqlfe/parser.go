@@ -2,6 +2,7 @@ package sqlfe
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -14,10 +15,35 @@ import (
 //	[ORDER BY <ordinal|col> [ASC|DESC]]
 //	[LIMIT n]
 //
+//	INSERT INTO [schema.]table (col [, col]*) VALUES (lit [, lit]*) [, (...)]*
+//	DELETE FROM [schema.]table WHERE col = lit
+//
 // Items: col | COUNT(*) | COUNT(DISTINCT col) | SUM(col) | AVG(col) |
 // MIN(col) | MAX(col). Predicates: col <op> literal, col BETWEEN a
 // AND b, col [NOT] LIKE 'pat'. Literals: numbers, strings,
 // DATE 'YYYY-MM-DD'.
+
+// Statement is one parsed statement: a *Query, *Insert or *Delete.
+type Statement interface{ statement() }
+
+func (*Query) statement()  {}
+func (*Insert) statement() {}
+func (*Delete) statement() {}
+
+// Insert is a parsed INSERT: the named columns and one literal tuple
+// per VALUES row, untyped until Bind.
+type Insert struct {
+	Schema, Table string
+	Cols          []string
+	Rows          [][]Lit
+}
+
+// Delete is a parsed DELETE with its single col = literal predicate.
+type Delete struct {
+	Schema, Table string
+	Col           string
+	Arg           Lit
+}
 
 // Query is the parsed statement.
 type Query struct {
@@ -105,19 +131,53 @@ type parser struct {
 
 // Parse parses a query in the supported subset.
 func Parse(src string) (*Query, error) {
+	return parse(src, (*parser).query)
+}
+
+// ParseStatement parses a SELECT, INSERT or DELETE statement.
+func ParseStatement(src string) (Statement, error) {
+	return parse(src, func(p *parser) (Statement, error) {
+		switch {
+		case p.at(tkKeyword, "INSERT"):
+			return p.insert()
+		case p.at(tkKeyword, "DELETE"):
+			return p.delete()
+		}
+		return p.query()
+	})
+}
+
+// parse lexes src and runs one statement rule over the whole input.
+func parse[S any](src string, rule func(*parser) (S, error)) (S, error) {
+	var zero S
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	p := &parser{toks: toks}
-	q, err := p.query()
+	s, err := rule(p)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	if !p.at(tkEOF, "") {
-		return nil, p.errf("trailing input")
+		return zero, p.errf("trailing input")
 	}
-	return q, nil
+	return s, nil
+}
+
+// IsWrite reports whether src is an INSERT or DELETE, judged by its
+// first word alone: the statements Engine.ExecSQL applies to the
+// catalog instead of running as a query. It reads no further and does
+// not allocate, so a server can route or refuse a statement before it
+// runs.
+func IsWrite(src string) bool {
+	src = strings.TrimLeft(src, " \t\n\r")
+	n := 0
+	for n < len(src) && (src[n] == '_' || src[n] >= '0' && src[n] <= '9' ||
+		src[n]|0x20 >= 'a' && src[n]|0x20 <= 'z') {
+		n++
+	}
+	return strings.EqualFold(src[:n], "INSERT") || strings.EqualFold(src[:n], "DELETE")
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -165,18 +225,9 @@ func (p *parser) query() (*Query, error) {
 	if _, err := p.expect(tkKeyword, "FROM"); err != nil {
 		return nil, err
 	}
-	name, err := p.expectIdent()
-	if err != nil {
+	var err error
+	if q.Schema, q.Table, err = p.tableName(); err != nil {
 		return nil, err
-	}
-	if p.accept(tkPunct, ".") {
-		q.Schema = name
-		q.Table, err = p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		q.Table = name
 	}
 	if p.accept(tkKeyword, "WHERE") {
 		for {
@@ -236,13 +287,112 @@ func (p *parser) query() (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		var n int
-		if _, err := fmt.Sscanf(t.text, "%d", &n); err != nil || n <= 0 {
+		n, err := strconv.Atoi(t.text)
+		if err != nil || n <= 0 {
 			return nil, p.errf("bad LIMIT %q", t.text)
 		}
 		q.Limit = n
 	}
 	return q, nil
+}
+
+func (p *parser) insert() (*Insert, error) {
+	p.next() // INSERT
+	if _, err := p.expect(tkKeyword, "INTO"); err != nil {
+		return nil, err
+	}
+	ins := &Insert{}
+	var err error
+	if ins.Schema, ins.Table, err = p.tableName(); err != nil {
+		return nil, err
+	}
+	err = p.parenList(func() error {
+		col, err := p.expectIdent()
+		ins.Cols = append(ins.Cols, col)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tkKeyword, "VALUES"); err != nil {
+		return nil, err
+	}
+	err = p.commaList(func() error {
+		row := make([]Lit, 0, len(ins.Cols))
+		err := p.parenList(func() error {
+			lit, err := p.literal()
+			row = append(row, lit)
+			return err
+		})
+		ins.Rows = append(ins.Rows, row)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ins, nil
+}
+
+func (p *parser) delete() (*Delete, error) {
+	p.next() // DELETE
+	if _, err := p.expect(tkKeyword, "FROM"); err != nil {
+		return nil, err
+	}
+	d := &Delete{}
+	var err error
+	if d.Schema, d.Table, err = p.tableName(); err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tkKeyword, "WHERE"); err != nil {
+		return nil, err
+	}
+	if d.Col, err = p.expectIdent(); err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tkOp, "="); err != nil {
+		return nil, err
+	}
+	if d.Arg, err = p.literal(); err != nil {
+		return nil, err
+	}
+	if !p.at(tkEOF, "") {
+		return nil, p.errf("DELETE supports a single col = literal predicate")
+	}
+	return d, nil
+}
+
+// tableName parses [schema.]table; an empty schema means "sys".
+func (p *parser) tableName() (schema, table string, err error) {
+	if table, err = p.expectIdent(); err != nil || !p.accept(tkPunct, ".") {
+		return "", table, err
+	}
+	schema = table
+	table, err = p.expectIdent()
+	return schema, table, err
+}
+
+// commaList calls item for each element of a comma-separated list.
+func (p *parser) commaList(item func() error) error {
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.accept(tkPunct, ",") {
+			return nil
+		}
+	}
+}
+
+// parenList is commaList inside parentheses.
+func (p *parser) parenList(item func() error) error {
+	if _, err := p.expect(tkPunct, "("); err != nil {
+		return err
+	}
+	if err := p.commaList(item); err != nil {
+		return err
+	}
+	_, err := p.expect(tkPunct, ")")
+	return err
 }
 
 func (p *parser) expectIdent() (string, error) {
@@ -428,15 +578,19 @@ func (p *parser) literal() (Lit, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tkNumber:
-		p.next()
+		lit := Lit{Kind: LInt}
+		var err error
 		if strings.ContainsRune(t.text, '.') {
-			var f float64
-			fmt.Sscanf(t.text, "%g", &f)
-			return Lit{Kind: LFloat, F: f}, nil
+			lit.Kind = LFloat
+			lit.F, err = strconv.ParseFloat(t.text, 64)
+		} else {
+			lit.I, err = strconv.ParseInt(t.text, 10, 64)
 		}
-		var n int64
-		fmt.Sscanf(t.text, "%d", &n)
-		return Lit{Kind: LInt, I: n}, nil
+		if err != nil {
+			return Lit{}, p.errf("number %s out of range", t.text)
+		}
+		p.next()
+		return lit, nil
 	case t.kind == tkString:
 		p.next()
 		return Lit{Kind: LStr, S: t.text}, nil

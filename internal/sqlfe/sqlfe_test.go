@@ -1,6 +1,7 @@
 package sqlfe
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -186,8 +187,8 @@ func TestTemplateCacheSharesShapes(t *testing.T) {
 	if p1[0].F == p2[0].F {
 		t.Fatal("parameters must differ")
 	}
-	if f.CacheSize() != 1 || f.Hits != 1 || f.Misses != 1 {
-		t.Fatalf("cache stats: size=%d hits=%d misses=%d", f.CacheSize(), f.Hits, f.Misses)
+	if st := f.CacheStats(); st.Size != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats: %+v", st)
 	}
 	// A different shape compiles separately.
 	t3, _, err := f.Compile("SELECT COUNT(*) FROM sys.orders WHERE total < 20")
@@ -238,6 +239,9 @@ func TestParseErrorsSQL(t *testing.T) {
 		"SELECT okey FROM sys.orders WHERE status LIKE 3", // like needs string
 		"SELECT okey FROM sys.orders WHERE odate > 5",     // date needs DATE
 		"SELECT okey FROM sys.orders WHERE okey <> 3",     // <> non-string
+		// Out-of-range literals are errors, not silently 0.
+		"SELECT okey FROM sys.orders WHERE okey > 9223372036854775808",
+		"SELECT okey FROM sys.orders WHERE total > 1" + strings.Repeat("0", 400) + ".5",
 	}
 	for _, src := range bad {
 		if _, _, err := f.Compile(src); err == nil {

@@ -97,7 +97,7 @@ func TestPanickingKernelOnHelper(t *testing.T) {
 	eng := NewEngine(demoCatalog(), WithWorkers(4), WithRecycler(recycler.Config{Admission: recycler.KeepAll}))
 	tmpl := eng.Compile(b.Freeze())
 	for i := 0; i < 20; i++ {
-		_, qt, err := eng.ExecTraced("", 0, 0, tmpl, mal.IntV(int64(100+i)))
+		_, qt, err := eng.ExecTraced("", tmpl, mal.IntV(int64(100+i)))
 		if err == nil || !strings.Contains(err.Error(), "panic: injected kernel fault") || qt != nil {
 			t.Fatalf("query %d: want the panic as its error, got %v", i, err)
 		}

@@ -3,8 +3,9 @@
 #
 # Boots a traced server, issues the same query twice with ?trace=1,
 # and asserts that:
-#   1. the response carries a trace with one span per instruction and
-#      a recycler decision reason on every monitored span,
+#   1. the response carries a trace with one span per instruction, a
+#      recycler decision reason on every monitored span and, for the
+#      first (compiling) run, a nonzero parse stage,
 #   2. the repeat run's monitored spans all report pool hits,
 #   3. /debug/queries shows tracing enabled, both queries in the
 #      recent ring, and an empty slow log (nothing beats 500ms here;
@@ -47,6 +48,8 @@ traced_query "$BOX_QUERY" >"$WORK/first.json"
 jq -e '.trace.spans | length > 0' "$WORK/first.json" >/dev/null
 jq -e '[.trace.spans[] | select(.recycle != null and .recycle == "")] | length == 0' "$WORK/first.json" >/dev/null
 jq -e '.trace.stages.execute_ns > 0' "$WORK/first.json" >/dev/null
+# The first run compiled through the SQL front end and reports it.
+jq -e '.trace.stages.parse_ns > 0' "$WORK/first.json" >/dev/null
 
 traced_query "$BOX_QUERY" >"$WORK/second.json"
 # The repeat is served from the pool: monitored spans exist and all of

@@ -5,7 +5,7 @@
 # with repeated queries, drains it with SIGTERM (which demotes the pool
 # to the disk tier and takes a final checkpoint), restarts it from the
 # same -data-dir, and asserts that:
-#   1. the committed INSERT survived the restart,
+#   1. the committed INSERT survived the restart, '' escape included,
 #   2. the pool was pre-warmed from the spill tier,
 #   3. the first post-restart query is served with pool hits,
 #   4. /stats exposes the spill counters.
@@ -37,8 +37,9 @@ echo "== first life: bootstrap, commit, warm =="
 SRV_PID=$!
 wait_healthy
 
-curl -sf -X POST "$BASE/exec" \
-  -d '{"sql": "INSERT INTO sky.dbobjects (name, type, description) VALUES ('\''smoke'\'', '\''T'\'', '\''survived the restart'\'')"}' \
+# The description carries an SQL-escaped quote ('' in the literal).
+INSERT_SQL="INSERT INTO sky.dbobjects (name, type, description) VALUES ('smoke', 'T', 'O''Brien survived the restart')"
+curl -sf -X POST "$BASE/exec" -d "{\"sql\": \"$INSERT_SQL\"}" \
   | jq -e '.rows_affected == 1' >/dev/null
 
 query "$BOX_QUERY" >/dev/null
@@ -57,9 +58,9 @@ wait_healthy
 grep -q "store: recovered" "$WORK/run2.log"
 grep -q "store: pre-warmed" "$WORK/run2.log"
 
-# The committed row survived.
+# The committed row survived, its escaped quote intact.
 query "SELECT description FROM sky.dbobjects WHERE name = 'smoke'" \
-  | jq -e '.results[0].values[0] == "survived the restart"' >/dev/null
+  | jq -e --arg want "O'Brien survived the restart" '.results[0].values[0] == $want' >/dev/null
 
 # The very first repeated-template query hits the pre-warmed pool.
 query "$BOX_QUERY" | jq -e '.stats.hits > 0' >/dev/null

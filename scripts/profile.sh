@@ -15,6 +15,8 @@
 #   profiles/hit.pprof        a whole-query exact hit through Engine.Exec
 #                             (tracer on); hit-server.pprof the same
 #                             statement as a POST /query round trip
+#   profiles/exec-server.pprof  a 23-column sky.photoobj INSERT as a
+#                             POST /exec round trip
 #   profiles/*.top.txt        `go tool pprof -top` summaries
 # Usage: scripts/profile.sh [objects] [queries]   (defaults 20000 200)
 set -euo pipefail
@@ -53,6 +55,11 @@ go test ./internal/server/ -run '^$' -bench 'BenchmarkServerQueryHit' \
   -benchtime 5000x -benchmem -cpuprofile profiles/hit-server.pprof \
   -o profiles/server.test | tee -a profiles/hit.bench.txt
 
+echo "== write path over the wire (one INSERT: parse, typing, commit) =="
+go test ./internal/server/ -run '^$' -bench 'BenchmarkServerExecInsert' \
+  -benchtime 5000x -benchmem -cpuprofile profiles/exec-server.pprof \
+  -o profiles/server.test | tee profiles/exec.bench.txt
+
 echo "== top functions =="
 go tool pprof -top -nodecount 25 profiles/skybench.pprof \
   | tee profiles/skybench.top.txt
@@ -66,5 +73,7 @@ go tool pprof -top -nodecount 25 profiles/repro.test profiles/hit.pprof \
   | tee profiles/hit.top.txt
 go tool pprof -top -nodecount 25 profiles/server.test profiles/hit-server.pprof \
   | tee profiles/hit-server.top.txt
+go tool pprof -top -nodecount 25 profiles/server.test profiles/exec-server.pprof \
+  | tee profiles/exec-server.top.txt
 
 echo "profiles written to profiles/ (open with: go tool pprof -http :8080 <file>)"
