@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -148,6 +149,12 @@ func run() int {
 		cat, desc = generate(*db, *objects, *sf)
 		fmt.Println(desc)
 	}
+
+	// Building or recovering the catalog leaves its scratch (row maps,
+	// decode buffers) behind as garbage. Collect it before serving, so
+	// the collector's first goal is sized by the live catalog rather than
+	// by the build's peak, and hand the freed pages back to the OS.
+	debug.FreeOSMemory()
 
 	opts := []repro.Option{repro.WithWorkers(*workers)}
 	if tr != nil {

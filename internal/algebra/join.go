@@ -1,7 +1,7 @@
 package algebra
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/bat"
 )
@@ -103,34 +103,39 @@ func gatherJoin(l, r *bat.BAT, li, ri bat.SelectionVector) *bat.BAT {
 // Semijoin implements algebra.semijoin(L, R): the rows of L whose head
 // oid appears among R's head oids. It preserves L's order.
 //
-// When L's head is dense or sorted and R is the smaller side, the
-// positions are computed from R in O(|R| log |R|) instead of scanning
-// L — the dominant case in projection semijoins, where L is a full
-// base column and R a handful of qualifying rows.
+// Three strategies, each computing L's surviving positions into one
+// pooled scratch selection (see selBuf) that the gather copies out:
+//   - dense positions: a dense L head with R no larger maps R's oids
+//     straight to positions — the projection semijoin of a base column
+//     against a handful of qualifying rows;
+//   - galloping intersection: a sorted unique L head and a sorted R
+//     head merge in O(small·log(large/small)) (semijoinSorted); a sorted
+//     unique L and a smaller unsorted R binary-search L instead;
+//   - hash: a table over R's head, probed by every L oid.
 func Semijoin(l, r *bat.BAT) *bat.BAT {
 	n := l.Len()
+	var buf selBuf
+	defer buf.release()
 	var sel bat.SelectionVector
+	sortedL := l.HeadSorted && l.KeyUnique
 	switch {
 	case n == 0 || r.Len() == 0:
-		sel = nil
 	case isDenseHead(l) && r.Len() <= n:
-		sel = semijoinDense(l.Head.(*bat.DenseOids), r)
-	case l.HeadSorted && l.KeyUnique && r.Len() <= n:
-		sel = semijoinSortedUnique(l, r)
+		sel = semijoinDense(l.Head.(*bat.DenseOids), r, buf.take(r.Len()))
+	case sortedL && r.HeadSorted:
+		sel = semijoinSorted(bat.MaterialiseOids(l.Head), bat.MaterialiseOids(r.Head), buf.take(min(n, r.Len())))
+	case sortedL && r.Len() <= n:
+		sel = semijoinSearch(bat.MaterialiseOids(l.Head), bat.MaterialiseOids(r.Head), buf.take(r.Len()))
 	default:
-		t := bat.HeadTable(r)
-		sel = make(bat.SelectionVector, n)
-		j := 0
-		lh := bat.MaterialiseOids(l.Head)
-		for i, v := range lh {
-			sel[j] = int32(i)
-			if t.Has(v) {
-				j++
-			}
-		}
-		sel = sel[:j]
+		sel = probeHeads(bat.MaterialiseOids(l.Head), bat.HeadTable(r), true, buf.take(n))
 	}
-	if len(sel) == n {
+	return keepRows(l, sel)
+}
+
+// keepRows returns the rows of l at sel with l's head flags, or l
+// itself when sel keeps every row.
+func keepRows(l *bat.BAT, sel bat.SelectionVector) *bat.BAT {
+	if len(sel) == l.Len() {
 		return l
 	}
 	out := bat.GatherSel(l, sel)
@@ -139,18 +144,30 @@ func Semijoin(l, r *bat.BAT) *bat.BAT {
 	return out
 }
 
+// probeHeads writes into sel (|lh| long) the positions of lh whose
+// oid t holds (want true) or lacks (want false).
+func probeHeads(lh []bat.Oid, t *bat.Table[bat.Oid], want bool, sel bat.SelectionVector) bat.SelectionVector {
+	j := 0
+	for i, v := range lh {
+		sel[j] = int32(i)
+		if t.Has(v) == want {
+			j++
+		}
+	}
+	return sel[:j]
+}
+
 func isDenseHead(b *bat.BAT) bool {
 	_, ok := b.Head.(*bat.DenseOids)
 	return ok
 }
 
 // semijoinDense maps R's head oids straight to positions in a dense L
-// head (position = oid - start), then sorts and deduplicates. When R's
-// head is already sorted and unique the positions come out ascending
-// and distinct, so the O(|R| log |R|) sort is skipped entirely.
-func semijoinDense(dh *bat.DenseOids, r *bat.BAT) bat.SelectionVector {
+// head (position = oid - start) in sel, which holds |R| positions.
+// A sorted R yields ascending positions, so only its duplicates need
+// collapsing; any other R is sorted and deduplicated.
+func semijoinDense(dh *bat.DenseOids, r *bat.BAT, sel bat.SelectionVector) bat.SelectionVector {
 	lim := dh.Start + bat.Oid(dh.N)
-	sel := make(bat.SelectionVector, r.Len())
 	j := 0
 	switch rh := r.Head.(type) {
 	case *bat.Oids:
@@ -171,70 +188,94 @@ func semijoinDense(dh *bat.DenseOids, r *bat.BAT) bat.SelectionVector {
 	default:
 		panic("bat: semijoin over non-oid head")
 	}
-	sel = sel[:j]
-	if r.HeadSorted && r.KeyUnique {
-		return sel
+	if r.HeadSorted {
+		return slices.Compact(sel[:j])
 	}
-	return sortDedupSel(sel)
+	return sortDedupSel(sel[:j])
 }
 
-// semijoinSortedUnique binary-searches each R head oid in L's sorted
-// unique head, then sorts and deduplicates the hit positions.
-func semijoinSortedUnique(l, r *bat.BAT) bat.SelectionVector {
-	lh := bat.MaterialiseOids(l.Head)
-	rh := bat.MaterialiseOids(r.Head)
-	sel := make(bat.SelectionVector, 0, len(rh))
-	for _, v := range rh {
-		p := sort.Search(len(lh), func(i int) bool { return lh[i] >= v })
-		if p < len(lh) && lh[p] == v {
-			sel = append(sel, int32(p))
+// semijoinSorted intersects L's ascending unique head lh with R's
+// non-decreasing head rh into sel, which holds min(|L|, |R|) positions.
+// It walks the smaller side and gallops through the other from the
+// last match, so R ⊆ L costs one pass over R and a sparse overlap a
+// few probes per match. An R duplicate finds its L position already
+// passed, so it collapses without a dedup pass.
+func semijoinSorted(lh, rh []bat.Oid, sel bat.SelectionVector) bat.SelectionVector {
+	j := 0
+	if len(rh) <= len(lh) {
+		i := 0
+		for _, v := range rh {
+			if i = gallop(lh, i, v); i == len(lh) {
+				break
+			}
+			if lh[i] == v {
+				sel[j] = int32(i)
+				j++
+				i++
+			}
 		}
+		return sel[:j]
 	}
-	if r.HeadSorted && r.KeyUnique {
-		return sel
-	}
-	return sortDedupSel(sel)
-}
-
-// sortDedupSel sorts a selection vector ascending and removes
-// duplicates in place.
-func sortDedupSel(sel bat.SelectionVector) bat.SelectionVector {
-	if len(sel) < 2 {
-		return sel
-	}
-	sort.Slice(sel, func(i, j int) bool { return sel[i] < sel[j] })
-	j := 1
-	for i := 1; i < len(sel); i++ {
-		if sel[i] != sel[i-1] {
-			sel[j] = sel[i]
+	k := 0
+	for i, v := range lh {
+		if k = gallop(rh, k, v); k == len(rh) {
+			break
+		}
+		if rh[k] == v {
+			sel[j] = int32(i)
 			j++
 		}
 	}
 	return sel[:j]
 }
 
-// AntiSemijoin returns the rows of L whose head oid does NOT appear
-// among R's head oids. Used by delete propagation.
-func AntiSemijoin(l, r *bat.BAT) *bat.BAT {
-	n := l.Len()
-	t := bat.HeadTable(r)
-	sel := make(bat.SelectionVector, n)
+// gallop returns the first position at or after lo of ascending v
+// whose oid is at least x: steps of 1, 2, 4, … from lo until one
+// reaches x, then a binary search inside the last step.
+func gallop(v []bat.Oid, lo int, x bat.Oid) int {
+	hi, step := lo, 1
+	for hi < len(v) && v[hi] < x {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	for hi = min(hi, len(v)); lo < hi; {
+		if m := int(uint(lo+hi) >> 1); v[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// semijoinSearch binary-searches each oid of an unsorted rh in L's
+// ascending unique head lh, writing the hit positions into sel (|R|
+// long), then sorts and deduplicates them.
+func semijoinSearch(lh, rh []bat.Oid, sel bat.SelectionVector) bat.SelectionVector {
 	j := 0
-	lh := bat.MaterialiseOids(l.Head)
-	for i, v := range lh {
-		sel[j] = int32(i)
-		if !t.Has(v) {
+	for _, v := range rh {
+		if p, ok := slices.BinarySearch(lh, v); ok {
+			sel[j] = int32(p)
 			j++
 		}
 	}
-	sel = sel[:j]
-	if len(sel) == n {
-		return l
-	}
-	out := bat.GatherSel(l, sel)
-	out.HeadSorted = l.HeadSorted
-	out.KeyUnique = l.KeyUnique
-	return out
+	return sortDedupSel(sel[:j])
+}
+
+// sortDedupSel sorts a selection vector ascending and removes
+// duplicates in place.
+func sortDedupSel(sel bat.SelectionVector) bat.SelectionVector {
+	slices.Sort(sel)
+	return slices.Compact(sel)
+}
+
+// AntiSemijoin returns the rows of L whose head oid does NOT appear
+// among R's head oids. Used by delete propagation.
+func AntiSemijoin(l, r *bat.BAT) *bat.BAT {
+	var buf selBuf
+	defer buf.release()
+	return keepRows(l, probeHeads(bat.MaterialiseOids(l.Head), bat.HeadTable(r), false, buf.take(l.Len())))
 }
 
 // KUnique implements bat.kunique: it retains the first occurrence of

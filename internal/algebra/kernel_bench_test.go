@@ -165,3 +165,40 @@ func BenchmarkKernelSelectPaths(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelSelectNarrow is the full-column scan of a sky-explore
+// miss: a 2 %-selective float range over 200k rows, where the scratch
+// selection, not the result, used to dominate what a scan allocates.
+func BenchmarkKernelSelectNarrow(b *testing.B) {
+	data := randFloats(200_000, 20)
+	b.SetBytes(200_000 * 8)
+	b.ReportAllocs()
+	for b.Loop() {
+		Filter(data, inRange(180.0, 187.2, true, true))
+	}
+}
+
+// BenchmarkSemijoinSorted is a subsumed semijoin as sky-explore runs
+// it: L a cached semijoin result (≈4.6k sorted-unique oids), R a
+// narrower selection (≈2.8k oids, R ⊆ L, sorted-unique).
+func BenchmarkSemijoinSorted(b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	lh := make([]bat.Oid, 4600)
+	for i := range lh {
+		lh[i] = bat.Oid(2*i + rng.Intn(2))
+	}
+	var rh []bat.Oid
+	for _, v := range lh {
+		if rng.Intn(5) < 3 {
+			rh = append(rh, v)
+		}
+	}
+	l := bat.New(bat.NewOids(lh), bat.NewFloats(make([]float64, len(lh))))
+	l.HeadSorted, l.KeyUnique = true, true
+	r := bat.New(bat.NewOids(rh), bat.NewOids(rh))
+	r.HeadSorted, r.KeyUnique = true, true
+	b.ReportAllocs()
+	for b.Loop() {
+		Semijoin(l, r)
+	}
+}

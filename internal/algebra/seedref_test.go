@@ -3,6 +3,7 @@ package algebra
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -428,48 +429,97 @@ func TestJoinMatchesSeedReference(t *testing.T) {
 
 func TestSemijoinMatchesSeedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 400; trial++ {
-		ln, rn := rng.Intn(50)+1, rng.Intn(50)+1
-		// L head: dense, sorted-unique oids, or arbitrary oids — covers
-		// all three Semijoin strategies plus the probe fallback.
+	for trial := 0; trial < 800; trial++ {
+		// Sides from empty to 50 rows; every fourth trial up to a few
+		// thousand, so galloping steps cross several powers of two.
+		maxN := 50
+		if trial%4 == 0 {
+			maxN = 3000
+		}
+		ln, rn := rng.Intn(maxN+1), rng.Intn(maxN+1)
+		// L head: dense, sorted-unique oids, or arbitrary oids. dom
+		// bounds L's oids, so R can overlap it or lie beyond it.
 		var l *bat.BAT
+		dom := 4*ln + 8
 		switch rng.Intn(3) {
 		case 0:
 			l = bat.New(bat.NewDense(bat.Oid(rng.Intn(4)), ln), randVector(rng, bat.KInt, ln, false))
+			dom = ln + 4
 		case 1:
-			h := make([]bat.Oid, ln)
-			seen := map[bat.Oid]bool{}
-			for i := range h {
-				v := bat.Oid(rng.Intn(200))
-				for seen[v] {
-					v = bat.Oid(rng.Intn(200))
-				}
-				seen[v] = true
-				h[i] = v
-			}
-			sort.Slice(h, func(i, j int) bool { return h[i] < h[j] })
-			l = bat.New(bat.NewOids(h), randVector(rng, bat.KInt, ln, false))
+			l = bat.New(bat.NewOids(sortedUniqueOids(rng, ln, dom)), randVector(rng, bat.KInt, ln, false))
 			l.HeadSorted, l.KeyUnique = true, true
 		default:
+			dom = 30 + ln/2
 			h := make([]bat.Oid, ln)
 			for i := range h {
-				h[i] = bat.Oid(rng.Intn(30))
+				h[i] = bat.Oid(rng.Intn(dom))
 			}
 			l = bat.New(bat.NewOids(h), randVector(rng, bat.KInt, ln, false))
 		}
+		// R's oids: drawn over L's range, a subset of L's heads (with
+		// repeats), or a disjoint range above L.
 		rh := make([]bat.Oid, rn)
 		for i := range rh {
-			rh[i] = bat.Oid(rng.Intn(30))
+			switch {
+			case trial%3 == 1 && ln > 0:
+				rh[i] = bat.OidAt(l.Head, rng.Intn(ln))
+			case trial%3 == 2:
+				rh[i] = bat.Oid(dom + rng.Intn(dom))
+			default:
+				rh[i] = bat.Oid(rng.Intn(dom))
+			}
 		}
-		r := bat.New(bat.NewOids(rh), randVector(rng, bat.KInt, rn, false))
+		// R's shape: as drawn, sorted with duplicates, sorted-unique,
+		// or dense; each flagged as it is.
+		var r *bat.BAT
+		switch rng.Intn(4) {
+		case 0:
+			r = bat.New(bat.NewOids(rh), randVector(rng, bat.KInt, rn, false))
+		case 1:
+			slices.Sort(rh)
+			r = bat.New(bat.NewOids(rh), randVector(rng, bat.KInt, rn, false))
+			r.HeadSorted = true
+		case 2:
+			slices.Sort(rh)
+			rh = slices.Compact(rh)
+			r = bat.New(bat.NewOids(rh), randVector(rng, bat.KInt, len(rh), false))
+			r.HeadSorted, r.KeyUnique = true, true
+		default:
+			start := rng.Intn(dom)
+			if trial%3 == 2 {
+				start += dom
+			}
+			r = bat.New(bat.NewDense(bat.Oid(start), rn), randVector(rng, bat.KInt, rn, false))
+		}
 
 		got := Semijoin(l, r)
 		want := refSemijoin(l, r)
 		expectPairs(t, "semijoin", l, got, want)
+		expectFlags(t, "semijoin", l, got)
 
 		gotAnti := AntiSemijoin(l, r)
 		wantAnti := refAntiSemijoin(l, r)
 		expectPairs(t, "antisemijoin", l, gotAnti, wantAnti)
+		expectFlags(t, "antisemijoin", l, gotAnti)
+	}
+}
+
+// sortedUniqueOids draws n distinct oids below dom, ascending.
+func sortedUniqueOids(rng *rand.Rand, n, dom int) []bat.Oid {
+	h := make([]bat.Oid, n)
+	for i, v := range rng.Perm(dom)[:n] {
+		h[i] = bat.Oid(v)
+	}
+	slices.Sort(h)
+	return h
+}
+
+// expectFlags checks that a semijoin result keeps L's head order and
+// key flags.
+func expectFlags(t *testing.T, ctxt string, l, out *bat.BAT) {
+	t.Helper()
+	if out.HeadSorted != l.HeadSorted || out.KeyUnique != l.KeyUnique {
+		t.Fatalf("%s: flags (sorted %v, unique %v), want (%v, %v)", ctxt, out.HeadSorted, out.KeyUnique, l.HeadSorted, l.KeyUnique)
 	}
 }
 

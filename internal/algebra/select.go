@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/bat"
 )
@@ -26,6 +27,12 @@ import (
 // Range bounds are normalised once per call into a closed typed
 // interval that already excludes the nil sentinel, so the range loop is
 // two comparisons per row and no nil test.
+//
+// Memory: a Filter allocates its result and nothing in proportion to
+// its input. The first full-column step writes into one column-sized
+// selection borrowed from selPool; later predicates refine it in place,
+// the gathers copy the survivors out, and the buffer goes back before
+// Filter returns, so no result aliases it.
 
 // PredKind identifies what a Pred tests.
 type PredKind uint8
@@ -77,6 +84,8 @@ func Filter(b *bat.BAT, preds ...Pred) *bat.BAT {
 	cur := b
 	headSorted, keyUnique := b.HeadSorted, b.KeyUnique
 	var sel bat.SelectionVector // nil: every row of cur
+	var buf selBuf              // borrowed by the first full-column step
+	defer buf.release()
 	for i := range preds {
 		p := &preds[i]
 		switch p.Kind {
@@ -94,17 +103,17 @@ func Filter(b *bat.BAT, preds ...Pred) *bat.BAT {
 					out.TailSorted = true
 					return out
 				}
-				sel = span(start, end)
+				sel = span(start, end, &buf)
 				continue
 			}
 		}
-		sel = p.scan(cur.Tail, sel)
+		sel = p.scan(cur.Tail, sel, &buf)
 	}
 	if len(preds) == 1 && preds[0].Kind == PredNotNil && (sel == nil || len(sel) == b.Len()) {
 		return b
 	}
 	if sel == nil {
-		sel = bat.NewFullSel(cur.Len())
+		sel = span(0, cur.Len(), &buf)
 	}
 	var out *bat.BAT
 	if preds[len(preds)-1].Kind == PredEq {
@@ -197,39 +206,40 @@ func denseSpan(t *bat.DenseOids, lo, hi bat.Oid) (int, int) {
 }
 
 // scan refines sel (nil: every row) to the positions of tail that p
-// keeps. The result is never nil, except that a not-nil predicate over
-// a kind without a nil representation hands sel back untouched.
-func (p *Pred) scan(tail bat.Vector, sel bat.SelectionVector) bat.SelectionVector {
+// keeps; a scan of every row writes into buf. The result is never nil,
+// except that a not-nil predicate over a kind without a nil
+// representation hands sel back untouched.
+func (p *Pred) scan(tail bat.Vector, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
 	if p.Kind == PredLike || p.Kind == PredNotLike {
 		t, ok := tail.(*bat.Strings)
 		if !ok {
 			panic(fmt.Sprintf("algebra: like filter over non-string tail %T", tail))
 		}
 		pat, want := p.Pattern, p.Kind == PredLike
-		return scanStrings(t.V, func(x string) bool { return x != bat.NilStr && likeMatch(pat, x) == want }, sel)
+		return scanStrings(t.V, func(x string) bool { return x != bat.NilStr && likeMatch(pat, x) == want }, sel, buf)
 	}
 	switch t := tail.(type) {
 	case *bat.Ints:
-		return scanNum(t.V, intDom, p, sel)
+		return scanNum(t.V, intDom, p, sel, buf)
 	case *bat.Dates:
-		return scanNum(t.V, dateDom, p, sel)
+		return scanNum(t.V, dateDom, p, sel, buf)
 	case *bat.Oids:
-		return scanNum(t.V, oidDom, p, sel)
+		return scanNum(t.V, oidDom, p, sel, buf)
 	case *bat.Floats:
-		return scanNum(t.V, fltDom, p, sel)
+		return scanNum(t.V, fltDom, p, sel, buf)
 	case *bat.Strings:
 		switch p.Kind {
 		case PredEq:
-			return scanEq(t.V, p.V.(string), sel)
+			return scanEq(t.V, p.V.(string), sel, buf)
 		case PredNotNil:
-			return scanNotNil(t.V, bat.NilStr, sel)
+			return scanNotNil(t.V, bat.NilStr, sel, buf)
 		}
-		return scanStrings(t.V, p.Range.strKeep(), sel)
+		return scanStrings(t.V, p.Range.strKeep(), sel, buf)
 	case *bat.Bools:
 		// No nil, and false < true: a range keeps one value, both or none.
 		switch p.Kind {
 		case PredEq:
-			return scanEq(t.V, p.V.(bool), sel)
+			return scanEq(t.V, p.V.(bool), sel, buf)
 		case PredNotNil:
 			return sel
 		}
@@ -237,7 +247,7 @@ func (p *Pred) scan(tail bat.Vector, sel bat.SelectionVector) bat.SelectionVecto
 		case f && tr:
 			return sel
 		case f || tr:
-			return scanEq(t.V, tr, sel)
+			return scanEq(t.V, tr, sel, buf)
 		}
 	case *bat.DenseOids:
 		// Positions are values here: a selection, ascending, keeps the
@@ -250,7 +260,7 @@ func (p *Pred) scan(tail bat.Vector, sel bat.SelectionVector) bat.SelectionVecto
 			start, end = denseSpan(t, lo, hi)
 		}
 		if sel == nil {
-			return span(start, end)
+			return span(start, end, buf)
 		}
 		i := sort.Search(len(sel), func(i int) bool { return int(sel[i]) >= start })
 		k := sort.Search(len(sel), func(k int) bool { return int(sel[k]) >= end })
@@ -261,15 +271,15 @@ func (p *Pred) scan(tail bat.Vector, sel bat.SelectionVector) bat.SelectionVecto
 	return none(sel)
 }
 
-func scanNum[T number](v []T, d domain[T], p *Pred, sel bat.SelectionVector) bat.SelectionVector {
+func scanNum[T number](v []T, d domain[T], p *Pred, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
 	switch p.Kind {
 	case PredEq:
-		return scanEq(v, p.V.(T), sel)
+		return scanEq(v, p.V.(T), sel, buf)
 	case PredNotNil:
-		return scanNotNil(v, d.nil, sel)
+		return scanNotNil(v, d.nil, sel, buf)
 	}
 	if lo, hi, ok := d.closed(p.Range); ok {
-		return scanRange(v, lo, hi, sel)
+		return scanRange(v, lo, hi, sel, buf)
 	}
 	return none(sel)
 }
@@ -283,13 +293,42 @@ func none(sel bat.SelectionVector) bat.SelectionVector {
 	return sel[:0]
 }
 
-// span is the selection [start, end).
-func span(start, end int) bat.SelectionVector {
-	s := make(bat.SelectionVector, end-start)
+// span is the selection [start, end), written into buf.
+func span(start, end int, buf *selBuf) bat.SelectionVector {
+	s := buf.take(end - start)
 	for i := range s {
 		s[i] = int32(start + i)
 	}
 	return s
+}
+
+// selPool lends the kernels their column-sized scratch selections.
+var selPool = sync.Pool{New: func() any { return new(bat.SelectionVector) }}
+
+// selBuf is the scratch selection one kernel call borrows from selPool
+// on first use. The call releases it before returning, once the
+// survivors are gathered: nothing the call returns may alias it.
+type selBuf struct{ p *bat.SelectionVector }
+
+// take returns the borrowed buffer as n positions, borrowing it first.
+// A call takes it once: a second take reuses the same storage. The
+// result is never nil, which to Filter would mean every row.
+func (b *selBuf) take(n int) bat.SelectionVector {
+	if b.p == nil {
+		b.p = selPool.Get().(*bat.SelectionVector)
+	}
+	if cap(*b.p) < n || *b.p == nil {
+		*b.p = make(bat.SelectionVector, n)
+	}
+	return (*b.p)[:n]
+}
+
+// release returns a borrowed buffer to selPool.
+func (b *selBuf) release() {
+	if b.p != nil {
+		selPool.Put(b.p)
+		b.p = nil
+	}
 }
 
 // --- the typed loops -----------------------------------------------------
@@ -297,9 +336,9 @@ func span(start, end int) bat.SelectionVector {
 // scanRange keeps the positions whose value lies in [lo, hi]. The two
 // bound tests are separate conditional moves rather than one && branch
 // the predictor must guess; NaN fails both.
-func scanRange[T number](v []T, lo, hi T, sel bat.SelectionVector) bat.SelectionVector {
+func scanRange[T number](v []T, lo, hi T, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
 	if sel == nil {
-		out := make(bat.SelectionVector, len(v))
+		out := buf.take(len(v))
 		j := 0
 		for i, x := range v {
 			out[j] = int32(i)
@@ -331,9 +370,9 @@ func scanRange[T number](v []T, lo, hi T, sel bat.SelectionVector) bat.Selection
 }
 
 // scanEq keeps the positions whose value equals w.
-func scanEq[T comparable](v []T, w T, sel bat.SelectionVector) bat.SelectionVector {
+func scanEq[T comparable](v []T, w T, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
 	if sel == nil {
-		out := make(bat.SelectionVector, len(v))
+		out := buf.take(len(v))
 		j := 0
 		for i, x := range v {
 			out[j] = int32(i)
@@ -356,9 +395,9 @@ func scanEq[T comparable](v []T, w T, sel bat.SelectionVector) bat.SelectionVect
 // scanNotNil keeps the positions whose value is not nilv. x != x is
 // what drops a float NaN, which compares unequal to itself and to
 // nilv; for every other kind it folds to false.
-func scanNotNil[T comparable](v []T, nilv T, sel bat.SelectionVector) bat.SelectionVector {
+func scanNotNil[T comparable](v []T, nilv T, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
 	if sel == nil {
-		out := make(bat.SelectionVector, len(v))
+		out := buf.take(len(v))
 		j := 0
 		for i, x := range v {
 			out[j] = int32(i)
@@ -392,9 +431,9 @@ func scanNotNil[T comparable](v []T, nilv T, sel bat.SelectionVector) bat.Select
 // scanStrings keeps the positions whose string keep accepts. String
 // compares and LIKE matching dominate, so the loop keeps plain
 // branches.
-func scanStrings(v []string, keep func(string) bool, sel bat.SelectionVector) bat.SelectionVector {
+func scanStrings(v []string, keep func(string) bool, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
 	if sel == nil {
-		out := make(bat.SelectionVector, 0, len(v)/4+1)
+		out := buf.take(len(v))[:0]
 		for i, x := range v {
 			if keep(x) {
 				out = append(out, int32(i))

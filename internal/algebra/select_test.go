@@ -2,6 +2,9 @@ package algebra
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +282,111 @@ func TestFilterSortedFirstMatchesStepwise(t *testing.T) {
 					bat.OidAt(got.Head, i), got.Tail.Get(i), bat.OidAt(stepwise.Head, i), stepwise.Tail.Get(i))
 			}
 		}
+	}
+}
+
+// The buffer contract: Filter and Semijoin borrow their column-sized
+// scratch selection from selPool and return it before they do, so a
+// result never aliases it and a call allocates its result, not its
+// input.
+
+// snapshot copies a result's rows, to compare against after later
+// kernel calls have reused the pooled buffer.
+func snapshot(b *bat.BAT) ([]bat.Oid, []any) {
+	tails := make([]any, b.Len())
+	for i := range tails {
+		tails[i] = b.Tail.Get(i)
+	}
+	return headsOf(b), tails
+}
+
+func TestFilterResultsOutliveBuffer(t *testing.T) {
+	floats := randFloats(20_000, 31)
+	ints := randInts(20_000, 32)
+	strs := bat.NewDenseHead(randVector(rand.New(rand.NewSource(33)), bat.KStr, 20_000, false))
+	results := []*bat.BAT{
+		Filter(floats, inRange(10.0, 20.0, true, true)),
+		Filter(ints, equalTo(ints.Tail.Get(7).(int64))),
+		Filter(strs, Pred{Kind: PredNotNil}, Pred{Kind: PredLike, Pattern: "%a%"}),
+		Semijoin(ints, Filter(ints, inRange(int64(0), int64(1<<18), true, true))),
+	}
+	heads := make([][]bat.Oid, len(results))
+	tails := make([][]any, len(results))
+	for i, r := range results {
+		heads[i], tails[i] = snapshot(r)
+	}
+	for i := 0; i < 20; i++ {
+		Filter(floats, inRange(float64(i), float64(i)+300, true, true))
+		Filter(ints, inRange(int64(i), int64(1<<20), true, true), Pred{Kind: PredNotNil})
+		Semijoin(floats, Filter(floats, inRange(float64(i), 200.0, true, true)))
+	}
+	for i, r := range results {
+		h, tl := snapshot(r)
+		if !slices.Equal(h, heads[i]) || !slices.EqualFunc(tl, tails[i], valEq) {
+			t.Fatalf("result %d changed after later kernel calls reused the pooled buffer", i)
+		}
+	}
+}
+
+func TestFilterConcurrent(t *testing.T) {
+	data := randFloats(50_000, 34)
+	const workers, rounds = 4, 30
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				lo := float64(w*40 + i)
+				got := Filter(data, inRange(lo, lo+50, true, false))
+				want := refSelect(data, lo, lo+50, true, false)
+				if got.Len() != len(want) {
+					t.Errorf("worker %d round %d: %d rows, want %d", w, i, got.Len(), len(want))
+					return
+				}
+				for k, p := range want {
+					if bat.OidAt(got.Head, k) != bat.Oid(p) {
+						t.Errorf("worker %d round %d: row %d head %v, want %d", w, i, k, bat.OidAt(got.Head, k), p)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFilterAllocatesItsResult gates the memory contract as a count: a
+// 1e6-row float range keeping ≈1 % of the rows allocates at most twice
+// its result's bytes. The median of several calls is taken because a
+// GC may empty the pool, and the race detector drops pooled items at
+// random, either of which makes one call allocate the buffer anew.
+func TestFilterAllocatesItsResult(t *testing.T) {
+	data := randFloats(1_000_000, 35)
+	pred := inRange(100.0, 103.6, true, true)
+	res := Filter(data, pred)
+	resultBytes := uint64(res.Len()) * (8 + 8) // oid head + float tail
+	var ms runtime.MemStats
+	deltas := make([]uint64, 9)
+	for i := range deltas {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		Filter(data, pred)
+		runtime.ReadMemStats(&ms)
+		deltas[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(deltas)
+	if got := deltas[len(deltas)/2]; got > 2*resultBytes {
+		t.Fatalf("a 1e6-row range Filter allocates %d B, over twice its %d-row result (%d B)", got, res.Len(), resultBytes)
+	}
+}
+
+// A buffer fresh from selPool holds a nil slice; an empty take of it
+// must still be a non-nil selection, or Filter would read an empty
+// sorted run as every row.
+func TestSelBufTakeNeverNil(t *testing.T) {
+	b := selBuf{p: new(bat.SelectionVector)}
+	if b.take(0) == nil {
+		t.Fatal("take(0) of a fresh buffer is nil")
 	}
 }

@@ -7,15 +7,6 @@ package bat
 // and halving the index width keeps refinement loops in cache.
 type SelectionVector []int32
 
-// NewFullSel returns the identity selection 0..n-1.
-func NewFullSel(n int) SelectionVector {
-	s := make(SelectionVector, n)
-	for i := range s {
-		s[i] = int32(i)
-	}
-	return s
-}
-
 // GatherSel materialises the rows of b at the selected positions, in
 // order. It is Gather for int32 positions, with the head-gather loops
 // monomorphized per head representation.

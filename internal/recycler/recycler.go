@@ -629,25 +629,28 @@ func (r *Recycler) noteReuse(ctx *mal.Ctx, in *mal.Instr, e *Entry) {
 // the freshly computed intermediate, after making room if needed. The
 // admission outcome is recorded on the query trace AFTER the writer
 // lock is released (lockorder's trace rule), on the same worker
-// goroutine that will complete the span.
+// goroutine that will complete the span. The entry's display line is
+// rendered before the lock is taken: string building needs no lock.
 func (r *Recycler) Exit(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite) uint64 {
 	sig, key, matchable := signature(in, args)
 	if !matchable {
 		ctx.Trace.SetAdmission(pc, "skip:unmatchable")
 		return 0
 	}
+	render := plan.RenderInstr(sig.Op, args)
 	r.lockWriter()
-	prov, reason := r.exitLocked(ctx, pc, in, args, ret, elapsed, rw, sig, key)
+	prov, reason := r.exitLocked(ctx, pc, in, args, ret, elapsed, rw, sig, key, render)
 	r.mu.Unlock()
 	ctx.Trace.SetAdmission(pc, reason)
 	return prov
 }
 
-// exitLocked is the admission body; the caller holds the writer lock.
-// Combined subsumption admits its computed result through this path
-// after its re-validation step. The returned reason explains the
-// outcome for the query trace.
-func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite, sig plan.Signature, sigKey string) (uint64, string) {
+// exitLocked is the admission body; the caller holds the writer lock
+// and has rendered the entry's display line (plan.RenderInstr) before
+// taking it. Combined subsumption admits its computed result through
+// this path after its re-validation step. The returned reason explains
+// the outcome for the query trace.
+func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite, sig plan.Signature, sigKey, render string) (uint64, string) {
 	deps, ok := r.columnDeps(in, args)
 	if !ok {
 		// A BAT operand's pool entry disappeared while the query was
@@ -697,7 +700,7 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 			return 0, "deny:no-room:refunded"
 		}
 	}
-	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, deps)
+	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, render, deps)
 	if rw != nil {
 		e.SubsetOf = rw.SubsetOf
 	}
@@ -721,12 +724,12 @@ func lineageOf(dst []uint64, args []mal.Value) []uint64 {
 // buildEntry captures an executed instruction instance into a pool
 // entry, deriving lineage edges, column dependencies and subsumption
 // metadata.
-func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key string, deps []ColumnRef) *Entry {
+func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key, render string, deps []ColumnRef) *Entry {
 	now := r.pool.Tick()
 	e := &Entry{
 		Sig:       key,
 		OpName:    sig.Op,
-		Render:    plan.RenderInstr(sig.Op, args),
+		Render:    render,
 		Result:    ret,
 		Bytes:     ret.Bytes(),
 		Tuples:    ret.Tuples(),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/bat"
 	"repro/internal/mal"
+	"repro/internal/plan"
 )
 
 // This file implements instruction subsumption (paper §5): reusing a
@@ -214,6 +215,13 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 		r.testBeforeRevalidate()
 	}
 
+	// The admission's signature and display line need no lock.
+	sig, key, admittable := signature(in, args)
+	var render string
+	if admittable {
+		render = plan.RenderInstr(sig.Op, args)
+	}
+
 	// Re-validate under the writer lock: every piece must still be
 	// valid (not invalidated/evicted), unchanged (not refreshed by
 	// delta propagation) and usable by this query (epoch guard). Any
@@ -248,8 +256,8 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 	val := mal.BatV(merged)
 	// Admit the combined result under the original signature so later
 	// instances match exactly.
-	if sig, key, ok := signature(in, args); ok {
-		val.Prov, _ = r.exitLocked(ctx, pc, in, args, val, elapsed, nil, sig, key)
+	if admittable {
+		val.Prov, _ = r.exitLocked(ctx, pc, in, args, val, elapsed, nil, sig, key, render)
 	}
 	return mal.EntryResult{Hit: true, Val: val, Reason: "hit:combined"}
 }

@@ -4,10 +4,14 @@
 # guesswork (docs/ARCHITECTURE.md "Kernel layer"). Artifacts land in
 # profiles/:
 #   profiles/skybench.pprof   whole-run profile of the naive baseline
+#   profiles/miss.pprof       the recycled miss path: nested boxes
+#                             subsumed onto a pooled superset over 200k
+#                             sky objects (BenchmarkEngineMiss); the naive
+#                             run never subsumes
 #   profiles/kernels.pprof    internal/algebra Kernel* benchmarks (range,
-#                             float, SelectPaths: uselect / not-nil /
-#                             sorted view / mixed chain, fused chain,
-#                             join, group)
+#                             float, narrow float, SelectPaths: uselect /
+#                             not-nil / sorted view / mixed chain, fused
+#                             chain, join, group) and the sorted semijoin
 #   profiles/misspath.pprof   recycler miss path (admit at the cap,
 #                             missed select) at 1e2..1e4 pool entries
 #   profiles/commit.pprof     single-row INSERT / DELETE commits against a
@@ -30,8 +34,13 @@ echo "== skybench naive baseline (objects=$objects n=$queries) =="
 go run ./cmd/skybench -objects "$objects" -n "$queries" \
   -cpuprofile profiles/skybench.pprof naive
 
+echo "== recycled miss path (nested boxes subsumed onto the pool) =="
+go test . -run '^$' -bench 'BenchmarkEngineMiss' \
+  -benchtime 2000x -benchmem -cpuprofile profiles/miss.pprof \
+  -o profiles/repro.test | tee profiles/miss.bench.txt
+
 echo "== kernel microbenchmarks =="
-go test ./internal/algebra/ -run '^$' -bench 'BenchmarkKernel|BenchmarkKernelSelectPaths' \
+go test ./internal/algebra/ -run '^$' -bench 'BenchmarkKernel|BenchmarkSemijoinSorted' \
   -benchtime 100x -cpuprofile profiles/kernels.pprof \
   -o profiles/algebra.test >/dev/null
 
@@ -63,6 +72,8 @@ go test ./internal/server/ -run '^$' -bench 'BenchmarkServerExecInsert' \
 echo "== top functions =="
 go tool pprof -top -nodecount 25 profiles/skybench.pprof \
   | tee profiles/skybench.top.txt
+go tool pprof -top -nodecount 25 profiles/repro.test profiles/miss.pprof \
+  | tee profiles/miss.top.txt
 go tool pprof -top -nodecount 25 profiles/algebra.test profiles/kernels.pprof \
   | tee profiles/kernels.top.txt
 go tool pprof -top -nodecount 25 profiles/recycler.test profiles/misspath.pprof \
