@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -53,6 +54,7 @@ func TestMicroProfileQ18Shape(t *testing.T) {
 	if len(pts) != 6 {
 		t.Fatalf("points = %d", len(pts))
 	}
+	logTable(t, func(w io.Writer) { PrintProfile(w, 18, pts) })
 	// First instance: low hit ratio; later instances: high.
 	if pts[0].HitRatio > 0.5 {
 		t.Errorf("instance 1 hit ratio = %.2f, want low", pts[0].HitRatio)
@@ -91,6 +93,7 @@ func TestFig6Shape(t *testing.T) {
 	if len(rows) != len(qnums) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(qnums))
 	}
+	logTable(t, func(w io.Writer) { PrintFig6(w, rows) })
 	for i, r := range rows {
 		if r.QNum != qnums[i] {
 			t.Errorf("row %d is Q%d, want Q%d", i, r.QNum, qnums[i])
@@ -187,7 +190,7 @@ func itoa(i int) string {
 }
 
 func TestUpdatesSweepShapes(t *testing.T) {
-	series := UpdatesSweep(0.002, 7, func(db *tpch.DB) []WorkItem { return MixedWorkload(2, 17) }, 5)
+	series := UpdatesSweep(0.002, 7, MixedWorkload(2, 17), 5)
 	if len(series) != 3 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -301,7 +304,7 @@ func TestSkySubsumeShape(t *testing.T) {
 }
 
 func TestSyncAblation(t *testing.T) {
-	rows := SyncAblation(0.002, 7, func(db *tpch.DB) []WorkItem { return MixedWorkload(2, 17) }, 5)
+	rows := SyncAblation(0.002, 7, MixedWorkload(2, 17), 5)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

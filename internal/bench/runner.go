@@ -10,15 +10,14 @@ import (
 
 // Runner executes hand-built templates against one engine
 // configuration, one query at a time: each Run builds a fresh context
-// on the sequential interpreter. SQL experiments go through
-// repro.Engine instead; Runner exists for the switch Engine does not
-// have, NoFusion.
+// on the sequential interpreter with select-chain fusion off. SQL
+// experiments go through repro.Engine instead; Runner exists because
+// Engine cannot hold fusion off.
 type Runner struct {
-	Cat      *catalog.Catalog
-	Rec      *recycler.Recycler // nil = naive execution
-	Measure  bool               // time marked instructions in naive mode
-	NoFusion bool               // disable fused select-chain execution
-	queryID  uint64
+	Cat     *catalog.Catalog
+	Rec     *recycler.Recycler // nil = naive execution
+	Measure bool               // time marked instructions in naive mode
+	queryID uint64
 }
 
 // NewNaive builds a runner without recycling (optionally measuring
@@ -31,16 +30,24 @@ type Runner struct {
 // They also disable select-chain fusion: a recycled run of monitored
 // instructions never fuses (admission is per instruction), so the
 // recycled-vs-naive ratios the paper reports only isolate recycling if
-// the naive arm executes the identical per-instruction kernels. The
-// naive-baseline experiment (RunNaiveStream) measures the full kernel
-// stack, fusion included, and is gated separately in CI.
+// the naive arm executes the identical per-instruction kernels.
 func NewNaive(cat *catalog.Catalog, measure bool) *Runner {
-	return &Runner{Cat: cat, Measure: measure, NoFusion: true}
+	return &Runner{Cat: cat, Measure: measure}
 }
 
-// NewRecycled builds a runner with a fresh recycler.
+// NewRecycled builds a runner with a fresh recycler. The recycler
+// listens to the catalog until Close.
 func NewRecycled(cat *catalog.Catalog, cfg recycler.Config) *Runner {
-	return &Runner{Cat: cat, Rec: recycler.New(cat, cfg), NoFusion: true}
+	return &Runner{Cat: cat, Rec: recycler.New(cat, cfg)}
+}
+
+// Close detaches the runner's recycler from the catalog and empties its
+// pool, so a retired runner does not stay reachable from a catalog that
+// outlives it. It is a no-op for naive runners.
+func (r *Runner) Close() {
+	if r.Rec != nil {
+		r.Rec.Close()
+	}
 }
 
 // Run executes one query instance and returns its context (with
@@ -48,7 +55,7 @@ func NewRecycled(cat *catalog.Catalog, cfg recycler.Config) *Runner {
 func (r *Runner) Run(tmpl *mal.Template, params ...mal.Value) (*mal.Ctx, error) {
 	r.queryID++
 	qid := r.queryID
-	ctx := &mal.Ctx{Cat: r.Cat, QueryID: qid, Measure: r.Measure, Workers: 1, NoFusion: r.NoFusion}
+	ctx := &mal.Ctx{Cat: r.Cat, QueryID: qid, Measure: r.Measure, Workers: 1, NoFusion: true}
 	if r.Rec != nil {
 		ctx.Hook = r.Rec
 		r.Rec.BeginQuery(qid, tmpl.ID)

@@ -15,13 +15,14 @@ import (
 // Fig14Row is one batch split: total times of the naive strategy, the
 // resource-limited CRD/LRU recycler, and keepall/unlimited recycling.
 type Fig14Row struct {
-	Split    string
-	Naive    time.Duration
-	CrdLru   time.Duration
-	KeepAll  time.Duration
-	PeakMem  int64
-	Reused   float64 // fraction of monitored instructions reused (keepall)
-	Segments int
+	Split        string
+	Naive        time.Duration
+	CrdLru       time.Duration
+	KeepAll      time.Duration
+	PeakMem      int64
+	Reused       float64 // fraction of monitored instructions reused (keepall)
+	CrdLruReused float64 // the same fraction under CRD/LRU
+	Segments     int
 }
 
 // skyWarmup derives the warmup list touching every distinct template
@@ -83,40 +84,37 @@ func SkyBatch(db *sky.DB, batch *sky.Workload, segments int, seed int64) Fig14Ro
 	keepall := NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll, Subsumption: true})
 	keepall.Warmup(warm)
 	kTime, kHits, kPot, kPeak := runSegments(keepall)
-	keepall.Rec.Close()
+	keepall.Close()
 
 	crd := NewRecycled(db.Cat, recycler.Config{
 		Admission: recycler.Credit, Credits: 5,
-		Eviction: recycler.EvictLRU, MaxBytes: max64b(1, kPeak*65/100),
+		Eviction: recycler.EvictLRU, MaxBytes: max(1, kPeak*65/100),
 		Subsumption: true,
 	})
 	crd.Warmup(warm)
-	cTime, _, _, _ := runSegments(crd)
-	crd.Rec.Close()
+	cTime, cHits, cPot, _ := runSegments(crd)
+	crd.Close()
 
-	reused := 0.0
-	if kPot > 0 {
-		reused = float64(kHits) / float64(kPot)
-	}
 	return Fig14Row{
-		Split:    fmt.Sprintf("%dx%d", segments, segLen),
-		Naive:    nTime,
-		CrdLru:   cTime,
-		KeepAll:  kTime,
-		PeakMem:  kPeak,
-		Reused:   reused,
-		Segments: segments,
+		Split:        fmt.Sprintf("%dx%d", segments, segLen),
+		Naive:        nTime,
+		CrdLru:       cTime,
+		KeepAll:      kTime,
+		PeakMem:      kPeak,
+		Reused:       ratio(kHits, kPot),
+		CrdLruReused: ratio(cHits, cPot),
+		Segments:     segments,
 	}
 }
 
 // PrintFig14 renders the batch comparison.
 func PrintFig14(w io.Writer, rows []Fig14Row) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Split\tNaive\tCRD/LRU(65%)\tKeepAll/Unlim\tPeakMem(KB)\tReuse")
+	fmt.Fprintln(tw, "Split\tNaive\tCRD/LRU(65%)\tKeepAll/Unlim\tPeakMem(KB)\tReuse\tReuse(CRD/LRU)")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%v\t%v\t%v\t%d\t%.1f%%\n", r.Split,
+		fmt.Fprintf(tw, "%s\t%v\t%v\t%v\t%d\t%.1f%%\t%.1f%%\n", r.Split,
 			r.Naive.Round(time.Millisecond), r.CrdLru.Round(time.Millisecond),
-			r.KeepAll.Round(time.Millisecond), r.PeakMem/1024, 100*r.Reused)
+			r.KeepAll.Round(time.Millisecond), r.PeakMem/1024, 100*r.Reused, 100*r.CrdLruReused)
 	}
 	tw.Flush()
 }
@@ -131,7 +129,7 @@ func Table3(db *sky.DB, batch *sky.Workload) []recycler.TypeRow {
 		r.MustRun(batch.Template(q.Kind), q.Params...)
 	}
 	rows := r.Rec.PoolTypeBreakdown()
-	r.Rec.Close()
+	r.Close()
 	return rows
 }
 
@@ -203,7 +201,7 @@ func SkySubsume(db *sky.DB, mb *sky.MicroBench) []Fig15Point {
 		}
 		out = append(out, p)
 	}
-	rec.Rec.Close()
+	rec.Close()
 	return out
 }
 

@@ -56,6 +56,7 @@ func Table2(db *tpch.DB, seed int64) []Table2Row {
 		rec.Warmup([]WarmupQuery{{Templ: d.Templ, Params: p1}})
 		c1 := rec.MustRun(d.Templ, p1...)
 		c2 := rec.MustRun(d.Templ, p2...)
+		rec.Close()
 
 		marked := d.Templ.MarkedCount(true)
 		intra := float64(c1.Stats.HitsNonBind)
@@ -110,7 +111,7 @@ type ProfilePoint struct {
 // TPC-H parameters under keepall/unlimited recycling and returns the
 // per-instance profile (hit ratio, naive vs recycled time, RP memory).
 func MicroProfile(db *tpch.DB, qnum, instances int, seed int64) []ProfilePoint {
-	// Paper plans (CSE off), like Table2 and mixedWorkload: the
+	// Paper plans (CSE off), like Table2 and MixedWorkload: the
 	// per-instance local-hit profile measures the run-time dedup of
 	// duplicates the default pipeline would merge at compile time.
 	d := tpch.QueryMapOpt(opt.Options{SkipCSE: true})[qnum]
@@ -122,6 +123,7 @@ func MicroProfile(db *tpch.DB, qnum, instances int, seed int64) []ProfilePoint {
 
 	naive := NewNaive(db.Cat, false)
 	rec := NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll})
+	defer rec.Close()
 	// Preparation step (§7): touch all columns, then empty the pool.
 	naive.MustRun(d.Templ, params[0]...)
 	rec.Warmup([]WarmupQuery{{Templ: d.Templ, Params: params[0]}})
@@ -130,8 +132,7 @@ func MicroProfile(db *tpch.DB, qnum, instances int, seed int64) []ProfilePoint {
 	for i := 0; i < instances; i++ {
 		nctx := naive.MustRun(d.Templ, params[i]...)
 		rctx := rec.MustRun(d.Templ, params[i]...)
-		reusedEntries, reusedBytes := rec.Rec.PoolReusedStats()
-		_ = reusedEntries
+		_, reusedBytes := rec.Rec.PoolReusedStats()
 		out = append(out, ProfilePoint{
 			Instance:   i + 1,
 			HitRatio:   rctx.Stats.HitRatio(),
@@ -217,9 +218,9 @@ type AdmissionPoint struct {
 	BatchTime        time.Duration
 }
 
-// mixedWorkload builds the §7.2 batch: `per` instances of each of the
+// MixedWorkload builds the §7.2 batch: `per` instances of each of the
 // ten high-overlap queries, interleaved deterministically.
-func mixedWorkload(per int, seed int64) []WorkItem {
+func MixedWorkload(per int, seed int64) []WorkItem {
 	qnums := []int{4, 7, 8, 11, 12, 16, 18, 19, 21, 22}
 	// Paper plans (CSE off): the multi-query experiments measure the
 	// run-time recycler against the plan shapes the paper's MonetDB
@@ -293,6 +294,7 @@ func AdmissionSweep(db *tpch.DB, items []WorkItem, maxCredits int) []AdmissionPo
 	keepall := NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll})
 	keepall.Warmup(warm)
 	base := RunBatch(keepall, items)
+	keepall.Close()
 
 	out := []AdmissionPoint{{
 		Credits: 0, Policy: "keepall", HitRatioToKeep: 1,
@@ -305,6 +307,7 @@ func AdmissionSweep(db *tpch.DB, items []WorkItem, maxCredits int) []AdmissionPo
 			r := NewRecycled(db.Cat, recycler.Config{Admission: kind, Credits: credits})
 			r.Warmup(warm)
 			res := RunBatch(r, items)
+			r.Close()
 			out = append(out, AdmissionPoint{
 				Credits: credits, Policy: kind.String(),
 				HitRatioToKeep: ratio(res.Hits, base.Hits),
@@ -385,6 +388,7 @@ func EvictionSweep(db *tpch.DB, items []WorkItem, limitKind string, limitPcts []
 	keepall := NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll})
 	keepall.Warmup(warm)
 	base := RunBatch(keepall, items)
+	keepall.Close()
 
 	naive := NewNaive(db.Cat, false)
 	naive.Warmup(warm)
@@ -414,13 +418,14 @@ func EvictionSweep(db *tpch.DB, items []WorkItem, limitKind string, limitPcts []
 			case "entries":
 				cfg.MaxEntries = max(1, base.Entries*pctLimit/100)
 			case "memory":
-				cfg.MaxBytes = max64b(1, base.TotalMem*int64(pctLimit)/100)
+				cfg.MaxBytes = max(1, base.TotalMem*int64(pctLimit)/100)
 			default:
 				panic("bench: unknown limit kind " + limitKind)
 			}
 			r := NewRecycled(db.Cat, cfg)
 			r.Warmup(warm)
 			res := RunBatch(r, items)
+			r.Close()
 			curves = append(curves, EvictionCurve{
 				Policy:    cfgDef.name,
 				LimitPct:  pctLimit,
@@ -440,20 +445,6 @@ func hitCurve(res *BatchResult) []float64 {
 		}
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64b(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PrintEviction renders final hit ratios and time ratios per curve.
@@ -485,46 +476,45 @@ type UpdateSeries struct {
 // TPC-H refresh block in the middle of every K queries, run with
 // keepall/unlimited and LRU at two memory limits (fractions of the
 // keepall peak).
-func UpdatesSweep(sf float64, genSeed int64, items func(db *tpch.DB) []WorkItem, k int) []UpdateSeries {
-	// Each strategy gets a fresh database so updates don't accumulate
-	// across strategies.
-	run := func(strategy string, mk func(db *tpch.DB, peak int64) *Runner, peak int64) (UpdateSeries, int64) {
-		db := tpch.Generate(sf, genSeed)
-		batch := items(db)
-		r := mk(db, peak)
-		r.Warmup(warmupOf(batch))
+func UpdatesSweep(sf float64, genSeed int64, items []WorkItem, k int) []UpdateSeries {
+	run := func(strategy string, cfg recycler.Config) UpdateSeries {
 		s := UpdateSeries{Strategy: strategy}
-		start := time.Now()
-		for i, it := range batch {
-			if k > 0 && i > 0 && i%k == k/2 {
-				db.UpdateBlock()
-				s.MemSeries = append(s.MemSeries, r.PoolBytes())
-				s.EntriesSeries = append(s.EntriesSeries, r.PoolEntries())
-			}
-			r.MustRun(it.Templ, it.Params...)
+		s.Elapsed = runUpdating(sf, genSeed, cfg, items, k, func(r *Runner, _ *mal.Ctx) {
 			s.MemSeries = append(s.MemSeries, r.PoolBytes())
 			s.EntriesSeries = append(s.EntriesSeries, r.PoolEntries())
-		}
-		s.Elapsed = time.Since(start)
-		var maxMem int64
-		for _, m := range s.MemSeries {
-			if m > maxMem {
-				maxMem = m
-			}
-		}
-		return s, maxMem
+		})
+		return s
 	}
+	keepall := run("keepall", recycler.Config{Admission: recycler.KeepAll})
+	var peak int64
+	for _, m := range keepall.MemSeries {
+		peak = max(peak, m)
+	}
+	lru := func(strategy string, maxBytes int64) UpdateSeries {
+		return run(strategy, recycler.Config{Admission: recycler.KeepAll, Eviction: recycler.EvictLRU, MaxBytes: maxBytes})
+	}
+	return []UpdateSeries{keepall, lru("lru/50%", peak/2), lru("lru/20%", peak/5)}
+}
 
-	keepall, peak := run("keepall", func(db *tpch.DB, _ int64) *Runner {
-		return NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll})
-	}, 0)
-	lru50, _ := run("lru/50%", func(db *tpch.DB, p int64) *Runner {
-		return NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll, Eviction: recycler.EvictLRU, MaxBytes: p / 2})
-	}, peak)
-	lru20, _ := run("lru/20%", func(db *tpch.DB, p int64) *Runner {
-		return NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll, Eviction: recycler.EvictLRU, MaxBytes: p / 5})
-	}, peak)
-	return []UpdateSeries{keepall, lru50, lru20}
+// runUpdating runs items on a recycled runner over a freshly generated
+// catalog, so updates never accumulate across runs, applying one TPC-H
+// refresh block in the middle of every k queries (never when k <= 0).
+// observe sees the runner after each refresh block (ctx nil) and after
+// each query. It returns the loop's wall-clock time.
+func runUpdating(sf float64, genSeed int64, cfg recycler.Config, items []WorkItem, k int, observe func(r *Runner, ctx *mal.Ctx)) time.Duration {
+	db := tpch.Generate(sf, genSeed)
+	r := NewRecycled(db.Cat, cfg)
+	defer r.Close()
+	r.Warmup(warmupOf(items))
+	start := time.Now()
+	for i, it := range items {
+		if k > 0 && i > 0 && i%k == k/2 {
+			db.UpdateBlock()
+			observe(r, nil)
+		}
+		observe(r, r.MustRun(it.Templ, it.Params...))
+	}
+	return time.Since(start)
 }
 
 // PrintUpdates renders pool memory/entry series samples.
@@ -538,9 +528,6 @@ func PrintUpdates(w io.Writer, series []UpdateSeries, every int) {
 	}
 	tw.Flush()
 }
-
-// MixedWorkload exposes the §7.2 batch builder.
-func MixedWorkload(per int, seed int64) []WorkItem { return mixedWorkload(per, seed) }
 
 // --- throughput ----------------------------------------------------------
 
@@ -560,6 +547,7 @@ type ThroughputRow struct {
 func Throughput(db *tpch.DB, items []WorkItem) []ThroughputRow {
 	warm := warmupOf(items)
 	row := func(name string, r *Runner) ThroughputRow {
+		defer r.Close()
 		r.Warmup(warm)
 		res := RunBatch(r, items)
 		return ThroughputRow{
@@ -604,22 +592,15 @@ type SyncAblationRow struct {
 // queries under immediate invalidation (the paper's implemented mode)
 // and under delta propagation (§6.3), reporting reuse and total time.
 // Propagation must never lose hits relative to invalidation.
-func SyncAblation(sf float64, genSeed int64, items func(db *tpch.DB) []WorkItem, k int) []SyncAblationRow {
+func SyncAblation(sf float64, genSeed int64, items []WorkItem, k int) []SyncAblationRow {
 	run := func(mode recycler.SyncMode, name string) SyncAblationRow {
-		db := tpch.Generate(sf, genSeed)
-		batch := items(db)
-		r := NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll, Sync: mode})
-		r.Warmup(warmupOf(batch))
 		row := SyncAblationRow{Mode: name}
-		start := time.Now()
-		for i, it := range batch {
-			if k > 0 && i > 0 && i%k == k/2 {
-				db.UpdateBlock()
+		cfg := recycler.Config{Admission: recycler.KeepAll, Sync: mode}
+		row.Elapsed = runUpdating(sf, genSeed, cfg, items, k, func(_ *Runner, ctx *mal.Ctx) {
+			if ctx != nil {
+				row.Hits += ctx.Stats.HitsNonBind
 			}
-			ctx := r.MustRun(it.Templ, it.Params...)
-			row.Hits += ctx.Stats.HitsNonBind
-		}
-		row.Elapsed = time.Since(start)
+		})
 		return row
 	}
 	return []SyncAblationRow{

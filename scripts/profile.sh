@@ -3,11 +3,12 @@
 # microbenchmarks, so kernel work is guided by measurement rather than
 # guesswork (docs/ARCHITECTURE.md "Kernel layer"). Artifacts land in
 # profiles/:
-#   profiles/skybench.pprof   whole-run profile of the naive baseline
+#   profiles/sky.pprof        the Fig. 14 batch (BenchmarkFig14): the
+#                             SkyServer mix over 20k objects run naive,
+#                             keepall and CRD/LRU
 #   profiles/miss.pprof       the recycled miss path: nested boxes
 #                             subsumed onto a pooled superset over 200k
-#                             sky objects (BenchmarkEngineMiss); the naive
-#                             run never subsumes
+#                             sky objects (BenchmarkEngineMiss)
 #   profiles/kernels.pprof    internal/algebra Kernel* benchmarks (range,
 #                             float, narrow float, SelectPaths: uselect /
 #                             not-nil / sorted view / mixed chain, fused
@@ -22,17 +23,16 @@
 #   profiles/exec-server.pprof  a 23-column sky.photoobj INSERT as a
 #                             POST /exec round trip
 #   profiles/*.top.txt        `go tool pprof -top` summaries
-# Usage: scripts/profile.sh [objects] [queries]   (defaults 20000 200)
+# Usage: scripts/profile.sh
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
-objects="${1:-20000}"
-queries="${2:-200}"
 mkdir -p profiles
 
-echo "== skybench naive baseline (objects=$objects n=$queries) =="
-go run ./cmd/skybench -objects "$objects" -n "$queries" \
-  -cpuprofile profiles/skybench.pprof naive
+echo "== SkyServer batch, naive / keepall / CRD-LRU (Fig. 14) =="
+go test . -run '^$' -bench 'BenchmarkFig14' \
+  -benchtime 50x -cpuprofile profiles/sky.pprof \
+  -o profiles/repro.test | tee profiles/sky.bench.txt
 
 echo "== recycled miss path (nested boxes subsumed onto the pool) =="
 go test . -run '^$' -bench 'BenchmarkEngineMiss' \
@@ -70,8 +70,8 @@ go test ./internal/server/ -run '^$' -bench 'BenchmarkServerExecInsert' \
   -o profiles/server.test | tee profiles/exec.bench.txt
 
 echo "== top functions =="
-go tool pprof -top -nodecount 25 profiles/skybench.pprof \
-  | tee profiles/skybench.top.txt
+go tool pprof -top -nodecount 25 profiles/repro.test profiles/sky.pprof \
+  | tee profiles/sky.top.txt
 go tool pprof -top -nodecount 25 profiles/repro.test profiles/miss.pprof \
   | tee profiles/miss.top.txt
 go tool pprof -top -nodecount 25 profiles/algebra.test profiles/kernels.pprof \
