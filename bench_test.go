@@ -320,8 +320,7 @@ func BenchmarkAblationSubsumption(b *testing.B) {
 			defer r.Close()
 			var total time.Duration
 			for _, q := range w.Batch {
-				ctx := r.MustRun(w.Template(q.Kind), q.Params...)
-				total += ctx.Stats.Elapsed
+				total += r.MustRun(w.Template(q.Kind), q.Params...).Stats.Elapsed
 			}
 			return total
 		}

@@ -43,9 +43,9 @@ func main() {
 	var hits, pot int
 	tRec := bench.Timed(func() {
 		for _, q := range w.Batch {
-			ctx := rec.MustRun(w.Template(q.Kind), q.Params...)
-			hits += ctx.Stats.HitsNonBind
-			pot += ctx.Stats.MarkedNonBind
+			res := rec.MustRun(w.Template(q.Kind), q.Params...)
+			hits += res.Stats.HitsNonBind
+			pot += res.Stats.MarkedNonBind
 		}
 	})
 
@@ -55,5 +55,5 @@ func main() {
 		100*float64(hits)/float64(pot))
 
 	fmt.Println("recycle pool breakdown by instruction type (cf. Table III):")
-	bench.PrintTable3(os.Stdout, rec.Rec.PoolTypeBreakdown())
+	bench.PrintTable3(os.Stdout, rec.Recycler().PoolTypeBreakdown())
 }

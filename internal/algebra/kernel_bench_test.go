@@ -97,38 +97,9 @@ func BenchmarkKernelGroup(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelFusedChain compares a three-conjunct select chain run
-// as three materializing kernels against the single fused pass — the
-// kernel-level view of the interpreter's fusion win.
-func BenchmarkKernelFusedChain(b *testing.B) {
-	for _, n := range kernelSizes {
-		data := randInts(n, 16)
-		steps := []Pred{
-			inRange(int64(1000), int64(1<<19), true, true),
-			inRange(int64(2000), int64(1<<18), true, true),
-			inRange(int64(4000), int64(1<<17), true, true),
-		}
-		b.Run(fmt.Sprintf("unfused/rows=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n * 8))
-			for i := 0; i < b.N; i++ {
-				s1 := Filter(data, inRange(int64(1000), int64(1<<19), true, true))
-				s2 := Filter(s1, inRange(int64(2000), int64(1<<18), true, true))
-				Filter(s2, inRange(int64(4000), int64(1<<17), true, true))
-			}
-		})
-		b.Run(fmt.Sprintf("fused/rows=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n * 8))
-			for i := 0; i < b.N; i++ {
-				Filter(data, steps...)
-			}
-		})
-	}
-}
-
 // BenchmarkKernelSelectPaths covers the Filter paths the single-op
-// entry points used to own: equality, not-nil, the sorted-tail binary
-// search (a zero-copy view) and a fused chain mixing predicate kinds
-// across a column switch.
+// entry points used to own: equality, not-nil and the sorted-tail
+// binary search (a zero-copy view).
 func BenchmarkKernelSelectPaths(b *testing.B) {
 	for _, n := range kernelSizes {
 		rng := rand.New(rand.NewSource(17))
@@ -144,22 +115,20 @@ func BenchmarkKernelSelectPaths(b *testing.B) {
 		ints := bat.NewDenseHead(bat.NewInts(small))
 		sortedInts := bat.NewDenseHead(bat.NewInts(sorted))
 		sortedInts.TailSorted = true
-		floats := randFloats(n, 18)
 		cases := []struct {
-			name  string
-			base  *bat.BAT
-			preds []Pred
+			name string
+			base *bat.BAT
+			pred Pred
 		}{
-			{"uselect", randInts(n, 19), []Pred{equalTo(int64(4242))}},
-			{"notnil", ints, []Pred{{Kind: PredNotNil}}},
-			{"sorted", sortedInts, []Pred{inRange(int64(n/4), int64(n/2), true, false)}},
-			{"mixed", floats, []Pred{inRange(45.0, 270.0, true, true), {Kind: PredSwitch, Col: ints}, {Kind: PredNotNil}, equalTo(int64(3))}},
+			{"uselect", randInts(n, 19), equalTo(int64(4242))},
+			{"notnil", ints, Pred{Kind: PredNotNil}},
+			{"sorted", sortedInts, inRange(int64(n/4), int64(n/2), true, false)},
 		}
 		for _, c := range cases {
 			b.Run(fmt.Sprintf("%s/rows=%d", c.name, n), func(b *testing.B) {
 				b.SetBytes(int64(n * 8))
 				for i := 0; i < b.N; i++ {
-					Filter(c.base, c.preds...)
+					Filter(c.base, c.pred)
 				}
 			})
 		}

@@ -1,10 +1,13 @@
 package algebra
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/bat"
@@ -78,6 +81,32 @@ func refSelectNotNil(b *bat.BAT) []int {
 	var idx []int
 	for i := 0; i < b.Len(); i++ {
 		if !isNilAny(b.Tail.Get(i)) {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// refLike is a regexp LIKE ('%' any run, '_' any byte); nil strings
+// match neither LIKE nor NOT LIKE.
+func refLike(b *bat.BAT, pattern string, want bool) []int {
+	var re strings.Builder
+	re.WriteString("^(?s)")
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; c {
+		case '%':
+			re.WriteString(".*")
+		case '_':
+			re.WriteString(".")
+		default:
+			re.WriteString(regexp.QuoteMeta(string(c)))
+		}
+	}
+	re.WriteString("$")
+	rx := regexp.MustCompile(re.String())
+	var idx []int
+	for i := 0; i < b.Len(); i++ {
+		if v := b.Tail.Get(i).(string); v != bat.NilStr && rx.MatchString(v) == want {
 			idx = append(idx, i)
 		}
 	}
@@ -309,6 +338,26 @@ func expectPairs(t *testing.T, ctxt string, base, out *bat.BAT, idx []int) {
 			t.Fatalf("%s: row %d tail = %v, want %v", ctxt, k, out.Tail.Get(k), base.Tail.Get(i))
 		}
 	}
+	expectTruthfulFlags(t, ctxt, out)
+}
+
+// expectTruthfulFlags asserts out claims no head property its rows
+// lack. Flags may be conservative, never wrong.
+func expectTruthfulFlags(t *testing.T, ctxt string, out *bat.BAT) {
+	t.Helper()
+	h := headsOf(out)
+	if out.HeadSorted && !slices.IsSorted(h) {
+		t.Fatalf("%s: HeadSorted claimed but heads descend", ctxt)
+	}
+	if out.KeyUnique {
+		seen := map[bat.Oid]bool{}
+		for i, v := range h {
+			if seen[v] {
+				t.Fatalf("%s: KeyUnique claimed but head %v repeats at %d", ctxt, v, i)
+			}
+			seen[v] = true
+		}
+	}
 }
 
 var diffKinds = []bat.Kind{bat.KInt, bat.KFloat, bat.KDate, bat.KStr, bat.KOid, bat.KBool}
@@ -353,6 +402,7 @@ func TestUselectMatchesSeedReference(t *testing.T) {
 				t.Fatalf("uselect row %d: head %v want %v", k, bat.OidAt(got.Head, k), bat.OidAt(b.Head, i))
 			}
 		}
+		expectTruthfulFlags(t, "uselect", got)
 	}
 }
 
@@ -365,6 +415,22 @@ func TestSelectNotNilMatchesSeedReference(t *testing.T) {
 		got := Filter(b, Pred{Kind: PredNotNil})
 		want := refSelectNotNil(b)
 		expectPairs(t, "selectNotNil", b, got, want)
+	}
+}
+
+func TestLikeMatchesSeedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	patterns := []string{"%a%", "%b%", "a%", "%z", "_", "a_", "%", "", "ab"}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60) + 1
+		b := bat.New(bat.NewDense(bat.Oid(rng.Intn(3)), n), randVector(rng, bat.KStr, n, false))
+		pat := patterns[rng.Intn(len(patterns))]
+		kind, want := PredLike, true
+		if rng.Intn(2) == 0 {
+			kind, want = PredNotLike, false
+		}
+		got := Filter(b, Pred{Kind: kind, Pattern: pat})
+		expectPairs(t, fmt.Sprintf("like %q %v", pat, want), b, got, refLike(b, pat, want))
 	}
 }
 
@@ -590,94 +656,6 @@ func TestGroupNewMatchesSeedReference(t *testing.T) {
 		}
 		if d.NGroups != nref {
 			t.Fatalf("derive ngroups %d want %d", d.NGroups, nref)
-		}
-	}
-}
-
-func TestFusedSelectMatchesUnfusedChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(80) + 1
-		start := bat.Oid(rng.Intn(3))
-		cols := []*bat.BAT{
-			bat.New(bat.NewDense(start, n), randVector(rng, bat.KFloat, n, false)),
-			bat.New(bat.NewDense(start, n), randVector(rng, bat.KInt, n, false)),
-			bat.New(bat.NewDense(start, n), randVector(rng, bat.KStr, n, false)),
-		}
-		base := cols[rng.Intn(len(cols))]
-		nsteps := rng.Intn(4) + 1
-		var steps []Pred
-		cur := base
-		unfused := base
-		for s := 0; s < nsteps; s++ {
-			if s > 0 && rng.Intn(2) == 0 {
-				col := cols[rng.Intn(len(cols))]
-				steps = append(steps, Pred{Kind: PredSwitch, Col: col})
-				unfused = Semijoin(col, unfused)
-				cur = col
-				continue
-			}
-			kind := cur.Tail.Kind()
-			switch {
-			case kind == bat.KStr && rng.Intn(2) == 0:
-				pat := []string{"%a%", "%b%", "a%", "%z"}[rng.Intn(4)]
-				if rng.Intn(2) == 0 {
-					steps = append(steps, Pred{Kind: PredLike, Pattern: pat})
-					unfused = Filter(unfused, Pred{Kind: PredLike, Pattern: pat})
-				} else {
-					steps = append(steps, Pred{Kind: PredNotLike, Pattern: pat})
-					unfused = Filter(unfused, Pred{Kind: PredNotLike, Pattern: pat})
-				}
-			case rng.Intn(4) == 0:
-				steps = append(steps, Pred{Kind: PredNotNil})
-				unfused = Filter(unfused, Pred{Kind: PredNotNil})
-			default:
-				lo, hi := randBound(rng, kind), randBound(rng, kind)
-				incLo, incHi := rng.Intn(2) == 0, rng.Intn(2) == 0
-				steps = append(steps, inRange(lo, hi, incLo, incHi))
-				unfused = Filter(unfused, inRange(lo, hi, incLo, incHi))
-			}
-		}
-		// Optionally terminate with a uselect.
-		if rng.Intn(3) == 0 {
-			v := randBound(rng, cur.Tail.Kind())
-			if v != nil {
-				steps = append(steps, equalTo(v))
-				unfused = Filter(unfused, equalTo(v))
-			}
-		}
-		got := Filter(base, steps...)
-		if got.Len() != unfused.Len() {
-			t.Fatalf("trial %d: fused %d rows, unfused %d", trial, got.Len(), unfused.Len())
-		}
-		for i := 0; i < got.Len(); i++ {
-			if bat.OidAt(got.Head, i) != bat.OidAt(unfused.Head, i) {
-				t.Fatalf("trial %d row %d: head %v want %v", trial, i, bat.OidAt(got.Head, i), bat.OidAt(unfused.Head, i))
-			}
-			if !valEq(got.Tail.Get(i), unfused.Tail.Get(i)) {
-				t.Fatalf("trial %d row %d: tail %v want %v", trial, i, got.Tail.Get(i), unfused.Tail.Get(i))
-			}
-		}
-		// Flags may be more conservative than the per-instruction chain
-		// (e.g. a lone not-nil Filter's no-drop early return keeps KeyUnique where
-		// the fused pass clears it) but must never claim a property the
-		// data lacks.
-		h := headsOf(got)
-		if got.HeadSorted {
-			for i := 1; i < len(h); i++ {
-				if h[i] < h[i-1] {
-					t.Fatalf("trial %d: HeadSorted claimed but heads descend at %d", trial, i)
-				}
-			}
-		}
-		if got.KeyUnique {
-			seen := map[bat.Oid]bool{}
-			for i, v := range h {
-				if seen[v] {
-					t.Fatalf("trial %d: KeyUnique claimed but head %v repeats at %d", trial, v, i)
-				}
-				seen[v] = true
-			}
 		}
 	}
 }

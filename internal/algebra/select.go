@@ -13,26 +13,23 @@ import (
 )
 
 // The selection kernel. Every row filter the engine runs — one select,
-// uselect, selectNotNil, likeselect or notlikeselect instruction, a
-// fused conjunct chain, the recycler's delta filter rule and combined
-// subsumption's piecewise re-selects — is one Filter call over a list
-// of Preds. A SelectionVector of surviving positions is refined
-// predicate by predicate and only the survivors are materialised, once:
-// the streaming-iterator composition idiom mapped onto MAL filters.
+// uselect, selectNotNil, likeselect or notlikeselect instruction, the
+// recycler's delta filter rule and combined subsumption's piecewise
+// re-selects — is one Filter call with one Pred. The scan writes the
+// positions of the surviving rows into a SelectionVector and only the
+// survivors are materialised, once.
 //
-// Each predicate kind has one generic loop over the typed slice. Handed
-// a nil selection it scans every row — store the position, advance the
-// write cursor only when the predicate holds: no branch, no boxing, no
-// append growth — and otherwise refines the given selection in place.
-// Range bounds are normalised once per call into a closed typed
-// interval that already excludes the nil sentinel, so the range loop is
-// two comparisons per row and no nil test.
+// Each predicate kind has one generic loop over the typed slice: store
+// the position, advance the write cursor only when the predicate holds
+// — no branch, no boxing, no append growth. Range bounds are normalised
+// once per call into a closed typed interval that already excludes the
+// nil sentinel, so the range loop is two comparisons per row and no nil
+// test.
 //
 // Memory: a Filter allocates its result and nothing in proportion to
-// its input. The first full-column step writes into one column-sized
-// selection borrowed from selPool; later predicates refine it in place,
-// the gathers copy the survivors out, and the buffer goes back before
-// Filter returns, so no result aliases it.
+// its input. The scan writes into one column-sized selection borrowed
+// from selPool, the gather copies the survivors out, and the buffer
+// goes back before Filter returns, so no result aliases it.
 
 // PredKind identifies what a Pred tests.
 type PredKind uint8
@@ -43,9 +40,9 @@ const (
 	// never qualify.
 	PredRange PredKind = iota
 	// PredEq keeps the rows equal to V. Nil sentinels are not special
-	// (one matches itself; float NaN matches nothing). As the last
-	// predicate it yields the uselect shape: a tail sharing the head's
-	// storage, as MonetDB's void-tailed uselect results do.
+	// (one matches itself; float NaN matches nothing). It yields the
+	// uselect shape: a tail sharing the head's storage, as MonetDB's
+	// void-tailed uselect results do.
 	PredEq
 	// PredNotNil drops the rows holding the kind's nil sentinel.
 	PredNotNil
@@ -53,76 +50,55 @@ const (
 	// match the SQL LIKE Pattern ('%' any run, '_' any character).
 	PredLike
 	PredNotLike
-	// PredSwitch makes Col the active column: a semijoin against a bind
-	// positionally aligned with the filtered BAT (same dense head), which
-	// a fused chain reduces to a column switch.
-	PredSwitch
 )
 
-// Pred is one conjunct of a filter.
+// Pred is the predicate a filter applies.
 type Pred struct {
 	Kind    PredKind
-	Range   Range    // PredRange
-	V       any      // PredEq
-	Pattern string   // PredLike, PredNotLike
-	Col     *bat.BAT // PredSwitch
+	Range   Range  // PredRange
+	V       any    // PredEq
+	Pattern string // PredLike, PredNotLike
 }
 
-// Filter returns the (head, tail) pairs of b that satisfy every
-// predicate, bit-identical to applying them one at a time. Head order
-// is kept; KeyUnique survives range and equality predicates only.
+// Filter returns the (head, tail) pairs of b that satisfy p. Head
+// order is kept; KeyUnique survives range and equality predicates only.
 //
-// The first predicate over a tail-sorted BAT binary-searches its run
-// instead of scanning (§2.3: range selects over ordered columns are
-// near-zero cost), and a lone range predicate returns that run as a
-// zero-copy view. A lone not-nil predicate that drops nothing returns b
-// itself.
-func Filter(b *bat.BAT, preds ...Pred) *bat.BAT {
-	if len(preds) == 0 {
-		return b
-	}
-	cur := b
-	headSorted, keyUnique := b.HeadSorted, b.KeyUnique
-	var sel bat.SelectionVector // nil: every row of cur
-	var buf selBuf              // borrowed by the first full-column step
+// Over a tail-sorted BAT, Filter binary-searches p's run instead of
+// scanning (§2.3: range selects over ordered columns are near-zero
+// cost), and a range predicate returns that run as a zero-copy view.
+// A not-nil predicate that drops nothing returns b itself.
+func Filter(b *bat.BAT, p Pred) *bat.BAT {
+	var sel bat.SelectionVector // nil: every row
+	var buf selBuf              // borrowed by the scan or the sorted run
 	defer buf.release()
-	for i := range preds {
-		p := &preds[i]
-		switch p.Kind {
-		case PredSwitch:
-			cur = p.Col
-			headSorted, keyUnique = cur.HeadSorted, cur.KeyUnique
-			continue
-		case PredNotNil, PredLike, PredNotLike:
-			keyUnique = false
-		}
-		if sel == nil && cur.TailSorted {
-			if start, end, ok := sortedRun(cur.Tail, p); ok {
-				if len(preds) == 1 && p.Kind == PredRange {
-					out := b.Slice(start, end)
-					out.TailSorted = true
-					return out
-				}
-				sel = span(start, end, &buf)
-				continue
+	if b.TailSorted {
+		if start, end, ok := sortedRun(b.Tail, &p); ok {
+			if p.Kind == PredRange {
+				out := b.Slice(start, end)
+				out.TailSorted = true
+				return out
 			}
+			sel = span(start, end, &buf)
 		}
-		sel = p.scan(cur.Tail, sel, &buf)
 	}
-	if len(preds) == 1 && preds[0].Kind == PredNotNil && (sel == nil || len(sel) == b.Len()) {
+	if sel == nil {
+		sel = p.scan(b.Tail, &buf)
+	}
+	if p.Kind == PredNotNil && (sel == nil || len(sel) == b.Len()) {
 		return b
 	}
 	if sel == nil {
-		sel = span(0, cur.Len(), &buf)
+		sel = span(0, b.Len(), &buf)
 	}
 	var out *bat.BAT
-	if preds[len(preds)-1].Kind == PredEq {
-		hv := bat.NewOids(bat.GatherOidsSel(cur.Head, sel))
+	if p.Kind == PredEq {
+		hv := bat.NewOids(bat.GatherOidsSel(b.Head, sel))
 		out = bat.New(hv, hv.Slice(0, len(sel)))
 	} else {
-		out = bat.GatherSel(cur, sel)
+		out = bat.GatherSel(b, sel)
 	}
-	out.HeadSorted, out.KeyUnique = headSorted, keyUnique
+	out.HeadSorted = b.HeadSorted
+	out.KeyUnique = b.KeyUnique && (p.Kind == PredRange || p.Kind == PredEq)
 	return out
 }
 
@@ -205,92 +181,77 @@ func denseSpan(t *bat.DenseOids, lo, hi bat.Oid) (int, int) {
 	return int(lo - t.Start), int(hi-t.Start) + 1
 }
 
-// scan refines sel (nil: every row) to the positions of tail that p
-// keeps; a scan of every row writes into buf. The result is never nil,
-// except that a not-nil predicate over a kind without a nil
-// representation hands sel back untouched.
-func (p *Pred) scan(tail bat.Vector, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
+// scan returns the positions of tail that p keeps, written into buf.
+// The result is never nil, except that a predicate that keeps every row
+// of a kind without a nil representation (a not-nil over bools or dense
+// oids, a range holding both bools) returns nil, every row.
+func (p *Pred) scan(tail bat.Vector, buf *selBuf) bat.SelectionVector {
 	if p.Kind == PredLike || p.Kind == PredNotLike {
 		t, ok := tail.(*bat.Strings)
 		if !ok {
 			panic(fmt.Sprintf("algebra: like filter over non-string tail %T", tail))
 		}
 		pat, want := p.Pattern, p.Kind == PredLike
-		return scanStrings(t.V, func(x string) bool { return x != bat.NilStr && likeMatch(pat, x) == want }, sel, buf)
+		return scanStrings(t.V, func(x string) bool { return x != bat.NilStr && likeMatch(pat, x) == want }, buf)
 	}
 	switch t := tail.(type) {
 	case *bat.Ints:
-		return scanNum(t.V, intDom, p, sel, buf)
+		return scanNum(t.V, intDom, p, buf)
 	case *bat.Dates:
-		return scanNum(t.V, dateDom, p, sel, buf)
+		return scanNum(t.V, dateDom, p, buf)
 	case *bat.Oids:
-		return scanNum(t.V, oidDom, p, sel, buf)
+		return scanNum(t.V, oidDom, p, buf)
 	case *bat.Floats:
-		return scanNum(t.V, fltDom, p, sel, buf)
+		return scanNum(t.V, fltDom, p, buf)
 	case *bat.Strings:
 		switch p.Kind {
 		case PredEq:
-			return scanEq(t.V, p.V.(string), sel, buf)
+			return scanEq(t.V, p.V.(string), buf)
 		case PredNotNil:
-			return scanNotNil(t.V, bat.NilStr, sel, buf)
+			return scanNotNil(t.V, bat.NilStr, buf)
 		}
-		return scanStrings(t.V, p.Range.strKeep(), sel, buf)
+		return scanStrings(t.V, p.Range.strKeep(), buf)
 	case *bat.Bools:
 		// No nil, and false < true: a range keeps one value, both or none.
 		switch p.Kind {
 		case PredEq:
-			return scanEq(t.V, p.V.(bool), sel, buf)
+			return scanEq(t.V, p.V.(bool), buf)
 		case PredNotNil:
-			return sel
+			return nil
 		}
 		switch f, tr := p.Range.Contains(point(false)), p.Range.Contains(point(true)); {
 		case f && tr:
-			return sel
+			return nil
 		case f || tr:
-			return scanEq(t.V, tr, sel, buf)
+			return scanEq(t.V, tr, buf)
 		}
 	case *bat.DenseOids:
-		// Positions are values here: a selection, ascending, keeps the
-		// run of its positions inside the interval.
+		// Positions are values here: the kept rows are one run.
 		if p.Kind == PredNotNil {
-			return sel
+			return nil
 		}
 		start, end := 0, 0
 		if lo, hi, ok := oidDom.interval(p); ok {
 			start, end = denseSpan(t, lo, hi)
 		}
-		if sel == nil {
-			return span(start, end, buf)
-		}
-		i := sort.Search(len(sel), func(i int) bool { return int(sel[i]) >= start })
-		k := sort.Search(len(sel), func(k int) bool { return int(sel[k]) >= end })
-		return sel[i:max(i, k)]
+		return span(start, end, buf)
 	default:
 		panic(fmt.Sprintf("algebra: filter over unsupported tail %T", tail))
 	}
-	return none(sel)
+	return bat.SelectionVector{}
 }
 
-func scanNum[T number](v []T, d domain[T], p *Pred, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
+func scanNum[T number](v []T, d domain[T], p *Pred, buf *selBuf) bat.SelectionVector {
 	switch p.Kind {
 	case PredEq:
-		return scanEq(v, p.V.(T), sel, buf)
+		return scanEq(v, p.V.(T), buf)
 	case PredNotNil:
-		return scanNotNil(v, d.nil, sel, buf)
+		return scanNotNil(v, d.nil, buf)
 	}
 	if lo, hi, ok := d.closed(p.Range); ok {
-		return scanRange(v, lo, hi, sel, buf)
+		return scanRange(v, lo, hi, buf)
 	}
-	return none(sel)
-}
-
-// none is the empty refinement of sel — never nil, which means "every
-// row".
-func none(sel bat.SelectionVector) bat.SelectionVector {
-	if sel == nil {
-		return bat.SelectionVector{}
-	}
-	return sel[:0]
+	return bat.SelectionVector{}
 }
 
 // span is the selection [start, end), written into buf.
@@ -336,27 +297,11 @@ func (b *selBuf) release() {
 // scanRange keeps the positions whose value lies in [lo, hi]. The two
 // bound tests are separate conditional moves rather than one && branch
 // the predictor must guess; NaN fails both.
-func scanRange[T number](v []T, lo, hi T, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
-	if sel == nil {
-		out := buf.take(len(v))
-		j := 0
-		for i, x := range v {
-			out[j] = int32(i)
-			k := j + 1
-			if !(x >= lo) {
-				k = j
-			}
-			if !(x <= hi) {
-				k = j
-			}
-			j = k
-		}
-		return out[:j]
-	}
+func scanRange[T number](v []T, lo, hi T, buf *selBuf) bat.SelectionVector {
+	out := buf.take(len(v))
 	j := 0
-	for _, p := range sel {
-		x := v[p]
-		sel[j] = p
+	for i, x := range v {
+		out[j] = int32(i)
 		k := j + 1
 		if !(x >= lo) {
 			k = j
@@ -366,56 +311,30 @@ func scanRange[T number](v []T, lo, hi T, sel bat.SelectionVector, buf *selBuf) 
 		}
 		j = k
 	}
-	return sel[:j]
+	return out[:j]
 }
 
 // scanEq keeps the positions whose value equals w.
-func scanEq[T comparable](v []T, w T, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
-	if sel == nil {
-		out := buf.take(len(v))
-		j := 0
-		for i, x := range v {
-			out[j] = int32(i)
-			if x == w {
-				j++
-			}
-		}
-		return out[:j]
-	}
+func scanEq[T comparable](v []T, w T, buf *selBuf) bat.SelectionVector {
+	out := buf.take(len(v))
 	j := 0
-	for _, p := range sel {
-		sel[j] = p
-		if v[p] == w {
+	for i, x := range v {
+		out[j] = int32(i)
+		if x == w {
 			j++
 		}
 	}
-	return sel[:j]
+	return out[:j]
 }
 
 // scanNotNil keeps the positions whose value is not nilv. x != x is
 // what drops a float NaN, which compares unequal to itself and to
 // nilv; for every other kind it folds to false.
-func scanNotNil[T comparable](v []T, nilv T, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
-	if sel == nil {
-		out := buf.take(len(v))
-		j := 0
-		for i, x := range v {
-			out[j] = int32(i)
-			k := j + 1
-			if x != x {
-				k = j
-			}
-			if x == nilv {
-				k = j
-			}
-			j = k
-		}
-		return out[:j]
-	}
+func scanNotNil[T comparable](v []T, nilv T, buf *selBuf) bat.SelectionVector {
+	out := buf.take(len(v))
 	j := 0
-	for _, p := range sel {
-		x := v[p]
-		sel[j] = p
+	for i, x := range v {
+		out[j] = int32(i)
 		k := j + 1
 		if x != x {
 			k = j
@@ -425,30 +344,20 @@ func scanNotNil[T comparable](v []T, nilv T, sel bat.SelectionVector, buf *selBu
 		}
 		j = k
 	}
-	return sel[:j]
+	return out[:j]
 }
 
 // scanStrings keeps the positions whose string keep accepts. String
 // compares and LIKE matching dominate, so the loop keeps plain
 // branches.
-func scanStrings(v []string, keep func(string) bool, sel bat.SelectionVector, buf *selBuf) bat.SelectionVector {
-	if sel == nil {
-		out := buf.take(len(v))[:0]
-		for i, x := range v {
-			if keep(x) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	j := 0
-	for _, p := range sel {
-		if keep(v[p]) {
-			sel[j] = p
-			j++
+func scanStrings(v []string, keep func(string) bool, buf *selBuf) bat.SelectionVector {
+	out := buf.take(len(v))[:0]
+	for i, x := range v {
+		if keep(x) {
+			out = append(out, int32(i))
 		}
 	}
-	return sel[:j]
+	return out
 }
 
 // --- ranges ------------------------------------------------------------------

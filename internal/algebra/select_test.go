@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -246,42 +247,46 @@ func TestSelectSubsumptionEquivalence(t *testing.T) {
 	}
 }
 
-// Property: a chain whose first predicate binary-searches a sorted tail
-// equals the same predicates applied one Filter at a time.
+// Property: the per-instruction chain over a sorted column — a first
+// Filter that binary-searches the tail (a range returns a zero-copy
+// view, which the next Filter searches again), a semijoin switching to
+// another column after an equality, then Filters one at a time —
+// equals the same chain over an unflagged copy, which scans every step.
 func TestFilterSortedFirstMatchesStepwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
+	bound := func() any { return randBound(rng, bat.KInt) }
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(80) + 1
-		sorted := bat.New(bat.NewDense(3, n), randVector(rng, bat.KInt, n, true))
+		tail := randVector(rng, bat.KInt, n, true)
+		sorted := bat.New(bat.NewDense(3, n), tail)
 		sorted.TailSorted = true
-		other := bat.New(bat.NewDense(3, n), randVector(rng, bat.KInt, n, false))
-		preds := []Pred{inRange(randBound(rng, bat.KInt), randBound(rng, bat.KInt), rng.Intn(2) == 0, rng.Intn(2) == 0)}
+		scanned := bat.New(bat.NewDense(3, n), tail)
+		first := inRange(bound(), bound(), rng.Intn(2) == 0, rng.Intn(2) == 0)
 		if rng.Intn(3) == 0 {
-			preds[0] = equalTo(int64(rng.Intn(40)))
-			preds = append(preds, Pred{Kind: PredSwitch, Col: other})
+			first = equalTo(int64(rng.Intn(40)))
 		}
-		stepwise := Filter(sorted, preds...)
-		if len(preds) == 2 {
-			stepwise = Semijoin(other, Filter(sorted, preds[0]))
+		got, want := Filter(sorted, first), Filter(scanned, first)
+		if first.Kind == PredEq {
+			other := bat.New(bat.NewDense(3, n), randVector(rng, bat.KInt, n, false))
+			got, want = Semijoin(other, got), Semijoin(other, want)
 		}
 		for k := rng.Intn(3) + 1; k > 0; k-- {
-			p := inRange(randBound(rng, bat.KInt), randBound(rng, bat.KInt), rng.Intn(2) == 0, rng.Intn(2) == 0)
+			p := inRange(bound(), bound(), rng.Intn(2) == 0, rng.Intn(2) == 0)
 			if rng.Intn(3) == 0 {
 				p = Pred{Kind: PredNotNil}
 			}
-			preds = append(preds, p)
-			stepwise = Filter(stepwise, p)
+			got, want = Filter(got, p), Filter(want, p)
 		}
-		got := Filter(sorted, preds...)
-		if got.Len() != stepwise.Len() {
-			t.Fatalf("trial %d: chain %d rows, stepwise %d", trial, got.Len(), stepwise.Len())
+		if got.Len() != want.Len() {
+			t.Fatalf("trial %d: sorted chain %d rows, scanned %d", trial, got.Len(), want.Len())
 		}
 		for i := 0; i < got.Len(); i++ {
-			if bat.OidAt(got.Head, i) != bat.OidAt(stepwise.Head, i) || got.Tail.Get(i) != stepwise.Tail.Get(i) {
+			if bat.OidAt(got.Head, i) != bat.OidAt(want.Head, i) || got.Tail.Get(i) != want.Tail.Get(i) {
 				t.Fatalf("trial %d row %d: (%v, %v) want (%v, %v)", trial, i,
-					bat.OidAt(got.Head, i), got.Tail.Get(i), bat.OidAt(stepwise.Head, i), stepwise.Tail.Get(i))
+					bat.OidAt(got.Head, i), got.Tail.Get(i), bat.OidAt(want.Head, i), want.Tail.Get(i))
 			}
 		}
+		expectTruthfulFlags(t, fmt.Sprintf("trial %d", trial), got)
 	}
 }
 
@@ -307,7 +312,7 @@ func TestFilterResultsOutliveBuffer(t *testing.T) {
 	results := []*bat.BAT{
 		Filter(floats, inRange(10.0, 20.0, true, true)),
 		Filter(ints, equalTo(ints.Tail.Get(7).(int64))),
-		Filter(strs, Pred{Kind: PredNotNil}, Pred{Kind: PredLike, Pattern: "%a%"}),
+		Filter(strs, Pred{Kind: PredLike, Pattern: "%a%"}),
 		Semijoin(ints, Filter(ints, inRange(int64(0), int64(1<<18), true, true))),
 	}
 	heads := make([][]bat.Oid, len(results))
@@ -317,7 +322,7 @@ func TestFilterResultsOutliveBuffer(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		Filter(floats, inRange(float64(i), float64(i)+300, true, true))
-		Filter(ints, inRange(int64(i), int64(1<<20), true, true), Pred{Kind: PredNotNil})
+		Filter(ints, Pred{Kind: PredNotNil})
 		Semijoin(floats, Filter(floats, inRange(float64(i), 200.0, true, true)))
 	}
 	for i, r := range results {
@@ -358,16 +363,18 @@ func TestFilterConcurrent(t *testing.T) {
 
 // TestFilterAllocatesItsResult gates the memory contract as a count: a
 // 1e6-row float range keeping ≈1 % of the rows allocates at most twice
-// its result's bytes. The median of several calls is taken because a
-// GC may empty the pool, and the race detector drops pooled items at
-// random, either of which makes one call allocate the buffer anew.
+// its result's bytes. The median of many calls is taken because a GC
+// may empty the pool, and the race detector drops one Put in four,
+// either of which makes one call allocate the buffer anew. With 41
+// samples the median fails only when 21 of them draw a fresh buffer:
+// about 0.03 % of race runs.
 func TestFilterAllocatesItsResult(t *testing.T) {
 	data := randFloats(1_000_000, 35)
 	pred := inRange(100.0, 103.6, true, true)
 	res := Filter(data, pred)
 	resultBytes := uint64(res.Len()) * (8 + 8) // oid head + float tail
 	var ms runtime.MemStats
-	deltas := make([]uint64, 9)
+	deltas := make([]uint64, 41)
 	for i := range deltas {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc

@@ -1,10 +1,9 @@
 package bat
 
-// SelectionVector is a list of positional indices into a BAT, the
-// intermediate currency of fused filter chains: each conjunct refines
-// the positions of the previous one instead of materialising a BAT per
-// step. Positions are int32 — vectors are bounded well below 2^31 rows
-// and halving the index width keeps refinement loops in cache.
+// SelectionVector is a list of positional indices into a BAT: the
+// rows a filter or a semijoin keeps, gathered into the result once.
+// Positions are int32 — vectors are bounded well below 2^31 rows and
+// halving the index width keeps the scan loops in cache.
 type SelectionVector []int32
 
 // GatherSel materialises the rows of b at the selected positions, in

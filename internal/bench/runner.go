@@ -3,91 +3,71 @@ package bench
 import (
 	"time"
 
+	"repro"
 	"repro/internal/catalog"
 	"repro/internal/mal"
 	"repro/internal/recycler"
 )
 
-// Runner executes hand-built templates against one engine
-// configuration, one query at a time: each Run builds a fresh context
-// on the sequential interpreter with select-chain fusion off. SQL
-// experiments go through repro.Engine instead; Runner exists because
-// Engine cannot hold fusion off.
+// Runner executes hand-built templates on one repro.Engine, one query
+// at a time in program order (WithWorkers(1)): the paper's
+// single-threaded experiments define admission and eviction in terms
+// of program-order execution. A recycled and a naive runner execute
+// the identical per-instruction kernels, so the ratios the paper
+// reports isolate recycling.
 type Runner struct {
-	Cat     *catalog.Catalog
-	Rec     *recycler.Recycler // nil = naive execution
-	Measure bool               // time marked instructions in naive mode
-	queryID uint64
+	*repro.Engine
 }
 
 // NewNaive builds a runner without recycling (optionally measuring
 // marked-instruction time for potential-savings reporting).
-//
-// Runners reproduce the paper's single-threaded experiments, whose
-// admission/eviction bookkeeping is defined in terms of program-order
-// execution, so they always run the sequential interpreter.
-//
-// They also disable select-chain fusion: a recycled run of monitored
-// instructions never fuses (admission is per instruction), so the
-// recycled-vs-naive ratios the paper reports only isolate recycling if
-// the naive arm executes the identical per-instruction kernels.
 func NewNaive(cat *catalog.Catalog, measure bool) *Runner {
-	return &Runner{Cat: cat, Measure: measure}
+	opts := []repro.Option{repro.WithWorkers(1)}
+	if measure {
+		opts = append(opts, repro.WithMeasure())
+	}
+	return &Runner{repro.NewEngine(cat, opts...)}
 }
 
 // NewRecycled builds a runner with a fresh recycler. The recycler
 // listens to the catalog until Close.
 func NewRecycled(cat *catalog.Catalog, cfg recycler.Config) *Runner {
-	return &Runner{Cat: cat, Rec: recycler.New(cat, cfg)}
+	return &Runner{repro.NewEngine(cat, repro.WithWorkers(1), repro.WithRecycler(cfg))}
 }
 
 // Close detaches the runner's recycler from the catalog and empties its
 // pool, so a retired runner does not stay reachable from a catalog that
 // outlives it. It is a no-op for naive runners.
 func (r *Runner) Close() {
-	if r.Rec != nil {
-		r.Rec.Close()
+	if rec := r.Recycler(); rec != nil {
+		rec.Close()
 	}
 }
 
-// Run executes one query instance and returns its context (with
-// statistics filled in).
-func (r *Runner) Run(tmpl *mal.Template, params ...mal.Value) (*mal.Ctx, error) {
-	r.queryID++
-	qid := r.queryID
-	ctx := &mal.Ctx{Cat: r.Cat, QueryID: qid, Measure: r.Measure, Workers: 1, NoFusion: true}
-	if r.Rec != nil {
-		ctx.Hook = r.Rec
-		r.Rec.BeginQuery(qid, tmpl.ID)
-		defer r.Rec.EndQuery(qid)
-	}
-	err := mal.Run(ctx, tmpl, params...)
-	return ctx, err
-}
-
-// MustRun is Run that panics on error (experiment code paths).
-func (r *Runner) MustRun(tmpl *mal.Template, params ...mal.Value) *mal.Ctx {
-	ctx, err := r.Run(tmpl, params...)
+// MustRun executes one query instance and returns its results and
+// statistics, panicking on error (experiment code paths).
+func (r *Runner) MustRun(tmpl *mal.Template, params ...mal.Value) *repro.ExecResult {
+	res, err := r.Exec(tmpl, params...)
 	if err != nil {
 		panic(err)
 	}
-	return ctx
+	return res
 }
 
 // PoolBytes returns the recycle pool memory, 0 for naive runners.
 func (r *Runner) PoolBytes() int64 {
-	if r.Rec == nil {
-		return 0
+	if rec := r.Recycler(); rec != nil {
+		return rec.PoolBytes()
 	}
-	return r.Rec.PoolBytes()
+	return 0
 }
 
 // PoolEntries returns the number of cache lines, 0 for naive runners.
 func (r *Runner) PoolEntries() int {
-	if r.Rec == nil {
-		return 0
+	if rec := r.Recycler(); rec != nil {
+		return rec.PoolLen()
 	}
-	return r.Rec.PoolLen()
+	return 0
 }
 
 // Warmup executes the given (template, params) pairs once to touch all
@@ -98,8 +78,8 @@ func (r *Runner) Warmup(queries []WarmupQuery) {
 	for _, q := range queries {
 		r.MustRun(q.Templ, q.Params...)
 	}
-	if r.Rec != nil {
-		r.Rec.Reset()
+	if rec := r.Recycler(); rec != nil {
+		rec.Reset()
 	}
 }
 

@@ -61,16 +61,16 @@ func SkyBatch(db *sky.DB, batch *sky.Workload, segments int, seed int64) Fig14Ro
 				end = n
 			}
 			for _, q := range batch.Batch[start:end] {
-				ctx := r.MustRun(batch.Template(q.Kind), q.Params...)
-				total += ctx.Stats.Elapsed
-				hits += ctx.Stats.HitsNonBind
-				pot += ctx.Stats.MarkedNonBind
+				res := r.MustRun(batch.Template(q.Kind), q.Params...)
+				total += res.Stats.Elapsed
+				hits += res.Stats.HitsNonBind
+				pot += res.Stats.MarkedNonBind
 				if m := r.PoolBytes(); m > peak {
 					peak = m
 				}
 			}
-			if r.Rec != nil {
-				r.Rec.Reset()
+			if rec := r.Recycler(); rec != nil {
+				rec.Reset()
 			}
 			start = end
 		}
@@ -128,7 +128,7 @@ func Table3(db *sky.DB, batch *sky.Workload) []recycler.TypeRow {
 	for _, q := range batch.Batch {
 		r.MustRun(batch.Template(q.Kind), q.Params...)
 	}
-	rows := r.Rec.PoolTypeBreakdown()
+	rows := r.Recycler().PoolTypeBreakdown()
 	r.Close()
 	return rows
 }
@@ -181,23 +181,23 @@ func SkySubsume(db *sky.DB, mb *sky.MicroBench) []Fig15Point {
 		// The recycled run happens once (it mutates the pool); the
 		// naive baseline repeats and keeps the fastest run to reduce
 		// timing noise on sub-millisecond selections.
-		nctx := naive.MustRun(mb.Templ, params...)
+		nres := naive.MustRun(mb.Templ, params...)
 		for rep := 0; rep < 2; rep++ {
 			c := naive.MustRun(mb.Templ, params...)
-			if c.Stats.Elapsed < nctx.Stats.Elapsed {
-				nctx = c
+			if c.Stats.Elapsed < nres.Stats.Elapsed {
+				nres = c
 			}
 		}
-		rctx := rec.MustRun(mb.Templ, params...)
+		rres := rec.MustRun(mb.Templ, params...)
 		p := Fig15Point{
 			Query:      i + 1,
 			Seed:       mb.SeedIdx[i],
-			TotalRatio: ratioDur(rctx.Stats.Elapsed, nctx.Stats.Elapsed),
-			AlgTime:    rctx.Stats.SubsumeOverhead,
-			Combined:   rctx.Stats.Combined > 0,
+			TotalRatio: ratioDur(rres.Stats.Elapsed, nres.Stats.Elapsed),
+			AlgTime:    rres.Stats.SubsumeOverhead,
+			Combined:   rres.Stats.Combined > 0,
 		}
-		if p.Combined && nctx.Stats.TimeInMarked > 0 {
-			p.SelRatio = ratioDur(rctx.Stats.CombinedExec, nctx.Stats.TimeInMarked)
+		if p.Combined && nres.Stats.TimeInMarked > 0 {
+			p.SelRatio = ratioDur(rres.Stats.CombinedExec, nres.Stats.TimeInMarked)
 		}
 		out = append(out, p)
 	}

@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro"
 	"repro/internal/mal"
 	"repro/internal/opt"
 	"repro/internal/recycler"
@@ -50,7 +51,7 @@ func Table2(db *tpch.DB, seed int64) []Table2Row {
 
 		naive := NewNaive(db.Cat, true)
 		naive.MustRun(d.Templ, p1...) // warm caches / page in columns
-		nctx := naive.MustRun(d.Templ, p1...)
+		nres := naive.MustRun(d.Templ, p1...)
 
 		rec := NewRecycled(db.Cat, recycler.Config{Admission: recycler.KeepAll})
 		rec.Warmup([]WarmupQuery{{Templ: d.Templ, Params: p1}})
@@ -69,8 +70,8 @@ func Table2(db *tpch.DB, seed int64) []Table2Row {
 			Marked:    marked,
 			IntraPct:  100 * intra / float64(marked),
 			InterPct:  100 * inter / float64(marked),
-			Total:     nctx.Stats.Elapsed,
-			Potential: nctx.Stats.TimeInMarked,
+			Total:     nres.Stats.Elapsed,
+			Potential: nres.Stats.TimeInMarked,
 			LocalSav:  c1.Stats.SavedLocal,
 			GlobalSav: c2.Stats.SavedGlobal,
 		})
@@ -130,19 +131,19 @@ func MicroProfile(db *tpch.DB, qnum, instances int, seed int64) []ProfilePoint {
 
 	out := make([]ProfilePoint, 0, instances)
 	for i := 0; i < instances; i++ {
-		nctx := naive.MustRun(d.Templ, params[i]...)
-		rctx := rec.MustRun(d.Templ, params[i]...)
-		_, reusedBytes := rec.Rec.PoolReusedStats()
+		nres := naive.MustRun(d.Templ, params[i]...)
+		rres := rec.MustRun(d.Templ, params[i]...)
+		_, reusedBytes := rec.Recycler().PoolReusedStats()
 		out = append(out, ProfilePoint{
 			Instance:   i + 1,
-			HitRatio:   rctx.Stats.HitRatio(),
-			Naive:      nctx.Stats.Elapsed,
-			Recycled:   rctx.Stats.Elapsed,
-			TotalMem:   rec.Rec.PoolBytes(),
+			HitRatio:   rres.Stats.HitRatio(),
+			Naive:      nres.Stats.Elapsed,
+			Recycled:   rres.Stats.Elapsed,
+			TotalMem:   rec.Recycler().PoolBytes(),
 			ReusedMem:  reusedBytes,
-			PoolLines:  rec.Rec.PoolLen(),
-			LocalHits:  rctx.Stats.LocalHits,
-			GlobalHits: rctx.Stats.GlobalHits,
+			PoolLines:  rec.Recycler().PoolLen(),
+			LocalHits:  rres.Stats.LocalHits,
+			GlobalHits: rres.Stats.GlobalHits,
 		})
 	}
 	return out
@@ -268,9 +269,9 @@ func RunBatch(r *Runner, items []WorkItem) *BatchResult {
 	res := &BatchResult{}
 	start := time.Now()
 	for _, it := range items {
-		ctx := r.MustRun(it.Templ, it.Params...)
-		res.Hits += ctx.Stats.HitsNonBind
-		res.Potential += ctx.Stats.MarkedNonBind
+		qr := r.MustRun(it.Templ, it.Params...)
+		res.Hits += qr.Stats.HitsNonBind
+		res.Potential += qr.Stats.MarkedNonBind
 		res.CumHits = append(res.CumHits, res.Hits)
 		res.CumPotential = append(res.CumPotential, res.Potential)
 		res.MemSeries = append(res.MemSeries, r.PoolBytes())
@@ -279,8 +280,8 @@ func RunBatch(r *Runner, items []WorkItem) *BatchResult {
 	res.Elapsed = time.Since(start)
 	res.TotalMem = r.PoolBytes()
 	res.Entries = r.PoolEntries()
-	if r.Rec != nil {
-		res.ReusedEntries, res.ReusedMem = r.Rec.PoolReusedStats()
+	if rec := r.Recycler(); rec != nil {
+		res.ReusedEntries, res.ReusedMem = rec.PoolReusedStats()
 	}
 	return res
 }
@@ -479,7 +480,7 @@ type UpdateSeries struct {
 func UpdatesSweep(sf float64, genSeed int64, items []WorkItem, k int) []UpdateSeries {
 	run := func(strategy string, cfg recycler.Config) UpdateSeries {
 		s := UpdateSeries{Strategy: strategy}
-		s.Elapsed = runUpdating(sf, genSeed, cfg, items, k, func(r *Runner, _ *mal.Ctx) {
+		s.Elapsed = runUpdating(sf, genSeed, cfg, items, k, func(r *Runner, _ *repro.ExecResult) {
 			s.MemSeries = append(s.MemSeries, r.PoolBytes())
 			s.EntriesSeries = append(s.EntriesSeries, r.PoolEntries())
 		})
@@ -499,9 +500,9 @@ func UpdatesSweep(sf float64, genSeed int64, items []WorkItem, k int) []UpdateSe
 // runUpdating runs items on a recycled runner over a freshly generated
 // catalog, so updates never accumulate across runs, applying one TPC-H
 // refresh block in the middle of every k queries (never when k <= 0).
-// observe sees the runner after each refresh block (ctx nil) and after
+// observe sees the runner after each refresh block (res nil) and after
 // each query. It returns the loop's wall-clock time.
-func runUpdating(sf float64, genSeed int64, cfg recycler.Config, items []WorkItem, k int, observe func(r *Runner, ctx *mal.Ctx)) time.Duration {
+func runUpdating(sf float64, genSeed int64, cfg recycler.Config, items []WorkItem, k int, observe func(r *Runner, res *repro.ExecResult)) time.Duration {
 	db := tpch.Generate(sf, genSeed)
 	r := NewRecycled(db.Cat, cfg)
 	defer r.Close()
@@ -596,9 +597,9 @@ func SyncAblation(sf float64, genSeed int64, items []WorkItem, k int) []SyncAbla
 	run := func(mode recycler.SyncMode, name string) SyncAblationRow {
 		row := SyncAblationRow{Mode: name}
 		cfg := recycler.Config{Admission: recycler.KeepAll, Sync: mode}
-		row.Elapsed = runUpdating(sf, genSeed, cfg, items, k, func(_ *Runner, ctx *mal.Ctx) {
-			if ctx != nil {
-				row.Hits += ctx.Stats.HitsNonBind
+		row.Elapsed = runUpdating(sf, genSeed, cfg, items, k, func(_ *Runner, res *repro.ExecResult) {
+			if res != nil {
+				row.Hits += res.Stats.HitsNonBind
 			}
 		})
 		return row

@@ -124,10 +124,6 @@ type Ctx struct {
 	// needed. 0 uses GOMAXPROCS; 1 means no helpers, which executes the
 	// plan in program order.
 	Workers int
-	// NoFusion disables fused select-chain execution for this context,
-	// forcing the per-instruction interpreter path even on templates
-	// annotated by the optimizer's fusion pass.
-	NoFusion bool
 
 	// Trace, when non-nil, records one span per executed instruction.
 	// Span slots are written lock-free: each pc completes exactly once
@@ -198,7 +194,7 @@ func wrapErr(t *Template, pc int, err error) error {
 // one executor, and it runs on the calling goroutine: it walks the
 // template's dependency DAG (derived once per template) and probes
 // every instruction as soon as its predecessors completed — binding
-// arguments, taking a fused chain, asking the recycler hook's Entry —
+// arguments and asking the recycler hook's Entry —
 // so a pool hit completes the instruction on the spot. A miss leaves a
 // kernel to execute (then Exit). The calling goroutine runs kernels
 // itself; only when a kernel is ready while other instructions are
@@ -263,7 +259,6 @@ type kernel struct {
 	lookup    time.Duration
 	spanStart time.Time
 	monitored bool // the hook saw the miss: Exit follows the kernel
-	fused     int  // 1 + the fused chain this is the last member of; 0 if none
 }
 
 type completion struct {
@@ -389,10 +384,9 @@ func helper(ctx *Ctx, work <-chan kernel, done chan<- completion, worker int) {
 // panicked converts a recovered panic into the instruction's error.
 func panicked(r any) error { return fmt.Errorf("panic: %v", r) }
 
-// probe is the first half of an instruction: bind its arguments, take
-// a fused chain, and ask the recycler. done reports the instruction
-// complete (a pool hit, or a fused chain's skipped member); otherwise
-// k is the kernel left to execute.
+// probe is the first half of an instruction: bind its arguments and
+// ask the recycler. done reports the instruction complete (a pool hit);
+// otherwise k is the kernel left to execute.
 func (x *executor) probe(pc int) (k kernel, done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -403,18 +397,6 @@ func (x *executor) probe(pc int) (k kernel, done bool, err error) {
 	in := &x.t.Instrs[pc]
 	tr := ctx.Trace // nil when tracing is disabled: the only cost below is pointer tests
 	k = kernel{pc: pc, in: in}
-	if ci, last, ok := x.t.fusedChainAt(pc); ok && fusionEligible(ctx, ci) {
-		if tr != nil {
-			k.spanStart = time.Now()
-		}
-		if !last {
-			tr.SetFused(pc, x.t.fused[ci].Pcs[len(x.t.fused[ci].Pcs)-1:])
-			tr.EndSpan(pc, in.Name(), 0, k.spanStart, 0, 0, 0, 0)
-			return k, true, nil
-		}
-		k.fused = ci + 1
-		return k, false, nil
-	}
 	lo, hi := x.d.argOff[pc], x.d.argOff[pc+1]
 	args := x.slab[lo:hi:hi]
 	for i, a := range in.Args {
@@ -477,9 +459,6 @@ func execute(ctx *Ctx, k *kernel, worker int) (err error) {
 		}
 	}()
 	in := k.in
-	if k.fused > 0 {
-		return stepFused(ctx, k.pc, in, worker, k.fused-1, k.spanStart)
-	}
 	timed := in.Marked && (k.monitored || ctx.Measure)
 	execArgs := k.args
 	if k.rw != nil {

@@ -163,9 +163,9 @@ func IsFilter(name string) bool {
 // applies to args[0]: select(b, lo, hi, incLo, incHi) with VVoid bounds
 // open, uselect(b, v), selectNotNil(b), likeselect(b, pattern) and
 // notlikeselect(b, pattern). ok is false when name is not a filter or
-// the argument count does not fit it. Execution, fused chains, the
-// recycler's delta filter rule and its subsumption analysis all read
-// filters through this one mapping.
+// the argument count does not fit it. Execution, the recycler's delta
+// filter rule and its subsumption analysis all read filters through
+// this one mapping.
 func FilterPred(name string, args []Value) (p algebra.Pred, ok bool) {
 	if p.Kind, ok = filterKinds[name]; !ok {
 		return p, false

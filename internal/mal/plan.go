@@ -92,61 +92,6 @@ type Template struct {
 	// the optimizer store it; Run loads it. Atomic so one template can
 	// be executed by many sessions concurrently.
 	dag atomic.Pointer[DAG]
-
-	// fused/fusedAt hold the optimizer's fusion annotation (see
-	// internal/opt.PlanFusion). Written once before the template's first
-	// run, read-only afterwards — same discipline as Marked.
-	fused   []FusedChain
-	fusedAt []int32
-}
-
-// FusedChain annotates one fusable run of filter instructions. The
-// instructions stay in the plan verbatim — signatures, pool keys and
-// recycler identity are untouched — but an eligible execution skips
-// the member pcs and evaluates the whole chain in one fused kernel at
-// the last member's pc.
-type FusedChain struct {
-	// Pcs lists the member instructions in program order. All but the
-	// last produce single-use intermediates consumed inside the chain.
-	Pcs []int
-	// AnyMarked is set when any member is recycler-monitored; such
-	// chains stay unfused whenever a hook or measurement is active so
-	// per-instruction admission and statistics are preserved.
-	AnyMarked bool
-}
-
-// SetFusedChains installs the fusion annotation. Must be called before
-// the template executes (the optimizer's last rewriting step).
-func (t *Template) SetFusedChains(chains []FusedChain) {
-	t.fused = chains
-	if len(chains) == 0 {
-		t.fusedAt = nil
-		return
-	}
-	t.fusedAt = make([]int32, len(t.Instrs))
-	for i := range t.fusedAt {
-		t.fusedAt[i] = -1
-	}
-	for ci := range chains {
-		for _, pc := range chains[ci].Pcs {
-			t.fusedAt[pc] = int32(ci)
-		}
-	}
-}
-
-// FusedChains returns the fusion annotation (nil when none).
-func (t *Template) FusedChains() []FusedChain { return t.fused }
-
-// fusedChainAt reports whether pc belongs to a fused chain, and
-// whether it is the chain's last member (the pc the fused kernel runs
-// at).
-func (t *Template) fusedChainAt(pc int) (ci int, last bool, ok bool) {
-	if t.fusedAt == nil || t.fusedAt[pc] < 0 {
-		return 0, false, false
-	}
-	ci = int(t.fusedAt[pc])
-	pcs := t.fused[ci].Pcs
-	return ci, pcs[len(pcs)-1] == pc, true
 }
 
 var templateIDs atomic.Uint64

@@ -28,11 +28,6 @@ type Options struct {
 	// lives here so one Options value gates the whole normalization
 	// pipeline.
 	SkipNormalizeSQL bool
-	// SkipFusion disables the select-chain fusion annotation. Unlike
-	// the normalization passes, fusion never changes plan identity —
-	// it only marks chains the interpreter may execute in one fused
-	// kernel — so skipping it is purely a performance knob.
-	SkipFusion bool
 
 	// Stats, when non-nil, accumulates pass counters across Optimize
 	// calls (the SQL front end threads one collector through all its
@@ -77,11 +72,6 @@ func Optimize(t *mal.Template, opts Options) *mal.Template {
 	}
 	if !opts.SkipRecycler {
 		MarkRecycle(t)
-	}
-	if !opts.SkipFusion {
-		// After MarkRecycle so chains know whether any member is
-		// monitored, and after the rewriting passes so pcs are final.
-		PlanFusion(t)
 	}
 	// The passes rewrite the instruction list in place; rebuild the
 	// dataflow dependency DAG so the scheduler sees the final plan.

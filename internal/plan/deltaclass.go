@@ -14,14 +14,8 @@ import "repro/internal/mal"
 //
 // The classification is static — purely a property of the operation
 // name — and conservative: anything without a sound rule classifies
-// DeltaNone.
-//
-// Select-chain fusion (opt.PlanFusion) does not interact with this
-// classification: fusion is an execution-time rewrite that leaves the
-// instruction list, per-op identity and therefore the static per-op
-// delta class untouched, and monitored (recycled) runs — the only
-// runs that admit pool entries needing maintenance — never execute
-// fused.
+// DeltaNone. Every instruction executes as itself, so the class of a
+// pooled entry is the class of the one operation that produced it.
 type DeltaClass int
 
 // Delta classes.

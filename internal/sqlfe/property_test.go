@@ -3,6 +3,8 @@ package sqlfe
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -151,8 +153,7 @@ func TestRandomQueriesMatchReference(t *testing.T) {
 }
 
 // rawCompile compiles src with EVERY optimizer pass disabled and no
-// query normalization — the plan exactly as the compiler emits it,
-// with fusion unannotated so execution is strictly per-instruction.
+// query normalization — the plan exactly as the compiler emits it.
 func rawCompile(cat *catalog.Catalog, src string) (*mal.Template, []mal.Value, error) {
 	q, err := Parse(src)
 	if err != nil {
@@ -160,7 +161,7 @@ func rawCompile(cat *catalog.Catalog, src string) (*mal.Template, []mal.Value, e
 	}
 	return CompileOpt(cat, q, opt.Options{
 		SkipConstFold: true, SkipDeadCode: true, SkipCommute: true,
-		SkipCSE: true, SkipNormalizeSQL: true, SkipFusion: true,
+		SkipCSE: true, SkipNormalizeSQL: true,
 	})
 }
 
@@ -243,6 +244,76 @@ func genRichQuery(rng *rand.Rand) string {
 	return fmt.Sprintf("SELECT %s FROM sys.t WHERE %s%s", sel, where, tail)
 }
 
+// genLikeTable builds a random table with int columns a, b and a
+// string column c, with nils mixed into all three.
+func genLikeTable(rng *rand.Rand) *catalog.Catalog {
+	cat := catalog.New()
+	tb := cat.CreateTable("sys", "t", []catalog.ColDef{
+		{Name: "a", Kind: bat.KInt},
+		{Name: "b", Kind: bat.KInt},
+		{Name: "c", Kind: bat.KStr},
+	})
+	n := rng.Intn(300) + 1
+	words := []string{"alpha", "beta", "gamma", "delta", "alphabet", "betamax", "", bat.NilStr}
+	num := func() int64 {
+		if rng.Intn(12) == 0 {
+			return bat.NilInt
+		}
+		return int64(rng.Intn(60))
+	}
+	rows := make([]catalog.Row, n)
+	for i := range rows {
+		rows[i] = catalog.Row{"a": num(), "b": num(), "c": words[rng.Intn(len(words))]}
+	}
+	tb.Append(rows)
+	return cat
+}
+
+// genLikeQuery samples a conjunctive query mixing range, equality and
+// LIKE predicates across columns: the conjunct chains the SQL front
+// end emits as select → semijoin → select → … → uselect.
+func genLikeQuery(rng *rand.Rand) string {
+	var sel, tail string
+	switch rng.Intn(3) {
+	case 0:
+		sel = "COUNT(*)"
+	case 1:
+		sel = "a, b"
+		if rng.Intn(2) == 0 {
+			tail = " ORDER BY a"
+		}
+	default:
+		sel = "a, COUNT(*)"
+		tail = " GROUP BY a"
+	}
+	nPreds := rng.Intn(3) + 1
+	where := ""
+	for i := 0; i < nPreds; i++ {
+		if i > 0 {
+			where += " AND "
+		}
+		switch rng.Intn(5) {
+		case 0:
+			where += fmt.Sprintf("c LIKE '%%%s%%'", []string{"alpha", "bet", "a", "x"}[rng.Intn(4)])
+		case 1:
+			where += fmt.Sprintf("c NOT LIKE '%%%s%%'", []string{"alpha", "mm"}[rng.Intn(2)])
+		default:
+			where += genPred(rng).sql()
+		}
+	}
+	return fmt.Sprintf("SELECT %s FROM sys.t WHERE %s%s", sel, where, tail)
+}
+
+// optInputs are TestOptimizePreservesResults' input families: a random
+// table and a query generator over it.
+var optInputs = []struct {
+	table func(*rand.Rand) *catalog.Catalog
+	query func(*rand.Rand) string
+}{
+	{func(rng *rand.Rand) *catalog.Catalog { return genPropTable(rng).cat }, genRichQuery},
+	{genLikeTable, genLikeQuery},
+}
+
 // TestOptimizePreservesResults is the optimizer's master property (the
 // tentpole's safety net): for random queries, the fully-optimized,
 // normalized template produces BIT-IDENTICAL results to the raw
@@ -250,49 +321,8 @@ func genRichQuery(rng *rand.Rand) string {
 // CSE-shrunk plans feeding the pool) enabled.
 func TestOptimizePreservesResults(t *testing.T) {
 	fn := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pt := genPropTable(rng)
-		fe := NewFrontend(pt.cat)
-		rec := recycler.New(pt.cat, recycler.Config{
-			Admission: recycler.KeepAll, Subsumption: true, CombinedSubsumption: true,
-		})
-		defer rec.Close()
-		for q := 0; q < 6; q++ {
-			sql := genRichQuery(rng)
-			rawT, rawP, err := rawCompile(pt.cat, sql)
-			if err != nil {
-				t.Logf("seed %d: raw compile %q: %v", seed, sql, err)
-				return false
-			}
-			optT, optP, err := fe.Compile(sql)
-			if err != nil {
-				t.Logf("seed %d: opt compile %q: %v", seed, sql, err)
-				return false
-			}
-			want, err := execResults(pt.cat, nil, 0, rawT, rawP)
-			if err != nil {
-				t.Logf("seed %d: raw run %q: %v", seed, sql, err)
-				return false
-			}
-			got, err := execResults(pt.cat, nil, 0, optT, optP)
-			if err != nil {
-				t.Logf("seed %d: opt run %q: %v", seed, sql, err)
-				return false
-			}
-			if !resultsBitIdentical(want, got) {
-				t.Logf("seed %d: optimized results differ for %q", seed, sql)
-				return false
-			}
-			qid := uint64(q + 1)
-			rec.BeginQuery(qid, optT.ID)
-			rgot, err := execResults(pt.cat, rec, qid, optT, optP)
-			rec.EndQuery(qid)
-			if err != nil {
-				t.Logf("seed %d: recycled run %q: %v", seed, sql, err)
-				return false
-			}
-			if !resultsBitIdentical(want, rgot) {
-				t.Logf("seed %d: recycled results differ for %q", seed, sql)
+		for _, in := range optInputs {
+			if !optimizePreservesResults(t, seed, in.table, in.query) {
 				return false
 			}
 		}
@@ -300,6 +330,122 @@ func TestOptimizePreservesResults(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func optimizePreservesResults(t *testing.T, seed int64, table func(*rand.Rand) *catalog.Catalog, query func(*rand.Rand) string) bool {
+	rng := rand.New(rand.NewSource(seed))
+	cat := table(rng)
+	fe := NewFrontend(cat)
+	rec := recycler.New(cat, recycler.Config{
+		Admission: recycler.KeepAll, Subsumption: true, CombinedSubsumption: true,
+	})
+	defer rec.Close()
+	for q := 0; q < 6; q++ {
+		sql := query(rng)
+		rawT, rawP, err := rawCompile(cat, sql)
+		if err != nil {
+			t.Logf("seed %d: raw compile %q: %v", seed, sql, err)
+			return false
+		}
+		optT, optP, err := fe.Compile(sql)
+		if err != nil {
+			t.Logf("seed %d: opt compile %q: %v", seed, sql, err)
+			return false
+		}
+		want, err := execResults(cat, nil, 0, rawT, rawP)
+		if err != nil {
+			t.Logf("seed %d: raw run %q: %v", seed, sql, err)
+			return false
+		}
+		got, err := execResults(cat, nil, 0, optT, optP)
+		if err != nil {
+			t.Logf("seed %d: opt run %q: %v", seed, sql, err)
+			return false
+		}
+		if !resultsBitIdentical(want, got) {
+			t.Logf("seed %d: optimized results differ for %q", seed, sql)
+			return false
+		}
+		qid := uint64(q + 1)
+		rec.BeginQuery(qid, optT.ID)
+		rgot, err := execResults(cat, rec, qid, optT, optP)
+		rec.EndQuery(qid)
+		if err != nil {
+			t.Logf("seed %d: recycled run %q: %v", seed, sql, err)
+			return false
+		}
+		if !resultsBitIdentical(want, rgot) {
+			t.Logf("seed %d: recycled results differ for %q", seed, sql)
+			return false
+		}
+	}
+	return true
+}
+
+// TestConcurrentNaiveVsRecycled drives one set of cached templates from
+// many goroutines — naive runs with a helper goroutine racing recycled
+// runs of the same templates — so the race detector sees the naive
+// reader paths against the recycler's pool mutation. Results are
+// checked against a single-threaded naive run per query.
+func TestConcurrentNaiveVsRecycled(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	cat := genLikeTable(rng)
+	fe := NewFrontend(cat)
+	rec := recycler.New(cat, recycler.Config{
+		Admission: recycler.KeepAll, Subsumption: true,
+	})
+	defer rec.Close()
+
+	type job struct {
+		tmpl   *mal.Template
+		params []mal.Value
+		want   []mal.Result
+	}
+	var jobs []job
+	for len(jobs) < 8 {
+		sql := genLikeQuery(rng)
+		tmpl, params, err := fe.Compile(sql)
+		if err != nil {
+			continue
+		}
+		want, err := execResults(cat, nil, 0, tmpl, params)
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		jobs = append(jobs, job{tmpl, params, want})
+	}
+
+	var wg sync.WaitGroup
+	var qid, failures atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				j := jobs[(w+i)%len(jobs)]
+				var got []mal.Result
+				var err error
+				if w%2 == 0 {
+					ctx := &mal.Ctx{Cat: cat, Workers: 2}
+					err = mal.Run(ctx, j.tmpl, j.params...)
+					got = ctx.Results
+				} else {
+					id := uint64(qid.Add(1))
+					rec.BeginQuery(id, j.tmpl.ID)
+					got, err = execResults(cat, rec, id, j.tmpl, j.params)
+					rec.EndQuery(id)
+				}
+				if err != nil || !resultsBitIdentical(j.want, got) {
+					failures.Add(1)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := failures.Load(); n > 0 {
+		t.Fatalf("%d workers saw divergent or failed results", n)
 	}
 }
 

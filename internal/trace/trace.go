@@ -36,11 +36,6 @@ type Span struct {
 	Recycle string        `json:"recycle,omitempty"` // decision reason; "" = unmonitored instr
 	Admit   string        `json:"admit,omitempty"`   // admission outcome on the miss path
 	Deps    []int         `json:"deps,omitempty"`    // pcs this instruction consumed
-	// Fused marks fused-chain execution: on a skipped member it holds
-	// the pc the chain materialised at; on the executing (last) member
-	// it lists every constituent pc, so EXPLAIN ANALYZE can attribute
-	// the fused kernel's time to the original instructions.
-	Fused []int `json:"fused,omitempty"`
 }
 
 // Event is a timed query-scoped happening outside the span grid
@@ -146,15 +141,6 @@ func (r *Recorder) SetAdmission(pc int, reason string) {
 		return
 	}
 	r.spans[pc].Admit = reason
-}
-
-// SetFused records fused-chain membership for pc (see Span.Fused).
-// Written by the worker that owns pc's span slot, like EndSpan.
-func (r *Recorder) SetFused(pc int, pcs []int) {
-	if r == nil || pc < 0 || pc >= len(r.spans) {
-		return
-	}
-	r.spans[pc].Fused = pcs
 }
 
 // SetParents stores the dataflow dependency edges (parents[pc] = pcs

@@ -11,8 +11,8 @@
 #                             sky objects (BenchmarkEngineMiss)
 #   profiles/kernels.pprof    internal/algebra Kernel* benchmarks (range,
 #                             float, narrow float, SelectPaths: uselect /
-#                             not-nil / sorted view / mixed chain, fused
-#                             chain, join, group) and the sorted semijoin
+#                             not-nil / sorted view, join, group) and the
+#                             sorted semijoin
 #   profiles/misspath.pprof   recycler miss path (admit at the cap,
 #                             missed select) at 1e2..1e4 pool entries
 #   profiles/commit.pprof     single-row INSERT / DELETE commits against a

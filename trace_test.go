@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mal"
 	"repro/internal/recycler"
+	"repro/internal/sky"
 	"repro/internal/trace"
 )
 
@@ -102,6 +104,42 @@ func TestConcurrentTracedSessions(t *testing.T) {
 	}
 	if r := tr.Recent(); len(r) > 16 {
 		t.Fatalf("recent ring holds %d traces, cap 16", len(r))
+	}
+}
+
+// TestNaiveAndRecycledRunIdenticalKernels: a naive engine and a cold
+// recycled one execute the same instructions with the same
+// cardinalities, pc by pc, on a conjunctive SkyServer box — the
+// select → semijoin → select → … chain the SQL front end emits. The
+// naive arm is the baseline of every recycled-vs-naive ratio, so it
+// must run the recycler's per-instruction kernels and nothing else.
+func TestNaiveAndRecycledRunIdenticalKernels(t *testing.T) {
+	db := sky.Generate(2000, 17)
+	run := func(opts ...Option) []trace.Span {
+		eng := NewEngine(db.Cat, append(opts, WithTracer(trace.New(trace.Config{})))...)
+		_, qt, err := eng.ExecSQLTraced(skyBoxCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qt.Spans
+	}
+	naive := run()
+	recycled := run(WithRecycler(recycler.Config{Admission: recycler.KeepAll, Subsumption: true}))
+	if len(naive) != len(recycled) {
+		t.Fatalf("naive traced %d instructions, recycled %d", len(naive), len(recycled))
+	}
+	filters := 0
+	for pc, n := range naive {
+		r := recycled[pc]
+		if n.Op != r.Op || n.RowsOut != r.RowsOut {
+			t.Errorf("pc %d: naive %s → %d rows, recycled %s → %d rows", pc, n.Op, n.RowsOut, r.Op, r.RowsOut)
+		}
+		if mal.IsFilter(n.Op) {
+			filters++
+		}
+	}
+	if filters < 2 {
+		t.Fatalf("the plan has %d filters, not a conjunct chain", filters)
 	}
 }
 
