@@ -1,6 +1,5 @@
-// Command reprolint runs the repo's four invariant analyzers
-// (lockorder, atomicfield, singlesig, epochguard) over package
-// patterns.
+// Command reprolint runs the repo's three invariant analyzers
+// (lockorder, atomicfield, singlesig) over package patterns.
 //
 // Standalone mode (the canonical one, used by scripts/lint.sh and
 // CI):
@@ -33,7 +32,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicfield"
-	"repro/internal/analysis/epochguard"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/singlesig"
 )
@@ -42,7 +40,6 @@ var analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	atomicfield.Analyzer,
 	singlesig.Analyzer,
-	epochguard.Analyzer,
 }
 
 func main() {

@@ -1,8 +1,8 @@
 package analysis
 
 // This file is the single place the repo's machine-checked invariants
-// are declared. The four analyzers (lockorder, atomicfield,
-// singlesig, epochguard) read these tables; adding a lock, an atomic
+// are declared. The three analyzers (lockorder, atomicfield,
+// singlesig) read these tables; adding a lock, an atomic
 // counter, an identity function or a guarded accessor means adding a
 // line here, not teaching an analyzer new code. docs/LINTING.md
 // documents the procedure.
@@ -14,21 +14,21 @@ package analysis
 // doc comment, PR 3): a lock may only be acquired while every held
 // lock has a strictly smaller rank. The catalog mutex sits above the
 // recycler locks because recycler code consults the catalog while
-// holding its own locks (spillRecordLocked → TableStamp, the commit
-// walk → Column.Bind), never the reverse. A table's commit mutex
-// sits below them all: a DML statement holds it from its announcement
-// through the listeners' fix-up, which takes the recycler locks.
+// holding its own locks (spillRecordLocked → Pin, the commit walk →
+// Column.Bind), never the reverse. A table's commit mutex sits below
+// them all: a DML statement holds it from its mutation through the
+// listeners' fix-up, which takes the recycler locks.
 // ---------------------------------------------------------------------
 
 // LockRanks maps "pkg/path.Type.field" of every ranked mutex to its
 // level in the hierarchy.
 var LockRanks = map[string]int{
-	"repro/internal/catalog.Table.commitMu":    5,  // one table's DML statements, announcement to notification
-	"repro/internal/recycler.Recycler.mu":      10, // writer lock (level 1)
-	"repro/internal/recycler.Recycler.stateMu": 20, // epoch guard state (level 2)
-	"repro/internal/recycler.sigShard.mu":      30, // signature index shards (level 3)
-	"repro/internal/recycler.admission.mu":     40, // admission policy (leaf, level 4)
-	"repro/internal/catalog.Catalog.mu":        50, // catalog RWMutex (outermost resource)
+	"repro/internal/catalog.Table.commitMu":     5,  // one table's DML statements, mutation to notification
+	"repro/internal/recycler.Recycler.mu":       10, // writer lock (level 1)
+	"repro/internal/recycler.Recycler.activeMu": 20, // active-query set (level 2)
+	"repro/internal/recycler.sigShard.mu":       30, // signature index shards (level 3)
+	"repro/internal/recycler.admission.mu":      40, // admission policy (leaf, level 4)
+	"repro/internal/catalog.Catalog.mu":         50, // catalog RWMutex (outermost resource)
 }
 
 // FuncHoldsOnReturn names locking helpers: calling one acquires the
@@ -129,22 +129,19 @@ const CommitHookHeld = "repro/internal/catalog.Catalog.mu"
 const ListenerInterface = "repro/internal/catalog.UpdateListener"
 
 var ListenerMethods = map[string]bool{
-	"OnBeforeUpdate": true,
-	"OnAbortUpdate":  true,
-	"OnUpdate":       true,
-	"OnDrop":         true,
+	"OnUpdate": true,
+	"OnDrop":   true,
 }
 
 // CatalogMutators are the catalog methods a listener must not call:
 // every DDL/DML entry point of the real catalog, plus the
-// Catalog-level Drop/Append/Delete/UpdateInPlace spellings the
-// lockorder test fixture declares.
+// Catalog-level Drop/Append/Delete spellings the lockorder test
+// fixture declares.
 var CatalogMutators = map[string]bool{
 	"repro/internal/catalog.(*Catalog).CreateTable":    true,
 	"repro/internal/catalog.(*Catalog).DropTable":      true,
 	"repro/internal/catalog.(*Table).Append":           true,
 	"repro/internal/catalog.(*Table).Delete":           true,
-	"repro/internal/catalog.(*Table).UpdateInPlace":    true,
 	"repro/internal/catalog.(*Table).DefineKeyIndex":   true,
 	"repro/internal/catalog.(*Table).DefineJoinIndex":  true,
 	"repro/internal/catalog.(*Catalog).AddListener":    true,
@@ -152,10 +149,9 @@ var CatalogMutators = map[string]bool{
 	"repro/internal/catalog.(*Catalog).SetCommitHook":  true,
 	"repro/internal/catalog.(*Catalog).ImportTable":    true,
 	// lockorder/testdata/catalog
-	"repro/internal/catalog.(*Catalog).Drop":          true,
-	"repro/internal/catalog.(*Catalog).Append":        true,
-	"repro/internal/catalog.(*Catalog).Delete":        true,
-	"repro/internal/catalog.(*Catalog).UpdateInPlace": true,
+	"repro/internal/catalog.(*Catalog).Drop":   true,
+	"repro/internal/catalog.(*Catalog).Append": true,
+	"repro/internal/catalog.(*Catalog).Delete": true,
 }
 
 // RequiresWriterLock lists the Pool methods whose doc contract says
@@ -195,31 +191,36 @@ const WriterLockRequired = "repro/internal/recycler.Recycler.mu"
 // holds the lock nor is itself listed here are flagged. Pool methods
 // from RequiresWriterLock are implicitly writer-context.
 var WriterContextFuncs = map[string]bool{
-	"repro/internal/recycler.(*Recycler).exitLocked":             true,
-	"repro/internal/recycler.(*Recycler).spillRecordLocked":      true,
-	"repro/internal/recycler.(*Recycler).demoteLocked":           true,
-	"repro/internal/recycler.(*Recycler).applyCommit":            true,
-	"repro/internal/recycler.(*commitWalk).parent":               true,
-	"repro/internal/recycler.(*commitWalk).rowsetParent":         true,
-	"repro/internal/recycler.(*commitWalk).base":                 true,
-	"repro/internal/recycler.(*commitWalk).filter":               true,
-	"repro/internal/recycler.(*commitWalk).project":              true,
-	"repro/internal/recycler.(*commitWalk).splitAppend":          true,
-	"repro/internal/recycler.(*commitWalk).agg":                  true,
-	"repro/internal/recycler.(*commitWalk).view":                 true,
-	"repro/internal/recycler.(*commitWalk).join":                 true,
-	"repro/internal/recycler.(*Recycler).refreshBindFromCatalog": true,
-	"repro/internal/recycler.(*Recycler).refreshResult":          true,
-	"repro/internal/recycler.(*Recycler).invalidate":             true,
-	"repro/internal/recycler.(*Recycler).cleanCache":             true,
-	"repro/internal/recycler.(*Recycler).pickVictims":            true,
-	"repro/internal/recycler.(*Recycler).pickLRU":                true,
-	"repro/internal/recycler.(*Recycler).pickVictimsMem":         true,
-	"repro/internal/recycler.(*Recycler).evict":                  true,
-	"repro/internal/recycler.(*Recycler).columnDeps":             true,
-	"repro/internal/recycler.(*Recycler).smallestSuperset":       true,
-	"repro/internal/recycler.(*Recycler).overlapSnaps":           true,
-	"repro/internal/recycler.(*Recycler).smallestSemijoin":       true,
+	"repro/internal/recycler.(*Recycler).exitLocked":        true,
+	"repro/internal/recycler.(*Recycler).spillRecordLocked": true,
+	"repro/internal/recycler.(*Recycler).demoteLocked":      true,
+	"repro/internal/recycler.(*Recycler).applyCommit":       true,
+	"repro/internal/recycler.(*commitWalk).parent":          true,
+	"repro/internal/recycler.(*commitWalk).rowsetParent":    true,
+	"repro/internal/recycler.(*commitWalk).base":            true,
+	"repro/internal/recycler.(*commitWalk).filter":          true,
+	"repro/internal/recycler.(*commitWalk).project":         true,
+	"repro/internal/recycler.(*commitWalk).splitAppend":     true,
+	"repro/internal/recycler.(*commitWalk).agg":             true,
+	"repro/internal/recycler.(*commitWalk).view":            true,
+	"repro/internal/recycler.(*commitWalk).join":            true,
+	"repro/internal/recycler.(*commitWalk).rebind":          true,
+	"repro/internal/recycler.(*commitWalk).refresh":         true,
+	"repro/internal/recycler.(*commitWalk).restamp":         true,
+	"repro/internal/recycler.(*Recycler).appliedLocked":     true,
+	"repro/internal/recycler.(*Recycler).stampsFor":         true,
+	"repro/internal/recycler.(appliedPins).Pin":             true,
+	"repro/internal/recycler.(*Recycler).refreshResult":     true,
+	"repro/internal/recycler.(*Recycler).invalidate":        true,
+	"repro/internal/recycler.(*Recycler).cleanCache":        true,
+	"repro/internal/recycler.(*Recycler).pickVictims":       true,
+	"repro/internal/recycler.(*Recycler).pickLRU":           true,
+	"repro/internal/recycler.(*Recycler).pickVictimsMem":    true,
+	"repro/internal/recycler.(*Recycler).evict":             true,
+	"repro/internal/recycler.(*Recycler).columnDeps":        true,
+	"repro/internal/recycler.(*Recycler).smallestSuperset":  true,
+	"repro/internal/recycler.(*Recycler).overlapSnaps":      true,
+	"repro/internal/recycler.(*Recycler).smallestSemijoin":  true,
 }
 
 // ---------------------------------------------------------------------
@@ -329,44 +330,3 @@ var IdentitySourceFields = map[string]bool{
 	"repro/internal/recycler.Entry.OpName":   true,
 	"repro/internal/recycler.Entry.Render":   true,
 }
-
-// ---------------------------------------------------------------------
-// epochguard: the PR 1 commit-vs-invalidation race class.
-// ---------------------------------------------------------------------
-
-// EpochSources are the pool accessors whose results carry cached
-// entry content: anything read from one is unusable until an epoch
-// guard said so for the asking query.
-var EpochSources = map[string]bool{
-	"repro/internal/recycler.(*Pool).LookupHit":       true,
-	"repro/internal/recycler.(*Pool).Lookup":          true,
-	"repro/internal/recycler.(*Pool).SelectSupersets": true,
-	"repro/internal/recycler.(*Pool).SelectOverlaps":  true,
-	"repro/internal/recycler.(*Pool).LikeCandidates":  true,
-	"repro/internal/recycler.(*Pool).SemijoinOver":    true,
-}
-
-// EpochSanitizers are the guard predicates: a call with the entry (or
-// its deps) as an argument marks the value consulted. epochView.usable
-// is the guard hoisted out of a candidate loop: the view is evaluated
-// once per scan (epochViewFor, one stateMu acquisition), and it is the
-// per-entry call on the view — not having built one — that counts.
-var EpochSanitizers = map[string]bool{
-	"repro/internal/recycler.(*Recycler).usable":        true,
-	"repro/internal/recycler.(*Recycler).staleForQuery": true,
-	"repro/internal/recycler.(*Recycler).depsFresh":     true,
-	"repro/internal/recycler.(epochView).usable":        true,
-}
-
-// EpochSinks are the reuse paths: serving or accounting a cached
-// entry. Reaching one with an unconsulted entry is the PR 1 race.
-var EpochSinks = map[string]bool{
-	"repro/internal/recycler.(*Recycler).noteReuse": true,
-}
-
-// EpochAddSink is the admission path: every (*Pool).Add outside a
-// writer-context function must be preceded in its function by one of
-// the sanitizer calls (exitLocked → staleForQuery, reloadFromSpill /
-// Prewarm → depsFresh), or the added entry may embed cross-commit
-// state the hit path will happily serve.
-const EpochAddSink = "repro/internal/recycler.(*Pool).Add"

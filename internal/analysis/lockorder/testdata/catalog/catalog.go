@@ -11,8 +11,6 @@ type Table struct{ Name string }
 
 // UpdateListener mirrors the real commit-window listener interface.
 type UpdateListener interface {
-	OnBeforeUpdate(tbl string)
-	OnAbortUpdate(tbl string)
 	OnUpdate(tbl string, rows int)
 	OnDrop(tbl string)
 }

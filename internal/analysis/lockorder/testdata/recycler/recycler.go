@@ -63,13 +63,13 @@ func (p *Pool) Len() int { return len(p.entries) }
 
 // Recycler mirrors the real lock fields.
 type Recycler struct {
-	mu      sync.Mutex
-	stateMu sync.RWMutex
-	pool    *Pool
-	adm     *admission
-	tier    SpillTier
-	spillQ  chan *SpillRecord
-	epoch   uint64
+	mu       sync.Mutex
+	activeMu sync.RWMutex
+	pool     *Pool
+	adm      *admission
+	tier     SpillTier
+	spillQ   chan *SpillRecord
+	active   map[uint64]struct{}
 }
 
 // lockWriter mirrors the real helper: acquires mu and returns with it
@@ -81,21 +81,21 @@ func (r *Recycler) lockWriter() {
 	r.mu.Lock()
 }
 
-// goodOrder acquires in increasing rank: mu then stateMu.
+// goodOrder acquires in increasing rank: mu then activeMu.
 func (r *Recycler) goodOrder() {
 	r.lockWriter()
 	defer r.mu.Unlock()
-	r.stateMu.Lock()
-	r.epoch++
-	r.stateMu.Unlock()
+	r.activeMu.Lock()
+	delete(r.active, 1)
+	r.activeMu.Unlock()
 	r.pool.Add(&Entry{ID: 1})
 }
 
-// badOrder acquires mu while holding stateMu: rank 10 under rank 20.
+// badOrder acquires mu while holding activeMu: rank 10 under rank 20.
 func (r *Recycler) badOrder() {
-	r.stateMu.Lock()
-	defer r.stateMu.Unlock()
-	r.mu.Lock() // want "acquires recycler.Recycler.mu \(rank 10\) while holding recycler.Recycler.stateMu \(rank 20\)"
+	r.activeMu.Lock()
+	defer r.activeMu.Unlock()
+	r.mu.Lock() // want "acquires recycler.Recycler.mu \(rank 10\) while holding recycler.Recycler.activeMu \(rank 20\)"
 	r.mu.Unlock()
 }
 
@@ -106,19 +106,19 @@ func (r *Recycler) badReentry() {
 	r.mu.Lock() // want "re-acquires recycler.Recycler.mu, already held"
 }
 
-// badTransitive calls a helper that acquires stateMu while a
-// same-or-higher shard lock is held.
+// badTransitive calls a helper that acquires activeMu while a
+// higher-ranked shard lock is held.
 func (r *Recycler) badTransitive() {
 	sh := &r.pool.shards[0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r.bumpEpoch() // want "calls recycler.\(\*Recycler\).bumpEpoch, which acquires recycler.Recycler.stateMu \(rank 20\), while holding recycler.sigShard.mu \(rank 30\)"
+	r.beginQuery(1) // want "calls recycler.\(\*Recycler\).beginQuery, which acquires recycler.Recycler.activeMu \(rank 20\), while holding recycler.sigShard.mu \(rank 30\)"
 }
 
-func (r *Recycler) bumpEpoch() {
-	r.stateMu.Lock()
-	r.epoch++
-	r.stateMu.Unlock()
+func (r *Recycler) beginQuery(q uint64) {
+	r.activeMu.Lock()
+	r.active[q] = struct{}{}
+	r.activeMu.Unlock()
 }
 
 // badIOUnderWriter performs file I/O under the writer lock.

@@ -50,9 +50,6 @@ type auditListener struct {
 	cat *catalog.Catalog
 }
 
-func (a *auditListener) OnBeforeUpdate(tbl string) {}
-func (a *auditListener) OnAbortUpdate(tbl string)  {}
-
 func (a *auditListener) OnUpdate(tbl string, rows int) {
 	a.cat.Append(tbl, rows) // want "catalog.UpdateListener method calls catalog mutator catalog.\(\*Catalog\).Append"
 }
@@ -71,8 +68,6 @@ type statsListener struct {
 	seq uint64
 }
 
-func (s *statsListener) OnBeforeUpdate(tbl string) {}
-func (s *statsListener) OnAbortUpdate(tbl string)  {}
 func (s *statsListener) OnUpdate(tbl string, rows int) {
 	s.seq = s.cat.CommitSeq()
 }

@@ -340,51 +340,6 @@ func EmptyVector(k Kind) Vector {
 	panic(fmt.Sprintf("bat: empty vector of unknown kind %d", k))
 }
 
-// FromAnys materialises boxed values of one kind into a vector. The
-// catalog's commit hook uses it to encode in-place update values for
-// the write-ahead log; elements must already have the kind's Go type.
-func FromAnys(k Kind, vals []any) Vector {
-	switch k {
-	case KOid:
-		v := make([]Oid, len(vals))
-		for i, x := range vals {
-			v[i] = x.(Oid)
-		}
-		return NewOids(v)
-	case KInt:
-		v := make([]int64, len(vals))
-		for i, x := range vals {
-			v[i] = x.(int64)
-		}
-		return NewInts(v)
-	case KFloat:
-		v := make([]float64, len(vals))
-		for i, x := range vals {
-			v[i] = x.(float64)
-		}
-		return NewFloats(v)
-	case KStr:
-		v := make([]string, len(vals))
-		for i, x := range vals {
-			v[i] = x.(string)
-		}
-		return NewStrings(v)
-	case KDate:
-		v := make([]Date, len(vals))
-		for i, x := range vals {
-			v[i] = x.(Date)
-		}
-		return NewDates(v)
-	case KBool:
-		v := make([]bool, len(vals))
-		for i, x := range vals {
-			v[i] = x.(bool)
-		}
-		return NewBools(v)
-	}
-	panic(fmt.Sprintf("bat: FromAnys of unknown kind %d", k))
-}
-
 // Storage contract. A vector is immutable below its length: nothing
 // ever rewrites an element a published header can reach. The room
 // between a header's length and its backing array's capacity belongs to

@@ -17,16 +17,17 @@ import (
 // take it shared, DDL/DML take it exclusively, so concurrent sessions
 // may query while updates serialise against them. Update listeners are
 // notified after the lock is released — they may freely read the
-// catalog, and pool invalidation therefore lands momentarily after the
-// commit itself (the recycler's epoch guard keeps queries that straddle
-// a commit from polluting or consuming the pool inconsistently).
+// catalog, and pool maintenance therefore lands momentarily after the
+// commit itself.
 //
-// Isolation is per *bind*, not per query: each bind snapshots its
-// column consistently, but a query that binds two columns around a
-// concurrent commit observes the table at two different versions —
-// the storage layer is not multi-versioned. Workloads needing
-// cross-column consistency within one query must not run DML
-// concurrently with queries reading the same table.
+// Isolation is per query. A query reads each table at one version, a
+// Snapshot taken the first time it touches the table (mal.Ctx.Pin):
+// every later bind of that query reads through the snapshot, so two
+// columns bound around a concurrent commit agree with each other.
+// Snapshots cost nothing to keep — storage is immutable below the
+// published length and a delete publishes a new tombstone list — and
+// the recycler compares the snapshot's Stamp with the versions its
+// entries were computed at, so the pool never mixes versions either.
 type Catalog struct {
 	mu        sync.RWMutex
 	tables    map[string]*Table
@@ -49,24 +50,24 @@ type Catalog struct {
 // can describe.
 type CommitKind uint8
 
-// Commit record kinds.
+// Commit record kinds. The values are durable (WAL records carry
+// them), so they are spelled out: 3 numbered in-place column updates,
+// which nothing produces any more, and stays reserved so an old log
+// holding one fails to decode rather than replaying as something else.
 const (
 	// CommitCreate records a CreateTable.
-	CommitCreate CommitKind = iota
+	CommitCreate CommitKind = 0
 	// CommitInsert records an Append.
-	CommitInsert
+	CommitInsert CommitKind = 1
 	// CommitDelete records a Delete.
-	CommitDelete
-	// CommitUpdate records an UpdateInPlace.
-	CommitUpdate
+	CommitDelete CommitKind = 2
 	// CommitDrop records a DropTable.
-	CommitDrop
+	CommitDrop CommitKind = 4
 	// CommitInvalidate marks an UpdateEvent whose mutation panicked
 	// partway: columns may be partially applied, so listeners must
 	// invalidate everything depending on the table. It is an event
-	// kind only — never written to the durability hook (keeping WAL
-	// record numbering unchanged).
-	CommitInvalidate
+	// kind only — never written to the durability hook.
+	CommitInvalidate CommitKind = 5
 )
 
 // CommitRecord describes one committed statement for the durability
@@ -91,12 +92,6 @@ type CommitRecord struct {
 
 	// Deleted holds the tombstoned oids (CommitDelete).
 	Deleted []bat.Oid
-
-	// UpdCol/UpdOids/UpdVals describe an in-place column overwrite
-	// (CommitUpdate).
-	UpdCol  string
-	UpdOids []bat.Oid
-	UpdVals bat.Vector
 }
 
 // SetCommitHook installs the durability hook. The hook is called for
@@ -123,41 +118,67 @@ func (c *Catalog) RestoreCommitSeq(seq uint64) {
 	c.commitSeq = seq
 }
 
-// TableStamp returns the named table's identity stamp: the commit
-// sequence at which it was created, plus its committed-update counter.
-// The recycler's disk tier keys spilled intermediates on the pair: a
-// spilled entry is only reloadable while every dependency table still
-// has both the creation stamp and the version recorded at spill time —
-// the creation stamp catches a dropped-and-recreated table whose
-// restarted version counter would otherwise alias the old one.
-func (c *Catalog) TableStamp(schema, name string) (created uint64, version int64, ok bool) {
+// Stamp identifies one committed version of a table: the commit
+// sequence at which the table was created — a dropped-and-recreated
+// table restarts its update counter, and the creation stamp keeps the
+// two apart — and the table's committed-update counter.
+type Stamp struct {
+	Created uint64
+	Version int64
+}
+
+// Snapshot is one committed version of a table: the version's Stamp,
+// published length and tombstones. Vectors are immutable below their
+// published length and a delete publishes a new tombstone list, so a
+// snapshot reads its version for as long as it is held, whatever
+// commits land after it (Column.BindAt, Table.BindIdxAt).
+type Snapshot struct {
+	Table *Table
+	Stamp Stamp
+
+	nrows   int
+	deleted []bat.Oid
+	live    *bat.Oids
+}
+
+// Pin returns the current version of the table named by its
+// schema-qualified name; false when there is no such table.
+func (c *Catalog) Pin(qname string) (Snapshot, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t := c.tables[key(schema, name)]
+	t := c.tables[qname]
 	if t == nil {
-		return 0, 0, false
+		return Snapshot{}, false
 	}
-	return t.created, t.Version, true
+	return t.snapshotLocked(), true
+}
+
+// snapshotLocked captures the table's current version. Caller holds
+// the catalog lock.
+func (t *Table) snapshotLocked() Snapshot {
+	return Snapshot{
+		Table:   t,
+		Stamp:   Stamp{Created: t.created, Version: t.Version},
+		nrows:   t.nrows,
+		deleted: t.deleted,
+		live:    t.live,
+	}
 }
 
 // UpdateListener observes committed changes to persistent tables. The
 // recycler registers one to keep the recycle pool synchronised.
+//
+// A table's commits are delivered one at a time and in commit order
+// (Table.commitMu), each after its mutation became visible, to the
+// listeners registered when it was applied. Between the two a query may
+// already read the new version while a listener has not caught up; the
+// recycler's version compare is what keeps such a query away from the
+// entries the listener is about to bring up to date.
 type UpdateListener interface {
-	// OnBeforeUpdate is called before a DML statement's mutation
-	// becomes visible (and outside the catalog lock). The recycler
-	// marks the table as having a commit in flight, so queries running
-	// or beginning between this point and OnUpdate's invalidation are
-	// treated as straddling the commit and refused stale pool
-	// interactions. Every OnBeforeUpdate is followed by exactly one
-	// OnUpdate, OnDrop or OnAbortUpdate for the same table.
-	OnBeforeUpdate(table *Table)
-	// OnAbortUpdate closes an OnBeforeUpdate whose statement turned
-	// out to be a no-op (nothing committed).
-	OnAbortUpdate(table *Table)
-	// OnUpdate is called once per committed update with the table
-	// changed, the columns affected (all columns for inserts/deletes,
-	// the touched ones for in-place updates), the per-column insert
-	// deltas (may be nil) and the set of deleted oids (may be empty).
+	// OnUpdate is called once per committed DML statement with the
+	// table changed, its new version, the columns affected, the
+	// per-column insert deltas (may be nil) and the deleted oids (may
+	// be empty).
 	OnUpdate(ev UpdateEvent)
 	// OnDrop is called when a table is dropped.
 	OnDrop(table *Table)
@@ -166,13 +187,12 @@ type UpdateListener interface {
 // UpdateEvent describes one committed DML statement.
 type UpdateEvent struct {
 	Table *Table
+	// Stamp is the table version the statement produced.
+	Stamp Stamp
 	// Kind classifies the statement: CommitInsert (Append),
-	// CommitDelete (Delete), CommitUpdate (UpdateInPlace) or
-	// CommitInvalidate (a mutation that panicked partway; listeners
-	// must treat every dependent intermediate as unknown). Listeners
-	// that propagate deltas key on it: an in-place update reports the
-	// overwritten oids in Deleted, but the rows are NOT tombstoned —
-	// treating it as a row deletion silently corrupts cached results.
+	// CommitDelete (Delete) or CommitInvalidate (a mutation that
+	// panicked partway; listeners must treat every dependent
+	// intermediate as unknown).
 	Kind CommitKind
 	// Cols lists the affected column names.
 	Cols []string
@@ -181,8 +201,7 @@ type UpdateEvent struct {
 	// deleted rows.
 	Inserts map[string]*bat.BAT
 	// Deleted holds the oids removed by the statement, ascending and
-	// distinct (CommitDelete), or the oids whose values were
-	// overwritten, in the caller's order (CommitUpdate).
+	// distinct.
 	Deleted []bat.Oid
 }
 
@@ -227,6 +246,7 @@ func (c *Catalog) CreateTable(schema, name string, cols []ColDef) *Table {
 	t := &Table{
 		Schema:    schema,
 		Name:      name,
+		qname:     key(schema, name),
 		catalog:   c,
 		colByName: make(map[string]*Column, len(cols)),
 	}
@@ -255,11 +275,12 @@ func (c *Catalog) DropTable(schema, name string) {
 	}
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
-	ls := t.preNotify()
+	var ls []UpdateListener
 	c.mu.Lock()
-	cur, ok := c.tables[key(schema, name)]
-	ok = ok && cur == t // a recreated table under the same name is not ours to drop
-	if ok {
+	// A recreated table under the same name is not ours to drop, and a
+	// concurrent drop may have won the race.
+	if cur := c.tables[key(schema, name)]; cur == t {
+		ls = c.listenersLocked()
 		delete(c.tables, key(schema, name))
 		c.commitSeq++
 		if c.commitHook != nil {
@@ -267,11 +288,6 @@ func (c *Catalog) DropTable(schema, name string) {
 		}
 	}
 	c.mu.Unlock()
-	if !ok {
-		// Lost a race with a concurrent drop (or drop+recreate).
-		t.abortNotify(ls)
-		return
-	}
 	for _, l := range ls {
 		l.OnDrop(t)
 	}
@@ -319,6 +335,7 @@ type ColDef struct {
 // Table is a persistent relational table stored column-wise.
 type Table struct {
 	Schema, Name string
+	qname        string
 
 	// Cols holds the columns in definition order.
 	Cols []*Column
@@ -326,9 +343,9 @@ type Table struct {
 	catalog   *Catalog
 	colByName map[string]*Column
 
-	// commitMu serialises the table's DML statements from announcement
-	// to listener notification, so listeners see commits one at a time
-	// and in commit order: whatever a listener derived from the previous
+	// commitMu serialises the table's DML statements from mutation to
+	// listener notification, so listeners see commits one at a time and
+	// in commit order: whatever a listener derived from the previous
 	// commit is exactly the state the next one's delta applies to.
 	commitMu sync.Mutex
 
@@ -342,13 +359,12 @@ type Table struct {
 	deleted []bat.Oid
 	live    *bat.Oids
 
-	// Version counts committed updates; bind results are tagged with
-	// it so staleness is detectable.
+	// Version counts committed updates (see Stamp).
 	Version int64
 
 	// created is the catalog commit sequence at which the table was
 	// created — a durable identity distinguishing a table from a later
-	// re-creation under the same name (see TableStamp).
+	// re-creation under the same name (see Stamp).
 	created uint64
 
 	keyIndexes  map[string]map[int64]bat.Oid // unique int key column -> oid
@@ -357,7 +373,7 @@ type Table struct {
 }
 
 // QName returns the schema-qualified table name.
-func (t *Table) QName() string { return t.Schema + "." + t.Name }
+func (t *Table) QName() string { return t.qname }
 
 // Column returns the named column or nil.
 func (t *Table) Column(name string) *Column { return t.colByName[name] }
@@ -395,8 +411,9 @@ type Column struct {
 	// Storage is immutable below the published length and append-only
 	// above it: Append writes the new rows past Data's length and
 	// publishes a new header (bat.Extend), so every header handed out
-	// earlier — bind views, exported states, pooled results — keeps its
-	// length and values. Only UpdateInPlace rewrites published slots.
+	// earlier — bind views, exported states, pooled results, a
+	// Snapshot's prefix — keeps its length and values. Nothing rewrites
+	// a published slot.
 	Data bat.Vector
 	// Sorted is a declared property enabling view-based range selects.
 	Sorted bool
@@ -417,25 +434,40 @@ type liveTail struct{ bat.Vector }
 // QName returns the fully qualified column name.
 func (c *Column) QName() string { return c.Table.QName() + "." + c.Name }
 
-// Bind returns a BAT over the live rows of the column, the engine's
-// sql.bind, without copying: over a dense table a dense-headed view of
-// the column, over a table with tombstones a view of the table's
-// live-oid list (shared by every bind of the table) heading a view of
-// the column's live tail (built by the column's first bind under
-// tombstones, maintained by the commits after it). The view snapshots
-// the column under the shared lock, so a bind taken before a
-// concurrent commit keeps its consistent pre-update rows.
+// Bind returns a BAT over the live rows of the column's current
+// version; BindAt reads a pinned one.
 func (c *Column) Bind() *bat.BAT {
 	t := c.Table
 	t.catalog.mu.RLock()
 	defer t.catalog.mu.RUnlock()
+	return c.bindLocked(t.snapshotLocked())
+}
+
+// BindAt returns a BAT over the live rows of the column at snapshot s
+// (a snapshot of the column's table), the engine's sql.bind, without
+// copying: over a dense version a dense-headed view of the column's
+// first s rows, over one with tombstones a view of the version's
+// live-oid list heading a view of the column's live tail (built by the
+// column's first bind under tombstones, maintained by the commits after
+// it). Only a bind whose snapshot predates a delete copies: the tail
+// the delete replaced is gone, so the version's tail is rebuilt.
+func (c *Column) BindAt(s Snapshot) *bat.BAT {
+	c.Table.catalog.mu.RLock()
+	defer c.Table.catalog.mu.RUnlock()
+	return c.bindLocked(s)
+}
+
+func (c *Column) bindLocked(s Snapshot) *bat.BAT {
+	t := c.Table
 	var b *bat.BAT
-	if t.live == nil {
+	switch {
+	case s.live == nil:
 		// The tail is a view over the committed column: binding
 		// materialises nothing, so recycle pool accounting must not
 		// charge the column's storage to the bind intermediate.
-		b = bat.New(bat.NewDense(0, c.Data.Len()), c.Data.Slice(0, c.Data.Len()))
-	} else {
+		b = bat.New(bat.NewDense(0, s.nrows), c.Data.Slice(0, s.nrows))
+	case sameOids(s.deleted, t.deleted):
+		// No delete since s: the current tail extends s's.
 		tail := c.live.Load()
 		if tail == nil {
 			// Commits are locked out, so concurrent first binds build
@@ -443,16 +475,25 @@ func (c *Column) Bind() *bat.BAT {
 			c.live.CompareAndSwap(nil, &liveTail{bat.Drop(c.Data, t.deleted)})
 			tail = c.live.Load()
 		}
-		b = t.liveBAT(tail.Slice(0, tail.Len()))
+		b = s.liveBAT(tail.Slice(0, s.live.Len()))
+	default:
+		b = s.liveBAT(bat.Drop(c.Data.Slice(0, s.nrows), s.deleted))
 	}
+	// Sortedness only ever clears, so a sorted column was sorted at s.
 	b.TailSorted = c.Sorted
 	return b
 }
 
-// liveBAT heads one value per live row with the live oids. Caller
-// holds the catalog lock and the table has tombstones.
-func (t *Table) liveBAT(tail bat.Vector) *bat.BAT {
-	b := bat.New(t.live.Slice(0, t.live.Len()), tail)
+// sameOids reports whether two tombstone lists are the same published
+// list. A delete always publishes a new one, so identity is equality.
+func sameOids(a, b []bat.Oid) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// liveBAT heads one value per live row of the version with its live
+// oids. The version has tombstones.
+func (s Snapshot) liveBAT(tail bat.Vector) *bat.BAT {
+	b := bat.New(s.live.Slice(0, s.live.Len()), tail)
 	b.HeadSorted = true
 	b.KeyUnique = true
 	return b
@@ -493,15 +534,16 @@ func (t *Table) Append(rows []Row) bat.Oid {
 	}
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
-	ls := t.preNotify()
+	var ls []UpdateListener
 	var ev UpdateEvent
 	committed := false
-	defer t.completeNotify(ls, &committed, &ev)
+	defer t.completeNotify(&ls, &committed, &ev)
 	// The mutation runs under a deferred unlock so a panic (e.g. a row
 	// value of the wrong type) cannot leave the catalog locked forever.
 	first := func() bat.Oid {
 		t.catalog.mu.Lock()
 		defer t.catalog.mu.Unlock()
+		ls = t.catalog.listenersLocked()
 		first := bat.Oid(t.nrows)
 		// Every delta is built before any column moves: a row value of
 		// the wrong type panics here, with the table untouched.
@@ -539,8 +581,8 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		}
 		t.nrows += len(rows)
 		t.maintainIndexesOnAppend(first, rows)
-		ev = UpdateEvent{Table: t, Kind: CommitInsert, Cols: cols, Inserts: inserts}
 		t.commitLocked()
+		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitInsert, Cols: cols, Inserts: inserts}
 		t.hookLocked(CommitRecord{Kind: CommitInsert, Inserts: logged, FirstOid: first, NumRows: len(rows)})
 		return first
 	}()
@@ -637,21 +679,22 @@ func (t *Table) Delete(oids []bat.Oid) {
 	if len(next.really) == 0 {
 		return
 	}
-	ls := t.preNotify()
+	var ls []UpdateListener
 	var ev UpdateEvent
 	committed := false
-	defer t.completeNotify(ls, &committed, &ev)
+	defer t.completeNotify(&ls, &committed, &ev)
 	func() {
 		t.catalog.mu.Lock()
 		defer t.catalog.mu.Unlock()
+		ls = t.catalog.listenersLocked()
 		t.installLocked(next)
 		t.maintainIndexesOnDelete(next.really)
 		cols := make([]string, len(t.Cols))
 		for i, c := range t.Cols {
 			cols[i] = c.Name
 		}
-		ev = UpdateEvent{Table: t, Kind: CommitDelete, Cols: cols, Deleted: next.really}
 		t.commitLocked()
+		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitDelete, Cols: cols, Deleted: next.really}
 		t.hookLocked(CommitRecord{Kind: CommitDelete, Deleted: next.really})
 		committed = true
 	}()
@@ -722,113 +765,25 @@ func mergeOids(a, b []bat.Oid) []bat.Oid {
 	return append(out, a...)
 }
 
-// UpdateInPlace overwrites a single column's values at the given oids
-// and commits an update event naming only that column (paper §6.4:
-// updates invalidate only the columns directly affected). The deltas
-// are reported as a combined delete+insert on the column.
-//
-// Unlike Append (which only writes past the published length), the
-// overwrite lands in published slots: binds taken *after* the update
-// see the new values, but a session still holding a view bound before
-// the update would observe the write mid-query. Run in-place updates
-// only when no query is concurrently reading the affected column — the
-// same exclusion covers the durable store's background readers
-// (checkpoint serialisation and recycle pool spilling), which read
-// bind views over the committed vectors without the catalog lock.
-func (t *Table) UpdateInPlace(col string, oids []bat.Oid, vals []any) {
-	c := t.MustColumn(col)
-	if len(oids) != len(vals) {
-		panic("catalog: update length mismatch")
-	}
-	if len(oids) == 0 {
-		return
-	}
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	ls := t.preNotify()
-	ev := UpdateEvent{Table: t, Kind: CommitUpdate, Cols: []string{col}, Deleted: oids}
-	committed := false
-	defer t.completeNotify(ls, &committed, &ev)
-	func() {
-		t.catalog.mu.Lock()
-		defer t.catalog.mu.Unlock()
-		switch d := c.Data.(type) {
-		case *bat.Ints:
-			for i, o := range oids {
-				d.V[o] = vals[i].(int64)
-			}
-		case *bat.Floats:
-			for i, o := range oids {
-				d.V[o] = vals[i].(float64)
-			}
-		case *bat.Strings:
-			for i, o := range oids {
-				d.V[o] = vals[i].(string)
-			}
-		case *bat.Dates:
-			for i, o := range oids {
-				d.V[o] = vals[i].(bat.Date)
-			}
-		default:
-			panic("catalog: update of unsupported column type")
+// completeNotify delivers a statement to the listeners copied when its
+// mutation took the write lock, from a deferred context, after the
+// lock is released: normally when the mutation committed, and as a
+// full-table invalidation event when it panicked partway (columns may
+// be partially applied, so every dependent intermediate must go).
+func (t *Table) completeNotify(ls *[]UpdateListener, committed *bool, ev *UpdateEvent) {
+	if !*committed {
+		cols := make([]string, len(t.Cols))
+		for i, c := range t.Cols {
+			cols[i] = c.Name
 		}
-		c.live.Store(nil) // a copy taken before the overwrite: the next bind rebuilds it
-		t.commitLocked()
-		t.hookLocked(CommitRecord{
-			Kind: CommitUpdate, UpdCol: col,
-			UpdOids: append([]bat.Oid(nil), oids...),
-			UpdVals: bat.FromAnys(c.KindOf, vals),
-		})
-	}()
-	committed = true
-}
-
-// notify delivers a committed update to the listeners. It runs after
-// the catalog lock is released, so listeners (the recycler) may read
-// the catalog without deadlocking against the committing session.
-func notify(ls []UpdateListener, ev UpdateEvent) {
-	for _, l := range ls {
-		l.OnUpdate(ev)
+		t.catalog.mu.RLock()
+		stamp := t.snapshotLocked().Stamp
+		t.catalog.mu.RUnlock()
+		*ev = UpdateEvent{Table: t, Stamp: stamp, Kind: CommitInvalidate, Cols: cols}
 	}
-}
-
-// preNotify announces an impending commit to the listeners, before
-// the mutation is applied and without holding the catalog lock. It
-// returns the notified listeners so the caller can deliver the
-// matching completion (OnUpdate/OnDrop, or OnAbortUpdate for a no-op)
-// to exactly the same set.
-func (t *Table) preNotify() []UpdateListener {
-	t.catalog.mu.RLock()
-	ls := t.catalog.listenersLocked()
-	t.catalog.mu.RUnlock()
-	for _, l := range ls {
-		l.OnBeforeUpdate(t)
+	for _, l := range *ls {
+		l.OnUpdate(*ev)
 	}
-	return ls
-}
-
-// abortNotify closes a preNotify whose statement committed nothing.
-func (t *Table) abortNotify(ls []UpdateListener) {
-	for _, l := range ls {
-		l.OnAbortUpdate(t)
-	}
-}
-
-// completeNotify closes a preNotify from a deferred context: delivered
-// normally when the mutation committed, and as a full-table
-// invalidation event when the mutation panicked partway (columns may
-// be partially applied, so every dependent intermediate must go). The
-// pending-commit contract thus closes on every exit path.
-func (t *Table) completeNotify(ls []UpdateListener, committed *bool, ev *UpdateEvent) {
-	if *committed {
-		notify(ls, *ev)
-		return
-	}
-	cols := make([]string, len(t.Cols))
-	for i, c := range t.Cols {
-		cols[i] = c.Name
-	}
-	notify(ls, UpdateEvent{Table: t, Kind: CommitInvalidate, Cols: cols})
 }
 
 // DefineKeyIndex builds a unique key index on an int column, mapping
@@ -927,22 +882,34 @@ func (t *Table) JoinIndexParent(idxName string) *Table {
 	return def.parent
 }
 
-// BindIdx returns the join index as a BAT (child oid -> parent oid),
-// the engine's sql.bindIdxbat. Tombstoned child rows are filtered out.
+// BindIdx returns the join index as a BAT (child oid -> parent oid)
+// at the table's current version; BindIdxAt reads a pinned one.
 func (t *Table) BindIdx(idxName string) *bat.BAT {
 	t.catalog.mu.RLock()
 	defer t.catalog.mu.RUnlock()
+	return t.bindIdxLocked(t.snapshotLocked(), idxName)
+}
+
+// BindIdxAt returns the join index at snapshot s of the table, the
+// engine's sql.bindIdxbat. Tombstoned child rows are filtered out.
+func (t *Table) BindIdxAt(s Snapshot, idxName string) *bat.BAT {
+	t.catalog.mu.RLock()
+	defer t.catalog.mu.RUnlock()
+	return t.bindIdxLocked(s, idxName)
+}
+
+func (t *Table) bindIdxLocked(s Snapshot, idxName string) *bat.BAT {
 	ji, ok := t.joinIdx[idxName]
 	if !ok {
 		panic(fmt.Sprintf("catalog: unknown join index %s on %s", idxName, t.QName()))
 	}
 	// The index grows by in-place append like the columns do; clipping
 	// the capacity keeps that room out of the bind's reach.
-	tails := bat.NewOids(ji[:len(ji):len(ji)])
-	if t.live == nil {
-		return bat.New(bat.NewDense(0, len(ji)), tails)
+	tails := bat.NewOids(ji[:s.nrows:s.nrows])
+	if s.live == nil {
+		return bat.New(bat.NewDense(0, s.nrows), tails)
 	}
-	return t.liveBAT(bat.Drop(tails, t.deleted))
+	return s.liveBAT(bat.Drop(tails, s.deleted))
 }
 
 func (t *Table) maintainIndexesOnAppend(first bat.Oid, rows []Row) {
@@ -989,9 +956,7 @@ type JoinIndexDef struct {
 // unit a checkpoint serialises. Data and Deleted hold references to
 // the committed storage: appends write only past the length the
 // exported headers carry and deletes replace the tombstone list, so
-// what an export can reach is immutable under concurrent DML — with
-// the same caveat as UpdateInPlace, which overwrites published slots
-// and therefore must not run concurrently with a checkpoint.
+// what an export can reach is immutable under concurrent DML.
 type TableState struct {
 	Schema, Name string
 	// Cols carries the definitions with their *current* Sorted flags
@@ -1007,7 +972,7 @@ type TableState struct {
 	// Version is the table's committed-update counter.
 	Version int64
 	// Created is the commit sequence at which the table was created
-	// (the durable half of TableStamp).
+	// (the durable half of Stamp).
 	Created uint64
 	// KeyIndexCols names the unique key indexes to rebuild.
 	KeyIndexCols []string
@@ -1076,6 +1041,7 @@ func (c *Catalog) ImportTable(ts TableState) (*Table, error) {
 	t := &Table{
 		Schema:    ts.Schema,
 		Name:      ts.Name,
+		qname:     key(ts.Schema, ts.Name),
 		catalog:   c,
 		colByName: make(map[string]*Column, len(ts.Cols)),
 		nrows:     ts.NRows,

@@ -56,10 +56,8 @@ func TestDeleteTombstonesBind(t *testing.T) {
 
 type countListener struct{ n *int }
 
-func (c countListener) OnBeforeUpdate(*Table) {}
-func (c countListener) OnAbortUpdate(*Table)  {}
-func (c countListener) OnUpdate(UpdateEvent)  { *c.n++ }
-func (c countListener) OnDrop(*Table)         {}
+func (c countListener) OnUpdate(UpdateEvent) { *c.n++ }
+func (c countListener) OnDrop(*Table)        {}
 
 func TestAppendEventCarriesDeltas(t *testing.T) {
 	c, tb := twoColTable(t)
@@ -83,10 +81,6 @@ type funcListener struct {
 	onDrop   func(*Table)
 }
 
-func (f funcListener) OnBeforeUpdate(*Table) {}
-
-func (f funcListener) OnAbortUpdate(*Table) {}
-
 func (f funcListener) OnUpdate(ev UpdateEvent) {
 	if f.onUpdate != nil {
 		f.onUpdate(ev)
@@ -95,19 +89,6 @@ func (f funcListener) OnUpdate(ev UpdateEvent) {
 func (f funcListener) OnDrop(t *Table) {
 	if f.onDrop != nil {
 		f.onDrop(t)
-	}
-}
-
-func TestUpdateInPlaceNamesOnlyColumn(t *testing.T) {
-	c, tb := twoColTable(t)
-	var got UpdateEvent
-	c.AddListener(funcListener{onUpdate: func(ev UpdateEvent) { got = ev }})
-	tb.UpdateInPlace("o_total", []bat.Oid{0}, []any{99.0})
-	if len(got.Cols) != 1 || got.Cols[0] != "o_total" {
-		t.Fatalf("update event cols = %v", got.Cols)
-	}
-	if tb.MustColumn("o_total").Bind().Tail.Get(0) != 99.0 {
-		t.Fatal("update not applied")
 	}
 }
 

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -185,8 +186,8 @@ func TestAppendKeepsPublishedSnapshots(t *testing.T) {
 // TestBindUnderTombstonesCopiesOnce pins the live tail: the first bind
 // of a column over a tombstoned table copies it, every later bind —
 // across appends, which extend the tail in place — is a view of the
-// same storage, a delete makes one new copy, an unbound column never
-// gets one, and an in-place update is visible to the next bind.
+// same storage, a delete makes one new copy, and an unbound column
+// never gets one.
 func TestBindUnderTombstonesCopiesOnce(t *testing.T) {
 	_, tb := storageTable(64)
 	k := tb.MustColumn("k")
@@ -217,10 +218,6 @@ func TestBindUnderTombstonesCopiesOnce(t *testing.T) {
 	if tb.MustColumn("s").live.Load() != nil {
 		t.Fatal("commits built the live tail of a column nobody bound")
 	}
-	tb.UpdateInPlace("k", []bat.Oid{0}, []any{int64(-1)})
-	if b := k.Bind(); b.Tail.Get(0) != int64(-1) || b4.Tail.Get(0) != int64(0) {
-		t.Fatal("an in-place update must reach the next bind and spare the live tail's earlier views")
-	}
 }
 
 // TestDeleteDropsLiveTailBuiltBesideIt walks the one interleaving the
@@ -249,5 +246,69 @@ func TestDeleteDropsLiveTailBuiltBesideIt(t *testing.T) {
 	}
 	if stale.Len() != 15 {
 		t.Fatalf("the bind taken mid-delete changed length to %d", stale.Len())
+	}
+}
+
+// TestPinnedSnapshotsSurviveCommits: a snapshot pinned before a run of
+// deletes and appends keeps reading its version — every column, the
+// join index, dense and tombstoned — while binds of the current
+// version see each commit; a snapshot pinned before a delete copies
+// its tail once, one pinned before an append only keeps a prefix.
+func TestPinnedSnapshotsSurviveCommits(t *testing.T) {
+	c, tb := storageTable(16)
+	dense, ok := c.Pin("sys.t")
+	if !ok {
+		t.Fatal("pin of a live table failed")
+	}
+	if _, ok := c.Pin("sys.nope"); ok {
+		t.Fatal("pin of a missing table succeeded")
+	}
+	tb.MustColumn("k").Bind() // k carries a live tail through the deletes, s does not
+	tb.Delete([]bat.Oid{3, 7})
+	tomb, _ := c.Pin("sys.t")
+	tb.Append(storageRows(16, 2))
+	tb.Delete([]bat.Oid{0})
+	if dense.Stamp == tomb.Stamp || tomb.Stamp.Version != dense.Stamp.Version+1 {
+		t.Fatalf("stamps %+v then %+v", dense.Stamp, tomb.Stamp)
+	}
+
+	seq := func(lo, hi int, skip ...bat.Oid) []bat.Oid {
+		var out []bat.Oid
+		for o := bat.Oid(lo); o < bat.Oid(hi); o++ {
+			if !slices.Contains(skip, o) {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		s    Snapshot
+		live []bat.Oid
+	}{
+		{"dense", dense, seq(0, 16)},
+		{"tombstoned", tomb, seq(0, 16, 3, 7)},
+	} {
+		for _, col := range []string{"k", "s"} {
+			if err := checkSnapshot(tb.MustColumn(col).BindAt(tc.s), tc.live); err != nil {
+				t.Fatalf("%s bind of %s: %v", tc.name, col, err)
+			}
+		}
+		if idx := tb.BindIdxAt(tc.s, "fk"); idx.Len() != len(tc.live) || bat.OidAt(idx.Head, idx.Len()-1) != tc.live[len(tc.live)-1] {
+			t.Fatalf("%s join index has %d rows", tc.name, idx.Len())
+		}
+	}
+	if err := checkSnapshot(tb.MustColumn("k").Bind(), seq(1, 18, 3, 7)); err != nil {
+		t.Fatalf("current bind: %v", err)
+	}
+
+	// With no delete since the pin, the pinned bind shares the current
+	// live tail's storage instead of copying it.
+	pinned, _ := c.Pin("sys.t")
+	tb.Append(storageRows(18, 1))
+	first := func(b *bat.BAT) *int64 { return &b.Tail.(*bat.Ints).V[0] }
+	old, cur := tb.MustColumn("k").BindAt(pinned), tb.MustColumn("k").Bind()
+	if first(old) != first(cur) || old.Len() != cur.Len()-1 {
+		t.Fatalf("append-only straddle copied the tail: %d vs %d rows", old.Len(), cur.Len())
 	}
 }

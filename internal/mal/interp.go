@@ -141,9 +141,39 @@ type Ctx struct {
 	Stats    QueryStats
 	Results  []Result
 
-	// mu guards Stats and Results while helpers run instructions of
-	// this query on several goroutines.
+	// mu guards Stats, Results and pins while helpers run instructions
+	// of this query on several goroutines.
 	mu sync.Mutex
+	// pins holds the one version of each table the query reads (see
+	// Pin); pinBuf backs it, so a query over a few tables pins them
+	// without allocating.
+	pins   []catalog.Snapshot
+	pinBuf [4]catalog.Snapshot
+}
+
+// Pin returns the version of the table named by qname (schema-
+// qualified) that this query reads. The first call for a table pins
+// its current version; every later one — from any instruction, on any
+// of the query's goroutines, and from the recycler's version compare —
+// returns the same snapshot, so the whole query reads one version of
+// each table however commits interleave with it. False when the table
+// does not exist (or the context has no catalog).
+func (ctx *Ctx) Pin(qname string) (catalog.Snapshot, bool) {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	for _, p := range ctx.pins {
+		if p.Table.QName() == qname {
+			return p, true
+		}
+	}
+	if ctx.Cat == nil {
+		return catalog.Snapshot{}, false
+	}
+	s, ok := ctx.Cat.Pin(qname)
+	if ok {
+		ctx.pins = append(ctx.pins, s)
+	}
+	return s, ok
 }
 
 // UpdateStats applies f to the query statistics under the context lock.
@@ -177,6 +207,7 @@ func (ctx *Ctx) begin(t *Template, params []Value, nargs int) ([]Value, error) {
 	ctx.Stack = vals[:t.NumVars:t.NumVars]
 	ctx.Results = ctx.Results[:0]
 	ctx.Stats = QueryStats{QueryID: ctx.QueryID}
+	ctx.pins = ctx.pinBuf[:0]
 	for i, p := range params {
 		if p.Kind != t.Params[i].Kind {
 			return nil, fmt.Errorf("mal: %s param %s expects %v, got %v", t.Name, t.Params[i].Name, t.Params[i].Kind, p.Kind)

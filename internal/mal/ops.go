@@ -102,26 +102,26 @@ func opBind(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if len(args) != 4 {
 		return Value{}, errArity
 	}
-	t := ctx.Cat.Table(args[0].S, args[1].S)
-	if t == nil {
+	s, ok := ctx.Pin(args[0].S + "." + args[1].S)
+	if !ok {
 		return Value{}, fmt.Errorf("unknown table %s.%s", args[0].S, args[1].S)
 	}
-	c := t.Column(args[2].S)
+	c := s.Table.Column(args[2].S)
 	if c == nil {
 		return Value{}, fmt.Errorf("unknown column %s", args[2].S)
 	}
-	return BatV(c.Bind()), nil
+	return BatV(c.BindAt(s)), nil
 }
 
 func opBindIdx(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if len(args) != 3 {
 		return Value{}, errArity
 	}
-	t := ctx.Cat.Table(args[0].S, args[1].S)
-	if t == nil {
+	s, ok := ctx.Pin(args[0].S + "." + args[1].S)
+	if !ok {
 		return Value{}, fmt.Errorf("unknown table %s.%s", args[0].S, args[1].S)
 	}
-	return BatV(t.BindIdx(args[2].S)), nil
+	return BatV(s.Table.BindIdxAt(s, args[2].S)), nil
 }
 
 func opExportValue(ctx *Ctx, _ *Instr, args []Value) (Value, error) {

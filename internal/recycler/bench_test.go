@@ -13,8 +13,8 @@ import (
 // (bind/select/count, all exact hits) from GOMAXPROCS goroutines. On
 // the pre-shard design every hit serialised on one mutex, so ns/op
 // rose with -cpu; with the sharded signature index and atomic reuse
-// counters, hits should scale until stateMu (BeginQuery/EndQuery)
-// saturates. Writer/shard wait counters are reported so contention
+// counters, hits should scale until activeMu (BeginQuery/EndQuery)
+// saturates — the one recycler lock every query still takes. Writer/shard wait counters are reported so contention
 // regressions show up in `go test -bench` output, not just in wall
 // time. Run with -cpu 1,2,4 to see the scaling.
 func BenchmarkRecyclerParallelHit(b *testing.B) {
@@ -80,7 +80,7 @@ func BenchmarkRecyclerParallelMiss(b *testing.B) {
 var missPathSizes = []int{100, 1_000, 10_000}
 
 // BenchmarkExitAtCap measures one admission into a pool that sits at
-// its entry cap, so every Exit also evicts: signature, epoch guard, LRU
+// its entry cap, so every Exit also evicts: signature, version check, LRU
 // victim off the leaf frontier, entry construction and indexing.
 func BenchmarkExitAtCap(b *testing.B) {
 	for _, n := range missPathSizes {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/mal"
 )
@@ -97,10 +98,11 @@ func TestConcurrentWithEviction(t *testing.T) {
 
 // TestConcurrentEntryExitUpdateStress hammers the three entry points
 // the sharded design must keep consistent — Entry/Exit from many query
-// streams plus the update-listener protocol — on one shared recycler.
-// The listener is driven by hand without mutating the table, so every
-// result stays deterministic while the epoch guard, invalidation and
-// eviction paths all fire under contention. Run with -race.
+// streams plus the commit walk — on one shared recycler. The writer
+// commits real statements that no query's answer depends on (a row
+// outside every queried range, appended and deleted again), so every
+// result stays deterministic while the version compare, invalidation
+// and eviction paths all fire under contention. Run with -race.
 func TestConcurrentEntryExitUpdateStress(t *testing.T) {
 	f := newFixtureQuiet(Config{
 		Admission: KeepAll, Subsumption: true, CombinedSubsumption: true,
@@ -111,15 +113,15 @@ func TestConcurrentEntryExitUpdateStress(t *testing.T) {
 	var queryID atomic.Uint64
 	var stop atomic.Bool
 
-	// Updater: cycles the full commit protocol (no data change) so
-	// pending/tableEpoch churn concurrently with the query streams.
+	// Updater: commits move the table's version concurrently with the
+	// query streams.
 	var upd sync.WaitGroup
 	upd.Add(1)
 	go func() {
 		defer upd.Done()
-		for !stop.Load() {
-			f.rec.OnBeforeUpdate(tb)
-			f.rec.OnUpdate(catalog.UpdateEvent{Table: tb, Cols: []string{"v"}})
+		for c := 0; !stop.Load() && c < 2000; c++ {
+			first := tb.Append([]catalog.Row{{"v": int64(1000 + c), "w": int64(0)}})
+			tb.Delete([]bat.Oid{first})
 		}
 	}()
 

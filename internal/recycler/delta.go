@@ -57,11 +57,16 @@ import (
 // length (bat.Extend) on an insert and copied once on a delete, and
 // nothing re-reads base storage.
 //
-// In-place updates (CommitUpdate) report the overwritten oids in
-// ev.Deleted but tombstone nothing, and a panicked mutation
-// (CommitInvalidate) may be half applied: no delta rule is sound for
-// either. Binds refresh from the catalog after an in-place update;
-// every other affected entry invalidates.
+// A panicked mutation (CommitInvalidate) may be half applied: no delta
+// rule is sound for it, and every affected entry invalidates.
+//
+// Every entry the walk keeps moves to the commit's version
+// (Entry.stamps): a rule that swaps the result moves the stamp with it
+// (refresh), and an entry the delta does not reach is restamped after
+// its rule. An entry already stamped with the commit's version was
+// admitted at it — possible only for the first admissions over a table
+// whose commit was in flight when the pool first looked at it
+// (appliedLocked) — and is left alone.
 
 // ruleMask is a set of plan.DeltaClass values: the rules a SyncMode
 // preset leaves switched on.
@@ -169,15 +174,10 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 	}()
 
 	w := &commitWalk{r: r, ev: ev, done: map[uint64]change{}}
-	nonDelta := ""
-	switch ev.Kind {
-	case catalog.CommitUpdate:
-		nonDelta = "inplace-update"
-	case catalog.CommitInvalidate:
-		nonDelta = "panic-invalidate"
-	default:
+	if ev.Kind != catalog.CommitInvalidate {
 		w.dead = ev.Deleted
 	}
+	qname := ev.Table.QName()
 	for _, e := range affected {
 		if !e.valid.Load() {
 			continue
@@ -186,10 +186,10 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 		var ch change
 		var cause string
 		switch rule := deltaRules[e.deltaClass]; {
-		case nonDelta != "":
-			if ev.Kind != catalog.CommitUpdate || e.OpName != "sql.bind" || len(e.Args) == 0 || !r.refreshBindFromCatalog(e) {
-				cause = nonDelta
-			}
+		case ev.Kind == catalog.CommitInvalidate:
+			cause = "panic-invalidate"
+		case e.stampOf(qname) == ev.Stamp:
+			continue // admitted at this commit's version
 		case len(e.Args) == 0:
 			// Reloaded from the disk tier: no argument snapshot to apply
 			// a delta against.
@@ -208,6 +208,9 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 			continue
 		}
 		sum.maintained++
+		if e.stampOf(qname) != ev.Stamp {
+			w.restamp(e)
+		}
 		n := rows(ch.added) + rows(ch.removed)
 		if n > 0 || e.Result.Bat != old {
 			ch.old = old
@@ -242,6 +245,21 @@ func (w *commitWalk) parent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
 	return pe, ch, true
 }
 
+// refresh swaps e's result for v computed at the commit's version.
+func (w *commitWalk) refresh(e *Entry, v mal.Value) {
+	w.r.refreshResult(e, v, restamped(e.stamps, w.ev.Table.QName(), w.ev.Stamp))
+}
+
+// restamp moves e, whose result the commit left as it was, to the
+// commit's version.
+func (w *commitWalk) restamp(e *Entry) {
+	stamps := restamped(e.stamps, w.ev.Table.QName(), w.ev.Stamp)
+	sh := w.r.pool.shard(e.Sig)
+	sh.mu.Lock()
+	e.stamps = stamps
+	sh.mu.Unlock()
+}
+
 // still reports that the walk left parent pe's result the object it
 // was, given pe's change as parent returned it.
 func (ch change) still(pe *Entry) bool { return ch.old == pe.Result.Bat }
@@ -258,19 +276,17 @@ func (w *commitWalk) rowsetParent(e *Entry, i int) (pe *Entry, ch change, ok boo
 	return pe, ch, ok
 }
 
-// refreshBindFromCatalog re-binds an entry's column — a view, whatever
-// the table's size or tombstones (catalog.Column.Bind) — and swaps the
-// result in place. False when the table or column vanished.
-func (r *Recycler) refreshBindFromCatalog(e *Entry) bool {
-	t := r.cat.Table(e.Args[0].S, e.Args[1].S)
-	if t == nil {
-		return false
-	}
-	c := t.Column(e.Args[2].S)
+// rebind re-binds an entry's column at the commit's version — a view,
+// whatever the table's size or tombstones (catalog.Column.Bind; the
+// table's commits are serialised, so its current version is the
+// commit's) — and swaps the result in place. False when the column
+// vanished.
+func (w *commitWalk) rebind(e *Entry) bool {
+	c := w.ev.Table.Column(e.Args[2].S)
 	if c == nil {
 		return false
 	}
-	r.refreshResult(e, mal.BatV(c.Bind()))
+	w.refresh(e, mal.BatV(c.Bind()))
 	return true
 }
 
@@ -297,10 +313,10 @@ func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
 	}
 	if e.OpName == "sql.bind" {
 		ch.added = w.ev.Inserts[e.Args[2].S]
-		return ch, w.r.refreshBindFromCatalog(e)
+		return ch, w.rebind(e)
 	}
 	nb := t.BindIdx(e.Args[2].S)
-	w.r.refreshResult(e, mal.BatV(nb))
+	w.refresh(e, mal.BatV(nb))
 	for _, d := range w.ev.Inserts { // any column: they share the inserted heads
 		first := bat.OidAt(d.Head, 0)
 		at := func(o bat.Oid) int {
@@ -367,7 +383,7 @@ func (w *commitWalk) splitAppend(e *Entry, added *bat.BAT) change {
 		}
 		cur = cur.Extend(added)
 	}
-	w.r.refreshResult(e, mal.BatV(cur))
+	w.refresh(e, mal.BatV(cur))
 	e.ownsRoom = true
 	return change{added: added, removed: removed}
 }
@@ -389,11 +405,11 @@ func (w *commitWalk) agg(e *Entry) (ch change, ok bool) {
 	isInt := func(b *bat.BAT) bool { return b == nil || b.Tail.Kind() == bat.KInt }
 	switch {
 	case e.OpName == "aggr.count" && e.Result.Kind == mal.VInt:
-		w.r.refreshResult(e, mal.IntV(algebra.DeltaCount(e.Result.I, p.added, p.removed)))
+		w.refresh(e, mal.IntV(algebra.DeltaCount(e.Result.I, p.added, p.removed)))
 	case e.OpName == "aggr.sumInt" && e.Result.Kind == mal.VInt && isInt(p.added) && isInt(p.removed):
-		w.r.refreshResult(e, mal.IntV(algebra.DeltaSumInt(e.Result.I, p.added, p.removed)))
+		w.refresh(e, mal.IntV(algebra.DeltaSumInt(e.Result.I, p.added, p.removed)))
 	case e.OpName == "aggr.sumFlt" && e.Result.Kind == mal.VFloat && pe.Result.Bat.Tail.Kind() == bat.KFloat:
-		w.r.refreshResult(e, mal.FloatV(algebra.SumFloat(pe.Result.Bat)))
+		w.refresh(e, mal.FloatV(algebra.SumFloat(pe.Result.Bat)))
 	default:
 		return ch, false
 	}
@@ -435,7 +451,7 @@ func (w *commitWalk) view(e *Entry) (ch change, ok bool) {
 	default:
 		return ch, false
 	}
-	w.r.refreshResult(e, mal.BatV(nb))
+	w.refresh(e, mal.BatV(nb))
 	return ch, true
 }
 
@@ -461,7 +477,7 @@ func (w *commitWalk) join(e *Entry) (ch change, ok bool) {
 		}
 	}
 	if rows(ch.added) > 0 {
-		w.r.refreshResult(e, mal.BatV(bat.Append(e.Result.Bat, ch.added)))
+		w.refresh(e, mal.BatV(bat.Append(e.Result.Bat, ch.added)))
 	}
 	return ch, true
 }

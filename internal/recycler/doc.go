@@ -17,10 +17,12 @@
 // split so the common case stays off every global lock:
 //
 //   - The exact-match hit path is read-mostly: the signature index is
-//     sharded with per-shard RWMutexes, the epoch guard is consulted
-//     under a read-mostly RWMutex (stateMu), and per-entry reuse
-//     counters (LastUseTick, ReuseCount, SavedTotal, pin) are atomics.
-//     A warm pool serves concurrent hits without serialising.
+//     sharded with per-shard RWMutexes, an entry is served only when
+//     the versions it was computed at equal the ones the query reads
+//     (one compare per dependency table, against the query's own
+//     pins), and per-entry reuse counters (LastUseTick, ReuseCount,
+//     SavedTotal, pin) are atomics. A warm pool serves concurrent hits
+//     without serialising.
 //   - A single coarse writer lock still serialises every structural
 //     change — admission, eviction, invalidation, delta propagation and
 //     the subsumption-index searches — because lineage edges, the
@@ -36,7 +38,7 @@
 //     invalidation aborts the combined hit instead of resurrecting
 //     stale pieces.
 //
-// The full lock hierarchy (writer lock → stateMu → shard locks →
+// The full lock hierarchy (writer lock → activeMu → shard locks →
 // admission mutex) is documented on the Recycler type; lock-contention
 // telemetry (blocked acquisitions and blocked time for the writer lock
 // and the hit-path shard locks) is exposed through Stats and the

@@ -41,7 +41,7 @@ func (k EvictionKind) String() string {
 // active queries' own intermediates fill the pool, the pins are lifted
 // except for the direct arguments of the pending admission (protect —
 // the footnote-3 exception). Caller holds the writer lock; the
-// active-query set is snapshotted once instead of re-reading stateMu
+// active-query set is snapshotted once instead of re-reading activeMu
 // per leaf.
 func (r *Recycler) cleanCache(needBytes int64, needEntries int, protect []uint64) bool {
 	var buf [8]uint64

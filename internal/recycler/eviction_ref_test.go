@@ -374,7 +374,8 @@ func runEvictionDiff(t *testing.T, cfg Config, spill bool, seed int64) {
 				n := rng.Intn(300)
 				for _, g := range rigs {
 					g.r.lockWriter()
-					g.r.refreshResult(g.r.pool.Get(id), mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, n)))))
+					e := g.r.pool.Get(id)
+					g.r.refreshResult(e, mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, n)))), e.stamps)
 					g.r.mu.Unlock()
 				}
 			}

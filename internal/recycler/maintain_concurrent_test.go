@@ -13,16 +13,17 @@ import (
 // TestConcurrentMaintainStress runs reader streams against a
 // maintain-mode pool while a writer commits real data batches: k
 // sentinel rows (v=200) appended, then exactly those rows deleted,
-// over and over. Two invariants catch mixed-epoch observations:
+// over and over. Two invariants catch mixed-version observations:
 //
 //  1. Counts over the stable range [lo,hi] (hi < 100) are always
 //     exact — the fixture's hundred rows are never touched and the
 //     sentinels never match, so a maintained entry serving a stale or
 //     half-applied delta shows up as a wrong count.
 //  2. Counts over the sentinel range are always 0 or k — commits are
-//     atomic and the epoch guard refuses pool hits while one is in
-//     flight, so any other value means a reader paired a pool result
-//     from one epoch with data from another.
+//     atomic, a query reads one version of the table and the pool
+//     serves it only entries computed at that version, so any other
+//     value means a reader paired a pool result from one version with
+//     data from another.
 //
 // CI runs this under -race -count 3 with the other Concurrent tests.
 func TestConcurrentMaintainStress(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 
 // Differential harness for the delta engine, run once per SyncMode
 // preset: random statements warm a pool, then randomized update batches
-// (appends, deletions, in-place updates, duplicates, empty deltas)
+// (appends, deletions, duplicates, empty deltas)
 // commit against two tables, and after every batch each statement is
 // executed twice — once against the pool and once as a from-scratch
 // recompute with no recycler attached. The two result sets must be
@@ -278,18 +278,17 @@ func TestMaintainDifferential(t *testing.T) {
 	}
 }
 
-// diffTable is one table's live-row bookkeeping, so deletions and
-// in-place updates target real oids.
+// diffTable is one table's live-row bookkeeping, so deletions target
+// real oids.
 type diffTable struct {
-	tb     *catalog.Table
-	row    func(*rand.Rand) catalog.Row
-	updCol string
-	live   []bat.Oid
-	next   bat.Oid
+	tb   *catalog.Table
+	row  func(*rand.Rand) catalog.Row
+	live []bat.Oid
+	next bat.Oid
 }
 
-func newDiffTable(tb *catalog.Table, row func(*rand.Rand) catalog.Row, updCol string) *diffTable {
-	d := &diffTable{tb: tb, row: row, updCol: updCol, next: bat.Oid(tb.NumRows())}
+func newDiffTable(tb *catalog.Table, row func(*rand.Rand) catalog.Row) *diffTable {
+	d := &diffTable{tb: tb, row: row, next: bat.Oid(tb.NumRows())}
 	for o := bat.Oid(0); o < d.next; o++ {
 		d.live = append(d.live, o)
 	}
@@ -306,15 +305,15 @@ func runMaintainDifferential(t *testing.T, mode SyncMode, seed int64, batches in
 	h.check(t, seed, -1, stmts)
 
 	tables := []*diffTable{
-		newDiffTable(h.tb, diffRow, "a"),
-		newDiffTable(h.ub, diffRowU, "c"),
+		newDiffTable(h.tb, diffRow),
+		newDiffTable(h.ub, diffRowU),
 	}
 	for i := 0; i < batches; i++ {
 		d := tables[0]
 		if rng.Intn(4) == 0 {
 			d = tables[1]
 		}
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(8); {
 		case op < 5: // append
 			k := rng.Intn(5) + 1
 			rows := make([]catalog.Row, k)
@@ -342,7 +341,7 @@ func runMaintainDifferential(t *testing.T, mode SyncMode, seed int64, batches in
 				d.live = append(d.live, d.next)
 				d.next++
 			}
-		case op < 8: // delete
+		default: // delete
 			if len(d.live) == 0 {
 				continue
 			}
@@ -356,12 +355,6 @@ func runMaintainDifferential(t *testing.T, mode SyncMode, seed int64, batches in
 			rng.Shuffle(len(d.live), func(x, y int) { d.live[x], d.live[y] = d.live[y], d.live[x] })
 			d.tb.Delete(append([]bat.Oid(nil), d.live[:k]...))
 			d.live = d.live[k:]
-		default: // in-place update: the non-delta fallback path
-			if len(d.live) == 0 {
-				continue
-			}
-			o := d.live[rng.Intn(len(d.live))]
-			d.tb.UpdateInPlace(d.updCol, []bat.Oid{o}, []any{int64(rng.Intn(50))})
 		}
 		h.check(t, seed, i, stmts)
 	}

@@ -2,6 +2,7 @@ package recycler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/catalog"
 	"repro/internal/mal"
 	"repro/internal/plan"
 	"repro/internal/trace"
@@ -18,6 +20,43 @@ import (
 type ColumnRef struct {
 	Table  string // schema-qualified table name
 	Column string
+}
+
+// Pins is what the pool compares entries against: the version of each
+// table the asking query reads. *mal.Ctx implements it (mal.Ctx.Pin).
+type Pins interface {
+	Pin(qname string) (catalog.Snapshot, bool)
+}
+
+// tableStamp is the version of one dependency table an entry's result
+// was computed at.
+type tableStamp struct {
+	table string // schema-qualified
+	catalog.Stamp
+}
+
+// current reports whether a result computed at stamps is what a query
+// reading q's versions would compute.
+func current(stamps []tableStamp, q Pins) bool {
+	for _, s := range stamps {
+		if pin, ok := q.Pin(s.table); !ok || pin.Stamp != s.Stamp {
+			return false
+		}
+	}
+	return true
+}
+
+// restamped returns stamps with table's version moved to s. Stamps are
+// never edited in place: the hit path compares a copy of the slice
+// header outside the shard lock.
+func restamped(stamps []tableStamp, table string, s catalog.Stamp) []tableStamp {
+	out := slices.Clone(stamps)
+	for i := range out {
+		if out[i].table == table {
+			out[i].Stamp = s
+		}
+	}
+	return out
 }
 
 // Entry is one recycled intermediate: a captured instruction instance
@@ -32,6 +71,10 @@ type ColumnRef struct {
 // (ReuseCount, LastUseTick, SavedTotal, GlobalReuse, pinnedQuery) are
 // atomics, so the read-mostly hit path can update them without any
 // pool-wide lock.
+//
+// A query may use an entry only at the versions the entry was computed
+// at (stamps): every pool accessor that hands entries out takes the
+// query's Pins and returns only entries current for them.
 type Entry struct {
 	ID uint64
 	// Sig is the encoded run-time exact-match key under which the
@@ -106,6 +149,11 @@ type Entry struct {
 	// Deps lists the persistent columns this intermediate
 	// (transitively) derives from; update invalidation keys on it.
 	Deps []ColumnRef
+	// stamps holds the version of every table in Deps the result was
+	// computed at: set at admission, moved by the commit walk together
+	// with the result under the signature shard's write lock, and read
+	// by the hit path under its read lock.
+	stamps []tableStamp
 
 	// Select-specific matching metadata (subsumption analysis).
 	IsRangeSelect bool
@@ -151,6 +199,18 @@ type Entry struct {
 
 // Valid reports whether the entry may be matched.
 func (e *Entry) Valid() bool { return e.valid.Load() }
+
+// stampOf returns the version of table e's result was computed at,
+// the zero Stamp when e does not depend on the table. Caller holds the
+// writer lock.
+func (e *Entry) stampOf(table string) catalog.Stamp {
+	for _, s := range e.stamps {
+		if s.table == table {
+			return s.Stamp
+		}
+	}
+	return catalog.Stamp{}
+}
 
 // Saved returns the accumulated estimated time saved by reuses.
 func (e *Entry) Saved() time.Duration { return time.Duration(e.SavedTotal.Load()) }
@@ -323,24 +383,31 @@ func (p *Pool) ShardLockWait() (waits int64, wait time.Duration) {
 	return p.shardWaits.Load(), time.Duration(p.shardWaitNs.Load())
 }
 
-// Lookup finds a valid entry by signature. Safe without the writer
-// lock: only the owning shard's read lock is taken.
-func (p *Pool) Lookup(sig string) *Entry {
+// Lookup finds a valid entry by signature, current for q. Safe
+// without the writer lock: only the owning shard's read lock is taken.
+func (p *Pool) Lookup(sig string, q Pins) *Entry {
 	sh := p.shard(sig)
 	sh.mu.RLock()
 	e := sh.bySig[sig]
+	var stamps []tableStamp
+	if e != nil {
+		stamps = e.stamps
+	}
 	sh.mu.RUnlock()
+	if e == nil || !current(stamps, q) {
+		return nil
+	}
 	return e
 }
 
 // LookupHit is the hit-path variant of Lookup: it resolves the
-// signature and copies the entry's Result out under one shard read
-// lock, so a concurrent refreshResult (which swaps Result under the
-// shard's write lock) can never be observed torn. Blocked acquisitions
-// are counted for the contention telemetry. The key is the caller's
-// encoding buffer (plan.AppendKey): indexing with string(key) does not
-// allocate.
-func (p *Pool) LookupHit(key []byte) (e *Entry, res mal.Value, ok bool) {
+// signature and copies the entry's Result and stamps out under one
+// shard read lock, so a concurrent refreshResult (which swaps both
+// under the shard's write lock) can never be observed torn, then
+// compares the stamps with q. Blocked acquisitions are counted for the
+// contention telemetry. The key is the caller's encoding buffer
+// (plan.AppendKey): indexing with string(key) does not allocate.
+func (p *Pool) LookupHit(key []byte, q Pins) (e *Entry, res mal.Value, ok bool) {
 	sh := &p.shards[sigHash(key)%numSigShards]
 	if !sh.mu.TryRLock() {
 		start := time.Now()
@@ -353,11 +420,15 @@ func (p *Pool) LookupHit(key []byte) (e *Entry, res mal.Value, ok bool) {
 		}
 	}
 	e = sh.bySig[string(key)]
+	var stamps []tableStamp
 	if e != nil {
-		res = e.Result
+		res, stamps = e.Result, e.stamps
 	}
 	sh.mu.RUnlock()
-	return e, res, e != nil
+	if e == nil || !current(stamps, q) {
+		return nil, mal.Value{}, false
+	}
+	return e, res, true
 }
 
 // Get returns an entry by id (valid or not yet garbage collected).
@@ -575,29 +646,41 @@ func (p *Pool) EntriesByColumn(c ColumnRef) []*Entry {
 }
 
 // SelectSupersets returns the valid range-select entries over the
-// given column operand key whose range contains the target range, in
-// (lower bound, id) order. Caller holds the recycler writer lock.
-func (p *Pool) SelectSupersets(colKey string, t algebra.Range) []*Entry {
-	return p.selIdx[colKey].supersets(nil, t)
+// given column operand key whose range contains the target range and
+// that are current for q, in (lower bound, id) order. Caller holds the
+// recycler writer lock.
+func (p *Pool) SelectSupersets(colKey string, t algebra.Range, q Pins) []*Entry {
+	return currentOnly(p.selIdx[colKey].supersets(nil, t), q)
 }
 
 // SelectOverlaps returns the valid range-select entries over the column
 // whose range intersects t (closed-interval semantics, see
-// algebra.Range.Overlaps), in (lower bound, id) order. Caller holds the
-// recycler writer lock.
-func (p *Pool) SelectOverlaps(colKey string, t algebra.Range) []*Entry {
-	return p.selIdx[colKey].overlaps(nil, t)
+// algebra.Range.Overlaps) and that are current for q, in (lower bound,
+// id) order. Caller holds the recycler writer lock.
+func (p *Pool) SelectOverlaps(colKey string, t algebra.Range, q Pins) []*Entry {
+	return currentOnly(p.selIdx[colKey].overlaps(nil, t), q)
 }
 
-// LikeCandidates returns the valid likeselect entries over the column.
-// Caller holds the recycler writer lock.
-func (p *Pool) LikeCandidates(colKey string) []*Entry { return p.likeIdx[colKey] }
+// LikeCandidates returns the valid likeselect entries over the column
+// that are current for q. Caller holds the recycler writer lock.
+func (p *Pool) LikeCandidates(colKey string, q Pins) []*Entry {
+	return currentOnly(slices.Clone(p.likeIdx[colKey]), q)
+}
 
 // SemijoinOver returns the valid semijoin entry over the operands with
-// the given provenances, nil when there is none. Caller holds the
-// recycler writer lock.
-func (p *Pool) SemijoinOver(leftProv, rightProv uint64) *Entry {
-	return p.semiIdx[[2]uint64{leftProv, rightProv}]
+// the given provenances, nil when there is none current for q. Caller
+// holds the recycler writer lock.
+func (p *Pool) SemijoinOver(leftProv, rightProv uint64, q Pins) *Entry {
+	if e := p.semiIdx[[2]uint64{leftProv, rightProv}]; e != nil && current(e.stamps, q) {
+		return e
+	}
+	return nil
+}
+
+// currentOnly filters a candidate list (owned by the caller) down to
+// the entries current for q.
+func currentOnly(es []*Entry, q Pins) []*Entry {
+	return slices.DeleteFunc(es, func(e *Entry) bool { return !current(e.stamps, q) })
 }
 
 // All returns all valid entries in id order. Caller holds the recycler

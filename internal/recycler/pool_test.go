@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/bat"
+	"repro/internal/catalog"
 	"repro/internal/mal"
 )
 
@@ -24,6 +25,15 @@ func mkEntry(sig string, bytes int64, cost time.Duration) *Entry {
 	}
 }
 
+// pinsAt is a Pins over fixed table versions. Entries without stamps
+// (every mkEntry) are current for any pins, pinsAt(nil) included.
+type pinsAt map[string]catalog.Stamp
+
+func (p pinsAt) Pin(qname string) (catalog.Snapshot, bool) {
+	s, ok := p[qname]
+	return catalog.Snapshot{Stamp: s}, ok
+}
+
 func TestPoolAddRemoveAccounting(t *testing.T) {
 	p := NewPool()
 	e1 := mkEntry("a", 800, time.Millisecond)
@@ -31,11 +41,11 @@ func TestPoolAddRemoveAccounting(t *testing.T) {
 	if p.Len() != 1 || p.Bytes() != 800 {
 		t.Fatalf("after add: %d entries, %d bytes", p.Len(), p.Bytes())
 	}
-	if p.Lookup("a") != e1 || e1.Result.Prov != e1.ID {
+	if p.Lookup("a", pinsAt(nil)) != e1 || e1.Result.Prov != e1.ID {
 		t.Fatal("lookup/provenance wrong")
 	}
 	p.Remove(e1)
-	if p.Len() != 0 || p.Bytes() != 0 || p.Lookup("a") != nil {
+	if p.Len() != 0 || p.Bytes() != 0 || p.Lookup("a", pinsAt(nil)) != nil {
 		t.Fatal("remove incomplete")
 	}
 	// Double remove is a no-op.
@@ -134,27 +144,27 @@ func TestPoolSubsumptionIndexes(t *testing.T) {
 	sel.IsRangeSelect = true
 	sel.SelColKey = "e1"
 	p.Add(sel)
-	if got := p.SelectOverlaps("e1", algebra.Range{}); len(got) != 1 {
+	if got := p.SelectOverlaps("e1", algebra.Range{}, pinsAt(nil)); len(got) != 1 {
 		t.Fatalf("select candidates = %d", len(got))
 	}
 	like := mkEntry("l", 100, time.Millisecond)
 	like.IsLike = true
 	like.LikeColKey = "e1"
 	p.Add(like)
-	if got := p.LikeCandidates("e1"); len(got) != 1 {
+	if got := p.LikeCandidates("e1", pinsAt(nil)); len(got) != 1 {
 		t.Fatalf("like candidates = %d", len(got))
 	}
 	semi := mkEntry("sj", 100, time.Millisecond)
 	semi.IsSemijoin = true
 	semi.SemiLeft, semi.SemiRight = 42, 43
 	p.Add(semi)
-	if p.SemijoinOver(42, 43) != semi {
+	if p.SemijoinOver(42, 43, pinsAt(nil)) != semi {
 		t.Fatal("semijoin not indexed")
 	}
 	p.Remove(sel)
 	p.Remove(like)
 	p.Remove(semi)
-	if len(p.SelectOverlaps("e1", algebra.Range{}))+len(p.LikeCandidates("e1")) != 0 || p.SemijoinOver(42, 43) != nil {
+	if len(p.SelectOverlaps("e1", algebra.Range{}, pinsAt(nil)))+len(p.LikeCandidates("e1", pinsAt(nil))) != 0 || p.SemijoinOver(42, 43, pinsAt(nil)) != nil {
 		t.Fatal("indexes not cleaned on removal")
 	}
 	if len(p.selIdx)+len(p.likeIdx)+len(p.semiIdx) != 0 {
@@ -281,10 +291,10 @@ func TestSmallestSemijoinFollowsChainsAndRanges(t *testing.T) {
 	c.SubsetOf = b.ID
 	p.Add(c)
 	sjA, sjC := semiOver(a), semiOver(c)
-	if got := r.smallestSemijoin(epochView{}, x, c.ID); got != sjA {
+	if got := r.smallestSemijoin(pinsAt(nil), x, c.ID); got != sjA {
 		t.Fatalf("transitive derivation chain not followed: got %v", got)
 	}
-	if got := r.smallestSemijoin(epochView{}, x, a.ID); got != nil {
+	if got := r.smallestSemijoin(pinsAt(nil), x, a.ID); got != nil {
 		t.Fatalf("reverse direction must fail: got %v (sjC = e%d)", got, sjC.ID)
 	}
 	// Range-based subset: two selects over the same column.
@@ -297,10 +307,10 @@ func TestSmallestSemijoinFollowsChainsAndRanges(t *testing.T) {
 	}
 	s1, s2 := sel("s1", 0, 100), sel("s2", 10, 20)
 	sj1, sj2 := semiOver(s1), semiOver(s2)
-	if got := r.smallestSemijoin(epochView{}, x, s2.ID); got != sj1 {
+	if got := r.smallestSemijoin(pinsAt(nil), x, s2.ID); got != sj1 {
 		t.Fatalf("range containment subset not detected: got %v", got)
 	}
-	if got := r.smallestSemijoin(epochView{}, x, s1.ID); got != nil {
+	if got := r.smallestSemijoin(pinsAt(nil), x, s1.ID); got != nil {
 		t.Fatalf("superset direction must fail: got %v (sj2 = e%d)", got, sj2.ID)
 	}
 }

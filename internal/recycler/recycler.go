@@ -80,10 +80,8 @@ type Config struct {
 //     the subsumption-candidate scans. Lineage edges, the subsumption
 //     and column indexes and the byte accounting are only consistent
 //     under it.
-//  2. stateMu — a read-mostly RWMutex over the epoch guard state
-//     (active, epoch, tableEpoch, pending). The hit path takes it
-//     shared per usability check; BeginQuery/EndQuery and the update
-//     listeners take it exclusively for a few map operations.
+//  2. activeMu — guards the active-query set eviction pins entries
+//     for. BeginQuery/EndQuery take it exclusively, eviction shared.
 //  3. sigShard.mu — per-shard RWMutexes over the signature index
 //     (see Pool). The exact-match hit path takes only a shard read
 //     lock; structural writers (Add/Remove/refreshResult) take the
@@ -93,13 +91,23 @@ type Config struct {
 //
 // The exact-match hit path — the common case once the pool is warm —
 // therefore runs without the writer lock entirely: signature hash,
-// one shard read lock, one stateMu read lock, then atomic counter
-// updates on the entry. Combined subsumption executes its piecewise
-// selects and merge outside all locks and re-validates its inputs
-// after reacquiring mu (see combinedSelect), so a concurrent
-// invalidation can never resurrect stale pieces. Per-query statistics
-// are written through mal.Ctx.UpdateStats, never directly, so they
-// cannot race with the interpreter's own bookkeeping.
+// one shard read lock, the version compare against the query's pins,
+// then atomic counter updates on the entry. Combined subsumption
+// executes its piecewise selects and merge outside all locks and
+// re-validates its inputs after reacquiring mu (see combinedSelect),
+// so a concurrent invalidation can never resurrect stale pieces.
+// Per-query statistics are written through mal.Ctx.UpdateStats, never
+// directly, so they cannot race with the interpreter's own
+// bookkeeping.
+//
+// Versions. Every query reads one version of each table (mal.Ctx.Pin)
+// and every entry records the versions of its dependency tables its
+// result was computed at (Entry.stamps). The pool serves an entry only
+// to a query whose pins carry the same versions — the pool's lookup
+// and scan accessors take the pins and do the compare — and admits a
+// result only when the query's pins equal the versions the pool has
+// applied (applied): the entries the next commit walk moves are then
+// exactly the ones computed at its predecessor.
 type Recycler struct {
 	cfg  Config
 	pool *Pool
@@ -114,26 +122,17 @@ type Recycler struct {
 	writerWaits  atomic.Int64
 	writerWaitNs atomic.Int64
 
-	// stateMu (level 2) guards the epoch guard state below.
-	stateMu sync.RWMutex
-	// active tracks the queries currently executing (BeginQuery ..
-	// EndQuery), mapping each to the update epoch it began under. Pool
-	// entries last touched by an active query are pinned against
-	// eviction.
-	active map[uint64]uint64
-	// epoch counts committed catalog updates; tableEpoch records, per
-	// schema-qualified table, the epoch of its latest commit; pending
-	// counts the table's commits currently in flight (OnBeforeUpdate
-	// received, completion not yet). A query that began before a
-	// table's latest commit — or that runs while one is in flight —
-	// may mix pre- and post-update state, so intermediates depending
-	// on the table are refused both admission and hits for it:
-	// otherwise the query could re-admit or consume a result that is
-	// inconsistent with its own operands or that outlives the
-	// invalidation pass.
-	epoch      uint64
-	tableEpoch map[string]uint64
-	pending    map[string]int
+	// applied maps a schema-qualified table to the version the pool's
+	// entries over it reflect: set lazily from the catalog the first
+	// time an admission needs it and moved by every commit walk.
+	// Guarded by the writer lock.
+	applied map[string]catalog.Stamp
+
+	// activeMu (level 2) guards active, the queries currently executing
+	// (BeginQuery .. EndQuery). Pool entries last touched by an active
+	// query are pinned against eviction.
+	activeMu sync.RWMutex
+	active   map[uint64]struct{}
 
 	// Disk-tier plumbing (see spill.go). spillQ carries eviction
 	// victims to the asynchronous spiller goroutine so disk writes
@@ -181,13 +180,12 @@ func New(cat *catalog.Catalog, cfg Config) *Recycler {
 		cfg.MaxCombined = 16
 	}
 	r := &Recycler{
-		cfg:        cfg,
-		pool:       NewPool(),
-		adm:        newAdmission(cfg.Admission, cfg.Credits),
-		cat:        cat,
-		active:     make(map[uint64]uint64),
-		tableEpoch: make(map[string]uint64),
-		pending:    make(map[string]int),
+		cfg:     cfg,
+		pool:    NewPool(),
+		adm:     newAdmission(cfg.Admission, cfg.Credits),
+		cat:     cat,
+		applied: make(map[string]catalog.Stamp),
+		active:  make(map[uint64]struct{}),
 	}
 	if cat != nil {
 		cat.AddListener(r)
@@ -399,8 +397,8 @@ func (r *Recycler) AdmissionStats() AdmissionStats {
 // entries are pinned against eviction. A gracefully drained server
 // must see this reach zero before releasing the engine.
 func (r *Recycler) ActiveQueries() int {
-	r.stateMu.RLock()
-	defer r.stateMu.RUnlock()
+	r.activeMu.RLock()
+	defer r.activeMu.RUnlock()
 	return len(r.active)
 }
 
@@ -419,103 +417,88 @@ func (r *Recycler) Reset() {
 // invocation for the adaptive admission policy and adds the query to
 // the active set used for eviction pinning. Pair with EndQuery.
 func (r *Recycler) BeginQuery(queryID uint64, templID uint64) {
-	r.stateMu.Lock()
-	r.active[queryID] = r.epoch
-	r.stateMu.Unlock()
+	r.activeMu.Lock()
+	r.active[queryID] = struct{}{}
+	r.activeMu.Unlock()
 	r.adm.beginQuery(templID)
 }
 
 // EndQuery marks a query invocation finished, unpinning the pool
 // entries it touched so eviction may reclaim them.
 func (r *Recycler) EndQuery(queryID uint64) {
-	r.stateMu.Lock()
+	r.activeMu.Lock()
 	delete(r.active, queryID)
-	r.stateMu.Unlock()
+	r.activeMu.Unlock()
 }
 
 // activeSnapshot appends the active-query set to dst, so eviction can
-// test pins without re-taking stateMu per leaf.
+// test pins without re-taking activeMu per leaf.
 func (r *Recycler) activeSnapshot(dst []uint64) []uint64 {
-	r.stateMu.RLock()
-	defer r.stateMu.RUnlock()
+	r.activeMu.RLock()
+	defer r.activeMu.RUnlock()
 	for q := range r.active {
 		dst = append(dst, q)
 	}
 	return dst
 }
 
-// staleSinceLocked reports whether any of the dep tables committed an
-// update after the given epoch or has a commit in flight — i.e.
-// whether operands read from them may predate that update. Caller
-// holds stateMu (shared suffices).
-func (r *Recycler) staleSinceLocked(deps []ColumnRef, began uint64) bool {
-	for _, d := range deps {
-		if r.tableEpoch[d.Table] > began || r.pending[d.Table] > 0 {
-			return true
-		}
+// appliedLocked returns the version of table qname the pool reflects,
+// taking the catalog's current one the first time the table is asked
+// about. A commit in flight at that moment is harmless: its walk finds
+// the entries admitted at its version already current (applyCommit).
+// Caller holds the writer lock.
+func (r *Recycler) appliedLocked(qname string) (catalog.Stamp, bool) {
+	if s, ok := r.applied[qname]; ok {
+		return s, true
 	}
-	return false
-}
-
-// staleForQuery reports whether an intermediate with the given column
-// dependencies straddles a commit from the query's point of view.
-func (r *Recycler) staleForQuery(queryID uint64, deps []ColumnRef) bool {
-	r.stateMu.RLock()
-	defer r.stateMu.RUnlock()
-	began, ok := r.active[queryID]
+	if r.cat == nil {
+		return catalog.Stamp{}, false
+	}
+	snap, ok := r.cat.Pin(qname)
 	if !ok {
-		return false
+		return catalog.Stamp{}, false
 	}
-	return r.staleSinceLocked(deps, began)
+	r.applied[qname] = snap.Stamp
+	return snap.Stamp, true
 }
 
-// usable reports whether entry e may satisfy a hit for ctx's query. A
-// query that began before the latest commit to one of e's dep tables
-// must not consume the entry: e may hold a post-update result (a
-// propagate-mode refresh, or a re-admission by a younger query) that
-// is inconsistent with operands the old query bound before the
-// commit. Takes stateMu shared; safe with or without the writer lock.
-func (r *Recycler) usable(ctx *mal.Ctx, e *Entry) bool {
-	return !r.staleForQuery(ctx.QueryID, e.Deps)
+// appliedPins reads every table at the version the pool has applied:
+// what an admission's stamps must equal. Writer lock.
+type appliedPins struct{ r *Recycler }
+
+func (a appliedPins) Pin(qname string) (catalog.Snapshot, bool) {
+	s, ok := a.r.appliedLocked(qname)
+	return catalog.Snapshot{Stamp: s}, ok
 }
 
-// epochView is the epoch guard's verdict for one query, taken once: the
-// tables whose intermediates the query must not consume (empty in the
-// common case of no commit since it began). The subsumption searches
-// judge every candidate of a scan against one view instead of taking
-// stateMu per candidate. That is as tight as usable(): both verdicts
-// precede the use they license, and the scan holds the writer lock, so
-// no pool fix-up can land in between.
-type epochView struct{ stale []string }
+// catalogPins reads every table at its current version: what the
+// spill tier must match for a record to be worth keeping.
+type catalogPins struct{ cat *catalog.Catalog }
 
-// epochViewFor evaluates the guard for a query. Takes stateMu shared;
-// safe with or without the writer lock.
-func (r *Recycler) epochViewFor(queryID uint64) epochView {
-	r.stateMu.RLock()
-	defer r.stateMu.RUnlock()
-	var v epochView
-	if began, ok := r.active[queryID]; ok {
-		// Every table with a commit in flight has a tableEpoch stamp
-		// (OnBeforeUpdate sets both), so this loop sees them all.
-		for t, ep := range r.tableEpoch {
-			if ep > began || r.pending[t] > 0 {
-				v.stale = append(v.stale, t)
-			}
+func (c catalogPins) Pin(qname string) (catalog.Snapshot, bool) {
+	if c.cat == nil {
+		return catalog.Snapshot{}, false
+	}
+	return c.cat.Pin(qname)
+}
+
+// stampsFor stamps a result over deps with the versions q reads, one
+// per table. admittable=false when a table cannot be pinned or q reads
+// a version the pool has not applied: admitting the result would hand
+// the next commit walk an entry that is not at its predecessor. Caller
+// holds the writer lock.
+func (r *Recycler) stampsFor(q Pins, deps []ColumnRef) (stamps []tableStamp, admittable bool) {
+	for _, d := range deps {
+		if slices.ContainsFunc(stamps, func(s tableStamp) bool { return s.table == d.Table }) {
+			continue
 		}
-	}
-	return v
-}
-
-// usable is Recycler.usable against the view.
-func (v epochView) usable(e *Entry) bool {
-	for _, t := range v.stale {
-		for _, d := range e.Deps {
-			if d.Table == t {
-				return false
-			}
+		pin, ok := q.Pin(d.Table)
+		if !ok {
+			return nil, false
 		}
+		stamps = append(stamps, tableStamp{table: d.Table, Stamp: pin.Stamp})
 	}
-	return true
+	return stamps, current(stamps, appliedPins{r})
 }
 
 // signature derives the structured plan.Signature of an instruction
@@ -540,14 +523,14 @@ func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string,
 //
 // The exact-match path is read-mostly: it takes no writer lock, only
 // the signature shard's read lock (to resolve the entry and copy its
-// Result consistently) and stateMu shared (epoch guard), then updates
-// the entry's reuse counters atomically. A hit may race a concurrent
-// eviction of the same entry; that is benign — results are immutable
-// and the counters of a just-removed entry are simply forgotten.
-// Hits racing *invalidation* are excluded by the epoch guard: the
-// pre-commit OnBeforeUpdate makes usable() refuse the entry before
-// the underlying data can have changed. The subsumption paths scan
-// pool indexes and therefore take the writer lock (see subsume.go).
+// Result and version stamps consistently), compares the stamps with
+// the query's pins, then updates the entry's reuse counters
+// atomically. A hit may race a concurrent eviction of the same entry;
+// that is benign — results are immutable and the counters of a
+// just-removed entry are simply forgotten. A hit racing a commit is
+// served the result at the version the query reads or none: the walk
+// swaps result and stamps together. The subsumption paths scan pool
+// indexes and therefore take the writer lock (see subsume.go).
 //
 // The exact probe allocates nothing: the key is encoded into a stack
 // buffer and the pool indexes with it directly. A plan.Signature is
@@ -558,7 +541,7 @@ func (r *Recycler) Entry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value) 
 	if !matchable {
 		return mal.EntryResult{}
 	}
-	if e, res, ok := r.pool.LookupHit(key); ok && r.usable(ctx, e) {
+	if e, res, ok := r.pool.LookupHit(key, ctx); ok {
 		r.noteReuse(ctx, in, e)
 		ctx.UpdateStats(func(s *mal.QueryStats) {
 			s.Hits++
@@ -661,14 +644,14 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 		// past the update that killed its lineage.
 		return 0, "deny:lineage-unknown"
 	}
-	if r.staleForQuery(ctx.QueryID, deps) {
-		// A table this intermediate depends on committed an update
-		// while the query was running: the operands may predate the
-		// update, and admitting them now would outlive the
-		// invalidation pass that already ran.
-		return 0, "deny:epoch-stale"
+	stamps, ok := r.stampsFor(ctx, deps)
+	if !ok {
+		// The query reads a version of a dependency table the pool has
+		// not applied — one a commit already walked past, or one whose
+		// walk is still to come: either way the entry would miss it.
+		return 0, "deny:version-stale"
 	}
-	if existing := r.pool.Lookup(sigKey); existing != nil {
+	if existing := r.pool.Lookup(sigKey, ctx); existing != nil {
 		// Another query re-admitted the same signature concurrently.
 		// Refresh the survivor's recency and pin it for this query,
 		// so the entry this query is about to rely on is not the
@@ -700,7 +683,7 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 			return 0, "deny:no-room:refunded"
 		}
 	}
-	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, render, deps)
+	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, render, deps, stamps)
 	if rw != nil {
 		e.SubsetOf = rw.SubsetOf
 	}
@@ -724,7 +707,7 @@ func lineageOf(dst []uint64, args []mal.Value) []uint64 {
 // buildEntry captures an executed instruction instance into a pool
 // entry, deriving lineage edges, column dependencies and subsumption
 // metadata.
-func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key, render string, deps []ColumnRef) *Entry {
+func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key, render string, deps []ColumnRef, stamps []tableStamp) *Entry {
 	now := r.pool.Tick()
 	e := &Entry{
 		Sig:       key,
@@ -745,6 +728,7 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Va
 	e.deltaOneTable = depsOneTable(deps)
 	e.DependsOn = lineageOf(nil, args)
 	e.Deps = deps
+	e.stamps = stamps
 	// The canonical signature (provenance-free, stable across restarts)
 	// keys the disk tier; every BAT argument's producer is still in the
 	// pool here (columnDeps verified them), so it is always computable

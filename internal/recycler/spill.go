@@ -1,9 +1,10 @@
 package recycler
 
 import (
-	"strings"
+	"slices"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/mal"
 	"repro/internal/plan"
 )
@@ -21,12 +22,14 @@ import (
 // restarted.
 //
 // Validity is keyed on catalog table versions: a spill record stores,
-// for every persistent column the intermediate depends on, the
-// dependency table's committed-update version at demotion time. A
-// record is reloadable only while every dependency table still has
-// exactly that version; otherwise it is dropped lazily at the first
-// lookup (or prewarm) that notices — spilled entries are never
-// eagerly scanned by the §6 invalidation passes.
+// for every persistent column the intermediate depends on, the version
+// of its table the entry was computed at (its stamp), and only entries
+// current with the catalog are demoted. A record is reloadable only
+// while every dependency table still has exactly that version, and
+// served only to a query that reads it (the pool's version compare);
+// otherwise it is dropped lazily at the first lookup (or prewarm) that
+// notices — spilled entries are never eagerly scanned by the §6 commit
+// walks.
 //
 // Reloaded and prewarmed entries re-enter the pool as exact-match
 // lines only: their subsumption metadata and argument snapshots are
@@ -35,13 +38,10 @@ import (
 // searches or delta propagation. Fresh admissions rebuild those
 // abilities as the workload re-runs.
 //
-// Concurrency caveat: the spiller serialises entry results off the hot
-// path, and bind-class results are views over committed column
-// storage. Append writes only past the published length and Delete
-// replaces the tombstone list, so both are safe; UpdateInPlace
-// overwrites published slots and already carries a no-concurrent-
-// readers contract — the spiller (like checkpoint serialisation) is
-// one of those readers.
+// The spiller serialises entry results off the hot path, and
+// bind-class results are views over committed column storage: Append
+// writes only past the published length and Delete replaces the
+// tombstone list, so what a result can reach never changes under it.
 
 // SpillArg describes one argument of a spilled instruction: either a
 // scalar (its literal matching key) or a BAT (the canonical signature
@@ -51,7 +51,7 @@ import (
 type SpillArg = plan.CanonArg
 
 // SpillDep pins a spilled record to the catalog state its content was
-// computed from.
+// computed from: the dependency table's catalog.Stamp.
 type SpillDep struct {
 	Ref ColumnRef
 	// Created identifies the dependency table itself (its creation
@@ -59,8 +59,8 @@ type SpillDep struct {
 	// name restarts its version counter, and the creation stamp keeps
 	// records of the old table from aliasing the new one.
 	Created uint64
-	// Version is the dependency table's committed-update counter at
-	// demotion time; any later commit makes the record stale.
+	// Version is the dependency table's committed-update counter the
+	// content was computed at; any later commit makes the record stale.
 	Version int64
 }
 
@@ -103,54 +103,22 @@ type SpillTier interface {
 	Empty() bool
 }
 
-// depVersions resolves the current committed-update version of every
-// dependency table. ok=false when a table is unknown (dropped) or no
-// catalog is attached. Safe with or without the writer lock (takes the
-// catalog's shared lock per table).
-func (r *Recycler) depVersions(deps []ColumnRef) ([]SpillDep, bool) {
-	if r.cat == nil {
-		return nil, false
-	}
-	out := make([]SpillDep, 0, len(deps))
+// recordStamps folds a record's per-column dependencies into one
+// version stamp per table.
+func recordStamps(deps []SpillDep) []tableStamp {
+	var out []tableStamp
 	for _, d := range deps {
-		schema, name, ok := splitQName(d.Table)
-		if !ok {
-			return nil, false
+		if !slices.ContainsFunc(out, func(s tableStamp) bool { return s.table == d.Ref.Table }) {
+			out = append(out, tableStamp{table: d.Ref.Table, Stamp: catalog.Stamp{Created: d.Created, Version: d.Version}})
 		}
-		created, v, ok := r.cat.TableStamp(schema, name)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, SpillDep{Ref: d, Created: created, Version: v})
 	}
-	return out, true
+	return out
 }
 
 // depsFresh reports whether every dependency table still has the
-// version recorded at demotion time.
+// version the record was computed at.
 func (r *Recycler) depsFresh(deps []SpillDep) bool {
-	if r.cat == nil {
-		return false
-	}
-	for _, d := range deps {
-		schema, name, ok := splitQName(d.Ref.Table)
-		if !ok {
-			return false
-		}
-		created, v, ok := r.cat.TableStamp(schema, name)
-		if !ok || created != d.Created || v != d.Version {
-			return false
-		}
-	}
-	return true
-}
-
-func splitQName(qname string) (schema, name string, ok bool) {
-	i := strings.IndexByte(qname, '.')
-	if i <= 0 || i == len(qname)-1 {
-		return "", "", false
-	}
-	return qname[:i], qname[i+1:], true
+	return current(recordStamps(deps), catalogPins{r.cat})
 }
 
 func depRefs(deps []SpillDep) []ColumnRef {
@@ -161,41 +129,19 @@ func depRefs(deps []SpillDep) []ColumnRef {
 	return out
 }
 
-// spillRecordLocked captures an entry for demotion, stamping the
-// current dependency-table versions. nil when the entry cannot be
-// spilled (no canonical signature, no catalog, or a dropped dep), or
-// when a dependency table has a commit in flight: in that window the
-// table's version is already bumped while the entry — still valid,
-// the invalidation pass runs later under this same writer lock — was
-// computed from pre-commit data, so stamping now would label stale
-// content as fresh. Caller holds the writer lock.
+// spillRecordLocked captures an entry for demotion with its version
+// stamps. nil when the entry cannot be spilled (no canonical
+// signature) or is not current with the catalog: a commit to a
+// dependency table is visible but not walked yet, and the record would
+// be stale on arrival. Caller holds the writer lock.
 func (r *Recycler) spillRecordLocked(e *Entry) *SpillRecord {
-	if e.CanonSig == "" || !e.valid.Load() {
+	if e.CanonSig == "" || !e.valid.Load() || !current(e.stamps, catalogPins{r.cat}) {
 		return nil
 	}
-	deps, ok := r.depVersions(e.Deps)
-	if !ok {
-		return nil
-	}
-	// The in-flight check runs AFTER the version reads: OnBeforeUpdate
-	// (pending++) takes only stateMu, so a commit can slip its version
-	// bump between an earlier check and depVersions — but it cannot
-	// complete (publishCommit needs the writer lock we hold), so if it
-	// bumped a version we just read, pending is still > 0 here.
-	// Conversely pending == 0 now proves every commit reflected in the
-	// stamps also finished its invalidation pass before we took the
-	// writer lock, and this entry survived it.
-	r.stateMu.RLock()
-	inFlight := false
-	for _, d := range e.Deps {
-		if r.pending[d.Table] > 0 {
-			inFlight = true
-			break
-		}
-	}
-	r.stateMu.RUnlock()
-	if inFlight {
-		return nil
+	deps := make([]SpillDep, len(e.Deps))
+	for i, d := range e.Deps {
+		s := e.stampOf(d.Table)
+		deps[i] = SpillDep{Ref: d, Created: s.Created, Version: s.Version}
 	}
 	return &SpillRecord{
 		CanonSig: e.CanonSig,
@@ -311,20 +257,22 @@ func entryFromSpill(rec *SpillRecord, sig string, dependsOn []uint64, tick int64
 		SpillArgs: rec.Args,
 		DependsOn: dependsOn,
 		Deps:      depRefs(rec.Deps),
+		stamps:    recordStamps(rec.Deps),
 	}
 	e.LastUseTick.Store(tick)
 	return e
 }
 
 // reloadFromSpill is the exact-match miss path's disk-tier consult: if
-// the instruction's canonical signature names a spilled record that
-// survives epoch validation, the record is re-admitted to the pool and
-// served as a hit; a record whose dependency versions no longer match
-// is dropped — the lazy invalidation of the tier. runtimeKey is the
-// instance's encoded run-time key (the exact-match lookup just missed
-// on it; the caller checked it is matchable); the canonical lookup key
-// is derived from the instance's signature, lock-free, through the
-// pool's canonByID mirror.
+// the instruction's canonical signature names a spilled record at the
+// versions the query reads, the record is served as a hit and
+// re-admitted to the pool when those are the versions the pool has
+// applied; a record whose dependency versions are no longer the
+// catalog's is dropped — the lazy invalidation of the tier.
+// runtimeKey is the instance's encoded run-time key (the exact-match
+// lookup just missed on it; the caller checked it is matchable); the
+// canonical lookup key is derived from the instance's signature,
+// lock-free, through the pool's canonByID mirror.
 func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, runtimeKey []byte) (mal.EntryResult, bool) {
 	tier := r.cfg.Spill
 	if tier == nil || tier.Empty() {
@@ -356,35 +304,24 @@ func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []m
 	if !ok {
 		return mal.EntryResult{}, false
 	}
-	// Cheap rejects before taking the writer lock: stale records are
-	// dropped for good, records merely unusable by *this* query (it
-	// straddles a commit) stay for others.
+	// Stale records are dropped for good, records at a version *this*
+	// query does not read stay for others.
 	if !r.depsFresh(rec.Deps) {
 		tier.Drop(canon)
 		r.staleDropped.Add(1)
 		return mal.EntryResult{}, false
 	}
-	deps := depRefs(rec.Deps)
-	if r.staleForQuery(ctx.QueryID, deps) {
+	stamps := recordStamps(rec.Deps)
+	if !current(stamps, ctx) {
 		return mal.EntryResult{}, false
 	}
 
 	key := string(runtimeKey)
 	r.lockWriter()
 	defer r.mu.Unlock()
-	// Re-validate under the writer lock: a commit may have landed
-	// between the unlocked check and here. Holding the lock excludes
-	// the invalidation passes, so a fresh verdict cannot be
-	// invalidated before the entry is indexed (byCol) below.
-	if !r.depsFresh(rec.Deps) || r.staleForQuery(ctx.QueryID, deps) {
-		return mal.EntryResult{}, false
-	}
-	if e := r.pool.Lookup(key); e != nil {
+	if e := r.pool.Lookup(key, ctx); e != nil {
 		// A concurrent reload (or a fresh execution) re-admitted the
-		// signature first; serve it (if this query may).
-		if !r.usable(ctx, e) {
-			return mal.EntryResult{}, false
-		}
+		// signature first; serve it.
 		r.noteReuse(ctx, in, e)
 		ctx.UpdateStats(func(s *mal.QueryStats) {
 			s.Hits++
@@ -396,16 +333,17 @@ func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []m
 	}
 	// Make room within the configured bounds; reloads bypass the
 	// admission policy (the instruction earned its place when it was
-	// first admitted) but never the capacity limits. If room cannot be
-	// made, the value is still served — it just stays disk-only. The
-	// decoded result is fully materialised, so capacity is checked
-	// against its real size, not the (possibly view-accounted) size
-	// recorded at demotion.
-	admit := true
+	// first admitted) but never the capacity limits, nor the version
+	// rule (the record must be at the versions the pool has applied).
+	// If the entry cannot be admitted, the value is still served — it
+	// just stays disk-only. The decoded result is fully materialised,
+	// so capacity is checked against its real size, not the (possibly
+	// view-accounted) size recorded at demotion.
+	admit := current(stamps, appliedPins{r})
 	var buf [4]uint64
 	protect := lineageOf(buf[:0], args)
 	bytes := rec.Result.Bytes()
-	if r.cfg.MaxBytes > 0 && bytes > r.cfg.MaxBytes {
+	if admit && r.cfg.MaxBytes > 0 && bytes > r.cfg.MaxBytes {
 		admit = false
 	}
 	if admit && r.cfg.MaxBytes > 0 && r.pool.Bytes()+bytes > r.cfg.MaxBytes {
@@ -446,7 +384,7 @@ func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []m
 	return mal.EntryResult{Hit: true, Val: val, Reason: reason}, true
 }
 
-// Prewarm loads every spilled record that survives epoch validation
+// Prewarm loads every spilled record at the tables' current versions
 // back into the pool, resolving lineage bottom-up: a record becomes
 // admissible once all its BAT arguments' canonical signatures resolve
 // to already-present entries, and its run-time signature is rebuilt
@@ -487,6 +425,9 @@ func (r *Recycler) Prewarm() int {
 				progress = true
 				continue
 			}
+			if !current(recordStamps(meta.Deps), appliedPins{r}) {
+				continue // a commit to a dependency table is still being applied
+			}
 			sig, dependsOn, ok := r.sigFromSpill(meta, byCanon)
 			if !ok {
 				next = append(next, meta)
@@ -501,7 +442,7 @@ func (r *Recycler) Prewarm() int {
 			if r.cfg.MaxEntries > 0 && r.pool.Len()+1 > r.cfg.MaxEntries {
 				continue
 			}
-			if e := r.pool.Lookup(sig); e != nil {
+			if e := r.pool.Lookup(sig, appliedPins{r}); e != nil {
 				byCanon[meta.CanonSig] = e.ID
 				progress = true
 				continue

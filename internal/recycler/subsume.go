@@ -19,15 +19,15 @@ import (
 // The candidate searches read the pool's subsumption indexes and
 // therefore run under the writer lock. They cost O(log n) plus the
 // candidates they report in the number of pooled selects and semijoins
-// (see selindex.go), and judge every candidate against one epochView
-// instead of taking stateMu per candidate. Combined subsumption's
-// operator execution (the piecewise selects and the merge) does NOT: the
-// chosen candidates are snapshotted under the lock, the algebra runs
-// over the immutable snapshots with no lock held, and the result is
-// only admitted after re-acquiring the writer lock and re-validating
-// that every piece is still valid and usable — a concurrent
-// invalidation between snapshot and admission aborts the combined hit
-// instead of resurrecting stale pieces.
+// (see selindex.go); the index accessors hand out only candidates
+// current for the query's pins. Combined subsumption's operator
+// execution (the piecewise selects and the merge) does NOT run under
+// the lock: the chosen candidates are snapshotted under it, the algebra
+// runs over the immutable snapshots with no lock held, and the result
+// is only admitted after re-acquiring the writer lock and re-validating
+// that every piece still holds the result it was snapshotted with — a
+// concurrent invalidation or refresh between snapshot and admission
+// aborts the combined hit instead of resurrecting stale pieces.
 
 // pieceSnap is a consistent copy of one combined-subsumption candidate
 // taken under the writer lock: the entry pointer for re-validation
@@ -49,30 +49,28 @@ func smaller(e, best *Entry) bool {
 	return best == nil || e.Tuples < best.Tuples || (e.Tuples == best.Tuples && e.ID < best.ID)
 }
 
-// smallestSuperset is the singleton search (§5.1): the smallest usable
-// range select over the column whose range contains the target. Caller
-// holds the writer lock.
-func (r *Recycler) smallestSuperset(view epochView, colKey string, t algebra.Range) *Entry {
+// smallestSuperset is the singleton search (§5.1): the smallest range
+// select over the column, current for q, whose range contains the
+// target. Caller holds the writer lock.
+func (r *Recycler) smallestSuperset(q Pins, colKey string, t algebra.Range) *Entry {
 	var best *Entry
-	for _, e := range r.pool.SelectSupersets(colKey, t) {
-		if view.usable(e) && smaller(e, best) {
+	for _, e := range r.pool.SelectSupersets(colKey, t, q) {
+		if smaller(e, best) {
 			best = e
 		}
 	}
 	return best
 }
 
-// overlapSnaps builds R for Algorithm 2: snapshots of the usable range
-// selects over the column that overlap the target, oldest first, capped
-// at MaxCombined for safety. Caller holds the writer lock.
-func (r *Recycler) overlapSnaps(view epochView, colKey string, t algebra.Range) []pieceSnap {
-	cands := r.pool.SelectOverlaps(colKey, t)
+// overlapSnaps builds R for Algorithm 2: snapshots of the range selects
+// over the column, current for q, that overlap the target, oldest
+// first, capped at MaxCombined for safety. Caller holds the writer
+// lock.
+func (r *Recycler) overlapSnaps(q Pins, colKey string, t algebra.Range) []pieceSnap {
+	cands := r.pool.SelectOverlaps(colKey, t, q)
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
 	var R []pieceSnap
 	for _, e := range cands {
-		if !view.usable(e) {
-			continue
-		}
 		R = append(R, pieceSnap{e: e, r: e.Sel, tuples: e.Tuples, result: e.Result})
 		if len(R) >= r.cfg.MaxCombined {
 			break
@@ -89,8 +87,7 @@ func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal
 	colKey := args[0].Key()
 
 	r.lockWriter()
-	view := r.epochViewFor(ctx.QueryID)
-	if best := r.smallestSuperset(view, colKey, p.Range); best != nil {
+	if best := r.smallestSuperset(ctx, colKey, p.Range); best != nil {
 		r.noteReuse(ctx, in, best)
 		newArgs := append([]mal.Value(nil), args...)
 		newArgs[0] = best.Result
@@ -107,7 +104,7 @@ func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal
 
 	// The writer lock is released after the copy; search and piecewise
 	// execution run over the snapshots without it.
-	R := r.overlapSnaps(view, colKey, p.Range)
+	R := r.overlapSnaps(ctx, colKey, p.Range)
 	r.mu.Unlock()
 	return r.combinedSelect(ctx, pc, in, args, p, R)
 }
@@ -223,18 +220,19 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 	}
 
 	// Re-validate under the writer lock: every piece must still be
-	// valid (not invalidated/evicted), unchanged (not refreshed by
-	// delta propagation) and usable by this query (epoch guard). Any
-	// failure means the merged result may encode pre-update state that
-	// the invalidation pass already erased from the pool — serving or
-	// admitting it would resurrect exactly what invalidation killed.
+	// valid (not invalidated/evicted) and unchanged (not refreshed by
+	// delta propagation). The pieces were current for the query when
+	// snapshotted, so the merged result is the query's answer; a failure
+	// means it may encode state the commit walk already erased from the
+	// pool — admitting it would resurrect exactly what invalidation
+	// killed. exitLocked's version check decides admission.
 	r.lockWriter()
 	defer r.mu.Unlock()
 	for i, s := range R {
 		if sol.mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		if !s.e.valid.Load() || s.e.Result.Bat != s.result.Bat || !r.usable(ctx, s.e) {
+		if !s.e.valid.Load() || s.e.Result.Bat != s.result.Bat {
 			return mal.EntryResult{}
 		}
 	}
@@ -270,9 +268,8 @@ func (r *Recycler) subsumeLike(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) ma
 	colKey := args[0].Key()
 	target := args[1].S
 	r.lockWriter()
-	view := r.epochViewFor(ctx.QueryID)
 	var best *Entry
-	for _, e := range r.pool.LikeCandidates(colKey) {
+	for _, e := range r.pool.LikeCandidates(colKey, ctx) {
 		lit, pure := algebra.LikeLiteral(e.LikePat)
 		if !pure || lit == "" {
 			continue
@@ -280,7 +277,7 @@ func (r *Recycler) subsumeLike(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) ma
 		if !literalRunContains(target, lit) {
 			continue
 		}
-		if view.usable(e) && smaller(e, best) {
+		if smaller(e, best) {
 			best = e
 		}
 	}
@@ -316,7 +313,7 @@ func (r *Recycler) subsumeSemijoin(ctx *mal.Ctx, in *mal.Instr, args []mal.Value
 		return mal.EntryResult{}
 	}
 	r.lockWriter()
-	best := r.smallestSemijoin(r.epochViewFor(ctx.QueryID), px, pw)
+	best := r.smallestSemijoin(ctx, px, pw)
 	if best == nil {
 		r.mu.Unlock()
 		return mal.EntryResult{}
@@ -330,20 +327,21 @@ func (r *Recycler) subsumeSemijoin(ctx *mal.Ctx, in *mal.Instr, args []mal.Value
 	return mal.EntryResult{Rewrite: &mal.Rewrite{Args: newArgs, SubsetOf: id}, Reason: "rewrite:subsume-semijoin"}
 }
 
-// smallestSemijoin finds the smallest usable semijoin(X, V) with W ⊂ V.
+// smallestSemijoin finds the smallest semijoin(X, V) with W ⊂ V current
+// for q.
 // Rather than testing every cached semijoin over X, it enumerates the
 // known supersets V of W — few — and looks each (X, V) pair up: the
 // entries W was derived from by subsumption (the recorded SubsetOf
 // edges), and, when W is a range select, the selects over the same
 // column operand whose range contains W's. Caller holds the writer
 // lock.
-func (r *Recycler) smallestSemijoin(view epochView, px, pw uint64) *Entry {
+func (r *Recycler) smallestSemijoin(q Pins, px, pw uint64) *Entry {
 	var best *Entry
 	consider := func(v uint64) {
 		if v == pw {
 			return // exact match handled earlier
 		}
-		if e := r.pool.SemijoinOver(px, v); e != nil && view.usable(e) && smaller(e, best) {
+		if e := r.pool.SemijoinOver(px, v, q); e != nil && smaller(e, best) {
 			best = e
 		}
 	}
@@ -356,7 +354,7 @@ func (r *Recycler) smallestSemijoin(view epochView, px, pw uint64) *Entry {
 		v = e.SubsetOf
 	}
 	if w := r.pool.Get(pw); w != nil && w.IsRangeSelect {
-		for _, e := range r.pool.SelectSupersets(w.SelColKey, w.Sel) {
+		for _, e := range r.pool.SelectSupersets(w.SelColKey, w.Sel, q) {
 			consider(e.ID)
 		}
 	}

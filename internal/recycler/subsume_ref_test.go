@@ -7,15 +7,15 @@ import (
 	"time"
 
 	"repro/internal/algebra"
-	"repro/internal/mal"
+	"repro/internal/catalog"
 )
 
 // This file keeps the subsumption candidate searches as linear scans —
 // every select over the column, every semijoin over the left operand,
-// usable() and the exact range test per candidate — as the reference
-// the indexed searches are held to: over randomized pools and epoch
-// guard states both must choose the same source entry and build the
-// same combined candidate set.
+// the version compare and the exact range test per candidate — as the
+// reference the indexed searches are held to: over randomized pools,
+// entry versions and query pins both must choose the same source entry
+// and build the same combined candidate set.
 
 // --- reference implementation (linear scans, oldest candidate first) --
 
@@ -29,10 +29,10 @@ func selectsOverRef(p *Pool, colKey string) []*Entry {
 	return out
 }
 
-func smallestSupersetRef(r *Recycler, ctx *mal.Ctx, colKey string, lo any, incLo bool, hi any, incHi bool) *Entry {
+func smallestSupersetRef(r *Recycler, q Pins, colKey string, lo any, incLo bool, hi any, incHi bool) *Entry {
 	var best *Entry
 	for _, e := range selectsOverRef(r.pool, colKey) {
-		if !r.usable(ctx, e) {
+		if !current(e.stamps, q) {
 			continue
 		}
 		if !e.Sel.Contains(algebra.Range{Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}) {
@@ -45,10 +45,10 @@ func smallestSupersetRef(r *Recycler, ctx *mal.Ctx, colKey string, lo any, incLo
 	return best
 }
 
-func overlapSnapsRef(r *Recycler, ctx *mal.Ctx, colKey string, lo, hi any) []*Entry {
+func overlapSnapsRef(r *Recycler, q Pins, colKey string, lo, hi any) []*Entry {
 	var R []*Entry
 	for _, e := range selectsOverRef(r.pool, colKey) {
-		if !r.usable(ctx, e) {
+		if !current(e.stamps, q) {
 			continue
 		}
 		if e.Sel.Overlaps(algebra.Range{Lo: lo, Hi: hi}) {
@@ -63,8 +63,9 @@ func overlapSnapsRef(r *Recycler, ctx *mal.Ctx, colKey string, lo, hi any) []*En
 
 // isSubsetOfRef is the per-candidate subset test the semijoin scan
 // used: a derivation chain from a up to b, or range containment of two
-// selects over one column operand.
-func isSubsetOfRef(r *Recycler, a, b uint64) bool {
+// selects over one column operand, the superset current for q (a
+// semijoin over a select is computed at the select's versions).
+func isSubsetOfRef(r *Recycler, q Pins, a, b uint64) bool {
 	for id := a; id != 0; {
 		if id == b {
 			return true
@@ -76,19 +77,19 @@ func isSubsetOfRef(r *Recycler, a, b uint64) bool {
 		id = e.SubsetOf
 	}
 	ea, eb := r.pool.Get(a), r.pool.Get(b)
-	if ea != nil && eb != nil && ea.IsRangeSelect && eb.IsRangeSelect && ea.SelColKey == eb.SelColKey {
+	if ea != nil && eb != nil && ea.IsRangeSelect && eb.IsRangeSelect && ea.SelColKey == eb.SelColKey && current(eb.stamps, q) {
 		return eb.Sel.Contains(ea.Sel)
 	}
 	return false
 }
 
-func smallestSemijoinRef(r *Recycler, ctx *mal.Ctx, px, pw uint64) *Entry {
+func smallestSemijoinRef(r *Recycler, q Pins, px, pw uint64) *Entry {
 	var best *Entry
 	for _, e := range r.pool.All() {
-		if !e.IsSemijoin || e.SemiLeft != px || !r.usable(ctx, e) {
+		if !e.IsSemijoin || e.SemiLeft != px || !current(e.stamps, q) {
 			continue
 		}
-		if e.SemiRight == pw || !isSubsetOfRef(r, pw, e.SemiRight) {
+		if e.SemiRight == pw || !isSubsetOfRef(r, q, pw, e.SemiRight) {
 			continue
 		}
 		if best == nil || e.Tuples < best.Tuples {
@@ -120,6 +121,9 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 	cols := []string{"e1", "e2", "e3"}
 	tables := []string{"sys.a", "sys.b", "sys.c"}
 	lefts := []uint64{9001, 9002}
+	// versions holds each table's latest commit; entries are stamped
+	// with it, or one commit behind while a walk has yet to reach them.
+	versions := map[string]int64{}
 
 	// bound draws an endpoint from a small domain — equal and touching
 	// bounds are the interesting cases — or leaves it open.
@@ -132,11 +136,23 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 		}
 		return int64(rng.Intn(60))
 	}
+	stampAt := func(table string) tableStamp {
+		v := versions[table]
+		if v > 0 && rng.Intn(4) == 0 {
+			v--
+		}
+		return tableStamp{table: table, Stamp: catalog.Stamp{Created: 1, Version: v}}
+	}
 	add := func(e *Entry) {
 		e.Tuples = rng.Intn(6) // few distinct sizes: ties must fall the same way
 		e.Deps = []ColumnRef{{Table: tables[rng.Intn(len(tables))], Column: "v"}}
 		if rng.Intn(2) == 0 {
 			e.Deps = append(e.Deps, ColumnRef{Table: tables[rng.Intn(len(tables))], Column: "w"})
+		}
+		for _, d := range e.Deps {
+			if e.stampOf(d.Table) == (catalog.Stamp{}) {
+				e.stamps = append(e.stamps, stampAt(d.Table))
+			}
 		}
 		p.Add(e)
 	}
@@ -163,7 +179,7 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 			e := mkEntry(fmt.Sprintf("semi%d", step), 8, time.Microsecond)
 			e.IsSemijoin = true
 			e.SemiLeft, e.SemiRight = lefts[rng.Intn(len(lefts))], all[rng.Intn(len(all))].ID
-			if p.SemijoinOver(e.SemiLeft, e.SemiRight) != nil {
+			if p.semiIdx[[2]uint64{e.SemiLeft, e.SemiRight}] != nil {
 				continue // one entry per signature
 			}
 			add(e)
@@ -171,34 +187,29 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 			if all := live(); len(all) > 0 {
 				p.Remove(all[rng.Intn(len(all))])
 			}
-		default: // the epoch guard moves: a commit lands, starts or ends
+		default: // a commit lands: its walk moves the entries over the table
 			tb := tables[rng.Intn(len(tables))]
-			switch rng.Intn(3) {
-			case 0:
-				r.epoch++
-				r.tableEpoch[tb] = r.epoch
-			case 1:
-				r.tableEpoch[tb] = r.epoch
-				r.pending[tb]++
-			case 2:
-				if r.pending[tb] > 0 {
-					r.pending[tb]--
+			versions[tb]++
+			for _, e := range live() {
+				if e.stampOf(tb) != (catalog.Stamp{}) {
+					e.stamps = restamped(e.stamps, tb, stampAt(tb).Stamp)
 				}
 			}
 		}
 
-		// A query that began at a random past epoch (or is unknown to the
-		// guard) asks.
-		ctx := &mal.Ctx{QueryID: uint64(step + 1)}
-		if rng.Intn(5) > 0 {
-			r.active[ctx.QueryID] = uint64(rng.Int63n(int64(r.epoch) + 1))
+		// A query reading each table at its latest version, one commit
+		// behind, or not at all asks.
+		q := pinsAt{}
+		for _, tb := range tables {
+			if rng.Intn(5) > 0 {
+				q[tb] = stampAt(tb).Stamp
+			}
 		}
-		view := r.epochViewFor(ctx.QueryID)
 
 		col := cols[rng.Intn(len(cols))]
 		lo, hi := bound(col), bound(col)
 		incLo, incHi := rng.Intn(2) == 0, rng.Intn(2) == 0
-		got, want := r.smallestSuperset(view, col, algebra.Range{Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}), smallestSupersetRef(r, ctx, col, lo, incLo, hi, incHi)
+		got, want := r.smallestSuperset(q, col, algebra.Range{Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}), smallestSupersetRef(r, q, col, lo, incLo, hi, incHi)
 		if got != want {
 			t.Fatalf("seed %d step %d: superset of %s %v..%v: indexed e%d, linear e%d", seed, step, col, lo, hi, entryID(got), entryID(want))
 		}
@@ -207,11 +218,11 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 		}
 		if lo != nil && hi != nil {
 			var gotR []uint64
-			for _, s := range r.overlapSnaps(view, col, algebra.Range{Lo: lo, Hi: hi}) {
+			for _, s := range r.overlapSnaps(q, col, algebra.Range{Lo: lo, Hi: hi}) {
 				gotR = append(gotR, s.e.ID)
 			}
 			var wantR []uint64
-			for _, e := range overlapSnapsRef(r, ctx, col, lo, hi) {
+			for _, e := range overlapSnapsRef(r, q, col, lo, hi) {
 				wantR = append(wantR, e.ID)
 			}
 			if fmt.Sprint(gotR) != fmt.Sprint(wantR) {
@@ -220,7 +231,7 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 		}
 		if all := live(); len(all) > 0 {
 			px, pw := lefts[rng.Intn(len(lefts))], all[rng.Intn(len(all))].ID
-			got, want := r.smallestSemijoin(view, px, pw), smallestSemijoinRef(r, ctx, px, pw)
+			got, want := r.smallestSemijoin(q, px, pw), smallestSemijoinRef(r, q, px, pw)
 			if got != want {
 				t.Fatalf("seed %d step %d: semijoin(%d, e%d): indexed e%d, linear e%d", seed, step, px, pw, entryID(got), entryID(want))
 			}
@@ -228,7 +239,6 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 				found++
 			}
 		}
-		delete(r.active, ctx.QueryID)
 		compared++
 	}
 	if found < compared/10 {

@@ -1,0 +1,296 @@
+package recycler
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/bat"
+	"repro/internal/catalog"
+	"repro/internal/mal"
+	"repro/internal/opt"
+)
+
+// onCommit is a catalog listener running f on every commit.
+type onCommit func(catalog.UpdateEvent)
+
+func (f onCommit) OnUpdate(ev catalog.UpdateEvent) { f(ev) }
+func (f onCommit) OnDrop(*catalog.Table)           {}
+
+// commitOps numbers the ops commitOp registers.
+var commitOps int
+
+// commitOp registers a MAL op "test.<op>" under a fresh name and
+// returns the op part. The op runs commit and yields int 0, so it can
+// stand in for a bind's constant access-mode argument: a bind taking
+// it runs after the commit under any worker count, and its pool key is
+// the one a literal 0 gives.
+func commitOp(commit func(ctx *mal.Ctx)) string {
+	commitOps++
+	op := fmt.Sprintf("commit%d", commitOps)
+	mal.RegisterOp("test."+op, func(ctx *mal.Ctx, _ *mal.Instr, _ []mal.Value) (mal.Value, error) {
+		commit(ctx)
+		return mal.IntV(0), nil
+	})
+	return op
+}
+
+// markAll marks every instruction but the exports for the recycler:
+// the commit op's result is no recyclable operand, so MarkRecycle
+// would leave whatever consumes it unmonitored.
+func markAll(tmpl *mal.Template) *mal.Template {
+	for i := range tmpl.Instrs {
+		in := &tmpl.Instrs[i]
+		in.Marked = in.Module != "test" && in.Op != "exportValue"
+	}
+	return tmpl
+}
+
+// commitThenCountTemplate is selectCountTemplate behind a leading op
+// that pins sys.t — the query reads it before anything else — and
+// then commits: the query straddles the commit from its first
+// monitored instruction on.
+func commitThenCountTemplate(t *testing.T, commit func()) *mal.Template {
+	op := commitOp(func(ctx *mal.Ctx) {
+		if _, ok := ctx.Pin("sys.t"); !ok {
+			t.Error("sys.t not pinnable")
+		}
+		commit()
+	})
+	b := mal.NewBuilder("commitcount")
+	a0 := b.Param("A0", mal.VInt)
+	a1 := b.Param("A1", mal.VInt)
+	x0 := b.Op1("test", op)
+	x1 := b.Op1("sql", "bind", mal.C(mal.StrV("sys")), mal.C(mal.StrV("t")), mal.C(mal.StrV("v")), x0)
+	x2 := b.Op1("algebra", "select", x1, a0, a1, mal.C(mal.BoolV(true)), mal.C(mal.BoolV(true)))
+	x3 := b.Op1("aggr", "count", x2)
+	b.Do("sql", "exportValue", mal.C(mal.StrV("n")), x3)
+	return markAll(b.Freeze())
+}
+
+// TestStaleAdmissionRefusedAfterUpdate covers the commit/walk race: a
+// query that read a table before a DML commit holds pre-update
+// operands, so its intermediates must not enter the pool after the
+// commit's walk already ran — otherwise the stale result would be
+// served to every later query.
+func TestStaleAdmissionRefusedAfterUpdate(t *testing.T) {
+	f := newFixture(t, Config{Admission: KeepAll})
+	tmpl := selectCountTemplate()
+	straddle := commitThenCountTemplate(t, func() {
+		tableOf(f).Append([]catalog.Row{{"v": int64(1000), "w": int64(0)}})
+	})
+
+	// The query reads sys.t, then an update commits mid-flight (before
+	// the query's intermediates reach recycleExit).
+	ctx := f.runCtx(t, &mal.Ctx{Workers: 1}, straddle, mal.IntV(0), mal.IntV(50))
+	if n := f.rec.Pool().Len(); n != 0 {
+		t.Fatalf("pool admitted %d entries from a query that straddled an update", n)
+	}
+	if ctx.Results[0].Val.I != 51 {
+		t.Fatalf("straddling count = %d, want 51", ctx.Results[0].Val.I)
+	}
+
+	// A query that begins after the commit admits normally again.
+	ctx2 := f.run(t, tmpl, mal.IntV(0), mal.IntV(50))
+	if f.rec.Pool().Len() == 0 {
+		t.Fatal("post-update query did not admit")
+	}
+	if ctx2.Results[0].Val.I != 51 {
+		t.Fatalf("count = %d, want 51", ctx2.Results[0].Val.I)
+	}
+}
+
+// TestStaleHitRefusedAfterUpdate covers the hit side of the version
+// compare: under SyncPropagate a commit refreshes pool entries in
+// place, so a query that read the table before the commit must not be
+// served the post-update result (it is inconsistent with the version
+// the query reads). The entry stays usable for queries that begin
+// after the commit.
+func TestStaleHitRefusedAfterUpdate(t *testing.T) {
+	f := newFixture(t, Config{Admission: KeepAll, Sync: SyncPropagate})
+	tmpl := selectCountTemplate()
+	straddle := commitThenCountTemplate(t, func() {
+		tableOf(f).Append([]catalog.Row{{"v": int64(25), "w": int64(0)}})
+	})
+
+	// Warm the pool, then run a query that reads the table and commits
+	// an update that refreshes the entries.
+	f.run(t, tmpl, mal.IntV(0), mal.IntV(50))
+	ctx := f.runCtx(t, &mal.Ctx{Workers: 1}, straddle, mal.IntV(0), mal.IntV(50))
+	if ctx.Stats.Hits != 0 {
+		t.Fatalf("straddling query took %d stale hits", ctx.Stats.Hits)
+	}
+	if ctx.Results[0].Val.I != 51 {
+		t.Fatalf("straddling count = %d, want the pre-commit 51", ctx.Results[0].Val.I)
+	}
+
+	// A query beginning after the commit reuses the refreshed entries
+	// and sees the extra qualifying row.
+	ctx2 := f.run(t, tmpl, mal.IntV(0), mal.IntV(50))
+	if ctx2.Stats.Hits == 0 {
+		t.Fatal("post-commit query did not hit the refreshed pool")
+	}
+	if ctx2.Results[0].Val.I != 52 {
+		t.Fatalf("count = %d, want 52", ctx2.Results[0].Val.I)
+	}
+}
+
+// TestQueryBeginningDuringCommitWindowRefused covers the notification
+// window: a commit's mutation becomes visible when the catalog lock
+// releases, but the recycler's walk (OnUpdate) runs moments later. A
+// query that begins inside that window reads the new version, so the
+// pre-commit pool entries must not match it, and nothing it computes
+// may be admitted ahead of the walk.
+func TestQueryBeginningDuringCommitWindowRefused(t *testing.T) {
+	// A listener registered ahead of the recycler freezes the in-flight
+	// moment: mutation visible, walk not yet delivered.
+	var window func()
+	f := newFixture(t, Config{Admission: KeepAll}, onCommit(func(catalog.UpdateEvent) {
+		if w := window; w != nil {
+			window = nil
+			w()
+		}
+	}))
+	tb := f.cat.MustTable("sys", "t")
+	tmpl := selectCountTemplate()
+	f.run(t, tmpl, mal.IntV(0), mal.IntV(50)) // warm the pool
+
+	var ctx *mal.Ctx
+	window = func() {
+		f.queryID++
+		qid := f.queryID
+		f.rec.BeginQuery(qid, tmpl.ID) // begins inside the commit window
+		defer f.rec.EndQuery(qid)
+		ctx = &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+		if err := mal.Run(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
+			t.Error(err)
+		}
+	}
+	tb.Append([]catalog.Row{{"v": int64(1000), "w": int64(0)}})
+	if ctx == nil {
+		t.Fatal("the window query did not run")
+	}
+	if ctx.Stats.Hits != 0 {
+		t.Fatalf("window query took %d hits against a mid-commit pool", ctx.Stats.Hits)
+	}
+	// The walk has run: the window query must not have admitted
+	// anything that survives it, and a fresh query admits and hits
+	// normally again.
+	ctx2 := f.run(t, tmpl, mal.IntV(0), mal.IntV(50))
+	ctx3 := f.run(t, tmpl, mal.IntV(0), mal.IntV(50))
+	if ctx2.Stats.Hits != 0 || ctx3.Stats.Hits == 0 {
+		t.Fatalf("post-commit hit pattern wrong: first=%d second=%d", ctx2.Stats.Hits, ctx3.Stats.Hits)
+	}
+}
+
+// TestUnrelatedUpdateDoesNotBlockAdmission: versions are per table, so
+// a commit to a table the query never reads must not refuse its
+// admissions (a global refusal would starve the pool under any
+// background write trickle).
+func TestUnrelatedUpdateDoesNotBlockAdmission(t *testing.T) {
+	f := newFixture(t, Config{Admission: KeepAll})
+	other := f.cat.CreateTable("sys", "other", []catalog.ColDef{{Name: "x", Kind: bat.KInt}})
+	tmpl := selectCountTemplate()
+
+	f.queryID++
+	qid := f.queryID
+	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+	f.rec.BeginQuery(qid, tmpl.ID)
+	// Commit to a table the query does not depend on, mid-flight.
+	other.Append([]catalog.Row{{"x": int64(1)}})
+	if err := mal.Run(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
+		t.Fatal(err)
+	}
+	f.rec.EndQuery(qid)
+	if f.rec.Pool().Len() == 0 {
+		t.Fatal("unrelated update blocked admission")
+	}
+}
+
+// TestStraddlingQueryReadsOneVersion: a plan binds s.a, commits a
+// multi-row DELETE of s through an op of its own, then binds s.b. The
+// query reads one version of s, so count(a) == count(b), both the
+// count a recompute at that version gives — naive and recycled (cold
+// and warm pool), with and without a helper worker.
+func TestStraddlingQueryReadsOneVersion(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, mode := range []string{"naive", "recycled", "recycled-warm"} {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
+				testStraddle(t, mode, workers)
+			})
+		}
+	}
+}
+
+func testStraddle(t *testing.T, mode string, workers int) {
+	cat := catalog.New()
+	tb := cat.CreateTable("sys", "s", []catalog.ColDef{{Name: "a", Kind: bat.KInt}, {Name: "b", Kind: bat.KInt}})
+	rows := make([]catalog.Row, 10)
+	for i := range rows {
+		rows[i] = catalog.Row{"a": int64(i), "b": int64(-i)}
+	}
+	tb.Append(rows)
+	var hook mal.RecyclerHook
+	var rec *Recycler
+	if mode != "naive" {
+		rec = New(cat, Config{Admission: KeepAll, Sync: SyncMaintain})
+		defer rec.Close()
+		hook = rec
+	}
+
+	deleteNext := false
+	op := commitOp(func(*mal.Ctx) {
+		if deleteNext {
+			deleteNext = false
+			tb.Delete([]bat.Oid{2, 5, 7})
+		}
+	})
+	b := mal.NewBuilder("straddle")
+	xa := b.Op1("sql", "bind", mal.C(mal.StrV("sys")), mal.C(mal.StrV("s")), mal.C(mal.StrV("a")), mal.C(mal.IntV(0)))
+	z := b.Op1("test", op, xa)
+	xb := b.Op1("sql", "bind", mal.C(mal.StrV("sys")), mal.C(mal.StrV("s")), mal.C(mal.StrV("b")), z)
+	ca := b.Op1("aggr", "count", xa)
+	cb := b.Op1("aggr", "count", xb)
+	b.Do("sql", "exportValue", mal.C(mal.StrV("a")), ca)
+	b.Do("sql", "exportValue", mal.C(mal.StrV("b")), cb)
+	tmpl := markAll(b.Freeze())
+	// The naive recompute: the same counts with no commit in the plan.
+	plain := opt.Optimize(func() *mal.Template {
+		b := mal.NewBuilder("plain")
+		for _, col := range []string{"a", "b"} {
+			x := b.Op1("sql", "bind", mal.C(mal.StrV("sys")), mal.C(mal.StrV("s")), mal.C(mal.StrV(col)), mal.C(mal.IntV(0)))
+			b.Do("sql", "exportValue", mal.C(mal.StrV(col)), b.Op1("aggr", "count", x))
+		}
+		return b.Freeze()
+	}(), opt.Options{})
+
+	var qid uint64
+	run := func(tmpl *mal.Template) (ca, cb int64) {
+		t.Helper()
+		qid++
+		ctx := &mal.Ctx{Cat: cat, Hook: hook, QueryID: qid, Workers: workers}
+		if rec != nil {
+			rec.BeginQuery(qid, tmpl.ID)
+			defer rec.EndQuery(qid)
+		}
+		if err := mal.Run(ctx, tmpl); err != nil {
+			t.Fatal(err)
+		}
+		return ctx.Results[0].Val.I, ctx.Results[1].Val.I
+	}
+	if mode == "recycled-warm" {
+		run(tmpl)
+	}
+	wantA, wantB := run(plain)
+	deleteNext = true
+	a, b2 := run(tmpl)
+	if a != b2 || a != wantA || b2 != wantB {
+		t.Fatalf("straddling query read count(a) = %d, count(b) = %d; want both %d (one version)", a, b2, wantA)
+	}
+	wantA, wantB = run(plain)
+	if wantA != 7 || wantB != 7 {
+		t.Fatalf("after the delete the recompute counts %d and %d, want 7", wantA, wantB)
+	}
+	if a, b2 := run(tmpl); a != 7 || b2 != 7 {
+		t.Fatalf("a query after the commit counts %d and %d, want 7", a, b2)
+	}
+}

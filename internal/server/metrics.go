@@ -93,7 +93,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	metric("repro_pool_prewarmed_total", "counter",
 		"Spilled intermediates reloaded into the pool at startup.", st.Engine.Recycler.Prewarmed)
 	metric("repro_pool_spill_stale_drops_total", "counter",
-		"Spilled intermediates lazily dropped as epoch-stale.", st.Engine.Recycler.StaleDropped)
+		"Spilled intermediates lazily dropped because a dependency table moved past their version.", st.Engine.Recycler.StaleDropped)
 	metric("repro_pool_maintained_total", "counter",
 		"Pool entries a delta rule carried across commits (propagate and maintain presets).", st.Engine.Recycler.Maintained)
 	metric("repro_pool_maintain_fallback_total", "counter",

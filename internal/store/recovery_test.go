@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,9 +32,13 @@ func deletePeople(oids ...bat.Oid) dmlStep {
 	}
 }
 
-func updatePeople(oid bat.Oid, name string) dmlStep {
+// updatePeople renames the person at oid the way the engine updates a
+// row: the old version is deleted and the new one appended.
+func updatePeople(oid bat.Oid, id int64, name string) dmlStep {
 	return func(cat *catalog.Catalog) {
-		cat.MustTable("sys", "people").UpdateInPlace("name", []bat.Oid{oid}, []any{name})
+		t := cat.MustTable("sys", "people")
+		t.Delete([]bat.Oid{oid})
+		t.Append([]catalog.Row{{"id": id, "name": name}})
 	}
 }
 
@@ -190,9 +195,9 @@ func TestCrashRecoveryInterleavings(t *testing.T) {
 		}, false},
 		{"insert-delete-update", nil, []dmlStep{
 			insertPeople([2]any{int64(4), "alan"}),
-			updatePeople(0, "ada lovelace"),
+			updatePeople(0, 1, "ada lovelace"),
 			deletePeople(2),
-			updatePeople(3, "turing"),
+			updatePeople(3, 4, "turing"),
 		}, false},
 		{"create-table-mid-stream", nil, []dmlStep{
 			insertPeople([2]any{int64(4), "alan"}),
@@ -205,7 +210,7 @@ func TestCrashRecoveryInterleavings(t *testing.T) {
 			deletePeople(2),
 		}, []dmlStep{
 			insertPeople([2]any{int64(5), "barbara"}),
-			updatePeople(0, "countess"),
+			updatePeople(0, 1, "countess"),
 		}, true},
 		{"checkpoint-then-create", []dmlStep{
 			createScores(),
@@ -366,6 +371,60 @@ func TestWALGapFailsRecovery(t *testing.T) {
 		t.Fatal("recovery over a WAL gap succeeded; want loud failure")
 	}
 	st2.Close()
+}
+
+// TestWALReservedKindFailsRecovery: kind 3 once numbered in-place
+// column updates. Nothing writes it any more, and a log that still
+// holds one — laid out as those records were — must fail decoding and
+// recovery loudly (ErrCorrupt), neither panicking nor skipping it.
+func TestWALReservedKindFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := seedCatalog()
+	if err := st.Bootstrap(cat); err != nil {
+		t.Fatal(err)
+	}
+	insertPeople([2]any{int64(4), "alan"})(cat)
+	seq := cat.CommitSeq()
+	st.Close()
+
+	e := &enc{}
+	e.u8(3)
+	e.u64(seq + 1)
+	e.str("sys")
+	e.str("people")
+	e.str("name")
+	e.u32(1)
+	e.u64(0)
+	encodeVector(e, bat.NewStrings([]string{"countess"}))
+	if _, err := decodeCommit(e.b); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decoding a kind-3 record: %v, want ErrCorrupt", err)
+	}
+
+	segs, _ := listSegments(filepath.Join(dir, "wal"))
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(f, e.b); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(f, encodeCommit(catalog.CommitRecord{Seq: seq + 2, Kind: catalog.CommitDelete, Schema: "sys", Name: "people", Deleted: []bat.Oid{1}})); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	st2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := st2.Recover(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("recovery over a kind-3 record: %v, want ErrCorrupt", err)
+	}
 }
 
 // TestCheckpointRetiresSegments verifies a checkpoint leaves nothing

@@ -18,8 +18,8 @@ import (
 // The tier is a cache, not a log: files are written without fsync
 // (the CRC frames reject torn files on read), lookups that find a
 // corrupt file treat it as a miss and unlink it, and a byte budget is
-// enforced by deleting the oldest records first. Epoch validity is the
-// recycler's concern — the tier stores the dependency versions the
+// enforced by deleting the oldest records first. Version validity is
+// the recycler's concern — the tier stores the dependency versions the
 // recycler stamped into each record and hands them back verbatim.
 type Spill struct {
 	dir    string

@@ -257,35 +257,43 @@ func TestPrewarmRejectsRecreatedTable(t *testing.T) {
 }
 
 // TestNoSpillDuringPendingCommit: an entry must not be demoted while a
-// dependency table has a commit in flight — the table version is
-// already bumped but the entry still holds pre-commit data, so a spill
-// would stamp stale content as fresh.
+// dependency table has a commit in flight — the table's new version is
+// visible but the entry still holds the previous one's data, so its
+// record would be stale on arrival.
 func TestNoSpillDuringPendingCommit(t *testing.T) {
 	db := sky.Generate(2000, 17)
 	tier, err := openSpill(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered before the recycler, this listener runs inside the
+	// commit window: the mutation is visible, the pool not fixed up yet.
+	var rec *recycler.Recycler
+	inWindow := -1
+	db.Cat.AddListener(onUpdate(func(catalog.UpdateEvent) {
+		if rec != nil && inWindow < 0 {
+			inWindow = rec.SpillAll()
+		}
+	}))
 	eng := newSpillEngine(t, db.Cat, tier)
+	if _, err := eng.ExecSQL(boxQuery); err != nil {
+		t.Fatal(err)
+	}
+	rec = eng.Recycler()
+
+	tbl := db.Cat.MustTable("sky", "photoobj")
+	tbl.Delete([]bat.Oid{0})
+	if inWindow != 0 {
+		t.Fatalf("SpillAll demoted %d entries of a table with a commit in flight", inWindow)
+	}
+
+	// With the window closed the recomputed entries spill fine, and
+	// reload still yields the correct result.
 	res1, err := eng.ExecSQL(boxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := countOf(t, res1)
-	rec := eng.Recycler()
-
-	// Open the in-flight window by hand: OnBeforeUpdate marks the
-	// table pending, exactly as a committing Append does before its
-	// mutation lands.
-	tbl := db.Cat.MustTable("sky", "photoobj")
-	rec.OnBeforeUpdate(tbl)
-	if n := rec.SpillAll(); n != 0 {
-		t.Fatalf("SpillAll demoted %d entries of a table with a commit in flight", n)
-	}
-	rec.OnAbortUpdate(tbl)
-
-	// With the window closed the same entries spill fine, and reload
-	// still yields the correct result.
 	if n := rec.SpillAll(); n == 0 {
 		t.Fatal("SpillAll wrote nothing after the window closed")
 	}
@@ -298,6 +306,12 @@ func TestNoSpillDuringPendingCommit(t *testing.T) {
 		t.Fatalf("reloaded result %d != original %d", got, before)
 	}
 }
+
+// onUpdate is a catalog listener running f on every commit.
+type onUpdate func(catalog.UpdateEvent)
+
+func (f onUpdate) OnUpdate(ev catalog.UpdateEvent) { f(ev) }
+func (f onUpdate) OnDrop(*catalog.Table)           {}
 
 // TestSpillBudgetEvictsOldest: the tier must stay within its byte
 // budget by discarding the oldest records.

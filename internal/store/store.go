@@ -267,12 +267,6 @@ func applyCommit(cat *catalog.Catalog, rec catalog.CommitRecord) error {
 		}
 	case catalog.CommitDelete:
 		t.Delete(rec.Deleted)
-	case catalog.CommitUpdate:
-		vals := make([]any, rec.UpdVals.Len())
-		for i := range vals {
-			vals[i] = rec.UpdVals.Get(i)
-		}
-		t.UpdateInPlace(rec.UpdCol, rec.UpdOids, vals)
 	default:
 		return fmt.Errorf("store: WAL record %d has unknown kind %d", rec.Seq, rec.Kind)
 	}

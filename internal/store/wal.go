@@ -330,13 +330,6 @@ func encodeCommit(rec catalog.CommitRecord) []byte {
 		for _, o := range rec.Deleted {
 			e.u64(uint64(o))
 		}
-	case catalog.CommitUpdate:
-		e.str(rec.UpdCol)
-		e.u32(uint32(len(rec.UpdOids)))
-		for _, o := range rec.UpdOids {
-			e.u64(uint64(o))
-		}
-		encodeVector(e, rec.UpdVals)
 	case catalog.CommitDrop:
 	}
 	return e.b
@@ -384,20 +377,10 @@ func decodeCommit(payload []byte) (catalog.CommitRecord, error) {
 		for i := 0; i < n && !d.fail; i++ {
 			rec.Deleted = append(rec.Deleted, bat.Oid(d.u64()))
 		}
-	case catalog.CommitUpdate:
-		rec.UpdCol = d.str()
-		n := int(d.u32())
-		if n > maxFramePayload {
-			d.fail = true
-			n = 0
-		}
-		rec.UpdOids = make([]bat.Oid, 0, n)
-		for i := 0; i < n && !d.fail; i++ {
-			rec.UpdOids = append(rec.UpdOids, bat.Oid(d.u64()))
-		}
-		rec.UpdVals = decodeVector(d)
 	case catalog.CommitDrop:
 	default:
+		// Kind 3 (in-place update) and CommitInvalidate are never
+		// written: a record carrying one is corrupt, not skippable.
 		return rec, ErrCorrupt
 	}
 	if !d.done() {
