@@ -7,7 +7,7 @@
 //
 //	reprod -db sky -objects 200000 -http :8080 -tcp :5432
 //	reprod -db tpch -sf 0.05 -admission crd -credits 5 -eviction lru -maxbytes 64000000
-//	reprod -db sky -data-dir /var/lib/reprod -checkpoint-interval 5m -spill-budget 268435456
+//	reprod -db sky -data-dir /var/lib/reprod -checkpoint-interval 5m
 //
 // Endpoints:
 //
@@ -22,18 +22,19 @@
 //
 // With -data-dir set the server is durable: committed DML is WAL-
 // logged (fsync-batched), checkpoints fold the log into a columnar
-// snapshot, evicted recycle pool entries are demoted to a disk tier
-// instead of destroyed, and a restart recovers the catalog
-// (snapshot + WAL tail) and pre-warms the pool from the surviving
-// spilled entries — the first queries after a deploy hit instead of
-// paying full naive cost.
+// snapshot, and a restart recovers the catalog (snapshot + WAL tail).
+// A graceful drain also writes the recycle pool as one image file, and
+// the next boot pre-warms the pool from it — the first queries after a
+// deploy hit instead of paying full naive cost. A crash leaves the
+// previous drain's image, whose records a commit since made stale do
+// not load.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: listeners close, queued
 // statements are refused, in-flight queries drain (releasing their
 // recycle pool pins) and their count is logged; if the drain deadline
 // is exceeded the process reports the stragglers and exits non-zero.
-// A durable server then demotes the warm pool to the disk tier and
-// takes a final checkpoint.
+// A durable server then writes the warm pool's image and takes a final
+// checkpoint.
 package main
 
 import (
@@ -89,7 +90,6 @@ func run() int {
 
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	ckptInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "periodic checkpoint cadence (0 = only at shutdown)")
-	spillBudget := flag.Int64("spill-budget", 0, "disk tier byte cap for demoted pool entries (0 = unlimited)")
 	walSync := flag.Duration("wal-sync", 2*time.Millisecond, "WAL fsync batching window (0 = fsync every commit)")
 	flag.Parse()
 
@@ -105,7 +105,7 @@ func run() int {
 	var st *store.Store
 	var cat *catalog.Catalog
 	if *dataDir != "" {
-		storeOpts := store.Options{SyncEvery: *walSync, SpillBudget: *spillBudget}
+		storeOpts := store.Options{SyncEvery: *walSync}
 		if tr != nil {
 			// The fsync callback can run inside the catalog's commit hook,
 			// so it only feeds the wait-free histogram — never the tracer's
@@ -135,9 +135,8 @@ func run() int {
 			var desc string
 			cat, desc = generate(*db, *objects, *sf)
 			fmt.Println(desc)
-			// A fresh lineage: spilled entries from a previous life must
-			// not alias the new catalog's table versions.
-			st.Spill().Purge()
+			// A fresh lineage: Bootstrap removes the pool image of a
+			// previous one, whose stamps could alias the new catalog's.
 			if err := st.Bootstrap(cat); err != nil {
 				log.Print(err)
 				return 1
@@ -172,15 +171,20 @@ func run() int {
 			cfg.Spill = st.Spill()
 		}
 		opts = append(opts, repro.WithRecycler(cfg))
-		fmt.Printf("recycler: admission=%s eviction=%s subsume=%v combined=%v sync=%s spill=%v\n",
+		fmt.Printf("recycler: admission=%s eviction=%s subsume=%v combined=%v sync=%s pool-image=%v\n",
 			*admission, *eviction, *subsume, *combined, *syncMode, st != nil)
 	} else {
 		fmt.Println("recycler: disabled")
 	}
 	eng := repro.NewEngine(cat, opts...)
 	if rec := eng.Recycler(); rec != nil && st != nil {
-		if n := rec.Prewarm(); n > 0 {
-			fmt.Printf("store: pre-warmed %d pool entries from the disk tier\n", n)
+		n, err := rec.Prewarm()
+		if err != nil {
+			// The image is a cache: a boot without it is only cold.
+			log.Printf("prewarm: %v", err)
+		}
+		if n > 0 {
+			fmt.Printf("store: pre-warmed %d pool entries from the pool image\n", n)
 		}
 	}
 	srv := server.New(eng, server.Config{
@@ -265,12 +269,18 @@ func run() int {
 			st2.Engine.ActiveQueries)
 	}
 
-	// Durable shutdown: demote the warm pool so a restart pre-warms,
-	// then checkpoint so a restart replays nothing.
+	// Durable shutdown: write the warm pool's image so a restart
+	// pre-warms, then checkpoint so a restart replays nothing.
 	if st != nil {
 		if rec := eng.Recycler(); rec != nil {
-			n := rec.SpillAll()
-			fmt.Printf("store: demoted %d pool entries to the disk tier\n", n)
+			n, err := rec.SpillAll()
+			if err != nil {
+				// Like a failed prewarm, this costs the next boot its
+				// warm pool, nothing else.
+				log.Printf("pool image: %v", err)
+			} else {
+				fmt.Printf("store: demoted %d pool entries to the pool image\n", n)
+			}
 		}
 		if err := st.Checkpoint(); err != nil {
 			log.Printf("final checkpoint: %v", err)

@@ -74,9 +74,9 @@ type Option func(*Engine)
 // selects lru/bp/hp (§4.3), MaxBytes/MaxEntries bound the pool,
 // Subsumption and CombinedSubsumption enable the §5 matching
 // extensions, and Sync picks the update-synchronisation preset
-// (invalidate, propagate or maintain, §6). Spill
-// attaches a disk tier (internal/store) so eviction demotes entries
-// instead of destroying them and a restarted engine can pre-warm via
+// (invalidate, propagate or maintain, §6). Spill attaches a pool image
+// store (internal/store): Recycler.SpillAll writes the pool to it on a
+// graceful drain and a restarted engine pre-warms from it via
 // Recycler.Prewarm. See docs/TUNING.md for guidance on choosing a
 // combination.
 func WithRecycler(cfg recycler.Config) Option {
@@ -115,8 +115,8 @@ func WithWorkers(n int) Option {
 // WithTracer attaches the observability layer (internal/trace): every
 // query is recorded into the tracer's recent ring (and slow-query log
 // past its threshold), per-stage latencies feed its histograms, and
-// the recycler reports lock waits, spill I/O and commit-maintenance
-// summaries to it. Without a tracer the engine takes the nil-recorder
+// the recycler reports lock waits and commit-maintenance summaries
+// to it. Without a tracer the engine takes the nil-recorder
 // fast path — no clock reads beyond the pre-existing ones.
 func WithTracer(t *trace.Tracer) Option {
 	return func(e *Engine) { e.tracer = t }

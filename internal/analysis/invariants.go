@@ -14,7 +14,7 @@ package analysis
 // doc comment, PR 3): a lock may only be acquired while every held
 // lock has a strictly smaller rank. The catalog mutex sits above the
 // recycler locks because recycler code consults the catalog while
-// holding its own locks (spillRecordLocked → Pin, the commit walk →
+// holding its own locks (imageLocked → Pin, the commit walk →
 // Column.Bind), never the reverse. A table's commit mutex sits below
 // them all: a DML statement holds it from its mutation through the
 // listeners' fix-up, which takes the recycler locks.
@@ -65,14 +65,11 @@ var IOFuncs = map[string]bool{
 	"os.RemoveAll":           true,
 	"os.MkdirAll":            true,
 	"bufio.(*Writer).Flush":  true,
-	// The disk tier interface: every method is declared "may perform
+	// The pool image interface: both methods are declared "perform
 	// I/O" in its doc contract, so calls through it count as I/O no
 	// matter which implementation is behind it.
-	"repro/internal/recycler.(SpillTier).Spill":  true,
-	"repro/internal/recycler.(SpillTier).Lookup": true,
-	"repro/internal/recycler.(SpillTier).Drop":   true,
-	"repro/internal/recycler.(SpillTier).Metas":  true,
-	"repro/internal/recycler.(SpillTier).Empty":  true,
+	"repro/internal/recycler.(SpillTier).Save": true,
+	"repro/internal/recycler.(SpillTier).Load": true,
 }
 
 // NoTraceWhileHeld lists the locks under which trace-recorder calls
@@ -98,18 +95,9 @@ var TraceRecorderFuncs = map[string]bool{
 	"repro/internal/trace.(*Recorder).SetParents":   true,
 	"repro/internal/trace.(*Recorder).SetStages":    true,
 	"repro/internal/trace.(*Recorder).SetSchedule":  true,
-	"repro/internal/trace.(*Recorder).AddEvent":     true,
 	"repro/internal/trace.(*Recorder).Finish":       true,
 	"repro/internal/trace.(*Tracer).Event":          true,
 	"repro/internal/trace.(*Tracer).FinishQuery":    true,
-}
-
-// BlockingSendFields lists channel fields a *blocking* send to is
-// treated as I/O (the spiller queue: demoteLocked's select-with-
-// default is the sanctioned idiom; a bare send under the writer lock
-// would stall every pool mutation behind the disk).
-var BlockingSendFields = map[string]bool{
-	"repro/internal/recycler.Recycler.spillQ": true,
 }
 
 // CommitHookSetter is the function whose func-literal argument runs
@@ -192,8 +180,8 @@ const WriterLockRequired = "repro/internal/recycler.Recycler.mu"
 // from RequiresWriterLock are implicitly writer-context.
 var WriterContextFuncs = map[string]bool{
 	"repro/internal/recycler.(*Recycler).exitLocked":        true,
-	"repro/internal/recycler.(*Recycler).spillRecordLocked": true,
-	"repro/internal/recycler.(*Recycler).demoteLocked":      true,
+	"repro/internal/recycler.(*Recycler).imageLocked":       true,
+	"repro/internal/recycler.(*Recycler).admitRecordLocked": true,
 	"repro/internal/recycler.(*Recycler).applyCommit":       true,
 	"repro/internal/recycler.(*commitWalk).parent":          true,
 	"repro/internal/recycler.(*commitWalk).rowsetParent":    true,
@@ -253,7 +241,6 @@ var AtomicFields = map[string]bool{
 	"repro/internal/recycler.Recycler.writerWaits":      true,
 	"repro/internal/recycler.Recycler.writerWaitNs":     true,
 	"repro/internal/recycler.Recycler.spilled":          true,
-	"repro/internal/recycler.Recycler.reloaded":         true,
 	"repro/internal/recycler.Recycler.staleDropped":     true,
 	"repro/internal/recycler.Recycler.prewarmed":        true,
 	"repro/internal/recycler.Recycler.maintained":       true,
@@ -281,12 +268,11 @@ var AtomicFields = map[string]bool{
 // functions mixes disciplines: the atomic op orders nothing for the
 // mutex-guarded readers and hides the race from -race.
 var MutexGuardedFields = map[string]string{ // field -> guarding lock, for the message
-	"repro/internal/catalog.Catalog.commitSeq":     "catalog.Catalog.mu",
-	"repro/internal/recycler.Pool.Admitted":        "recycler writer lock",
-	"repro/internal/recycler.Pool.Evicted":         "recycler writer lock",
-	"repro/internal/recycler.Pool.Invalidated":     "recycler writer lock",
-	"repro/internal/recycler.Pool.totalBytes":      "recycler writer lock",
-	"repro/internal/recycler.Recycler.spillClosed": "recycler writer lock",
+	"repro/internal/catalog.Catalog.commitSeq": "catalog.Catalog.mu",
+	"repro/internal/recycler.Pool.Admitted":    "recycler writer lock",
+	"repro/internal/recycler.Pool.Evicted":     "recycler writer lock",
+	"repro/internal/recycler.Pool.Invalidated": "recycler writer lock",
+	"repro/internal/recycler.Pool.totalBytes":  "recycler writer lock",
 }
 
 // ---------------------------------------------------------------------
@@ -323,10 +309,9 @@ var IdentitySourceFuncs = map[string]bool{
 }
 
 var IdentitySourceFields = map[string]bool{
-	"repro/internal/mal.Instr.Module":        true,
-	"repro/internal/mal.Instr.Op":            true,
-	"repro/internal/recycler.Entry.Sig":      true,
-	"repro/internal/recycler.Entry.CanonSig": true,
-	"repro/internal/recycler.Entry.OpName":   true,
-	"repro/internal/recycler.Entry.Render":   true,
+	"repro/internal/mal.Instr.Module":      true,
+	"repro/internal/mal.Instr.Op":          true,
+	"repro/internal/recycler.Entry.Sig":    true,
+	"repro/internal/recycler.Entry.OpName": true,
+	"repro/internal/recycler.Entry.Render": true,
 }

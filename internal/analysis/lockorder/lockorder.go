@@ -2,9 +2,8 @@
 //
 //   - ranked locks (see analysis.LockRanks) must be acquired in
 //     strictly increasing rank order, and never re-entered;
-//   - blocking I/O (file writes, fsync, disk-tier calls, bare sends
-//     to the spiller queue) must not run under the recycler writer
-//     lock or the catalog write lock;
+//   - blocking I/O (file writes, fsync, pool image calls) must not
+//     run under the recycler writer lock or the catalog write lock;
 //   - Pool methods whose contract is "caller holds the recycler
 //     writer lock" must only be called with it held (or from a
 //     function itself declared writer-context);
@@ -353,23 +352,9 @@ func (c *checker) simStmt(ctx *simCtx, st ast.Stmt) {
 			c.simStmts(ctx.clone(), cl.(*ast.CaseClause).Body)
 		}
 	case *ast.SelectStmt:
-		hasDefault := false
 		for _, cl := range s.Body.List {
-			if cl.(*ast.CommClause).Comm == nil {
-				hasDefault = true
-			}
+			c.simStmts(ctx.clone(), cl.(*ast.CommClause).Body)
 		}
-		for _, cl := range s.Body.List {
-			comm := cl.(*ast.CommClause)
-			if send, ok := comm.Comm.(*ast.SendStmt); ok && !hasDefault {
-				// A select without default still blocks: treat its sends
-				// like bare sends.
-				c.checkSend(ctx, send)
-			}
-			c.simStmts(ctx.clone(), comm.Body)
-		}
-	case *ast.SendStmt:
-		c.checkSend(ctx, s)
 	case *ast.DeferStmt:
 		if lock, op := c.lockOp(ctx.pkg.Info, s.Call); lock != "" && !acquiring(op) {
 			// Release at function end: the lock stays held for the rest
@@ -605,25 +590,6 @@ func (c *checker) traceHeld(ctx *simCtx) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// checkSend flags a blocking send to a declared spill-queue channel
-// while an I/O-critical lock is held. (Sends inside a select with a
-// default clause never reach here.)
-func (c *checker) checkSend(ctx *simCtx, send *ast.SendStmt) {
-	sel, ok := ast.Unparen(send.Chan).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	fieldKey := analysis.ResolveField(ctx.pkg.Info.Selections[sel])
-	if !analysis.BlockingSendFields[fieldKey] {
-		return
-	}
-	if h, bad := c.ioHeld(ctx); bad {
-		c.pass.Reportf(send.Pos(),
-			"blocking send to %s while %s is held; use the select-with-default idiom (demoteLocked)",
-			shortLock(fieldKey), shortLock(h))
-	}
 }
 
 // checkHookArg analyzes a SetCommitHook argument as running under the

@@ -12,17 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// SpillRecord mirrors the real spill record shape.
+// SpillRecord mirrors the real pool image record shape.
 type SpillRecord struct{ Sig string }
 
-// SpillTier mirrors the real disk-tier interface: all methods may
+// SpillTier mirrors the real pool image interface: both methods
 // perform I/O.
 type SpillTier interface {
-	Spill(rec *SpillRecord)
-	Lookup(canon string) (*SpillRecord, bool)
-	Drop(canon string)
-	Metas() []*SpillRecord
-	Empty() bool
+	Save(recs []*SpillRecord) error
+	Load(admit func(*SpillRecord)) error
 }
 
 type sigShard struct {
@@ -68,7 +65,6 @@ type Recycler struct {
 	pool     *Pool
 	adm      *admission
 	tier     SpillTier
-	spillQ   chan *SpillRecord
 	active   map[uint64]struct{}
 }
 
@@ -128,40 +124,21 @@ func (r *Recycler) badIOUnderWriter() {
 	os.Create("/tmp/spill") // want "performs I/O while recycler.Recycler.mu is held"
 }
 
-// badTierUnderWriter consults the disk tier under the writer lock
-// (the Prewarm shape, which real code suppresses with a reason).
+// badTierUnderWriter writes the pool image under the writer lock.
 func (r *Recycler) badTierUnderWriter() {
 	r.lockWriter()
 	defer r.mu.Unlock()
-	r.tier.Drop("sig") // want "performs I/O while recycler.Recycler.mu is held"
+	r.tier.Save(nil) // want "performs I/O while recycler.Recycler.mu is held"
 }
 
-// goodTierOutsideLock consults the tier before locking.
+// goodTierOutsideLock is the Prewarm shape: the tier decodes each
+// record with no lock held, and the callback locks to admit it.
 func (r *Recycler) goodTierOutsideLock() {
-	rec, ok := r.tier.Lookup("sig")
-	if !ok {
-		return
-	}
-	r.lockWriter()
-	defer r.mu.Unlock()
-	r.pool.Add(&Entry{Sig: rec.Sig})
-}
-
-// badBlockingSend sends to the spiller queue with no default case.
-func (r *Recycler) badBlockingSend(rec *SpillRecord) {
-	r.lockWriter()
-	defer r.mu.Unlock()
-	r.spillQ <- rec // want "blocking send to recycler.Recycler.spillQ while recycler.Recycler.mu is held"
-}
-
-// goodSelectSend is the sanctioned demoteLocked idiom.
-func (r *Recycler) goodSelectSend(rec *SpillRecord) {
-	r.lockWriter()
-	defer r.mu.Unlock()
-	select {
-	case r.spillQ <- rec:
-	default:
-	}
+	r.tier.Load(func(rec *SpillRecord) {
+		r.lockWriter()
+		defer r.mu.Unlock()
+		r.pool.Add(&Entry{Sig: rec.Sig})
+	})
 }
 
 // badUnlockedPoolCall calls a writer-lock pool method with no lock.

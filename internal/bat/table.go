@@ -103,8 +103,8 @@ func (t *Table[K]) Count(k K) int {
 // Integers use a splitmix64-style finalizer (full avalanche, two
 // multiplies); floats hash their IEEE bits, so NaN keys never match on
 // probe (comparison fails), the same observable semantics Go maps give
-// them; strings use FNV-1a, deterministic across processes so spill
-// replays rebuild identical tables.
+// them; strings use FNV-1a, deterministic across processes so
+// recovered and pre-warmed state rebuilds identical tables.
 
 func mix64(x uint64) uint64 {
 	x ^= x >> 33

@@ -10,7 +10,7 @@ import (
 // Options selects which passes run. The zero value runs everything —
 // the normalization passes exist to make semantically equal plans
 // render identically (one semantic signature from the SQL front end
-// down to the recycler and its spill tier), so disabling them is an
+// down to the recycler and its pool image), so disabling them is an
 // experiment/debugging knob, not a tuning default. See docs/TUNING.md.
 type Options struct {
 	SkipConstFold bool

@@ -1,13 +1,13 @@
 // Package plan defines the one structured semantic identity of a plan
 // instruction instance — plan.Signature — shared by every layer that
 // needs to decide "are these two computations the same?": the
-// recycler's exact-match pool index, the disk spill tier's durable
-// keys, and (through the SQL front end's normalized shapes upstream)
+// recycler's exact-match pool index, the pool image's durable keys,
+// and (through the SQL front end's normalized shapes upstream)
 // the template and prepared-statement caches.
 //
 // Before this package existed the repo had three disjoint identity
 // notions: the front end's literal-stripped shape string, the
-// recycler's ad-hoc render()/signature() strings, and the spill tier's
+// recycler's ad-hoc render()/signature() strings, and the disk tier's
 // hand-rolled canonical signatures. They have been unified: every
 // matching key in the system is now a *derivation* of one Signature
 // value, so a normalization improvement upstream (canonical conjunct
@@ -24,7 +24,7 @@
 //   - Canonical() — the durable, provenance-free key. Each BAT operand
 //     is replaced by its producer's own canonical signature,
 //     recursively, so the key survives eviction of the producers and
-//     process restarts. The spill tier stores records under it, and
+//     process restarts. The pool image names operands by it, and
 //     RuntimeKey rebuilds a fresh run-time key from it at prewarm.
 package plan
 
@@ -123,7 +123,7 @@ func RenderInstr(op string, args []mal.Value) string {
 
 // CanonArg is one operand in canonical (provenance-free) form: a BAT
 // operand carries its producer's canonical signature, a scalar its
-// literal key. This is the per-argument shape the spill tier persists.
+// literal key. This is the per-argument shape the pool image persists.
 type CanonArg struct {
 	Bat   bool
 	Canon string // canonical signature of the producing entry (Bat)
@@ -133,9 +133,9 @@ type CanonArg struct {
 // Canonical derives the durable form of the signature: every BAT
 // operand's producer is resolved through resolve (entry id → that
 // entry's own canonical signature) and substituted in place of the
-// transient entry id. ok=false when a producer cannot be resolved (it
-// left the pool, or was itself un-canonical); the instance then has no
-// durable identity. The returned canon string equals
+// transient entry id. ok=false when a producer cannot be resolved (at
+// drain, a producer left out of the pool image); the instance then has
+// no durable identity. The returned canon string equals
 // CanonKey(s.Op, args).
 func (s Signature) Canonical(resolve func(uint64) (string, bool)) (canon string, args []CanonArg, ok bool) {
 	args = make([]CanonArg, len(s.Args))
@@ -179,9 +179,9 @@ func CanonKey(op string, args []CanonArg) string {
 // RuntimeKey rebuilds the run-time exact-match key of a canonical
 // signature by resolving every BAT operand's canonical signature to a
 // live pool entry id, and returns the distinct entry ids in operand
-// order (the lineage edges of the rebuilt entry). ok=false while an
-// operand's producer is not (yet) pooled — the spill tier's bottom-up
-// prewarm retries such records after their producers load.
+// order (the lineage edges of the rebuilt entry). ok=false when an
+// operand's producer cannot be resolved — at prewarm, a producer that
+// did not load, so neither does the record.
 func RuntimeKey(op string, args []CanonArg, resolve func(string) (uint64, bool)) (key string, deps []uint64, ok bool) {
 	var sb strings.Builder
 	sb.WriteString(op)

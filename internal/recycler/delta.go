@@ -191,8 +191,8 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 		case e.stampOf(qname) == ev.Stamp:
 			continue // admitted at this commit's version
 		case len(e.Args) == 0:
-			// Reloaded from the disk tier: no argument snapshot to apply
-			// a delta against.
+			// Prewarmed from the pool image: no argument snapshot to
+			// apply a delta against.
 			cause = "no-arg-snapshot"
 		case rule == nil || !rules.has(e.deltaClass):
 			cause = "ineligible-op"

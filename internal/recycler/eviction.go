@@ -59,11 +59,6 @@ func (r *Recycler) cleanCache(needBytes int64, needEntries int, protect []uint64
 		for _, v := range victims {
 			needBytes -= v.Bytes
 			needEntries--
-			// Demote rather than destroy: with a disk tier attached the
-			// victim's record is queued for the background spiller
-			// before the in-memory entry goes. Only capacity evictions
-			// demote — invalidated entries are stale by definition.
-			r.demoteLocked(v)
 			if r.testOnVictim != nil {
 				r.testOnVictim(v)
 			}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -76,7 +75,6 @@ func cleanCacheRef(r *Recycler, needBytes int64, needEntries int, protectIDs []u
 		for _, v := range victims {
 			needBytes -= v.Bytes
 			needEntries--
-			r.demoteLocked(v)
 			onVictim(v)
 			r.evict(v)
 		}
@@ -140,21 +138,13 @@ func pickVictimsMemRef(r *Recycler, leaves []*Entry, needBytes int64) []*Entry {
 
 // --- the differential driver ------------------------------------------
 
-// logTier is a SpillTier that only records what it is handed.
-type logTier struct {
-	mu     sync.Mutex
-	canons []string
-}
+// nopTier is a SpillTier that stores nothing. The spill=true arms
+// attach one: a pool with an image store must evict exactly as one
+// without.
+type nopTier struct{}
 
-func (l *logTier) Spill(rec *SpillRecord) {
-	l.mu.Lock()
-	l.canons = append(l.canons, rec.CanonSig)
-	l.mu.Unlock()
-}
-func (l *logTier) Lookup(string) (*SpillRecord, bool) { return nil, false }
-func (l *logTier) Drop(string)                        {}
-func (l *logTier) Metas() []*SpillRecord              { return nil }
-func (l *logTier) Empty() bool                        { return true }
+func (nopTier) Save([]*SpillRecord) error     { return nil }
+func (nopTier) Load(func(*SpillRecord)) error { return nil }
 
 // evictRig is one recycler under the differential driver. The driver
 // plays exitLocked's capacity steps itself so that the only difference
@@ -169,7 +159,7 @@ func newEvictRig(cfg Config, spill, ref bool) *evictRig {
 	cat := catalog.New()
 	cat.CreateTable("sys", "t", []catalog.ColDef{{Name: "v", Kind: bat.KInt}})
 	if spill {
-		cfg.Spill = &logTier{}
+		cfg.Spill = nopTier{}
 	}
 	g := &evictRig{r: New(cat, cfg), ref: ref}
 	g.r.testOnVictim = func(e *Entry) { g.victims = append(g.victims, e.ID) }
@@ -199,7 +189,6 @@ func (g *evictRig) admit(sig string, bytes int64, cost time.Duration, parents []
 		}
 	}
 	e := mkEntry(sig, bytes, cost)
-	e.CanonSig = sig
 	e.Deps = []ColumnRef{{Table: "sys.t", Column: "v"}}
 	for _, p := range parents {
 		if r.pool.Get(p) != nil {

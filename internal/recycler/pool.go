@@ -75,25 +75,22 @@ func restamped(stamps []tableStamp, table string, s catalog.Stamp) []tableStamp 
 // A query may use an entry only at the versions the entry was computed
 // at (stamps): every pool accessor that hands entries out takes the
 // query's Pins and returns only entries current for them.
+//
+// Field order matters to the hit path: concurrent hits on one entry
+// read Result under the shard read lock and write the hot counters, so
+// the counters must not share a cache line with Result. Cold fields go
+// after the subsumption metadata. (Shifting the counters 16 bytes onto
+// Result's last line cost tpch-mix ≈7 % CPU per operation on a 2-vCPU
+// host.)
 type Entry struct {
 	ID uint64
 	// Sig is the encoded run-time exact-match key under which the
 	// entry is indexed: plan.Signature.Key() for fresh admissions,
 	// rebuilt from the canonical form via plan.RuntimeKey for entries
-	// rehydrated from the disk tier. The structured Signature itself
-	// is not retained — every derivation (index key, canonical key,
-	// render) is taken at admission time.
+	// prewarmed from the pool image. The structured Signature itself
+	// is not retained — the index key and render are taken at
+	// admission time, the canonical form at drain (spill.go).
 	Sig string
-
-	// CanonSig is the provenance-free canonical signature keying the
-	// disk spill tier: BAT argument keys are replaced by the producing
-	// entry's own canonical signature, recursively, so the key stays
-	// stable after the producers are evicted — and across restarts.
-	// Empty when the lineage was not canonicalisable (no spilling).
-	CanonSig string
-	// SpillArgs snapshots the per-argument spill keys (see SpillArg),
-	// captured at admission while all producers are still pooled.
-	SpillArgs []SpillArg
 
 	// OpName is "module.op" of the captured instruction.
 	OpName string
@@ -173,12 +170,17 @@ type Entry struct {
 	// Args snapshots the argument values of the captured instruction;
 	// delta propagation re-executes against them.
 	Args []mal.Value
+	// SpillArgs holds a prewarmed entry's operands in the canonical
+	// form it was loaded under (see SpillArg): it has no argument
+	// snapshot to derive them from at the next drain. Nil for entries
+	// computed in this process.
+	SpillArgs []SpillArg
 
 	// deltaClass/deltaOneTable cache what the commit walk (delta.go)
 	// needs to pick the entry's rule: the operation's delta class and
 	// whether every column dependency names one base table. Both are
-	// computed once at admission — entries rehydrated from the disk
-	// tier keep the zero value (DeltaNone) and always fall back.
+	// computed once at admission — entries prewarmed from the pool
+	// image keep the zero value (DeltaNone) and always fall back.
 	deltaClass    plan.DeltaClass
 	deltaOneTable bool
 	// walk is the number of the last commit walk that collected the
@@ -266,12 +268,6 @@ type sigShard struct {
 type Pool struct {
 	shards [numSigShards]sigShard
 
-	// canonByID mirrors each live entry's canonical signature, keyed by
-	// entry id. It exists so the miss path can render an instruction's
-	// canonical signature (resolving its BAT arguments' producers)
-	// without the writer lock; maintained in Add/Remove.
-	canonByID sync.Map // uint64 -> string
-
 	entries map[uint64]*Entry
 	// frontier holds the leaves — the valid entries with no in-pool
 	// dependents, the only ones eviction may take (paper §4.3) — as a
@@ -330,19 +326,6 @@ func NewPool() *Pool {
 		p.shards[i].bySig = make(map[string]*Entry)
 	}
 	return p
-}
-
-// canonOf resolves a live entry id to its canonical signature through
-// the canonByID mirror — the resolver plan.Signature.Canonical runs
-// on. Lock-free, so the miss path can render canonical keys without
-// the writer lock (a producer evicted mid-render reads as a miss —
-// benign).
-func (p *Pool) canonOf(id uint64) (string, bool) {
-	c, ok := p.canonByID.Load(id)
-	if !ok {
-		return "", false
-	}
-	return c.(string), true
 }
 
 // shard maps a signature to its shard.
@@ -445,9 +428,6 @@ func (p *Pool) Add(e *Entry) {
 	e.valid.Store(true)
 	e.Result.Prov = e.ID
 	p.entries[e.ID] = e
-	if e.CanonSig != "" {
-		p.canonByID.Store(e.ID, e.CanonSig)
-	}
 	sh := p.shard(e.Sig)
 	sh.mu.Lock()
 	sh.bySig[e.Sig] = e
@@ -491,7 +471,6 @@ func (p *Pool) Remove(e *Entry) {
 	}
 	e.valid.Store(false)
 	delete(p.entries, e.ID)
-	p.canonByID.Delete(e.ID)
 	sh := p.shard(e.Sig)
 	sh.mu.Lock()
 	if sh.bySig[e.Sig] == e {

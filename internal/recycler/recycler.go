@@ -62,10 +62,10 @@ type Config struct {
 	// Sync selects update synchronisation behaviour.
 	Sync SyncMode
 
-	// Spill attaches a disk tier (internal/store) to the pool:
-	// eviction victims are demoted to it instead of destroyed,
-	// exact-match misses consult it before recomputing, and Prewarm
-	// reloads surviving entries at startup. Nil disables the tier.
+	// Spill attaches a pool image store (internal/store): SpillAll
+	// writes the pool to it on a graceful drain and Prewarm loads it
+	// at startup (spill.go). Nothing else touches it. Nil disables
+	// both.
 	Spill SpillTier
 }
 
@@ -134,16 +134,8 @@ type Recycler struct {
 	activeMu sync.RWMutex
 	active   map[uint64]struct{}
 
-	// Disk-tier plumbing (see spill.go). spillQ carries eviction
-	// victims to the asynchronous spiller goroutine so disk writes
-	// never run under the writer lock; spillClosed (written under the
-	// writer lock) gates sends so Close cannot race an enqueue. The
-	// counters are the tier's lifetime statistics.
-	spillQ       chan *SpillRecord
-	spillDone    chan struct{}
-	spillClosed  bool
+	// Pool-image counters (see spill.go and Stats).
 	spilled      atomic.Int64
-	reloaded     atomic.Int64
 	staleDropped atomic.Int64
 	prewarmed    atomic.Int64
 
@@ -158,9 +150,9 @@ type Recycler struct {
 	// Observability plumbing (PR 9). tracer receives commit-maintenance
 	// summary events (emitted after the writer lock is released —
 	// machine-checked); metrics mirrors tracer's histogram set for the
-	// wait-free lock-wait and spill-I/O observations. Both are atomic
-	// pointers because SetTracer may run after the spiller goroutine
-	// started; nil means tracing is off.
+	// wait-free lock-wait observations. Both are atomic pointers
+	// because SetTracer may run while queries are already running; nil
+	// means tracing is off.
 	tracer  atomic.Pointer[trace.Tracer]
 	metrics atomic.Pointer[trace.Metrics]
 
@@ -190,18 +182,13 @@ func New(cat *catalog.Catalog, cfg Config) *Recycler {
 	if cat != nil {
 		cat.AddListener(r)
 	}
-	if cfg.Spill != nil {
-		r.spillQ = make(chan *SpillRecord, 256)
-		r.spillDone = make(chan struct{})
-		go r.spiller()
-	}
 	return r
 }
 
 // SetTracer attaches the observability layer: the recycler emits
-// commit summaries to it and observes writer/shard lock waits and
-// spill I/O into its histograms. Safe to call at any time (atomic
-// publication); engines wire it before serving traffic.
+// commit summaries to it and observes writer/shard lock waits into
+// its histograms. Safe to call at any time (atomic publication);
+// engines wire it before serving traffic.
 func (r *Recycler) SetTracer(t *trace.Tracer) {
 	if t == nil {
 		return
@@ -238,7 +225,6 @@ func (r *Recycler) Close() {
 	if r.cat != nil {
 		r.cat.RemoveListener(r)
 	}
-	r.closeSpiller()
 	r.Reset()
 }
 
@@ -315,14 +301,12 @@ type Stats struct {
 	ShardLockWaits  int64
 	ShardLockWait   time.Duration
 
-	// Disk-tier counters (zero when no spill tier is attached):
-	// Spilled counts records demoted to disk (evictions and SpillAll),
-	// Reloaded counts exact-match misses served from disk, Prewarmed
-	// counts entries reloaded at startup, and StaleDropped counts
-	// spilled records lazily invalidated because a dependency table
-	// committed past their recorded version.
+	// Pool-image counters (zero when no image store is attached):
+	// Spilled counts records SpillAll wrote, Prewarmed counts entries
+	// Prewarm admitted, and StaleDropped counts records Prewarm
+	// skipped because a dependency table committed past their
+	// recorded version.
 	Spilled      int64
-	Reloaded     int64
 	Prewarmed    int64
 	StaleDropped int64
 
@@ -363,7 +347,6 @@ func (r *Recycler) Snapshot() Stats {
 		ShardLockWaits:   sw,
 		ShardLockWait:    swd,
 		Spilled:          r.spilled.Load(),
-		Reloaded:         r.reloaded.Load(),
 		Prewarmed:        r.prewarmed.Load(),
 		StaleDropped:     r.staleDropped.Load(),
 		Maintained:       r.maintained.Load(),
@@ -471,8 +454,8 @@ func (a appliedPins) Pin(qname string) (catalog.Snapshot, bool) {
 	return catalog.Snapshot{Stamp: s}, ok
 }
 
-// catalogPins reads every table at its current version: what the
-// spill tier must match for a record to be worth keeping.
+// catalogPins reads every table at its current version: what a pool
+// image record must match to be written or loaded.
 type catalogPins struct{ cat *catalog.Catalog }
 
 func (c catalogPins) Pin(qname string) (catalog.Snapshot, bool) {
@@ -505,11 +488,11 @@ func (r *Recycler) stampsFor(q Pins, deps []ColumnRef) (stamps []tableStamp, adm
 // instance together with its encoded run-time matching key. It reports
 // matchable=false when a BAT argument has unknown provenance, in which
 // case neither matching nor admission is possible (the lineage was
-// cut, e.g. by an exhausted credit). The pool index, the spill tier's
-// canonical keys and the pool-dump rendering are all derived from this
-// Signature value (see internal/plan); Entry's exact probe encodes the
-// same key with plan.AppendKey, the one key encoder, without building
-// a Signature.
+// cut, e.g. by an exhausted credit). The pool index and the pool-dump
+// rendering are derived from this Signature value, the pool image's
+// canonical keys from the same operands at drain (see internal/plan);
+// Entry's exact probe encodes the same key with plan.AppendKey, the one
+// key encoder, without building a Signature.
 func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string, matchable bool) {
 	sig, matchable = plan.Sign(in.Name(), args)
 	if !matchable {
@@ -534,7 +517,7 @@ func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string,
 //
 // The exact probe allocates nothing: the key is encoded into a stack
 // buffer and the pool indexes with it directly. A plan.Signature is
-// only built past a miss (spill reload, subsumption, Exit).
+// only built past a miss (subsumption, Exit).
 func (r *Recycler) Entry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value) mal.EntryResult {
 	var buf [256]byte
 	key, matchable := plan.AppendKey(buf[:0], in.Name(), args)
@@ -550,13 +533,6 @@ func (r *Recycler) Entry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value) 
 			}
 		})
 		return mal.EntryResult{Hit: true, Val: res, Reason: "hit:exact"}
-	}
-	// Second tier: an exact miss consults the disk-backed spill store
-	// before falling through to subsumption or recomputation.
-	if r.cfg.Spill != nil {
-		if res, ok := r.reloadFromSpill(ctx, pc, in, args, key); ok {
-			return res
-		}
 	}
 	if r.cfg.Subsumption {
 		switch in.Name() {
@@ -583,7 +559,7 @@ func (r *Recycler) noteReuse(ctx *mal.Ctx, in *mal.Instr, e *Entry) {
 	e.pinnedQuery.Store(ctx.QueryID)
 	local := e.QueryID == ctx.QueryID
 	if e.TemplID != 0 {
-		// Entries prewarmed from the disk tier carry no instruction
+		// Entries prewarmed from the pool image carry no instruction
 		// identity (template ids start at 1); their reuses must not
 		// pile credit bookkeeping onto the bogus {0,0} key.
 		key := instrKey{templ: e.TemplID, pc: e.PC}
@@ -729,14 +705,6 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Va
 	e.DependsOn = lineageOf(nil, args)
 	e.Deps = deps
 	e.stamps = stamps
-	// The canonical signature (provenance-free, stable across restarts)
-	// keys the disk tier; every BAT argument's producer is still in the
-	// pool here (columnDeps verified them), so it is always computable
-	// at admission time and never later. Without a tier it is dead
-	// weight (recursive string builds per admission) and skipped.
-	if r.cfg.Spill != nil {
-		e.CanonSig, e.SpillArgs, _ = sig.Canonical(r.pool.canonOf)
-	}
 
 	switch sig.Op {
 	case "algebra.select":

@@ -9,49 +9,47 @@ import (
 	"repro/internal/plan"
 )
 
-// This file implements the recycle pool's second tier: a disk-backed
-// store for evicted intermediates (the paper's eviction policies, §4.3,
-// extended with demotion instead of destruction). Eviction victims are
-// demoted to the tier keyed by their *canonical signature* — the
-// run-time signature with every pool-entry provenance replaced by the
-// producing entry's own canonical signature, recursively. Unlike the
-// run-time signature (whose eN argument keys die with the entries they
-// name), the canonical form is stable across evictions and across
-// process restarts, so a spilled select over a spilled bind remains
-// addressable after both left memory — and after the server itself
-// restarted.
+// This file implements the pool image: what a gracefully draining
+// server writes so that its restart starts warm. The paper's pool
+// lives in memory only (§4.3 evicts), and so does this one while it
+// serves: eviction destroys, a miss recomputes. The image has one job,
+// drain → boot, and nothing on the query path consults it.
 //
-// Validity is keyed on catalog table versions: a spill record stores,
-// for every persistent column the intermediate depends on, the version
-// of its table the entry was computed at (its stamp), and only entries
-// current with the catalog are demoted. A record is reloadable only
-// while every dependency table still has exactly that version, and
-// served only to a query that reads it (the pool's version compare);
-// otherwise it is dropped lazily at the first lookup (or prewarm) that
-// notices — spilled entries are never eagerly scanned by the §6 commit
-// walks.
+// SpillAll writes every entry current with the catalog as one record,
+// in entry-id order. Ids grow with admission and an entry's producers
+// are pooled when it is admitted, so the order is topological: the
+// producers of a record's BAT operands are records earlier in the
+// image. A record names each BAT operand by its producer's canonical
+// signature (plan.CanonKey over the producer's own canonical operands,
+// recursively), derived at drain from the entry's op and argument
+// snapshot, because the run-time key's entry ids die with the process.
 //
-// Reloaded and prewarmed entries re-enter the pool as exact-match
-// lines only: their subsumption metadata and argument snapshots are
-// not rehydrated, so they serve repeat-template hits (and are found by
-// column-wise invalidation through Deps) but do not join subsumption
-// searches or delta propagation. Fresh admissions rebuild those
-// abilities as the workload re-runs.
+// Validity is keyed on catalog table versions: a record stores, for
+// every persistent column the intermediate depends on, the version of
+// its table the entry was computed at (its stamp), and only entries
+// current with the catalog are written. Prewarm streams the image once;
+// the tier decodes each record outside the writer lock, and the record
+// is admitted under it when its producers were admitted before it,
+// every dependency table still has exactly the recorded version, and
+// it fits the pool's limits. A stale record, or one of a table dropped
+// and recreated since, never loads; the next drain replaces the image.
 //
-// The spiller serialises entry results off the hot path, and
-// bind-class results are views over committed column storage: Append
-// writes only past the published length and Delete replaces the
-// tombstone list, so what a result can reach never changes under it.
+// Prewarmed entries are exact-match lines only: their subsumption
+// metadata and argument snapshots are not rehydrated, so they serve
+// repeat-template hits (and are found by column-wise invalidation
+// through Deps) but do not join subsumption searches or delta
+// propagation. They keep the canonical operands they were loaded
+// under, so the next drain writes them again.
 
-// SpillArg describes one argument of a spilled instruction: either a
+// SpillArg describes one operand of an imaged instruction: either a
 // scalar (its literal matching key) or a BAT (the canonical signature
 // of the pool entry that produced it). It is exactly the canonical
-// operand form of the shared signature type — the spill tier persists
+// operand form of the shared signature type — the image persists
 // plan.Signature derivations, not a parallel identity.
 type SpillArg = plan.CanonArg
 
-// SpillDep pins a spilled record to the catalog state its content was
-// computed from: the dependency table's catalog.Stamp.
+// SpillDep pins a record to the catalog state its content was computed
+// from: the dependency table's catalog.Stamp.
 type SpillDep struct {
 	Ref ColumnRef
 	// Created identifies the dependency table itself (its creation
@@ -64,43 +62,28 @@ type SpillDep struct {
 	Version int64
 }
 
-// SpillRecord is one demoted intermediate, self-contained enough to be
-// serialised, validated and re-admitted by a later process.
+// SpillRecord is one pooled intermediate in the pool image,
+// self-contained enough to be serialised, validated and re-admitted by
+// a later process.
 type SpillRecord struct {
-	CanonSig string
-	OpName   string
-	Render   string
-	Args     []SpillArg
-	Deps     []SpillDep
-	Cost     time.Duration
-	Result   mal.Value
-	Bytes    int64
-	Tuples   int
+	OpName string
+	Render string
+	Args   []SpillArg
+	Deps   []SpillDep
+	Cost   time.Duration
+	Result mal.Value
 }
 
-// SpillTier is the disk tier the recycler demotes eviction victims to.
-// Implementations (internal/store) must be safe for concurrent use;
-// all methods may perform I/O and are called without recycler locks
-// held, except Spill which may be called from the asynchronous spiller
-// goroutine only.
+// SpillTier stores the pool image (internal/store). Both methods
+// perform I/O; the recycler calls them with none of its locks held.
 type SpillTier interface {
-	// Spill persists one record, overwriting any record with the same
-	// canonical signature.
-	Spill(rec *SpillRecord)
-	// Lookup returns the record for a canonical signature, if present.
-	Lookup(canon string) (*SpillRecord, bool)
-	// Drop removes a record (lazy invalidation of stale entries).
-	Drop(canon string)
-	// Metas returns every stored record WITHOUT its Result payload
-	// (startup pre-warming scans). The tier may hold far more than
-	// fits in memory; Prewarm validates against the metadata and calls
-	// Lookup only for records it actually admits, so peak memory is
-	// bounded by the pool's own limits, not the tier size.
-	Metas() []*SpillRecord
-	// Empty reports whether the tier holds no records. It must be
-	// cheap: the miss path bails on it before doing any lock or I/O
-	// work toward a reload.
-	Empty() bool
+	// Save replaces the image with recs, in order.
+	Save(recs []*SpillRecord) error
+	// Load decodes the image's records one at a time, in the order
+	// Save wrote them, handing each to admit. It stops at the first
+	// record that does not decode or verify, so a torn or damaged
+	// image yields a prefix of its records. A missing image is empty.
+	Load(admit func(*SpillRecord)) error
 }
 
 // recordStamps folds a record's per-column dependencies into one
@@ -115,365 +98,146 @@ func recordStamps(deps []SpillDep) []tableStamp {
 	return out
 }
 
-// depsFresh reports whether every dependency table still has the
-// version the record was computed at.
-func (r *Recycler) depsFresh(deps []SpillDep) bool {
-	return current(recordStamps(deps), catalogPins{r.cat})
-}
-
-func depRefs(deps []SpillDep) []ColumnRef {
-	out := make([]ColumnRef, len(deps))
-	for i, d := range deps {
-		out[i] = d.Ref
-	}
-	return out
-}
-
-// spillRecordLocked captures an entry for demotion with its version
-// stamps. nil when the entry cannot be spilled (no canonical
-// signature) or is not current with the catalog: a commit to a
-// dependency table is visible but not walked yet, and the record would
-// be stale on arrival. Caller holds the writer lock.
-func (r *Recycler) spillRecordLocked(e *Entry) *SpillRecord {
-	if e.CanonSig == "" || !e.valid.Load() || !current(e.stamps, catalogPins{r.cat}) {
-		return nil
-	}
-	deps := make([]SpillDep, len(e.Deps))
-	for i, d := range e.Deps {
-		s := e.stampOf(d.Table)
-		deps[i] = SpillDep{Ref: d, Created: s.Created, Version: s.Version}
-	}
-	return &SpillRecord{
-		CanonSig: e.CanonSig,
-		OpName:   e.OpName,
-		Render:   e.Render,
-		Args:     e.SpillArgs,
-		Deps:     deps,
-		Cost:     e.Cost,
-		Result:   e.Result,
-		Bytes:    e.Bytes,
-		Tuples:   e.Tuples,
-	}
-}
-
-// demoteLocked enqueues an eviction victim for the asynchronous
-// spiller. Disk I/O must not run under the writer lock, so the record
-// (immutable result included) is captured here and written out of
-// band; a full queue drops the demotion — the tier is a cache, losing
-// a spill only costs a future recomputation. Caller holds the writer
-// lock.
-func (r *Recycler) demoteLocked(e *Entry) {
-	if r.cfg.Spill == nil || r.spillClosed {
-		return
-	}
-	rec := r.spillRecordLocked(e)
-	if rec == nil {
-		return
-	}
-	select {
-	case r.spillQ <- rec:
-	default:
-	}
-}
-
-// spiller drains the demotion queue onto the disk tier, observing the
-// demote I/O latency when a tracer is attached.
-func (r *Recycler) spiller() {
-	defer close(r.spillDone)
-	for rec := range r.spillQ {
-		m := r.metrics.Load()
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
-		r.cfg.Spill.Spill(rec)
-		if m != nil {
-			m.SpillIO.Observe(time.Since(t0))
-		}
-		r.spilled.Add(1)
-	}
-}
-
-// closeSpiller stops the asynchronous spiller, flushing the queue.
-func (r *Recycler) closeSpiller() {
-	if r.cfg.Spill == nil {
-		return
-	}
-	r.lockWriter()
-	already := r.spillClosed
-	r.spillClosed = true
-	r.mu.Unlock()
-	if already {
-		return
-	}
-	close(r.spillQ)
-	<-r.spillDone
-}
-
-// SpillAll demotes every currently valid pool entry to the disk tier,
-// synchronously. A gracefully draining server calls it before exit so
-// a restart can pre-warm from the full pool, not just from entries
-// that happened to be evicted. The pool itself is left intact. Returns
-// the number of records written.
-func (r *Recycler) SpillAll() int {
+// SpillAll writes every pool entry current with the catalog to the
+// tier as the new pool image, replacing the previous one. A gracefully
+// draining server calls it before exit so its restart can pre-warm.
+// An entry with a commit to a dependency table visible but not walked
+// yet is left out: its record would be stale on arrival. The pool
+// itself is left intact. Returns the number of records written.
+func (r *Recycler) SpillAll() (int, error) {
 	tier := r.cfg.Spill
 	if tier == nil {
-		return 0
+		return 0, nil
 	}
 	r.lockWriter()
-	var recs []*SpillRecord
-	for _, e := range r.pool.All() {
-		if rec := r.spillRecordLocked(e); rec != nil {
-			recs = append(recs, rec)
-		}
-	}
+	recs := r.imageLocked()
 	r.mu.Unlock()
-	for _, rec := range recs {
-		tier.Spill(rec)
-		r.spilled.Add(1)
+	if err := tier.Save(recs); err != nil {
+		return 0, err
 	}
-	return len(recs)
+	r.spilled.Add(int64(len(recs)))
+	return len(recs), nil
 }
 
-// entryFromSpill rebuilds a pool entry from a validated record. The
-// caller supplies the run-time signature (whose eN argument keys are
-// only meaningful in this process) and the lineage edges, and holds
-// the writer lock for the subsequent pool.Add. Bytes are re-derived
-// from the decoded result, not copied from the record: the original
-// entry may have been a cheap view over shared storage, but the
-// decoded copy is fully materialised and must be accounted as such —
-// otherwise MaxBytes would stop bounding a prewarmed pool.
-func entryFromSpill(rec *SpillRecord, sig string, dependsOn []uint64, tick int64) *Entry {
+// imageLocked captures the image's records in entry-id order, deriving
+// each entry's canonical operands through its producers' canonical
+// signatures, which the walk has derived already. An entry whose
+// producer was left out is left out too. Caller holds the writer lock.
+func (r *Recycler) imageLocked() []*SpillRecord {
+	var recs []*SpillRecord
+	canon := make(map[uint64]string)
+	resolve := func(id uint64) (string, bool) {
+		c, ok := canon[id]
+		return c, ok
+	}
+	for _, e := range r.pool.All() {
+		if !e.valid.Load() || !current(e.stamps, catalogPins{r.cat}) {
+			continue
+		}
+		args := e.SpillArgs
+		if args == nil {
+			var ok bool
+			if _, args, ok = (plan.Signature{Op: e.OpName, Args: e.Args}).Canonical(resolve); !ok {
+				continue
+			}
+		}
+		canon[e.ID] = plan.CanonKey(e.OpName, args)
+		deps := make([]SpillDep, len(e.Deps))
+		for i, d := range e.Deps {
+			s := e.stampOf(d.Table)
+			deps[i] = SpillDep{Ref: d, Created: s.Created, Version: s.Version}
+		}
+		recs = append(recs, &SpillRecord{
+			OpName: e.OpName,
+			Render: e.Render,
+			Args:   args,
+			Deps:   deps,
+			Cost:   e.Cost,
+			Result: e.Result,
+		})
+	}
+	return recs
+}
+
+// Prewarm loads the pool image into the pool in one pass over it.
+// Servers call it once at startup, before accepting traffic. Capacity
+// limits are respected: a record that does not fit is skipped, never
+// made room for. Returns the number of entries admitted; the error is
+// the tier's (a damaged image is not an error, it loads its prefix).
+func (r *Recycler) Prewarm() (int, error) {
+	tier := r.cfg.Spill
+	if tier == nil {
+		return 0, nil
+	}
+	ids := make(map[string]uint64) // canonical signature -> pool entry id
+	n := 0
+	err := tier.Load(func(rec *SpillRecord) {
+		r.lockWriter()
+		defer r.mu.Unlock()
+		if r.admitRecordLocked(rec, ids) {
+			n++
+		}
+	})
+	return n, err
+}
+
+// admitRecordLocked admits one image record at a fresh run-time key,
+// rebuilt from the entry ids ids maps its producers' canonical
+// signatures to, and records the id its own canonical signature now
+// resolves to (the admitted entry, or an equal one already pooled).
+// Bytes are re-derived from the decoded result: the original entry may
+// have been a cheap view over shared storage, but the decoded copy is
+// fully materialised and must be accounted as such. Caller holds the
+// writer lock.
+func (r *Recycler) admitRecordLocked(rec *SpillRecord, ids map[string]uint64) bool {
+	stamps := recordStamps(rec.Deps)
+	if !current(stamps, catalogPins{r.cat}) {
+		r.staleDropped.Add(1)
+		return false
+	}
+	if !current(stamps, appliedPins{r}) {
+		return false // a commit to a dependency table is still being applied
+	}
+	sig, dependsOn, ok := plan.RuntimeKey(rec.OpName, rec.Args, func(canon string) (uint64, bool) {
+		id, found := ids[canon]
+		return id, found
+	})
+	if !ok {
+		return false // a producer was not admitted
+	}
+	canon := plan.CanonKey(rec.OpName, rec.Args)
+	if e := r.pool.Lookup(sig, appliedPins{r}); e != nil {
+		ids[canon] = e.ID
+		return false
+	}
+	bytes := rec.Result.Bytes()
+	if r.cfg.MaxBytes > 0 && r.pool.Bytes()+bytes > r.cfg.MaxBytes {
+		return false
+	}
+	if r.cfg.MaxEntries > 0 && r.pool.Len()+1 > r.cfg.MaxEntries {
+		return false
+	}
+	tick := r.pool.Tick()
 	e := &Entry{
 		Sig:       sig,
-		CanonSig:  rec.CanonSig,
+		SpillArgs: rec.Args,
 		OpName:    rec.OpName,
 		Render:    rec.Render,
 		Result:    rec.Result,
-		Bytes:     rec.Result.Bytes(),
-		Tuples:    rec.Tuples,
+		Bytes:     bytes,
+		Tuples:    rec.Result.Tuples(),
 		Cost:      rec.Cost,
 		AdmitTick: tick,
-		SpillArgs: rec.Args,
 		DependsOn: dependsOn,
-		Deps:      depRefs(rec.Deps),
-		stamps:    recordStamps(rec.Deps),
+		Deps:      make([]ColumnRef, len(rec.Deps)),
+		stamps:    stamps,
+	}
+	for i, d := range rec.Deps {
+		e.Deps[i] = d.Ref
 	}
 	e.LastUseTick.Store(tick)
-	return e
-}
-
-// reloadFromSpill is the exact-match miss path's disk-tier consult: if
-// the instruction's canonical signature names a spilled record at the
-// versions the query reads, the record is served as a hit and
-// re-admitted to the pool when those are the versions the pool has
-// applied; a record whose dependency versions are no longer the
-// catalog's is dropped — the lazy invalidation of the tier.
-// runtimeKey is the instance's encoded run-time key (the exact-match
-// lookup just missed on it; the caller checked it is matchable); the
-// canonical lookup key is derived from the instance's signature,
-// lock-free, through the pool's canonByID mirror.
-func (r *Recycler) reloadFromSpill(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, runtimeKey []byte) (mal.EntryResult, bool) {
-	tier := r.cfg.Spill
-	if tier == nil || tier.Empty() {
-		// Cheap gate: a cold tier must not add per-miss work.
-		return mal.EntryResult{}, false
-	}
-	sig, _ := plan.Sign(in.Name(), args)
-	canon, _, ok := sig.Canonical(r.pool.canonOf)
-	if !ok {
-		return mal.EntryResult{}, false
-	}
-	// The tier lookup is disk I/O; time it before any lock is taken so
-	// the trace event and histogram observation are lock-free.
-	m := r.metrics.Load()
-	var t0 time.Time
-	if ctx.Trace != nil || m != nil {
-		t0 = time.Now()
-	}
-	rec, ok := tier.Lookup(canon)
-	if !t0.IsZero() {
-		d := time.Since(t0)
-		if m != nil {
-			m.SpillIO.Observe(d)
-		}
-		if ctx.Trace != nil {
-			ctx.Trace.AddEvent(pc, "spill.lookup", d, canon)
-		}
-	}
-	if !ok {
-		return mal.EntryResult{}, false
-	}
-	// Stale records are dropped for good, records at a version *this*
-	// query does not read stay for others.
-	if !r.depsFresh(rec.Deps) {
-		tier.Drop(canon)
-		r.staleDropped.Add(1)
-		return mal.EntryResult{}, false
-	}
-	stamps := recordStamps(rec.Deps)
-	if !current(stamps, ctx) {
-		return mal.EntryResult{}, false
-	}
-
-	key := string(runtimeKey)
-	r.lockWriter()
-	defer r.mu.Unlock()
-	if e := r.pool.Lookup(key, ctx); e != nil {
-		// A concurrent reload (or a fresh execution) re-admitted the
-		// signature first; serve it.
-		r.noteReuse(ctx, in, e)
-		ctx.UpdateStats(func(s *mal.QueryStats) {
-			s.Hits++
-			if in.Module != "sql" {
-				s.HitsNonBind++
-			}
-		})
-		return mal.EntryResult{Hit: true, Val: e.Result, Reason: "hit:exact"}, true
-	}
-	// Make room within the configured bounds; reloads bypass the
-	// admission policy (the instruction earned its place when it was
-	// first admitted) but never the capacity limits, nor the version
-	// rule (the record must be at the versions the pool has applied).
-	// If the entry cannot be admitted, the value is still served — it
-	// just stays disk-only. The decoded result is fully materialised,
-	// so capacity is checked against its real size, not the (possibly
-	// view-accounted) size recorded at demotion.
-	admit := current(stamps, appliedPins{r})
-	var buf [4]uint64
-	protect := lineageOf(buf[:0], args)
-	bytes := rec.Result.Bytes()
-	if admit && r.cfg.MaxBytes > 0 && bytes > r.cfg.MaxBytes {
-		admit = false
-	}
-	if admit && r.cfg.MaxBytes > 0 && r.pool.Bytes()+bytes > r.cfg.MaxBytes {
-		admit = r.cleanCache(r.pool.Bytes()+bytes-r.cfg.MaxBytes, 0, protect)
-	}
-	if admit && r.cfg.MaxEntries > 0 && r.pool.Len()+1 > r.cfg.MaxEntries {
-		admit = r.cleanCache(0, r.pool.Len()+1-r.cfg.MaxEntries, protect)
-	}
-	val := rec.Result
-	if admit {
-		// Like prewarmed entries, reloads keep TemplID == 0: they were
-		// admitted without paying a credit, so the credit bookkeeping
-		// (reuse refunds, eviction refunds) must not attach to the
-		// current instruction — it would mint credits never charged.
-		e := entryFromSpill(rec, key, lineageOf(nil, args), r.pool.Tick())
-		r.pool.Add(e)
-		e.pinnedQuery.Store(ctx.QueryID)
-		val = e.Result
-		r.noteReuse(ctx, in, e)
-	} else {
-		ctx.UpdateStats(func(s *mal.QueryStats) {
-			s.GlobalHits++
-			s.SavedGlobal += rec.Cost
-			s.SavedTime += rec.Cost
-		})
-	}
-	r.reloaded.Add(1)
-	ctx.UpdateStats(func(s *mal.QueryStats) {
-		s.Hits++
-		if in.Module != "sql" {
-			s.HitsNonBind++
-		}
-	})
-	reason := "hit:spill-reload"
-	if !admit {
-		reason = "hit:spill-disk-only"
-	}
-	return mal.EntryResult{Hit: true, Val: val, Reason: reason}, true
-}
-
-// Prewarm loads every spilled record at the tables' current versions
-// back into the pool, resolving lineage bottom-up: a record becomes
-// admissible once all its BAT arguments' canonical signatures resolve
-// to already-present entries, and its run-time signature is rebuilt
-// from their fresh entry ids. Stale records are dropped from the tier.
-// Servers call it once at startup, before accepting traffic; capacity
-// limits are respected (prewarming stops admitting rather than
-// evicting). Returns the number of entries admitted.
-func (r *Recycler) Prewarm() int {
-	tier := r.cfg.Spill
-	if tier == nil {
-		return 0
-	}
-	metas := tier.Metas()
-	if len(metas) == 0 {
-		return 0
-	}
-	r.lockWriter()
-	defer r.mu.Unlock()
-	byCanon := make(map[string]uint64, len(metas))
-	for _, e := range r.pool.All() {
-		if e.CanonSig != "" {
-			byCanon[e.CanonSig] = e.ID
-		}
-	}
-	n := 0
-	pending := metas
-	for progress := true; progress && len(pending) > 0; {
-		progress = false
-		var next []*SpillRecord
-		for _, meta := range pending {
-			if _, dup := byCanon[meta.CanonSig]; dup {
-				continue
-			}
-			if !r.depsFresh(meta.Deps) {
-				//lint:allow lockorder Prewarm runs once at startup before any query traffic; dropping stale records under the writer lock keeps admission atomic
-				tier.Drop(meta.CanonSig)
-				r.staleDropped.Add(1)
-				progress = true
-				continue
-			}
-			if !current(recordStamps(meta.Deps), appliedPins{r}) {
-				continue // a commit to a dependency table is still being applied
-			}
-			sig, dependsOn, ok := r.sigFromSpill(meta, byCanon)
-			if !ok {
-				next = append(next, meta)
-				continue
-			}
-			// Cheap pre-checks on the recorded size, then load the full
-			// record (Result included) only for survivors — the final
-			// check re-runs against the materialised size.
-			if r.cfg.MaxBytes > 0 && r.pool.Bytes()+meta.Bytes > r.cfg.MaxBytes {
-				continue
-			}
-			if r.cfg.MaxEntries > 0 && r.pool.Len()+1 > r.cfg.MaxEntries {
-				continue
-			}
-			if e := r.pool.Lookup(sig, appliedPins{r}); e != nil {
-				byCanon[meta.CanonSig] = e.ID
-				progress = true
-				continue
-			}
-			//lint:allow lockorder Prewarm runs once at startup before any query traffic; loading under the writer lock keeps admission atomic
-			rec, ok := tier.Lookup(meta.CanonSig)
-			if !ok {
-				progress = true
-				continue
-			}
-			if r.cfg.MaxBytes > 0 && r.pool.Bytes()+rec.Result.Bytes() > r.cfg.MaxBytes {
-				continue
-			}
-			e := entryFromSpill(rec, sig, dependsOn, r.pool.Tick())
-			r.pool.Add(e)
-			byCanon[rec.CanonSig] = e.ID
-			r.prewarmed.Add(1)
-			n++
-			progress = true
-		}
-		pending = next
-	}
-	return n
-}
-
-// sigFromSpill rebuilds a record's run-time signature by substituting
-// the fresh entry id of every BAT argument's canonical signature.
-// ok=false while an argument's producer has not been admitted yet.
-func (r *Recycler) sigFromSpill(rec *SpillRecord, byCanon map[string]uint64) (sig string, dependsOn []uint64, ok bool) {
-	return plan.RuntimeKey(rec.OpName, rec.Args, func(canon string) (uint64, bool) {
-		id, found := byCanon[canon]
-		return id, found
-	})
+	r.pool.Add(e)
+	ids[canon] = e.ID
+	r.prewarmed.Add(1)
+	return true
 }

@@ -87,13 +87,11 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	metric("repro_pool_shard_lock_wait_seconds_total", "counter",
 		"Total time spent blocked on signature-shard read locks.", st.Engine.Recycler.ShardLockWait.Seconds())
 	metric("repro_pool_spilled_total", "counter",
-		"Intermediates demoted to the disk spill tier.", st.Engine.Recycler.Spilled)
-	metric("repro_pool_spill_reloads_total", "counter",
-		"Exact-match misses served by reloading a spilled intermediate.", st.Engine.Recycler.Reloaded)
+		"Intermediates written to the pool image at drain.", st.Engine.Recycler.Spilled)
 	metric("repro_pool_prewarmed_total", "counter",
-		"Spilled intermediates reloaded into the pool at startup.", st.Engine.Recycler.Prewarmed)
+		"Pool image records loaded into the pool at startup.", st.Engine.Recycler.Prewarmed)
 	metric("repro_pool_spill_stale_drops_total", "counter",
-		"Spilled intermediates lazily dropped because a dependency table moved past their version.", st.Engine.Recycler.StaleDropped)
+		"Pool image records skipped at startup because a dependency table moved past their version.", st.Engine.Recycler.StaleDropped)
 	metric("repro_pool_maintained_total", "counter",
 		"Pool entries a delta rule carried across commits (propagate and maintain presets).", st.Engine.Recycler.Maintained)
 	metric("repro_pool_maintain_fallback_total", "counter",

@@ -213,7 +213,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // DebugQueriesResponse is the body of GET /debug/queries: the bounded
-// recent-query ring, the slow-query log and the tracer's commit/spill
+// recent-query ring, the slow-query log and the tracer's commit
 // event ring, most recent first.
 type DebugQueriesResponse struct {
 	// Tracing is false when the engine runs without a tracer; all the

@@ -323,8 +323,8 @@ func decodeBAT(d *dec) *bat.BAT {
 
 // encodeValue appends a runtime value: the value kind, then the BAT or
 // scalar payload. Provenance is deliberately not encoded — pool entry
-// ids are meaningless across processes; the spill tier re-assigns them
-// on reload.
+// ids are meaningless across processes; Prewarm re-assigns them when it
+// admits an image record.
 func encodeValue(e *enc, v mal.Value) {
 	e.u8(uint8(v.Kind))
 	switch v.Kind {

@@ -16,9 +16,9 @@
 //     snapshot file, after which the covered WAL segments are deleted.
 //     Recovery = load snapshot + replay WAL tail.
 //
-//   - A disk tier for the recycle pool (recycler.SpillTier): eviction
-//     victims are demoted to per-record spill files keyed by canonical
-//     signature and stamped with dependency-table versions, consulted
-//     on exact-match misses, lazily invalidated when stale, and
-//     reloaded wholesale by Recycler.Prewarm at startup.
+//   - The recycle pool image (recycler.SpillTier): a graceful drain
+//     writes the pool as one file of CRC-framed records, keyed by
+//     canonical signature and stamped with dependency-table versions,
+//     replacing the previous image; Recycler.Prewarm streams it back
+//     at startup and skips every record a commit has made stale.
 package store

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/bat"
@@ -15,10 +17,11 @@ import (
 	"repro/internal/sky"
 )
 
-// The spill tests drive a real engine over a small SkyServer catalog:
-// the queries below produce bind → select → count chains whose
-// intermediates are admitted, demoted to the disk tier, and reloaded
-// through canonical-signature matching.
+// The pool image tests drive a real engine over a small SkyServer
+// catalog: the queries below produce bind → select → count chains
+// whose intermediates are admitted, written to the image at drain, and
+// pre-warmed into a fresh recycler through canonical-signature
+// matching.
 
 const boxQuery = "SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 195.0 AND 215.5 AND dec BETWEEN 2.0 AND 33.0 AND mode = 1"
 
@@ -31,6 +34,31 @@ func countOf(t *testing.T, res *repro.ExecResult) int64 {
 	return v.I
 }
 
+// newTier returns an image store over a fresh directory.
+func newTier(t *testing.T) *Spill {
+	return &Spill{path: filepath.Join(t.TempDir(), imageFile)}
+}
+
+// spillAll drains rec's pool into its image store.
+func spillAll(t *testing.T, rec *recycler.Recycler) int {
+	t.Helper()
+	n, err := rec.SpillAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// prewarm loads rec's image store into its pool.
+func prewarm(t *testing.T, rec *recycler.Recycler) int {
+	t.Helper()
+	n, err := rec.Prewarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func newSpillEngine(t *testing.T, cat *catalog.Catalog, tier *Spill) *repro.Engine {
 	t.Helper()
 	eng := repro.NewEngine(cat, repro.WithRecycler(recycler.Config{
@@ -41,132 +69,24 @@ func newSpillEngine(t *testing.T, cat *catalog.Catalog, tier *Spill) *repro.Engi
 	return eng
 }
 
-// TestSpillAllReloadOnMiss: demote the whole pool, empty it, re-run
-// the query — every instruction must be served from disk, not
-// recomputed.
-func TestSpillAllReloadOnMiss(t *testing.T) {
-	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newSpillEngine(t, db.Cat, tier)
-
-	res1, err := eng.ExecSQL(boxQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := countOf(t, res1)
-
-	rec := eng.Recycler()
-	n := rec.SpillAll()
-	if n == 0 {
-		t.Fatal("SpillAll wrote nothing")
-	}
-	if entries, _ := tier.Stats(); entries == 0 {
-		t.Fatal("tier holds no records")
-	}
-	rec.Reset()
-	if rec.Pool().Len() != 0 {
-		t.Fatal("pool not empty after reset")
-	}
-
-	res2, err := eng.ExecSQL(boxQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countOf(t, res2); got != want {
-		t.Fatalf("reloaded result %d != original %d", got, want)
-	}
-	st := rec.Snapshot()
-	if st.Reloaded == 0 {
-		t.Fatalf("no disk-tier reloads: %+v", st)
-	}
-	if res2.Stats.Hits == 0 {
-		t.Fatal("second run reported no hits")
-	}
-}
-
-// TestSpillStaleDroppedAfterCommit: a commit to the dependency table
-// between demotion and reload must invalidate the spilled records
-// lazily, and the re-run must reflect the new data.
-func TestSpillStaleDroppedAfterCommit(t *testing.T) {
-	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newSpillEngine(t, db.Cat, tier)
-
-	res1, err := eng.ExecSQL(boxQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := countOf(t, res1)
-
-	rec := eng.Recycler()
-	if rec.SpillAll() == 0 {
-		t.Fatal("SpillAll wrote nothing")
-	}
-	rec.Reset()
-
-	// Insert a row inside the bounding box: every spilled photoobj
-	// intermediate is now one version behind.
-	tbl := db.Cat.MustTable("sky", "photoobj")
-	row := catalog.Row{"objid": int64(1 << 60), "ra": 200.0, "dec": 10.0, "mode": int64(1)}
-	for _, c := range tbl.Cols {
-		if _, ok := row[c.Name]; !ok {
-			switch c.KindOf {
-			case bat.KInt:
-				row[c.Name] = int64(0)
-			case bat.KFloat:
-				row[c.Name] = 0.0
-			case bat.KStr:
-				row[c.Name] = ""
-			default:
-				t.Fatalf("unexpected column kind %v", c.KindOf)
-			}
-		}
-	}
-	tbl.Append([]catalog.Row{row})
-
-	res2, err := eng.ExecSQL(boxQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countOf(t, res2); got != before+1 {
-		t.Fatalf("post-commit result %d, want %d (stale reload served?)", got, before+1)
-	}
-	st := rec.Snapshot()
-	if st.StaleDropped == 0 {
-		t.Fatalf("no stale drops recorded: %+v", st)
-	}
-	if st.Reloaded != 0 {
-		t.Fatalf("stale records were reloaded: %+v", st)
-	}
-}
-
 // TestPrewarmServesFirstQuery: a fresh recycler over the same catalog
 // pre-warms from the tier and serves the very first query from the
 // pool.
 func TestPrewarmServesFirstQuery(t *testing.T) {
 	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tier := newTier(t)
 	engA := newSpillEngine(t, db.Cat, tier)
 	res1, err := engA.ExecSQL(boxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := countOf(t, res1)
-	if engA.Recycler().SpillAll() == 0 {
+	if spillAll(t, engA.Recycler()) == 0 {
 		t.Fatal("SpillAll wrote nothing")
 	}
 
 	engB := newSpillEngine(t, db.Cat, tier)
-	n := engB.Recycler().Prewarm()
+	n := prewarm(t, engB.Recycler())
 	if n == 0 {
 		t.Fatal("prewarm admitted nothing")
 	}
@@ -190,15 +110,12 @@ func TestPrewarmServesFirstQuery(t *testing.T) {
 // pre-warm after it.
 func TestPrewarmRejectsStale(t *testing.T) {
 	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tier := newTier(t)
 	engA := newSpillEngine(t, db.Cat, tier)
 	if _, err := engA.ExecSQL(boxQuery); err != nil {
 		t.Fatal(err)
 	}
-	if engA.Recycler().SpillAll() == 0 {
+	if spillAll(t, engA.Recycler()) == 0 {
 		t.Fatal("SpillAll wrote nothing")
 	}
 
@@ -206,7 +123,7 @@ func TestPrewarmRejectsStale(t *testing.T) {
 	db.Cat.MustTable("sky", "photoobj").Delete([]bat.Oid{1})
 
 	engB := newSpillEngine(t, db.Cat, tier)
-	if n := engB.Recycler().Prewarm(); n != 0 {
+	if n := prewarm(t, engB.Recycler()); n != 0 {
 		t.Fatalf("prewarm admitted %d stale entries", n)
 	}
 	if st := engB.Recycler().Snapshot(); st.StaleDropped == 0 {
@@ -228,15 +145,12 @@ func TestPrewarmRejectsRecreatedTable(t *testing.T) {
 		tb.Append([]catalog.Row{{"k": int64(1), "v": int64(10)}, {"k": int64(2), "v": int64(20)}})
 	}
 	mk()
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tier := newTier(t)
 	engA := repro.NewEngine(cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll, Spill: tier}))
 	if _, err := engA.ExecSQL("SELECT COUNT(*) FROM sys.kv WHERE v BETWEEN 5 AND 15"); err != nil {
 		t.Fatal(err)
 	}
-	if engA.Recycler().SpillAll() == 0 {
+	if spillAll(t, engA.Recycler()) == 0 {
 		t.Fatal("SpillAll wrote nothing")
 	}
 	engA.Recycler().Close()
@@ -248,7 +162,7 @@ func TestPrewarmRejectsRecreatedTable(t *testing.T) {
 
 	engB := repro.NewEngine(cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll, Spill: tier}))
 	defer engB.Recycler().Close()
-	if n := engB.Recycler().Prewarm(); n != 0 {
+	if n := prewarm(t, engB.Recycler()); n != 0 {
 		t.Fatalf("prewarm admitted %d records of the dropped table", n)
 	}
 	if st := engB.Recycler().Snapshot(); st.StaleDropped == 0 {
@@ -256,23 +170,20 @@ func TestPrewarmRejectsRecreatedTable(t *testing.T) {
 	}
 }
 
-// TestNoSpillDuringPendingCommit: an entry must not be demoted while a
+// TestNoSpillDuringPendingCommit: an entry must not be imaged while a
 // dependency table has a commit in flight — the table's new version is
 // visible but the entry still holds the previous one's data, so its
 // record would be stale on arrival.
 func TestNoSpillDuringPendingCommit(t *testing.T) {
 	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tier := newTier(t)
 	// Registered before the recycler, this listener runs inside the
 	// commit window: the mutation is visible, the pool not fixed up yet.
 	var rec *recycler.Recycler
 	inWindow := -1
 	db.Cat.AddListener(onUpdate(func(catalog.UpdateEvent) {
 		if rec != nil && inWindow < 0 {
-			inWindow = rec.SpillAll()
+			inWindow = spillAll(t, rec)
 		}
 	}))
 	eng := newSpillEngine(t, db.Cat, tier)
@@ -284,26 +195,33 @@ func TestNoSpillDuringPendingCommit(t *testing.T) {
 	tbl := db.Cat.MustTable("sky", "photoobj")
 	tbl.Delete([]bat.Oid{0})
 	if inWindow != 0 {
-		t.Fatalf("SpillAll demoted %d entries of a table with a commit in flight", inWindow)
+		t.Fatalf("SpillAll imaged %d entries of a table with a commit in flight", inWindow)
 	}
 
-	// With the window closed the recomputed entries spill fine, and
-	// reload still yields the correct result.
+	// With the window closed the recomputed entries are imaged, and a
+	// fresh recycler pre-warmed from the image serves the correct
+	// result.
 	res1, err := eng.ExecSQL(boxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := countOf(t, res1)
-	if n := rec.SpillAll(); n == 0 {
+	if n := spillAll(t, rec); n == 0 {
 		t.Fatal("SpillAll wrote nothing after the window closed")
 	}
-	rec.Reset()
-	res2, err := eng.ExecSQL(boxQuery)
+	engB := newSpillEngine(t, db.Cat, tier)
+	if n := prewarm(t, engB.Recycler()); n == 0 {
+		t.Fatal("prewarm admitted nothing")
+	}
+	res2, err := engB.ExecSQL(boxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := countOf(t, res2); got != before {
-		t.Fatalf("reloaded result %d != original %d", got, before)
+		t.Fatalf("prewarmed result %d != original %d", got, before)
+	}
+	if res2.Stats.Hits == 0 {
+		t.Fatal("first query after prewarm reported no pool hits")
 	}
 }
 
@@ -312,107 +230,6 @@ type onUpdate func(catalog.UpdateEvent)
 
 func (f onUpdate) OnUpdate(ev catalog.UpdateEvent) { f(ev) }
 func (f onUpdate) OnDrop(*catalog.Table)           {}
-
-// TestSpillBudgetEvictsOldest: the tier must stay within its byte
-// budget by discarding the oldest records.
-func TestSpillBudgetEvictsOldest(t *testing.T) {
-	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 64*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newSpillEngine(t, db.Cat, tier)
-	queries := []string{
-		boxQuery,
-		"SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 10.0 AND 80.0 AND dec BETWEEN -60.0 AND 60.0 AND mode = 1",
-		"SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 100.0 AND 180.0 AND dec BETWEEN -60.0 AND 60.0 AND mode = 1",
-	}
-	for _, q := range queries {
-		if _, err := eng.ExecSQL(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Recycler().SpillAll()
-	_, bytes := tier.Stats()
-	if bytes > 64*1024 {
-		t.Fatalf("tier exceeds budget: %d bytes", bytes)
-	}
-}
-
-// TestConcurrentSpillReload hammers the demote/reload paths from many
-// goroutines over a tightly bounded pool, alternating query shapes so
-// entries constantly evict (spill) and return (reload). Run under
-// -race in CI; correctness of each result is asserted against a naive
-// reference.
-func TestConcurrentSpillReload(t *testing.T) {
-	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := repro.NewEngine(db.Cat, repro.WithRecycler(recycler.Config{
-		Admission:  recycler.KeepAll,
-		MaxEntries: 6,
-		Spill:      tier,
-	}))
-	defer eng.Recycler().Close()
-
-	queries := []string{
-		boxQuery,
-		"SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 10.0 AND 80.0 AND dec BETWEEN -60.0 AND 60.0 AND mode = 1",
-		"SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 100.0 AND 180.0 AND dec BETWEEN -60.0 AND 60.0 AND mode = 1",
-		"SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 300.0 AND 350.0 AND dec BETWEEN -20.0 AND 20.0 AND mode = 1",
-	}
-	naive := repro.NewEngine(db.Cat)
-	want := make([]int64, len(queries))
-	for i, q := range queries {
-		res, err := naive.ExecSQL(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = countOf(t, res)
-	}
-
-	const workers, iters = 8, 30
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := 0; i < iters; i++ {
-				qi := (w + i) % len(queries)
-				res, err := eng.ExecSQL(queries[qi])
-				if err != nil {
-					errc <- err
-					return
-				}
-				if got := res.Results[0].Val.I; got != want[qi] {
-					errc <- fmt.Errorf("worker %d query %d: got %d, want %d", w, qi, got, want[qi])
-					return
-				}
-			}
-			errc <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Demotions are written by the asynchronous spiller goroutine;
-	// on a single-core host the workload can finish before it drains
-	// the queue, so poll instead of snapshotting instantly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := eng.Recycler().Snapshot()
-		if st.Spilled > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("bounded pool never demoted: %+v", st)
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // TestRestartWarmPool is the end-to-end restart path: catalog and pool
 // survive a full store cycle (bootstrap → queries → spill + checkpoint
@@ -433,7 +250,7 @@ func TestRestartWarmPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := countOf(t, res1)
-	if eng.Recycler().SpillAll() == 0 {
+	if spillAll(t, eng.Recycler()) == 0 {
 		t.Fatal("SpillAll wrote nothing")
 	}
 	if err := st.Checkpoint(); err != nil {
@@ -453,7 +270,7 @@ func TestRestartWarmPool(t *testing.T) {
 	}
 	defer st2.Close()
 	eng2 := newSpillEngine(t, cat2, st2.Spill())
-	if n := eng2.Recycler().Prewarm(); n == 0 {
+	if n := prewarm(t, eng2.Recycler()); n == 0 {
 		t.Fatal("nothing prewarmed after restart")
 	}
 	res2, err := eng2.ExecSQL(boxQuery)
@@ -511,10 +328,7 @@ func newMaintainSpillEngine(t *testing.T, cat *catalog.Catalog, tier *Spill) *re
 // without recomputation.
 func TestMaintainSpillRestart(t *testing.T) {
 	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tier := newTier(t)
 	engA := newMaintainSpillEngine(t, db.Cat, tier)
 	res1, err := engA.ExecSQL(boxQuery)
 	if err != nil {
@@ -542,11 +356,11 @@ func TestMaintainSpillRestart(t *testing.T) {
 	}
 
 	// Demote the maintained pool and restart.
-	if engA.Recycler().SpillAll() == 0 {
+	if spillAll(t, engA.Recycler()) == 0 {
 		t.Fatal("SpillAll wrote nothing")
 	}
 	engB := newMaintainSpillEngine(t, db.Cat, tier)
-	if n := engB.Recycler().Prewarm(); n == 0 {
+	if n := prewarm(t, engB.Recycler()); n == 0 {
 		t.Fatal("prewarm admitted nothing after the maintained spill")
 	}
 	res3, err := engB.ExecSQL(boxQuery)
@@ -567,17 +381,14 @@ func TestMaintainSpillRestart(t *testing.T) {
 // than resurrect pre-commit data.
 func TestMaintainStaleSpillDropped(t *testing.T) {
 	db := sky.Generate(2000, 17)
-	tier, err := openSpill(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tier := newTier(t)
 	engA := newMaintainSpillEngine(t, db.Cat, tier)
 	res1, err := engA.ExecSQL(boxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := countOf(t, res1)
-	if engA.Recycler().SpillAll() == 0 {
+	if spillAll(t, engA.Recycler()) == 0 {
 		t.Fatal("SpillAll wrote nothing")
 	}
 	engA.Recycler().Close()
@@ -589,7 +400,7 @@ func TestMaintainStaleSpillDropped(t *testing.T) {
 	tbl.Append([]catalog.Row{boxRow(t, tbl, int64(1<<60))})
 
 	engB := newMaintainSpillEngine(t, db.Cat, tier)
-	if n := engB.Recycler().Prewarm(); n != 0 {
+	if n := prewarm(t, engB.Recycler()); n != 0 {
 		t.Fatalf("prewarm admitted %d pre-maintenance records", n)
 	}
 	if st := engB.Recycler().Snapshot(); st.StaleDropped == 0 {
@@ -604,58 +415,249 @@ func TestMaintainStaleSpillDropped(t *testing.T) {
 	}
 }
 
-// TestSpillOldFormatRecordDoesNotLoad: a record written before the
-// length-prefixed literal encoding carries no format tag. Its canonical
-// keys could alias new ones, so opening the tier removes it like a
-// corrupt file, while a current record next to it loads.
+// kvQueries run over kvCatalog; their chains are what the image tests
+// write and load.
+var kvQueries = []string{
+	"SELECT COUNT(*) FROM sys.kv WHERE v BETWEEN 5 AND 55",
+	"SELECT COUNT(*) FROM sys.kv WHERE k BETWEEN 3 AND 9 AND v BETWEEN 10 AND 90",
+}
+
+// kvCatalog builds one small two-column table.
+func kvCatalog(rows int) *catalog.Catalog {
+	cat := catalog.New()
+	tb := cat.CreateTable("sys", "kv", []catalog.ColDef{
+		{Name: "k", Kind: bat.KInt},
+		{Name: "v", Kind: bat.KInt},
+	})
+	r := make([]catalog.Row, rows)
+	for i := range r {
+		r[i] = catalog.Row{"k": int64(i), "v": int64(i * 37 % 101)}
+	}
+	tb.Append(r)
+	return cat
+}
+
+// answers runs kvQueries on eng and renders their results.
+func answers(t *testing.T, eng *repro.Engine) []string {
+	t.Helper()
+	out := make([]string, len(kvQueries))
+	for i, q := range kvQueries {
+		res, err := eng.ExecSQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = fmt.Sprint(countOf(t, res))
+	}
+	return out
+}
+
+// frameEnds returns the end offset of every frame in an image: the
+// header first, then one per record.
+func frameEnds(t *testing.T, image []byte) []int {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(image); {
+		if off+8 > len(image) {
+			t.Fatalf("image has a partial frame header at %d", off)
+		}
+		off += 8 + int(binary.LittleEndian.Uint32(image[off:]))
+		ends = append(ends, off)
+	}
+	if len(ends) == 0 || ends[len(ends)-1] != len(image) {
+		t.Fatalf("image does not end on a frame boundary: %v of %d", ends, len(image))
+	}
+	return ends
+}
+
+// TestDamagedImageNeverYieldsWrongEntry: an image truncated at any
+// byte, or with one byte of any frame flipped, loads exactly the
+// records before the damage and nothing else, and queries over the
+// pre-warmed pool still equal naive recompute.
+func TestDamagedImageNeverYieldsWrongEntry(t *testing.T) {
+	cat := kvCatalog(20)
+	tier := newTier(t)
+	engA := newSpillEngine(t, cat, tier)
+	want := answers(t, engA)
+	if spillAll(t, engA.Recycler()) == 0 {
+		t.Fatal("SpillAll wrote nothing")
+	}
+	if got := answers(t, repro.NewEngine(cat)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("naive %v != recycled %v", got, want)
+	}
+	image, err := os.ReadFile(tier.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(t, image)
+	records := len(ends) - 1
+
+	check := func(what string, damaged []byte, loads int) {
+		t.Helper()
+		if err := os.WriteFile(tier.path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		eng := repro.NewEngine(cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll, Spill: tier}))
+		defer eng.Recycler().Close()
+		if n := prewarm(t, eng.Recycler()); n != loads {
+			t.Fatalf("%s: prewarm admitted %d records, want the %d before the damage", what, n, loads)
+		}
+		if got := answers(t, eng); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: pre-warmed answers %v, naive %v", what, got, want)
+		}
+	}
+
+	check("intact", image, records)
+	for cut := 0; cut < len(image); cut++ {
+		loads := 0
+		for _, end := range ends[1:] {
+			if end <= cut {
+				loads++
+			}
+		}
+		check(fmt.Sprintf("truncated at %d", cut), image[:cut], loads)
+	}
+	for f, end := range ends {
+		start := 0
+		if f > 0 {
+			start = ends[f-1]
+		}
+		// One byte of the checksum, and one in the middle of the frame.
+		for _, at := range []int{start + 5, (start + end) / 2} {
+			damaged := slices.Clone(image)
+			damaged[at] ^= 0x5a
+			check(fmt.Sprintf("frame %d byte %d flipped", f, at), damaged, max(f-1, 0))
+		}
+	}
+}
+
+// TestSpillAllReplacesImage: each drain replaces the image. After a
+// second drain over a different pool the image holds only that pool's
+// records, and no temporary file is left behind.
+func TestSpillAllReplacesImage(t *testing.T) {
+	cat := kvCatalog(20)
+	tier := newTier(t)
+	eng := newSpillEngine(t, cat, tier)
+	if _, err := eng.ExecSQL(kvQueries[1]); err != nil {
+		t.Fatal(err)
+	}
+	first := spillAll(t, eng.Recycler())
+	eng.Recycler().Reset()
+	if _, err := eng.ExecSQL(kvQueries[0]); err != nil {
+		t.Fatal(err)
+	}
+	second := spillAll(t, eng.Recycler())
+	if first == second {
+		t.Fatalf("both drains wrote %d records; the test needs pools of different sizes", first)
+	}
+	var loaded []string
+	if err := tier.Load(func(rec *recycler.SpillRecord) { loaded = append(loaded, rec.Render) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != second {
+		t.Fatalf("image holds %d records, the last drain wrote %d: %v", len(loaded), second, loaded)
+	}
+	ents, err := os.ReadDir(filepath.Dir(tier.path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != imageFile {
+		t.Fatalf("data dir holds %v, want only %s", ents, imageFile)
+	}
+}
+
+// TestBootstrapPurgesImage: a fresh lineage removes the previous one's
+// image, and a bootstrap that cannot remove it fails rather than leave
+// records whose stamps could alias the new catalog's.
+func TestBootstrapPurgesImage(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []*recycler.SpillRecord{{OpName: "sql.bind", Result: mal.IntV(1)}}
+	if err := st.Spill().Save(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Bootstrap(kvCatalog(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, imageFile)); !os.IsNotExist(err) {
+		t.Fatalf("previous lineage's image survived Bootstrap: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A non-empty directory at the image path cannot be removed.
+	dir2 := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir2, imageFile, "stuck"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if err := st2.Bootstrap(kvCatalog(4)); err == nil {
+		t.Fatal("Bootstrap succeeded without removing the previous image")
+	}
+}
+
+// TestSpillOldFormatRecordDoesNotLoad: a data dir holding per-record
+// spill files of the store's former layout (spill/*.spl, one record per
+// file) boots cold without error. The files are ignored: nothing
+// pre-warms and queries recompute.
 func TestSpillOldFormatRecordDoesNotLoad(t *testing.T) {
 	dir := t.TempDir()
-	tier, err := openSpill(dir, 0)
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recycler.SpillRecord{
-		CanonSig: "algebra.likeselect([sql.bind(s3:sky,s8:dbobjec,s4:name,i0)],s5:3:abc)",
-		OpName:   "algebra.likeselect",
-		Args:     []recycler.SpillArg{{Bat: true, Canon: "sql.bind(s3:sky,s8:dbobjec,s4:name,i0)"}, {Key: "s5:3:abc"}},
-		Result:   mal.IntV(7),
+	cat := kvCatalog(20)
+	if err := st.Bootstrap(cat); err != nil {
+		t.Fatal(err)
 	}
-	tier.Spill(rec)
+	want := answers(t, repro.NewEngine(cat))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	old := *rec
-	old.CanonSig = "algebra.likeselect([sql.bind(ssky,sdbobjec,sname,i0)],s3:abc)"
-	meta := encodeSpillMeta(&old)[4:] // the untagged layout
+	// The former layout: a tagged metadata frame and a value frame.
+	legacy := filepath.Join(dir, "spill")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	meta := &enc{}
+	meta.u32(0x32_4c_50_53) // "SPL2"
+	meta.str("sql.bind(s3:sys,s2:kv,s1:v,i0)")
+	meta.str("sql.bind")
 	val := &enc{}
-	encodeValue(val, old.Result)
-	oldPath := filepath.Join(dir, "0123456789abcdef.spl")
-	f, err := os.Create(oldPath)
-	if err != nil {
+	encodeValue(val, mal.IntV(7))
+	var file bytes.Buffer
+	if err := writeFrame(&file, meta.b); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(f, meta); err != nil {
+	if err := writeFrame(&file, val.b); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(f, val.b); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(legacy, "0123456789abcdef.spl"), file.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	reopened, err := openSpill(dir, 0)
+	st2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := reopened.Stats(); n != 1 {
-		t.Fatalf("reopened tier holds %d records, want only the current one", n)
+	defer st2.Close()
+	cat2, err := st2.Recover()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := reopened.Lookup(old.CanonSig); ok {
-		t.Fatal("old-format record loaded")
+	eng := newSpillEngine(t, cat2, st2.Spill())
+	if n := prewarm(t, eng.Recycler()); n != 0 {
+		t.Fatalf("prewarm admitted %d records from the former layout", n)
 	}
-	if got, ok := reopened.Lookup(rec.CanonSig); !ok || got.Result.I != 7 {
-		t.Fatalf("current record lost: %+v %v", got, ok)
-	}
-	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
-		t.Fatalf("old-format file not removed at open: %v", err)
+	if got := answers(t, eng); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("answers %v after a cold boot, want %v", got, want)
 	}
 }

@@ -17,8 +17,6 @@ type Options struct {
 	// durable at most this long after they are acknowledged. 0 fsyncs
 	// every commit (maximum durability, minimum throughput).
 	SyncEvery time.Duration
-	// SpillBudget caps the disk tier's total bytes (0 = unlimited).
-	SpillBudget int64
 	// OnFsync, when set, observes every WAL fsync batch: how many
 	// commit records the batch covered and the fsync's duration. The
 	// callback runs under the WAL mutex — and, when group commit is
@@ -28,12 +26,13 @@ type Options struct {
 }
 
 // Store is the persistence subsystem: an append-only WAL of committed
-// DML, periodic full columnar snapshots, and a disk tier for evicted
-// recycle pool entries. One Store owns one data directory:
+// DML, periodic full columnar snapshots, and the recycle pool image a
+// graceful drain leaves for the next boot. One Store owns one data
+// directory:
 //
 //	<dir>/snapshot.dat   latest full checkpoint
 //	<dir>/wal/           commit log segments since that checkpoint
-//	<dir>/spill/         demoted recycle pool entries
+//	<dir>/pool.img       the pool image of the last graceful drain
 //
 // Lifecycle: Open the directory, then either Recover (a snapshot
 // exists: rebuild the catalog and replay the WAL tail) or Bootstrap
@@ -73,11 +72,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	sp, err := openSpill(filepath.Join(dir, "spill"), opts.SpillBudget)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{dir: dir, opts: opts, spill: sp}, nil
+	return &Store{dir: dir, opts: opts, spill: &Spill{path: filepath.Join(dir, imageFile)}}, nil
 }
 
 // HasSnapshot reports whether the directory holds a checkpoint to
@@ -87,7 +82,7 @@ func (s *Store) HasSnapshot() bool {
 	return err == nil
 }
 
-// Spill returns the disk tier for the recycle pool (never nil).
+// Spill returns the store of the recycle pool image (never nil).
 func (s *Store) Spill() *Spill { return s.spill }
 
 // Err returns the WAL append error latched since the last successful
@@ -153,8 +148,13 @@ func (s *Store) Recover() (*catalog.Catalog, error) {
 
 // Bootstrap attaches the store to a freshly generated catalog and
 // writes the initial checkpoint, so the (possibly large) bulk load is
-// captured by the snapshot instead of the log.
+// captured by the snapshot instead of the log. A fresh catalog is a
+// fresh lineage: the pool image of a previous one is removed first,
+// and failing to remove it fails the bootstrap.
 func (s *Store) Bootstrap(cat *catalog.Catalog) error {
+	if err := s.spill.purge(); err != nil {
+		return err
+	}
 	if err := s.attach(cat); err != nil {
 		return err
 	}

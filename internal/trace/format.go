@@ -64,8 +64,4 @@ func (qt *QueryTrace) Format(w io.Writer) {
 			sp.RowsIn, sp.RowsOut, sp.Bytes, rec, adm)
 	}
 	tw.Flush()
-
-	for _, ev := range qt.Events {
-		fmt.Fprintf(w, "event: pc=%d %s %v %s\n", ev.PC, ev.Name, ev.Dur.Round(time.Microsecond), ev.Detail)
-	}
 }

@@ -14,7 +14,6 @@ type Metrics struct {
 	WriterLockWait Histogram
 	ShardLockWait  Histogram
 	WALFsync       Histogram
-	SpillIO        Histogram
 }
 
 // NewMetrics returns an empty metrics set.
@@ -35,5 +34,4 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	m.WriterLockWait.WriteProm(w, "repro_lock_writer_wait_seconds", "Recycler writer-lock acquisition wait (contended acquisitions only).")
 	m.ShardLockWait.WriteProm(w, "repro_lock_shard_wait_seconds", "Signature-shard read-lock wait on the exact-hit path (contended only).")
 	m.WALFsync.WriteProm(w, "repro_wal_fsync_seconds", "WAL fsync batch latency.")
-	m.SpillIO.WriteProm(w, "repro_spill_io_seconds", "Spill-tier demote and reload I/O latency.")
 }

@@ -17,10 +17,7 @@
 // provides the happens-before edge to the goroutine that calls Finish.
 package trace
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Span is one executed MAL instruction inside a query.
 type Span struct {
@@ -36,15 +33,6 @@ type Span struct {
 	Recycle string        `json:"recycle,omitempty"` // decision reason; "" = unmonitored instr
 	Admit   string        `json:"admit,omitempty"`   // admission outcome on the miss path
 	Deps    []int         `json:"deps,omitempty"`    // pcs this instruction consumed
-}
-
-// Event is a timed query-scoped happening outside the span grid
-// (spill-tier reload I/O, commit maintenance, ...).
-type Event struct {
-	PC     int           `json:"pc"`
-	Name   string        `json:"name"`
-	Dur    time.Duration `json:"dur_ns"`
-	Detail string        `json:"detail,omitempty"`
 }
 
 // Stages breaks a query's wall time into the classic phases.
@@ -65,23 +53,17 @@ type QueryTrace struct {
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	Stages   Stages        `json:"stages"`
 	Spans    []Span        `json:"spans"`
-	Events   []Event       `json:"events,omitempty"`
 }
 
-// Recorder collects spans and events for a single query. Span slots
-// are written lock-free (one writer per pc); the event list takes a
-// mutex because recycler side paths append from arbitrary call sites.
-// All methods are nil-receiver safe so callers holding an optional
-// recorder need no guard.
+// Recorder collects the spans of a single query. Span slots are
+// written lock-free (one writer per pc). All methods are nil-receiver
+// safe so callers holding an optional recorder need no guard.
 type Recorder struct {
 	queryID uint64
 	sql     string
 	start   time.Time
 	spans   []Span
 	stages  Stages
-
-	mu     sync.Mutex
-	events []Event
 }
 
 // NewRecorder allocates a recorder for a query with ninstr
@@ -174,17 +156,6 @@ func (r *Recorder) SetSchedule(d time.Duration) {
 	r.stages.Schedule = d
 }
 
-// AddEvent appends a query-scoped timed event. Takes the recorder
-// mutex; never call it while holding a ranked engine lock.
-func (r *Recorder) AddEvent(pc int, name string, d time.Duration, detail string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.events = append(r.events, Event{PC: pc, Name: name, Dur: d, Detail: detail})
-	r.mu.Unlock()
-}
-
 // Finish freezes the recorder into an immutable QueryTrace. Call once,
 // after the query's dataflow has fully completed.
 func (r *Recorder) Finish(template string, elapsed time.Duration) *QueryTrace {
@@ -196,10 +167,6 @@ func (r *Recorder) Finish(template string, elapsed time.Duration) *QueryTrace {
 	}
 	st := r.stages
 	st.Execute = elapsed
-	r.mu.Lock()
-	ev := r.events
-	r.events = nil
-	r.mu.Unlock()
 	return &QueryTrace{
 		QueryID:  r.queryID,
 		SQL:      r.sql,
@@ -208,6 +175,5 @@ func (r *Recorder) Finish(template string, elapsed time.Duration) *QueryTrace {
 		Elapsed:  elapsed,
 		Stages:   st,
 		Spans:    r.spans,
-		Events:   ev,
 	}
 }

@@ -93,7 +93,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.EndSpan(0, "x", 0, time.Now(), 0, 0, 0, 0)
 	r.SetRecycle(0, "hit")
 	r.SetAdmission(0, "admit")
-	r.AddEvent(0, "e", 0, "")
 	if qt := r.Finish("t", 0); qt != nil {
 		t.Fatal("nil recorder Finish should return nil")
 	}
@@ -112,7 +111,6 @@ func TestRecorderRoundTrip(t *testing.T) {
 	r.SetAdmission(2, "admit:granted")
 	r.EndSpan(2, "aggr.count", 0, r.Start(), 0, 5, 1, 8)
 	r.SetParents([][]int{nil, {0}, {1}})
-	r.AddEvent(2, "spill.reload", time.Millisecond, "sig")
 	qt := r.Finish("tmpl", 0)
 	if qt.QueryID != 7 || qt.Template != "tmpl" || len(qt.Spans) != 3 {
 		t.Fatalf("bad trace header: %+v", qt)
@@ -122,9 +120,6 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 	if qt.Spans[2].Admit != "admit:granted" {
 		t.Errorf("span 2 lost admission: %+v", qt.Spans[2])
-	}
-	if len(qt.Events) != 1 || qt.Events[0].Name != "spill.reload" {
-		t.Errorf("events: %+v", qt.Events)
 	}
 	if _, err := json.Marshal(qt); err != nil {
 		t.Fatalf("marshal: %v", err)

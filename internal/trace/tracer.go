@@ -16,7 +16,7 @@ type Config struct {
 }
 
 // TracerEvent is a process-scoped timed event (commit maintenance
-// summary, spill prewarm, ...) kept in the global event ring.
+// summary, table drop, ...) kept in the global event ring.
 type TracerEvent struct {
 	Time   time.Time     `json:"time"`
 	Name   string        `json:"name"`

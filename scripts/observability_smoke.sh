@@ -77,7 +77,7 @@ if [ "$hist_families" -lt 5 ]; then
 fi
 for fam in repro_stage_parse_seconds repro_stage_execute_seconds \
            repro_stage_recycler_lookup_seconds repro_lock_writer_wait_seconds \
-           repro_spill_io_seconds; do
+           repro_wal_fsync_seconds; do
   grep -q "^# TYPE ${fam} histogram$" "$WORK/metrics.txt" || { echo "FAIL: missing family $fam"; exit 1; }
   grep -q "^${fam}_bucket{le=\"+Inf\"}" "$WORK/metrics.txt" || { echo "FAIL: $fam has no +Inf bucket"; exit 1; }
   grep -q "^${fam}_count " "$WORK/metrics.txt" || { echo "FAIL: $fam has no _count"; exit 1; }
