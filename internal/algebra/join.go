@@ -6,12 +6,14 @@ import (
 	"repro/internal/bat"
 )
 
-// Join kernels over the typed chained hash table (bat.Table): build
-// sides preallocate from cardinality, probe loops are monomorphized
-// per key kind, and match lists are exact-capacity (count-then-fill)
-// instead of append-grown. Chain walks enumerate positions in
-// ascending order, so results are bit-identical to the historical
-// map-based kernels.
+// Join kernels over the typed chained hash table (bat.Table) and, for
+// oid keys, an exact bitmap of the build side's head (bat.OidBitmap):
+// a probe key whose bit is clear costs one bit test and no hash. Probe
+// loops are monomorphized per key kind and append their match
+// positions into one pooled scratch buffer (selBuf) that the gathers
+// copy out, so a join allocates its result and its build side only.
+// Chain walks enumerate positions in ascending order, so results are
+// bit-identical to the historical map-based kernels.
 
 // Join implements the binary equi-join algebra.join(L, R): it matches
 // L's tail values against R's head oids and produces (L.head, R.tail)
@@ -19,28 +21,34 @@ import (
 // in a column of oids referencing the right operand's head. The result
 // preserves L's row order.
 func Join(l, r *bat.BAT) *bat.BAT {
+	var buf selBuf
+	defer buf.release()
 	if l.Tail.Kind() != bat.KOid {
-		return joinByValue(l, r)
+		return joinByValue(l, r, &buf)
 	}
+	keys := bat.MaterialiseOids(l.Tail)
+	li, ri := buf.pairs(len(keys))
 	// Fast path: R has a dense head, so matching is direct indexing.
 	if dh, ok := r.Head.(*bat.DenseOids); ok {
-		return joinDenseHead(l, r, dh)
+		return joinDenseHead(l, r, dh, keys, li, ri)
 	}
-	t := bat.HeadTable(r)
-	li, ri := probeJoin(bat.MaterialiseOids(l.Tail), t)
+	t := bat.BuildOids(bat.MaterialiseOids(r.Head))
+	if m := bat.NewOidBitmap(r.Head, len(keys)+r.Len()); m != nil {
+		li, ri = probeMembers(keys, m, t, li, ri)
+	} else {
+		li, ri = probeJoin(keys, t, li, ri)
+	}
 	return gatherJoin(l, r, li, ri)
 }
 
-func joinDenseHead(l, r *bat.BAT, dh *bat.DenseOids) *bat.BAT {
-	// A dense head is unique, so each left row matches at most once:
-	// preallocate both position lists at l.Len() and truncate.
-	n := l.Len()
-	li := make(bat.SelectionVector, n)
-	ri := make(bat.SelectionVector, n)
+// joinDenseHead matches keys by position in R's dense head. A dense
+// head is unique, so each left row matches at most once: li and ri
+// hold |L| positions.
+func joinDenseHead(l, r *bat.BAT, dh *bat.DenseOids, keys []bat.Oid, li, ri bat.SelectionVector) *bat.BAT {
+	li, ri = li[:len(keys)], ri[:len(keys)]
 	j := 0
-	lt := bat.MaterialiseOids(l.Tail)
 	lim := dh.Start + bat.Oid(dh.N)
-	for i, v := range lt {
+	for i, v := range keys {
 		li[j] = int32(i)
 		ri[j] = int32(v - dh.Start)
 		if v >= dh.Start && v < lim {
@@ -50,22 +58,29 @@ func joinDenseHead(l, r *bat.BAT, dh *bat.DenseOids) *bat.BAT {
 	return gatherJoin(l, r, li[:j], ri[:j])
 }
 
-// probeJoin probes every key against the table and returns the exact
-// match pair lists: li[k] is the probe-side position, ri[k] the
-// build-side position. Two passes: count, then fill preallocated.
-func probeJoin[K comparable](keys []K, t *bat.Table[K]) (li, ri bat.SelectionVector) {
-	total := 0
-	for _, k := range keys {
-		total += t.Count(k)
-	}
-	li = make(bat.SelectionVector, total)
-	ri = make(bat.SelectionVector, total)
-	j := 0
+// probeJoin probes every key against the table once and appends the
+// match pairs: li[k] is the probe-side position, ri[k] the build-side
+// position.
+func probeJoin[K comparable](keys []K, t *bat.Table[K], li, ri bat.SelectionVector) (bat.SelectionVector, bat.SelectionVector) {
 	for i, k := range keys {
 		for p := t.First(k); p >= 0; p = t.Next(p, k) {
-			li[j] = int32(i)
-			ri[j] = p
-			j++
+			li = append(li, int32(i))
+			ri = append(ri, p)
+		}
+	}
+	return li, ri
+}
+
+// probeMembers is probeJoin behind m, the bitmap of the table's keys:
+// only a key whose bit is set walks the table.
+func probeMembers(keys []bat.Oid, m *bat.OidBitmap, t *bat.Table[bat.Oid], li, ri bat.SelectionVector) (bat.SelectionVector, bat.SelectionVector) {
+	for i, k := range keys {
+		if !m.Has(k) {
+			continue
+		}
+		for p := t.First(k); p >= 0; p = t.Next(p, k) {
+			li = append(li, int32(i))
+			ri = append(ri, p)
 		}
 	}
 	return li, ri
@@ -76,17 +91,17 @@ func probeJoin[K comparable](keys []K, t *bat.Table[K]) (li, ri bat.SelectionVec
 // R.head must then be a materialised vector of the same kind. The type
 // switch is hoisted out of the probe loop: each arm builds a typed
 // table over R's head and runs a monomorphized probe.
-func joinByValue(l, r *bat.BAT) *bat.BAT {
-	var li, ri bat.SelectionVector
+func joinByValue(l, r *bat.BAT, buf *selBuf) *bat.BAT {
+	li, ri := buf.pairs(l.Len())
 	switch lt := l.Tail.(type) {
 	case *bat.Ints:
-		li, ri = probeJoin(lt.V, bat.BuildInts(r.Head.(*bat.Ints).V))
+		li, ri = probeJoin(lt.V, bat.BuildInts(r.Head.(*bat.Ints).V), li, ri)
 	case *bat.Strings:
-		li, ri = probeJoin(lt.V, bat.BuildStrings(r.Head.(*bat.Strings).V))
+		li, ri = probeJoin(lt.V, bat.BuildStrings(r.Head.(*bat.Strings).V), li, ri)
 	case *bat.Dates:
-		li, ri = probeJoin(lt.V, bat.BuildDates(r.Head.(*bat.Dates).V))
+		li, ri = probeJoin(lt.V, bat.BuildDates(r.Head.(*bat.Dates).V), li, ri)
 	case *bat.Floats:
-		li, ri = probeJoin(lt.V, bat.BuildFloats(r.Head.(*bat.Floats).V))
+		li, ri = probeJoin(lt.V, bat.BuildFloats(r.Head.(*bat.Floats).V), li, ri)
 	default:
 		panic("algebra: joinByValue unsupported tail type")
 	}
@@ -111,7 +126,8 @@ func gatherJoin(l, r *bat.BAT, li, ri bat.SelectionVector) *bat.BAT {
 //   - galloping intersection: a sorted unique L head and a sorted R
 //     head merge in O(small·log(large/small)) (semijoinSorted); a sorted
 //     unique L and a smaller unsorted R binary-search L instead;
-//   - hash: a table over R's head, probed by every L oid.
+//   - membership: every L oid tests R's oid bitmap, or a table over
+//     R's head when the bitmap would pass its bound (probeHeads).
 func Semijoin(l, r *bat.BAT) *bat.BAT {
 	n := l.Len()
 	var buf selBuf
@@ -127,7 +143,7 @@ func Semijoin(l, r *bat.BAT) *bat.BAT {
 	case sortedL && r.Len() <= n:
 		sel = semijoinSearch(bat.MaterialiseOids(l.Head), bat.MaterialiseOids(r.Head), buf.take(r.Len()))
 	default:
-		sel = probeHeads(bat.MaterialiseOids(l.Head), bat.HeadTable(r), true, buf.take(n))
+		sel = probeHeads(bat.MaterialiseOids(l.Head), r, true, buf.take(n))
 	}
 	return keepRows(l, sel)
 }
@@ -145,9 +161,22 @@ func keepRows(l *bat.BAT, sel bat.SelectionVector) *bat.BAT {
 }
 
 // probeHeads writes into sel (|lh| long) the positions of lh whose
-// oid t holds (want true) or lacks (want false).
-func probeHeads(lh []bat.Oid, t *bat.Table[bat.Oid], want bool, sel bat.SelectionVector) bat.SelectionVector {
+// oid R's head holds (want true) or lacks (want false). Membership is
+// R's oid bitmap when that takes at most |L|+|R| words, so it never
+// costs more to build than the probes it answers; past that bound, a
+// table over R's head.
+func probeHeads(lh []bat.Oid, r *bat.BAT, want bool, sel bat.SelectionVector) bat.SelectionVector {
 	j := 0
+	if m := bat.NewOidBitmap(r.Head, len(lh)+r.Len()); m != nil {
+		for i, v := range lh {
+			sel[j] = int32(i)
+			if m.Has(v) == want {
+				j++
+			}
+		}
+		return sel[:j]
+	}
+	t := bat.BuildOids(bat.MaterialiseOids(r.Head))
 	for i, v := range lh {
 		sel[j] = int32(i)
 		if t.Has(v) == want {
@@ -275,7 +304,7 @@ func sortDedupSel(sel bat.SelectionVector) bat.SelectionVector {
 func AntiSemijoin(l, r *bat.BAT) *bat.BAT {
 	var buf selBuf
 	defer buf.release()
-	return keepRows(l, probeHeads(bat.MaterialiseOids(l.Head), bat.HeadTable(r), false, buf.take(l.Len())))
+	return keepRows(l, probeHeads(bat.MaterialiseOids(l.Head), r, false, buf.take(l.Len())))
 }
 
 // KUnique implements bat.kunique: it retains the first occurrence of

@@ -24,6 +24,33 @@ func TestJoinDenseHead(t *testing.T) {
 	}
 }
 
+// TestJoinAllocatesItsResult gates the kernel memory contract for
+// joins: a 1e6-row L keeping ≈1 % of its rows allocates at most twice
+// its result's bytes, against a dense R head (positions by offset) and
+// against the foreign-key shape (a 100-oid R probed through its
+// bitmap). The position lists live in one pooled buffer.
+func TestJoinAllocatesItsResult(t *testing.T) {
+	const n = 1_000_000
+	keys := make([]bat.Oid, n)
+	rng := rand.New(rand.NewSource(36))
+	for i := range keys {
+		keys[i] = bat.Oid(rng.Intn(n))
+	}
+	dense := bat.New(bat.NewDense(0, n/100), bat.NewInts(make([]int64, n/100)))
+	l := bat.New(bat.NewDense(0, n), bat.NewOids(keys))
+	fkL, fkR := fkJoinInputs(n, 37)
+	for _, c := range []struct {
+		name string
+		l, r *bat.BAT
+	}{{"dense", l, dense}, {"fk", fkL, fkR}} {
+		res := Join(c.l, c.r)
+		resultBytes := uint64(res.Len()) * (8 + 8) // oid head + int tail
+		if got := medianAlloc(func() { Join(c.l, c.r) }); got > 2*resultBytes {
+			t.Errorf("%s: a 1e6-row Join allocates %d B, over twice its %d-row result (%d B)", c.name, got, res.Len(), resultBytes)
+		}
+	}
+}
+
 func TestJoinHashedHead(t *testing.T) {
 	l := bat.New(bat.NewOids([]bat.Oid{1, 2}), bat.NewOids([]bat.Oid{7, 9}))
 	r := bat.New(bat.NewOids([]bat.Oid{9, 7, 7}), bat.NewInts([]int64{90, 70, 71}))

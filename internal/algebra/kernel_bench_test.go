@@ -56,6 +56,10 @@ func BenchmarkKernelHashBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelJoin runs two oid joins per size: rows=N, where every
+// L key hits one of N/10 unique R heads, and fk/rows=N, the selective
+// foreign-key shape of TPC-H Q8, where L ranges over a 10 000-oid
+// domain and R holds 1 % of it, so nearly every probe misses.
 func BenchmarkKernelJoin(b *testing.B) {
 	for _, n := range kernelSizes {
 		rng := rand.New(rand.NewSource(14))
@@ -75,6 +79,58 @@ func BenchmarkKernelJoin(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			for i := 0; i < b.N; i++ {
 				Join(l, r)
+			}
+		})
+	}
+	for _, n := range kernelSizes {
+		l, r := fkJoinInputs(n, 14)
+		b.Run(fmt.Sprintf("fk/rows=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * 8))
+			b.ReportAllocs()
+			for b.Loop() {
+				Join(l, r)
+			}
+		})
+	}
+}
+
+// fkJoinInputs builds a foreign-key join: an n-row L whose oid tail
+// ranges over a 10 000-oid domain, and an R holding 100 of those oids
+// (1 %), unsorted, each with an int tail.
+func fkJoinInputs(n int, seed int64) (l, r *bat.BAT) {
+	const domain = 10_000
+	rng := rand.New(rand.NewSource(seed))
+	lt := make([]bat.Oid, n)
+	for i := range lt {
+		lt[i] = bat.Oid(rng.Intn(domain))
+	}
+	rh := make([]bat.Oid, domain/100)
+	for i, v := range rng.Perm(domain)[:len(rh)] {
+		rh[i] = bat.Oid(v)
+	}
+	return bat.New(bat.NewDense(0, n), bat.NewOids(lt)), bat.New(bat.NewOids(rh), bat.NewInts(make([]int64, len(rh))))
+}
+
+// BenchmarkKernelAntiSemijoin is delete propagation over an unsorted
+// intermediate: L's n heads are a shuffled [0, n), R deletes 1 % of
+// them, so neither side is sorted and the membership path runs.
+func BenchmarkKernelAntiSemijoin(b *testing.B) {
+	for _, n := range kernelSizes {
+		rng := rand.New(rand.NewSource(16))
+		lh := make([]bat.Oid, n)
+		for i, v := range rng.Perm(n) {
+			lh[i] = bat.Oid(v)
+		}
+		rh := make([]bat.Oid, n/100)
+		for i := range rh {
+			rh[i] = lh[rng.Intn(n)]
+		}
+		l := bat.New(bat.NewOids(lh), bat.NewInts(make([]int64, n)))
+		r := bat.New(bat.NewOids(rh), bat.NewOids(rh))
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * 8))
+			for b.Loop() {
+				AntiSemijoin(l, r)
 			}
 		})
 	}

@@ -491,6 +491,101 @@ func TestJoinMatchesSeedReference(t *testing.T) {
 			}
 		}
 	}
+	// The shapes the oid bitmap tells apart, L's keys as its tail.
+	for trial := 0; trial < 300; trial++ {
+		family := trial % len(oidFamilies)
+		keys, rh := oidFamilies[family](rng)
+		l := bat.New(bat.NewDense(0, len(keys)), bat.NewOids(keys))
+		r := bat.New(rh, randVector(rng, bat.KInt, rh.Len(), false))
+		got := Join(l, r)
+		li, ri := refJoin(l, r)
+		if got.Len() != len(li) {
+			t.Fatalf("join family %d (|L| %d, |R| %d): got %d rows, want %d", family, l.Len(), r.Len(), got.Len(), len(li))
+		}
+		for k := range li {
+			if bat.OidAt(got.Head, k) != bat.OidAt(l.Head, li[k]) || got.Tail.Get(k) != r.Tail.Get(ri[k]) {
+				t.Fatalf("join family %d row %d: (%v, %v), want (%v, %v)", family, k, bat.OidAt(got.Head, k), got.Tail.Get(k), bat.OidAt(l.Head, li[k]), r.Tail.Get(ri[k]))
+			}
+		}
+	}
+}
+
+// oidFamilies draw probe keys and an R head for each shape the oid
+// bitmap tells apart. Keys come from R's oids about half the time.
+var oidFamilies = []func(*rand.Rand) (keys []bat.Oid, rh bat.Vector){
+	// Foreign key: up to 3 000 keys over a domain of up to 10 000 oids,
+	// R at most 2 % of it. Few keys cannot pay for the domain's words,
+	// so those trials take the table.
+	func(rng *rand.Rand) ([]bat.Oid, bat.Vector) {
+		dom := 100 + rng.Intn(10_000)
+		rv := make([]bat.Oid, 1+rng.Intn(dom/50))
+		for i, v := range rng.Perm(dom)[:len(rv)] {
+			rv[i] = bat.Oid(v)
+		}
+		keys := make([]bat.Oid, 1+rng.Intn(1+rng.Intn(3000)))
+		for i := range keys {
+			keys[i] = bat.Oid(rng.Intn(dom))
+		}
+		return keys, bat.NewOids(rv)
+	},
+	// Spread: R's oids 2^20 apart above 2^40, so no bitmap fits and
+	// the table answers; misses land one oid off a member.
+	func(rng *rand.Rand) ([]bat.Oid, bat.Vector) {
+		spread := func() bat.Oid { return 1<<40 + bat.Oid(rng.Intn(64))<<20 }
+		return drawKeys(rng, spread, func(v bat.Oid) bat.Oid { return v + 1 })
+	},
+	// Nil: NilOid among R's heads and the keys, R usually holding oid
+	// 0 as well, where the span would wrap to zero.
+	func(rng *rand.Rand) ([]bat.Oid, bat.Vector) {
+		keys, rh := drawKeys(rng, func() bat.Oid {
+			if rng.Intn(4) == 0 {
+				return bat.NilOid
+			}
+			return bat.Oid(rng.Intn(20))
+		}, func(v bat.Oid) bat.Oid { return v + 1 })
+		if rv := rh.(*bat.Oids).V; len(rv) > 0 && rng.Intn(4) != 0 {
+			rv[0] = 0
+		}
+		return keys, rh
+	},
+	// Duplicates and empty: R repeats a handful of oids, or, one time
+	// in four, has none.
+	func(rng *rand.Rand) ([]bat.Oid, bat.Vector) {
+		keys, rh := drawKeys(rng, func() bat.Oid { return 100 + bat.Oid(rng.Intn(6)) }, func(v bat.Oid) bat.Oid { return v - 6 })
+		if rng.Intn(4) == 0 {
+			rh = bat.NewOids(nil)
+		}
+		return keys, rh
+	},
+	// Dense R: its range, keys around and inside it, and NilOid.
+	func(rng *rand.Rand) ([]bat.Oid, bat.Vector) {
+		keys := make([]bat.Oid, 1+rng.Intn(60))
+		for i := range keys {
+			keys[i] = bat.Oid(rng.Intn(100))
+			if rng.Intn(10) == 0 {
+				keys[i] = bat.NilOid
+			}
+		}
+		return keys, bat.NewDense(bat.Oid(rng.Intn(50)), rng.Intn(40))
+	},
+}
+
+// drawKeys draws an R of 0–30 oids from draw and up to 60 keys, each a
+// member of R or, from a draw, miss(draw()).
+func drawKeys(rng *rand.Rand, draw func() bat.Oid, miss func(bat.Oid) bat.Oid) ([]bat.Oid, bat.Vector) {
+	rv := make([]bat.Oid, rng.Intn(31))
+	for i := range rv {
+		rv[i] = draw()
+	}
+	keys := make([]bat.Oid, 1+rng.Intn(60))
+	for i := range keys {
+		if len(rv) > 0 && rng.Intn(2) == 0 {
+			keys[i] = rv[rng.Intn(len(rv))]
+		} else {
+			keys[i] = miss(draw())
+		}
+	}
+	return keys, bat.NewOids(rv)
 }
 
 func TestSemijoinMatchesSeedReference(t *testing.T) {
@@ -567,6 +662,17 @@ func TestSemijoinMatchesSeedReference(t *testing.T) {
 		wantAnti := refAntiSemijoin(l, r)
 		expectPairs(t, "antisemijoin", l, gotAnti, wantAnti)
 		expectFlags(t, "antisemijoin", l, gotAnti)
+	}
+	// The shapes the oid bitmap tells apart, L's keys as its unsorted
+	// head, so the membership path runs.
+	for trial := 0; trial < 400; trial++ {
+		family := trial % len(oidFamilies)
+		keys, rh := oidFamilies[family](rng)
+		l := bat.New(bat.NewOids(keys), randVector(rng, bat.KInt, len(keys), false))
+		r := bat.New(rh, randVector(rng, bat.KInt, rh.Len(), false))
+		ctxt := fmt.Sprintf("family %d (|L| %d, |R| %d)", family, l.Len(), r.Len())
+		expectPairs(t, "semijoin "+ctxt, l, Semijoin(l, r), refSemijoin(l, r))
+		expectPairs(t, "antisemijoin "+ctxt, l, AntiSemijoin(l, r), refAntiSemijoin(l, r))
 	}
 }
 

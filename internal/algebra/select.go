@@ -284,6 +284,14 @@ func (b *selBuf) take(n int) bat.SelectionVector {
 	return (*b.p)[:n]
 }
 
+// pairs borrows the buffer as two empty selections of capacity n
+// each: a join's probe-side and build-side positions. An append past
+// n moves that list off the buffer, so the two never overlap.
+func (b *selBuf) pairs(n int) (li, ri bat.SelectionVector) {
+	s := b.take(2 * n)
+	return s[:0:n], s[n : n : 2*n]
+}
+
 // release returns a borrowed buffer to selPool.
 func (b *selBuf) release() {
 	if b.p != nil {

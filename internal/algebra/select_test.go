@@ -363,29 +363,34 @@ func TestFilterConcurrent(t *testing.T) {
 
 // TestFilterAllocatesItsResult gates the memory contract as a count: a
 // 1e6-row float range keeping ≈1 % of the rows allocates at most twice
-// its result's bytes. The median of many calls is taken because a GC
-// may empty the pool, and the race detector drops one Put in four,
-// either of which makes one call allocate the buffer anew. With 41
-// samples the median fails only when 21 of them draw a fresh buffer:
-// about 0.03 % of race runs.
+// its result's bytes.
 func TestFilterAllocatesItsResult(t *testing.T) {
 	data := randFloats(1_000_000, 35)
 	pred := inRange(100.0, 103.6, true, true)
 	res := Filter(data, pred)
 	resultBytes := uint64(res.Len()) * (8 + 8) // oid head + float tail
+	if got := medianAlloc(func() { Filter(data, pred) }); got > 2*resultBytes {
+		t.Fatalf("a 1e6-row range Filter allocates %d B, over twice its %d-row result (%d B)", got, res.Len(), resultBytes)
+	}
+}
+
+// medianAlloc returns the median bytes one call of f allocates over 41
+// calls. The median is taken because a GC may empty selPool, and the
+// race detector drops one Put in four, either of which makes one call
+// allocate its buffer anew. With 41 samples the median fails only when
+// 21 of them draw a fresh buffer: about 0.03 % of race runs.
+func medianAlloc(f func()) uint64 {
 	var ms runtime.MemStats
 	deltas := make([]uint64, 41)
 	for i := range deltas {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		Filter(data, pred)
+		f()
 		runtime.ReadMemStats(&ms)
 		deltas[i] = ms.TotalAlloc - before
 	}
 	slices.Sort(deltas)
-	if got := deltas[len(deltas)/2]; got > 2*resultBytes {
-		t.Fatalf("a 1e6-row range Filter allocates %d B, over twice its %d-row result (%d B)", got, res.Len(), resultBytes)
-	}
+	return deltas[len(deltas)/2]
 }
 
 // A buffer fresh from selPool holds a nil slice; an empty take of it

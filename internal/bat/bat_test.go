@@ -2,6 +2,7 @@ package bat
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,26 +180,48 @@ func TestDrop(t *testing.T) {
 	}
 }
 
-func TestHashIndex(t *testing.T) {
-	b := NewDenseHead(NewInts([]int64{7, 8, 7}))
-	h := BuildHashOnTail(b)
-	if got := h.LookupInt(7); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("LookupInt(7) = %v", got)
+// TestOidBitmap pins the bitmap's membership and when it is built: a
+// span of at most 64·maxWords oids, never past it, never over a head
+// holding NilOid, and free of words for a dense head.
+func TestOidBitmap(t *testing.T) {
+	has := func(m *OidBitmap, vs ...Oid) []bool {
+		out := make([]bool, len(vs))
+		for i, v := range vs {
+			out[i] = m.Has(v)
+		}
+		return out
 	}
-	if got := h.LookupInt(99); got != nil {
-		t.Fatalf("LookupInt(99) = %v, want nil", got)
+	if NewOidBitmap(NewOids([]Oid{70, 7, 70, 133}), 1) != nil {
+		t.Fatal("a 127-oid span was built within 1 word")
 	}
-}
-
-func TestHeadSetAndTailOidSet(t *testing.T) {
-	b := New(NewOids([]Oid{4, 5, 4}), NewDense(20, 3))
-	hs := HeadSet(b)
-	if len(hs) != 2 {
-		t.Fatalf("head set size = %d", len(hs))
+	m := NewOidBitmap(NewOids([]Oid{70, 7, 70, 133}), 2)
+	if m == nil {
+		t.Fatal("a 127-oid span was refused with maxWords 2")
 	}
-	ts := TailOidSet(b)
-	if _, ok := ts[21]; !ok || len(ts) != 3 {
-		t.Fatalf("tail set = %v", ts)
+	if got, want := has(m, 0, 6, 7, 8, 70, 133, 134, 1<<40, NilOid), []bool{false, false, true, false, true, true, false, false, false}; !slices.Equal(got, want) {
+		t.Fatalf("membership %v, want %v", got, want)
+	}
+	if m.words == nil || len(m.words) != 2 {
+		t.Fatalf("127-oid span holds %d words, want 2", len(m.words))
+	}
+	if NewOidBitmap(NewOids([]Oid{0, 128}), 2) != nil {
+		t.Fatal("a 129-oid span was built within 2 words")
+	}
+	if NewOidBitmap(NewOids([]Oid{0, 127}), 2) == nil {
+		t.Fatal("a 128-oid span was refused with maxWords 2")
+	}
+	if NewOidBitmap(NewOids([]Oid{0, NilOid}), 1<<20) != nil || NewOidBitmap(NewOids([]Oid{NilOid}), 1<<20) != nil {
+		t.Fatal("a head holding NilOid got a bitmap")
+	}
+	d := NewOidBitmap(NewDense(10, 5), 0)
+	if d == nil || d.words != nil {
+		t.Fatal("a dense head must be its range, with no words")
+	}
+	if got, want := has(d, 9, 10, 14, 15), []bool{false, true, true, false}; !slices.Equal(got, want) {
+		t.Fatalf("dense membership %v, want %v", got, want)
+	}
+	if e := NewOidBitmap(NewOids(nil), 0); e == nil || e.Has(0) || e.Has(NilOid) {
+		t.Fatal("an empty head must be an empty bitmap")
 	}
 }
 

@@ -62,9 +62,6 @@ func bucketCount(n int) int {
 	return nb
 }
 
-// Len returns the number of indexed positions.
-func (t *Table[K]) Len() int { return len(t.next) }
-
 // First returns the smallest position whose key equals k, or -1.
 func (t *Table[K]) First(k K) int32 {
 	for p := t.buckets[t.hash(k)&t.mask]; p >= 0; p = t.next[p] {
@@ -88,15 +85,6 @@ func (t *Table[K]) Next(p int32, k K) int32 {
 
 // Has reports whether any position holds key k.
 func (t *Table[K]) Has(k K) bool { return t.First(k) >= 0 }
-
-// Count returns the number of positions whose key equals k.
-func (t *Table[K]) Count(k K) int {
-	n := 0
-	for p := t.First(k); p >= 0; p = t.Next(p, k) {
-		n++
-	}
-	return n
-}
 
 // --- hash functions ------------------------------------------------------
 //

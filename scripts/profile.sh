@@ -6,13 +6,17 @@
 #   profiles/sky.pprof        the Fig. 14 batch (BenchmarkFig14): the
 #                             SkyServer mix over 20k objects run naive,
 #                             keepall and CRD/LRU
+#   profiles/tpch.pprof       the mixed TPC-H batch (BenchmarkThroughput):
+#                             ten query types, naive and recycled, whose
+#                             oid joins and semijoins dominate
 #   profiles/miss.pprof       the recycled miss path: nested boxes
 #                             subsumed onto a pooled superset over 200k
 #                             sky objects (BenchmarkEngineMiss)
 #   profiles/kernels.pprof    internal/algebra Kernel* benchmarks (range,
 #                             float, narrow float, SelectPaths: uselect /
-#                             not-nil / sorted view, join, group) and the
-#                             sorted semijoin
+#                             not-nil / sorted view, all-hit and
+#                             foreign-key join, anti-semijoin, group) and
+#                             the sorted semijoin
 #   profiles/misspath.pprof   recycler miss path (admit at the cap,
 #                             missed select) at 1e2..1e4 pool entries
 #   profiles/commit.pprof     single-row INSERT / DELETE commits against a
@@ -33,6 +37,11 @@ echo "== SkyServer batch, naive / keepall / CRD-LRU (Fig. 14) =="
 go test . -run '^$' -bench 'BenchmarkFig14' \
   -benchtime 50x -cpuprofile profiles/sky.pprof \
   -o profiles/repro.test | tee profiles/sky.bench.txt
+
+echo "== mixed TPC-H batch, naive and recycled =="
+go test . -run '^$' -bench 'BenchmarkThroughput' \
+  -benchtime 3x -cpuprofile profiles/tpch.pprof \
+  -o profiles/repro.test | tee profiles/tpch.bench.txt
 
 echo "== recycled miss path (nested boxes subsumed onto the pool) =="
 go test . -run '^$' -bench 'BenchmarkEngineMiss' \
@@ -72,6 +81,8 @@ go test ./internal/server/ -run '^$' -bench 'BenchmarkServerExecInsert' \
 echo "== top functions =="
 go tool pprof -top -nodecount 25 profiles/repro.test profiles/sky.pprof \
   | tee profiles/sky.top.txt
+go tool pprof -top -nodecount 25 profiles/repro.test profiles/tpch.pprof \
+  | tee profiles/tpch.top.txt
 go tool pprof -top -nodecount 25 profiles/repro.test profiles/miss.pprof \
   | tee profiles/miss.top.txt
 go tool pprof -top -nodecount 25 profiles/algebra.test profiles/kernels.pprof \
