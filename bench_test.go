@@ -10,11 +10,16 @@ package repro_test
 // by paper section.
 
 import (
+	"context"
 	"math/rand"
+	"runtime/pprof"
+	"sync"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/bench"
+	"repro/internal/mal"
 	"repro/internal/recycler"
 	"repro/internal/sky"
 	"repro/internal/tpch"
@@ -342,3 +347,75 @@ func BenchmarkThroughput(b *testing.B) {
 	}
 	b.ReportMetric(gain, "throughput-gain")
 }
+
+// BenchmarkTPCHMix mirrors the repo benchmark's tpch-mix workload in
+// process: the ten-query mixed batch (Q4, 7, 8, 11, 12, 16, 18, 19,
+// 21, 22) at SF 0.05 over a KeepAll + LRU + subsumption pool capped at
+// 256 MB, two Sessions running alternate queries of each shuffled
+// cycle, after one warm-up instance of every query. Each query runs
+// under a pprof label naming it, so a CPU profile splits by query:
+// `go tool pprof -tags profiles/tpch.pprof` (scripts/profile.sh). One
+// op is one query.
+func BenchmarkTPCHMix(b *testing.B) {
+	if benchMixDB == nil {
+		benchMixDB = tpch.Generate(0.05, 7)
+	}
+	qm := tpch.QueryMap()
+	nums := []int{4, 7, 8, 11, 12, 16, 18, 19, 21, 22}
+	type op struct {
+		d      *tpch.QueryDef
+		params []mal.Value
+	}
+	cycle := func(rng *rand.Rand) []op {
+		ops := make([]op, 0, len(nums))
+		for _, n := range nums {
+			ops = append(ops, op{qm[n], qm[n].Params(rng)})
+		}
+		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+		return ops
+	}
+	eng := repro.NewEngine(benchMixDB.Cat, repro.WithRecycler(recycler.Config{
+		Admission: recycler.KeepAll, Eviction: recycler.EvictLRU, Subsumption: true, MaxBytes: 256 << 20,
+	}))
+	defer eng.Recycler().Close()
+	rng := rand.New(rand.NewSource(41))
+	warm := eng.NewSession()
+	for _, o := range cycle(rand.New(rand.NewSource(40))) {
+		if _, err := warm.Exec(o.d.Templ, o.params...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ops := make([]op, 0, b.N+len(nums))
+	for len(ops) < b.N {
+		ops = append(ops, cycle(rng)...)
+	}
+	ops = ops[:b.N]
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s := eng.NewSession()
+			for i := c; i < len(ops); i += 2 {
+				o := ops[i]
+				var err error
+				pprof.Do(context.Background(), pprof.Labels("query", o.d.Name), func(context.Context) {
+					_, err = s.Exec(o.d.Templ, o.params...)
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
+}
+
+var benchMixDB *tpch.DB

@@ -3,6 +3,8 @@ package algebra
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +140,75 @@ func TestMergeSortedEqualsGeneric(t *testing.T) {
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMergeMatchesReferenceEveryKind checks MergeDedupByHead
+// (algebra.union is its two-part case) against a boxed reference —
+// every row of every part in turn, stably sorted by head, the first of
+// each head kept — for every tail kind: two or three parts, heads
+// repeating within and across parts (the earlier part's row wins a
+// tie), tails that differ between equal heads, dense heads, empty
+// parts and parts not flagged head-sorted, whose rows are shuffled.
+func TestMergeMatchesReferenceEveryKind(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	mkPart := func(kind bat.Kind) *bat.BAT {
+		n := rng.Intn(30)
+		var head bat.Vector
+		if rng.Intn(4) == 0 {
+			head = bat.NewDense(bat.Oid(rng.Intn(10)), n)
+		} else {
+			h := make([]bat.Oid, n)
+			o := bat.Oid(rng.Intn(5))
+			for i := range h {
+				h[i] = o
+				o += bat.Oid(rng.Intn(3))
+			}
+			head = bat.NewOids(h)
+		}
+		p := bat.New(head, randVector(rng, kind, n, false))
+		p.HeadSorted = true
+		if rng.Intn(3) == 0 {
+			p = bat.GatherSel(p, shuffledSel(rng, n))
+		}
+		return p
+	}
+	type row struct {
+		head bat.Oid
+		tail any
+	}
+	for trial := 0; trial < 600; trial++ {
+		kind := diffKinds[trial%len(diffKinds)]
+		parts := []*bat.BAT{mkPart(kind), mkPart(kind)}
+		if trial%3 == 0 {
+			parts = append(parts, mkPart(kind))
+		}
+		var want []row
+		for _, p := range parts {
+			for i := 0; i < p.Len(); i++ {
+				want = append(want, row{bat.OidAt(p.Head, i), p.Tail.Get(i)})
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].head < want[j].head })
+		want = slices.CompactFunc(want, func(a, b row) bool { return a.head == b.head })
+		got := MergeDedupByHead(parts)
+		if got.Len() != len(want) || !got.HeadSorted || !got.KeyUnique {
+			t.Fatalf("%v trial %d: %d rows (sorted %v, unique %v), want %d", kind, trial, got.Len(), got.HeadSorted, got.KeyUnique, len(want))
+		}
+		for i, w := range want {
+			if bat.OidAt(got.Head, i) != w.head || !valEq(got.Tail.Get(i), w.tail) {
+				t.Fatalf("%v trial %d row %d: (%v, %v), want (%v, %v)", kind, trial, i, bat.OidAt(got.Head, i), got.Tail.Get(i), w.head, w.tail)
+			}
+		}
+	}
+}
+
+// shuffledSel returns the positions 0..n-1 in random order.
+func shuffledSel(rng *rand.Rand, n int) bat.SelectionVector {
+	sel := make(bat.SelectionVector, n)
+	for i, p := range rng.Perm(n) {
+		sel[i] = int32(p)
+	}
+	return sel
 }
 
 func unsortedClone(b *bat.BAT) *bat.BAT {

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/bat"
@@ -8,7 +9,9 @@ import (
 
 // Join kernels over the typed chained hash table (bat.Table) and, for
 // oid keys, an exact bitmap of the build side's head (bat.OidBitmap):
-// a probe key whose bit is clear costs one bit test and no hash. Probe
+// a probe key whose bit is clear costs one bit test and no hash. A
+// join index's postings (bat.Postings) let an oid join skip the probe
+// loop altogether when few L rows match. Probe
 // loops are monomorphized per key kind and append their match
 // positions into one pooled scratch buffer (selBuf) that the gathers
 // copy out, so a join allocates its result and its build side only.
@@ -20,6 +23,13 @@ import (
 // pairs. This is MonetDB's canonical join shape: the left operand ends
 // in a column of oids referencing the right operand's head. The result
 // preserves L's row order.
+//
+// An oid join pays for its small side: a dense R head is direct
+// indexing; postings on L's tail (a join index bound through the
+// catalog) read the L rows R's oids reach when those are few against
+// |L| and R repeats none of them; a few ascending keys against a large
+// sorted unique R head gallop through it; the rest test R's oid bitmap,
+// then its table.
 func Join(l, r *bat.BAT) *bat.BAT {
 	var buf selBuf
 	defer buf.release()
@@ -27,18 +37,107 @@ func Join(l, r *bat.BAT) *bat.BAT {
 		return joinByValue(l, r, &buf)
 	}
 	keys := bat.MaterialiseOids(l.Tail)
-	li, ri := buf.pairs(len(keys))
-	// Fast path: R has a dense head, so matching is direct indexing.
 	if dh, ok := r.Head.(*bat.DenseOids); ok {
+		li, ri := buf.pairs(len(keys))
 		return joinDenseHead(l, r, dh, keys, li, ri)
 	}
-	t := bat.BuildOids(bat.MaterialiseOids(r.Head))
-	if m := bat.NewOidBitmap(r.Head, len(keys)+r.Len()); m != nil {
+	rh := r.Head.(*bat.Oids).V
+	if lt, ok := l.Tail.(*bat.Oids); ok {
+		if p := lt.Postings(); p != nil {
+			if li, ri, ok := joinPostings(p, len(keys), rh, &buf); ok {
+				return gatherJoin(l, r, li, ri)
+			}
+		}
+	}
+	li, ri := buf.pairs(len(keys))
+	if r.HeadSorted && r.KeyUnique && searchPays(len(keys), len(rh)) && slices.IsSorted(keys) {
+		li, ri = searchJoin(keys, rh, li, ri)
+		return gatherJoin(l, r, li, ri)
+	}
+	t := bat.BuildOids(rh)
+	if m := bat.NewOidBitmap(r.Head, r.HeadSorted, len(keys)+len(rh)); m != nil {
 		li, ri = probeMembers(keys, m, t, li, ri)
 	} else {
 		li, ri = probeJoin(keys, t, li, ri)
 	}
 	return gatherJoin(l, r, li, ri)
+}
+
+// postingsShare bounds the postings path: it runs when the match count
+// is at most 1/postingsShare of |L|, where reading the matched rows off
+// the posting lists beats testing every L row.
+const postingsShare = 8
+
+// joinPostings pairs the n rows of L whose tail p inverts with R's head
+// rh. Summing R's posting-list lengths, O(|R|), gives the exact match
+// count m; past n/postingsShare it declines (ok false). Otherwise the
+// matched L positions are marked in a bitmap over L, and each pair is
+// placed at its position's rank among the marks, so the pairs come out
+// in L order with no comparison sort. A mark set twice means R repeats
+// an oid; it declines then too, and the caller's table walk yields the
+// pairs in (L, R) order.
+func joinPostings(p *bat.Postings, n int, rh []bat.Oid, buf *selBuf) (li, ri bat.SelectionVector, ok bool) {
+	m := 0
+	for _, v := range rh {
+		if m += len(p.Rows(v)); m > n/postingsShare {
+			return nil, nil, false
+		}
+	}
+	if m == 0 {
+		return bat.SelectionVector{}, bat.SelectionVector{}, true
+	}
+	words := (n + 31) / 32
+	s := buf.take(2*m + 2*words)
+	li, ri = s[:m:m], s[m:2*m:2*m]
+	marks, rank := s[2*m:2*m+words], s[2*m+words:]
+	clear(marks)
+	for _, v := range rh {
+		for _, i := range p.Rows(v) {
+			w, b := i>>5, uint32(1)<<(i&31)
+			if uint32(marks[w])&b != 0 {
+				return nil, nil, false
+			}
+			marks[w] |= int32(b)
+		}
+	}
+	c := int32(0)
+	for w, x := range marks {
+		rank[w] = c
+		c += int32(bits.OnesCount32(uint32(x)))
+	}
+	for j, v := range rh {
+		for _, i := range p.Rows(v) {
+			w := i >> 5
+			k := rank[w] + int32(bits.OnesCount32(uint32(marks[w])&(1<<(i&31)-1)))
+			li[k], ri[k] = i, int32(j)
+		}
+	}
+	return li, ri, true
+}
+
+// searchPays reports whether galloping n ascending keys through a
+// sorted unique R head of rn oids, log2(rn/n)+1 steps a key, costs less
+// than building R's table and bitmap, rn steps, a search step weighed
+// at a quarter of a build step.
+func searchPays(n, rn int) bool {
+	return n*(bits.Len(uint(rn/max(n, 1)))+1) < 4*rn
+}
+
+// searchJoin looks ascending keys (a join index over a clustered
+// child) up in R's ascending unique head rh, each gallop going on from
+// the last key's position, and appends the match pairs in L order.
+func searchJoin(keys, rh []bat.Oid, li, ri bat.SelectionVector) (bat.SelectionVector, bat.SelectionVector) {
+	p := 0
+	for i, k := range keys {
+		if p = gallop(rh, p, k); p == len(rh) {
+			break
+		}
+		if rh[p] == k {
+			li = append(li, int32(i))
+			ri = append(ri, int32(p))
+		}
+	}
+	return li, ri
 }
 
 // joinDenseHead matches keys by position in R's dense head. A dense
@@ -123,9 +222,11 @@ func gatherJoin(l, r *bat.BAT, li, ri bat.SelectionVector) *bat.BAT {
 //   - dense positions: a dense L head with R no larger maps R's oids
 //     straight to positions — the projection semijoin of a base column
 //     against a handful of qualifying rows;
-//   - galloping intersection: a sorted unique L head and a sorted R
-//     head merge in O(small·log(large/small)) (semijoinSorted); a sorted
-//     unique L and a smaller unsorted R binary-search L instead;
+//   - sorted intersection: a sorted unique L head and a sorted R head
+//     gallop in O(small·log(large/small)) (semijoinSorted) when that
+//     beats one bitmap pass over both (gallopPays), and otherwise test
+//     R's bitmap; a sorted unique L and a smaller unsorted R
+//     binary-search L instead;
 //   - membership: every L oid tests R's oid bitmap, or a table over
 //     R's head when the bitmap would pass its bound (probeHeads).
 func Semijoin(l, r *bat.BAT) *bat.BAT {
@@ -139,6 +240,12 @@ func Semijoin(l, r *bat.BAT) *bat.BAT {
 	case isDenseHead(l) && r.Len() <= n:
 		sel = semijoinDense(l.Head.(*bat.DenseOids), r, buf.take(r.Len()))
 	case sortedL && r.HeadSorted:
+		if !gallopPays(n, r.Len()) {
+			if m := bat.NewOidBitmap(r.Head, true, n+r.Len()); m != nil {
+				sel = probeBitmap(bat.MaterialiseOids(l.Head), m, true, buf.take(n))
+				break
+			}
+		}
 		sel = semijoinSorted(bat.MaterialiseOids(l.Head), bat.MaterialiseOids(r.Head), buf.take(min(n, r.Len())))
 	case sortedL && r.Len() <= n:
 		sel = semijoinSearch(bat.MaterialiseOids(l.Head), bat.MaterialiseOids(r.Head), buf.take(r.Len()))
@@ -166,16 +273,10 @@ func keepRows(l *bat.BAT, sel bat.SelectionVector) *bat.BAT {
 // costs more to build than the probes it answers; past that bound, a
 // table over R's head.
 func probeHeads(lh []bat.Oid, r *bat.BAT, want bool, sel bat.SelectionVector) bat.SelectionVector {
-	j := 0
-	if m := bat.NewOidBitmap(r.Head, len(lh)+r.Len()); m != nil {
-		for i, v := range lh {
-			sel[j] = int32(i)
-			if m.Has(v) == want {
-				j++
-			}
-		}
-		return sel[:j]
+	if m := bat.NewOidBitmap(r.Head, r.HeadSorted, len(lh)+r.Len()); m != nil {
+		return probeBitmap(lh, m, want, sel)
 	}
+	j := 0
 	t := bat.BuildOids(bat.MaterialiseOids(r.Head))
 	for i, v := range lh {
 		sel[j] = int32(i)
@@ -184,6 +285,28 @@ func probeHeads(lh []bat.Oid, r *bat.BAT, want bool, sel bat.SelectionVector) ba
 		}
 	}
 	return sel[:j]
+}
+
+// probeBitmap writes into sel (|lh| long) the positions of lh whose
+// oid m holds (want true) or lacks (want false).
+func probeBitmap(lh []bat.Oid, m *bat.OidBitmap, want bool, sel bat.SelectionVector) bat.SelectionVector {
+	j := 0
+	for i, v := range lh {
+		sel[j] = int32(i)
+		if m.Has(v) == want {
+			j++
+		}
+	}
+	return sel[:j]
+}
+
+// gallopPays reports whether galloping the smaller of two sorted heads
+// through the larger, small·log2(large/small) steps, beats one pass
+// over both with R's bitmap, |L|+|R| cheap tests. A galloping step
+// mispredicts a branch, so it is weighed at four bitmap tests.
+func gallopPays(n, rn int) bool {
+	small, large := min(n, rn), max(n, rn)
+	return 4*small*bits.Len(uint(large/small)) <= n+rn
 }
 
 func isDenseHead(b *bat.BAT) bool {

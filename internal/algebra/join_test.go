@@ -26,9 +26,11 @@ func TestJoinDenseHead(t *testing.T) {
 
 // TestJoinAllocatesItsResult gates the kernel memory contract for
 // joins: a 1e6-row L keeping ≈1 % of its rows allocates at most twice
-// its result's bytes, against a dense R head (positions by offset) and
+// its result's bytes, against a dense R head (positions by offset),
 // against the foreign-key shape (a 100-oid R probed through its
-// bitmap). The position lists live in one pooled buffer.
+// bitmap) and against the same shape with L's tail carrying postings
+// (pairs read off the posting lists). The position lists, and the
+// postings path's marks, live in one pooled buffer.
 func TestJoinAllocatesItsResult(t *testing.T) {
 	const n = 1_000_000
 	keys := make([]bat.Oid, n)
@@ -42,7 +44,7 @@ func TestJoinAllocatesItsResult(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		l, r *bat.BAT
-	}{{"dense", l, dense}, {"fk", fkL, fkR}} {
+	}{{"dense", l, dense}, {"fk", fkL, fkR}, {"idx", withPostings(fkL), fkR}} {
 		res := Join(c.l, c.r)
 		resultBytes := uint64(res.Len()) * (8 + 8) // oid head + int tail
 		if got := medianAlloc(func() { Join(c.l, c.r) }); got > 2*resultBytes {

@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bat"
@@ -92,6 +93,58 @@ func BenchmarkKernelJoin(b *testing.B) {
 			}
 		})
 	}
+	// idx/ is fk/ with L bound as a join index: its tail carries
+	// postings (built once, before the clock starts), so the join
+	// reads the ≈1 % of L rows R's oids reach.
+	for _, n := range kernelSizes {
+		l, r := fkJoinInputs(n, 14)
+		l = withPostings(l)
+		b.Run(fmt.Sprintf("idx/rows=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * 8))
+			b.ReportAllocs()
+			for b.Loop() {
+				Join(l, r)
+			}
+		})
+	}
+	// sorted/ is Q8's order join: a few thousand keys against a
+	// sorted unique R holding 28 % of a 75 000-oid domain.
+	for _, n := range []int{500, 2_000, 8_000} {
+		l, r := sortedJoinInputs(n, 75_000, 21_000, 18)
+		b.Run(fmt.Sprintf("sorted/keys=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Join(l, r)
+			}
+		})
+	}
+}
+
+// withPostings returns l with its oid tail carrying postings, as a
+// catalog-bound join index has, built before it is returned.
+func withPostings(l *bat.BAT) *bat.BAT {
+	tail := bat.NewOidsWithPostings(l.Tail.(*bat.Oids).V, bat.NewLazyPostings(l.Tail.(*bat.Oids).V))
+	tail.Postings()
+	return bat.New(l.Head, tail)
+}
+
+// sortedJoinInputs builds n ascending keys over a domain of dom oids
+// and an R of rn sorted unique oids from the same domain, int tail.
+func sortedJoinInputs(n, dom, rn int, seed int64) (l, r *bat.BAT) {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]bat.Oid, n)
+	for i := range keys {
+		keys[i] = bat.Oid(rng.Intn(dom))
+	}
+	slices.Sort(keys)
+	rh := make([]bat.Oid, rn)
+	for i, v := range rng.Perm(dom)[:rn] {
+		rh[i] = bat.Oid(v)
+	}
+	slices.Sort(rh)
+	r = bat.New(bat.NewOids(rh), bat.NewInts(make([]int64, rn)))
+	r.HeadSorted, r.KeyUnique = true, true
+	return bat.New(bat.NewDense(0, n), bat.NewOids(keys)), r
 }
 
 // fkJoinInputs builds a foreign-key join: an n-row L whose oid tail
@@ -225,5 +278,40 @@ func BenchmarkSemijoinSorted(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		Semijoin(l, r)
+	}
+}
+
+// BenchmarkSemijoinDenseSorted is Q12's pair of semijoins over
+// lineitem: two sorted unique selections of one 300 000-row column,
+// each holding a share of its rows, intersected — both sides dense
+// enough that one bitmap pass beats galloping — beside a sparse L the
+// gallop still answers.
+func BenchmarkSemijoinDenseSorted(b *testing.B) {
+	const dom = 300_000
+	for _, c := range []struct {
+		name   string
+		lp, rp float64
+	}{{"l=86k,r=150k", 2.0 / 7, 0.5}, {"l=43k,r=150k", 1.0 / 7, 0.5}, {"l=10k,r=150k", 1.0 / 30, 0.5}, {"l=2k,r=150k", 1.0 / 150, 0.5}} {
+		rng := rand.New(rand.NewSource(22))
+		pick := func(p float64) []bat.Oid {
+			var v []bat.Oid
+			for i := 0; i < dom; i++ {
+				if rng.Float64() < p {
+					v = append(v, bat.Oid(i))
+				}
+			}
+			return v
+		}
+		lh, rh := pick(c.lp), pick(c.rp)
+		l := bat.New(bat.NewOids(lh), bat.NewOids(lh))
+		l.HeadSorted, l.KeyUnique = true, true
+		r := bat.New(bat.NewOids(rh), bat.NewOids(rh))
+		r.HeadSorted, r.KeyUnique = true, true
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Semijoin(l, r)
+			}
+		})
 	}
 }

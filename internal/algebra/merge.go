@@ -1,7 +1,8 @@
 package algebra
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/bat"
 )
@@ -11,7 +12,12 @@ import (
 // The recycler's combined subsumption (paper §5.2, Algorithm 2) uses it
 // to union piecewise selections over overlapping cached intermediates:
 // overlapping pieces contribute the same (head, tail) pairs, so
-// deduplication by head restores set semantics.
+// deduplication by head restores set semantics. algebra.union is its
+// two-part case.
+//
+// Every part is made a head-sorted run first (parts are usually clipped
+// selects over oid-ordered intermediates, which already are one), then
+// the runs are merged two at a time over their typed slices.
 func MergeDedupByHead(parts []*bat.BAT) *bat.BAT {
 	switch len(parts) {
 	case 0:
@@ -19,125 +25,102 @@ func MergeDedupByHead(parts []*bat.BAT) *bat.BAT {
 	case 1:
 		return parts[0]
 	}
-	allSorted := true
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-		if !p.HeadSorted {
-			allSorted = false
-		}
-	}
-	if allSorted {
-		return mergeSortedParts(parts, total)
-	}
-	type row struct {
-		head bat.Oid
-		part int
-		pos  int
-	}
-	rows := make([]row, 0, total)
+	hs := make([][]bat.Oid, len(parts))
+	tails := make([]bat.Vector, len(parts))
 	for pi, p := range parts {
-		n := p.Len()
-		for i := 0; i < n; i++ {
-			rows = append(rows, row{head: bat.OidAt(p.Head, i), part: pi, pos: i})
+		hs[pi], tails[pi] = bat.MaterialiseOids(p.Head), p.Tail
+		if !p.HeadSorted {
+			hs[pi], tails[pi] = sortByHead(hs[pi], p.Tail)
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].head < rows[j].head })
-	// Gather deduplicated rows part-by-part index lists to reuse Gather.
-	heads := make([]bat.Oid, 0, len(rows))
-	srcPart := make([]int, 0, len(rows))
-	srcPos := make([]int, 0, len(rows))
-	for i, r := range rows {
-		if i > 0 && r.head == rows[i-1].head {
-			continue
-		}
-		heads = append(heads, r.head)
-		srcPart = append(srcPart, r.part)
-		srcPos = append(srcPos, r.pos)
+	var heads []bat.Oid
+	var tail bat.Vector
+	switch tails[0].Kind() {
+	case bat.KInt:
+		var v []int64
+		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []int64 { return v.(*bat.Ints).V }))
+		tail = bat.NewInts(v)
+	case bat.KFloat:
+		var v []float64
+		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []float64 { return v.(*bat.Floats).V }))
+		tail = bat.NewFloats(v)
+	case bat.KStr:
+		var v []string
+		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []string { return v.(*bat.Strings).V }))
+		tail = bat.NewStrings(v)
+	case bat.KDate:
+		var v []bat.Date
+		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []bat.Date { return v.(*bat.Dates).V }))
+		tail = bat.NewDates(v)
+	case bat.KOid:
+		var v []bat.Oid
+		heads, v = mergeRuns(hs, typedTails(tails, bat.MaterialiseOids))
+		tail = bat.NewOids(v)
+	case bat.KBool:
+		var v []bool
+		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []bool { return v.(*bat.Bools).V }))
+		tail = bat.NewBools(v)
+	default:
+		panic("algebra: merge of unsupported tail kind")
 	}
-	tail := gatherTailAcross(parts, srcPart, srcPos)
 	out := bat.New(bat.NewOids(heads), tail)
 	out.HeadSorted = true
 	out.KeyUnique = true
 	return out
 }
 
-// mergeSortedParts performs a k-way merge of head-sorted parts with
-// duplicate elimination — the common case for combined subsumption,
-// whose pieces are clipped selects over oid-ordered intermediates.
-func mergeSortedParts(parts []*bat.BAT, total int) *bat.BAT {
-	pos := make([]int, len(parts))
-	heads := make([]bat.Oid, 0, total)
-	srcPart := make([]int, 0, total)
-	srcPos := make([]int, 0, total)
-	for {
-		best := -1
-		var bestHead bat.Oid
-		for pi, p := range parts {
-			if pos[pi] >= p.Len() {
-				continue
-			}
-			h := bat.OidAt(p.Head, pos[pi])
-			if best < 0 || h < bestHead {
-				best, bestHead = pi, h
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if n := len(heads); n == 0 || heads[n-1] != bestHead {
-			heads = append(heads, bestHead)
-			srcPart = append(srcPart, best)
-			srcPos = append(srcPos, pos[best])
-		}
-		pos[best]++
+// sortByHead returns a part's heads and tail reordered by a stable sort
+// on the head.
+func sortByHead(h []bat.Oid, tail bat.Vector) ([]bat.Oid, bat.Vector) {
+	sel := make(bat.SelectionVector, len(h))
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	out := bat.New(bat.NewOids(heads), gatherTailAcross(parts, srcPart, srcPos))
-	out.HeadSorted = true
-	out.KeyUnique = true
-	return out
+	slices.SortStableFunc(sel, func(a, b int32) int { return cmp.Compare(h[a], h[b]) })
+	return bat.GatherOidsSel(bat.NewOids(h), sel), bat.GatherVectorSel(tail, sel)
 }
 
-func gatherTailAcross(parts []*bat.BAT, srcPart, srcPos []int) bat.Vector {
-	k := parts[0].Tail.Kind()
-	n := len(srcPart)
-	switch k {
-	case bat.KInt:
-		v := make([]int64, n)
-		for i := range v {
-			v[i] = parts[srcPart[i]].Tail.(*bat.Ints).V[srcPos[i]]
-		}
-		return bat.NewInts(v)
-	case bat.KFloat:
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = parts[srcPart[i]].Tail.(*bat.Floats).V[srcPos[i]]
-		}
-		return bat.NewFloats(v)
-	case bat.KStr:
-		v := make([]string, n)
-		for i := range v {
-			v[i] = parts[srcPart[i]].Tail.(*bat.Strings).V[srcPos[i]]
-		}
-		return bat.NewStrings(v)
-	case bat.KDate:
-		v := make([]bat.Date, n)
-		for i := range v {
-			v[i] = parts[srcPart[i]].Tail.(*bat.Dates).V[srcPos[i]]
-		}
-		return bat.NewDates(v)
-	case bat.KOid:
-		v := make([]bat.Oid, n)
-		for i := range v {
-			v[i] = bat.OidAt(parts[srcPart[i]].Tail, srcPos[i])
-		}
-		return bat.NewOids(v)
-	case bat.KBool:
-		v := make([]bool, n)
-		for i := range v {
-			v[i] = parts[srcPart[i]].Tail.(*bat.Bools).V[srcPos[i]]
-		}
-		return bat.NewBools(v)
+// typedTails reads each part's tail values once through vals.
+func typedTails[T any](tails []bat.Vector, vals func(bat.Vector) []T) [][]T {
+	ts := make([][]T, len(tails))
+	for i, v := range tails {
+		ts[i] = vals(v)
 	}
-	panic("algebra: merge of unsupported tail kind")
+	return ts
+}
+
+// mergeRuns merges head-sorted (head, tail) runs into one with unique
+// heads, folding them in two at a time: the earliest run wins a tie on
+// a head, and within a run the first row does.
+func mergeRuns[T any](hs [][]bat.Oid, ts [][]T) ([]bat.Oid, []T) {
+	h, t := hs[0], ts[0]
+	for i := 1; i < len(hs); i++ {
+		h, t = mergeTwo(h, hs[i], t, ts[i])
+	}
+	return h, t
+}
+
+// mergeTwo merges two head-sorted runs with two pointers: on equal
+// heads a's row comes first, and a head equal to the last one kept is
+// dropped.
+func mergeTwo[T any](ah, bh []bat.Oid, at, bt []T) ([]bat.Oid, []T) {
+	heads := make([]bat.Oid, 0, len(ah)+len(bh))
+	tails := make([]T, 0, len(ah)+len(bh))
+	i, j := 0, 0
+	for i < len(ah) || j < len(bh) {
+		var h bat.Oid
+		var t T
+		if j == len(bh) || i < len(ah) && ah[i] <= bh[j] {
+			h, t = ah[i], at[i]
+			i++
+		} else {
+			h, t = bh[j], bt[j]
+			j++
+		}
+		if n := len(heads); n == 0 || heads[n-1] != h {
+			heads = append(heads, h)
+			tails = append(tails, t)
+		}
+	}
+	return heads, tails
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/catalog"
 )
 
 // Differential suite for the raw-speed kernel pass: every typed
@@ -497,16 +498,157 @@ func TestJoinMatchesSeedReference(t *testing.T) {
 		keys, rh := oidFamilies[family](rng)
 		l := bat.New(bat.NewDense(0, len(keys)), bat.NewOids(keys))
 		r := bat.New(rh, randVector(rng, bat.KInt, rh.Len(), false))
-		got := Join(l, r)
-		li, ri := refJoin(l, r)
-		if got.Len() != len(li) {
-			t.Fatalf("join family %d (|L| %d, |R| %d): got %d rows, want %d", family, l.Len(), r.Len(), got.Len(), len(li))
+		expectJoin(t, fmt.Sprintf("join family %d", family), l, r)
+	}
+	// A few keys, or none, against a large sorted unique R (the binary
+	// search, or the gallop when the keys ascend), R ending in NilOid
+	// now and then, keys hitting, missing and holding NilOid.
+	for trial := 0; trial < 200; trial++ {
+		dom := 200 + rng.Intn(3000)
+		rh := sortedUniqueOids(rng, 100+rng.Intn(dom-100), dom)
+		if trial%4 == 0 {
+			rh = append(rh, bat.NilOid)
 		}
-		for k := range li {
-			if bat.OidAt(got.Head, k) != bat.OidAt(l.Head, li[k]) || got.Tail.Get(k) != r.Tail.Get(ri[k]) {
-				t.Fatalf("join family %d row %d: (%v, %v), want (%v, %v)", family, k, bat.OidAt(got.Head, k), got.Tail.Get(k), bat.OidAt(l.Head, li[k]), r.Tail.Get(ri[k]))
+		keys := make([]bat.Oid, rng.Intn(31))
+		for i := range keys {
+			keys[i] = bat.Oid(rng.Intn(dom + 10))
+			if rng.Intn(12) == 0 {
+				keys[i] = bat.NilOid
 			}
 		}
+		if trial%2 == 0 {
+			slices.Sort(keys)
+		}
+		l := bat.New(bat.NewDense(0, len(keys)), bat.NewOids(keys))
+		r := bat.New(bat.NewOids(rh), randVector(rng, bat.KInt, len(rh), false))
+		r.HeadSorted, r.KeyUnique = true, true
+		expectJoin(t, fmt.Sprintf("sorted R trial %d", trial), l, r)
+		// The same R against a dense L tail (a markT or reversed bind).
+		dl := bat.New(bat.NewDense(0, len(keys)), bat.NewDense(bat.Oid(rng.Intn(dom)), len(keys)))
+		expectJoin(t, fmt.Sprintf("sorted R trial %d, dense L tail", trial), dl, r)
+	}
+	joinIndexFamily(t, rng)
+}
+
+// expectJoin checks Join(l, r) against the nested-loop reference, row
+// by row in L order.
+func expectJoin(t *testing.T, ctxt string, l, r *bat.BAT) {
+	t.Helper()
+	got := Join(l, r)
+	li, ri := refJoin(l, r)
+	if got.Len() != len(li) {
+		t.Fatalf("%s (|L| %d, |R| %d): got %d rows, want %d", ctxt, l.Len(), r.Len(), got.Len(), len(li))
+	}
+	for k := range li {
+		if bat.OidAt(got.Head, k) != bat.OidAt(l.Head, li[k]) || got.Tail.Get(k) != r.Tail.Get(ri[k]) {
+			t.Fatalf("%s row %d: (%v, %v), want (%v, %v)", ctxt, k, bat.OidAt(got.Head, k), got.Tail.Get(k), bat.OidAt(l.Head, li[k]), r.Tail.Get(ri[k]))
+		}
+	}
+}
+
+// joinIndexRs draws the R sides an FK join meets over a parent of np
+// rows: a sorted unique selection, the same shuffled, one repeating
+// oids, an empty one, every parent (materialised and dense), one
+// holding NilOid beside a few parents, and the index reversed.
+func joinIndexRs(rng *rand.Rand, np int, idx *bat.BAT) map[string]*bat.BAT {
+	withTail := func(h bat.Vector) *bat.BAT { return bat.New(h, randVector(rng, bat.KInt, h.Len(), false)) }
+	sel := sortedUniqueOids(rng, 1+rng.Intn(min(np, 12)), np)
+	rs := map[string]*bat.BAT{}
+	rs["sorted"] = withTail(bat.NewOids(sel))
+	rs["sorted"].HeadSorted, rs["sorted"].KeyUnique = true, true
+	shuffled := slices.Clone(sel)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	rs["unsorted"] = withTail(bat.NewOids(shuffled))
+	dup := append(slices.Clone(shuffled), shuffled[rng.Intn(len(shuffled))], shuffled[0])
+	rs["duplicate"] = withTail(bat.NewOids(dup))
+	rs["empty"] = withTail(bat.NewOids(nil))
+	all := make([]bat.Oid, np)
+	for i := range all {
+		all[i] = bat.Oid(i)
+	}
+	rs["full"] = withTail(bat.NewOids(all))
+	rs["dense"] = withTail(bat.NewDense(0, np))
+	rs["nil"] = withTail(bat.NewOids(append([]bat.Oid{bat.NilOid}, shuffled[:min(3, len(shuffled))]...)))
+	rs["reversed"] = idx.Reverse()
+	return rs
+}
+
+// joinIndexTables builds a parent of np keyed rows and a child of nc
+// rows whose FK column names a parent key, or a missing one (a NilOid
+// in the index) about one time in ten; the index is "c_fk_p".
+func joinIndexTables(rng *rand.Rand, np, nc int) (*catalog.Catalog, *catalog.Table, *catalog.Table) {
+	cat := catalog.New()
+	parent := cat.CreateTable("sys", "p", []catalog.ColDef{{Name: "pk", Kind: bat.KInt}})
+	prow := make([]catalog.Row, np)
+	for i := range prow {
+		prow[i] = catalog.Row{"pk": int64(1000 + i)}
+	}
+	parent.Append(prow)
+	child := cat.CreateTable("sys", "c", []catalog.ColDef{{Name: "fk", Kind: bat.KInt}})
+	child.Append(childRows(rng, np, nc))
+	child.DefineJoinIndex("c_fk_p", "fk", parent, "pk")
+	return cat, parent, child
+}
+
+func childRows(rng *rand.Rand, np, n int) []catalog.Row {
+	rows := make([]catalog.Row, n)
+	for i := range rows {
+		fk := int64(1000 + rng.Intn(np))
+		if rng.Intn(10) == 0 {
+			fk = -1
+		}
+		rows[i] = catalog.Row{"fk": fk}
+	}
+	return rows
+}
+
+// joinIndexFamily is the catalog-bound join-index family of the join
+// differential: L is sql.bindIdxbat's result, whose tail carries
+// postings at a version without tombstones. It runs on a clean table,
+// after an append (postings rebuilt for the new version; the pinned
+// old version reads without them) and after a delete (no postings,
+// not even for the version pinned before it),
+// each L also reversed twice (the same tail), against every R shape of
+// joinIndexRs.
+func joinIndexFamily(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	for trial := 0; trial < 30; trial++ {
+		np := 20 + rng.Intn(150)
+		cat, _, child := joinIndexTables(rng, np, np+rng.Intn(4*np))
+		bindAt := func() (catalog.Snapshot, *bat.BAT) {
+			s, _ := cat.Pin("sys.c")
+			return s, child.BindIdxAt(s, "c_fk_p")
+		}
+		check := func(stage string, l *bat.BAT, wantPostings bool) {
+			t.Helper()
+			if has := l.Tail.(*bat.Oids).Postings() != nil; has != wantPostings {
+				t.Fatalf("trial %d %s: postings attached %v, want %v", trial, stage, has, wantPostings)
+			}
+			for name, r := range joinIndexRs(rng, np, l) {
+				ctxt := fmt.Sprintf("trial %d %s R %s", trial, stage, name)
+				expectJoin(t, ctxt, l, r)
+				expectJoin(t, ctxt+" reversed twice", l.Reverse().Reverse(), r)
+			}
+		}
+		s0, clean := bindAt()
+		check("clean", clean, true)
+		child.Append(childRows(rng, np, 1+rng.Intn(np)))
+		s1, appended := bindAt()
+		check("after append", appended, true)
+		if appended.Tail.(*bat.Oids).Postings() == clean.Tail.(*bat.Oids).Postings() {
+			t.Fatalf("trial %d: the appended version reuses the old version's postings", trial)
+		}
+		check("pinned before the append", child.BindIdxAt(s0, "c_fk_p"), false)
+		dead := make([]bat.Oid, 1+rng.Intn(10))
+		for i := range dead {
+			dead[i] = bat.Oid(rng.Intn(appended.Len()))
+		}
+		child.Delete(dead)
+		_, deleted := bindAt()
+		check("after delete", deleted, false)
+		// The delete released the cached postings, so the version
+		// pinned before it binds without them.
+		check("pinned before the delete", child.BindIdxAt(s1, "c_fk_p"), false)
 	}
 }
 
@@ -673,6 +815,46 @@ func TestSemijoinMatchesSeedReference(t *testing.T) {
 		ctxt := fmt.Sprintf("family %d (|L| %d, |R| %d)", family, l.Len(), r.Len())
 		expectPairs(t, "semijoin "+ctxt, l, Semijoin(l, r), refSemijoin(l, r))
 		expectPairs(t, "antisemijoin "+ctxt, l, AntiSemijoin(l, r), refAntiSemijoin(l, r))
+	}
+	// Dense sorted-sorted: two sorted selections of one column at
+	// densities from 1/64 to all rows, R repeating oids one time in
+	// three, so both the gallop and the bitmap answer.
+	var strategies [2]int
+	for trial := 0; trial < 300; trial++ {
+		dom := 1 + rng.Intn(5000)
+		pick := func() []bat.Oid {
+			p := 1 / float64(int(1)<<rng.Intn(7))
+			var v []bat.Oid
+			for i := 0; i < dom; i++ {
+				if rng.Float64() < p {
+					v = append(v, bat.Oid(i))
+				}
+			}
+			return v
+		}
+		lh, rh := pick(), pick()
+		if trial%3 == 0 && len(rh) > 0 {
+			rh = append(rh, rh[rng.Intn(len(rh))])
+			slices.Sort(rh)
+		}
+		l := bat.New(bat.NewOids(lh), randVector(rng, bat.KInt, len(lh), false))
+		l.HeadSorted, l.KeyUnique = true, true
+		r := bat.New(bat.NewOids(rh), randVector(rng, bat.KInt, len(rh), false))
+		r.HeadSorted = true
+		if len(lh) > 0 && len(rh) > 0 {
+			if gallopPays(len(lh), len(rh)) {
+				strategies[0]++
+			} else {
+				strategies[1]++
+			}
+		}
+		ctxt := fmt.Sprintf("dense sorted trial %d (|L| %d, |R| %d)", trial, l.Len(), r.Len())
+		got := Semijoin(l, r)
+		expectPairs(t, ctxt, l, got, refSemijoin(l, r))
+		expectFlags(t, ctxt, l, got)
+	}
+	if strategies[0] == 0 || strategies[1] == 0 {
+		t.Fatalf("dense sorted semijoins galloped %d times and probed the bitmap %d times; both must run", strategies[0], strategies[1])
 	}
 }
 

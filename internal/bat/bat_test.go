@@ -191,10 +191,10 @@ func TestOidBitmap(t *testing.T) {
 		}
 		return out
 	}
-	if NewOidBitmap(NewOids([]Oid{70, 7, 70, 133}), 1) != nil {
+	if NewOidBitmap(NewOids([]Oid{70, 7, 70, 133}), false, 1) != nil {
 		t.Fatal("a 127-oid span was built within 1 word")
 	}
-	m := NewOidBitmap(NewOids([]Oid{70, 7, 70, 133}), 2)
+	m := NewOidBitmap(NewOids([]Oid{70, 7, 70, 133}), false, 2)
 	if m == nil {
 		t.Fatal("a 127-oid span was refused with maxWords 2")
 	}
@@ -204,23 +204,29 @@ func TestOidBitmap(t *testing.T) {
 	if m.words == nil || len(m.words) != 2 {
 		t.Fatalf("127-oid span holds %d words, want 2", len(m.words))
 	}
-	if NewOidBitmap(NewOids([]Oid{0, 128}), 2) != nil {
+	if s := NewOidBitmap(NewOids([]Oid{7, 70, 70, 133}), true, 2); s == nil || !slices.Equal(s.words, m.words) || s.lo != m.lo || s.n != m.n {
+		t.Fatal("a sorted head's ends must bound the same bitmap")
+	}
+	if NewOidBitmap(NewOids([]Oid{0, 5, NilOid}), true, 1<<20) != nil {
+		t.Fatal("a sorted head ending in NilOid got a bitmap")
+	}
+	if NewOidBitmap(NewOids([]Oid{0, 128}), false, 2) != nil {
 		t.Fatal("a 129-oid span was built within 2 words")
 	}
-	if NewOidBitmap(NewOids([]Oid{0, 127}), 2) == nil {
+	if NewOidBitmap(NewOids([]Oid{0, 127}), false, 2) == nil {
 		t.Fatal("a 128-oid span was refused with maxWords 2")
 	}
-	if NewOidBitmap(NewOids([]Oid{0, NilOid}), 1<<20) != nil || NewOidBitmap(NewOids([]Oid{NilOid}), 1<<20) != nil {
+	if NewOidBitmap(NewOids([]Oid{0, NilOid}), false, 1<<20) != nil || NewOidBitmap(NewOids([]Oid{NilOid}), false, 1<<20) != nil {
 		t.Fatal("a head holding NilOid got a bitmap")
 	}
-	d := NewOidBitmap(NewDense(10, 5), 0)
+	d := NewOidBitmap(NewDense(10, 5), false, 0)
 	if d == nil || d.words != nil {
 		t.Fatal("a dense head must be its range, with no words")
 	}
 	if got, want := has(d, 9, 10, 14, 15), []bool{false, true, true, false}; !slices.Equal(got, want) {
 		t.Fatalf("dense membership %v, want %v", got, want)
 	}
-	if e := NewOidBitmap(NewOids(nil), 0); e == nil || e.Has(0) || e.Has(NilOid) {
+	if e := NewOidBitmap(NewOids(nil), false, 0); e == nil || e.Has(0) || e.Has(NilOid) {
 		t.Fatal("an empty head must be an empty bitmap")
 	}
 }
@@ -316,5 +322,57 @@ func TestGatherProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPostings checks the inverse of an oid vector against a scan:
+// every value's positions ascending, NilOid rows in their own list,
+// values outside the span empty, and a span wider than twice the rows
+// refused.
+func TestPostings(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		base := Oid(rng.Intn(1000))
+		v := make([]Oid, n)
+		for i := range v {
+			v[i] = base + Oid(rng.Intn(n/2+1))
+			if rng.Intn(8) == 0 {
+				v[i] = NilOid
+			}
+		}
+		p := NewPostings(v)
+		if p == nil {
+			t.Fatalf("trial %d: a span within the rows was refused", trial)
+		}
+		want := map[Oid][]int32{}
+		for i, x := range v {
+			want[x] = append(want[x], int32(i))
+		}
+		for x := base - 2; x < base+Oid(n)+2; x++ {
+			if got := p.Rows(x); !slices.Equal(got, want[x]) {
+				t.Fatalf("trial %d: rows of %d = %v, want %v", trial, x, got, want[x])
+			}
+		}
+		if got := p.Rows(NilOid); !slices.Equal(got, want[NilOid]) {
+			t.Fatalf("trial %d: NilOid rows = %v, want %v", trial, got, want[NilOid])
+		}
+		if got := p.Rows(1 << 40); len(got) != 0 {
+			t.Fatalf("trial %d: an oid past the span has rows %v", trial, got)
+		}
+	}
+	if NewPostings([]Oid{0, 5}) != nil {
+		t.Fatal("a 6-oid span over 2 rows was built")
+	}
+	if NewPostings([]Oid{0, 3}) == nil || NewPostings([]Oid{NilOid, NilOid}) == nil || NewPostings(nil) == nil {
+		t.Fatal("a span within twice the rows was refused")
+	}
+	v := []Oid{3, 1, 3}
+	o := NewOidsWithPostings(v, NewLazyPostings(v))
+	if got := o.Postings().Rows(3); !slices.Equal(got, []int32{0, 2}) || o.Postings() != o.Postings() {
+		t.Fatalf("lazy postings of 3 = %v, or built twice", got)
+	}
+	if NewOids(v).Postings() != nil || o.Slice(0, 2).(*Oids).Postings() != nil {
+		t.Fatal("a vector without a handle, or a view of one, has postings")
 	}
 }

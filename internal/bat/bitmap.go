@@ -12,10 +12,11 @@ type OidBitmap struct {
 
 // NewOidBitmap returns the bitmap of the oids in head, or nil when it
 // would take more than maxWords words. A dense head is its range and
-// takes no words. A head holding NilOid, the largest oid, has an
-// unbounded span (beside oid 0 the span would wrap to zero), so it
-// gets no bitmap either.
-func NewOidBitmap(head Vector, maxWords int) *OidBitmap {
+// takes no words; a sorted (non-decreasing) head's ends bound its span,
+// so it costs one pass instead of two. A head holding NilOid, the
+// largest oid, has an unbounded span (beside oid 0 the span would wrap
+// to zero), so it gets no bitmap either.
+func NewOidBitmap(head Vector, sorted bool, maxWords int) *OidBitmap {
 	var v []Oid
 	switch h := head.(type) {
 	case *DenseOids:
@@ -28,10 +29,13 @@ func NewOidBitmap(head Vector, maxWords int) *OidBitmap {
 	if len(v) == 0 {
 		return &OidBitmap{}
 	}
-	lo, hi := v[0], v[0]
-	for _, x := range v[1:] {
-		lo = min(lo, x)
-		hi = max(hi, x)
+	lo, hi := v[0], v[len(v)-1]
+	if !sorted {
+		hi = v[0]
+		for _, x := range v[1:] {
+			lo = min(lo, x)
+			hi = max(hi, x)
+		}
 	}
 	if hi == NilOid {
 		return nil

@@ -108,6 +108,7 @@ const viewOverhead = int64(48)
 type Oids struct {
 	V    []Oid
 	view bool
+	post *LazyPostings // the inverse of V, when its owner attached one
 }
 
 // NewOids wraps a slice of oids as a vector.

@@ -367,9 +367,8 @@ type Table struct {
 	// re-creation under the same name (see Stamp).
 	created uint64
 
-	keyIndexes  map[string]map[int64]bat.Oid // unique int key column -> oid
-	joinIdx     map[string][]bat.Oid         // FK join indices, child row -> parent oid
-	joinIdxMeta map[string]joinIdxDef        // definitions for incremental maintenance
+	keyIndexes map[string]map[int64]bat.Oid // unique int key column -> oid
+	joinIdx    map[string]*joinIndex        // FK join indices by name
 }
 
 // QName returns the schema-qualified table name.
@@ -688,13 +687,13 @@ func (t *Table) Delete(oids []bat.Oid) {
 		defer t.catalog.mu.Unlock()
 		ls = t.catalog.listenersLocked()
 		t.installLocked(next)
-		t.maintainIndexesOnDelete(next.really)
 		cols := make([]string, len(t.Cols))
 		for i, c := range t.Cols {
 			cols[i] = c.Name
 		}
 		t.commitLocked()
 		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitDelete, Cols: cols, Deleted: next.really}
+		t.dropPostingsLocked(ev.Stamp)
 		t.hookLocked(CommitRecord{Kind: CommitDelete, Deleted: next.really})
 		committed = true
 	}()
@@ -835,38 +834,92 @@ func (t *Table) LookupKey(col string, v int64) (bat.Oid, bool) {
 
 // DefineJoinIndex builds a foreign-key join index named idxName: for
 // every row of t, the oid of the parent row whose key column matches
-// the child's FK column. Plans access it via sql.bindIdxbat, avoiding
-// a value join (paper §2.2).
+// the child's FK column, NilOid where none does. Plans access it via
+// sql.bindIdxbat, avoiding a value join (paper §2.2). Appends extend
+// it in place; a delete leaves it alone (binds drop the tombstoned
+// rows). A bind at a version without tombstones also carries the
+// index's postings (bat.Postings, child rows per parent oid), built by
+// the first join that asks and kept for that one version, so an oid
+// join against a few parents reads their children instead of every
+// child row (algebra.Join). The first delete drops them for good:
+// every later version has tombstones. Postings are not counted in a
+// bind's ByteSize, so a pooled bind keeps its version's postings (up
+// to 12 bytes per child row) alive outside the recycler's byte cap.
 func (t *Table) DefineJoinIndex(idxName, fkCol string, parent *Table, parentKeyCol string) {
 	t.catalog.mu.Lock()
 	defer t.catalog.mu.Unlock()
 	if parent.keyIndexes == nil || parent.keyIndexes[parentKeyCol] == nil {
 		parent.defineKeyIndexLocked(parentKeyCol)
 	}
-	pIdx := parent.keyIndexes[parentKeyCol]
-	fk := t.MustColumn(fkCol).Data.(*bat.Ints)
-	ji := make([]bat.Oid, fk.Len())
-	for i, v := range fk.V {
+	ix := &joinIndex{fkCol: fkCol, parent: parent, parentKey: parentKeyCol}
+	ix.extend(t.MustColumn(fkCol).Data.(*bat.Ints).V)
+	if t.joinIdx == nil {
+		t.joinIdx = make(map[string]*joinIndex)
+	}
+	t.joinIdx[idxName] = ix
+}
+
+// joinIndex is one FK join index and its definition.
+type joinIndex struct {
+	oids      []bat.Oid // child row -> parent oid, appended in place
+	fkCol     string
+	parent    *Table
+	parentKey string
+	// post is the postings handle of one table version, replaced by
+	// the first bind at a newer version without tombstones, and by a
+	// marker without one when a delete commits.
+	post atomic.Pointer[versionPostings]
+}
+
+// dropPostingsLocked releases the index postings when a delete commits
+// at stamp: a version with tombstones never carries them, and an older
+// snapshot's bind finds the newer stamp and gets none. Caller holds the
+// write lock.
+func (t *Table) dropPostingsLocked(stamp Stamp) {
+	for _, ix := range t.joinIdx {
+		ix.post.Store(&versionPostings{stamp: stamp})
+	}
+}
+
+// versionPostings pairs a postings handle with the version it inverts;
+// a nil handle marks the delete that dropped the postings.
+type versionPostings struct {
+	stamp Stamp
+	h     *bat.LazyPostings
+}
+
+// extend appends the parent oids of the given FK values. Caller holds
+// the write lock.
+func (ix *joinIndex) extend(fks []int64) {
+	pIdx := ix.parent.keyIndexes[ix.parentKey]
+	for _, v := range fks {
 		o, ok := pIdx[v]
 		if !ok {
 			o = bat.NilOid
 		}
-		ji[i] = o
+		ix.oids = append(ix.oids, o)
 	}
-	if t.joinIdx == nil {
-		t.joinIdx = make(map[string][]bat.Oid)
-	}
-	t.joinIdx[idxName] = ji
-	if t.joinIdxMeta == nil {
-		t.joinIdxMeta = make(map[string]joinIdxDef)
-	}
-	t.joinIdxMeta[idxName] = joinIdxDef{fkCol: fkCol, parent: parent, parentKey: parentKeyCol}
 }
 
-type joinIdxDef struct {
-	fkCol     string
-	parent    *Table
-	parentKey string
+// tailAt returns the index's first s.nrows parent oids. The index
+// grows by in-place append like the columns do; clipping the capacity
+// keeps that room out of the bind's reach. The tail carries the
+// version's postings handle unless a newer version already holds the
+// cache; the handle is built lazily, outside the catalog lock.
+func (ix *joinIndex) tailAt(s Snapshot) *bat.Oids {
+	v := ix.oids[:s.nrows:s.nrows]
+	for {
+		cur := ix.post.Load()
+		switch {
+		case cur != nil && cur.stamp == s.Stamp:
+			return bat.NewOidsWithPostings(v, cur.h)
+		case cur != nil && cur.stamp.Version > s.Stamp.Version:
+			return bat.NewOids(v)
+		}
+		// Publish this version's handle; when a racing bind publishes
+		// first, the next round reads whichever won.
+		ix.post.CompareAndSwap(cur, &versionPostings{stamp: s.Stamp, h: bat.NewLazyPostings(v)})
+	}
 }
 
 // JoinIndexParent returns the parent table of a join index, or nil.
@@ -875,11 +928,11 @@ type joinIdxDef struct {
 func (t *Table) JoinIndexParent(idxName string) *Table {
 	t.catalog.mu.RLock()
 	defer t.catalog.mu.RUnlock()
-	def, ok := t.joinIdxMeta[idxName]
+	ix, ok := t.joinIdx[idxName]
 	if !ok {
 		return nil
 	}
-	return def.parent
+	return ix.parent
 }
 
 // BindIdx returns the join index as a BAT (child oid -> parent oid)
@@ -899,48 +952,33 @@ func (t *Table) BindIdxAt(s Snapshot, idxName string) *bat.BAT {
 }
 
 func (t *Table) bindIdxLocked(s Snapshot, idxName string) *bat.BAT {
-	ji, ok := t.joinIdx[idxName]
+	ix, ok := t.joinIdx[idxName]
 	if !ok {
 		panic(fmt.Sprintf("catalog: unknown join index %s on %s", idxName, t.QName()))
 	}
-	// The index grows by in-place append like the columns do; clipping
-	// the capacity keeps that room out of the bind's reach.
-	tails := bat.NewOids(ji[:s.nrows:s.nrows])
 	if s.live == nil {
-		return bat.New(bat.NewDense(0, s.nrows), tails)
+		return bat.New(bat.NewDense(0, s.nrows), ix.tailAt(s))
 	}
-	return s.liveBAT(bat.Drop(tails, s.deleted))
+	return s.liveBAT(bat.Drop(bat.NewOids(ix.oids[:s.nrows:s.nrows]), s.deleted))
 }
 
+// maintainIndexesOnAppend brings the key and join indexes up to the
+// appended rows. Key index entries of tombstoned rows are filtered by
+// LookupKey and join index rows by the binds, so deletes need none.
 func (t *Table) maintainIndexesOnAppend(first bat.Oid, rows []Row) {
 	for col, idx := range t.keyIndexes {
 		for i, r := range rows {
 			idx[r[col].(int64)] = first + bat.Oid(i)
 		}
 	}
-	for name, def := range t.joinIdxMeta {
-		pIdx := def.parent.keyIndexes[def.parentKey]
-		ji := t.joinIdx[name]
-		for _, r := range rows {
-			v := r[def.fkCol].(int64)
-			o, ok := pIdx[v]
-			if !ok {
-				o = bat.NilOid
-			}
-			ji = append(ji, o)
+	for _, ix := range t.joinIdx {
+		fks := make([]int64, len(rows))
+		for i, r := range rows {
+			fks[i] = r[ix.fkCol].(int64)
 		}
-		t.joinIdx[name] = ji
+		ix.extend(fks)
 	}
 }
-
-func (t *Table) maintainIndexesOnDelete(oids []bat.Oid) {
-	// Key index entries for tombstoned rows are filtered by LookupKey;
-	// nothing to do eagerly. Join indices filter via BindIdx.
-	_ = oids
-}
-
-// joinIdxMeta records join index definitions for incremental
-// maintenance. Declared on Table; initialised lazily.
 
 // --- durable export / import ------------------------------------------
 
@@ -1010,11 +1048,11 @@ func (c *Catalog) ExportState() ([]TableState, uint64) {
 			ts.KeyIndexCols = append(ts.KeyIndexCols, col)
 		}
 		sort.Strings(ts.KeyIndexCols)
-		for name, def := range t.joinIdxMeta {
+		for name, ix := range t.joinIdx {
 			ts.JoinIndexes = append(ts.JoinIndexes, JoinIndexDef{
-				Name: name, FKCol: def.fkCol,
-				ParentSchema: def.parent.Schema, ParentName: def.parent.Name,
-				ParentKey: def.parentKey,
+				Name: name, FKCol: ix.fkCol,
+				ParentSchema: ix.parent.Schema, ParentName: ix.parent.Name,
+				ParentKey: ix.parentKey,
 			})
 		}
 		sort.Slice(ts.JoinIndexes, func(i, j int) bool { return ts.JoinIndexes[i].Name < ts.JoinIndexes[j].Name })

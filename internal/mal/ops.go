@@ -299,25 +299,30 @@ func opGroupDerive(_ *Ctx, _ *Instr, args []Value) (Value, error) {
 }
 
 // regroup reconstructs a Grouping descriptor from a grouping BAT
-// (head: row oid, tail: dense group ids).
+// (head: row oid, tail: dense group ids). The ids are dense, so one
+// pass for the largest gives NGroups, which is all aggr.* and
+// group.derive read; group.heads adds Repr (firstRows).
 func regroup(grp *bat.BAT) *algebra.Grouping {
-	ids := grp.Tail.(*bat.Oids).V
-	max := -1
-	var repr []int
-	seen := map[bat.Oid]int{}
-	for i, g := range ids {
-		if int(g) > max {
-			max = int(g)
-		}
-		if _, ok := seen[g]; !ok {
-			seen[g] = i
+	n := 0
+	for _, g := range grp.Tail.(*bat.Oids).V {
+		n = max(n, int(g)+1)
+	}
+	return &algebra.Grouping{Grp: grp, NGroups: n}
+}
+
+// firstRows returns, per group id below n, the position of its first
+// row in ids, 0 for an id no row holds. Row 0 is the first row of its
+// group, so a 0 left in any other group's slot means not yet seen.
+func firstRows(ids []bat.Oid, n int) []int {
+	repr := make([]int, n)
+	seen := 1
+	for i := 1; i < len(ids) && seen < n; i++ {
+		if g := ids[i]; g != ids[0] && repr[g] == 0 {
+			repr[g] = i
+			seen++
 		}
 	}
-	repr = make([]int, max+1)
-	for g, i := range seen {
-		repr[g] = i
-	}
-	return &algebra.Grouping{Grp: grp, NGroups: max + 1, Repr: repr}
+	return repr
 }
 
 func opGroupHeads(_ *Ctx, _ *Instr, args []Value) (Value, error) {
@@ -330,6 +335,7 @@ func opGroupHeads(_ *Ctx, _ *Instr, args []Value) (Value, error) {
 		return Value{}, err
 	}
 	g := regroup(grp)
+	g.Repr = firstRows(grp.Tail.(*bat.Oids).V, g.NGroups)
 	return BatV(algebra.GroupHeads(g, b)), nil
 }
 

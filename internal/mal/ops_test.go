@@ -1,6 +1,9 @@
 package mal
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -207,5 +210,52 @@ func TestExportOps(t *testing.T) {
 	in := &Instr{Module: "sql", Op: "exportCol"}
 	if _, err := Eval(ctx, in, []Value{StrV("c"), IntV(1)}); err == nil {
 		t.Fatal("want error")
+	}
+}
+
+// TestRegroupMatchesGroupNew rebuilds Groupings from their grouping
+// BATs, as group.heads and the aggregates do, and compares NGroups and
+// firstRows' Repr with what GroupNew and GroupDerive computed: over
+// shuffled keys, over derived groupings, and over ids not numbered in
+// first-occurrence order (a renumbered grouping), against a scan.
+func TestRegroupMatchesGroupNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	check := func(ctxt string, g *algebra.Grouping) {
+		t.Helper()
+		r := regroup(g.Grp)
+		if r.NGroups != g.NGroups {
+			t.Fatalf("%s: NGroups %d, want %d", ctxt, r.NGroups, g.NGroups)
+		}
+		if got := firstRows(g.Grp.Tail.(*bat.Oids).V, r.NGroups); !slices.Equal(got, g.Repr) {
+			t.Fatalf("%s: Repr %v, want %v", ctxt, got, g.Repr)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(200)
+		keys, more := make([]int64, n), make([]int64, n)
+		for i := range keys {
+			keys[i] = int64(rng.Intn(1 + n/4))
+			more[i] = int64(rng.Intn(3))
+		}
+		rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		g := algebra.GroupNew(bat.NewDenseHead(bat.NewInts(keys)))
+		check(fmt.Sprintf("trial %d new", trial), g)
+		d := algebra.GroupDerive(g, bat.NewDenseHead(bat.NewInts(more)))
+		check(fmt.Sprintf("trial %d derived", trial), d)
+
+		// Renumber the groups at random: ids stay dense, first rows
+		// no longer ascend with the id.
+		perm := rng.Perm(max(d.NGroups, 1))
+		ids := make([]bat.Oid, n)
+		want := make([]int, d.NGroups)
+		for i, id := range d.Grp.Tail.(*bat.Oids).V {
+			ids[i] = bat.Oid(perm[id])
+		}
+		for id, p := range d.Repr {
+			want[perm[id]] = p
+		}
+		check(fmt.Sprintf("trial %d renumbered", trial), &algebra.Grouping{
+			Grp: bat.New(d.Grp.Head, bat.NewOids(ids)), NGroups: d.NGroups, Repr: want,
+		})
 	}
 }

@@ -6,9 +6,12 @@
 #   profiles/sky.pprof        the Fig. 14 batch (BenchmarkFig14): the
 #                             SkyServer mix over 20k objects run naive,
 #                             keepall and CRD/LRU
-#   profiles/tpch.pprof       the mixed TPC-H batch (BenchmarkThroughput):
-#                             ten query types, naive and recycled, whose
-#                             oid joins and semijoins dominate
+#   profiles/tpch.pprof       the served tpch-mix shape in process
+#                             (BenchmarkTPCHMix): ten query types at SF
+#                             0.05 over a capped KeepAll/LRU pool, two
+#                             Sessions, one pprof label per query;
+#                             profiles/tpch.tags.txt is its per-query
+#                             split (go tool pprof -tags)
 #   profiles/miss.pprof       the recycled miss path: nested boxes
 #                             subsumed onto a pooled superset over 200k
 #                             sky objects (BenchmarkEngineMiss)
@@ -38,9 +41,9 @@ go test . -run '^$' -bench 'BenchmarkFig14' \
   -benchtime 50x -cpuprofile profiles/sky.pprof \
   -o profiles/repro.test | tee profiles/sky.bench.txt
 
-echo "== mixed TPC-H batch, naive and recycled =="
-go test . -run '^$' -bench 'BenchmarkThroughput' \
-  -benchtime 3x -cpuprofile profiles/tpch.pprof \
+echo "== tpch-mix in process (SF 0.05, two Sessions, labelled per query) =="
+go test . -run '^$' -bench 'BenchmarkTPCHMix' \
+  -benchtime 15000x -cpuprofile profiles/tpch.pprof \
   -o profiles/repro.test | tee profiles/tpch.bench.txt
 
 echo "== recycled miss path (nested boxes subsumed onto the pool) =="
@@ -83,6 +86,8 @@ go tool pprof -top -nodecount 25 profiles/repro.test profiles/sky.pprof \
   | tee profiles/sky.top.txt
 go tool pprof -top -nodecount 25 profiles/repro.test profiles/tpch.pprof \
   | tee profiles/tpch.top.txt
+go tool pprof -tags profiles/repro.test profiles/tpch.pprof \
+  | tee profiles/tpch.tags.txt
 go tool pprof -top -nodecount 25 profiles/repro.test profiles/miss.pprof \
   | tee profiles/miss.top.txt
 go tool pprof -top -nodecount 25 profiles/algebra.test profiles/kernels.pprof \
