@@ -57,6 +57,7 @@ func Join(l, r *bat.BAT) *bat.BAT {
 	t := bat.BuildOids(rh)
 	if m := bat.NewOidBitmap(r.Head, r.HeadSorted, len(keys)+len(rh)); m != nil {
 		li, ri = probeMembers(keys, m, t, li, ri)
+		m.Release()
 	} else {
 		li, ri = probeJoin(keys, t, li, ri)
 	}
@@ -243,6 +244,7 @@ func Semijoin(l, r *bat.BAT) *bat.BAT {
 		if !gallopPays(n, r.Len()) {
 			if m := bat.NewOidBitmap(r.Head, true, n+r.Len()); m != nil {
 				sel = probeBitmap(bat.MaterialiseOids(l.Head), m, true, buf.take(n))
+				m.Release()
 				break
 			}
 		}
@@ -274,7 +276,9 @@ func keepRows(l *bat.BAT, sel bat.SelectionVector) *bat.BAT {
 // table over R's head.
 func probeHeads(lh []bat.Oid, r *bat.BAT, want bool, sel bat.SelectionVector) bat.SelectionVector {
 	if m := bat.NewOidBitmap(r.Head, r.HeadSorted, len(lh)+r.Len()); m != nil {
-		return probeBitmap(lh, m, want, sel)
+		sel = probeBitmap(lh, m, want, sel)
+		m.Release()
+		return sel
 	}
 	j := 0
 	t := bat.BuildOids(bat.MaterialiseOids(r.Head))

@@ -144,7 +144,7 @@ var CatalogMutators = map[string]bool{
 
 // RequiresWriterLock lists the Pool methods whose doc contract says
 // "caller holds the recycler writer lock": they touch the entries map
-// and the subsumption/column indexes, which only the writer lock
+// and the subsumption indexes, which only the writer lock
 // keeps consistent. Len/Bytes/All/Dump/TypeBreakdown/ReusedStats are
 // included — they iterate or read state mutated under the writer
 // lock, so an unlocked call races structural changes. pushLeaf /
@@ -157,7 +157,7 @@ var RequiresWriterLock = map[string]bool{
 	"repro/internal/recycler.(*Pool).pushLeaf":        true,
 	"repro/internal/recycler.(*Pool).dropLeaf":        true,
 	"repro/internal/recycler.(*Pool).popLeaf":         true,
-	"repro/internal/recycler.(*Pool).EntriesByColumn": true,
+	"repro/internal/recycler.(*Pool).entriesOver":     true,
 	"repro/internal/recycler.(*Pool).SelectSupersets": true,
 	"repro/internal/recycler.(*Pool).SelectOverlaps":  true,
 	"repro/internal/recycler.(*Pool).LikeCandidates":  true,
@@ -205,7 +205,6 @@ var WriterContextFuncs = map[string]bool{
 	"repro/internal/recycler.(*Recycler).pickLRU":           true,
 	"repro/internal/recycler.(*Recycler).pickVictimsMem":    true,
 	"repro/internal/recycler.(*Recycler).evict":             true,
-	"repro/internal/recycler.(*Recycler).columnDeps":        true,
 	"repro/internal/recycler.(*Recycler).smallestSuperset":  true,
 	"repro/internal/recycler.(*Recycler).overlapSnaps":      true,
 	"repro/internal/recycler.(*Recycler).smallestSemijoin":  true,
@@ -313,5 +312,4 @@ var IdentitySourceFields = map[string]bool{
 	"repro/internal/mal.Instr.Op":          true,
 	"repro/internal/recycler.Entry.Sig":    true,
 	"repro/internal/recycler.Entry.OpName": true,
-	"repro/internal/recycler.Entry.Render": true,
 }

@@ -229,6 +229,23 @@ func TestOidBitmap(t *testing.T) {
 	if e := NewOidBitmap(NewOids(nil), false, 0); e == nil || e.Has(0) || e.Has(NilOid) {
 		t.Fatal("an empty head must be an empty bitmap")
 	}
+	// Released words go back to a pool, and the next bitmap borrows
+	// them cleared. The sorted head skips two of its four words.
+	for i := 0; i < 4; i++ {
+		a := NewOidBitmap(NewOids([]Oid{100, 101, 163, 300}), true, 4)
+		if got, want := has(a, 99, 100, 101, 102, 163, 164, 299, 300), []bool{false, true, true, false, true, false, false, true}; !slices.Equal(got, want) {
+			t.Fatalf("sorted membership %v, want %v", got, want)
+		}
+		a.Release()
+		if a.Has(100) {
+			t.Fatal("a released bitmap still holds members")
+		}
+		b := NewOidBitmap(NewOids([]Oid{300, 100}), false, 4)
+		if got, want := has(b, 100, 101, 163, 300), []bool{true, false, false, true}; !slices.Equal(got, want) {
+			t.Fatalf("membership after reuse %v, want %v", got, want)
+		}
+		b.Release()
+	}
 }
 
 func TestKindStringAndElemSize(t *testing.T) {

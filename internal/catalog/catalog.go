@@ -194,8 +194,6 @@ type UpdateEvent struct {
 	// panicked partway; listeners must treat every dependent
 	// intermediate as unknown).
 	Kind CommitKind
-	// Cols lists the affected column names.
-	Cols []string
 	// Inserts maps column name to the insert delta BAT (head: fresh
 	// oids, tail: appended values). Nil when the statement only
 	// deleted rows.
@@ -555,7 +553,6 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		if t.catalog.commitHook != nil {
 			logged = make(map[string]bat.Vector, len(t.Cols))
 		}
-		cols := make([]string, len(t.Cols))
 		for i, c := range t.Cols {
 			delta := deltas[i]
 			if c.Sorted {
@@ -573,7 +570,6 @@ func (t *Table) Append(rows []Row) bat.Oid {
 			if logged != nil {
 				logged[c.Name] = delta
 			}
-			cols[i] = c.Name
 		}
 		if t.live != nil {
 			t.live = bat.Extend(t.live, bat.NewDense(first, len(rows))).(*bat.Oids)
@@ -581,7 +577,7 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		t.nrows += len(rows)
 		t.maintainIndexesOnAppend(first, rows)
 		t.commitLocked()
-		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitInsert, Cols: cols, Inserts: inserts}
+		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitInsert, Inserts: inserts}
 		t.hookLocked(CommitRecord{Kind: CommitInsert, Inserts: logged, FirstOid: first, NumRows: len(rows)})
 		return first
 	}()
@@ -687,12 +683,8 @@ func (t *Table) Delete(oids []bat.Oid) {
 		defer t.catalog.mu.Unlock()
 		ls = t.catalog.listenersLocked()
 		t.installLocked(next)
-		cols := make([]string, len(t.Cols))
-		for i, c := range t.Cols {
-			cols[i] = c.Name
-		}
 		t.commitLocked()
-		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitDelete, Cols: cols, Deleted: next.really}
+		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitDelete, Deleted: next.really}
 		t.dropPostingsLocked(ev.Stamp)
 		t.hookLocked(CommitRecord{Kind: CommitDelete, Deleted: next.really})
 		committed = true
@@ -771,14 +763,10 @@ func mergeOids(a, b []bat.Oid) []bat.Oid {
 // be partially applied, so every dependent intermediate must go).
 func (t *Table) completeNotify(ls *[]UpdateListener, committed *bool, ev *UpdateEvent) {
 	if !*committed {
-		cols := make([]string, len(t.Cols))
-		for i, c := range t.Cols {
-			cols[i] = c.Name
-		}
 		t.catalog.mu.RLock()
 		stamp := t.snapshotLocked().Stamp
 		t.catalog.mu.RUnlock()
-		*ev = UpdateEvent{Table: t, Stamp: stamp, Kind: CommitInvalidate, Cols: cols}
+		*ev = UpdateEvent{Table: t, Stamp: stamp, Kind: CommitInvalidate}
 	}
 	for _, l := range *ls {
 		l.OnUpdate(*ev)

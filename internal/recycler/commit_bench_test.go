@@ -25,6 +25,7 @@ import (
 // materialised.
 type commitFixture struct {
 	rec   *Recycler
+	cat   *catalog.Catalog
 	tb    *catalog.Table
 	rng   *rand.Rand
 	boxes [][4]float64 // raLo, raHi, decLo, decHi
@@ -35,6 +36,7 @@ func newCommitFixture(tb testing.TB, objects int) *commitFixture {
 	db := sky.Generate(objects, 1)
 	f := &commitFixture{
 		rec:   New(db.Cat, Config{Admission: KeepAll, Sync: SyncMaintain}),
+		cat:   db.Cat,
 		tb:    db.Table("photoobj"),
 		rng:   rand.New(rand.NewSource(7)),
 		objid: int64(0x0500000000000000) + 100_000_000,
@@ -97,22 +99,53 @@ func (f *commitFixture) insertInto(i int) bat.Oid {
 	return f.tb.Append([]catalog.Row{row})
 }
 
+// poolOther admits n more entries, over sky.elredshift — COUNT(*)
+// over distinct redshift ranges — which a commit to photoobj finds
+// nothing to do for but must scan past.
+func (f *commitFixture) poolOther(tb testing.TB, n int) {
+	fe := sqlfe.NewFrontend(f.cat)
+	want := f.rec.PoolLen() + n
+	for qid := uint64(1_000); f.rec.PoolLen() < want; qid++ {
+		lo := float64(qid) / 1e6
+		q := fmt.Sprintf("SELECT COUNT(*) FROM sky.elredshift WHERE z BETWEEN %g AND %g", lo, lo+0.01)
+		tmpl, params, err := fe.Compile(q)
+		if err != nil {
+			tb.Fatalf("compile %q: %v", q, err)
+		}
+		ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
+		f.rec.BeginQuery(qid, tmpl.ID)
+		err = mal.Run(ctx, tmpl, params...)
+		f.rec.EndQuery(qid)
+		if err != nil {
+			tb.Fatalf("warm %q: %v", q, err)
+		}
+	}
+}
+
 var commitBenchSizes = []int{20_000, 200_000}
 
 // BenchmarkCommitInsert times one single-row INSERT commit — catalog
 // append plus the recycler's maintenance walk — at two table sizes.
-// ns/op must not track the table size.
+// ns/op must not track the table size. The other=10000 case adds 10⁴
+// pooled entries over a table the commit does not write: the walk
+// finds its entries by scanning the pool, and this prices the scan.
 func BenchmarkCommitInsert(b *testing.B) {
-	for _, n := range commitBenchSizes {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			f := newCommitFixture(b, n)
+	run := func(name string, rows, other int) {
+		b.Run(name, func(b *testing.B) {
+			f := newCommitFixture(b, rows)
+			f.poolOther(b, other)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.insert()
 			}
+			b.ReportMetric(float64(f.rec.PoolLen()), "entries")
 		})
 	}
+	for _, n := range commitBenchSizes {
+		run(fmt.Sprintf("rows=%d", n), n, 0)
+	}
+	run("rows=20000,other=10000", 20_000, 10_000)
 }
 
 // BenchmarkCommitDelete times one single-row DELETE commit of an

@@ -1,8 +1,6 @@
 package recycler
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 	"time"
 
@@ -14,11 +12,12 @@ import (
 )
 
 // This file is the one delta engine behind every SyncMode (paper §6).
-// A commit's affected pool entries are walked once, in admission (=
-// topological) order; each entry's cached plan.DeltaClass selects its
-// rule from deltaRules, and the entry invalidates when the class has
-// no rule, the preset masks the rule off, the rule fails, or a parent
-// fell back (its parent is then no longer valid, which fails the rule).
+// A commit's affected pool entries — those stamped with its table —
+// are walked once, in admission (= topological) order; each entry's
+// cached plan.DeltaClass selects its rule from deltaRules, and the
+// entry invalidates when the class has no rule, the preset masks the
+// rule off, the rule fails, or a parent fell back (its parent is then
+// no longer valid, which fails the rule).
 // "Drop everything" (§6.4) is the empty mask; §6.3 propagation and
 // full incremental maintenance are two other masks over the same
 // table:
@@ -44,8 +43,8 @@ import (
 // base, filter and project produce. The commit's dead-oid set
 // tombstones every rowset over the table consistently, which is what
 // SplitHeads relies on; it means nothing over a view's or join's
-// re-headed result, nor over an entry whose column dependencies span
-// two tables, so the three rowset rules refuse those parents.
+// re-headed result, nor over an entry that reads two tables, so the
+// three rowset rules refuse those parents.
 //
 // A rule works only where the delta lands: it returns before touching
 // its entry when its parents report no rows added or removed (a view:
@@ -141,25 +140,15 @@ func (s *commitSummary) fellBack(cause string) {
 	s.causes[cause]++
 }
 
-// applyCommit brings every pool entry depending on refs up to date
-// with the committed event, by delta rule where rules allows and by
+// applyCommit brings every pool entry stamped with the event's table up
+// to date with the commit, by delta rule where rules allows and by
 // invalidation otherwise. Caller holds the writer lock. The returned
 // summary feeds the commit trace event (emitted by OnUpdate after the
 // lock is released); it and the maintenance counters stay zero under
 // the empty mask, which has nothing to fall back from.
-func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules ruleMask) (sum commitSummary) {
-	var affected []*Entry
-	r.pool.walks++
-	for _, ref := range refs {
-		for _, e := range r.pool.byCol[ref] {
-			if e.walk != r.pool.walks {
-				e.walk = r.pool.walks
-				affected = append(affected, e)
-			}
-		}
-	}
-	// Admission order is topological order: parents first.
-	slices.SortFunc(affected, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
+func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum commitSummary) {
+	qname := ev.Table.QName()
+	affected := r.pool.entriesOver(qname)
 	if rules == invalidateRules {
 		for _, e := range affected {
 			r.invalidate(e)
@@ -177,7 +166,6 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, refs []ColumnRef, rules r
 	if ev.Kind != catalog.CommitInvalidate {
 		w.dead = ev.Deleted
 	}
-	qname := ev.Table.QName()
 	for _, e := range affected {
 		if !e.valid.Load() {
 			continue
@@ -268,11 +256,11 @@ func (ch change) still(pe *Entry) bool { return ch.old == pe.Result.Bat }
 func (ch change) empty() bool { return rows(ch.added)+rows(ch.removed) == 0 }
 
 // rowsetParent is parent for the rules that tombstone by head oid: it
-// additionally requires the parent to be a rowset and e's column
-// dependencies to name one base table (see the file comment).
+// additionally requires the parent to be a rowset and e to read one
+// base table (see the file comment).
 func (w *commitWalk) rowsetParent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
 	pe, ch, ok = w.parent(e, i)
-	ok = ok && e.deltaOneTable && rowsetClasses.has(pe.deltaClass) && pe.Result.Kind == mal.VBat
+	ok = ok && len(e.stamps) == 1 && rowsetClasses.has(pe.deltaClass) && pe.Result.Kind == mal.VBat
 	return pe, ch, ok
 }
 
@@ -480,18 +468,4 @@ func (w *commitWalk) join(e *Entry) (ch change, ok bool) {
 		w.refresh(e, mal.BatV(bat.Append(e.Result.Bat, ch.added)))
 	}
 	return ch, true
-}
-
-// depsOneTable reports whether every column dependency names the same
-// base table.
-func depsOneTable(deps []ColumnRef) bool {
-	if len(deps) == 0 {
-		return false
-	}
-	for _, d := range deps[1:] {
-		if d.Table != deps[0].Table {
-			return false
-		}
-	}
-	return true
 }

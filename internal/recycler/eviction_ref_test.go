@@ -189,7 +189,7 @@ func (g *evictRig) admit(sig string, bytes int64, cost time.Duration, parents []
 		}
 	}
 	e := mkEntry(sig, bytes, cost)
-	e.Deps = []ColumnRef{{Table: "sys.t", Column: "v"}}
+	e.stamps = []tableStamp{{table: "sys.t"}}
 	for _, p := range parents {
 		if r.pool.Get(p) != nil {
 			e.DependsOn = append(e.DependsOn, p)

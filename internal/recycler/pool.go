@@ -1,6 +1,7 @@
 package recycler
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -16,20 +17,16 @@ import (
 	"repro/internal/trace"
 )
 
-// ColumnRef names a persistent column an intermediate depends on.
-type ColumnRef struct {
-	Table  string // schema-qualified table name
-	Column string
-}
-
 // Pins is what the pool compares entries against: the version of each
 // table the asking query reads. *mal.Ctx implements it (mal.Ctx.Pin).
 type Pins interface {
 	Pin(qname string) (catalog.Snapshot, bool)
 }
 
-// tableStamp is the version of one dependency table an entry's result
-// was computed at.
+// tableStamp is the version of one table an entry's result was
+// computed at. An entry's stamps are its only dependency record: a
+// commit to or a drop of a table reaches exactly the entries stamped
+// with it.
 type tableStamp struct {
 	table string // schema-qualified
 	catalog.Stamp
@@ -63,7 +60,7 @@ func restamped(stamps []tableStamp, table string, s catalog.Stamp) []tableStamp 
 // together with its result and its execution/reuse statistics.
 //
 // Fields split into two synchronisation classes. The structural fields
-// (Sig, OpName, Result, Deps, lineage, subsumption metadata, ...) are
+// (Sig, OpName, Result, stamps, lineage, subsumption metadata, ...) are
 // written before the entry is published via Pool.Add and afterwards
 // mutated only under the recycler's writer lock (refreshResult
 // additionally takes the entry's signature-shard lock, because the hit
@@ -88,15 +85,12 @@ type Entry struct {
 	// entry is indexed: plan.Signature.Key() for fresh admissions,
 	// rebuilt from the canonical form via plan.RuntimeKey for entries
 	// prewarmed from the pool image. The structured Signature itself
-	// is not retained — the index key and render are taken at
-	// admission time, the canonical form at drain (spill.go).
+	// is not retained — the index key is taken at admission time,
+	// the canonical form at drain (spill.go).
 	Sig string
 
 	// OpName is "module.op" of the captured instruction.
 	OpName string
-	// Render is a human-readable instruction listing for pool dumps
-	// (Table I style).
-	Render string
 
 	// Result holds the intermediate; Result.Prov == ID.
 	Result mal.Value
@@ -143,13 +137,11 @@ type Entry struct {
 	// result. Zero when not derived.
 	SubsetOf uint64
 
-	// Deps lists the persistent columns this intermediate
-	// (transitively) derives from; update invalidation keys on it.
-	Deps []ColumnRef
-	// stamps holds the version of every table in Deps the result was
-	// computed at: set at admission, moved by the commit walk together
-	// with the result under the signature shard's write lock, and read
-	// by the hit path under its read lock.
+	// stamps holds the version of every table the result
+	// (transitively) reads, one per table, as computed at: set at
+	// admission, moved by the commit walk together with the result
+	// under the signature shard's write lock, and read by the hit path
+	// under its read lock. Its length never changes.
 	stamps []tableStamp
 
 	// Select-specific matching metadata (subsumption analysis).
@@ -176,17 +168,11 @@ type Entry struct {
 	// computed in this process.
 	SpillArgs []SpillArg
 
-	// deltaClass/deltaOneTable cache what the commit walk (delta.go)
-	// needs to pick the entry's rule: the operation's delta class and
-	// whether every column dependency names one base table. Both are
-	// computed once at admission — entries prewarmed from the pool
-	// image keep the zero value (DeltaNone) and always fall back.
-	deltaClass    plan.DeltaClass
-	deltaOneTable bool
-	// walk is the number of the last commit walk that collected the
-	// entry (Pool.walks then): an entry indexed under several of a
-	// commit's columns is collected once. Guarded by the writer lock.
-	walk uint64
+	// deltaClass caches the operation's delta class, which picks the
+	// entry's rule in the commit walk (delta.go). It is computed once
+	// at admission — entries prewarmed from the pool image keep the
+	// zero value (DeltaNone) and always fall back.
+	deltaClass plan.DeltaClass
 	// ownsRoom records that the commit walk itself allocated the
 	// result's vectors, for this entry alone, so the room behind them is
 	// the entry's to extend into (bat.Extend's storage contract). A
@@ -203,7 +189,7 @@ type Entry struct {
 func (e *Entry) Valid() bool { return e.valid.Load() }
 
 // stampOf returns the version of table e's result was computed at,
-// the zero Stamp when e does not depend on the table. Caller holds the
+// the zero Stamp when e does not read the table. Caller holds the
 // writer lock.
 func (e *Entry) stampOf(table string) catalog.Stamp {
 	for _, s := range e.stamps {
@@ -212,6 +198,12 @@ func (e *Entry) stampOf(table string) catalog.Stamp {
 		}
 	}
 	return catalog.Stamp{}
+}
+
+// Reads reports whether e's result was computed from table
+// (schema-qualified). Caller holds the writer lock.
+func (e *Entry) Reads(table string) bool {
+	return slices.ContainsFunc(e.stamps, func(s tableStamp) bool { return s.table == table })
 }
 
 // Saved returns the accumulated estimated time saved by reuses.
@@ -261,7 +253,7 @@ type sigShard struct {
 //
 // Synchronisation: the signature index is sharded with per-shard
 // RWMutexes so concurrent hit-path lookups do not serialise. Every
-// other index (entries, frontier, selIdx, likeIdx, semiIdx, byCol),
+// other index (entries, frontier, selIdx, likeIdx, semiIdx),
 // the byte accounting and the lifetime counters are guarded by the
 // owning Recycler's writer lock; methods touching them document that
 // the caller holds it.
@@ -286,13 +278,9 @@ type Pool struct {
 	// semiIdx indexes valid semijoin entries by the provenances of
 	// their (left, right) operands.
 	semiIdx map[[2]uint64]*Entry
-	// byCol indexes entries by persistent column dependency for
-	// invalidation.
-	byCol map[ColumnRef]map[uint64]*Entry
 
 	totalBytes int64
 	nextID     uint64
-	walks      uint64 // commit walks so far (see Entry.walk)
 	tick       atomic.Int64
 
 	// Lifetime counters (writer lock), except reuses which is bumped on
@@ -320,7 +308,6 @@ func NewPool() *Pool {
 		selIdx:  make(map[string]*selNode),
 		likeIdx: make(map[string][]*Entry),
 		semiIdx: make(map[[2]uint64]*Entry),
-		byCol:   make(map[ColumnRef]map[uint64]*Entry),
 	}
 	for i := range p.shards {
 		p.shards[i].bySig = make(map[string]*Entry)
@@ -418,8 +405,8 @@ func (p *Pool) LookupHit(key []byte, q Pins) (e *Entry, res mal.Value, ok bool) 
 // Caller holds the recycler writer lock.
 func (p *Pool) Get(id uint64) *Entry { return p.entries[id] }
 
-// Add inserts a fully initialised entry, indexing it for matching,
-// subsumption and invalidation, and wiring lineage dependent counts.
+// Add inserts a fully initialised entry, indexing it for matching and
+// subsumption, and wiring lineage dependent counts.
 // Caller holds the recycler writer lock; the signature shard's write
 // lock is taken here around the map splice.
 func (p *Pool) Add(e *Entry) {
@@ -450,14 +437,6 @@ func (p *Pool) Add(e *Entry) {
 				p.dropLeaf(parent)
 			}
 		}
-	}
-	for _, c := range e.Deps {
-		m := p.byCol[c]
-		if m == nil {
-			m = make(map[uint64]*Entry)
-			p.byCol[c] = m
-		}
-		m[e.ID] = e
 	}
 }
 
@@ -502,11 +481,6 @@ func (p *Pool) Remove(e *Entry) {
 			if parent.dependents--; parent.dependents == 0 {
 				p.pushLeaf(parent)
 			}
-		}
-	}
-	for _, c := range e.Deps {
-		if m := p.byCol[c]; m != nil {
-			delete(m, e.ID)
 		}
 	}
 }
@@ -612,15 +586,20 @@ func (p *Pool) siftDown(i int) {
 	}
 }
 
-// EntriesByColumn returns the entries depending on a persistent
-// column. Caller holds the recycler writer lock.
-func (p *Pool) EntriesByColumn(c ColumnRef) []*Entry {
-	m := p.byCol[c]
-	out := make([]*Entry, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
+// entriesOver returns the entries stamped with table, in id order —
+// admission order, which is topological order: parents first. It scans
+// the whole pool instead of keeping a per-table index: only commits and
+// drops ask, and where commits happen the written table's entries are
+// most of the pool (docs/ARCHITECTURE.md prices the scan). Caller holds
+// the recycler writer lock.
+func (p *Pool) entriesOver(table string) []*Entry {
+	var out []*Entry
+	for _, e := range p.entries {
+		if e.Reads(table) {
+			out = append(out, e)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -733,13 +712,19 @@ func (p *Pool) TypeBreakdown() []TypeRow {
 }
 
 // Dump renders the pool as a MAL-like block (Table I style) for
-// debugging and documentation.
+// debugging and documentation. An entry's line is rendered from its
+// argument snapshot, taken at admission; a prewarmed entry, which has
+// none, shows the canonical form it was loaded under.
 func (p *Pool) Dump() string {
 	var sb strings.Builder
 	sb.WriteString("recycle pool {\n")
 	for _, e := range p.All() {
+		line := plan.CanonKey(e.OpName, e.SpillArgs)
+		if e.Args != nil {
+			line = plan.RenderInstr(e.OpName, e.Args)
+		}
 		fmt.Fprintf(&sb, "  e%-4d %-60s #%-8d %8dB cost=%-12v reuses=%d\n",
-			e.ID, e.Render, e.Tuples, e.Bytes, e.Cost, e.ReuseCount.Load())
+			e.ID, line, e.Tuples, e.Bytes, e.Cost, e.ReuseCount.Load())
 	}
 	fmt.Fprintf(&sb, "} entries=%d bytes=%d\n", p.Len(), p.Bytes())
 	return sb.String()

@@ -1,6 +1,7 @@
 package recycler
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,16 +13,18 @@ import (
 )
 
 // mkEntry builds a synthetic pool entry for unit-testing pool
-// mechanics without the interpreter.
+// mechanics without the interpreter. It has no argument snapshot, so
+// like a prewarmed entry it dumps as its canonical operands: here the
+// one operand sig.
 func mkEntry(sig string, bytes int64, cost time.Duration) *Entry {
 	return &Entry{
-		Sig:    sig,
-		OpName: "algebra.select",
-		Render: sig,
-		Result: mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, bytes/8)))),
-		Bytes:  bytes,
-		Tuples: int(bytes / 8),
-		Cost:   cost,
+		Sig:       sig,
+		OpName:    "algebra.select",
+		SpillArgs: []SpillArg{{Key: sig}},
+		Result:    mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, bytes/8)))),
+		Bytes:     bytes,
+		Tuples:    int(bytes / 8),
+		Cost:      cost,
 	}
 }
 
@@ -123,18 +126,42 @@ func TestWeightAndBenefit(t *testing.T) {
 	}
 }
 
-func TestPoolColumnIndex(t *testing.T) {
+// TestPoolEntriesOverTable: the commit walk's and drop's lookup finds
+// exactly the live entries stamped with the table, in id order.
+func TestPoolEntriesOverTable(t *testing.T) {
 	p := NewPool()
-	e := mkEntry("a", 100, time.Millisecond)
-	e.Deps = []ColumnRef{{Table: "sys.t", Column: "v"}}
-	p.Add(e)
-	got := p.EntriesByColumn(ColumnRef{Table: "sys.t", Column: "v"})
-	if len(got) != 1 || got[0] != e {
-		t.Fatalf("byCol = %v", got)
+	stamped := func(sig string, tables ...string) *Entry {
+		e := mkEntry(sig, 100, time.Millisecond)
+		for _, tb := range tables {
+			e.stamps = append(e.stamps, tableStamp{table: tb})
+		}
+		p.Add(e)
+		return e
 	}
-	p.Remove(e)
-	if len(p.EntriesByColumn(ColumnRef{Table: "sys.t", Column: "v"})) != 0 {
-		t.Fatal("byCol not cleaned")
+	tv := stamped("a", "sys.t")
+	uv := stamped("b", "sys.u")
+	both := stamped("c", "sys.u", "sys.t")
+	none := stamped("d")
+	ids := func(es []*Entry) []uint64 {
+		var out []uint64
+		for _, e := range es {
+			out = append(out, e.ID)
+		}
+		return out
+	}
+	if got, want := ids(p.entriesOver("sys.t")), []uint64{tv.ID, both.ID}; !slices.Equal(got, want) {
+		t.Fatalf("over sys.t: %v, want %v", got, want)
+	}
+	if got, want := ids(p.entriesOver("sys.u")), []uint64{uv.ID, both.ID}; !slices.Equal(got, want) {
+		t.Fatalf("over sys.u: %v, want %v", got, want)
+	}
+	p.Remove(tv)
+	p.Remove(none)
+	if got, want := ids(p.entriesOver("sys.t")), []uint64{both.ID}; !slices.Equal(got, want) {
+		t.Fatalf("over sys.t after removal: %v, want %v", got, want)
+	}
+	if got := p.entriesOver("sys.v"); len(got) != 0 {
+		t.Fatalf("over an unread table: %v", ids(got))
 	}
 }
 

@@ -22,8 +22,10 @@ type SyncMode int
 // Synchronisation presets.
 const (
 	// SyncInvalidate switches every rule off: each intermediate
-	// affected by an update is invalidated at once, column-wise. This
-	// is what the paper's implementation evaluates (§6.4).
+	// affected by an update is invalidated at once. This is what the
+	// paper's implementation evaluates (§6.4); its column-wise
+	// invalidation is table-wise here, since every commit writes every
+	// column of its table.
 	SyncInvalidate SyncMode = iota
 	// SyncPropagate is the paper's §6.3 operator set (Fig. 3): binds,
 	// filters, the zero-cost views (reverse, mirror, markT) and
@@ -78,8 +80,8 @@ type Config struct {
 //  1. mu — the writer lock. Serialises every structural pool change:
 //     admission, eviction, invalidation, delta propagation, Reset and
 //     the subsumption-candidate scans. Lineage edges, the subsumption
-//     and column indexes and the byte accounting are only consistent
-//     under it.
+//     indexes, the version stamps and the byte accounting are only
+//     consistent under it.
 //  2. activeMu — guards the active-query set eviction pins entries
 //     for. BeginQuery/EndQuery take it exclusively, eviction shared.
 //  3. sigShard.mu — per-shard RWMutexes over the signature index
@@ -465,32 +467,13 @@ func (c catalogPins) Pin(qname string) (catalog.Snapshot, bool) {
 	return c.cat.Pin(qname)
 }
 
-// stampsFor stamps a result over deps with the versions q reads, one
-// per table. admittable=false when a table cannot be pinned or q reads
-// a version the pool has not applied: admitting the result would hand
-// the next commit walk an entry that is not at its predecessor. Caller
-// holds the writer lock.
-func (r *Recycler) stampsFor(q Pins, deps []ColumnRef) (stamps []tableStamp, admittable bool) {
-	for _, d := range deps {
-		if slices.ContainsFunc(stamps, func(s tableStamp) bool { return s.table == d.Table }) {
-			continue
-		}
-		pin, ok := q.Pin(d.Table)
-		if !ok {
-			return nil, false
-		}
-		stamps = append(stamps, tableStamp{table: d.Table, Stamp: pin.Stamp})
-	}
-	return stamps, current(stamps, appliedPins{r})
-}
-
 // signature derives the structured plan.Signature of an instruction
 // instance together with its encoded run-time matching key. It reports
 // matchable=false when a BAT argument has unknown provenance, in which
 // case neither matching nor admission is possible (the lineage was
-// cut, e.g. by an exhausted credit). The pool index and the pool-dump
-// rendering are derived from this Signature value, the pool image's
-// canonical keys from the same operands at drain (see internal/plan);
+// cut, e.g. by an exhausted credit). The pool index is derived from
+// this Signature value, the pool image's canonical keys and the pool
+// dump's lines from the same operands (see internal/plan);
 // Entry's exact probe encodes the same key with plan.AppendKey, the one
 // key encoder, without building a Signature.
 func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string, matchable bool) {
@@ -588,44 +571,28 @@ func (r *Recycler) noteReuse(ctx *mal.Ctx, in *mal.Instr, e *Entry) {
 // the freshly computed intermediate, after making room if needed. The
 // admission outcome is recorded on the query trace AFTER the writer
 // lock is released (lockorder's trace rule), on the same worker
-// goroutine that will complete the span. The entry's display line is
-// rendered before the lock is taken: string building needs no lock.
+// goroutine that will complete the span.
 func (r *Recycler) Exit(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite) uint64 {
 	sig, key, matchable := signature(in, args)
 	if !matchable {
 		ctx.Trace.SetAdmission(pc, "skip:unmatchable")
 		return 0
 	}
-	render := plan.RenderInstr(sig.Op, args)
 	r.lockWriter()
-	prov, reason := r.exitLocked(ctx, pc, in, args, ret, elapsed, rw, sig, key, render)
+	prov, reason := r.exitLocked(ctx, pc, in, args, ret, elapsed, rw, sig, key)
 	r.mu.Unlock()
 	ctx.Trace.SetAdmission(pc, reason)
 	return prov
 }
 
-// exitLocked is the admission body; the caller holds the writer lock
-// and has rendered the entry's display line (plan.RenderInstr) before
-// taking it. Combined subsumption admits its computed result through
-// this path after its re-validation step. The returned reason explains
-// the outcome for the query trace.
-func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite, sig plan.Signature, sigKey, render string) (uint64, string) {
-	deps, ok := r.columnDeps(in, args)
-	if !ok {
-		// A BAT operand's pool entry disappeared while the query was
-		// in flight (invalidation or a footnote-3 eviction), so the
-		// result's persistent column dependencies are unknowable.
-		// Admitting it would create an entry that no future
-		// invalidation pass can find — a stale result resurrected
-		// past the update that killed its lineage.
-		return 0, "deny:lineage-unknown"
-	}
-	stamps, ok := r.stampsFor(ctx, deps)
-	if !ok {
-		// The query reads a version of a dependency table the pool has
-		// not applied — one a commit already walked past, or one whose
-		// walk is still to come: either way the entry would miss it.
-		return 0, "deny:version-stale"
+// exitLocked is the admission body; the caller holds the writer lock.
+// Combined subsumption admits its computed result through this path
+// after its re-validation step. The returned reason explains the
+// outcome for the query trace.
+func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite, sig plan.Signature, sigKey string) (uint64, string) {
+	stamps, deny := r.stampsFor(ctx, in, args)
+	if deny != "" {
+		return 0, deny
 	}
 	if existing := r.pool.Lookup(sigKey, ctx); existing != nil {
 		// Another query re-admitted the same signature concurrently.
@@ -659,7 +626,7 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 			return 0, "deny:no-room:refunded"
 		}
 	}
-	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, render, deps, stamps)
+	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, stamps)
 	if rw != nil {
 		e.SubsetOf = rw.SubsetOf
 	}
@@ -681,14 +648,12 @@ func lineageOf(dst []uint64, args []mal.Value) []uint64 {
 }
 
 // buildEntry captures an executed instruction instance into a pool
-// entry, deriving lineage edges, column dependencies and subsumption
-// metadata.
-func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key, render string, deps []ColumnRef, stamps []tableStamp) *Entry {
+// entry, deriving lineage edges and subsumption metadata.
+func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key string, stamps []tableStamp) *Entry {
 	now := r.pool.Tick()
 	e := &Entry{
 		Sig:       key,
 		OpName:    sig.Op,
-		Render:    render,
 		Result:    ret,
 		Bytes:     ret.Bytes(),
 		Tuples:    ret.Tuples(),
@@ -701,9 +666,7 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Va
 	}
 	e.LastUseTick.Store(now)
 	e.deltaClass = plan.ClassifyOp(e.OpName)
-	e.deltaOneTable = depsOneTable(deps)
 	e.DependsOn = lineageOf(nil, args)
-	e.Deps = deps
 	e.stamps = stamps
 
 	switch sig.Op {
@@ -733,44 +696,63 @@ func isNaN(v any) bool {
 	return ok && f != f
 }
 
-// columnDeps derives the persistent columns an instruction's result
-// depends on: binds name them directly, join indices depend on both
-// tables wholesale, and derived instructions union their parents'.
-// ok=false reports that a BAT operand's parent entry is gone from the
-// pool (invalidated or evicted while the query was in flight): the
-// dependencies are then unknowable and the result must not be
-// admitted. Caller holds the writer lock (parent lookups walk the
-// entries map).
-func (r *Recycler) columnDeps(in *mal.Instr, args []mal.Value) ([]ColumnRef, bool) {
+// stampsFor returns the tables an instruction's result reads, each
+// stamped with the version q reads: a bind reads its table, a join
+// index its table and the index's parent table, and any other
+// instruction the union of its BAT operands' tables. deny is non-empty
+// when the result must not be admitted. Caller holds the writer lock
+// (operand lookups walk the entries map).
+func (r *Recycler) stampsFor(q Pins, in *mal.Instr, args []mal.Value) (stamps []tableStamp, deny string) {
+	add := func(table string) {
+		if !slices.ContainsFunc(stamps, func(s tableStamp) bool { return s.table == table }) {
+			stamps = append(stamps, tableStamp{table: table})
+		}
+	}
 	switch in.Name() {
 	case "sql.bind":
-		return []ColumnRef{{Table: args[0].S + "." + args[1].S, Column: args[2].S}}, true
+		add(args[0].S + "." + args[1].S)
 	case "sql.bindIdxbat":
-		qname := args[0].S + "." + args[1].S
-		deps := []ColumnRef{{Table: qname, Column: "*"}}
+		add(args[0].S + "." + args[1].S)
 		if r.cat != nil {
 			if t := r.cat.Table(args[0].S, args[1].S); t != nil {
 				if parent := t.JoinIndexParent(args[2].S); parent != nil {
-					deps = append(deps, ColumnRef{Table: parent.QName(), Column: "*"})
+					add(parent.QName())
 				}
 			}
 		}
-		return deps, true
-	}
-	var out []ColumnRef
-	for _, a := range args {
-		if !a.IsBat() || a.Prov == 0 {
-			continue
-		}
-		parent := r.pool.Get(a.Prov)
-		if parent == nil || !parent.valid.Load() {
-			return nil, false
-		}
-		for _, d := range parent.Deps {
-			if !slices.Contains(out, d) {
-				out = append(out, d)
+	default:
+		for _, a := range args {
+			if !a.IsBat() || a.Prov == 0 {
+				continue
+			}
+			parent := r.pool.Get(a.Prov)
+			if parent == nil || !parent.valid.Load() {
+				// The operand's pool entry disappeared while the query
+				// was in flight (invalidation or a footnote-3
+				// eviction), so the tables the result reads are
+				// unknowable. Admitting it would create an entry that
+				// no commit walk can find — a stale result resurrected
+				// past the update that killed its lineage.
+				return nil, "deny:lineage-unknown"
+			}
+			for _, s := range parent.stamps {
+				add(s.table)
 			}
 		}
 	}
-	return out, true
+	for i := range stamps {
+		pin, ok := q.Pin(stamps[i].table)
+		if !ok {
+			return nil, "deny:version-stale"
+		}
+		stamps[i].Stamp = pin.Stamp
+	}
+	if !current(stamps, appliedPins{r}) {
+		// q reads a version of a table the pool has not applied — one a
+		// commit already walked past, or one whose walk is still to
+		// come: either way the next walk would not find the entry at
+		// its predecessor.
+		return nil, "deny:version-stale"
+	}
+	return stamps, ""
 }

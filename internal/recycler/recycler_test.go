@@ -2,6 +2,7 @@ package recycler
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -583,6 +584,115 @@ func TestLikeSubsumption(t *testing.T) {
 
 func tableOf(f *fixture) *catalog.Table { return f.cat.MustTable("sys", "t") }
 
+// withTableU adds sys.u(k, c) — ten rows, k = 0..9, c = 10k — and a
+// join index t.w → u.k, so a pool over f can hold entries over t
+// alone, over u alone, and over both (the index and what is derived
+// from it).
+func withTableU(f *fixture) *catalog.Table {
+	u := f.cat.CreateTable("sys", "u", []catalog.ColDef{
+		{Name: "k", Kind: bat.KInt},
+		{Name: "c", Kind: bat.KInt},
+	})
+	rows := make([]catalog.Row, 10)
+	for i := range rows {
+		rows[i] = catalog.Row{"k": int64(i), "c": int64(10 * i)}
+	}
+	u.Append(rows)
+	tableOf(f).DefineJoinIndex("t_fk_u", "w", u, "k")
+	return u
+}
+
+// uCountTemplate counts the u rows with c in [A0, A1]: entries over u
+// alone.
+func uCountTemplate() *mal.Template {
+	b := mal.NewBuilder("ucount")
+	a0 := b.Param("A0", mal.VInt)
+	a1 := b.Param("A1", mal.VInt)
+	x1 := b.Op1("sql", "bind", mal.C(mal.StrV("sys")), mal.C(mal.StrV("u")), mal.C(mal.StrV("c")), mal.C(mal.IntV(0)))
+	x2 := b.Op1("algebra", "select", x1, a0, a1, mal.C(mal.BoolV(true)), mal.C(mal.BoolV(true)))
+	x3 := b.Op1("aggr", "count", x2)
+	b.Do("sql", "exportValue", mal.C(mal.StrV("n")), x3)
+	return opt.Optimize(b.Freeze(), opt.Options{})
+}
+
+// fkCountTemplate counts the t rows joined to u through the join
+// index: the index and the join read both tables.
+func fkCountTemplate() *mal.Template {
+	b := mal.NewBuilder("fkcount")
+	x1 := b.Op1("sql", "bindIdxbat", mal.C(mal.StrV("sys")), mal.C(mal.StrV("t")), mal.C(mal.StrV("t_fk_u")))
+	x2 := b.Op1("sql", "bind", mal.C(mal.StrV("sys")), mal.C(mal.StrV("u")), mal.C(mal.StrV("c")), mal.C(mal.IntV(0)))
+	x3 := b.Op1("algebra", "join", x1, x2)
+	x4 := b.Op1("aggr", "count", x3)
+	b.Do("sql", "exportValue", mal.C(mal.StrV("n")), x4)
+	return opt.Optimize(b.Freeze(), opt.Options{})
+}
+
+// tableGranularity drives a pool over t and u through one write to
+// table (a commit or a drop): it warms entries over t alone, u alone
+// and both, writes, and checks that exactly the entries reading table
+// left the pool, the join index among them whichever of its two tables
+// was written, and that every other entry is still there and serves its
+// query without a recompute.
+func tableGranularity(t *testing.T, f *fixture, table string, write func()) {
+	t.Helper()
+	other, otherTmpl, lo, hi := "sys.u", uCountTemplate(), int64(10), int64(50)
+	written := selectCountTemplate()
+	if table == "sys.u" {
+		other, otherTmpl, lo, hi = "sys.t", written, 10, 20
+		written = uCountTemplate()
+	}
+	f.run(t, written, mal.IntV(10), mal.IntV(50))
+	want := resultInt(t, f.run(t, otherTmpl, mal.IntV(lo), mal.IntV(hi)), 0)
+	f.run(t, fkCountTemplate())
+	readers := map[uint64]bool{}
+	var kept []uint64
+	var index uint64
+	kinds := map[string]int{}
+	for _, e := range f.rec.Pool().All() {
+		switch t, u := e.Reads("sys.t"), e.Reads("sys.u"); {
+		case t && u:
+			kinds["both"]++
+		case t:
+			kinds["t"]++
+		case u:
+			kinds["u"]++
+		}
+		if e.OpName == "sql.bindIdxbat" {
+			index = e.ID
+		}
+		if e.Reads(table) {
+			readers[e.ID] = true
+		} else {
+			kept = append(kept, e.ID)
+		}
+	}
+	if kinds["t"] == 0 || kinds["u"] == 0 || kinds["both"] < 3 {
+		t.Fatalf("pool holds %v entries by table; want some over t, u and both", kinds)
+	}
+	write()
+	if f.rec.Pool().Get(index) != nil {
+		t.Fatalf("the join index entry survived a write to %s", table)
+	}
+	var left []uint64
+	for _, e := range f.rec.Pool().All() {
+		if readers[e.ID] {
+			t.Fatalf("entry %d (%s) reads %s and survived the write", e.ID, e.OpName, table)
+		}
+		left = append(left, e.ID)
+	}
+	if !slices.Equal(left, kept) {
+		t.Fatalf("entries %v left after a write to %s, want %v", left, table, kept)
+	}
+	before := f.rec.Snapshot().Admitted
+	ctx := f.run(t, otherTmpl, mal.IntV(lo), mal.IntV(hi))
+	if got := resultInt(t, ctx, 0); got != want {
+		t.Fatalf("count over %s = %d, want %d", other, got, want)
+	}
+	if ctx.Stats.Hits == 0 || f.rec.Snapshot().Admitted != before {
+		t.Fatalf("query over %s recomputed after a write to %s: %d hits", other, table, ctx.Stats.Hits)
+	}
+}
+
 func TestUpdateInvalidatesDependents(t *testing.T) {
 	f := newFixture(t, Config{Admission: KeepAll})
 	tmpl := selectCountTemplate()
@@ -599,6 +709,20 @@ func TestUpdateInvalidatesDependents(t *testing.T) {
 	if got := resultInt(t, ctx, 0); got != 12 {
 		t.Fatalf("count after insert = %d, want 12", got)
 	}
+
+	// A second table: a commit reaches exactly the entries stamped with
+	// its table, the join index through either of its tables.
+	f = newFixture(t, Config{Admission: KeepAll})
+	u := withTableU(f)
+	tableGranularity(t, f, "sys.t", func() { tableOf(f).Append([]catalog.Row{{"v": int64(15), "w": int64(1)}}) })
+	if got := resultInt(t, f.run(t, fkCountTemplate()), 0); got != 101 {
+		t.Fatalf("join count after an insert into t = %d, want 101", got)
+	}
+	tableGranularity(t, f, "sys.u", func() { u.Append([]catalog.Row{{"k": int64(10), "c": int64(30)}}) })
+	if got := resultInt(t, f.run(t, uCountTemplate(), mal.IntV(10), mal.IntV(50)), 0); got != 6 {
+		t.Fatalf("count over u after an insert = %d, want 6", got)
+	}
+	tableGranularity(t, f, "sys.u", func() { u.Delete([]bat.Oid{10}) })
 }
 
 func TestDropTableInvalidates(t *testing.T) {
@@ -608,6 +732,14 @@ func TestDropTableInvalidates(t *testing.T) {
 	f.cat.DropTable("sys", "t")
 	if f.rec.Pool().Len() != 0 {
 		t.Fatalf("pool not cleared on drop: %d", f.rec.Pool().Len())
+	}
+
+	// With a second table, a drop takes exactly the entries stamped
+	// with the dropped table.
+	for _, table := range []string{"t", "u"} {
+		f = newFixture(t, Config{Admission: KeepAll})
+		withTableU(f)
+		tableGranularity(t, f, "sys."+table, func() { f.cat.DropTable("sys", table) })
 	}
 }
 

@@ -1,7 +1,6 @@
 package recycler
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -25,9 +24,9 @@ import (
 // snapshot, because the run-time key's entry ids die with the process.
 //
 // Validity is keyed on catalog table versions: a record stores, for
-// every persistent column the intermediate depends on, the version of
-// its table the entry was computed at (its stamp), and only entries
-// current with the catalog are written. Prewarm streams the image once;
+// every table the intermediate reads, the version the entry was
+// computed at (its stamp), and only entries current with the catalog
+// are written. Prewarm streams the image once;
 // the tier decodes each record outside the writer lock, and the record
 // is admitted under it when its producers were admitted before it,
 // every dependency table still has exactly the recorded version, and
@@ -36,10 +35,10 @@ import (
 //
 // Prewarmed entries are exact-match lines only: their subsumption
 // metadata and argument snapshots are not rehydrated, so they serve
-// repeat-template hits (and are found by column-wise invalidation
-// through Deps) but do not join subsumption searches or delta
-// propagation. They keep the canonical operands they were loaded
-// under, so the next drain writes them again.
+// repeat-template hits (and a commit to or drop of a table they read
+// invalidates them through their stamps) but do not join subsumption
+// searches or delta propagation. They keep the canonical operands they
+// were loaded under, so the next drain writes them again.
 
 // SpillArg describes one operand of an imaged instruction: either a
 // scalar (its literal matching key) or a BAT (the canonical signature
@@ -49,9 +48,9 @@ import (
 type SpillArg = plan.CanonArg
 
 // SpillDep pins a record to the catalog state its content was computed
-// from: the dependency table's catalog.Stamp.
+// from: one table it reads and that table's catalog.Stamp.
 type SpillDep struct {
-	Ref ColumnRef
+	Table string // schema-qualified
 	// Created identifies the dependency table itself (its creation
 	// commit sequence): a dropped-and-recreated table under the same
 	// name restarts its version counter, and the creation stamp keeps
@@ -67,7 +66,6 @@ type SpillDep struct {
 // a later process.
 type SpillRecord struct {
 	OpName string
-	Render string
 	Args   []SpillArg
 	Deps   []SpillDep
 	Cost   time.Duration
@@ -86,14 +84,11 @@ type SpillTier interface {
 	Load(admit func(*SpillRecord)) error
 }
 
-// recordStamps folds a record's per-column dependencies into one
-// version stamp per table.
+// recordStamps converts a record's dependencies to version stamps.
 func recordStamps(deps []SpillDep) []tableStamp {
-	var out []tableStamp
-	for _, d := range deps {
-		if !slices.ContainsFunc(out, func(s tableStamp) bool { return s.table == d.Ref.Table }) {
-			out = append(out, tableStamp{table: d.Ref.Table, Stamp: catalog.Stamp{Created: d.Created, Version: d.Version}})
-		}
+	out := make([]tableStamp, len(deps))
+	for i, d := range deps {
+		out[i] = tableStamp{table: d.Table, Stamp: catalog.Stamp{Created: d.Created, Version: d.Version}}
 	}
 	return out
 }
@@ -142,14 +137,12 @@ func (r *Recycler) imageLocked() []*SpillRecord {
 			}
 		}
 		canon[e.ID] = plan.CanonKey(e.OpName, args)
-		deps := make([]SpillDep, len(e.Deps))
-		for i, d := range e.Deps {
-			s := e.stampOf(d.Table)
-			deps[i] = SpillDep{Ref: d, Created: s.Created, Version: s.Version}
+		deps := make([]SpillDep, len(e.stamps))
+		for i, s := range e.stamps {
+			deps[i] = SpillDep{Table: s.table, Created: s.Created, Version: s.Version}
 		}
 		recs = append(recs, &SpillRecord{
 			OpName: e.OpName,
-			Render: e.Render,
 			Args:   args,
 			Deps:   deps,
 			Cost:   e.Cost,
@@ -222,18 +215,13 @@ func (r *Recycler) admitRecordLocked(rec *SpillRecord, ids map[string]uint64) bo
 		Sig:       sig,
 		SpillArgs: rec.Args,
 		OpName:    rec.OpName,
-		Render:    rec.Render,
 		Result:    rec.Result,
 		Bytes:     bytes,
 		Tuples:    rec.Result.Tuples(),
 		Cost:      rec.Cost,
 		AdmitTick: tick,
 		DependsOn: dependsOn,
-		Deps:      make([]ColumnRef, len(rec.Deps)),
 		stamps:    stamps,
-	}
-	for i, d := range rec.Deps {
-		e.Deps[i] = d.Ref
 	}
 	e.LastUseTick.Store(tick)
 	r.pool.Add(e)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/bat"
 	"repro/internal/mal"
-	"repro/internal/plan"
 )
 
 // This file implements instruction subsumption (paper §5): reusing a
@@ -212,12 +211,8 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 		r.testBeforeRevalidate()
 	}
 
-	// The admission's signature and display line need no lock.
+	// The admission's signature needs no lock.
 	sig, key, admittable := signature(in, args)
-	var render string
-	if admittable {
-		render = plan.RenderInstr(sig.Op, args)
-	}
 
 	// Re-validate under the writer lock: every piece must still be
 	// valid (not invalidated/evicted) and unchanged (not refreshed by
@@ -255,7 +250,7 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 	// Admit the combined result under the original signature so later
 	// instances match exactly.
 	if admittable {
-		val.Prov, _ = r.exitLocked(ctx, pc, in, args, val, elapsed, nil, sig, key, render)
+		val.Prov, _ = r.exitLocked(ctx, pc, in, args, val, elapsed, nil, sig, key)
 	}
 	return mal.EntryResult{Hit: true, Val: val, Reason: "hit:combined"}
 }

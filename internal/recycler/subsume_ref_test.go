@@ -145,13 +145,13 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 	}
 	add := func(e *Entry) {
 		e.Tuples = rng.Intn(6) // few distinct sizes: ties must fall the same way
-		e.Deps = []ColumnRef{{Table: tables[rng.Intn(len(tables))], Column: "v"}}
+		reads := []string{tables[rng.Intn(len(tables))]}
 		if rng.Intn(2) == 0 {
-			e.Deps = append(e.Deps, ColumnRef{Table: tables[rng.Intn(len(tables))], Column: "w"})
+			reads = append(reads, tables[rng.Intn(len(tables))])
 		}
-		for _, d := range e.Deps {
-			if e.stampOf(d.Table) == (catalog.Stamp{}) {
-				e.stamps = append(e.stamps, stampAt(d.Table))
+		for _, table := range reads {
+			if !e.Reads(table) {
+				e.stamps = append(e.stamps, stampAt(table))
 			}
 		}
 		p.Add(e)

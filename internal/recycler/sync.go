@@ -44,15 +44,9 @@ func (r *Recycler) OnUpdate(ev catalog.UpdateEvent) {
 	}
 	r.lockWriter()
 	qname := ev.Table.QName()
-	refs := make([]ColumnRef, 0, len(ev.Cols)+1)
-	for _, c := range ev.Cols {
-		refs = append(refs, ColumnRef{Table: qname, Column: c})
-	}
-	refs = append(refs, ColumnRef{Table: qname, Column: "*"})
-
 	invalBefore := r.pool.Invalidated
 	mode, rules := r.cfg.Sync.preset()
-	sum := r.applyCommit(ev, refs, rules)
+	sum := r.applyCommit(ev, rules)
 	invalidated := r.pool.Invalidated - invalBefore
 	r.applied[qname] = ev.Stamp
 	r.mu.Unlock()
@@ -92,13 +86,8 @@ func (r *Recycler) OnDrop(t *catalog.Table) {
 	r.lockWriter()
 	qname := t.QName()
 	invalBefore := r.pool.Invalidated
-	for ref, m := range r.pool.byCol {
-		if ref.Table != qname {
-			continue
-		}
-		for _, e := range m {
-			r.invalidate(e)
-		}
+	for _, e := range r.pool.entriesOver(qname) {
+		r.invalidate(e)
 	}
 	invalidated := r.pool.Invalidated - invalBefore
 	delete(r.applied, qname)

@@ -48,12 +48,12 @@ func Normalize(q *Query) *Query {
 // BETWEEN is inclusive-inclusive only.
 func mergeRangePairs(preds []Pred) []Pred {
 	type bounds struct{ ge, le, other int }
-	byCol := map[string]*bounds{}
+	colBounds := map[string]*bounds{}
 	for i := range preds {
-		b := byCol[preds[i].Col]
+		b := colBounds[preds[i].Col]
 		if b == nil {
 			b = &bounds{ge: -1, le: -1}
-			byCol[preds[i].Col] = b
+			colBounds[preds[i].Col] = b
 		}
 		switch preds[i].Op {
 		case OpGe:
@@ -73,7 +73,7 @@ func mergeRangePairs(preds []Pred) []Pred {
 		}
 	}
 	drop := map[int]bool{}
-	for _, b := range byCol {
+	for _, b := range colBounds {
 		if b.ge < 0 || b.le < 0 || b.other > 0 {
 			continue
 		}

@@ -29,7 +29,7 @@ const imageFile = "pool.img"
 
 // imageFormat tags the header frame with the record layout below. An
 // image without it (another layout, or a damaged header) loads empty.
-const imageFormat uint32 = 0x31_47_4d_49 // "IMG1"
+const imageFormat uint32 = 0x32_47_4d_49 // "IMG2"
 
 // Save implements recycler.SpillTier: it replaces the image with recs,
 // in order.
@@ -111,7 +111,6 @@ func (sp *Spill) purge() error {
 
 func encodeSpillRecord(e *enc, rec *recycler.SpillRecord) {
 	e.str(rec.OpName)
-	e.str(rec.Render)
 	e.i64(int64(rec.Cost))
 	e.u32(uint32(len(rec.Args)))
 	for _, a := range rec.Args {
@@ -125,8 +124,7 @@ func encodeSpillRecord(e *enc, rec *recycler.SpillRecord) {
 	}
 	e.u32(uint32(len(rec.Deps)))
 	for _, d := range rec.Deps {
-		e.str(d.Ref.Table)
-		e.str(d.Ref.Column)
+		e.str(d.Table)
 		e.u64(d.Created)
 		e.i64(d.Version)
 	}
@@ -137,7 +135,6 @@ func decodeSpillRecord(payload []byte) (*recycler.SpillRecord, error) {
 	d := &dec{b: payload}
 	rec := &recycler.SpillRecord{
 		OpName: d.str(),
-		Render: d.str(),
 		Cost:   time.Duration(d.i64()),
 	}
 	nArgs := int(d.u32())
@@ -150,12 +147,7 @@ func decodeSpillRecord(payload []byte) (*recycler.SpillRecord, error) {
 	}
 	nDeps := int(d.u32())
 	for i := 0; i < nDeps && !d.fail; i++ {
-		dep := recycler.SpillDep{}
-		dep.Ref.Table = d.str()
-		dep.Ref.Column = d.str()
-		dep.Created = d.u64()
-		dep.Version = d.i64()
-		rec.Deps = append(rec.Deps, dep)
+		rec.Deps = append(rec.Deps, recycler.SpillDep{Table: d.str(), Created: d.u64(), Version: d.i64()})
 	}
 	rec.Result = decodeValue(d)
 	if err := d.err(); err != nil || !d.done() {

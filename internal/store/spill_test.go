@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/bat"
@@ -550,7 +551,7 @@ func TestSpillAllReplacesImage(t *testing.T) {
 		t.Fatalf("both drains wrote %d records; the test needs pools of different sizes", first)
 	}
 	var loaded []string
-	if err := tier.Load(func(rec *recycler.SpillRecord) { loaded = append(loaded, rec.Render) }); err != nil {
+	if err := tier.Load(func(rec *recycler.SpillRecord) { loaded = append(loaded, rec.OpName) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != second {
@@ -603,10 +604,11 @@ func TestBootstrapPurgesImage(t *testing.T) {
 	}
 }
 
-// TestSpillOldFormatRecordDoesNotLoad: a data dir holding per-record
-// spill files of the store's former layout (spill/*.spl, one record per
-// file) boots cold without error. The files are ignored: nothing
-// pre-warms and queries recompute.
+// TestSpillOldFormatRecordDoesNotLoad: a data dir holding the store's
+// former layouts — per-record spill files (spill/*.spl, one record per
+// file) and an IMG1 pool image (records with a display line and one
+// dependency per column) — boots cold without error. Both are ignored:
+// nothing pre-warms and queries recompute.
 func TestSpillOldFormatRecordDoesNotLoad(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -653,9 +655,43 @@ func TestSpillOldFormatRecordDoesNotLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// An IMG1 image whose one record binds sys.kv.v at the recovered
+	// table's current version.
+	snap, ok := cat2.Pin("sys.kv")
+	if !ok {
+		t.Fatal("sys.kv not recovered")
+	}
+	hdr := &enc{}
+	hdr.u32(0x31_47_4d_49) // "IMG1"
+	rec := &enc{}
+	rec.str("sql.bind")
+	rec.str(`sql.bind("sys","kv","v",0)`)
+	rec.i64(int64(time.Millisecond))
+	rec.u32(4)
+	for _, k := range []string{"s3:sys", "s2:kv", "s1:v", "i0"} {
+		rec.u8(0)
+		rec.str(k)
+	}
+	rec.u32(1)
+	rec.str("sys.kv")
+	rec.str("v")
+	rec.u64(snap.Stamp.Created)
+	rec.i64(snap.Stamp.Version)
+	encodeValue(rec, mal.BatV(cat2.MustTable("sys", "kv").Column("v").Bind()))
+	var img bytes.Buffer
+	for _, frame := range [][]byte{hdr.b, rec.b} {
+		if err := writeFrame(&img, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, imageFile), img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	eng := newSpillEngine(t, cat2, st2.Spill())
 	if n := prewarm(t, eng.Recycler()); n != 0 {
-		t.Fatalf("prewarm admitted %d records from the former layout", n)
+		t.Fatalf("prewarm admitted %d records from a former layout", n)
 	}
 	if got := answers(t, eng); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("answers %v after a cold boot, want %v", got, want)

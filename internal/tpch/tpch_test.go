@@ -382,10 +382,8 @@ func TestUpdateBlockInvalidatesRecycler(t *testing.T) {
 	db.UpdateBlock()
 	// All lineitem/orders-derived entries are invalidated.
 	for _, e := range rec.Pool().All() {
-		for _, dep := range e.Deps {
-			if dep.Table == "sys.lineitem" || dep.Table == "sys.orders" {
-				t.Fatalf("stale entry survived: %s (deps %v)", e.Render, e.Deps)
-			}
+		if e.Reads("sys.lineitem") || e.Reads("sys.orders") {
+			t.Fatalf("stale entry survived: %s", e.Sig)
 		}
 	}
 	// Correctness after the update block.
