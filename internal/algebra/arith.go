@@ -2,7 +2,9 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/bat"
 )
@@ -281,7 +283,12 @@ func tailLess(t bat.Vector) func(i, j int) bool {
 	case *bat.Floats:
 		return func(i, j int) bool { return v.V[i] < v.V[j] }
 	case *bat.Strings:
-		return func(i, j int) bool { return v.V[i] < v.V[j] }
+		vals := v.D.Values()
+		if !dictPays(len(v.C), len(vals)) {
+			return func(i, j int) bool { return vals[v.C[i]] < vals[v.C[j]] }
+		}
+		rank := dictRanks(vals)
+		return func(i, j int) bool { return rank[v.C[i]] < rank[v.C[j]] }
 	case *bat.Dates:
 		return func(i, j int) bool { return v.V[i] < v.V[j] }
 	case *bat.Oids:
@@ -290,6 +297,21 @@ func tailLess(t bat.Vector) func(i, j int) bool {
 		return func(i, j int) bool { return i < j }
 	}
 	panic(fmt.Sprintf("algebra: sort over unsupported tail %T", t))
+}
+
+// dictRanks ranks a dictionary's values once: rank[c] orders code c's
+// value among them, so codes compare as their values do.
+func dictRanks(vals []string) []int32 {
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(vals[a], vals[b]) })
+	rank := make([]int32, len(vals))
+	for r, c := range order {
+		rank[c] = int32(r)
+	}
+	return rank
 }
 
 // TopN returns the first n rows of b (LIMIT n).

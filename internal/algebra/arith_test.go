@@ -176,11 +176,26 @@ func TestMergeMatchesReferenceEveryKind(t *testing.T) {
 		head bat.Oid
 		tail any
 	}
-	for trial := 0; trial < 600; trial++ {
+	// uselectPart is a part of the uselect shape: its tail is its head.
+	uselectPart := func() *bat.BAT {
+		p := mkPart(bat.KOid)
+		hv := bat.NewOids(bat.MaterialiseOids(p.Head))
+		u := bat.New(hv, hv.Slice(0, hv.Len()))
+		u.HeadSorted = p.HeadSorted
+		return u
+	}
+	for trial := 0; trial < 800; trial++ {
 		kind := diffKinds[trial%len(diffKinds)]
 		parts := []*bat.BAT{mkPart(kind), mkPart(kind)}
 		if trial%3 == 0 {
 			parts = append(parts, mkPart(kind))
+		}
+		uselect := trial >= 600
+		if uselect {
+			kind = bat.KOid
+			for i := range parts {
+				parts[i] = uselectPart()
+			}
 		}
 		var want []row
 		for _, p := range parts {
@@ -198,6 +213,9 @@ func TestMergeMatchesReferenceEveryKind(t *testing.T) {
 			if bat.OidAt(got.Head, i) != w.head || !valEq(got.Tail.Get(i), w.tail) {
 				t.Fatalf("%v trial %d row %d: (%v, %v), want (%v, %v)", kind, trial, i, bat.OidAt(got.Head, i), got.Tail.Get(i), w.head, w.tail)
 			}
+		}
+		if uselect && !ownTail(got) {
+			t.Fatalf("trial %d: uselect-shaped parts merged into a tail apart from the head", trial)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -197,7 +198,8 @@ func joinByValue(l, r *bat.BAT, buf *selBuf) *bat.BAT {
 	case *bat.Ints:
 		li, ri = probeJoin(lt.V, bat.BuildInts(r.Head.(*bat.Ints).V), li, ri)
 	case *bat.Strings:
-		li, ri = probeJoin(lt.V, bat.BuildStrings(r.Head.(*bat.Strings).V), li, ri)
+		rh := r.Head.(*bat.Strings)
+		li, ri = probeJoin(codesOf(lt, rh), bat.BuildCodes(rh.C), li, ri)
 	case *bat.Dates:
 		li, ri = probeJoin(lt.V, bat.BuildDates(r.Head.(*bat.Dates).V), li, ri)
 	case *bat.Floats:
@@ -206,6 +208,50 @@ func joinByValue(l, r *bat.BAT, buf *selBuf) *bat.BAT {
 		panic("algebra: joinByValue unsupported tail type")
 	}
 	return gatherJoin(l, r, li, ri)
+}
+
+// codesOf returns l's codes as codes of r's dictionary, for probing r.
+// Two dictionaries meet through one translation. When they are no
+// longer than the rows (dictPays), l's whole dictionary is translated,
+// O(distinct values of both); otherwise only the values the rows hold
+// are, O(|L|+|R|). A value r's rows lack becomes a code no row of r
+// holds.
+func codesOf(l, r *bat.Strings) []uint32 {
+	if l.D == r.D {
+		return l.C
+	}
+	lv, rv := l.D.Values(), r.D.Values()
+	out := make([]uint32, len(l.C))
+	if dictPays(len(l.C)+len(r.C), len(lv)+len(rv)) {
+		index := make(map[string]uint32, len(rv))
+		for c, s := range rv {
+			index[s] = uint32(c)
+		}
+		trans := make([]uint32, len(lv))
+		for c, s := range lv {
+			trans[c] = codeIn(index, s)
+		}
+		for i, c := range l.C {
+			out[i] = trans[c]
+		}
+		return out
+	}
+	index := make(map[string]uint32, len(r.C))
+	for _, c := range r.C {
+		index[rv[c]] = c
+	}
+	for i, c := range l.C {
+		out[i] = codeIn(index, lv[c])
+	}
+	return out
+}
+
+// codeIn returns s's code in index, or a code no vector holds.
+func codeIn(index map[string]uint32, s string) uint32 {
+	if c, ok := index[s]; ok {
+		return c
+	}
+	return math.MaxUint32
 }
 
 func gatherJoin(l, r *bat.BAT, li, ri bat.SelectionVector) *bat.BAT {
@@ -258,12 +304,18 @@ func Semijoin(l, r *bat.BAT) *bat.BAT {
 }
 
 // keepRows returns the rows of l at sel with l's head flags, or l
-// itself when sel keeps every row.
+// itself when sel keeps every row. An l of the uselect shape (see
+// PredEq) keeps it: the head is gathered once and is the tail too.
 func keepRows(l *bat.BAT, sel bat.SelectionVector) *bat.BAT {
 	if len(sel) == l.Len() {
 		return l
 	}
-	out := bat.GatherSel(l, sel)
+	var out *bat.BAT
+	if ownTail(l) {
+		out = uselectRows(l.Head, sel)
+	} else {
+		out = bat.GatherSel(l, sel)
+	}
 	out.HeadSorted = l.HeadSorted
 	out.KeyUnique = l.KeyUnique
 	return out
@@ -454,7 +506,7 @@ func KUnique(b *bat.BAT) *bat.BAT {
 	case *bat.Floats:
 		sel = kuniqueSel(h.V, bat.HashFloat)
 	case *bat.Strings:
-		sel = kuniqueSel(h.V, bat.HashStr)
+		sel = kuniqueSel(h.C, bat.HashCode)
 	case *bat.Dates:
 		sel = kuniqueSel(h.V, bat.HashDate)
 	case *bat.Bools:

@@ -203,6 +203,88 @@ func BenchmarkKernelGroup(b *testing.B) {
 				GroupNew(kb)
 			}
 		})
+		// Q12's group-by over l_shipmode: seven strings.
+		modes := []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
+		strs := make([]string, n)
+		for i := range strs {
+			strs[i] = modes[rng.Intn(len(modes))]
+		}
+		sb := bat.NewDenseHead(bat.NewStrings(strs))
+		b.Run(fmt.Sprintf("str/rows=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				GroupNew(sb)
+			}
+		})
+	}
+	// 10 000 rows of a column with 16 values a row: past the direct
+	// index's bound, the group ids hash the codes.
+	const n, d = 10_000, 160_000
+	rng := rand.New(rand.NewSource(16))
+	vals := make([]string, d)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("v%d", i)
+	}
+	sel := make(bat.SelectionVector, n)
+	for i := range sel {
+		sel[i] = int32(rng.Intn(d))
+	}
+	wide := bat.NewDenseHead(bat.GatherVectorSel(bat.NewStrings(vals), sel))
+	b.Run(fmt.Sprintf("str/dict=%d/rows=%d", d, n), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GroupNew(wide)
+		}
+	})
+}
+
+// BenchmarkKernelSelectStrings filters strings by =, LIKE and NOT LIKE
+// over three vectors: 1e6 rows of 150 values (TPC-H's p_type), 1e6 rows
+// of one value a row (a comment), and a 10 000-row sample of the
+// latter, whose dictionary is 100× its rows, so it tests the rows.
+func BenchmarkKernelSelectStrings(b *testing.B) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewSource(21))
+	syl := [][]string{
+		{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"},
+		{"ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"},
+		{"TIN", "NICKEL", "BRASS", "STEEL", "COPPER"},
+	}
+	types, unique := make([]string, n), make([]string, n)
+	for i := range types {
+		types[i] = syl[0][rng.Intn(6)] + " " + syl[1][rng.Intn(5)] + " " + syl[2][rng.Intn(5)]
+		unique[i] = fmt.Sprintf("comment %d of the batch", rng.Int63())
+	}
+	cols := []struct {
+		name string
+		base *bat.BAT
+		eq   string
+	}{
+		{"card=150", bat.NewDenseHead(bat.NewStrings(types)), "PROMO BRUSHED TIN"},
+		{"unique", bat.NewDenseHead(bat.NewStrings(unique)), unique[n/2]},
+	}
+	sample := make(bat.SelectionVector, n/100)
+	for i := range sample {
+		sample[i] = int32(rng.Intn(n))
+	}
+	cols = append(cols, struct {
+		name string
+		base *bat.BAT
+		eq   string
+	}{"unique/sample", bat.NewDenseHead(bat.GatherVectorSel(cols[1].base.Tail, sample)), unique[sample[0]]})
+	for _, c := range cols {
+		for _, p := range []struct {
+			name string
+			pred Pred
+		}{
+			{"eq", equalTo(c.eq)},
+			{"like", Pred{Kind: PredLike, Pattern: "%BRASS%"}},
+			{"notlike", Pred{Kind: PredNotLike, Pattern: "MEDIUM POLISHED%"}},
+		} {
+			b.Run(c.name+"/"+p.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Filter(c.base, p.pred)
+				}
+			})
+		}
 	}
 }
 

@@ -17,13 +17,29 @@ import (
 //
 // Every part is made a head-sorted run first (parts are usually clipped
 // selects over oid-ordered intermediates, which already are one), then
-// the runs are merged two at a time over their typed slices.
+// the runs are merged two at a time over their typed slices. Parts of
+// the uselect shape, whose tail is their head, merge their heads only
+// and yield that shape.
 func MergeDedupByHead(parts []*bat.BAT) *bat.BAT {
 	switch len(parts) {
 	case 0:
 		panic("algebra: merge of zero parts")
 	case 1:
 		return parts[0]
+	}
+	if selfTailed(parts) {
+		hs := make([][]bat.Oid, len(parts))
+		none := make([][]struct{}, len(parts)) // zero-size tails: no storage
+		for pi, p := range parts {
+			if hs[pi] = bat.MaterialiseOids(p.Head); !p.HeadSorted {
+				hs[pi] = slices.Clone(hs[pi])
+				slices.Sort(hs[pi])
+			}
+			none[pi] = make([]struct{}, len(hs[pi]))
+		}
+		heads, _ := mergeRuns(hs, none)
+		hv := bat.NewOids(heads)
+		return mergedBAT(hv, hv.Slice(0, len(heads)))
 	}
 	hs := make([][]bat.Oid, len(parts))
 	tails := make([]bat.Vector, len(parts))
@@ -45,9 +61,7 @@ func MergeDedupByHead(parts []*bat.BAT) *bat.BAT {
 		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []float64 { return v.(*bat.Floats).V }))
 		tail = bat.NewFloats(v)
 	case bat.KStr:
-		var v []string
-		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []string { return v.(*bat.Strings).V }))
-		tail = bat.NewStrings(v)
+		heads, tail = mergeStrings(hs, tails)
 	case bat.KDate:
 		var v []bat.Date
 		heads, v = mergeRuns(hs, typedTails(tails, func(v bat.Vector) []bat.Date { return v.(*bat.Dates).V }))
@@ -63,10 +77,48 @@ func MergeDedupByHead(parts []*bat.BAT) *bat.BAT {
 	default:
 		panic("algebra: merge of unsupported tail kind")
 	}
-	out := bat.New(bat.NewOids(heads), tail)
+	return mergedBAT(bat.NewOids(heads), tail)
+}
+
+// mergedBAT is a merge's result: its heads ascend and are unique.
+func mergedBAT(head, tail bat.Vector) *bat.BAT {
+	out := bat.New(head, tail)
 	out.HeadSorted = true
 	out.KeyUnique = true
 	return out
+}
+
+// selfTailed reports whether every part has the uselect shape, a tail
+// that is its own head (see PredEq): the merge then merges heads only.
+func selfTailed(parts []*bat.BAT) bool {
+	for _, p := range parts {
+		if !ownTail(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// ownTail reports whether b's tail is its head's storage.
+func ownTail(b *bat.BAT) bool {
+	h, ok := b.Head.(*bat.Oids)
+	t, ok2 := b.Tail.(*bat.Oids)
+	return ok && ok2 && len(h.V) == len(t.V) && (len(h.V) == 0 || &h.V[0] == &t.V[0])
+}
+
+// mergeStrings merges string runs as codes. Runs over one dictionary
+// share it; runs over several merge their values into a dictionary the
+// result owns.
+func mergeStrings(hs [][]bat.Oid, tails []bat.Vector) ([]bat.Oid, bat.Vector) {
+	d := tails[0].(*bat.Strings).D
+	for _, t := range tails[1:] {
+		if t.(*bat.Strings).D != d {
+			heads, v := mergeRuns(hs, typedTails(tails, func(v bat.Vector) []string { return v.(*bat.Strings).Decode() }))
+			return heads, bat.NewStrings(v)
+		}
+	}
+	heads, v := mergeRuns(hs, typedTails(tails, func(v bat.Vector) []uint32 { return v.(*bat.Strings).C }))
+	return heads, bat.StringsOf(v, d)
 }
 
 // sortByHead returns a part's heads and tail reordered by a stable sort

@@ -795,10 +795,20 @@ func TestSemijoinMatchesSeedReference(t *testing.T) {
 			r = bat.New(bat.NewDense(bat.Oid(start), rn), randVector(rng, bat.KInt, rn, false))
 		}
 
+		if trial%5 == 0 && ln > 0 {
+			// The uselect shape: L's tail is its head.
+			hv := bat.NewOids(bat.MaterialiseOids(l.Head))
+			u := bat.New(hv, hv.Slice(0, ln))
+			u.HeadSorted, u.KeyUnique = l.HeadSorted, l.KeyUnique
+			l = u
+		}
 		got := Semijoin(l, r)
 		want := refSemijoin(l, r)
 		expectPairs(t, "semijoin", l, got, want)
 		expectFlags(t, "semijoin", l, got)
+		if ownTail(l) && (!ownTail(got) || !ownTail(AntiSemijoin(l, r))) {
+			t.Fatalf("semijoin trial %d: a uselect-shaped L lost its shape", trial)
+		}
 
 		gotAnti := AntiSemijoin(l, r)
 		wantAnti := refAntiSemijoin(l, r)

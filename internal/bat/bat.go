@@ -158,11 +158,11 @@ func GatherVector(vec Vector, idx []int) Vector {
 		}
 		return NewFloats(v)
 	case *Strings:
-		v := make([]string, len(idx))
+		v := make([]uint32, len(idx))
 		for i, p := range idx {
-			v[i] = t.V[p]
+			v[i] = t.C[p]
 		}
-		return NewStrings(v)
+		return StringsOf(v, t.D)
 	case *Dates:
 		v := make([]Date, len(idx))
 		for i, p := range idx {

@@ -37,11 +37,19 @@ func TestVectorSliceSharesStorage(t *testing.T) {
 	}
 }
 
+// TestStringsByteSize pins the charge: 4 bytes a code, plus the
+// dictionary only for the vector it was built for.
 func TestStringsByteSize(t *testing.T) {
-	v := NewStrings([]string{"ab", "cde"})
-	want := int64(16+2) + int64(16+3)
+	v := NewStrings([]string{"ab", "cde", "ab"})
+	want := int64(3*4) + int64(16+2) + int64(16+3)
 	if v.ByteSize() != want {
 		t.Fatalf("ByteSize = %d, want %d", v.ByteSize(), want)
+	}
+	if g := GatherVectorSel(v, SelectionVector{2, 1}); g.ByteSize() != 2*4 {
+		t.Fatalf("a gather charged %d, want its codes only (8)", g.ByteSize())
+	}
+	if e := Extend(v, NewStrings([]string{"f"})).(*Strings); e.D != v.D || e.At(3) != "f" || v.D.Len() != 3 {
+		t.Fatalf("extend: dict shared %v, value %q, dict len %d", e.D == v.D, e.At(3), v.D.Len())
 	}
 }
 
@@ -164,9 +172,9 @@ func TestDrop(t *testing.T) {
 	}{
 		{nil, "abcde"}, {[]int{0}, "bcde"}, {[]int{4}, "abcd"}, {[]int{1, 2}, "ade"}, {[]int{0, 2, 4}, "bd"}, {[]int{0, 1, 2, 3, 4}, ""},
 	} {
-		got := Drop(v, c.pos).(*Strings)
-		if strings.Join(got.V, "") != c.want {
-			t.Fatalf("Drop %v = %v, want %q", c.pos, got.V, c.want)
+		got := Drop(v, c.pos).(*Strings).Decode()
+		if strings.Join(got, "") != c.want {
+			t.Fatalf("Drop %v = %v, want %q", c.pos, got, c.want)
 		}
 	}
 	// Positions may be oids (a column's dead slots are its dead oids),
@@ -175,7 +183,7 @@ func TestDrop(t *testing.T) {
 	if len(live.V) != 3 || live.V[0] != 10 || live.V[1] != 12 || live.V[2] != 14 {
 		t.Fatalf("Drop on dense: %v", live.V)
 	}
-	if len(v.V) != 5 || v.V[1] != "b" {
+	if v.Len() != 5 || v.At(1) != "b" {
 		t.Fatal("Drop changed its input")
 	}
 }

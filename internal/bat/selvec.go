@@ -43,11 +43,11 @@ func GatherVectorSel(vec Vector, sel SelectionVector) Vector {
 		}
 		return NewFloats(v)
 	case *Strings:
-		v := make([]string, len(sel))
+		v := make([]uint32, len(sel))
 		for i, p := range sel {
-			v[i] = t.V[p]
+			v[i] = t.C[p]
 		}
-		return NewStrings(v)
+		return StringsOf(v, t.D)
 	case *Dates:
 		v := make([]Date, len(sel))
 		for i, p := range sel {

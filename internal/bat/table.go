@@ -91,8 +91,7 @@ func (t *Table[K]) Has(k K) bool { return t.First(k) >= 0 }
 // Integers use a splitmix64-style finalizer (full avalanche, two
 // multiplies); floats hash their IEEE bits, so NaN keys never match on
 // probe (comparison fails), the same observable semantics Go maps give
-// them; strings use FNV-1a, deterministic across processes so
-// recovered and pre-warmed state rebuilds identical tables.
+// them. Strings hash as their dictionary codes.
 
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
@@ -112,6 +111,9 @@ func HashOid(v Oid) uint64 { return mix64(uint64(v)) }
 // HashDate hashes a date key.
 func HashDate(v Date) uint64 { return mix64(uint64(uint32(v))) }
 
+// HashCode hashes a dictionary code.
+func HashCode(v uint32) uint64 { return mix64(uint64(v)) }
+
 // HashFloat hashes a float64 key by IEEE-754 bits.
 func HashFloat(v float64) uint64 { return mix64(math.Float64bits(v)) }
 
@@ -121,20 +123,6 @@ func HashBool(v bool) uint64 {
 		return mix64(1)
 	}
 	return mix64(0)
-}
-
-// HashStr hashes a string key (FNV-1a, finalized).
-func HashStr(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return mix64(h)
 }
 
 // Typed constructors for the base kinds.
@@ -151,5 +139,5 @@ func BuildDates(keys []Date) *Table[Date] { return NewTable(keys, HashDate) }
 // BuildFloats indexes a float64 slice.
 func BuildFloats(keys []float64) *Table[float64] { return NewTable(keys, HashFloat) }
 
-// BuildStrings indexes a string slice.
-func BuildStrings(keys []string) *Table[string] { return NewTable(keys, HashStr) }
+// BuildCodes indexes a slice of dictionary codes.
+func BuildCodes(keys []uint32) *Table[uint32] { return NewTable(keys, HashCode) }

@@ -65,8 +65,8 @@ func (k Kind) String() string {
 }
 
 // ElemSize returns the in-memory size in bytes of one element of the
-// kind, used for recycle pool memory accounting. Strings are accounted
-// by actual length at vector level; this returns the header size.
+// kind, used for recycle pool memory accounting. A string is its
+// dictionary code; a dictionary is charged at vector level.
 func (k Kind) ElemSize() int64 {
 	switch k {
 	case KOid, KInt, KFloat:
@@ -76,7 +76,7 @@ func (k Kind) ElemSize() int64 {
 	case KBool:
 		return 1
 	case KStr:
-		return 16 // string header; payload added separately
+		return 4 // a dictionary code
 	}
 	return 8
 }
@@ -231,38 +231,73 @@ func (x *Floats) Slice(i, j int) Vector { return &Floats{V: x.V[i:j:j], view: tr
 // Get implements Vector.
 func (x *Floats) Get(i int) any { return x.V[i] }
 
-// Strings is a string vector.
+// Strings is a string vector: one 4-byte code per row into a
+// dictionary (see Dict). Vectors derived from one another — slices,
+// gathers, merges, extensions — share their source's dictionary, so
+// equal codes mean equal values among them. Values decode only where
+// they leave the engine: Get, the wire and the store codec.
 type Strings struct {
-	V    []string
+	C    []uint32
+	D    *Dict
+	own  bool // D was built for this vector: its bytes are charged here
 	view bool
 }
 
-// NewStrings wraps a slice of strings as a vector.
-func NewStrings(v []string) *Strings { return &Strings{V: v} }
+// NewStrings encodes v into a vector over a dictionary of its own.
+func NewStrings(v []string) *Strings {
+	codes, d := encodeFresh(v)
+	return &Strings{C: codes, D: d, own: true}
+}
+
+// StringsOf wraps codes into d as a vector sharing d.
+func StringsOf(codes []uint32, d *Dict) *Strings { return &Strings{C: codes, D: d} }
 
 // Kind implements Vector.
 func (x *Strings) Kind() Kind { return KStr }
 
 // Len implements Vector.
-func (x *Strings) Len() int { return len(x.V) }
+func (x *Strings) Len() int { return len(x.C) }
 
-// ByteSize implements Vector.
+// ByteSize implements Vector: 4 bytes a row, plus the dictionary when
+// it was built for this vector. A dictionary shared with the column it
+// came from is charged to no result.
 func (x *Strings) ByteSize() int64 {
 	if x.view {
 		return viewOverhead
 	}
-	var sz int64
-	for _, s := range x.V {
-		sz += 16 + int64(len(s))
+	sz := int64(len(x.C)) * 4
+	if x.own {
+		sz += x.D.ByteSize()
 	}
 	return sz
 }
 
 // Slice implements Vector.
-func (x *Strings) Slice(i, j int) Vector { return &Strings{V: x.V[i:j:j], view: true} }
+func (x *Strings) Slice(i, j int) Vector { return &Strings{C: x.C[i:j:j], D: x.D, view: true} }
 
 // Get implements Vector.
-func (x *Strings) Get(i int) any { return x.V[i] }
+func (x *Strings) Get(i int) any { return x.At(i) }
+
+// At returns the value at index i.
+func (x *Strings) At(i int) string { return x.D.Values()[x.C[i]] }
+
+// Decode returns the vector's values.
+func (x *Strings) Decode() []string {
+	vals := x.D.Values()
+	out := make([]string, len(x.C))
+	for i, c := range x.C {
+		out[i] = vals[c]
+	}
+	return out
+}
+
+// codesIn returns x's codes in d, adding to d the values it lacks.
+func (x *Strings) codesIn(d *Dict) []uint32 {
+	if x.D == d {
+		return x.C
+	}
+	return d.Encode(x.Decode())
+}
 
 // Dates is a Date vector.
 type Dates struct {
@@ -332,7 +367,7 @@ func EmptyVector(k Kind) Vector {
 	case KFloat:
 		return &Floats{}
 	case KStr:
-		return &Strings{}
+		return NewStrings(nil)
 	case KDate:
 		return &Dates{}
 	case KBool:
@@ -368,7 +403,9 @@ func extend[T any](v, d []T) []T {
 // length and the result shares v's storage; otherwise the storage
 // moves, with room for the extensions to come. v itself is unchanged
 // either way. The caller must own v's room (see the storage contract):
-// two Extends of one header would hand out the same slots twice.
+// two Extends of one header would hand out the same slots twice. A
+// string d is translated into v's dictionary, adding the values it
+// lacks (a no-op when they share one).
 func Extend(v, d Vector) Vector {
 	if v.Kind() != d.Kind() {
 		panic(fmt.Sprintf("bat: extend of mismatched kinds %v and %v", v.Kind(), d.Kind()))
@@ -384,7 +421,7 @@ func Extend(v, d Vector) Vector {
 	case *Floats:
 		return NewFloats(extend(vv.V, d.(*Floats).V))
 	case *Strings:
-		return NewStrings(extend(vv.V, d.(*Strings).V))
+		return &Strings{C: extend(vv.C, d.(*Strings).codesIn(vv.D)), D: vv.D, own: vv.own}
 	case *Dates:
 		return NewDates(extend(vv.V, d.(*Dates).V))
 	case *Bools:
@@ -442,7 +479,7 @@ func Drop[I ~int | ~uint64](v Vector, pos []I) Vector {
 	case *Floats:
 		return NewFloats(drop(vv.V, pos))
 	case *Strings:
-		return NewStrings(drop(vv.V, pos))
+		return &Strings{C: drop(vv.C, pos), D: vv.D, own: vv.own}
 	case *Dates:
 		return NewDates(drop(vv.V, pos))
 	case *Bools:

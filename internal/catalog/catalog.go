@@ -542,11 +542,17 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		defer t.catalog.mu.Unlock()
 		ls = t.catalog.listenersLocked()
 		first := bat.Oid(t.nrows)
-		// Every delta is built before any column moves: a row value of
-		// the wrong type panics here, with the table untouched.
+		// Every column's values are typed before any column or
+		// dictionary moves: a row value of the wrong type panics here,
+		// with the table untouched.
 		deltas := make([]bat.Vector, len(t.Cols))
+		strs := make([][]string, len(t.Cols))
 		for i, c := range t.Cols {
-			deltas[i] = buildDelta(c.KindOf, rows, c.Name)
+			if c.KindOf == bat.KStr {
+				strs[i] = valuesOf[string](rows, c.Name)
+			} else {
+				deltas[i] = buildDelta(c.KindOf, rows, c.Name)
+			}
 		}
 		inserts := make(map[string]*bat.BAT, len(t.Cols))
 		var logged map[string]bat.Vector
@@ -555,6 +561,9 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		}
 		for i, c := range t.Cols {
 			delta := deltas[i]
+			if strs[i] != nil {
+				delta = c.encode(strs[i])
+			}
 			if c.Sorted {
 				c.Sorted = staysSorted(c.Data, delta)
 			}
@@ -587,7 +596,8 @@ func (t *Table) Append(rows []Row) bat.Oid {
 
 // staysSorted reports whether a sorted column stays non-decreasing
 // once delta follows its last committed value. Kinds without an order
-// answer false, which only costs the sorted-select fast path.
+// answer false, which only costs the sorted-select fast path. Strings
+// compare their values, not their codes.
 func staysSorted(data, delta bat.Vector) bool {
 	switch d := delta.(type) {
 	case *bat.Ints:
@@ -595,7 +605,8 @@ func staysSorted(data, delta bat.Vector) bool {
 	case *bat.Floats:
 		return nonDecreasing(data.(*bat.Floats).V, d.V)
 	case *bat.Strings:
-		return nonDecreasing(data.(*bat.Strings).V, d.V)
+		n := data.Len()
+		return nonDecreasing(data.Slice(max(n-1, 0), n).(*bat.Strings).Decode(), d.Decode())
 	case *bat.Dates:
 		return nonDecreasing(data.(*bat.Dates).V, d.V)
 	case *bat.Oids:
@@ -616,46 +627,43 @@ func nonDecreasing[T cmp.Ordered](committed, delta []T) bool {
 	return true
 }
 
+// buildDelta types the column's values of rows, for every kind but
+// strings, which encode.
 func buildDelta(k bat.Kind, rows []Row, col string) bat.Vector {
 	switch k {
 	case bat.KInt:
-		v := make([]int64, len(rows))
-		for i, r := range rows {
-			v[i] = r[col].(int64)
-		}
-		return bat.NewInts(v)
+		return bat.NewInts(valuesOf[int64](rows, col))
 	case bat.KFloat:
-		v := make([]float64, len(rows))
-		for i, r := range rows {
-			v[i] = r[col].(float64)
-		}
-		return bat.NewFloats(v)
-	case bat.KStr:
-		v := make([]string, len(rows))
-		for i, r := range rows {
-			v[i] = r[col].(string)
-		}
-		return bat.NewStrings(v)
+		return bat.NewFloats(valuesOf[float64](rows, col))
 	case bat.KDate:
-		v := make([]bat.Date, len(rows))
-		for i, r := range rows {
-			v[i] = r[col].(bat.Date)
-		}
-		return bat.NewDates(v)
+		return bat.NewDates(valuesOf[bat.Date](rows, col))
 	case bat.KOid:
-		v := make([]bat.Oid, len(rows))
-		for i, r := range rows {
-			v[i] = r[col].(bat.Oid)
-		}
-		return bat.NewOids(v)
+		return bat.NewOids(valuesOf[bat.Oid](rows, col))
 	case bat.KBool:
-		v := make([]bool, len(rows))
-		for i, r := range rows {
-			v[i] = r[col].(bool)
-		}
-		return bat.NewBools(v)
+		return bat.NewBools(valuesOf[bool](rows, col))
 	}
 	panic("catalog: delta of unsupported kind")
+}
+
+// valuesOf returns column col of rows, typed as T; a value of another
+// type panics.
+func valuesOf[T any](rows []Row, col string) []T {
+	v := make([]T, len(rows))
+	for i, r := range rows {
+		v[i] = r[col].(T)
+	}
+	return v
+}
+
+// encode returns a string column's delta. Its values are encoded into
+// the column's dictionary, so the delta, the column, its live tail and
+// every listener share one set of codes; a load into an empty column
+// brings a dictionary of its own.
+func (c *Column) encode(v []string) bat.Vector {
+	if s := c.Data.(*bat.Strings); s.Len() > 0 {
+		return bat.StringsOf(s.D.Encode(v), s.D)
+	}
+	return bat.NewStrings(v)
 }
 
 // Delete tombstones the given oids and commits one update event, which

@@ -53,8 +53,8 @@ func checkSnapshot(b *bat.BAT, live []bat.Oid) error {
 				return fmt.Errorf("row %d: k = %d, want %d", i, tail.V[i], o)
 			}
 		case *bat.Strings:
-			if want := fmt.Sprintf("r%d", o); tail.V[i] != want {
-				return fmt.Errorf("row %d: s = %q, want %q", i, tail.V[i], want)
+			if want := fmt.Sprintf("r%d", o); tail.At(i) != want {
+				return fmt.Errorf("row %d: s = %q, want %q", i, tail.At(i), want)
 			}
 		}
 	}

@@ -144,10 +144,11 @@ func appendCell(dst []byte, col bat.Vector, i int, w wire) []byte {
 		}
 		return strconv.AppendFloat(dst, c.V[i], 'g', -1, 64)
 	case *bat.Strings:
+		s := c.At(i)
 		if w == jsonWire {
-			return appendJSONString(dst, c.V[i])
+			return appendJSONString(dst, s)
 		}
-		return appendRowEscaped(dst, c.V[i])
+		return appendRowEscaped(dst, s)
 	case *bat.Dates:
 		if w == jsonWire {
 			return append(appendDate(append(dst, '"'), c.V[i]), '"')

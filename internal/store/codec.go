@@ -196,9 +196,10 @@ func encodeVector(e *enc, v bat.Vector) {
 		}
 	case *bat.Strings:
 		e.u8(tagStrings)
-		e.u64(uint64(len(t.V)))
-		for _, s := range t.V {
-			e.str(s)
+		e.u64(uint64(len(t.C)))
+		vals := t.D.Values()
+		for _, c := range t.C {
+			e.str(vals[c])
 		}
 	case *bat.Dates:
 		e.u8(tagDates)

@@ -18,7 +18,7 @@ func colFloats(db *DB, table, col string) []float64 {
 	return db.Table(table).MustColumn(col).Bind().Tail.(*bat.Floats).V
 }
 func colStrs(db *DB, table, col string) []string {
-	return db.Table(table).MustColumn(col).Bind().Tail.(*bat.Strings).V
+	return db.Table(table).MustColumn(col).Bind().Tail.(*bat.Strings).Decode()
 }
 func colDates(db *DB, table, col string) []bat.Date {
 	return db.Table(table).MustColumn(col).Bind().Tail.(*bat.Dates).V
