@@ -72,7 +72,6 @@ func run() int {
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "max wait for an execution slot (0 = as long as the client waits)")
 	maxRows := flag.Int("max-rows", 1000, "per-column row cap on responses")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-	workers := flag.Int("workers", 0, "goroutines per query: the calling one plus up to n-1 helpers (0 = GOMAXPROCS, 1 = program order)")
 
 	noRecycle := flag.Bool("norecycle", false, "disable the recycler (baseline serving)")
 	admission := flag.String("admission", "keepall", "admission policy: keepall, crd or adapt")
@@ -155,7 +154,7 @@ func run() int {
 	// by the build's peak, and hand the freed pages back to the OS.
 	debug.FreeOSMemory()
 
-	opts := []repro.Option{repro.WithWorkers(*workers)}
+	var opts []repro.Option
 	if tr != nil {
 		opts = append(opts, repro.WithTracer(tr))
 		fmt.Printf("trace: ring=%d slow-query=%dms (/debug/queries, ?trace=1, pprof on /debug/pprof/)\n",

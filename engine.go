@@ -46,10 +46,7 @@ func NewCatalog() *catalog.Catalog { return catalog.New() }
 // An Engine is safe for concurrent use: many goroutines (or Session
 // handles) may call Exec/ExecSQL against one engine sharing a single
 // recycle pool, the paper's multi-user setting. Each query itself runs
-// on the calling goroutine (mal.Run), which hands independent kernels
-// to helper goroutines only when several are ready at once;
-// WithWorkers(1) executes in program order, the classical sequential
-// interpreter loop.
+// on the calling goroutine, in program order (mal.Run).
 type Engine struct {
 	cat     *catalog.Catalog
 	rec     *recycler.Recycler
@@ -59,12 +56,11 @@ type Engine struct {
 	queryID atomic.Uint64
 	errors  atomic.Uint64
 	measure bool
-	workers int
 }
 
 // Option configures an Engine at construction time. Options are
 // applied in the order given to NewEngine; later options win where
-// they overlap (e.g. two WithWorkers calls).
+// they overlap (e.g. two WithRecycler calls).
 type Option func(*Engine)
 
 // WithRecycler enables recycling with the given configuration.
@@ -100,16 +96,6 @@ func WithOptimizer(opts opt.Options) Option {
 // instruction; leave it off for throughput benchmarks of naive runs.
 func WithMeasure() Option {
 	return func(e *Engine) { e.measure = true }
-}
-
-// WithWorkers bounds the per-query parallelism: n is the maximum
-// number of goroutines one query executes on — the calling one plus
-// n-1 helpers, started only when independent kernels are ready at the
-// same time. n = 0 (the default) uses GOMAXPROCS; n = 1 executes in
-// program order; n > GOMAXPROCS is allowed but cannot add parallelism
-// beyond the machine.
-func WithWorkers(n int) Option {
-	return func(e *Engine) { e.workers = n }
 }
 
 // WithTracer attaches the observability layer (internal/trace): every
@@ -303,7 +289,7 @@ func (e *Engine) ExecTraced(sql string, t *mal.Template, params ...mal.Value) (*
 // controls whether the finished trace is returned to the caller.
 func (e *Engine) exec(t *mal.Template, params []mal.Value, sql string, wantTrace bool, parse, optimize time.Duration) (*ExecResult, *trace.QueryTrace, error) {
 	qid := e.queryID.Add(1)
-	ctx := &mal.Ctx{Cat: e.cat, QueryID: qid, Measure: e.measure, Workers: e.workers}
+	ctx := &mal.Ctx{Cat: e.cat, QueryID: qid, Measure: e.measure}
 	var rec *trace.Recorder
 	if e.tracer != nil {
 		rec = trace.NewRecorder(qid, sql, len(t.Instrs))

@@ -19,7 +19,7 @@ func TestConcurrentExecSQL(t *testing.T) {
 	eng := NewEngine(demoCatalog(), WithRecycler(recycler.Config{
 		Admission:   recycler.KeepAll,
 		Subsumption: true,
-	}), WithWorkers(4))
+	}))
 
 	const clients, perClient = 8, 30
 	var wg sync.WaitGroup
@@ -71,7 +71,7 @@ func TestConcurrentQueriesAndDML(t *testing.T) {
 	cat := demoCatalog()
 	eng := NewEngine(cat, WithRecycler(recycler.Config{
 		Admission: recycler.KeepAll,
-	}), WithWorkers(4))
+	}))
 	tb := cat.MustTable("demo", "t")
 
 	const readers, reads = 4, 40

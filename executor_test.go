@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -62,9 +63,8 @@ func executorCases() []executorCase {
 }
 
 // pinnedCounts holds, per case, the Marked/Hits/LocalHits/GlobalHits/
-// Subsumed counts of each instance under a keepall + subsume recycler
-// with one worker — the values the program-order interpreter produced
-// before the executor became inline-first.
+// Subsumed counts of each instance under a keepall + subsume recycler:
+// the values program-order execution produces.
 var pinnedCounts = map[string]string{
 	"q01":        "22/0/0/0/0 22/6/0/12/6 22/22/0/22/0 22/6/0/12/6",
 	"q02":        "20/0/0/0/0 20/8/0/8/0 20/20/0/20/0 20/12/0/12/0",
@@ -94,9 +94,9 @@ var pinnedCounts = map[string]string{
 	"sky-micro":  "3/1/0/1/0 3/1/0/1/0 3/1/0/1/0 3/2/0/4/0 3/1/0/1/0 3/1/0/1/0 3/1/0/1/0 3/2/0/4/0",
 }
 
-// TestExecutorDifferential runs every case under Workers {1, 2, 4} ×
-// recycler {off, keepall + subsume} × tracer {off, on}: results must
-// equal a no-recycler engine's, and with one worker the per-query
+// TestExecutorDifferential runs every case under recycler {off,
+// keepall + subsume} × tracer {off, on} on default engines: results
+// must equal a no-recycler engine's, and recycled runs' per-query
 // recycler counts must equal the pinned program-order values.
 func TestExecutorDifferential(t *testing.T) {
 	cases := executorCases()
@@ -105,7 +105,7 @@ func TestExecutorDifferential(t *testing.T) {
 	for i, c := range cases {
 		eng := base[c.cat]
 		if eng == nil {
-			eng = NewEngine(c.cat, WithWorkers(1))
+			eng = NewEngine(c.cat)
 			base[c.cat] = eng
 		}
 		for _, p := range c.params {
@@ -116,49 +116,97 @@ func TestExecutorDifferential(t *testing.T) {
 			want[i] = append(want[i], res.Results)
 		}
 	}
-	for _, workers := range []int{1, 2, 4} {
-		for _, recycle := range []bool{false, true} {
-			for _, traced := range []bool{false, true} {
-				name := fmt.Sprintf("workers=%d/recycle=%v/trace=%v", workers, recycle, traced)
-				t.Run(name, func(t *testing.T) {
-					engines := map[*catalog.Catalog]*Engine{}
-					for i, c := range cases {
-						eng := engines[c.cat]
-						if eng == nil {
-							opts := []Option{WithWorkers(workers)}
-							if recycle {
-								opts = append(opts, WithRecycler(recycler.Config{
-									Admission: recycler.KeepAll, Subsumption: true, CombinedSubsumption: true,
-								}))
-							}
-							if traced {
-								opts = append(opts, WithTracer(trace.New(trace.Config{})))
-							}
-							eng = NewEngine(c.cat, opts...)
-							engines[c.cat] = eng
+	for _, recycle := range []bool{false, true} {
+		for _, traced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("recycle=%v/trace=%v", recycle, traced), func(t *testing.T) {
+				engines := map[*catalog.Catalog]*Engine{}
+				for i, c := range cases {
+					eng := engines[c.cat]
+					if eng == nil {
+						var opts []Option
+						if recycle {
+							opts = append(opts, WithRecycler(recycler.Config{
+								Admission: recycler.KeepAll, Subsumption: true, CombinedSubsumption: true,
+							}))
 						}
-						var counts []string
-						for j, p := range c.params {
-							res, err := eng.Exec(c.tmpl, p...)
-							if err != nil {
-								t.Fatalf("%s #%d: %v", c.name, j, err)
-							}
-							if msg := diffResults(want[i][j], res.Results); msg != "" {
-								t.Fatalf("%s #%d: %s", c.name, j, msg)
-							}
-							s := res.Stats
-							counts = append(counts, fmt.Sprintf("%d/%d/%d/%d/%d", s.Marked, s.Hits, s.LocalHits, s.GlobalHits, s.Subsumed))
+						if traced {
+							opts = append(opts, WithTracer(trace.New(trace.Config{})))
 						}
-						if workers != 1 || !recycle {
-							continue
-						}
-						got := strings.Join(counts, " ")
-						if pin, ok := pinnedCounts[c.name]; !ok || got != pin {
-							t.Errorf("%s counts %q, pinned %q", c.name, got, pin)
-						}
+						eng = NewEngine(c.cat, opts...)
+						engines[c.cat] = eng
 					}
-				})
+					var counts []string
+					for j, p := range c.params {
+						res, err := eng.Exec(c.tmpl, p...)
+						if err != nil {
+							t.Fatalf("%s #%d: %v", c.name, j, err)
+						}
+						if msg := diffResults(want[i][j], res.Results); msg != "" {
+							t.Fatalf("%s #%d: %s", c.name, j, msg)
+						}
+						s := res.Stats
+						counts = append(counts, fmt.Sprintf("%d/%d/%d/%d/%d", s.Marked, s.Hits, s.LocalHits, s.GlobalHits, s.Subsumed))
+					}
+					if !recycle {
+						continue
+					}
+					got := strings.Join(counts, " ")
+					if pin, ok := pinnedCounts[c.name]; !ok || got != pin {
+						t.Errorf("%s counts %q, pinned %q", c.name, got, pin)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunsInProgramOrder wraps every op of TPC-H Q21, a wide plan, in
+// a stub that records the pc it executes, and runs instances through a
+// default engine: each must execute pc 0, 1, …, n−1 in turn.
+func TestRunsInProgramOrder(t *testing.T) {
+	db := tpch.Generate(0.005, 7)
+	q := tpch.QueryMap()[21]
+	var (
+		mu    sync.Mutex // a kernel run off the calling goroutine must not race the record
+		order []int
+	)
+	wrapped := map[string]bool{}
+	for i := range q.Templ.Instrs {
+		name := q.Templ.Instrs[i].Name()
+		if wrapped[name] {
+			continue
+		}
+		wrapped[name] = true
+		real := mal.LookupOp(name)
+		if real == nil {
+			t.Fatalf("no op %s", name)
+		}
+		mal.RegisterOp(name, func(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) (mal.Value, error) {
+			for pc := range ctx.Template.Instrs {
+				if &ctx.Template.Instrs[pc] == in {
+					mu.Lock()
+					order = append(order, pc)
+					mu.Unlock()
+				}
 			}
+			return real(ctx, in, args)
+		})
+		t.Cleanup(func() { mal.RegisterOp(name, real) })
+	}
+	eng := NewEngine(db.Cat)
+	rng := rand.New(rand.NewSource(5))
+	for inst := 0; inst < 4; inst++ {
+		order = order[:0]
+		if _, err := eng.Exec(q.Templ, q.Params(rng)...); err != nil {
+			t.Fatal(err)
+		}
+		for i, pc := range order {
+			if pc != i {
+				t.Fatalf("instance %d ran pc %d as its instruction #%d: order %v", inst, pc, i, order)
+			}
+		}
+		if len(order) != len(q.Templ.Instrs) {
+			t.Fatalf("instance %d ran %d of %d instructions", inst, len(order), len(q.Templ.Instrs))
 		}
 	}
 }

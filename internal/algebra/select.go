@@ -213,8 +213,7 @@ func (p *Pred) scan(tail bat.Vector, buf *selBuf) bat.SelectionVector {
 	case *bat.Strings:
 		switch p.Kind {
 		case PredEq:
-			w := p.V.(string)
-			return scanDict(t, func(x string) bool { return x == w }, buf)
+			return scanStrEq(t, p.V.(string), buf)
 		case PredNotNil:
 			return scanDict(t, func(x string) bool { return x != bat.NilStr }, buf)
 		}
@@ -363,13 +362,29 @@ func scanNotNil[T comparable](v []T, nilv T, buf *selBuf) bat.SelectionVector {
 	return out[:j]
 }
 
+// scanStrEq keeps the rows whose string equals w: it finds w's code in
+// the dictionary once and scans the codes for it, and a value the
+// dictionary lacks keeps no row. A dictionary longer than the vector
+// costs more to search than the rows do, so those rows go to
+// scanDict's per-row side.
+func scanStrEq(t *bat.Strings, w string, buf *selBuf) bat.SelectionVector {
+	vals := t.D.Values()
+	if !dictPays(len(t.C), len(vals)) {
+		return scanDict(t, func(x string) bool { return x == w }, buf)
+	}
+	c := slices.Index(vals, w)
+	if c < 0 {
+		return bat.SelectionVector{}
+	}
+	return scanEq(t.C, uint32(c), buf)
+}
+
 // scanDict keeps the rows whose string keep accepts. keep runs once
 // per dictionary value into a bitmap over the codes, and the rows test
-// their code's bit; a predicate that keeps one code (an equality)
-// scans the codes for it instead, in about half the time. A dictionary
-// longer than the vector (a few rows of a high-cardinality column)
-// costs more to test than the rows do, so those rows test their values
-// one by one.
+// their code's bit; a predicate that keeps one code scans the codes for
+// it instead, in about half the time. A dictionary longer than the
+// vector (a few rows of a high-cardinality column) costs more to test
+// than the rows do, so those rows test their values one by one.
 func scanDict(t *bat.Strings, keep func(string) bool, buf *selBuf) bat.SelectionVector {
 	vals := t.D.Values()
 	if !dictPays(len(t.C), len(vals)) {

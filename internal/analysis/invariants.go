@@ -94,7 +94,6 @@ var TraceRecorderFuncs = map[string]bool{
 	"repro/internal/trace.(*Recorder).SetAdmission": true,
 	"repro/internal/trace.(*Recorder).SetParents":   true,
 	"repro/internal/trace.(*Recorder).SetStages":    true,
-	"repro/internal/trace.(*Recorder).SetSchedule":  true,
 	"repro/internal/trace.(*Recorder).Finish":       true,
 	"repro/internal/trace.(*Tracer).Event":          true,
 	"repro/internal/trace.(*Tracer).FinishQuery":    true,
@@ -258,8 +257,8 @@ var AtomicFields = map[string]bool{
 	"repro/internal/server.Server.rejected": true,
 	"repro/internal/server.Server.active":   true,
 	// store + mal
-	"repro/internal/store.Store.walErr": true,
-	"repro/internal/mal.Template.dag":   true,
+	"repro/internal/store.Store.walErr":  true,
+	"repro/internal/mal.Template.layout": true,
 }
 
 // MutexGuardedFields lists plain fields whose consistency comes from
@@ -286,7 +285,7 @@ var SinglesigAllowedPkgs = map[string]bool{
 
 // SinglesigAllowedFuncs are the sanctioned identity derivations
 // outside internal/plan: mal.Instr.Name is the op spelling and
-// StaticSig the compile-time identity CSE and the DAG builder key on.
+// StaticSig the compile-time identity CSE keys on.
 // Their *results* may be used as keys directly; combining them into
 // new strings is what the analyzer forbids.
 var SinglesigAllowedFuncs = map[string]bool{

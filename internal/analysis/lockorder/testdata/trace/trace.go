@@ -21,7 +21,6 @@ func (r *Recorder) SetParents(pc int, deps []int)    { r.spans = append(r.spans,
 func (r *Recorder) SetStages(parse, opt time.Duration) {
 	r.spans = append(r.spans, int(parse+opt))
 }
-func (r *Recorder) SetSchedule(d time.Duration) { r.spans = append(r.spans, int(d)) }
 func (r *Recorder) Finish(name string, d time.Duration) *Recorder {
 	r.events = append(r.events, name)
 	return r

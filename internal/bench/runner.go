@@ -10,7 +10,7 @@ import (
 )
 
 // Runner executes hand-built templates on one repro.Engine, one query
-// at a time in program order (WithWorkers(1)): the paper's
+// at a time (each in program order, as every query runs): the paper's
 // single-threaded experiments define admission and eviction in terms
 // of program-order execution. A recycled and a naive runner execute
 // the identical per-instruction kernels, so the ratios the paper
@@ -22,7 +22,7 @@ type Runner struct {
 // NewNaive builds a runner without recycling (optionally measuring
 // marked-instruction time for potential-savings reporting).
 func NewNaive(cat *catalog.Catalog, measure bool) *Runner {
-	opts := []repro.Option{repro.WithWorkers(1)}
+	var opts []repro.Option
 	if measure {
 		opts = append(opts, repro.WithMeasure())
 	}
@@ -32,7 +32,7 @@ func NewNaive(cat *catalog.Catalog, measure bool) *Runner {
 // NewRecycled builds a runner with a fresh recycler. The recycler
 // listens to the catalog until Close.
 func NewRecycled(cat *catalog.Catalog, cfg recycler.Config) *Runner {
-	return &Runner{repro.NewEngine(cat, repro.WithWorkers(1), repro.WithRecycler(cfg))}
+	return &Runner{repro.NewEngine(cat, repro.WithRecycler(cfg))}
 }
 
 // Close detaches the runner's recycler from the catalog and empties its

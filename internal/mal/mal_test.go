@@ -177,8 +177,7 @@ func TestTemplateStringRendersMarks(t *testing.T) {
 	}
 }
 
-// countingHook counts hook invocations atomically: the dataflow
-// scheduler may call Entry/Exit from several goroutines at once.
+// countingHook counts hook invocations.
 type countingHook struct {
 	entries, exits atomic.Int64
 }
@@ -293,5 +292,25 @@ func TestSelectBoundsOpenEnds(t *testing.T) {
 	lo, hi, il, ih := p.Range.Lo, p.Range.Hi, p.Range.IncLo, p.Range.IncHi
 	if lo != nil || hi.(int64) != 5 || !il || ih {
 		t.Fatalf("bounds = %v %v %v %v", lo, hi, il, ih)
+	}
+}
+
+// TestDataflowErrorPropagates: the first failing instruction stops the
+// query, and its error names the template, pc and operation.
+func TestDataflowErrorPropagates(t *testing.T) {
+	b := NewBuilder("bad")
+	p := b.Param("P0", VInt)
+	x := b.Op1("calc", "addInt", p, C(IntV(1)))
+	y := b.Op1("nosuch", "op", x)
+	b.Do("sql", "exportValue", C(StrV("y")), y)
+	tmpl := b.Freeze()
+
+	ctx := &Ctx{QueryID: 1}
+	err := Run(ctx, tmpl, IntV(1))
+	if err == nil || err.Error() != "mal: bad pc=1 nosuch.op: unknown operation" {
+		t.Fatalf("want the unknown op's error, got %v", err)
+	}
+	if len(ctx.Results) != 0 {
+		t.Fatalf("the export after the failure ran: %+v", ctx.Results)
 	}
 }

@@ -128,7 +128,7 @@ func opExportValue(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if len(args) != 2 {
 		return Value{}, errArity
 	}
-	ctx.AppendResult(Result{Name: args[0].S, Val: args[1]})
+	ctx.Results = append(ctx.Results, Result{Name: args[0].S, Val: args[1]})
 	return VoidV(), nil
 }
 
@@ -139,7 +139,7 @@ func opExportCol(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if _, err := wantBat(args[1]); err != nil {
 		return Value{}, err
 	}
-	ctx.AppendResult(Result{Name: args[0].S, Val: args[1]})
+	ctx.Results = append(ctx.Results, Result{Name: args[0].S, Val: args[1]})
 	return VoidV(), nil
 }
 

@@ -59,9 +59,8 @@ func (in *Instr) Name() string {
 
 // HasSideEffect reports whether the instruction mutates query-visible
 // state beyond its result slot (the export family appends to the shared
-// result set). Side-effecting instructions keep program order relative
-// to each other even when helpers run instructions concurrently, and
-// root liveness in the dead-code pass.
+// result set). Side-effecting instructions root liveness in the
+// dead-code pass.
 func (in *Instr) HasSideEffect() bool {
 	return in.Ret < 0 || in.Module == "sql" && (in.Op == "exportValue" || in.Op == "exportCol")
 }
@@ -88,10 +87,9 @@ type Template struct {
 	// VarNames holds a debug name per variable slot.
 	VarNames []string
 
-	// dag caches the dependency graph derived from Instrs. Freeze and
-	// the optimizer store it; Run loads it. Atomic so one template can
-	// be executed by many sessions concurrently.
-	dag atomic.Pointer[DAG]
+	// layout caches what Run derives from Instrs (see Refresh). Atomic
+	// so one template can be executed by many sessions concurrently.
+	layout atomic.Pointer[layout]
 }
 
 var templateIDs atomic.Uint64
@@ -144,119 +142,66 @@ func (b *Builder) Do(module, op string, args ...Arg) {
 	b.t.Instrs = append(b.t.Instrs, Instr{Module: module, Op: op, name: module + "." + op, Ret: -1, Args: args})
 }
 
-// Freeze finalises and returns the template. The executor's dependency
-// DAG derives lazily on first use (and the optimizer rebuilds it after
-// rewriting the plan), so templates that
-// go straight into opt.Optimize do not pay for a graph that is
-// immediately discarded.
+// Freeze finalises and returns the template. Run's layout derives
+// lazily on first use (and the optimizer refreshes it after rewriting
+// the plan), so templates that go straight into opt.Optimize do not
+// pay for one that is immediately discarded.
 func (b *Builder) Freeze() *Template {
 	b.t.NumVars = b.nextVar
 	return b.t
 }
 
-// DAG is the dataflow dependency graph of a template: instruction i
-// may execute once all its predecessors completed. Because plans are
-// single-assignment, every argument variable has exactly one producing
-// instruction, so the graph is acyclic by construction (producers
-// always precede consumers in program order).
-type DAG struct {
-	// NDeps[i] counts the distinct predecessor instructions of
-	// instruction i.
-	NDeps []int
-	// Succs[i] lists the instructions that must wait for instruction i.
-	Succs [][]int
-	// Roots lists the instructions with no predecessors — the initial
-	// ready set.
-	Roots []int
-	// Parents[i] lists instruction i's predecessors in ascending order
-	// (the trace tree's edges; shared by every trace of the template).
-	Parents [][]int
-
+// layout is what Run reads of a template besides its instructions,
+// derived once per instruction list and shared by every instance.
+type layout struct {
 	// argOff partitions one per-query argument slab by instruction:
 	// instruction i binds its arguments into slab[argOff[i]:argOff[i+1]].
 	argOff []int
+	// parents[i] lists, ascending, the instructions whose results
+	// instruction i reads (the trace tree's edges).
+	parents [][]int
 }
 
-// BuildDAG (re)derives the dependency DAG from the current instruction
-// list and caches it on the template. Freeze calls it, and the
-// optimizer calls it again after rewriting instructions.
-func (t *Template) BuildDAG() *DAG {
-	d := buildDAG(t)
-	t.dag.Store(d)
-	return d
-}
-
-// DAG returns the cached dependency graph, deriving it on first use
-// for templates that bypassed Freeze.
-func (t *Template) DAG() *DAG {
-	if d := t.dag.Load(); d != nil {
-		return d
-	}
-	return t.BuildDAG()
-}
-
-func buildDAG(t *Template) *DAG {
+// Refresh (re)derives the layout Run reads from the current
+// instruction list. The optimizer calls it after rewriting the plan;
+// templates that bypass the optimizer derive it on first Run.
+func (t *Template) Refresh() {
 	n := len(t.Instrs)
-	d := &DAG{NDeps: make([]int, n), Succs: make([][]int, n), Parents: make([][]int, n), argOff: make([]int, n+1)}
+	l := &layout{argOff: make([]int, n+1), parents: make([][]int, n)}
 	producer := make([]int, t.NumVars)
 	for i := range producer {
 		producer[i] = -1
 	}
-	lastEffect := -1
-	// sameSig chains statically identical instructions so a later
-	// duplicate still observes the earlier instance's pool admission
-	// (deterministic local reuse, as in the sequential interpreter).
-	sameSig := make(map[string]int, n)
 	for i := range t.Instrs {
 		in := &t.Instrs[i]
-		preds := make([]int, 0, len(in.Args)+2)
-		addPred := func(p int) {
-			for _, q := range preds {
-				if q == p {
-					return
-				}
-			}
-			preds = append(preds, p)
-			d.Succs[p] = append(d.Succs[p], i)
-			d.NDeps[i]++
-		}
 		for _, a := range in.Args {
-			if !a.IsConst() && a.Var < len(producer) && producer[a.Var] >= 0 {
-				addPred(producer[a.Var])
+			if !a.IsConst() && a.Var < len(producer) && producer[a.Var] >= 0 && !slices.Contains(l.parents[i], producer[a.Var]) {
+				l.parents[i] = append(l.parents[i], producer[a.Var])
 			}
 		}
-		if in.HasSideEffect() {
-			if lastEffect >= 0 {
-				addPred(lastEffect)
-			}
-			lastEffect = i
-		}
-		key := in.StaticSig()
-		if prev, ok := sameSig[key]; ok {
-			addPred(prev)
-		}
-		sameSig[key] = i
+		slices.Sort(l.parents[i])
 		if in.Ret >= 0 && in.Ret < len(producer) {
 			producer[in.Ret] = i
 		}
-		if d.NDeps[i] == 0 {
-			d.Roots = append(d.Roots, i)
-		} else {
-			slices.Sort(preds)
-			d.Parents[i] = preds
-		}
-		d.argOff[i+1] = d.argOff[i] + len(in.Args)
+		l.argOff[i+1] = l.argOff[i] + len(in.Args)
 	}
-	return d
+	t.layout.Store(l)
+}
+
+func (t *Template) loadLayout() *layout {
+	if l := t.layout.Load(); l != nil {
+		return l
+	}
+	t.Refresh()
+	return t.layout.Load()
 }
 
 // StaticSig renders an instruction's compile-time identity: operation
 // plus argument slots/literals. Two instructions with equal static
 // signatures compute the same value in every instance of the template
-// — the identity the optimizer's CSE pass merges on and the dataflow
-// DAG chains duplicate instructions by. It is the compile-time
-// counterpart of the run-time plan.Signature (which resolves variable
-// slots to actual operand values).
+// — the identity the optimizer's CSE pass merges on. It is the
+// compile-time counterpart of the run-time plan.Signature (which
+// resolves variable slots to actual operand values).
 func (in *Instr) StaticSig() string {
 	var sb strings.Builder
 	sb.WriteString(in.Name())

@@ -73,9 +73,9 @@ func Optimize(t *mal.Template, opts Options) *mal.Template {
 	if !opts.SkipRecycler {
 		MarkRecycle(t)
 	}
-	// The passes rewrite the instruction list in place; rebuild the
-	// dataflow dependency DAG so the scheduler sees the final plan.
-	t.BuildDAG()
+	// The passes rewrite the instruction list in place; refresh the
+	// layout Run reads so it matches the final plan.
+	t.Refresh()
 	return t
 }
 

@@ -31,7 +31,7 @@ func BenchmarkRecyclerParallelHit(b *testing.B) {
 		for pb.Next() {
 			qid := queryID.Add(1)
 			f.rec.BeginQuery(qid, tmpl.ID)
-			ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+			ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
 			if err := mal.Run(ctx, tmpl, mal.IntV(10), mal.IntV(20)); err != nil {
 				b.Error(err)
 				return
@@ -61,7 +61,7 @@ func BenchmarkRecyclerParallelMiss(b *testing.B) {
 			qid := queryID.Add(1)
 			lo := int64(qid % 97)
 			f.rec.BeginQuery(qid, tmpl.ID)
-			ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+			ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
 			if err := mal.Run(ctx, tmpl, mal.IntV(lo), mal.IntV(lo+1)); err != nil {
 				b.Error(err)
 				return

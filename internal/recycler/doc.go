@@ -12,9 +12,9 @@
 //
 // # Concurrency
 //
-// Many sessions — and the parallel instructions of one query under the
-// dataflow scheduler — share a single recycler. Synchronisation is
-// split so the common case stays off every global lock:
+// Many sessions share a single recycler; each query calls it from its
+// own goroutine. Synchronisation is split so the common case stays off
+// every global lock:
 //
 //   - The exact-match hit path is read-mostly: the signature index is
 //     sharded with per-shard RWMutexes, an entry is served only when

@@ -66,7 +66,7 @@ func TestPoolReleasesEvictedResults(t *testing.T) {
 		hi := lo + rows/4 + rng.Int63n(rows/4)
 		f.runQuiet(tmpl, mal.IntV(lo), mal.IntV(hi), mal.IntV(lo+rng.Int63n(100)), mal.IntV(hi-rng.Int63n(100)))
 	}
-	run() // the bind, the template's DAG and the allocator's own warm-up
+	run() // the bind, the template's layout and the allocator's own warm-up
 	f.rec.Reset()
 	base := heapAlloc()
 

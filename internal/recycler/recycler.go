@@ -98,9 +98,8 @@ type Config struct {
 // executes its piecewise selects and merge outside all locks and
 // re-validates its inputs after reacquiring mu (see combinedSelect),
 // so a concurrent invalidation can never resurrect stale pieces.
-// Per-query statistics are written through mal.Ctx.UpdateStats, never
-// directly, so they cannot race with the interpreter's own
-// bookkeeping.
+// Per-query statistics go straight into ctx.Stats: a query calls the
+// hook only from its own goroutine.
 //
 // Versions. Every query reads one version of each table (mal.Ctx.Pin)
 // and every entry records the versions of its dependency tables its
@@ -509,12 +508,10 @@ func (r *Recycler) Entry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value) 
 	}
 	if e, res, ok := r.pool.LookupHit(key, ctx); ok {
 		r.noteReuse(ctx, in, e)
-		ctx.UpdateStats(func(s *mal.QueryStats) {
-			s.Hits++
-			if in.Module != "sql" {
-				s.HitsNonBind++
-			}
-		})
+		ctx.Stats.Hits++
+		if in.Module != "sql" {
+			ctx.Stats.HitsNonBind++
+		}
 		return mal.EntryResult{Hit: true, Val: res, Reason: "hit:exact"}
 	}
 	if r.cfg.Subsumption {
@@ -555,23 +552,21 @@ func (r *Recycler) noteReuse(ctx *mal.Ctx, in *mal.Instr, e *Entry) {
 	if !local {
 		e.GlobalReuse.Store(true)
 	}
-	ctx.UpdateStats(func(s *mal.QueryStats) {
-		if local {
-			s.LocalHits++
-			s.SavedLocal += e.Cost
-		} else {
-			s.GlobalHits++
-			s.SavedGlobal += e.Cost
-		}
-		s.SavedTime += e.Cost
-	})
+	s := &ctx.Stats
+	if local {
+		s.LocalHits++
+		s.SavedLocal += e.Cost
+	} else {
+		s.GlobalHits++
+		s.SavedGlobal += e.Cost
+	}
+	s.SavedTime += e.Cost
 }
 
 // Exit implements recycleExit (Algorithm 1, lines 18–23): admission of
 // the freshly computed intermediate, after making room if needed. The
 // admission outcome is recorded on the query trace AFTER the writer
-// lock is released (lockorder's trace rule), on the same worker
-// goroutine that will complete the span.
+// lock is released (lockorder's trace rule), before the span ends.
 func (r *Recycler) Exit(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite) uint64 {
 	sig, key, matchable := signature(in, args)
 	if !matchable {

@@ -34,14 +34,8 @@ func newFixture(t *testing.T, cfg Config, before ...catalog.UpdateListener) *fix
 
 func (f *fixture) run(t *testing.T, tmpl *mal.Template, params ...mal.Value) *mal.Ctx {
 	t.Helper()
-	return f.runCtx(t, &mal.Ctx{}, tmpl, params...)
-}
-
-// runCtx is run with a caller-prepared context (e.g. a worker count).
-func (f *fixture) runCtx(t *testing.T, ctx *mal.Ctx, tmpl *mal.Template, params ...mal.Value) *mal.Ctx {
-	t.Helper()
 	f.queryID++
-	ctx.Cat, ctx.Hook, ctx.QueryID = f.cat, f.rec, f.queryID
+	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: f.queryID}
 	f.rec.BeginQuery(f.queryID, tmpl.ID)
 	defer f.rec.EndQuery(f.queryID)
 	if err := mal.Run(ctx, tmpl, params...); err != nil {
@@ -142,9 +136,7 @@ func TestDifferentParamsMiss(t *testing.T) {
 func TestLocalReuse(t *testing.T) {
 	f := newFixture(t, Config{Admission: KeepAll})
 	tmpl := localReuseTemplate()
-	// Local reuse is defined in program order: under parallel workers
-	// the two independent selects can both miss before either is pooled.
-	ctx := f.runCtx(t, &mal.Ctx{Workers: 1}, tmpl, mal.IntV(5))
+	ctx := f.run(t, tmpl, mal.IntV(5))
 	if resultInt(t, ctx, 0) != 6 || resultInt(t, ctx, 1) != 6 {
 		t.Fatal("wrong counts")
 	}

@@ -92,7 +92,7 @@ func (r *Recycler) subsumeSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal
 		newArgs[0] = best.Result
 		id := best.ID
 		r.mu.Unlock()
-		ctx.UpdateStats(func(s *mal.QueryStats) { s.Subsumed++ })
+		ctx.Stats.Subsumed++
 		return mal.EntryResult{Rewrite: &mal.Rewrite{Args: newArgs, SubsetOf: id}, Reason: "rewrite:subsume-select"}
 	}
 
@@ -122,7 +122,7 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 	searchStart := time.Now()
 	if len(R) < 2 {
 		overhead := time.Since(searchStart)
-		ctx.UpdateStats(func(s *mal.QueryStats) { s.SubsumeOverhead += overhead })
+		ctx.Stats.SubsumeOverhead += overhead
 		return mal.EntryResult{}
 	}
 
@@ -189,7 +189,7 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 		p1 = p2
 	}
 	overhead := time.Since(searchStart)
-	ctx.UpdateStats(func(s *mal.QueryStats) { s.SubsumeOverhead += overhead })
+	ctx.Stats.SubsumeOverhead += overhead
 	if sol == nil {
 		return mal.EntryResult{}
 	}
@@ -237,14 +237,12 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 		}
 		r.noteReuse(ctx, in, s.e)
 	}
-	ctx.UpdateStats(func(s *mal.QueryStats) {
-		s.CombinedExec += elapsed
-		s.Hits++
-		s.Combined++
-		if in.Module != "sql" {
-			s.HitsNonBind++
-		}
-	})
+	ctx.Stats.CombinedExec += elapsed
+	ctx.Stats.Hits++
+	ctx.Stats.Combined++
+	if in.Module != "sql" {
+		ctx.Stats.HitsNonBind++
+	}
 
 	val := mal.BatV(merged)
 	// Admit the combined result under the original signature so later
@@ -285,7 +283,7 @@ func (r *Recycler) subsumeLike(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) ma
 	newArgs[0] = best.Result
 	id := best.ID
 	r.mu.Unlock()
-	ctx.UpdateStats(func(s *mal.QueryStats) { s.Subsumed++ })
+	ctx.Stats.Subsumed++
 	return mal.EntryResult{Rewrite: &mal.Rewrite{Args: newArgs, SubsetOf: id}, Reason: "rewrite:subsume-like"}
 }
 
@@ -318,7 +316,7 @@ func (r *Recycler) subsumeSemijoin(ctx *mal.Ctx, in *mal.Instr, args []mal.Value
 	newArgs[0] = best.Result
 	id := best.ID
 	r.mu.Unlock()
-	ctx.UpdateStats(func(s *mal.QueryStats) { s.Subsumed++ })
+	ctx.Stats.Subsumed++
 	return mal.EntryResult{Rewrite: &mal.Rewrite{Args: newArgs, SubsetOf: id}, Reason: "rewrite:subsume-semijoin"}
 }
 

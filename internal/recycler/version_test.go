@@ -81,7 +81,7 @@ func TestStaleAdmissionRefusedAfterUpdate(t *testing.T) {
 
 	// The query reads sys.t, then an update commits mid-flight (before
 	// the query's intermediates reach recycleExit).
-	ctx := f.runCtx(t, &mal.Ctx{Workers: 1}, straddle, mal.IntV(0), mal.IntV(50))
+	ctx := f.run(t, straddle, mal.IntV(0), mal.IntV(50))
 	if n := f.rec.Pool().Len(); n != 0 {
 		t.Fatalf("pool admitted %d entries from a query that straddled an update", n)
 	}
@@ -115,7 +115,7 @@ func TestStaleHitRefusedAfterUpdate(t *testing.T) {
 	// Warm the pool, then run a query that reads the table and commits
 	// an update that refreshes the entries.
 	f.run(t, tmpl, mal.IntV(0), mal.IntV(50))
-	ctx := f.runCtx(t, &mal.Ctx{Workers: 1}, straddle, mal.IntV(0), mal.IntV(50))
+	ctx := f.run(t, straddle, mal.IntV(0), mal.IntV(50))
 	if ctx.Stats.Hits != 0 {
 		t.Fatalf("straddling query took %d stale hits", ctx.Stats.Hits)
 	}
@@ -160,7 +160,7 @@ func TestQueryBeginningDuringCommitWindowRefused(t *testing.T) {
 		qid := f.queryID
 		f.rec.BeginQuery(qid, tmpl.ID) // begins inside the commit window
 		defer f.rec.EndQuery(qid)
-		ctx = &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+		ctx = &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
 		if err := mal.Run(ctx, tmpl, mal.IntV(0), mal.IntV(50)); err != nil {
 			t.Error(err)
 		}
@@ -193,7 +193,7 @@ func TestUnrelatedUpdateDoesNotBlockAdmission(t *testing.T) {
 
 	f.queryID++
 	qid := f.queryID
-	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid, Workers: 1}
+	ctx := &mal.Ctx{Cat: f.cat, Hook: f.rec, QueryID: qid}
 	f.rec.BeginQuery(qid, tmpl.ID)
 	// Commit to a table the query does not depend on, mid-flight.
 	other.Append([]catalog.Row{{"x": int64(1)}})
@@ -210,18 +210,14 @@ func TestUnrelatedUpdateDoesNotBlockAdmission(t *testing.T) {
 // multi-row DELETE of s through an op of its own, then binds s.b. The
 // query reads one version of s, so count(a) == count(b), both the
 // count a recompute at that version gives — naive and recycled (cold
-// and warm pool), with and without a helper worker.
+// and warm pool).
 func TestStraddlingQueryReadsOneVersion(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		for _, mode := range []string{"naive", "recycled", "recycled-warm"} {
-			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
-				testStraddle(t, mode, workers)
-			})
-		}
+	for _, mode := range []string{"naive", "recycled", "recycled-warm"} {
+		t.Run(mode, func(t *testing.T) { testStraddle(t, mode) })
 	}
 }
 
-func testStraddle(t *testing.T, mode string, workers int) {
+func testStraddle(t *testing.T, mode string) {
 	cat := catalog.New()
 	tb := cat.CreateTable("sys", "s", []catalog.ColDef{{Name: "a", Kind: bat.KInt}, {Name: "b", Kind: bat.KInt}})
 	rows := make([]catalog.Row, 10)
@@ -267,7 +263,7 @@ func testStraddle(t *testing.T, mode string, workers int) {
 	run := func(tmpl *mal.Template) (ca, cb int64) {
 		t.Helper()
 		qid++
-		ctx := &mal.Ctx{Cat: cat, Hook: hook, QueryID: qid, Workers: workers}
+		ctx := &mal.Ctx{Cat: cat, Hook: hook, QueryID: qid}
 		if rec != nil {
 			rec.BeginQuery(qid, tmpl.ID)
 			defer rec.EndQuery(qid)

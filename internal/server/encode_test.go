@@ -269,7 +269,7 @@ func TestWriteRowMatchesFormatter(t *testing.T) {
 
 // TestQueryKernelPanicIsAnError: a panicking kernel fails its own
 // /query with an error answer, leaves no query pinned, and the server
-// keeps serving — with and without helper goroutines.
+// keeps serving.
 func TestQueryKernelPanicIsAnError(t *testing.T) {
 	real := mal.LookupOp("aggr.count")
 	mal.RegisterOp("aggr.count", func(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) (mal.Value, error) {
@@ -280,24 +280,20 @@ func TestQueryKernelPanicIsAnError(t *testing.T) {
 	})
 	t.Cleanup(func() { mal.RegisterOp("aggr.count", real) })
 	db := sky.Generate(2000, 17)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
-			eng := repro.NewEngine(db.Cat, repro.WithWorkers(workers), repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll}))
-			defer eng.Recycler().Close()
-			ts := httptest.NewServer(New(eng, Config{}).Handler())
-			defer ts.Close()
-			// No object lies beyond ra 400: the counted selection is empty.
-			_, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 400")
-			if code != http.StatusBadRequest {
-				t.Fatalf("panicking query answered %d", code)
-			}
-			if n := eng.Recycler().ActiveQueries(); n != 0 {
-				t.Fatalf("%d queries still active", n)
-			}
-			res, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 100")
-			if code != http.StatusOK || len(res.Results) != 1 {
-				t.Fatalf("next query answered %d: %+v", code, res)
-			}
-		})
+	eng := repro.NewEngine(db.Cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll}))
+	defer eng.Recycler().Close()
+	ts := httptest.NewServer(New(eng, Config{}).Handler())
+	defer ts.Close()
+	// No object lies beyond ra 400: the counted selection is empty.
+	_, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 400")
+	if code != http.StatusBadRequest {
+		t.Fatalf("panicking query answered %d", code)
+	}
+	if n := eng.Recycler().ActiveQueries(); n != 0 {
+		t.Fatalf("%d queries still active", n)
+	}
+	res, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 100")
+	if code != http.StatusOK || len(res.Results) != 1 {
+		t.Fatalf("next query answered %d: %+v", code, res)
 	}
 }

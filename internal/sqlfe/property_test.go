@@ -384,8 +384,8 @@ func optimizePreservesResults(t *testing.T, seed int64, table func(*rand.Rand) *
 }
 
 // TestConcurrentNaiveVsRecycled drives one set of cached templates from
-// many goroutines — naive runs with a helper goroutine racing recycled
-// runs of the same templates — so the race detector sees the naive
+// many goroutines — naive runs racing recycled runs of the same
+// templates — so the race detector sees the naive
 // reader paths against the recycler's pool mutation. Results are
 // checked against a single-threaded naive run per query.
 func TestConcurrentNaiveVsRecycled(t *testing.T) {
@@ -427,7 +427,7 @@ func TestConcurrentNaiveVsRecycled(t *testing.T) {
 				var got []mal.Result
 				var err error
 				if w%2 == 0 {
-					ctx := &mal.Ctx{Cat: cat, Workers: 2}
+					ctx := &mal.Ctx{Cat: cat}
 					err = mal.Run(ctx, j.tmpl, j.params...)
 					got = ctx.Results
 				} else {

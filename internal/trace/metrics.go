@@ -8,7 +8,6 @@ import "io"
 type Metrics struct {
 	Parse          Histogram
 	Optimize       Histogram
-	Schedule       Histogram
 	Execute        Histogram
 	RecyclerLookup Histogram
 	WriterLockWait Histogram
@@ -28,7 +27,6 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	}
 	m.Parse.WriteProm(w, "repro_stage_parse_seconds", "SQL parse+normalize latency.")
 	m.Optimize.WriteProm(w, "repro_stage_optimize_seconds", "Plan build and optimizer latency (template-cache misses).")
-	m.Schedule.WriteProm(w, "repro_stage_schedule_seconds", "Dataflow DAG build and worker dispatch latency.")
 	m.Execute.WriteProm(w, "repro_stage_execute_seconds", "Query execution wall time.")
 	m.RecyclerLookup.WriteProm(w, "repro_stage_recycler_lookup_seconds", "Recycler Entry (pool lookup + subsumption) latency per marked instruction.")
 	m.WriterLockWait.WriteProm(w, "repro_lock_writer_wait_seconds", "Recycler writer-lock acquisition wait (contended acquisitions only).")

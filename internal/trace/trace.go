@@ -11,10 +11,9 @@
 // Histogram.Observe is the single exception — it is wait-free and may
 // run anywhere, which is what makes lock-wait histograms possible.
 //
-// The Recorder itself is lock-free for span writes: spans are indexed
-// by program counter, each pc completes exactly once on one goroutine
-// (the query's own or a helper), and a helper's completion channel
-// provides the happens-before edge to the goroutine that calls Finish.
+// The Recorder itself is lock-free: spans are indexed by program
+// counter, and the query's own goroutine writes each one and then
+// calls Finish.
 package trace
 
 import "time"
@@ -23,7 +22,6 @@ import "time"
 type Span struct {
 	PC      int           `json:"pc"`
 	Op      string        `json:"op"`
-	Worker  int           `json:"worker"`
 	Start   time.Duration `json:"start_ns"` // offset from query start
 	Dur     time.Duration `json:"dur_ns"`
 	Lookup  time.Duration `json:"lookup_ns,omitempty"` // recycler Entry share of Dur
@@ -39,7 +37,6 @@ type Span struct {
 type Stages struct {
 	Parse    time.Duration `json:"parse_ns"`
 	Optimize time.Duration `json:"optimize_ns"`
-	Schedule time.Duration `json:"schedule_ns"`
 	Execute  time.Duration `json:"execute_ns"`
 }
 
@@ -55,8 +52,8 @@ type QueryTrace struct {
 	Spans    []Span        `json:"spans"`
 }
 
-// Recorder collects the spans of a single query. Span slots are
-// written lock-free (one writer per pc). All methods are nil-receiver
+// Recorder collects the spans of a single query, written by the
+// query's goroutine. All methods are nil-receiver
 // safe so callers holding an optional recorder need no guard.
 type Recorder struct {
 	queryID uint64
@@ -85,18 +82,16 @@ func (r *Recorder) Start() time.Time {
 	return r.start
 }
 
-// EndSpan completes the span for pc. Called exactly once per pc by the
-// worker that executed it. It sets fields individually so reason
-// fields written earlier on the same goroutine (SetRecycle,
-// SetAdmission) survive.
-func (r *Recorder) EndSpan(pc int, op string, worker int, start time.Time, lookup time.Duration, rowsIn, rowsOut int, bytes int64) {
+// EndSpan completes the span for pc. Called exactly once per executed
+// pc. It sets fields individually so reason fields written earlier
+// (SetRecycle, SetAdmission) survive.
+func (r *Recorder) EndSpan(pc int, op string, start time.Time, lookup time.Duration, rowsIn, rowsOut int, bytes int64) {
 	if r == nil || pc < 0 || pc >= len(r.spans) {
 		return
 	}
 	sp := &r.spans[pc]
 	sp.PC = pc
 	sp.Op = op
-	sp.Worker = worker
 	sp.Start = start.Sub(r.start)
 	sp.Dur = time.Since(start)
 	sp.Lookup = lookup
@@ -116,8 +111,7 @@ func (r *Recorder) SetRecycle(pc int, reason string) {
 
 // SetAdmission records the admission outcome for pc's result
 // ("admit:granted", "deny:too-large:refunded", ...). Called by the
-// recycler AFTER releasing the writer lock, on the same worker
-// goroutine that will call EndSpan.
+// recycler AFTER releasing the writer lock, before the span ends.
 func (r *Recorder) SetAdmission(pc int, reason string) {
 	if r == nil || pc < 0 || pc >= len(r.spans) {
 		return
@@ -125,8 +119,8 @@ func (r *Recorder) SetAdmission(pc int, reason string) {
 	r.spans[pc].Admit = reason
 }
 
-// SetParents stores the dataflow dependency edges (parents[pc] = pcs
-// it consumes) so the trace renders as a tree.
+// SetParents stores the data dependency edges (parents[pc] = pcs it
+// consumes) so the trace renders as a tree.
 func (r *Recorder) SetParents(parents [][]int) {
 	if r == nil {
 		return
@@ -147,17 +141,8 @@ func (r *Recorder) SetStages(parse, optimize time.Duration) {
 	r.stages.Optimize = optimize
 }
 
-// SetSchedule records the scheduling stage (trace parents, in-degree
-// and ready-set set-up before the first instruction is probed).
-func (r *Recorder) SetSchedule(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.stages.Schedule = d
-}
-
 // Finish freezes the recorder into an immutable QueryTrace. Call once,
-// after the query's dataflow has fully completed.
+// after the query has completed.
 func (r *Recorder) Finish(template string, elapsed time.Duration) *QueryTrace {
 	if r == nil {
 		return nil

@@ -90,7 +90,7 @@ func TestHistogramProm(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	r.EndSpan(0, "x", 0, time.Now(), 0, 0, 0, 0)
+	r.EndSpan(0, "x", time.Now(), 0, 0, 0, 0)
 	r.SetRecycle(0, "hit")
 	r.SetAdmission(0, "admit")
 	if qt := r.Finish("t", 0); qt != nil {
@@ -107,9 +107,9 @@ func TestRecorderNilSafe(t *testing.T) {
 func TestRecorderRoundTrip(t *testing.T) {
 	r := NewRecorder(7, "select 1", 3)
 	r.SetRecycle(1, "hit:exact")
-	r.EndSpan(1, "algebra.select", 2, r.Start(), time.Microsecond, 10, 5, 40)
+	r.EndSpan(1, "algebra.select", r.Start(), time.Microsecond, 10, 5, 40)
 	r.SetAdmission(2, "admit:granted")
-	r.EndSpan(2, "aggr.count", 0, r.Start(), 0, 5, 1, 8)
+	r.EndSpan(2, "aggr.count", r.Start(), 0, 5, 1, 8)
 	r.SetParents([][]int{nil, {0}, {1}})
 	qt := r.Finish("tmpl", 0)
 	if qt.QueryID != 7 || qt.Template != "tmpl" || len(qt.Spans) != 3 {

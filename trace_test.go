@@ -21,7 +21,6 @@ import (
 func TestConcurrentTracedSessions(t *testing.T) {
 	eng := NewEngine(demoCatalog(),
 		WithRecycler(recycler.Config{Admission: recycler.KeepAll, Subsumption: true}),
-		WithWorkers(4),
 		WithTracer(trace.New(trace.Config{RingSize: 16})))
 
 	const clients, perClient = 8, 25
