@@ -271,29 +271,32 @@ func TestWriteRowMatchesFormatter(t *testing.T) {
 // /query with an error answer, leaves no query pinned, and the server
 // keeps serving.
 func TestQueryKernelPanicIsAnError(t *testing.T) {
-	real := mal.LookupOp("aggr.count")
-	mal.RegisterOp("aggr.count", func(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) (mal.Value, error) {
-		if args[0].IsBat() && args[0].Bat != nil && args[0].Bat.Len() == 0 {
-			panic("injected kernel fault")
+	// workers=1: the query runs on its calling goroutine, the one executor.
+	t.Run("workers=1", func(t *testing.T) {
+		real := mal.LookupOp("aggr.count")
+		mal.RegisterOp("aggr.count", func(ctx *mal.Ctx, in *mal.Instr, args []mal.Value) (mal.Value, error) {
+			if args[0].IsBat() && args[0].Bat != nil && args[0].Bat.Len() == 0 {
+				panic("injected kernel fault")
+			}
+			return real(ctx, in, args)
+		})
+		t.Cleanup(func() { mal.RegisterOp("aggr.count", real) })
+		db := sky.Generate(2000, 17)
+		eng := repro.NewEngine(db.Cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll}))
+		defer eng.Recycler().Close()
+		ts := httptest.NewServer(New(eng, Config{}).Handler())
+		defer ts.Close()
+		// No object lies beyond ra 400: the counted selection is empty.
+		_, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 400")
+		if code != http.StatusBadRequest {
+			t.Fatalf("panicking query answered %d", code)
 		}
-		return real(ctx, in, args)
+		if n := eng.Recycler().ActiveQueries(); n != 0 {
+			t.Fatalf("%d queries still active", n)
+		}
+		res, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 100")
+		if code != http.StatusOK || len(res.Results) != 1 {
+			t.Fatalf("next query answered %d: %+v", code, res)
+		}
 	})
-	t.Cleanup(func() { mal.RegisterOp("aggr.count", real) })
-	db := sky.Generate(2000, 17)
-	eng := repro.NewEngine(db.Cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll}))
-	defer eng.Recycler().Close()
-	ts := httptest.NewServer(New(eng, Config{}).Handler())
-	defer ts.Close()
-	// No object lies beyond ra 400: the counted selection is empty.
-	_, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 400")
-	if code != http.StatusBadRequest {
-		t.Fatalf("panicking query answered %d", code)
-	}
-	if n := eng.Recycler().ActiveQueries(); n != 0 {
-		t.Fatalf("%d queries still active", n)
-	}
-	res, code := postQuery(t, ts.URL, "SELECT COUNT(*) FROM sky.photoobj WHERE ra > 100")
-	if code != http.StatusOK || len(res.Results) != 1 {
-		t.Fatalf("next query answered %d: %+v", code, res)
-	}
 }

@@ -58,21 +58,24 @@ func installPanickingSelect(t *testing.T) {
 // query's error; the pins it held are released and the next query is
 // served.
 func TestPanickingKernelFailsOnlyItsQuery(t *testing.T) {
-	installPanickingSelect(t)
-	eng := NewEngine(demoCatalog(), WithRecycler(recycler.Config{Admission: recycler.KeepAll}))
-	tmpl := eng.Compile(demoTemplate())
-	_, err := eng.Exec(tmpl, mal.IntV(0), mal.IntV(panicMarker))
-	if err == nil || !strings.Contains(err.Error(), "algebra.select: panic: injected kernel fault") {
-		t.Fatalf("want the panic as the query's error, got %v", err)
-	}
-	if n := eng.Recycler().ActiveQueries(); n != 0 {
-		t.Fatalf("%d queries still active after the panic", n)
-	}
-	res, err := eng.Exec(tmpl, mal.IntV(0), mal.IntV(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Results[0].Val.F; got != 22.5 { // (0+1+...+9)/2
-		t.Fatalf("next query: sum = %v, want 22.5", got)
-	}
+	// workers=1: the query runs on its calling goroutine, the one executor.
+	t.Run("workers=1", func(t *testing.T) {
+		installPanickingSelect(t)
+		eng := NewEngine(demoCatalog(), WithRecycler(recycler.Config{Admission: recycler.KeepAll}))
+		tmpl := eng.Compile(demoTemplate())
+		_, err := eng.Exec(tmpl, mal.IntV(0), mal.IntV(panicMarker))
+		if err == nil || !strings.Contains(err.Error(), "algebra.select: panic: injected kernel fault") {
+			t.Fatalf("want the panic as the query's error, got %v", err)
+		}
+		if n := eng.Recycler().ActiveQueries(); n != 0 {
+			t.Fatalf("%d queries still active after the panic", n)
+		}
+		res, err := eng.Exec(tmpl, mal.IntV(0), mal.IntV(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Results[0].Val.F; got != 22.5 { // (0+1+...+9)/2
+			t.Fatalf("next query: sum = %v, want 22.5", got)
+		}
+	})
 }
