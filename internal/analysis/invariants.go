@@ -191,7 +191,6 @@ var WriterContextFuncs = map[string]bool{
 	"repro/internal/recycler.(*commitWalk).agg":             true,
 	"repro/internal/recycler.(*commitWalk).view":            true,
 	"repro/internal/recycler.(*commitWalk).join":            true,
-	"repro/internal/recycler.(*commitWalk).rebind":          true,
 	"repro/internal/recycler.(*commitWalk).refresh":         true,
 	"repro/internal/recycler.(*commitWalk).restamp":         true,
 	"repro/internal/recycler.(*Recycler).appliedLocked":     true,

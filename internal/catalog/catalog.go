@@ -22,12 +22,16 @@ import (
 //
 // Isolation is per query. A query reads each table at one version, a
 // Snapshot taken the first time it touches the table (mal.Ctx.Pin):
-// every later bind of that query reads through the snapshot, so two
-// columns bound around a concurrent commit agree with each other.
-// Snapshots cost nothing to keep — storage is immutable below the
-// published length and a delete publishes a new tombstone list — and
-// the recycler compares the snapshot's Stamp with the versions its
-// entries were computed at, so the pool never mixes versions either.
+// every later bind of that query names its rows at the snapshot (Ref),
+// and whatever reads them materialises them there, so two columns
+// bound around a concurrent commit agree with each other. Snapshots
+// cost nothing to keep — storage is immutable below the published
+// length and a delete publishes a new tombstone list — and the
+// recycler compares the snapshot's Stamp with the versions its entries
+// were computed at, so the pool never mixes versions either. A commit
+// costs the rows it moves: the live-oid list and the columns' live
+// tails are caches of the current tombstone list, built by the first
+// bind that reads them and dropped, not rebuilt, by a delete.
 type Catalog struct {
 	mu        sync.RWMutex
 	tables    map[string]*Table
@@ -138,8 +142,11 @@ type Snapshot struct {
 
 	nrows   int
 	deleted []bat.Oid
-	live    *bat.Oids
+	live    *liveOids // nil over a dense version
 }
+
+// Len returns the number of live rows at the version.
+func (s Snapshot) Len() int { return s.nrows - len(s.deleted) }
 
 // Pin returns the current version of the table named by its
 // schema-qualified name; false when there is no such table.
@@ -176,9 +183,8 @@ func (t *Table) snapshotLocked() Snapshot {
 // entries the listener is about to bring up to date.
 type UpdateListener interface {
 	// OnUpdate is called once per committed DML statement with the
-	// table changed, its new version, the columns affected, the
-	// per-column insert deltas (may be nil) and the deleted oids (may
-	// be empty).
+	// table changed, its new version, the per-column insert deltas
+	// (may be nil) and the deleted oids (may be empty).
 	OnUpdate(ev UpdateEvent)
 	// OnDrop is called when a table is dropped.
 	OnDrop(table *Table)
@@ -186,9 +192,10 @@ type UpdateListener interface {
 
 // UpdateEvent describes one committed DML statement.
 type UpdateEvent struct {
-	Table *Table
-	// Stamp is the table version the statement produced.
-	Stamp Stamp
+	// Snapshot is the table version the statement produced (Table,
+	// Stamp); a CommitInvalidate event carries the version the table
+	// was left at.
+	Snapshot
 	// Kind classifies the statement: CommitInsert (Append),
 	// CommitDelete (Delete) or CommitInvalidate (a mutation that
 	// panicked partway; listeners must treat every dependent
@@ -348,14 +355,16 @@ type Table struct {
 	commitMu sync.Mutex
 
 	nrows int
-	// deleted holds the tombstoned oids in ascending order and live its
-	// complement in [0, nrows) — the head of every bind, kept while the
-	// table has tombstones (nil over a dense table). A delete replaces
-	// both slices rather than editing them (exports and binds share
-	// them); an append extends live past its published length. The
-	// columns keep the matching tails (Column.live).
+	// deleted holds the tombstoned oids in ascending order. A delete
+	// replaces the slice rather than editing it (snapshots and exports
+	// share it).
 	deleted []bat.Oid
-	live    *bat.Oids
+	// live caches the complement of deleted in [0, nrows), the head of
+	// every bind at a version with the current tombstones: each delete
+	// starts an empty cache, which the first bind that reads it fills
+	// and every append extends. Nil over a dense table. The columns
+	// cache the matching tails (Column.live).
+	live *liveOids
 
 	// Version counts committed updates (see Stamp).
 	Version int64
@@ -415,18 +424,23 @@ type Column struct {
 	// Sorted is a declared property enabling view-based range selects.
 	Sorted bool
 
-	// live is, while the table has tombstones, Data without the dead
-	// slots: the tail of every bind of the column. The first such bind
-	// builds it (under the shared lock, hence the atomic) and every
-	// commit from then on keeps it in step the way it keeps Table.live —
-	// an append extends it in place, a delete makes one typed copy — so
-	// only the columns queries actually bind pay for it, and binding
-	// one never copies again. Nil until then and over a dense table.
+	// live caches, while the table has tombstones, Data without the
+	// dead slots: the tail of every bind at a version with the current
+	// tombstones. Like Table.live it is built by the first bind that
+	// materialises there, extended in place by an append and dropped by
+	// a delete, so only the columns queries actually read pay for it,
+	// once per delete at most. Nil until then and over a dense table.
 	live atomic.Pointer[liveTail]
 }
 
 // liveTail boxes a column's live tail for the atomic pointer.
 type liveTail struct{ bat.Vector }
+
+// liveOids caches the live oids of one tombstone list (Table.live).
+// The first bind that reads it fills it, under the shared lock, hence
+// the atomic; the versions that share the list slice it to their
+// length.
+type liveOids struct{ atomic.Pointer[bat.Oids] }
 
 // QName returns the fully qualified column name.
 func (c *Column) QName() string { return c.Table.QName() + "." + c.Name }
@@ -441,13 +455,13 @@ func (c *Column) Bind() *bat.BAT {
 }
 
 // BindAt returns a BAT over the live rows of the column at snapshot s
-// (a snapshot of the column's table), the engine's sql.bind, without
-// copying: over a dense version a dense-headed view of the column's
-// first s rows, over one with tombstones a view of the version's
-// live-oid list heading a view of the column's live tail (built by the
-// column's first bind under tombstones, maintained by the commits after
-// it). Only a bind whose snapshot predates a delete copies: the tail
-// the delete replaced is gone, so the version's tail is rebuilt.
+// (a snapshot of the column's table) without copying: over a dense
+// version a dense-headed view of the column's first s rows, over one
+// with the current tombstones a view of the table's live-oid list
+// heading a view of the column's live tail (each built by the first
+// bind that needs it since the last delete). Only a bind whose
+// snapshot predates a delete copies: its version's head and tail are
+// rebuilt from the column.
 func (c *Column) BindAt(s Snapshot) *bat.BAT {
 	c.Table.catalog.mu.RLock()
 	defer c.Table.catalog.mu.RUnlock()
@@ -463,8 +477,8 @@ func (c *Column) bindLocked(s Snapshot) *bat.BAT {
 		// materialises nothing, so recycle pool accounting must not
 		// charge the column's storage to the bind intermediate.
 		b = bat.New(bat.NewDense(0, s.nrows), c.Data.Slice(0, s.nrows))
-	case sameOids(s.deleted, t.deleted):
-		// No delete since s: the current tail extends s's.
+	case s.live == t.live:
+		// No delete since s: the current caches extend s's rows.
 		tail := c.live.Load()
 		if tail == nil {
 			// Commits are locked out, so concurrent first binds build
@@ -472,25 +486,39 @@ func (c *Column) bindLocked(s Snapshot) *bat.BAT {
 			c.live.CompareAndSwap(nil, &liveTail{bat.Drop(c.Data, t.deleted)})
 			tail = c.live.Load()
 		}
-		b = s.liveBAT(tail.Slice(0, s.live.Len()))
+		b = s.liveBAT(s.liveLocked(), tail.Slice(0, s.Len()))
 	default:
-		b = s.liveBAT(bat.Drop(c.Data.Slice(0, s.nrows), s.deleted))
+		b = s.liveBAT(s.liveLocked(), bat.Drop(c.Data.Slice(0, s.nrows), s.deleted))
 	}
 	// Sortedness only ever clears, so a sorted column was sorted at s.
 	b.TailSorted = c.Sorted
 	return b
 }
 
-// sameOids reports whether two tombstone lists are the same published
-// list. A delete always publishes a new one, so identity is equality.
-func sameOids(a, b []bat.Oid) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// liveLocked returns the live oids of the version, which has
+// tombstones, as a list the caller slices to the version's length: its
+// tombstone list's cache, filled here when the list is still the
+// table's and no bind has read it yet. A list a delete has since
+// replaced is rebuilt for the caller alone unless it was filled while
+// current (appends kept it covering every version that shares it).
+// Caller holds the catalog lock.
+func (s Snapshot) liveLocked() *bat.Oids {
+	if l := s.live.Load(); l != nil {
+		return l
+	}
+	t := s.Table
+	if s.live != t.live {
+		return bat.Drop(bat.NewDense(0, s.nrows), s.deleted).(*bat.Oids)
+	}
+	// As for a column's live tail: equal lists, the first one kept.
+	s.live.CompareAndSwap(nil, bat.Drop(bat.NewDense(0, t.nrows), t.deleted).(*bat.Oids))
+	return s.live.Load()
 }
 
 // liveBAT heads one value per live row of the version with its live
-// oids. The version has tombstones.
-func (s Snapshot) liveBAT(tail bat.Vector) *bat.BAT {
-	b := bat.New(s.live.Slice(0, s.live.Len()), tail)
+// oids, the first s.Len() of live. The version has tombstones.
+func (s Snapshot) liveBAT(live *bat.Oids, tail bat.Vector) *bat.BAT {
+	b := bat.New(live.Slice(0, s.Len()), tail)
 	b.HeadSorted = true
 	b.KeyUnique = true
 	return b
@@ -581,12 +609,14 @@ func (t *Table) Append(rows []Row) bat.Oid {
 			}
 		}
 		if t.live != nil {
-			t.live = bat.Extend(t.live, bat.NewDense(first, len(rows))).(*bat.Oids)
+			if l := t.live.Load(); l != nil {
+				t.live.Store(bat.Extend(l, bat.NewDense(first, len(rows))).(*bat.Oids))
+			}
 		}
 		t.nrows += len(rows)
 		t.maintainIndexesOnAppend(first, rows)
 		t.commitLocked()
-		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitInsert, Inserts: inserts}
+		ev = UpdateEvent{Snapshot: t.snapshotLocked(), Kind: CommitInsert, Inserts: inserts}
 		t.hookLocked(CommitRecord{Kind: CommitInsert, Inserts: logged, FirstOid: first, NumRows: len(rows)})
 		return first
 	}()
@@ -667,21 +697,19 @@ func (c *Column) encode(v []string) bat.Vector {
 }
 
 // Delete tombstones the given oids and commits one update event, which
-// reports the rows actually removed in ascending oid order.
+// reports the rows actually removed in ascending oid order. It costs
+// the rows it removes and the tombstone list it extends: the live-oid
+// list and the columns' live tails are dropped, and the next bind that
+// reads them rebuilds them (Column.BindAt).
 func (t *Table) Delete(oids []bat.Oid) {
 	if len(oids) == 0 {
 		return
 	}
+	really := slices.Clone(oids)
+	slices.Sort(really)
+	really = slices.Compact(really)
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
-	// Everything a delete copies is copied before the statement is
-	// announced, under the shared lock: commitMu keeps the table's rows
-	// still until the result is installed, so neither readers nor the
-	// listeners' commit window wait for the copies.
-	next := t.prepareDelete(oids)
-	if len(next.really) == 0 {
-		return
-	}
 	var ls []UpdateListener
 	var ev UpdateEvent
 	committed := false
@@ -689,68 +717,25 @@ func (t *Table) Delete(oids []bat.Oid) {
 	func() {
 		t.catalog.mu.Lock()
 		defer t.catalog.mu.Unlock()
+		really = slices.DeleteFunc(really, func(o bat.Oid) bool {
+			_, dead := slices.BinarySearch(t.deleted, o)
+			return dead || o >= bat.Oid(t.nrows)
+		})
+		if len(really) == 0 {
+			return
+		}
 		ls = t.catalog.listenersLocked()
-		t.installLocked(next)
+		t.deleted = mergeOids(t.deleted, really)
+		t.live = new(liveOids)
+		for _, c := range t.Cols {
+			c.live.Store(nil)
+		}
 		t.commitLocked()
-		ev = UpdateEvent{Table: t, Stamp: t.snapshotLocked().Stamp, Kind: CommitDelete, Deleted: next.really}
+		ev = UpdateEvent{Snapshot: t.snapshotLocked(), Kind: CommitDelete, Deleted: really}
 		t.dropPostingsLocked(ev.Stamp)
-		t.hookLocked(CommitRecord{Kind: CommitDelete, Deleted: next.really})
+		t.hookLocked(CommitRecord{Kind: CommitDelete, Deleted: really})
 		committed = true
 	}()
-}
-
-// deletion is a delete ready to install: the rows it really removes
-// (ascending, distinct, live), and the table's tombstones, live oids and
-// per-column live tails (nil: the column had none) without them.
-type deletion struct {
-	really, deleted []bat.Oid
-	live            *bat.Oids
-	tails           []*liveTail
-}
-
-// installLocked makes a prepared deletion the table's state. Caller
-// holds commitMu (since before prepareDelete) and the write lock.
-func (t *Table) installLocked(d deletion) {
-	t.deleted, t.live = d.deleted, d.live
-	for i, c := range t.Cols {
-		// Nil where prepareDelete found no live tail: one a reader built
-		// since still holds the dead rows, and goes with this store.
-		c.live.Store(d.tails[i])
-	}
-}
-
-// prepareDelete computes the table state after deleting oids. Caller
-// holds commitMu, so the rows cannot change before it installs the
-// result.
-func (t *Table) prepareDelete(oids []bat.Oid) deletion {
-	t.catalog.mu.RLock()
-	defer t.catalog.mu.RUnlock()
-	really := slices.Clone(oids)
-	slices.Sort(really)
-	really = slices.DeleteFunc(slices.Compact(really), func(o bat.Oid) bool {
-		_, dead := slices.BinarySearch(t.deleted, o)
-		return dead || o >= bat.Oid(t.nrows)
-	})
-	d := deletion{really: really, tails: make([]*liveTail, len(t.Cols))}
-	if len(really) == 0 {
-		return d
-	}
-	if t.live == nil {
-		d.live = bat.Drop(bat.NewDense(0, t.nrows), really).(*bat.Oids)
-	} else {
-		pos := make([]int, len(really))
-		for i, o := range really {
-			pos[i], _ = slices.BinarySearch(t.live.V, o)
-		}
-		d.live = bat.Drop(t.live, pos).(*bat.Oids)
-		for i, c := range t.Cols {
-			if tail := c.live.Load(); tail != nil {
-				d.tails[i] = &liveTail{bat.Drop(tail.Vector, pos)}
-			}
-		}
-	}
-	d.deleted = mergeOids(t.deleted, really)
-	return d
 }
 
 // mergeOids merges two ascending, disjoint oid lists into a new one.
@@ -770,11 +755,14 @@ func mergeOids(a, b []bat.Oid) []bat.Oid {
 // full-table invalidation event when it panicked partway (columns may
 // be partially applied, so every dependent intermediate must go).
 func (t *Table) completeNotify(ls *[]UpdateListener, committed *bool, ev *UpdateEvent) {
+	if len(*ls) == 0 {
+		return
+	}
 	if !*committed {
 		t.catalog.mu.RLock()
-		stamp := t.snapshotLocked().Stamp
+		snap := t.snapshotLocked()
 		t.catalog.mu.RUnlock()
-		*ev = UpdateEvent{Table: t, Stamp: stamp, Kind: CommitInvalidate}
+		*ev = UpdateEvent{Snapshot: snap, Kind: CommitInvalidate}
 	}
 	for _, l := range *ls {
 		l.OnUpdate(*ev)
@@ -952,10 +940,16 @@ func (t *Table) bindIdxLocked(s Snapshot, idxName string) *bat.BAT {
 	if !ok {
 		panic(fmt.Sprintf("catalog: unknown join index %s on %s", idxName, t.QName()))
 	}
+	return ix.bindLocked(s)
+}
+
+// bindLocked binds the index at snapshot s of its table. Caller holds
+// the catalog lock.
+func (ix *joinIndex) bindLocked(s Snapshot) *bat.BAT {
 	if s.live == nil {
 		return bat.New(bat.NewDense(0, s.nrows), ix.tailAt(s))
 	}
-	return s.liveBAT(bat.Drop(bat.NewOids(ix.oids[:s.nrows:s.nrows]), s.deleted))
+	return s.liveBAT(s.liveLocked(), bat.Drop(bat.NewOids(ix.oids[:s.nrows:s.nrows]), s.deleted))
 }
 
 // maintainIndexesOnAppend brings the key and join indexes up to the
@@ -1099,7 +1093,7 @@ func (c *Catalog) ImportTable(ts TableState) (*Table, error) {
 		if last := t.deleted[len(t.deleted)-1]; last >= bat.Oid(ts.NRows) {
 			return nil, fmt.Errorf("catalog: import of %s.%s: tombstone %d beyond %d rows", ts.Schema, ts.Name, last, ts.NRows)
 		}
-		t.live = bat.Drop(bat.NewDense(0, ts.NRows), t.deleted).(*bat.Oids)
+		t.live = new(liveOids)
 	}
 	for _, col := range ts.KeyIndexCols {
 		t.defineKeyIndexLocked(col)

@@ -220,23 +220,19 @@ func TestBindUnderTombstonesCopiesOnce(t *testing.T) {
 	}
 }
 
-// TestDeleteDropsLiveTailBuiltBesideIt walks the one interleaving the
-// two-phase delete has to survive: a reader binds a column for the
-// first time after the delete prepared its copies and before it
-// installs them, so the live tail that reader built still holds the
-// dead row and must not outlive the install.
-func TestDeleteDropsLiveTailBuiltBesideIt(t *testing.T) {
-	c, tb := storageTable(16)
+// TestDeleteDropsLiveTails: a delete drops the live-oid list and every
+// live tail instead of rebuilding them, so it copies no column; the
+// next bind of each column — one that had a tail and one that never
+// had — builds them without the dead row, and a bind taken before the
+// delete keeps its rows.
+func TestDeleteDropsLiveTails(t *testing.T) {
+	_, tb := storageTable(16)
 	tb.Delete([]bat.Oid{3})
-	tb.MustColumn("k").Bind() // k has a live tail going in, u gets one mid-delete
-
-	tb.commitMu.Lock()
-	next := tb.prepareDelete([]bat.Oid{9})
-	stale := tb.MustColumn("u").Bind()
-	c.mu.Lock()
-	tb.installLocked(next)
-	c.mu.Unlock()
-	tb.commitMu.Unlock()
+	stale := tb.MustColumn("k").Bind() // k has a live tail going in, u none
+	tb.Delete([]bat.Oid{9})
+	if tb.live.Load() != nil || tb.MustColumn("k").live.Load() != nil {
+		t.Fatal("the delete rebuilt the live oids or k's live tail")
+	}
 
 	live := []bat.Oid{0, 1, 2, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15}
 	for _, col := range []string{"k", "u"} {
@@ -244,8 +240,8 @@ func TestDeleteDropsLiveTailBuiltBesideIt(t *testing.T) {
 			t.Fatalf("bind of %s after the delete: %v", col, err)
 		}
 	}
-	if stale.Len() != 15 {
-		t.Fatalf("the bind taken mid-delete changed length to %d", stale.Len())
+	if err := checkSnapshot(stale, append(live[:8:8], append([]bat.Oid{9}, live[8:]...)...)); err != nil {
+		t.Fatalf("the bind taken before the delete: %v", err)
 	}
 }
 

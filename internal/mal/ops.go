@@ -91,7 +91,10 @@ func init() {
 
 var errArity = errors.New("wrong argument count")
 
+// wantBat returns a kernel's BAT argument, materialising a bind at the
+// version it names: the one place a kernel reads a bind's rows.
 func wantBat(v Value) (*bat.BAT, error) {
+	v = v.Materialised()
 	if v.Kind != VBat || v.Bat == nil {
 		return nil, fmt.Errorf("expected bat argument, got %v", v.Kind)
 	}
@@ -110,7 +113,7 @@ func opBind(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if c == nil {
 		return Value{}, fmt.Errorf("unknown column %s", args[2].S)
 	}
-	return BatV(c.BindAt(s)), nil
+	return RefV(c.RefAt(s)), nil
 }
 
 func opBindIdx(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
@@ -121,14 +124,18 @@ func opBindIdx(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if !ok {
 		return Value{}, fmt.Errorf("unknown table %s.%s", args[0].S, args[1].S)
 	}
-	return BatV(s.Table.BindIdxAt(s, args[2].S)), nil
+	r, ok := s.Table.IdxRefAt(s, args[2].S)
+	if !ok {
+		return Value{}, fmt.Errorf("unknown join index %s on %s.%s", args[2].S, args[0].S, args[1].S)
+	}
+	return RefV(r), nil
 }
 
 func opExportValue(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if len(args) != 2 {
 		return Value{}, errArity
 	}
-	ctx.Results = append(ctx.Results, Result{Name: args[0].S, Val: args[1]})
+	ctx.Results = append(ctx.Results, Result{Name: args[0].S, Val: args[1].Materialised()})
 	return VoidV(), nil
 }
 
@@ -136,10 +143,11 @@ func opExportCol(ctx *Ctx, _ *Instr, args []Value) (Value, error) {
 	if len(args) != 2 {
 		return Value{}, errArity
 	}
-	if _, err := wantBat(args[1]); err != nil {
+	v := args[1].Materialised()
+	if _, err := wantBat(v); err != nil {
 		return Value{}, err
 	}
-	ctx.Results = append(ctx.Results, Result{Name: args[0].S, Val: args[1]})
+	ctx.Results = append(ctx.Results, Result{Name: args[0].S, Val: v})
 	return VoidV(), nil
 }
 

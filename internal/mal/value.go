@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/bat"
+	"repro/internal/catalog"
 )
 
 // ValueKind tags the dynamic type of a runtime Value.
@@ -50,14 +51,21 @@ func (k ValueKind) String() string {
 // value (0 when unknown); it implements the lineage needed for
 // bottom-up sequence matching (paper §3.4, Alternative 1).
 type Value struct {
+	// Kind, B and D share the first word, so Ref costs a Value no
+	// bytes (72): values are copied on every instruction.
 	Kind ValueKind
+	B    bool
+	D    bat.Date
 	Bat  *bat.BAT
 	I    int64
 	F    float64
 	S    string
-	D    bat.Date
-	B    bool
 	O    bat.Oid
+
+	// Ref is, on a BAT value whose Bat is nil, a bind not read yet: its
+	// rows are materialised at the version it names only by what reads
+	// them (Materialised), so binding and pooling a bind copy nothing.
+	Ref *catalog.Ref
 
 	// Prov is the recycle pool entry id whose result this value is.
 	Prov uint64
@@ -67,6 +75,19 @@ type Value struct {
 
 // BatV wraps a BAT as a Value.
 func BatV(b *bat.BAT) Value { return Value{Kind: VBat, Bat: b} }
+
+// RefV wraps a bind not read yet as a Value.
+func RefV(r *catalog.Ref) Value { return Value{Kind: VBat, Ref: r} }
+
+// Materialised returns v with a bind's rows read into Bat, at the
+// version the bind names: what a kernel reads, and what leaves the
+// engine (a query's results), carries rows, not names.
+func (v Value) Materialised() Value {
+	if v.Bat == nil && v.Ref != nil {
+		v.Bat, v.Ref = v.Ref.Rows(), nil
+	}
+	return v
+}
 
 // IntV wraps an int64.
 func IntV(v int64) Value { return Value{Kind: VInt, I: v} }
@@ -182,10 +203,13 @@ func (v Value) AppendKey(dst []byte) []byte {
 func (v Value) String() string {
 	switch v.Kind {
 	case VBat:
-		if v.Bat == nil {
-			return "bat(nil)"
+		switch {
+		case v.Bat != nil:
+			return v.Bat.String()
+		case v.Ref != nil:
+			return v.Ref.String()
 		}
-		return v.Bat.String()
+		return "bat(nil)"
 	case VInt:
 		return strconv.FormatInt(v.I, 10)
 	case VFloat:
@@ -260,18 +284,28 @@ func dateFromCivil(y, m, d int) bat.Date {
 func oidOf(n uint64) bat.Oid { return bat.Oid(n) }
 
 // Bytes returns the memory footprint of a value for recycle pool
-// accounting: the BAT size for BATs, a small constant for scalars.
+// accounting: the BAT size for BATs (a bind's materialised at its
+// version, catalog.Ref.ByteSize), a small constant for scalars.
 func (v Value) Bytes() int64 {
-	if v.Kind == VBat && v.Bat != nil {
+	switch {
+	case v.Kind != VBat:
+	case v.Bat != nil:
 		return v.Bat.ByteSize()
+	case v.Ref != nil:
+		return v.Ref.ByteSize()
 	}
 	return 16
 }
 
-// Tuples returns the row count for BAT values, 1 for scalars.
+// Tuples returns the row count for BAT values (a bind's is its
+// version's live count), 1 for scalars.
 func (v Value) Tuples() int {
-	if v.Kind == VBat && v.Bat != nil {
+	switch {
+	case v.Kind != VBat:
+	case v.Bat != nil:
 		return v.Bat.Len()
+	case v.Ref != nil:
+		return v.Ref.Len()
 	}
 	return 1
 }

@@ -149,11 +149,21 @@ func BenchmarkCommitInsert(b *testing.B) {
 }
 
 // BenchmarkCommitDelete times one single-row DELETE commit of an
-// earlier insert: at most one typed copy per bound column.
+// earlier insert: no column is copied, so what is left is the filter
+// and project results the dead row leaves (one copy each) and the
+// tombstone list, which the tombstones=10000 case prices: the delete
+// merges its row into a copy of the list.
 func BenchmarkCommitDelete(b *testing.B) {
-	for _, n := range commitBenchSizes {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			f := newCommitFixture(b, n)
+	run := func(name string, rows, tombstones int) {
+		b.Run(name, func(b *testing.B) {
+			f := newCommitFixture(b, rows)
+			if tombstones > 0 {
+				dead := make([]bat.Oid, tombstones)
+				for i := range dead {
+					dead[i] = bat.Oid(i * (rows / tombstones))
+				}
+				f.tb.Delete(dead)
+			}
 			oids := make([]bat.Oid, b.N)
 			for i := range oids {
 				oids[i] = f.insert()
@@ -165,27 +175,45 @@ func BenchmarkCommitDelete(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range commitBenchSizes {
+		run(fmt.Sprintf("rows=%d", n), n, 0)
+	}
+	run("rows=200000,tombstones=10000", 200_000, 10_000)
 }
 
-// TestCommitAllocations pins the O(delta) insert commit: one
-// single-row insert into the 200k-row, 23-column table with the warm
-// maintained pool may allocate 64 KB (a copy-on-write append of the
-// columns alone is 37 MB).
+// TestCommitAllocations pins the O(delta) commits against the
+// 200k-row, 23-column table with the warm maintained pool. One
+// single-row insert may allocate 64 KB (a copy-on-write append of the
+// columns alone is 37 MB). One single-row delete of an earlier insert
+// may allocate 512 KB: it copies no column (one is 1.6 MB, and the
+// bound ones plus the live oids were 7 MB a delete), only the filter
+// and project results the dead row leaves, a few thousand rows each
+// at this size. Neither may fall back.
 func TestCommitAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200k-row catalog")
 	}
 	f := newCommitFixture(t, 200_000)
-	f.insert() // the walk's own first-use allocations
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	const commits = 10
-	for i := 0; i < commits; i++ {
-		f.insert()
+	perCommit := func(commit func(i int)) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < commits; i++ {
+			commit(i)
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / commits
 	}
-	runtime.ReadMemStats(&m1)
-	if per := (m1.TotalAlloc - m0.TotalAlloc) / commits; per > 64<<10 {
+	f.insert() // the walk's own first-use allocations
+	if per := perCommit(func(int) { f.insert() }); per > 64<<10 {
 		t.Fatalf("one insert commit allocated %d bytes, want <= %d", per, 64<<10)
+	}
+	var oids []bat.Oid
+	for i := 0; i < commits; i++ {
+		oids = append(oids, f.insert())
+	}
+	if per := perCommit(func(i int) { f.tb.Delete(oids[i : i+1]) }); per > 512<<10 {
+		t.Fatalf("one delete commit allocated %d bytes, want <= %d", per, 512<<10)
 	}
 	if st := f.rec.Snapshot(); st.MaintainFallback != 0 || st.Invalidated != 0 {
 		t.Fatalf("commits fell back: %+v", st)

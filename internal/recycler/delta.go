@@ -1,7 +1,6 @@
 package recycler
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/algebra"
@@ -23,10 +22,11 @@ import (
 // table:
 //
 //	class    rule                                          falls back when
-//	base     re-bind (a view: the catalog keeps each bound  table/column gone
-//	         column's live tail in step with its commits);
-//	         the commit's inserts seed the walk, the dead
-//	         rows' values come out of the old result
+//	base     rename: the entry holds a name, not rows       result not a name
+//	         (catalog.Ref), moved to the commit's version
+//	         in O(1); the commit's inserts seed the walk,
+//	         the dead rows' values are read by oid from
+//	         the column (an index: its oid vector)
 //	filter   SplitHeads(old) ∪ P(parent δ+)                parent not a rowset
 //	project  SplitHeads(old) ∪ (δL ⋉ δR) — appended rows   parent not a rowset
 //	         carry fresh oids larger than every old head,
@@ -51,10 +51,13 @@ import (
 // when its parent's result is the object it was), so an entry the
 // commit does not reach costs its parents' lookups — and still counts
 // as maintained, having been proven current. A commit therefore costs
-// the rows it moves, not the pool or the table: a bind is re-bound as a
-// view, a rowset the delta lands in is extended past its published
-// length (bat.Extend) on an insert and copied once on a delete, and
-// nothing re-reads base storage.
+// the rows it moves, not the pool or the table: a bind is renamed at
+// the commit's version without reading a row, a rowset the delta lands
+// in is extended past its published length (bat.Extend) on an insert
+// and copied once on a delete, and base storage is read only at the
+// dead and inserted oids. Only the rules that read a bind parent's
+// rows — float SUM, view and join — materialise it, at the commit's
+// version (view and join are masked off under maintain).
 //
 // A panicked mutation (CommitInvalidate) may be half applied: no delta
 // rule is sound for it, and every affected entry invalidates.
@@ -100,14 +103,17 @@ var deltaRules = [...]func(*commitWalk, *Entry) (change, bool){
 
 // change is what one rule did to one entry: the rows it appended
 // (already pushed through the entry's own operator), the rows it
-// tombstoned out (with their values — recovered from the old pooled
-// result, since the catalog reports deleted oids only), and the
-// entry's pre-commit result, which the join rule's cross terms read.
+// tombstoned out (with their values — read by oid at the base, since
+// the catalog reports deleted oids only), and the entry's pre-commit
+// result (its rows, or a bind's name), which the join rule's cross
+// terms read.
 // On a delete commit a view's change carries no rows although the view
 // shrank: nothing reads them, since the rowset rules refuse view
 // parents and the join rule refuses delete commits.
 type change struct {
-	added, removed, old *bat.BAT
+	added, removed *bat.BAT
+	old            *bat.BAT
+	oldRef         *catalog.Ref // old is a bind's name
 }
 
 // commitWalk is the state of one applyCommit. dead is the commit's
@@ -170,7 +176,7 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum comm
 		if !e.valid.Load() {
 			continue
 		}
-		old := e.Result.Bat
+		old, oldRef := e.Result.Bat, e.Result.Ref
 		var ch change
 		var cause string
 		switch rule := deltaRules[e.deltaClass]; {
@@ -200,8 +206,8 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum comm
 			w.restamp(e)
 		}
 		n := rows(ch.added) + rows(ch.removed)
-		if n > 0 || e.Result.Bat != old {
-			ch.old = old
+		if n > 0 || e.Result.Bat != old || e.Result.Ref != oldRef {
+			ch.old, ch.oldRef = old, oldRef
 			w.done[e.ID] = ch
 		}
 		if n > 0 {
@@ -228,7 +234,7 @@ func (w *commitWalk) parent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
 		return nil, change{}, false
 	}
 	if ch, ok = w.done[pe.ID]; !ok {
-		ch.old = pe.Result.Bat // untouched by this commit
+		ch.old, ch.oldRef = pe.Result.Bat, pe.Result.Ref // untouched by this commit
 	}
 	return pe, ch, true
 }
@@ -248,9 +254,18 @@ func (w *commitWalk) restamp(e *Entry) {
 	sh.mu.Unlock()
 }
 
-// still reports that the walk left parent pe's result the object it
-// was, given pe's change as parent returned it.
-func (ch change) still(pe *Entry) bool { return ch.old == pe.Result.Bat }
+// still reports that the walk left parent pe's result the object — the
+// rows or the name — it was, given pe's change as parent returned it.
+func (ch change) still(pe *Entry) bool { return ch.old == pe.Result.Bat && ch.oldRef == pe.Result.Ref }
+
+// oldRows returns the pre-commit result's rows, a bind's materialised
+// at the version before the commit.
+func (ch change) oldRows() *bat.BAT {
+	if ch.old == nil && ch.oldRef != nil {
+		return ch.oldRef.Rows()
+	}
+	return ch.old
+}
 
 // empty reports that the change neither added nor removed a row.
 func (ch change) empty() bool { return rows(ch.added)+rows(ch.removed) == 0 }
@@ -264,55 +279,35 @@ func (w *commitWalk) rowsetParent(e *Entry, i int) (pe *Entry, ch change, ok boo
 	return pe, ch, ok
 }
 
-// rebind re-binds an entry's column at the commit's version — a view,
-// whatever the table's size or tombstones (catalog.Column.Bind; the
-// table's commits are serialised, so its current version is the
-// commit's) — and swaps the result in place. False when the column
-// vanished.
-func (w *commitWalk) rebind(e *Entry) bool {
-	c := w.ev.Table.Column(e.Args[2].S)
-	if c == nil {
-		return false
-	}
-	w.refresh(e, mal.BatV(c.Bind()))
-	return true
-}
-
-// base seeds the walk and re-binds: binding copies nothing (the
-// catalog keeps each bound column's live tail in step with its
-// commits), the commit's insert delta becomes the entry's, and the
-// rows it tombstoned are read out of the OLD pooled result — the
-// catalog reports deleted oids only — for the aggregates downstream. A
-// join index (child oid → parent oid) is headed by its own table's
-// oids, so only that table's commits add or remove rows.
+// base seeds the walk and renames: a bind entry holds a name, not rows
+// (catalog.Ref), so the rule moves it to the commit's version in O(1).
+// The commit's insert delta becomes the entry's, and the rows it
+// tombstoned are read by oid out of the column (or the index's oid
+// vector), which keeps a dead row's slot — O(δ) — for the aggregates
+// downstream. A join index (child oid → parent oid) is headed by its
+// own table's oids, so only that table's commits add or remove rows.
 func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
-	t := w.r.cat.Table(e.Args[0].S, e.Args[1].S)
-	if t == nil || e.Result.Kind != mal.VBat {
+	ref := e.Result.Ref
+	if ref == nil {
 		return ch, false
 	}
-	if t != w.ev.Table {
-		return ch, true // the index's parent table committed: no row of t moved
+	if ref.Snapshot().Table != w.ev.Table {
+		// The index's parent table committed: no row of the index moved.
+		return ch, e.OpName == "sql.bindIdxbat"
 	}
-	old := e.Result.Bat
-	pos := algebra.DeadPositions(old, w.dead)
-	if len(pos) > 0 {
-		ch.removed = bat.Gather(old, pos)
-		ch.removed.HeadSorted = old.HeadSorted
+	if len(w.dead) > 0 {
+		ch.removed = ref.RowsAt(bat.NewOids(w.dead))
 	}
+	next := ref.At(w.ev.Snapshot)
 	if e.OpName == "sql.bind" {
 		ch.added = w.ev.Inserts[e.Args[2].S]
-		return ch, w.rebind(e)
-	}
-	nb := t.BindIdx(e.Args[2].S)
-	w.refresh(e, mal.BatV(nb))
-	for _, d := range w.ev.Inserts { // any column: they share the inserted heads
-		first := bat.OidAt(d.Head, 0)
-		at := func(o bat.Oid) int {
-			return sort.Search(nb.Len(), func(i int) bool { return bat.OidAt(nb.Head, i) >= o })
+	} else {
+		for _, d := range w.ev.Inserts { // any column: they share the inserted heads
+			ch.added = next.RowsAt(d.Head)
+			break
 		}
-		ch.added = nb.Slice(at(first), at(first+bat.Oid(d.Len())))
-		break
 	}
+	w.refresh(e, mal.RefV(next))
 	return ch, true
 }
 
@@ -396,8 +391,8 @@ func (w *commitWalk) agg(e *Entry) (ch change, ok bool) {
 		w.refresh(e, mal.IntV(algebra.DeltaCount(e.Result.I, p.added, p.removed)))
 	case e.OpName == "aggr.sumInt" && e.Result.Kind == mal.VInt && isInt(p.added) && isInt(p.removed):
 		w.refresh(e, mal.IntV(algebra.DeltaSumInt(e.Result.I, p.added, p.removed)))
-	case e.OpName == "aggr.sumFlt" && e.Result.Kind == mal.VFloat && pe.Result.Bat.Tail.Kind() == bat.KFloat:
-		w.refresh(e, mal.FloatV(algebra.SumFloat(pe.Result.Bat)))
+	case e.OpName == "aggr.sumFlt" && e.Result.Kind == mal.VFloat && pe.Result.Materialised().Bat.Tail.Kind() == bat.KFloat:
+		w.refresh(e, mal.FloatV(algebra.SumFloat(pe.Result.Materialised().Bat)))
 	default:
 		return ch, false
 	}
@@ -418,7 +413,7 @@ func (w *commitWalk) view(e *Entry) (ch change, ok bool) {
 	if p.still(pe) {
 		return ch, true
 	}
-	parent := pe.Result.Bat
+	parent := pe.Result.Materialised().Bat // a bind's at the commit's version: parents go first
 	var nb *bat.BAT
 	switch e.OpName {
 	case "bat.reverse":
@@ -450,10 +445,16 @@ func (w *commitWalk) view(e *Entry) (ch change, ok bool) {
 func (w *commitWalk) join(e *Entry) (ch change, ok bool) {
 	_, l, okL := w.parent(e, 0)
 	_, r, okR := w.parent(e, 1)
-	if len(w.dead) > 0 || !okL || !okR || l.old == nil || r.old == nil || e.Result.Kind != mal.VBat {
+	if len(w.dead) > 0 || !okL || !okR || e.Result.Kind != mal.VBat {
 		return ch, false
 	}
-	for _, term := range [3][2]*bat.BAT{{l.added, r.old}, {l.old, r.added}, {l.added, r.added}} {
+	// A bind parent's old rows are read at the version before the
+	// commit, which an insert left with the same tombstones.
+	lOld, rOld := l.oldRows(), r.oldRows()
+	if lOld == nil || rOld == nil {
+		return ch, false
+	}
+	for _, term := range [3][2]*bat.BAT{{l.added, rOld}, {lOld, r.added}, {l.added, r.added}} {
 		if rows(term[0]) == 0 || rows(term[1]) == 0 {
 			continue
 		}

@@ -26,7 +26,8 @@
 //   - A single coarse writer lock still serialises every structural
 //     change — admission, eviction, invalidation, delta propagation and
 //     the subsumption-index searches — because lineage edges, the
-//     invalidation index and the byte accounting must change together.
+//     entries' version stamps, the subsumption indexes and the byte
+//     accounting must change together.
 //     Every index it guards (the leaf frontier eviction pops from, the
 //     per-column range index, the semijoin pair map) is maintained by
 //     Add and Remove, so no step of a miss, an admission or an LRU

@@ -146,7 +146,7 @@ func (r *Recycler) imageLocked() []*SpillRecord {
 			Args:   args,
 			Deps:   deps,
 			Cost:   e.Cost,
-			Result: e.Result,
+			Result: e.Result.Materialised(), // a bind's rows, at the drain's version
 		})
 	}
 	return recs

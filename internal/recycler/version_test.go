@@ -290,3 +290,149 @@ func testStraddle(t *testing.T, mode string) {
 		t.Fatalf("a query after the commit counts %d and %d, want 7", a, b2)
 	}
 }
+
+// TestBindNamesMaterialiseAtPinnedSnapshots: a bind is a name, and its
+// rows are read at the version the query pinned, however late. Each
+// query below pins sys.n, names its columns, lets commits land through
+// an op of its own, and only then reads the rows — so a read at the
+// table's current version instead of the pin answers differently.
+//   - "pooled": the bind hits a pooled entry no query has read at its
+//     version, the commits (a delete and an append) move that entry
+//     on, and the select below it misses.
+//   - "fresh": the bind misses and is admitted, then the same commits.
+//   - "straddle": a bind and a join-index bind before a delete, a bind
+//     after it.
+//
+// Every answer equals a recompute without a recycler at the pinned
+// version, which the naive run before the commits reads.
+func TestBindNamesMaterialiseAtPinnedSnapshots(t *testing.T) {
+	cat := catalog.New()
+	p := cat.CreateTable("sys", "p", []catalog.ColDef{{Name: "k", Kind: bat.KInt}})
+	p.Append([]catalog.Row{{"k": int64(0)}, {"k": int64(1)}, {"k": int64(2)}})
+	tb := cat.CreateTable("sys", "n", []catalog.ColDef{
+		{Name: "a", Kind: bat.KInt}, {Name: "b", Kind: bat.KInt}, {Name: "j", Kind: bat.KInt},
+	})
+	row := func(i int) catalog.Row { return catalog.Row{"a": int64(i), "b": int64(i * 7 % 50), "j": int64(i % 4)} }
+	var rows []catalog.Row
+	for i := 0; i < 64; i++ {
+		rows = append(rows, row(i))
+	}
+	tb.Append(rows)
+	tb.DefineJoinIndex("fk", "j", p, "k")
+	tb.Delete([]bat.Oid{5}) // the pinned versions have tombstones, and their caches
+	rec := New(cat, Config{Admission: KeepAll, Sync: SyncMaintain})
+	defer rec.Close()
+
+	// commit runs the armed commits once, from inside a query.
+	var armed func()
+	op := commitOp(func(*mal.Ctx) {
+		if c := armed; c != nil {
+			armed = nil
+			c()
+		}
+	})
+	// commits deletes the given rows, then appends two.
+	commits := func(dead ...bat.Oid) func() {
+		return func() {
+			tb.Delete(dead)
+			tb.Append([]catalog.Row{row(15), row(25)})
+		}
+	}
+	str := func(s string) mal.Arg { return mal.C(mal.StrV(s)) }
+	bind := func(b *mal.Builder, col string, mode mal.Arg) mal.Arg {
+		return b.Op1("sql", "bind", str("sys"), str("n"), str(col), mode)
+	}
+	yes := mal.C(mal.BoolV(true))
+	// export counts and sums the rows of x in [lo, hi].
+	export := func(b *mal.Builder, name string, x, lo, hi mal.Arg) {
+		s := b.Op1("algebra", "select", x, lo, hi, yes, yes)
+		b.Do("sql", "exportValue", str(name+".count"), b.Op1("aggr", "count", s))
+		b.Do("sql", "exportValue", str(name+".sum"), b.Op1("aggr", "sumInt", s))
+	}
+	// selectTemplate: bind col, commit, then read it in [A0, A1].
+	selectTemplate := func(col string) *mal.Template {
+		b := mal.NewBuilder("pinned-" + col)
+		lo, hi := b.Param("A0", mal.VInt), b.Param("A1", mal.VInt)
+		x := bind(b, col, mal.C(mal.IntV(0)))
+		b.Op1("test", op, x)
+		export(b, col, x, lo, hi)
+		return markAll(b.Freeze())
+	}
+	straddle := func() *mal.Template {
+		b := mal.NewBuilder("straddle-names")
+		lo, hi := b.Param("A0", mal.VInt), b.Param("A1", mal.VInt)
+		xa := bind(b, "a", mal.C(mal.IntV(0)))
+		xi := b.Op1("sql", "bindIdxbat", str("sys"), str("n"), str("fk"))
+		z := b.Op1("test", op, xa)
+		xb := bind(b, "b", z)
+		export(b, "a", xa, lo, hi)
+		export(b, "b", xb, lo, hi)
+		b.Do("sql", "exportValue", str("idx.count"), b.Op1("aggr", "count", xi))
+		return markAll(b.Freeze())
+	}()
+
+	var qid uint64
+	run := func(tmpl *mal.Template, hook mal.RecyclerHook, lo, hi int64) (*mal.Ctx, map[string]int64) {
+		t.Helper()
+		qid++
+		ctx := &mal.Ctx{Cat: cat, Hook: hook, QueryID: qid}
+		if hook != nil {
+			rec.BeginQuery(qid, tmpl.ID)
+			defer rec.EndQuery(qid)
+		}
+		if err := mal.Run(ctx, tmpl, mal.IntV(lo), mal.IntV(hi)); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, r := range ctx.Results {
+			got[r.Name] = r.Val.I
+		}
+		return ctx, got
+	}
+	// check runs tmpl naive, then recycled with commit armed, and
+	// compares; hits is the number of pool hits the recycled run must
+	// take.
+	check := func(name string, tmpl *mal.Template, commit func(), lo, hi int64, hits int) {
+		t.Helper()
+		_, want := run(tmpl, nil, lo, hi)
+		armed = commit
+		ctx, got := run(tmpl, rec, lo, hi)
+		if armed != nil {
+			t.Fatalf("%s: the commits did not run", name)
+		}
+		if ctx.Stats.Hits != hits {
+			t.Fatalf("%s: %d pool hits, want %d", name, ctx.Stats.Hits, hits)
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s: %s = %d after the commits, want %d at the pinned version", name, k, got[k], v)
+			}
+		}
+		if _, now := run(tmpl, nil, lo, hi); fmt.Sprint(now) == fmt.Sprint(want) {
+			t.Fatalf("%s: the commits did not change the answer %v", name, now)
+		}
+	}
+
+	sel := selectTemplate("a")
+	run(sel, rec, 0, 63) // pools the bind of a, and reads it
+	// The walk renames the pooled bind at the append's version: a name
+	// nothing has read yet.
+	tb.Append([]catalog.Row{row(64)})
+	check("pooled", sel, commits(12, 20, 33), 10, 40, 1)
+	check("fresh", selectTemplate("b"), commits(3, 21, 22), 0, 30, 0)
+	// The bind of a hits; the pooled bind of b is past the query's pin
+	// by the time it is asked.
+	check("straddle", straddle, func() { tb.Delete([]bat.Oid{1, 2, 40}) }, 0, 45, 1)
+
+	// The pool moved on with the commits: a query now reads the latest
+	// version, from the pool where it can.
+	for _, tc := range []struct {
+		tmpl   *mal.Template
+		lo, hi int64
+	}{{sel, 10, 40}, {straddle, 0, 45}} {
+		_, want := run(tc.tmpl, nil, tc.lo, tc.hi)
+		if _, got := run(tc.tmpl, rec, tc.lo, tc.hi); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s after the commits: %v, recompute %v", tc.tmpl.Name, got, want)
+		}
+	}
+}
