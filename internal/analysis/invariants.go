@@ -15,7 +15,8 @@ package analysis
 // lock has a strictly smaller rank. The catalog mutex sits above the
 // recycler locks because recycler code consults the catalog while
 // holding its own locks (imageLocked → Pin, the commit walk →
-// Column.Bind), never the reverse. A table's commit mutex sits below
+// Ref.Rows, whose first read of a tombstoned version fills a cache
+// under the shared lock), never the reverse. A table's commit mutex sits below
 // them all: a DML statement holds it from its mutation through the
 // listeners' fix-up, which takes the recycler locks.
 // ---------------------------------------------------------------------
@@ -244,8 +245,11 @@ var AtomicFields = map[string]bool{
 	"repro/internal/recycler.Recycler.maintainFallback": true,
 	"repro/internal/recycler.Recycler.maintainNs":       true,
 	"repro/internal/recycler.Recycler.deltaRows":        true,
-	// catalog — published by the first bind under the shared lock
-	"repro/internal/catalog.Column.live": true,
+	// catalog — a table's version, published by a commit and read with
+	// no lock, and a tombstone list's caches, filled by the first bind
+	// under the shared lock and extended by appends
+	"repro/internal/catalog.Table.cur": true,
+	"repro/internal/catalog.cache.p":   true,
 	// optimizer statistics — bumped from concurrent compilations
 	"repro/internal/opt.Stats.CSEMerged": true,
 	"repro/internal/opt.Stats.Commuted":  true,

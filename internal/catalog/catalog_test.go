@@ -54,6 +54,9 @@ func TestDeleteTombstonesBind(t *testing.T) {
 	}
 }
 
+// current returns column c at its table's current version.
+func current(c *Column) colVersion { return c.Table.cur.Load().cols[c.pos] }
+
 type countListener struct{ n *int }
 
 func (c countListener) OnUpdate(UpdateEvent) { *c.n++ }
@@ -158,14 +161,14 @@ func TestDropTableNotifies(t *testing.T) {
 
 func TestVersionBumps(t *testing.T) {
 	_, tb := twoColTable(t)
-	v := tb.Version
+	v := tb.cur.Load().stamp.Version
 	tb.Append([]Row{{"o_orderkey": int64(4), "o_total": 1.0}})
-	if tb.Version != v+1 {
-		t.Fatalf("version = %d, want %d", tb.Version, v+1)
+	if tb.cur.Load().stamp.Version != v+1 {
+		t.Fatalf("version = %d, want %d", tb.cur.Load().stamp.Version, v+1)
 	}
 	tb.Delete([]bat.Oid{0})
-	if tb.Version != v+2 {
-		t.Fatalf("version = %d, want %d", tb.Version, v+2)
+	if tb.cur.Load().stamp.Version != v+2 {
+		t.Fatalf("version = %d, want %d", tb.cur.Load().stamp.Version, v+2)
 	}
 }
 
@@ -183,11 +186,11 @@ func TestSortedPropertyMaintained(t *testing.T) {
 	c := New()
 	tb := c.CreateTable("sys", "t", []ColDef{{Name: "k", Kind: bat.KInt, Sorted: true}})
 	tb.Append([]Row{{"k": int64(1)}, {"k": int64(2)}})
-	if !tb.MustColumn("k").Sorted {
+	if !current(tb.MustColumn("k")).sorted {
 		t.Fatal("sorted lost on ordered append")
 	}
 	tb.Append([]Row{{"k": int64(0)}})
-	if tb.MustColumn("k").Sorted {
+	if current(tb.MustColumn("k")).sorted {
 		t.Fatal("sorted kept on out-of-order append")
 	}
 }

@@ -42,7 +42,7 @@ func TestDictGrowthConcurrent(t *testing.T) {
 	}
 	tb.Append(rows(0, loaded))
 	col := tb.MustColumn("s")
-	startDict := col.Data.(*bat.Strings).D.Len()
+	startDict := current(col).data.(*bat.Strings).D.Len()
 
 	var wg sync.WaitGroup
 	var rounds atomic.Int64
@@ -92,7 +92,7 @@ func TestDictGrowthConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if grown := col.Data.(*bat.Strings).D.Len(); grown <= startDict {
+	if grown := current(col).data.(*bat.Strings).D.Len(); grown <= startDict {
 		t.Fatalf("the dictionary did not grow: %d values before the commits, %d after", startDict, grown)
 	}
 }
@@ -159,13 +159,17 @@ func checkDictBind(b *bat.BAT, rng *rand.Rand) error {
 
 // TestAppendWrongTypeLeavesDictionary appends a row whose string column
 // is valid but whose next column has the wrong type: the append panics
-// with the table untouched, and the string column's dictionary has not
-// grown by the value no row holds.
+// with the table untouched — its stamp too — no listener called, and
+// the string column's dictionary has not grown by the value no row
+// holds.
 func TestAppendWrongTypeLeavesDictionary(t *testing.T) {
 	c := New()
 	tb := c.CreateTable("sys", "w", []ColDef{{Name: "s", Kind: bat.KStr}, {Name: "n", Kind: bat.KInt}})
 	tb.Append([]Row{{"s": "a", "n": int64(1)}})
-	d := tb.MustColumn("s").Data.(*bat.Strings).D
+	d := current(tb.MustColumn("s")).data.(*bat.Strings).D
+	before, _ := c.Pin("sys.w")
+	var events int
+	c.AddListener(countListener{n: &events})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -177,7 +181,13 @@ func TestAppendWrongTypeLeavesDictionary(t *testing.T) {
 	if got := d.Values(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("dictionary after the failed append = %q, want [a]", got)
 	}
-	if n := tb.MustColumn("s").Data.Len(); n != 1 {
+	if n := current(tb.MustColumn("s")).data.Len(); n != 1 {
 		t.Fatalf("column length after the failed append = %d, want 1", n)
+	}
+	if after, _ := c.Pin("sys.w"); after.Stamp != before.Stamp {
+		t.Fatalf("stamp after the failed append = %+v, want %+v", after.Stamp, before.Stamp)
+	}
+	if events != 0 {
+		t.Fatalf("the failed append notified %d listeners", events)
 	}
 }

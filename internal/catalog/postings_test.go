@@ -98,11 +98,11 @@ func TestJoinIndexPostingsConcurrent(t *testing.T) {
 // scan path's.
 func checkPostingsJoin(s Snapshot, l *bat.BAT, rng *rand.Rand) error {
 	tail := l.Tail.(*bat.Oids)
-	if s.live != nil && tail.Postings() != nil {
+	if s.v.tomb != nil && tail.Postings() != nil {
 		return fmt.Errorf("version %d with tombstones carries postings", s.Stamp.Version)
 	}
-	if l.Len() != s.nrows-len(s.deleted) {
-		return fmt.Errorf("version %d: bind of %d rows, want %d", s.Stamp.Version, l.Len(), s.nrows-len(s.deleted))
+	if l.Len() != s.v.nrows-len(s.v.deleted()) {
+		return fmt.Errorf("version %d: bind of %d rows, want %d", s.Stamp.Version, l.Len(), s.v.nrows-len(s.v.deleted()))
 	}
 	rh := make([]bat.Oid, 1+rng.Intn(8))
 	for i := range rh {

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bat"
@@ -28,10 +29,8 @@ func (c *Column) RefAt(s Snapshot) *Ref { return &Ref{snap: s, col: c} }
 // IdxRefAt names the live rows of join index idxName at snapshot s of
 // the table; false when the table has no such index.
 func (t *Table) IdxRefAt(s Snapshot, idxName string) (*Ref, bool) {
-	t.catalog.mu.RLock()
-	defer t.catalog.mu.RUnlock()
-	ix, ok := t.joinIdx[idxName]
-	if !ok {
+	ix := s.v.index(idxName)
+	if ix == nil {
 		return nil, false
 	}
 	return &Ref{snap: s, ix: ix}, true
@@ -48,8 +47,8 @@ func (r *Ref) Len() int { return r.snap.Len() }
 
 // Rows materialises the rows at the version (Column.BindAt,
 // Table.BindIdxAt): views of the column or its caches, except at a
-// version a delete has since replaced, and for a join index under
-// tombstones, which copy.
+// version whose tombstones a delete replaced before their caches were
+// filled, and for a join index under tombstones, which copy.
 func (r *Ref) Rows() *bat.BAT {
 	if b := r.rows.Load(); b != nil {
 		return b
@@ -58,9 +57,7 @@ func (r *Ref) Rows() *bat.BAT {
 	if r.col != nil {
 		b = r.col.BindAt(r.snap)
 	} else {
-		r.snap.Table.catalog.mu.RLock()
-		b = r.ix.bindLocked(r.snap)
-		r.snap.Table.catalog.mu.RUnlock()
+		b = r.snap.bindIdx(r.ix)
 	}
 	// Racing readers materialise equal rows; the first one stays.
 	r.rows.CompareAndSwap(nil, b)
@@ -81,7 +78,7 @@ var (
 // view of the column or the join index's own copy of its tail.
 func (r *Ref) ByteSize() int64 {
 	head, tail := denseBytes, viewBytes
-	if r.snap.live != nil {
+	if r.snap.v.tomb != nil {
 		head = viewBytes
 	}
 	if r.ix != nil {
@@ -95,15 +92,13 @@ func (r *Ref) ByteSize() int64 {
 // storage keeps a tombstoned row's slot, so the rows a delete removed
 // are still there to read. It costs the oids it reads, not the table.
 func (r *Ref) RowsAt(oids bat.Vector) *bat.BAT {
-	t := r.snap.Table
-	t.catalog.mu.RLock()
+	v := r.snap.v
 	var data bat.Vector
 	if r.col != nil {
-		data = r.col.Data.Slice(0, r.snap.nrows)
+		data = v.cols[r.col.pos].data
 	} else {
-		data = bat.NewOids(r.ix.oids[:r.snap.nrows:r.snap.nrows])
+		data = bat.NewOids(slices.Clip(v.idx[r.ix.pos].oids))
 	}
-	t.catalog.mu.RUnlock()
 	var tail bat.Vector
 	if d, dense := oids.(*bat.DenseOids); dense {
 		tail = data.Slice(int(d.Start), int(d.Start)+d.N)

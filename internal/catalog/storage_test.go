@@ -71,7 +71,7 @@ func checkSnapshot(b *bat.BAT, live []bat.Oid) error {
 func TestAppendKeepsPublishedSnapshots(t *testing.T) {
 	const loaded = 256
 	c, tb := storageTable(loaded)
-	kData := func() []int64 { return tb.MustColumn("k").Data.(*bat.Ints).V }
+	kData := func() []int64 { return current(tb.MustColumn("k")).data.(*bat.Ints).V }
 	if v := kData(); cap(v) != len(v) {
 		t.Fatalf("bulk load left slack: len %d cap %d", len(v), cap(v))
 	}
@@ -175,7 +175,7 @@ func TestAppendKeepsPublishedSnapshots(t *testing.T) {
 	if got := tb.BindIdx("fk").Len(); got != len(now) {
 		t.Fatalf("join index bind after the appends has %d rows, want %d", got, len(now))
 	}
-	if !tb.MustColumn("k").Sorted {
+	if !current(tb.MustColumn("k")).sorted {
 		t.Fatal("ascending appends cleared the sorted flag")
 	}
 	if slack := cap(kData()) - n; slack > n/8 {
@@ -192,7 +192,7 @@ func TestBindUnderTombstonesCopiesOnce(t *testing.T) {
 	_, tb := storageTable(64)
 	k := tb.MustColumn("k")
 	tb.Delete([]bat.Oid{2, 5})
-	if k.live.Load() != nil {
+	if tb.cur.Load().tomb.tails[k.pos].load() != nil {
 		t.Fatal("a delete built the live tail of a column nobody bound")
 	}
 	first := func(b *bat.BAT) *int64 { return &b.Tail.(*bat.Ints).V[0] }
@@ -215,7 +215,7 @@ func TestBindUnderTombstonesCopiesOnce(t *testing.T) {
 	if first(b4) == first(b3) || b4.Len() != 63 || b3.Len() != 64 {
 		t.Fatal("a delete must replace the live tail, not edit it")
 	}
-	if tb.MustColumn("s").live.Load() != nil {
+	if tb.cur.Load().tomb.tails[tb.MustColumn("s").pos].load() != nil {
 		t.Fatal("commits built the live tail of a column nobody bound")
 	}
 }
@@ -230,7 +230,7 @@ func TestDeleteDropsLiveTails(t *testing.T) {
 	tb.Delete([]bat.Oid{3})
 	stale := tb.MustColumn("k").Bind() // k has a live tail going in, u none
 	tb.Delete([]bat.Oid{9})
-	if tb.live.Load() != nil || tb.MustColumn("k").live.Load() != nil {
+	if tb.cur.Load().tomb.live.load() != nil || tb.cur.Load().tomb.tails[tb.MustColumn("k").pos].load() != nil {
 		t.Fatal("the delete rebuilt the live oids or k's live tail")
 	}
 

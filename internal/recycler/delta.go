@@ -59,16 +59,19 @@ import (
 // rows — float SUM, view and join — materialise it, at the commit's
 // version (view and join are masked off under maintain).
 //
-// A panicked mutation (CommitInvalidate) may be half applied: no delta
-// rule is sound for it, and every affected entry invalidates.
+// Only a published commit reaches the walk: a statement that fails
+// before the catalog publishes its version changes nothing, so no
+// listener hears of it and every entry stays as it was.
 //
 // Every entry the walk keeps moves to the commit's version
 // (Entry.stamps): a rule that swaps the result moves the stamp with it
 // (refresh), and an entry the delta does not reach is restamped after
-// its rule. An entry already stamped with the commit's version was
-// admitted at it — possible only for the first admissions over a table
-// whose commit was in flight when the pool first looked at it
-// (appliedLocked) — and is left alone.
+// its rule. Every entry that reads the commit's table alone gets the
+// walk's one stamps slice (commitWalk.stamps); only entries reading
+// several tables get a copy of their own. An entry already stamped
+// with the commit's version was admitted at it — possible only for the
+// first admissions over a table whose commit was in flight when the
+// pool first looked at it (appliedLocked) — and is left alone.
 
 // ruleMask is a set of plan.DeltaClass values: the rules a SyncMode
 // preset leaves switched on.
@@ -117,16 +120,19 @@ type change struct {
 }
 
 // commitWalk is the state of one applyCommit. dead is the commit's
-// tombstoned oids, ascending. done holds the change of every entry a
-// rule moved and nothing else: a valid entry missing from it is as the
-// commit found it — out of the delta's reach, or not walked yet
-// (impossible for a parent — parents are admitted, hence walked,
-// first); one that fell back is no longer valid.
+// tombstoned oids, ascending; stamps is the commit's version of its
+// table, shared by every entry that reads only that table. done holds
+// the change of every entry a rule moved and nothing else: a valid
+// entry missing from it is as the commit found it — out of the delta's
+// reach, or not walked yet (impossible for a parent — parents are
+// admitted, hence walked, first); one that fell back is no longer
+// valid.
 type commitWalk struct {
-	r    *Recycler
-	ev   catalog.UpdateEvent
-	dead []bat.Oid
-	done map[uint64]change
+	r      *Recycler
+	ev     catalog.UpdateEvent
+	dead   []bat.Oid
+	stamps []tableStamp
+	done   map[uint64]change
 }
 
 // commitSummary reports one walk's outcome for the trace layer: how
@@ -168,10 +174,7 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum comm
 		r.maintainNs.Add(time.Since(start).Nanoseconds())
 	}()
 
-	w := &commitWalk{r: r, ev: ev, done: map[uint64]change{}}
-	if ev.Kind != catalog.CommitInvalidate {
-		w.dead = ev.Deleted
-	}
+	w := &commitWalk{r: r, ev: ev, dead: ev.Deleted, stamps: []tableStamp{{qname, ev.Stamp}}, done: map[uint64]change{}}
 	for _, e := range affected {
 		if !e.valid.Load() {
 			continue
@@ -180,8 +183,6 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum comm
 		var ch change
 		var cause string
 		switch rule := deltaRules[e.deltaClass]; {
-		case ev.Kind == catalog.CommitInvalidate:
-			cause = "panic-invalidate"
 		case e.stampOf(qname) == ev.Stamp:
 			continue // admitted at this commit's version
 		case len(e.Args) == 0:
@@ -241,17 +242,26 @@ func (w *commitWalk) parent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
 
 // refresh swaps e's result for v computed at the commit's version.
 func (w *commitWalk) refresh(e *Entry, v mal.Value) {
-	w.r.refreshResult(e, v, restamped(e.stamps, w.ev.Table.QName(), w.ev.Stamp))
+	w.r.refreshResult(e, v, w.stampsOf(e))
 }
 
 // restamp moves e, whose result the commit left as it was, to the
 // commit's version.
 func (w *commitWalk) restamp(e *Entry) {
-	stamps := restamped(e.stamps, w.ev.Table.QName(), w.ev.Stamp)
+	stamps := w.stampsOf(e)
 	sh := w.r.pool.shard(e.Sig)
 	sh.mu.Lock()
 	e.stamps = stamps
 	sh.mu.Unlock()
+}
+
+// stampsOf returns e's stamps moved to the commit's version: the
+// walk's shared slice when e reads the commit's table alone.
+func (w *commitWalk) stampsOf(e *Entry) []tableStamp {
+	if len(e.stamps) == 1 {
+		return w.stamps
+	}
+	return restamped(e.stamps, w.stamps[0].table, w.stamps[0].Stamp)
 }
 
 // still reports that the walk left parent pe's result the object — the

@@ -453,7 +453,15 @@ func TestMaintainStorageCorners(t *testing.T) {
 			}
 			check()
 
-			colCap := func() int { return cap(h.tb.MustColumn("a").Data.(*bat.Ints).V) }
+			colCap := func() int {
+				states, _ := h.cat.ExportState() // t's columns, with their room
+				for _, ts := range states {
+					if ts.Name == "t" {
+						return cap(ts.Data[0].(*bat.Ints).V)
+					}
+				}
+				panic("no table t")
+			}
 			next := bat.Oid(h.tb.NumRows())
 			insert := func(r catalog.Row) bat.Oid {
 				h.tb.Append([]catalog.Row{r})

@@ -45,7 +45,8 @@ func current(stamps []tableStamp, q Pins) bool {
 
 // restamped returns stamps with table's version moved to s. Stamps are
 // never edited in place: the hit path compares a copy of the slice
-// header outside the shard lock.
+// header outside the shard lock, and the commit walk gives every entry
+// over one table the same slice (commitWalk.stampsOf).
 func restamped(stamps []tableStamp, table string, s catalog.Stamp) []tableStamp {
 	out := slices.Clone(stamps)
 	for i := range out {
@@ -159,8 +160,9 @@ type Entry struct {
 	SemiLeft   uint64 // provenance of the left operand
 	SemiRight  uint64 // provenance of the right operand
 
-	// Args snapshots the argument values of the captured instruction;
-	// delta propagation re-executes against them.
+	// Args snapshots the argument values of the captured instruction,
+	// a BAT operand as its producer's id alone (operands); delta
+	// propagation re-executes against them.
 	Args []mal.Value
 	// SpillArgs holds a prewarmed entry's operands in the canonical
 	// form it was loaded under (see SpillArg): it has no argument

@@ -642,6 +642,21 @@ func lineageOf(dst []uint64, args []mal.Value) []uint64 {
 	return dst
 }
 
+// operands returns args as an entry keeps them: a BAT operand as its
+// producer's id alone, which is all the commit walk, the pool image and
+// the dumps read of it. Its rows — a parent's result at admission, or
+// a bind's table version — would otherwise stay reachable for as long
+// as the entry does.
+func operands(args []mal.Value) []mal.Value {
+	out := append([]mal.Value(nil), args...)
+	for i, a := range out {
+		if a.IsBat() {
+			out[i] = mal.Value{Kind: mal.VBat, Prov: a.Prov}
+		}
+	}
+	return out
+}
+
 // buildEntry captures an executed instruction instance into a pool
 // entry, deriving lineage edges and subsumption metadata.
 func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key string, stamps []tableStamp) *Entry {
@@ -657,7 +672,7 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Va
 		QueryID:   ctx.QueryID,
 		TemplID:   ctx.Template.ID,
 		PC:        pc,
-		Args:      append([]mal.Value(nil), args...),
+		Args:      operands(args),
 	}
 	e.LastUseTick.Store(now)
 	e.deltaClass = plan.ClassifyOp(e.OpName)

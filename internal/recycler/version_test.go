@@ -182,6 +182,48 @@ func TestQueryBeginningDuringCommitWindowRefused(t *testing.T) {
 	}
 }
 
+// TestFailedAppendChangesNothing: an append that panics on a
+// wrong-typed row value fails before the catalog publishes a version,
+// so the table keeps its stamp, the log gets no record, no listener
+// hears of it, and a maintained pool over the table keeps every entry:
+// the same query is again an exact hit on every marked instruction.
+func TestFailedAppendChangesNothing(t *testing.T) {
+	f := newFixture(t, Config{Admission: KeepAll, Sync: SyncMaintain})
+	var records int
+	f.cat.SetCommitHook(func(catalog.CommitRecord) { records++ })
+	tmpl := selectCountTemplate()
+	f.run(t, tmpl, mal.IntV(0), mal.IntV(50)) // warm the pool
+	marked := 0
+	for _, in := range tmpl.Instrs {
+		if in.Marked {
+			marked++
+		}
+	}
+	before, _ := f.cat.Pin("sys.t")
+	st := f.rec.Snapshot()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("append of a wrong-typed value did not panic")
+			}
+		}()
+		tableOf(f).Append([]catalog.Row{{"v": int64(1000), "w": "not an int"}})
+	}()
+	if after, _ := f.cat.Pin("sys.t"); after.Stamp != before.Stamp {
+		t.Fatalf("the failed append moved the table from %+v to %+v", before.Stamp, after.Stamp)
+	}
+	if records != 0 {
+		t.Fatalf("the failed append logged %d records", records)
+	}
+	if now := f.rec.Snapshot(); now.Invalidated != st.Invalidated || now.MaintainFallback != st.MaintainFallback {
+		t.Fatalf("the failed append reached the pool: invalidated %d -> %d, fallback %d -> %d",
+			st.Invalidated, now.Invalidated, st.MaintainFallback, now.MaintainFallback)
+	}
+	if ctx := f.run(t, tmpl, mal.IntV(0), mal.IntV(50)); marked == 0 || ctx.Stats.Hits != marked {
+		t.Fatalf("query after the failed append: %d hits on %d marked instructions", ctx.Stats.Hits, marked)
+	}
+}
+
 // TestUnrelatedUpdateDoesNotBlockAdmission: versions are per table, so
 // a commit to a table the query never reads must not refuse its
 // admissions (a global refusal would starve the pool under any

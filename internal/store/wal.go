@@ -379,8 +379,9 @@ func decodeCommit(payload []byte) (catalog.CommitRecord, error) {
 		}
 	case catalog.CommitDrop:
 	default:
-		// Kind 3 (in-place update) and CommitInvalidate are never
-		// written: a record carrying one is corrupt, not skippable.
+		// Kinds 3 (in-place update) and 5 (an event for listeners
+		// only) are reserved and never written: a record carrying one,
+		// or any other kind, is corrupt, not skippable.
 		return rec, ErrCorrupt
 	}
 	if !d.done() {
