@@ -134,8 +134,6 @@ func run() int {
 			var desc string
 			cat, desc = generate(*db, *objects, *sf)
 			fmt.Println(desc)
-			// A fresh lineage: Bootstrap removes the pool image of a
-			// previous one, whose stamps could alias the new catalog's.
 			if err := st.Bootstrap(cat); err != nil {
 				log.Print(err)
 				return 1

@@ -71,10 +71,10 @@ type Option func(*Engine)
 // Subsumption and CombinedSubsumption enable the §5 matching
 // extensions, and Sync picks the update-synchronisation preset
 // (invalidate, propagate or maintain, §6). Spill attaches a pool image
-// store (internal/store): Recycler.SpillAll writes the pool to it on a
-// graceful drain and a restarted engine pre-warms from it via
-// Recycler.Prewarm. See docs/TUNING.md for guidance on choosing a
-// combination.
+// store (internal/store): Recycler.SpillAll writes the pool's recipes
+// to it on a graceful drain and a restarted engine recomputes them
+// into its pool via Recycler.Prewarm. See docs/TUNING.md for guidance
+// on choosing a combination.
 func WithRecycler(cfg recycler.Config) Option {
 	return func(e *Engine) { e.rec = recycler.New(e.cat, cfg) }
 }

@@ -14,7 +14,7 @@ package analysis
 // doc comment, PR 3): a lock may only be acquired while every held
 // lock has a strictly smaller rank. The catalog mutex sits above the
 // recycler locks because recycler code consults the catalog while
-// holding its own locks (imageLocked → Pin, the commit walk →
+// holding its own locks (appliedLocked → Pin, the commit walk →
 // Ref.Rows, whose first read of a tombstoned version fills a cache
 // under the shared lock), never the reverse. A table's commit mutex sits below
 // them all: a DML statement holds it from its mutation through the
@@ -179,34 +179,33 @@ const WriterLockRequired = "repro/internal/recycler.Recycler.mu"
 // holds the lock nor is itself listed here are flagged. Pool methods
 // from RequiresWriterLock are implicitly writer-context.
 var WriterContextFuncs = map[string]bool{
-	"repro/internal/recycler.(*Recycler).exitLocked":        true,
-	"repro/internal/recycler.(*Recycler).imageLocked":       true,
-	"repro/internal/recycler.(*Recycler).admitRecordLocked": true,
-	"repro/internal/recycler.(*Recycler).applyCommit":       true,
-	"repro/internal/recycler.(*commitWalk).parent":          true,
-	"repro/internal/recycler.(*commitWalk).rowsetParent":    true,
-	"repro/internal/recycler.(*commitWalk).base":            true,
-	"repro/internal/recycler.(*commitWalk).filter":          true,
-	"repro/internal/recycler.(*commitWalk).project":         true,
-	"repro/internal/recycler.(*commitWalk).splitAppend":     true,
-	"repro/internal/recycler.(*commitWalk).agg":             true,
-	"repro/internal/recycler.(*commitWalk).view":            true,
-	"repro/internal/recycler.(*commitWalk).join":            true,
-	"repro/internal/recycler.(*commitWalk).refresh":         true,
-	"repro/internal/recycler.(*commitWalk).restamp":         true,
-	"repro/internal/recycler.(*Recycler).appliedLocked":     true,
-	"repro/internal/recycler.(*Recycler).stampsFor":         true,
-	"repro/internal/recycler.(appliedPins).Pin":             true,
-	"repro/internal/recycler.(*Recycler).refreshResult":     true,
-	"repro/internal/recycler.(*Recycler).invalidate":        true,
-	"repro/internal/recycler.(*Recycler).cleanCache":        true,
-	"repro/internal/recycler.(*Recycler).pickVictims":       true,
-	"repro/internal/recycler.(*Recycler).pickLRU":           true,
-	"repro/internal/recycler.(*Recycler).pickVictimsMem":    true,
-	"repro/internal/recycler.(*Recycler).evict":             true,
-	"repro/internal/recycler.(*Recycler).smallestSuperset":  true,
-	"repro/internal/recycler.(*Recycler).overlapSnaps":      true,
-	"repro/internal/recycler.(*Recycler).smallestSemijoin":  true,
+	"repro/internal/recycler.(*Recycler).exitLocked":       true,
+	"repro/internal/recycler.(*Recycler).imageLocked":      true,
+	"repro/internal/recycler.(*Recycler).applyCommit":      true,
+	"repro/internal/recycler.(*commitWalk).parent":         true,
+	"repro/internal/recycler.(*commitWalk).rowsetParent":   true,
+	"repro/internal/recycler.(*commitWalk).base":           true,
+	"repro/internal/recycler.(*commitWalk).filter":         true,
+	"repro/internal/recycler.(*commitWalk).project":        true,
+	"repro/internal/recycler.(*commitWalk).splitAppend":    true,
+	"repro/internal/recycler.(*commitWalk).agg":            true,
+	"repro/internal/recycler.(*commitWalk).view":           true,
+	"repro/internal/recycler.(*commitWalk).join":           true,
+	"repro/internal/recycler.(*commitWalk).refresh":        true,
+	"repro/internal/recycler.(*commitWalk).restamp":        true,
+	"repro/internal/recycler.(*Recycler).appliedLocked":    true,
+	"repro/internal/recycler.(*Recycler).stampsFor":        true,
+	"repro/internal/recycler.(appliedPins).Pin":            true,
+	"repro/internal/recycler.(*Recycler).refreshResult":    true,
+	"repro/internal/recycler.(*Recycler).invalidate":       true,
+	"repro/internal/recycler.(*Recycler).cleanCache":       true,
+	"repro/internal/recycler.(*Recycler).pickVictims":      true,
+	"repro/internal/recycler.(*Recycler).pickLRU":          true,
+	"repro/internal/recycler.(*Recycler).pickVictimsMem":   true,
+	"repro/internal/recycler.(*Recycler).evict":            true,
+	"repro/internal/recycler.(*Recycler).smallestSuperset": true,
+	"repro/internal/recycler.(*Recycler).overlapSnaps":     true,
+	"repro/internal/recycler.(*Recycler).smallestSemijoin": true,
 }
 
 // ---------------------------------------------------------------------
@@ -239,7 +238,6 @@ var AtomicFields = map[string]bool{
 	"repro/internal/recycler.Recycler.writerWaits":      true,
 	"repro/internal/recycler.Recycler.writerWaitNs":     true,
 	"repro/internal/recycler.Recycler.spilled":          true,
-	"repro/internal/recycler.Recycler.staleDropped":     true,
 	"repro/internal/recycler.Recycler.prewarmed":        true,
 	"repro/internal/recycler.Recycler.maintained":       true,
 	"repro/internal/recycler.Recycler.maintainFallback": true,
@@ -301,12 +299,10 @@ var SinglesigAllowedFuncs = map[string]bool{
 // string from one (fmt.Sprintf, concatenation) and using it as a map
 // key is an ad-hoc identity.
 var IdentitySourceFuncs = map[string]bool{
-	"repro/internal/mal.(*Instr).Name":          true,
-	"repro/internal/mal.(*Instr).StaticSig":     true,
-	"repro/internal/plan.RenderInstr":           true,
-	"repro/internal/plan.AppendKey":             true,
-	"repro/internal/plan.(Signature).Key":       true,
-	"repro/internal/plan.(Signature).Canonical": true,
+	"repro/internal/mal.(*Instr).Name":      true,
+	"repro/internal/mal.(*Instr).StaticSig": true,
+	"repro/internal/plan.RenderInstr":       true,
+	"repro/internal/plan.AppendKey":         true,
 }
 
 var IdentitySourceFields = map[string]bool{

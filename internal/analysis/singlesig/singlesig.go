@@ -1,5 +1,5 @@
 // Package singlesig enforces the PR 5 single-signature invariant:
-// plan.Signature (and the two sanctioned compile-time spellings,
+// plan.AppendKey (and the two sanctioned compile-time spellings,
 // mal.Instr.Name and mal.Instr.StaticSig) are the only identity
 // derivations in the tree. Outside internal/plan, building a *new*
 // identity string — fmt.Sprintf or string concatenation over
@@ -29,7 +29,7 @@ import (
 // Analyzer is the singlesig entry point.
 var Analyzer = &analysis.Analyzer{
 	Name: "singlesig",
-	Doc:  "forbid ad-hoc identity strings outside internal/plan; identity flows through plan.Signature",
+	Doc:  "forbid ad-hoc identity strings outside internal/plan; identity flows through plan.AppendKey",
 	Run:  run,
 }
 
@@ -95,7 +95,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 func (st *state) report(pos token.Pos) {
 	st.pass.Reportf(pos,
-		"ad-hoc identity string used as a map key; identity must flow through plan.Signature.Key()/Canonical() (or mal.Instr.Name/StaticSig directly)")
+		"ad-hoc identity string used as a map key; identity must flow through plan.AppendKey (or mal.Instr.Name/StaticSig directly)")
 }
 
 // flaggable reports whether an expression used as a map key is a

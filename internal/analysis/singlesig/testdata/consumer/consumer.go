@@ -36,11 +36,11 @@ func badRenderKey(in *mal.Instr, cache map[string]int) {
 
 // goodDirectKey uses identity-function results directly: that IS the
 // identity, not a derivation.
-func goodDirectKey(in *mal.Instr, sig plan.Signature, seen map[string]int) {
+func goodDirectKey(in *mal.Instr, seen map[string]int) {
 	seen[in.StaticSig()]++
 	seen[in.Name()] = 1
-	seen[sig.Key()] = 2
-	seen[sig.Canonical()] = 3
+	key, _ := plan.AppendKey(nil, in.Name(), in.Args)
+	seen[string(key)] = 2
 }
 
 // goodLogLine derives a string for logging only — never a key.

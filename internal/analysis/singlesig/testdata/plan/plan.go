@@ -3,17 +3,14 @@
 // the analyzer exempts wholesale.
 package plan
 
-// Signature mirrors the canonical signature.
-type Signature struct {
-	key   string
-	canon string
+// AppendKey is canonical identity: the op and its operands.
+func AppendKey(dst []byte, op string, args []string) ([]byte, bool) {
+	dst = append(dst, op...)
+	for _, a := range args {
+		dst = append(append(dst, ','), a...)
+	}
+	return dst, true
 }
-
-// Key is canonical identity.
-func (s Signature) Key() string { return s.key }
-
-// Canonical is canonical identity.
-func (s Signature) Canonical() string { return s.canon }
 
 // RenderInstr produces display text; internal/plan may build it from
 // parts, and nothing outside may key on it.

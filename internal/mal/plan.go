@@ -200,8 +200,8 @@ func (t *Template) loadLayout() *layout {
 // plus argument slots/literals. Two instructions with equal static
 // signatures compute the same value in every instance of the template
 // — the identity the optimizer's CSE pass merges on. It is the
-// compile-time counterpart of the run-time plan.Signature (which
-// resolves variable slots to actual operand values).
+// compile-time counterpart of the run-time pool key, plan.AppendKey
+// (which encodes the actual operand values in place of the slots).
 func (in *Instr) StaticSig() string {
 	var sb strings.Builder
 	sb.WriteString(in.Name())

@@ -197,10 +197,6 @@ func (a *admission) onEvict(e *Entry) {
 	if a.kind != Credit && a.kind != Adapt {
 		return
 	}
-	if e.TemplID == 0 {
-		// Prewarmed entries were never charged a credit.
-		return
-	}
 	if e.GlobalReuse.Load() {
 		a.mu.Lock()
 		a.get(instrKey{templ: e.TemplID, pc: e.PC}).credits++

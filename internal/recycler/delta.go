@@ -185,10 +185,6 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum comm
 		switch rule := deltaRules[e.deltaClass]; {
 		case e.stampOf(qname) == ev.Stamp:
 			continue // admitted at this commit's version
-		case len(e.Args) == 0:
-			// Prewarmed from the pool image: no argument snapshot to
-			// apply a delta against.
-			cause = "no-arg-snapshot"
 		case rule == nil || !rules.has(e.deltaClass):
 			cause = "ineligible-op"
 		default:

@@ -83,11 +83,8 @@ func restamped(stamps []tableStamp, table string, s catalog.Stamp) []tableStamp 
 type Entry struct {
 	ID uint64
 	// Sig is the encoded run-time exact-match key under which the
-	// entry is indexed: plan.Signature.Key() for fresh admissions,
-	// rebuilt from the canonical form via plan.RuntimeKey for entries
-	// prewarmed from the pool image. The structured Signature itself
-	// is not retained — the index key is taken at admission time,
-	// the canonical form at drain (spill.go).
+	// entry is indexed: plan.AppendKey over the instruction's operands,
+	// taken at admission.
 	Sig string
 
 	// OpName is "module.op" of the captured instruction.
@@ -164,16 +161,10 @@ type Entry struct {
 	// a BAT operand as its producer's id alone (operands); delta
 	// propagation re-executes against them.
 	Args []mal.Value
-	// SpillArgs holds a prewarmed entry's operands in the canonical
-	// form it was loaded under (see SpillArg): it has no argument
-	// snapshot to derive them from at the next drain. Nil for entries
-	// computed in this process.
-	SpillArgs []SpillArg
 
 	// deltaClass caches the operation's delta class, which picks the
 	// entry's rule in the commit walk (delta.go). It is computed once
-	// at admission — entries prewarmed from the pool image keep the
-	// zero value (DeltaNone) and always fall back.
+	// at admission.
 	deltaClass plan.DeltaClass
 	// ownsRoom records that the commit walk itself allocated the
 	// result's vectors, for this entry alone, so the room behind them is
@@ -715,18 +706,13 @@ func (p *Pool) TypeBreakdown() []TypeRow {
 
 // Dump renders the pool as a MAL-like block (Table I style) for
 // debugging and documentation. An entry's line is rendered from its
-// argument snapshot, taken at admission; a prewarmed entry, which has
-// none, shows the canonical form it was loaded under.
+// argument snapshot, taken at admission.
 func (p *Pool) Dump() string {
 	var sb strings.Builder
 	sb.WriteString("recycle pool {\n")
 	for _, e := range p.All() {
-		line := plan.CanonKey(e.OpName, e.SpillArgs)
-		if e.Args != nil {
-			line = plan.RenderInstr(e.OpName, e.Args)
-		}
 		fmt.Fprintf(&sb, "  e%-4d %-60s #%-8d %8dB cost=%-12v reuses=%d\n",
-			e.ID, line, e.Tuples, e.Bytes, e.Cost, e.ReuseCount.Load())
+			e.ID, plan.RenderInstr(e.OpName, e.Args), e.Tuples, e.Bytes, e.Cost, e.ReuseCount.Load())
 	}
 	fmt.Fprintf(&sb, "} entries=%d bytes=%d\n", p.Len(), p.Bytes())
 	return sb.String()

@@ -10,21 +10,19 @@ import (
 	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/mal"
+	"repro/internal/plan"
 )
 
 // mkEntry builds a synthetic pool entry for unit-testing pool
-// mechanics without the interpreter. It has no argument snapshot, so
-// like a prewarmed entry it dumps as its canonical operands: here the
-// one operand sig.
+// mechanics without the interpreter.
 func mkEntry(sig string, bytes int64, cost time.Duration) *Entry {
 	return &Entry{
-		Sig:       sig,
-		OpName:    "algebra.select",
-		SpillArgs: []SpillArg{{Key: sig}},
-		Result:    mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, bytes/8)))),
-		Bytes:     bytes,
-		Tuples:    int(bytes / 8),
-		Cost:      cost,
+		Sig:    sig,
+		OpName: "algebra.select",
+		Result: mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, bytes/8)))),
+		Bytes:  bytes,
+		Tuples: int(bytes / 8),
+		Cost:   cost,
 	}
 }
 
@@ -210,7 +208,9 @@ func TestPoolTickMonotonic(t *testing.T) {
 
 func TestPoolDumpFormat(t *testing.T) {
 	p := NewPool()
-	p.Add(mkEntry("algebra.select(e1,3,7)", 100, time.Millisecond))
+	e := mkEntry("algebra.select(e1,i3,i7)", 100, time.Millisecond)
+	e.Args = []mal.Value{{Kind: mal.VBat, Prov: 1}, mal.IntV(3), mal.IntV(7)}
+	p.Add(e)
 	d := p.Dump()
 	if !strings.Contains(d, "algebra.select(e1,3,7)") || !strings.Contains(d, "entries=1") {
 		t.Fatalf("dump = %s", d)
@@ -239,23 +239,24 @@ func TestTypeBreakdownAverages(t *testing.T) {
 }
 
 // TestSignatureDerivesFromPlanPackage pins the recycler's identity
-// derivation to the shared plan.Signature type: the matching key the
-// pool indexes on is Signature.Key(), and un-provenanced BAT operands
-// are unmatchable. (Rendering/truncation behaviour is tested where it
-// lives, in internal/plan.)
+// derivation to the plan package: the key admission pools an entry
+// under is plan.AppendKey's, the key Entry probes with, and
+// un-provenanced BAT operands are unmatchable. (Rendering/truncation
+// behaviour is tested where it lives, in internal/plan.)
 func TestSignatureDerivesFromPlanPackage(t *testing.T) {
 	in := &mal.Instr{Module: "algebra", Op: "select"}
 	v := mal.BatV(bat.NewDenseHead(bat.NewInts([]int64{1})))
-	if _, _, matchable := signature(in, []mal.Value{v}); matchable {
+	if _, matchable := poolKey(in, []mal.Value{v}); matchable {
 		t.Fatal("bat arg without provenance must be unmatchable")
 	}
 	v.Prov = 3
-	sig, key, matchable := signature(in, []mal.Value{v, mal.IntV(7)})
+	args := []mal.Value{v, mal.IntV(7)}
+	key, matchable := poolKey(in, args)
 	if !matchable || key != "algebra.select(e3,i7)" {
 		t.Fatalf("key = %q, matchable = %v", key, matchable)
 	}
-	if sig.Key() != key {
-		t.Fatalf("key %q must be the structured signature's own encoding %q", key, sig.Key())
+	if probe, _ := plan.AppendKey(nil, in.Name(), args); string(probe) != key {
+		t.Fatalf("admission key %q must be the probe's own encoding %q", key, probe)
 	}
 }
 

@@ -65,9 +65,9 @@ type Config struct {
 	Sync SyncMode
 
 	// Spill attaches a pool image store (internal/store): SpillAll
-	// writes the pool to it on a graceful drain and Prewarm loads it
-	// at startup (spill.go). Nothing else touches it. Nil disables
-	// both.
+	// writes the pool's recipes to it on a graceful drain and Prewarm
+	// recomputes them at startup (spill.go). Nothing else touches it.
+	// Nil disables both.
 	Spill SpillTier
 }
 
@@ -136,9 +136,8 @@ type Recycler struct {
 	active   map[uint64]struct{}
 
 	// Pool-image counters (see spill.go and Stats).
-	spilled      atomic.Int64
-	staleDropped atomic.Int64
-	prewarmed    atomic.Int64
+	spilled   atomic.Int64
+	prewarmed atomic.Int64
 
 	// Delta-engine counters (see Stats): entries whose results a rule
 	// carried across commits, entries that fell back to invalidation,
@@ -304,12 +303,9 @@ type Stats struct {
 
 	// Pool-image counters (zero when no image store is attached):
 	// Spilled counts records SpillAll wrote, Prewarmed counts entries
-	// Prewarm admitted, and StaleDropped counts records Prewarm
-	// skipped because a dependency table committed past their
-	// recorded version.
-	Spilled      int64
-	Prewarmed    int64
-	StaleDropped int64
+	// Prewarm recomputed and admitted.
+	Spilled   int64
+	Prewarmed int64
 
 	// Delta-engine counters, counted under every preset that switches
 	// a rule on (SyncPropagate, SyncMaintain) and zero under
@@ -349,7 +345,6 @@ func (r *Recycler) Snapshot() Stats {
 		ShardLockWait:    swd,
 		Spilled:          r.spilled.Load(),
 		Prewarmed:        r.prewarmed.Load(),
-		StaleDropped:     r.staleDropped.Load(),
 		Maintained:       r.maintained.Load(),
 		MaintainFallback: r.maintainFallback.Load(),
 		MaintainTime:     time.Duration(r.maintainNs.Load()),
@@ -455,32 +450,17 @@ func (a appliedPins) Pin(qname string) (catalog.Snapshot, bool) {
 	return catalog.Snapshot{Stamp: s}, ok
 }
 
-// catalogPins reads every table at its current version: what a pool
-// image record must match to be written or loaded.
-type catalogPins struct{ cat *catalog.Catalog }
-
-func (c catalogPins) Pin(qname string) (catalog.Snapshot, bool) {
-	if c.cat == nil {
-		return catalog.Snapshot{}, false
-	}
-	return c.cat.Pin(qname)
-}
-
-// signature derives the structured plan.Signature of an instruction
-// instance together with its encoded run-time matching key. It reports
-// matchable=false when a BAT argument has unknown provenance, in which
-// case neither matching nor admission is possible (the lineage was
-// cut, e.g. by an exhausted credit). The pool index is derived from
-// this Signature value, the pool image's canonical keys and the pool
-// dump's lines from the same operands (see internal/plan);
-// Entry's exact probe encodes the same key with plan.AppendKey, the one
-// key encoder, without building a Signature.
-func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string, matchable bool) {
-	sig, matchable = plan.Sign(in.Name(), args)
+// poolKey encodes the pool key of an instruction instance with
+// plan.AppendKey, the key Entry probes with. matchable=false reports a
+// BAT argument with unknown provenance (the lineage was cut, e.g. by
+// an exhausted credit): neither matching nor admission is possible.
+func poolKey(in *mal.Instr, args []mal.Value) (key string, matchable bool) {
+	var buf [128]byte
+	k, matchable := plan.AppendKey(buf[:0], in.Name(), args)
 	if !matchable {
-		return plan.Signature{}, "", false
+		return "", false
 	}
-	return sig, sig.Key(), true
+	return string(k), true
 }
 
 // Entry implements recycleEntry (Algorithm 1, lines 9–17): exact
@@ -498,8 +478,7 @@ func signature(in *mal.Instr, args []mal.Value) (sig plan.Signature, key string,
 // indexes and therefore take the writer lock (see subsume.go).
 //
 // The exact probe allocates nothing: the key is encoded into a stack
-// buffer and the pool indexes with it directly. A plan.Signature is
-// only built past a miss (subsumption, Exit).
+// buffer and the pool indexes with it directly.
 func (r *Recycler) Entry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value) mal.EntryResult {
 	var buf [256]byte
 	key, matchable := plan.AppendKey(buf[:0], in.Name(), args)
@@ -538,16 +517,11 @@ func (r *Recycler) noteReuse(ctx *mal.Ctx, in *mal.Instr, e *Entry) {
 	e.SavedTotal.Add(int64(e.Cost))
 	e.pinnedQuery.Store(ctx.QueryID)
 	local := e.QueryID == ctx.QueryID
-	if e.TemplID != 0 {
-		// Entries prewarmed from the pool image carry no instruction
-		// identity (template ids start at 1); their reuses must not
-		// pile credit bookkeeping onto the bogus {0,0} key.
-		key := instrKey{templ: e.TemplID, pc: e.PC}
-		if local {
-			r.adm.onLocalReuse(key)
-		} else {
-			r.adm.onGlobalReuse(key)
-		}
+	key := instrKey{templ: e.TemplID, pc: e.PC}
+	if local {
+		r.adm.onLocalReuse(key)
+	} else {
+		r.adm.onGlobalReuse(key)
 	}
 	if !local {
 		e.GlobalReuse.Store(true)
@@ -568,13 +542,13 @@ func (r *Recycler) noteReuse(ctx *mal.Ctx, in *mal.Instr, e *Entry) {
 // admission outcome is recorded on the query trace AFTER the writer
 // lock is released (lockorder's trace rule), before the span ends.
 func (r *Recycler) Exit(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite) uint64 {
-	sig, key, matchable := signature(in, args)
+	key, matchable := poolKey(in, args)
 	if !matchable {
 		ctx.Trace.SetAdmission(pc, "skip:unmatchable")
 		return 0
 	}
 	r.lockWriter()
-	prov, reason := r.exitLocked(ctx, pc, in, args, ret, elapsed, rw, sig, key)
+	prov, reason := r.exitLocked(ctx, pc, in, args, ret, elapsed, rw, key)
 	r.mu.Unlock()
 	ctx.Trace.SetAdmission(pc, reason)
 	return prov
@@ -582,9 +556,9 @@ func (r *Recycler) Exit(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, r
 
 // exitLocked is the admission body; the caller holds the writer lock.
 // Combined subsumption admits its computed result through this path
-// after its re-validation step. The returned reason explains the
-// outcome for the query trace.
-func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite, sig plan.Signature, sigKey string) (uint64, string) {
+// after its re-validation step, and Prewarm every recomputed record.
+// The returned reason explains the outcome for the query trace.
+func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, rw *mal.Rewrite, sigKey string) (uint64, string) {
 	stamps, deny := r.stampsFor(ctx, in, args)
 	if deny != "" {
 		return 0, deny
@@ -621,7 +595,7 @@ func (r *Recycler) exitLocked(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 			return 0, "deny:no-room:refunded"
 		}
 	}
-	e := r.buildEntry(ctx, pc, args, ret, elapsed, sig, sigKey, stamps)
+	e := r.buildEntry(ctx, pc, in, args, ret, elapsed, sigKey, stamps)
 	if rw != nil {
 		e.SubsetOf = rw.SubsetOf
 	}
@@ -659,11 +633,11 @@ func operands(args []mal.Value) []mal.Value {
 
 // buildEntry captures an executed instruction instance into a pool
 // entry, deriving lineage edges and subsumption metadata.
-func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Value, elapsed time.Duration, sig plan.Signature, key string, stamps []tableStamp) *Entry {
+func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, key string, stamps []tableStamp) *Entry {
 	now := r.pool.Tick()
 	e := &Entry{
 		Sig:       key,
-		OpName:    sig.Op,
+		OpName:    in.Name(),
 		Result:    ret,
 		Bytes:     ret.Bytes(),
 		Tuples:    ret.Tuples(),
@@ -679,9 +653,9 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, args []mal.Value, ret mal.Va
 	e.DependsOn = lineageOf(nil, args)
 	e.stamps = stamps
 
-	switch sig.Op {
+	switch e.OpName {
 	case "algebra.select":
-		p, _ := mal.FilterPred(sig.Op, args)
+		p, _ := mal.FilterPred(e.OpName, args)
 		// The range index orders entries by their bounds, and NaN has
 		// no place in an order: such a select stays an exact-match line.
 		if !isNaN(p.Range.Lo) && !isNaN(p.Range.Hi) {

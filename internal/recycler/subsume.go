@@ -211,8 +211,8 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 		r.testBeforeRevalidate()
 	}
 
-	// The admission's signature needs no lock.
-	sig, key, admittable := signature(in, args)
+	// The admission's key needs no lock.
+	key, admittable := poolKey(in, args)
 
 	// Re-validate under the writer lock: every piece must still be
 	// valid (not invalidated/evicted) and unchanged (not refreshed by
@@ -248,7 +248,7 @@ func (r *Recycler) combinedSelect(ctx *mal.Ctx, pc int, in *mal.Instr, args []ma
 	// Admit the combined result under the original signature so later
 	// instances match exactly.
 	if admittable {
-		val.Prov, _ = r.exitLocked(ctx, pc, in, args, val, elapsed, nil, sig, key)
+		val.Prov, _ = r.exitLocked(ctx, pc, in, args, val, elapsed, nil, key)
 	}
 	return mal.EntryResult{Hit: true, Val: val, Reason: "hit:combined"}
 }

@@ -90,8 +90,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		"Intermediates written to the pool image at drain.", st.Engine.Recycler.Spilled)
 	metric("repro_pool_prewarmed_total", "counter",
 		"Pool image records loaded into the pool at startup.", st.Engine.Recycler.Prewarmed)
-	metric("repro_pool_spill_stale_drops_total", "counter",
-		"Pool image records skipped at startup because a dependency table moved past their version.", st.Engine.Recycler.StaleDropped)
 	metric("repro_pool_maintained_total", "counter",
 		"Pool entries a delta rule carried across commits (propagate and maintain presets).", st.Engine.Recycler.Maintained)
 	metric("repro_pool_maintain_fallback_total", "counter",

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/bat"
 	"repro/internal/mal"
@@ -63,14 +64,31 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFramePayload {
 		return nil, errTornFrame
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return nil, errTornFrame
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, errTornFrame
 	}
 	return payload, nil
+}
+
+// readPayload reads an n-byte payload into a buffer that grows as the
+// bytes arrive, from at most 1 MiB, so a corrupted length costs memory
+// for the bytes that really follow it, not for the length it claims.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 1<<20))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, buf[off:])
+		if off += m; err != nil {
+			return nil, err
+		}
+		if off == n {
+			return buf, nil
+		}
+		buf = slices.Grow(buf, min(n-off, off))[:off+min(n-off, off)]
+	}
 }
 
 // enc builds a frame payload. Appends never fail; the frame writer
@@ -282,60 +300,13 @@ func decodeVector(d *dec) bat.Vector {
 	return bat.NewOids(nil)
 }
 
-// --- BATs and values ----------------------------------------------------
+// --- scalar values ------------------------------------------------------
 
-const (
-	flagTailSorted uint8 = 1 << iota
-	flagHeadSorted
-	flagKeyUnique
-)
-
-// encodeBAT appends head, tail and the sortedness flags.
-func encodeBAT(e *enc, b *bat.BAT) {
-	encodeVector(e, b.Head)
-	encodeVector(e, b.Tail)
-	var f uint8
-	if b.TailSorted {
-		f |= flagTailSorted
-	}
-	if b.HeadSorted {
-		f |= flagHeadSorted
-	}
-	if b.KeyUnique {
-		f |= flagKeyUnique
-	}
-	e.u8(f)
-}
-
-func decodeBAT(d *dec) *bat.BAT {
-	head := decodeVector(d)
-	tail := decodeVector(d)
-	f := d.u8()
-	if d.fail || head.Len() != tail.Len() {
-		d.fail = true
-		return bat.New(bat.NewDense(0, 0), bat.EmptyVector(bat.KOid))
-	}
-	b := bat.New(head, tail)
-	b.TailSorted = f&flagTailSorted != 0
-	b.HeadSorted = f&flagHeadSorted != 0
-	b.KeyUnique = f&flagKeyUnique != 0
-	return b
-}
-
-// encodeValue appends a runtime value: the value kind, then the BAT or
-// scalar payload. Provenance is deliberately not encoded — pool entry
-// ids are meaningless across processes; Prewarm re-assigns them when it
-// admits an image record.
+// encodeValue appends a scalar runtime value: the value kind, then its
+// payload. It is the pool image's encoding of a scalar operand.
 func encodeValue(e *enc, v mal.Value) {
 	e.u8(uint8(v.Kind))
 	switch v.Kind {
-	case mal.VBat:
-		if v.Bat == nil {
-			e.u8(0)
-			return
-		}
-		e.u8(1)
-		encodeBAT(e, v.Bat)
 	case mal.VInt:
 		e.i64(v.I)
 	case mal.VFloat:
@@ -361,11 +332,6 @@ func encodeValue(e *enc, v mal.Value) {
 func decodeValue(d *dec) mal.Value {
 	kind := mal.ValueKind(d.u8())
 	switch kind {
-	case mal.VBat:
-		if d.u8() == 0 {
-			return mal.Value{Kind: mal.VBat}
-		}
-		return mal.BatV(decodeBAT(d))
 	case mal.VInt:
 		return mal.IntV(d.i64())
 	case mal.VFloat:

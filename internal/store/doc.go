@@ -17,8 +17,9 @@
 //     Recovery = load snapshot + replay WAL tail.
 //
 //   - The recycle pool image (recycler.SpillTier): a graceful drain
-//     writes the pool as one file of CRC-framed records, keyed by
-//     canonical signature and stamped with dependency-table versions,
-//     replacing the previous image; Recycler.Prewarm streams it back
-//     at startup and skips every record a commit has made stale.
+//     writes the pool's recipes — each entry's operation and operands,
+//     a BAT operand named by the record that produced it — as one file
+//     of CRC-framed records, replacing the previous image;
+//     Recycler.Prewarm streams it back at startup and recomputes each
+//     record at the catalog's current version.
 package store

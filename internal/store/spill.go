@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/recycler"
 )
@@ -17,9 +16,10 @@ import (
 // CRC frame per record to a temporary file and renames it over the
 // previous image, without fsync: a torn or damaged image fails its
 // frames' checks, and Load hands on only the records before the first
-// bad one. Version validity is the recycler's concern — the store
-// keeps the dependency stamps the recycler put into each record and
-// hands them back verbatim.
+// bad one. A record is a recipe — an operation and its operands, each
+// a scalar or the index of an earlier record — so it holds no result
+// and no version: Prewarm recomputes it over whatever catalog the
+// process has.
 type Spill struct {
 	path string
 }
@@ -29,7 +29,7 @@ const imageFile = "pool.img"
 
 // imageFormat tags the header frame with the record layout below. An
 // image without it (another layout, or a damaged header) loads empty.
-const imageFormat uint32 = 0x32_47_4d_49 // "IMG2"
+const imageFormat uint32 = 0x33_47_4d_49 // "IMG3"
 
 // Save implements recycler.SpillTier: it replaces the image with recs,
 // in order.
@@ -98,58 +98,34 @@ func (sp *Spill) Load(admit func(*recycler.SpillRecord)) error {
 	}
 }
 
-// purge removes the image. Bootstrap calls it: a freshly generated
-// catalog restarts creation sequences and table versions, so a record
-// from a previous life could carry a new table's stamps over different
-// data.
-func (sp *Spill) purge() error {
-	if err := os.Remove(sp.path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
+// encodeSpillRecord writes a record frame: the op name, the operand
+// count, then per operand a tag — 0 for a scalar (encodeValue), 1 for
+// a BAT — and the scalar or the producer's record index.
 func encodeSpillRecord(e *enc, rec *recycler.SpillRecord) {
 	e.str(rec.OpName)
-	e.i64(int64(rec.Cost))
 	e.u32(uint32(len(rec.Args)))
 	for _, a := range rec.Args {
 		if a.Bat {
 			e.u8(1)
-			e.str(a.Canon)
+			e.u32(uint32(a.Producer))
 		} else {
 			e.u8(0)
-			e.str(a.Key)
+			encodeValue(e, a.Value)
 		}
 	}
-	e.u32(uint32(len(rec.Deps)))
-	for _, d := range rec.Deps {
-		e.str(d.Table)
-		e.u64(d.Created)
-		e.i64(d.Version)
-	}
-	encodeValue(e, rec.Result)
 }
 
 func decodeSpillRecord(payload []byte) (*recycler.SpillRecord, error) {
 	d := &dec{b: payload}
-	rec := &recycler.SpillRecord{
-		OpName: d.str(),
-		Cost:   time.Duration(d.i64()),
-	}
+	rec := &recycler.SpillRecord{OpName: d.str()}
 	nArgs := int(d.u32())
 	for i := 0; i < nArgs && !d.fail; i++ {
 		if d.u8() != 0 {
-			rec.Args = append(rec.Args, recycler.SpillArg{Bat: true, Canon: d.str()})
+			rec.Args = append(rec.Args, recycler.SpillArg{Bat: true, Producer: int(d.u32())})
 		} else {
-			rec.Args = append(rec.Args, recycler.SpillArg{Key: d.str()})
+			rec.Args = append(rec.Args, recycler.SpillArg{Value: decodeValue(d)})
 		}
 	}
-	nDeps := int(d.u32())
-	for i := 0; i < nDeps && !d.fail; i++ {
-		rec.Deps = append(rec.Deps, recycler.SpillDep{Table: d.str(), Created: d.u64(), Version: d.i64()})
-	}
-	rec.Result = decodeValue(d)
 	if err := d.err(); err != nil || !d.done() {
 		return nil, ErrCorrupt
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,13 +21,12 @@ import (
 
 // The pool image tests drive a real engine over a small SkyServer
 // catalog: the queries below produce bind → select → count chains
-// whose intermediates are admitted, written to the image at drain, and
-// pre-warmed into a fresh recycler through canonical-signature
-// matching.
+// whose recipes are written to the image at drain and recomputed into
+// a fresh recycler at prewarm.
 
 const boxQuery = "SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 195.0 AND 215.5 AND dec BETWEEN 2.0 AND 33.0 AND mode = 1"
 
-func countOf(t *testing.T, res *repro.ExecResult) int64 {
+func countOf(t testing.TB, res *repro.ExecResult) int64 {
 	t.Helper()
 	if len(res.Results) == 0 {
 		t.Fatal("no results")
@@ -107,8 +107,10 @@ func TestPrewarmServesFirstQuery(t *testing.T) {
 	}
 }
 
-// TestPrewarmRejectsStale: records spilled before a commit must not
-// pre-warm after it.
+// TestPrewarmRejectsStale: an image written before a commit does not
+// load the pre-commit results. Its recipes are recomputed at the
+// catalog's current version, so the pre-warmed pool answers as naive
+// recompute does after the commit, and the first query hits.
 func TestPrewarmRejectsStale(t *testing.T) {
 	db := sky.Generate(2000, 17)
 	tier := newTier(t)
@@ -124,31 +126,51 @@ func TestPrewarmRejectsStale(t *testing.T) {
 	db.Cat.MustTable("sky", "photoobj").Delete([]bat.Oid{1})
 
 	engB := newSpillEngine(t, db.Cat, tier)
-	if n := prewarm(t, engB.Recycler()); n != 0 {
-		t.Fatalf("prewarm admitted %d stale entries", n)
+	expectWarmAnswer(t, engB, repro.NewEngine(db.Cat), boxQuery)
+}
+
+// expectWarmAnswer pre-warms eng's pool and checks that prewarm
+// admitted entries, that the first query hits them, and that it
+// answers q as naive does.
+func expectWarmAnswer(t *testing.T, eng, naive *repro.Engine, q string) {
+	t.Helper()
+	if n := prewarm(t, eng.Recycler()); n == 0 {
+		t.Fatal("prewarm admitted nothing")
 	}
-	if st := engB.Recycler().Snapshot(); st.StaleDropped == 0 {
-		t.Fatalf("stale records not dropped: %+v", st)
+	res, err := eng.ExecSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Hits == 0 {
+		t.Fatal("first query after prewarm reported no pool hits")
+	}
+	want, err := naive.ExecSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := countOf(t, res), countOf(t, want); got != w {
+		t.Fatalf("pre-warmed answer %d, naive %d", got, w)
 	}
 }
 
-// TestPrewarmRejectsRecreatedTable: a dropped-and-recreated table must
-// never re-validate the old table's spilled records, even if its
-// restarted version counter reaches the old value again. The creation
-// stamp (commit sequence at CreateTable) breaks the alias.
+// TestPrewarmRejectsRecreatedTable: an image of a table that was
+// dropped and recreated since does not load the old table's results,
+// even where the recreated table's version counter reaches the old
+// value again. Its recipes are recomputed over the new table.
 func TestPrewarmRejectsRecreatedTable(t *testing.T) {
 	cat := catalog.New()
-	mk := func() {
+	mk := func(v int64) {
 		tb := cat.CreateTable("sys", "kv", []catalog.ColDef{
 			{Name: "k", Kind: bat.KInt},
 			{Name: "v", Kind: bat.KInt},
 		})
-		tb.Append([]catalog.Row{{"k": int64(1), "v": int64(10)}, {"k": int64(2), "v": int64(20)}})
+		tb.Append([]catalog.Row{{"k": int64(1), "v": v}, {"k": int64(2), "v": v + 10}})
 	}
-	mk()
+	const q = "SELECT COUNT(*) FROM sys.kv WHERE v BETWEEN 5 AND 15"
+	mk(10)
 	tier := newTier(t)
 	engA := repro.NewEngine(cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll, Spill: tier}))
-	if _, err := engA.ExecSQL("SELECT COUNT(*) FROM sys.kv WHERE v BETWEEN 5 AND 15"); err != nil {
+	if _, err := engA.ExecSQL(q); err != nil {
 		t.Fatal(err)
 	}
 	if spillAll(t, engA.Recycler()) == 0 {
@@ -156,25 +178,21 @@ func TestPrewarmRejectsRecreatedTable(t *testing.T) {
 	}
 	engA.Recycler().Close()
 
-	// Drop and recreate with identical data: the new table's Version
-	// equals the old one's, but its creation stamp cannot.
+	// Drop and recreate with other data: the new table's Version
+	// equals the old one's, and the answer differs.
 	cat.DropTable("sys", "kv")
-	mk()
+	mk(0)
 
 	engB := repro.NewEngine(cat, repro.WithRecycler(recycler.Config{Admission: recycler.KeepAll, Spill: tier}))
 	defer engB.Recycler().Close()
-	if n := prewarm(t, engB.Recycler()); n != 0 {
-		t.Fatalf("prewarm admitted %d records of the dropped table", n)
-	}
-	if st := engB.Recycler().Snapshot(); st.StaleDropped == 0 {
-		t.Fatalf("recreated-table records not dropped: %+v", st)
-	}
+	expectWarmAnswer(t, engB, repro.NewEngine(cat), q)
 }
 
-// TestNoSpillDuringPendingCommit: an entry must not be imaged while a
-// dependency table has a commit in flight — the table's new version is
-// visible but the entry still holds the previous one's data, so its
-// record would be stale on arrival.
+// TestNoSpillDuringPendingCommit: a drain inside a commit window —
+// the table's new version visible, the pool not fixed up yet — writes
+// the pool's recipes like any other drain. They hold at any version,
+// so the image pre-warms a fresh recycler that answers as naive
+// recompute does after the commit.
 func TestNoSpillDuringPendingCommit(t *testing.T) {
 	db := sky.Generate(2000, 17)
 	tier := newTier(t)
@@ -193,37 +211,12 @@ func TestNoSpillDuringPendingCommit(t *testing.T) {
 	}
 	rec = eng.Recycler()
 
-	tbl := db.Cat.MustTable("sky", "photoobj")
-	tbl.Delete([]bat.Oid{0})
-	if inWindow != 0 {
-		t.Fatalf("SpillAll imaged %d entries of a table with a commit in flight", inWindow)
-	}
-
-	// With the window closed the recomputed entries are imaged, and a
-	// fresh recycler pre-warmed from the image serves the correct
-	// result.
-	res1, err := eng.ExecSQL(boxQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := countOf(t, res1)
-	if n := spillAll(t, rec); n == 0 {
-		t.Fatal("SpillAll wrote nothing after the window closed")
+	db.Cat.MustTable("sky", "photoobj").Delete([]bat.Oid{0})
+	if inWindow <= 0 {
+		t.Fatalf("SpillAll inside the commit window wrote %d records", inWindow)
 	}
 	engB := newSpillEngine(t, db.Cat, tier)
-	if n := prewarm(t, engB.Recycler()); n == 0 {
-		t.Fatal("prewarm admitted nothing")
-	}
-	res2, err := engB.ExecSQL(boxQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countOf(t, res2); got != before {
-		t.Fatalf("prewarmed result %d != original %d", got, before)
-	}
-	if res2.Stats.Hits == 0 {
-		t.Fatal("first query after prewarm reported no pool hits")
-	}
+	expectWarmAnswer(t, engB, repro.NewEngine(db.Cat), boxQuery)
 }
 
 // onUpdate is a catalog listener running f on every commit.
@@ -376,10 +369,12 @@ func TestMaintainSpillRestart(t *testing.T) {
 	}
 }
 
-// TestMaintainStaleSpillDropped: records demoted BEFORE a commit hold
-// pre-maintenance content; maintenance patches only the in-memory
-// pool, so those records must drop lazily at the next prewarm rather
-// than resurrect pre-commit data.
+// TestMaintainStaleSpillDropped: an image demoted BEFORE a commit
+// holds the recipes of pre-maintenance content. Maintenance patches
+// only the in-memory pool, and the commit lands after the recycler is
+// gone (a crash between demotion and restart), yet prewarm recomputes
+// the recipes at the post-commit version: the pre-warmed pool serves
+// the post-commit answer.
 func TestMaintainStaleSpillDropped(t *testing.T) {
 	db := sky.Generate(2000, 17)
 	tier := newTier(t)
@@ -394,25 +389,22 @@ func TestMaintainStaleSpillDropped(t *testing.T) {
 	}
 	engA.Recycler().Close()
 
-	// The commit happens after the spill (and after the recycler is
-	// gone — a crash between demotion and restart): the tier's records
-	// are now one version behind.
 	tbl := db.Cat.MustTable("sky", "photoobj")
 	tbl.Append([]catalog.Row{boxRow(t, tbl, int64(1<<60))})
 
 	engB := newMaintainSpillEngine(t, db.Cat, tier)
-	if n := prewarm(t, engB.Recycler()); n != 0 {
-		t.Fatalf("prewarm admitted %d pre-maintenance records", n)
-	}
-	if st := engB.Recycler().Snapshot(); st.StaleDropped == 0 {
-		t.Fatalf("stale pre-maintenance records not dropped: %+v", st)
+	if n := prewarm(t, engB.Recycler()); n == 0 {
+		t.Fatal("prewarm admitted nothing")
 	}
 	res2, err := engB.ExecSQL(boxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := countOf(t, res2); got != before+1 {
-		t.Fatalf("post-restart result %d, want recomputed %d", got, before+1)
+		t.Fatalf("post-restart result %d, want the post-commit %d", got, before+1)
+	}
+	if res2.Stats.Hits == 0 {
+		t.Fatal("first query after prewarm reported no pool hits")
 	}
 }
 
@@ -439,7 +431,7 @@ func kvCatalog(rows int) *catalog.Catalog {
 }
 
 // answers runs kvQueries on eng and renders their results.
-func answers(t *testing.T, eng *repro.Engine) []string {
+func answers(t testing.TB, eng *repro.Engine) []string {
 	t.Helper()
 	out := make([]string, len(kvQueries))
 	for i, q := range kvQueries {
@@ -454,7 +446,7 @@ func answers(t *testing.T, eng *repro.Engine) []string {
 
 // frameEnds returns the end offset of every frame in an image: the
 // header first, then one per record.
-func frameEnds(t *testing.T, image []byte) []int {
+func frameEnds(t testing.TB, image []byte) []int {
 	t.Helper()
 	var ends []int
 	for off := 0; off < len(image); {
@@ -566,49 +558,41 @@ func TestSpillAllReplacesImage(t *testing.T) {
 	}
 }
 
-// TestBootstrapPurgesImage: a fresh lineage removes the previous one's
-// image, and a bootstrap that cannot remove it fails rather than leave
-// records whose stamps could alias the new catalog's.
+// TestBootstrapPurgesImage: a fresh lineage bootstrapped over a data
+// dir that still holds a previous lineage's image does not serve that
+// lineage's results: prewarm recomputes the image's recipes over the
+// new catalog, whose data differs, and answers as naive does.
 func TestBootstrapPurgesImage(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := []*recycler.SpillRecord{{OpName: "sql.bind", Result: mal.IntV(1)}}
-	if err := st.Spill().Save(old); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Bootstrap(kvCatalog(4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, imageFile)); !os.IsNotExist(err) {
-		t.Fatalf("previous lineage's image survived Bootstrap: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	defer st.Close()
+	old := kvCatalog(20)
+	engA := newSpillEngine(t, old, st.Spill())
+	answers(t, engA)
+	if spillAll(t, engA.Recycler()) == 0 {
+		t.Fatal("SpillAll wrote nothing")
 	}
 
-	// A non-empty directory at the image path cannot be removed.
-	dir2 := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir2, imageFile, "stuck"), 0o755); err != nil {
+	fresh := kvCatalog(12)
+	if err := st.Bootstrap(fresh); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if err := st2.Bootstrap(kvCatalog(4)); err == nil {
-		t.Fatal("Bootstrap succeeded without removing the previous image")
+	engB := newSpillEngine(t, fresh, st.Spill())
+	expectWarmAnswer(t, engB, repro.NewEngine(fresh), kvQueries[0])
+	if got, want := answers(t, engB), answers(t, repro.NewEngine(fresh)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("answers %v over the new lineage, naive %v", got, want)
 	}
 }
 
 // TestSpillOldFormatRecordDoesNotLoad: a data dir holding the store's
 // former layouts — per-record spill files (spill/*.spl, one record per
-// file) and an IMG1 pool image (records with a display line and one
-// dependency per column) — boots cold without error. Both are ignored:
-// nothing pre-warms and queries recompute.
+// file), an IMG1 pool image (records with a display line and one
+// dependency per column) or an IMG2 one (records holding canonical
+// operands, table stamps and the result) — boots cold without error.
+// All are ignored: nothing pre-warms and queries recompute.
 func TestSpillOldFormatRecordDoesNotLoad(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -656,44 +640,187 @@ func TestSpillOldFormatRecordDoesNotLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An IMG1 image whose one record binds sys.kv.v at the recovered
-	// table's current version.
+	// An IMG1 and an IMG2 image, each with one record binding sys.kv.v
+	// at the recovered table's current version, with its result.
 	snap, ok := cat2.Pin("sys.kv")
 	if !ok {
 		t.Fatal("sys.kv not recovered")
 	}
-	hdr := &enc{}
-	hdr.u32(0x31_47_4d_49) // "IMG1"
-	rec := &enc{}
-	rec.str("sql.bind")
-	rec.str(`sql.bind("sys","kv","v",0)`)
-	rec.i64(int64(time.Millisecond))
-	rec.u32(4)
+	bound := cat2.MustTable("sys", "kv").Column("v").Bind()
+	img1 := &enc{}
+	img1.str("sql.bind")
+	img1.str(`sql.bind("sys","kv","v",0)`)
+	img1.i64(int64(time.Millisecond))
+	img1.u32(4)
 	for _, k := range []string{"s3:sys", "s2:kv", "s1:v", "i0"} {
-		rec.u8(0)
-		rec.str(k)
+		img1.u8(0)
+		img1.str(k)
 	}
-	rec.u32(1)
-	rec.str("sys.kv")
-	rec.str("v")
-	rec.u64(snap.Stamp.Created)
-	rec.i64(snap.Stamp.Version)
-	encodeValue(rec, mal.BatV(cat2.MustTable("sys", "kv").Column("v").Bind()))
-	var img bytes.Buffer
-	for _, frame := range [][]byte{hdr.b, rec.b} {
-		if err := writeFrame(&img, frame); err != nil {
-			t.Fatal(err)
-		}
+	img1.u32(1)
+	img1.str("sys.kv")
+	img1.str("v")
+	img1.u64(snap.Stamp.Created)
+	img1.i64(snap.Stamp.Version)
+	legacyBATValue(img1, bound)
+	img2 := &enc{}
+	img2.str("sql.bind")
+	img2.i64(int64(time.Millisecond))
+	img2.u32(4)
+	for _, k := range []string{"s3:sys", "s2:kv", "s1:v", "i0"} {
+		img2.u8(0)
+		img2.str(k)
 	}
-	if err := os.WriteFile(filepath.Join(dir, imageFile), img.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	img2.u32(1)
+	img2.str("sys.kv")
+	img2.u64(snap.Stamp.Created)
+	img2.i64(snap.Stamp.Version)
+	legacyBATValue(img2, bound)
 
 	eng := newSpillEngine(t, cat2, st2.Spill())
-	if n := prewarm(t, eng.Recycler()); n != 0 {
-		t.Fatalf("prewarm admitted %d records from a former layout", n)
+	for _, old := range []struct {
+		tag uint32
+		rec []byte
+	}{{0x31_47_4d_49, img1.b}, {0x32_47_4d_49, img2.b}} { // "IMG1", "IMG2"
+		hdr := &enc{}
+		hdr.u32(old.tag)
+		var img bytes.Buffer
+		for _, frame := range [][]byte{hdr.b, old.rec} {
+			if err := writeFrame(&img, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, imageFile), img.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n := prewarm(t, eng.Recycler()); n != 0 {
+			t.Fatalf("prewarm admitted %d records from a former layout", n)
+		}
 	}
 	if got := answers(t, eng); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("answers %v after a cold boot, want %v", got, want)
+	}
+}
+
+// legacyBATValue appends a BAT value in the layout IMG1 and IMG2
+// stored results in: the value kind, a presence byte, head and tail
+// vectors and a sortedness flag byte.
+func legacyBATValue(e *enc, b *bat.BAT) {
+	e.u8(uint8(mal.VBat))
+	e.u8(1)
+	encodeVector(e, b.Head)
+	encodeVector(e, b.Tail)
+	e.u8(0)
+}
+
+// narrowBoxQuery's box lies inside boxQuery's.
+const narrowBoxQuery = "SELECT COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 195.5 AND 197.0 AND dec BETWEEN 2.0 AND 33.0 AND mode = 1"
+
+// groupBoxQuery groups boxQuery's box by status.
+const groupBoxQuery = "SELECT status, COUNT(*) FROM sky.photoobj WHERE ra BETWEEN 195.0 AND 215.5 AND dec BETWEEN 2.0 AND 33.0 GROUP BY status"
+
+// rendered formats every result of a statement, column rows in order.
+func rendered(t *testing.T, eng *repro.Engine, q string) string {
+	t.Helper()
+	res, err := eng.ExecSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, r := range res.Results {
+		v := r.Val.Materialised()
+		if v.IsBat() {
+			fmt.Fprintf(&sb, "%s=%s; ", r.Name, v.Bat.Dump(0))
+		} else {
+			fmt.Fprintf(&sb, "%s=%s; ", r.Name, v)
+		}
+	}
+	return sb.String()
+}
+
+// TestPrewarmedBoxSubsumes: a pre-warmed select keeps its subsumption
+// metadata, so a box narrower than a pre-warmed one is rewritten onto
+// it, as it is onto a select a query admitted.
+func TestPrewarmedBoxSubsumes(t *testing.T) {
+	db := sky.Generate(2000, 17)
+	tier := newTier(t)
+	cfg := recycler.Config{Admission: recycler.KeepAll, Subsumption: true, Spill: tier}
+	engA := repro.NewEngine(db.Cat, repro.WithRecycler(cfg))
+	defer engA.Recycler().Close()
+	if _, err := engA.ExecSQL(boxQuery); err != nil {
+		t.Fatal(err)
+	}
+	if spillAll(t, engA.Recycler()) == 0 {
+		t.Fatal("SpillAll wrote nothing")
+	}
+	engA.Recycler().Close()
+
+	engB := repro.NewEngine(db.Cat, repro.WithRecycler(cfg))
+	defer engB.Recycler().Close()
+	if n := prewarm(t, engB.Recycler()); n == 0 {
+		t.Fatal("prewarm admitted nothing")
+	}
+	res, err := engB.ExecSQL(narrowBoxQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Subsumed == 0 {
+		t.Fatalf("a box inside a pre-warmed one was not subsumed: %+v", res.Stats)
+	}
+	want, err := repro.NewEngine(db.Cat).ExecSQL(narrowBoxQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := countOf(t, res), countOf(t, want); got != w {
+		t.Fatalf("subsumed answer %d, naive %d", got, w)
+	}
+}
+
+// TestPrewarmedEntriesMaintain: under SyncMaintain a pre-warmed pool
+// carries an insert and a single-row delete as a pool built by running
+// the same queries does — its entries have their argument snapshots
+// and delta classes — so no more of its entries fall back, and both
+// pools answer as naive recompute does after each commit.
+func TestPrewarmedEntriesMaintain(t *testing.T) {
+	db := sky.Generate(2000, 17)
+	tier := newTier(t)
+	queries := []string{boxQuery, groupBoxQuery}
+	built := newMaintainSpillEngine(t, db.Cat, tier)
+	for _, q := range queries {
+		rendered(t, built, q)
+	}
+	if spillAll(t, built.Recycler()) == 0 {
+		t.Fatal("SpillAll wrote nothing")
+	}
+	warm := newMaintainSpillEngine(t, db.Cat, tier)
+	if n := prewarm(t, warm.Recycler()); n == 0 {
+		t.Fatal("prewarm admitted nothing")
+	}
+	naive := repro.NewEngine(db.Cat)
+
+	tbl := db.Cat.MustTable("sky", "photoobj")
+	inserted := bat.Oid(tbl.NumRows())
+	commits := []func(){
+		func() { tbl.Append([]catalog.Row{boxRow(t, tbl, int64(1<<60))}) },
+		func() { tbl.Delete([]bat.Oid{inserted}) },
+	}
+	for i, commit := range commits {
+		commit()
+		for _, q := range queries {
+			want := rendered(t, naive, q)
+			if got := rendered(t, built, q); got != want {
+				t.Fatalf("commit %d: built pool answers %s, naive %s", i, got, want)
+			}
+			if got := rendered(t, warm, q); got != want {
+				t.Fatalf("commit %d: pre-warmed pool answers %s, naive %s", i, got, want)
+			}
+		}
+	}
+	b, w := built.Recycler().Snapshot(), warm.Recycler().Snapshot()
+	t.Logf("built maintained %d fallback %d entries %d; warm maintained %d fallback %d entries %d", b.Maintained, b.MaintainFallback, b.Entries, w.Maintained, w.MaintainFallback, w.Entries)
+	if w.Maintained == 0 {
+		t.Fatalf("the pre-warmed pool maintained nothing: %+v", w)
+	}
+	if w.MaintainFallback > b.MaintainFallback {
+		t.Fatalf("%d pre-warmed entries fell back, %d built ones", w.MaintainFallback, b.MaintainFallback)
 	}
 }

@@ -148,13 +148,8 @@ func (s *Store) Recover() (*catalog.Catalog, error) {
 
 // Bootstrap attaches the store to a freshly generated catalog and
 // writes the initial checkpoint, so the (possibly large) bulk load is
-// captured by the snapshot instead of the log. A fresh catalog is a
-// fresh lineage: the pool image of a previous one is removed first,
-// and failing to remove it fails the bootstrap.
+// captured by the snapshot instead of the log.
 func (s *Store) Bootstrap(cat *catalog.Catalog) error {
-	if err := s.spill.purge(); err != nil {
-		return err
-	}
 	if err := s.attach(cat); err != nil {
 		return err
 	}
