@@ -158,6 +158,7 @@ var RequiresWriterLock = map[string]bool{
 	"repro/internal/recycler.(*Pool).dropLeaf":        true,
 	"repro/internal/recycler.(*Pool).popLeaf":         true,
 	"repro/internal/recycler.(*Pool).entriesOver":     true,
+	"repro/internal/recycler.(*Pool).addTable":        true,
 	"repro/internal/recycler.(*Pool).SelectSupersets": true,
 	"repro/internal/recycler.(*Pool).SelectOverlaps":  true,
 	"repro/internal/recycler.(*Pool).LikeCandidates":  true,
@@ -192,10 +193,10 @@ var WriterContextFuncs = map[string]bool{
 	"repro/internal/recycler.(*commitWalk).view":           true,
 	"repro/internal/recycler.(*commitWalk).join":           true,
 	"repro/internal/recycler.(*commitWalk).refresh":        true,
-	"repro/internal/recycler.(*commitWalk).restamp":        true,
 	"repro/internal/recycler.(*Recycler).appliedLocked":    true,
+	"repro/internal/recycler.(*tableList).remove":          true,
 	"repro/internal/recycler.(*Recycler).stampsFor":        true,
-	"repro/internal/recycler.(appliedPins).Pin":            true,
+	"repro/internal/recycler.(*Recycler).buildEntry":       true,
 	"repro/internal/recycler.(*Recycler).refreshResult":    true,
 	"repro/internal/recycler.(*Recycler).invalidate":       true,
 	"repro/internal/recycler.(*Recycler).cleanCache":       true,
@@ -230,6 +231,9 @@ var AtomicFields = map[string]bool{
 	"repro/internal/recycler.Entry.GlobalReuse": true,
 	"repro/internal/recycler.Entry.valid":       true,
 	"repro/internal/recycler.Entry.pinnedQuery": true,
+	// a table's applied version — the commit walk stores it, the hit
+	// path compares it
+	"repro/internal/recycler.tableList.applied": true,
 	// pool + recycler telemetry
 	"repro/internal/recycler.Pool.tick":                 true,
 	"repro/internal/recycler.Pool.reuses":               true,
@@ -240,6 +244,7 @@ var AtomicFields = map[string]bool{
 	"repro/internal/recycler.Recycler.spilled":          true,
 	"repro/internal/recycler.Recycler.prewarmed":        true,
 	"repro/internal/recycler.Recycler.maintained":       true,
+	"repro/internal/recycler.Recycler.reached":          true,
 	"repro/internal/recycler.Recycler.maintainFallback": true,
 	"repro/internal/recycler.Recycler.maintainNs":       true,
 	"repro/internal/recycler.Recycler.deltaRows":        true,

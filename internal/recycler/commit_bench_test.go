@@ -41,7 +41,7 @@ func newCommitFixture(tb testing.TB, objects int) *commitFixture {
 		rng:   rand.New(rand.NewSource(7)),
 		objid: int64(0x0500000000000000) + 100_000_000,
 	}
-	tb.Cleanup(f.rec.Close)
+	tb.Cleanup(f.close)
 	fe := sqlfe.NewFrontend(db.Cat)
 	for qid := uint64(1); qid <= 64; qid++ {
 		raLo := float64(f.rng.Intn(640)) * 0.5
@@ -70,6 +70,15 @@ func newCommitFixture(tb testing.TB, objects int) *commitFixture {
 		tb.Fatalf("fixture pool is not maintained: %+v", st)
 	}
 	return f
+}
+
+// close retires the fixture's recycler and lets go of its catalog, so
+// a benchmark building one fixture per batch holds one at a time.
+func (f *commitFixture) close() {
+	if f.rec != nil {
+		f.rec.Close()
+		*f = commitFixture{}
+	}
 }
 
 // insert commits one full row whose ra/dec land inside one of the
@@ -127,19 +136,23 @@ var commitBenchSizes = []int{20_000, 200_000}
 // BenchmarkCommitInsert times one single-row INSERT commit — catalog
 // append plus the recycler's maintenance walk — at two table sizes.
 // ns/op must not track the table size. The other=10000 case adds 10⁴
-// pooled entries over a table the commit does not write: the walk
-// finds its entries by scanning the pool, and this prices the scan.
+// pooled entries over a table the commit does not write, which the
+// walk must not pay for: it reads the written table's entry list only.
+// reached/op is the entries whose result the walk changed.
 func BenchmarkCommitInsert(b *testing.B) {
 	run := func(name string, rows, other int) {
 		b.Run(name, func(b *testing.B) {
 			f := newCommitFixture(b, rows)
 			f.poolOther(b, other)
+			before := f.rec.Snapshot().Reached
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.insert()
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(f.rec.PoolLen()), "entries")
+			b.ReportMetric(float64(f.rec.Snapshot().Reached-before)/float64(b.N), "reached/op")
 		})
 	}
 	for _, n := range commitBenchSizes {
@@ -148,30 +161,45 @@ func BenchmarkCommitInsert(b *testing.B) {
 	run("rows=20000,other=10000", 20_000, 10_000)
 }
 
+// commitDeleteBatch is how many rows BenchmarkCommitDelete inserts,
+// then deletes, per fixture.
+const commitDeleteBatch = 1000
+
 // BenchmarkCommitDelete times one single-row DELETE commit of an
 // earlier insert: no column is copied, so what is left is the filter
 // and project results the dead row leaves (one copy each) and the
 // tombstone list, which the tombstones=10000 case prices: the delete
-// merges its row into a copy of the list.
+// merges its row into a copy of the list. The deletes run in batches
+// of commitDeleteBatch rows, each against a fresh fixture that inserts
+// the batch's rows with the timer stopped, so every batch deletes from
+// the same state and B/op does not depend on b.N: deleting b.N earlier
+// inserts from one fixture grows both the results each delete copies
+// and the tombstone list it merges into with b.N.
 func BenchmarkCommitDelete(b *testing.B) {
 	run := func(name string, rows, tombstones int) {
 		b.Run(name, func(b *testing.B) {
-			f := newCommitFixture(b, rows)
-			if tombstones > 0 {
-				dead := make([]bat.Oid, tombstones)
-				for i := range dead {
-					dead[i] = bat.Oid(i * (rows / tombstones))
-				}
-				f.tb.Delete(dead)
-			}
-			oids := make([]bat.Oid, b.N)
-			for i := range oids {
-				oids[i] = f.insert()
-			}
 			b.ReportAllocs()
-			b.ResetTimer()
-			for _, o := range oids {
-				f.tb.Delete([]bat.Oid{o})
+			for done := 0; done < b.N; {
+				b.StopTimer()
+				f := newCommitFixture(b, rows)
+				if tombstones > 0 {
+					dead := make([]bat.Oid, tombstones)
+					for i := range dead {
+						dead[i] = bat.Oid(i * (rows / tombstones))
+					}
+					f.tb.Delete(dead)
+				}
+				oids := make([]bat.Oid, min(commitDeleteBatch, b.N-done))
+				for i := range oids {
+					oids[i] = f.insert()
+				}
+				b.StartTimer()
+				for _, o := range oids {
+					f.tb.Delete([]bat.Oid{o})
+				}
+				b.StopTimer()
+				f.close()
+				done += len(oids)
 			}
 		})
 	}

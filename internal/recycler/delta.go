@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the one delta engine behind every SyncMode (paper §6).
-// A commit's affected pool entries — those stamped with its table —
-// are walked once, in admission (= topological) order; each entry's
+// A commit's affected pool entries — its table's entry list — are
+// walked once, in admission (= topological) order; each entry's
 // cached plan.DeltaClass selects its rule from deltaRules, and the
 // entry invalidates when the class has no rule, the preset masks the
 // rule off, the rule fails, or a parent fell back (its parent is then
@@ -27,10 +27,10 @@ import (
 //	         in O(1); the commit's inserts seed the walk,
 //	         the dead rows' values are read by oid from
 //	         the column (an index: its oid vector)
-//	filter   SplitHeads(old) ∪ P(parent δ+)                parent not a rowset
-//	project  SplitHeads(old) ∪ (δL ⋉ δR) — appended rows   parent not a rowset
-//	         carry fresh oids larger than every old head,
-//	         so the δL⋉R and L⋉δR cross terms vanish
+//	filter   old − P(parent δ−) ∪ P(parent δ+)             parent not a rowset
+//	project  old − (δL− ⋉ δR−) ∪ (δL+ ⋉ δR+) — appended   parent not a rowset
+//	         rows carry fresh oids larger than every old
+//	         head, so the δL⋉R and L⋉δR cross terms vanish
 //	agg      count/int-sum apply the delta arithmetically; parent not a rowset,
 //	         float sums recompute over the maintained      kind mismatch
 //	         parent (FP addition is non-associative; parent
@@ -40,38 +40,42 @@ import (
 //	         recompute, appended rather than interleaved)
 //
 // A rowset is a result still headed by its base table's oids — what
-// base, filter and project produce. The commit's dead-oid set
-// tombstones every rowset over the table consistently, which is what
-// SplitHeads relies on; it means nothing over a view's or join's
+// base, filter and project produce. A rowset's removed rows (δ−) are
+// exactly its pre-commit rows whose head the commit tombstoned, with
+// their values: the base reads them by oid, and a filter or project
+// derives its own from its parents' as the table shows. That is what
+// lets a rule test reach on the delta rows and drop only the heads
+// that die (SplitHeads); it means nothing over a view's or join's
 // re-headed result, nor over an entry that reads two tables, so the
 // three rowset rules refuse those parents.
 //
 // A rule works only where the delta lands: it returns before touching
 // its entry when its parents report no rows added or removed (a view:
-// when its parent's result is the object it was), so an entry the
-// commit does not reach costs its parents' lookups — and still counts
-// as maintained, having been proven current. A commit therefore costs
-// the rows it moves, not the pool or the table: a bind is renamed at
-// the commit's version without reading a row, a rowset the delta lands
-// in is extended past its published length (bat.Extend) on an insert
-// and copied once on a delete, and base storage is read only at the
-// dead and inserted oids. Only the rules that read a bind parent's
-// rows — float SUM, view and join — materialise it, at the commit's
-// version (view and join are masked off under maintain).
+// when its parent's result is the object it was), and a filter or
+// project whose own δ+ and δ− come out empty leaves its result alone.
+// An entry the commit does not reach costs a few pointer loads — its
+// parents (Entry.parents) and what the walk did to them (Entry.delta,
+// nil when nothing) — and still counts as maintained, having been
+// proven the same at both ends of the commit. A commit therefore costs
+// the rows it moves and the entries over its table, not the pool or
+// the table: a bind is renamed at the commit's version without reading
+// a row, a rowset the delta lands in is extended past its published
+// length (bat.Extend) on an insert and copied once on a delete, and
+// base storage is read only at the dead and inserted oids. Only the
+// rules that read a bind parent's rows — float SUM, view and join —
+// materialise it, at the commit's version (view and join are masked
+// off under maintain).
 //
 // Only a published commit reaches the walk: a statement that fails
 // before the catalog publishes its version changes nothing, so no
 // listener hears of it and every entry stays as it was.
 //
-// Every entry the walk keeps moves to the commit's version
-// (Entry.stamps): a rule that swaps the result moves the stamp with it
-// (refresh), and an entry the delta does not reach is restamped after
-// its rule. Every entry that reads the commit's table alone gets the
-// walk's one stamps slice (commitWalk.stamps); only entries reading
-// several tables get a copy of their own. An entry already stamped
-// with the commit's version was admitted at it — possible only for the
-// first admissions over a table whose commit was in flight when the
-// pool first looked at it (appliedLocked) — and is left alone.
+// Versions are intervals: an entry holds for the versions of the table
+// from its since (Entry.stamps) up to the one the list has applied. A
+// rule that swaps the result moves the entry's since to the commit's
+// version with it (refresh), under the same shard lock; an entry the
+// delta does not reach is not touched at all, and OnUpdate moves the
+// list's applied version once the walk is done.
 
 // ruleMask is a set of plan.DeltaClass values: the rules a SyncMode
 // preset leaves switched on.
@@ -119,27 +123,27 @@ type change struct {
 	oldRef         *catalog.Ref // old is a bind's name
 }
 
-// commitWalk is the state of one applyCommit. dead is the commit's
-// tombstoned oids, ascending; stamps is the commit's version of its
-// table, shared by every entry that reads only that table. done holds
-// the change of every entry a rule moved and nothing else: a valid
-// entry missing from it is as the commit found it — out of the delta's
-// reach, or not walked yet (impossible for a parent — parents are
-// admitted, hence walked, first); one that fell back is no longer
-// valid.
+// commitWalk is the state of one applyCommit over list l. dead is the
+// commit's tombstoned oids, ascending. reached holds every entry a rule
+// changed, whose Entry.delta is set until the walk ends: a valid entry
+// with none is as the commit found it — out of the delta's reach, or
+// not walked yet (impossible for a parent — parents are admitted,
+// hence walked, first); one that fell back is no longer valid.
 type commitWalk struct {
-	r      *Recycler
-	ev     catalog.UpdateEvent
-	dead   []bat.Oid
-	stamps []tableStamp
-	done   map[uint64]change
+	r       *Recycler
+	l       *tableList
+	ev      catalog.UpdateEvent
+	dead    []bat.Oid
+	reached []*Entry
 }
 
 // commitSummary reports one walk's outcome for the trace layer: how
-// many entries were delta-maintained, how many fell back to
-// invalidation, and why (cause → count).
+// many entries were delta-maintained and how many of those a rule
+// changed (reached), how many fell back to invalidation, and why
+// (cause → count).
 type commitSummary struct {
 	maintained int
+	reached    int
 	fallback   int
 	causes     map[string]int
 }
@@ -152,39 +156,33 @@ func (s *commitSummary) fellBack(cause string) {
 	s.causes[cause]++
 }
 
-// applyCommit brings every pool entry stamped with the event's table up
-// to date with the commit, by delta rule where rules allows and by
-// invalidation otherwise. Caller holds the writer lock. The returned
-// summary feeds the commit trace event (emitted by OnUpdate after the
-// lock is released); it and the maintenance counters stay zero under
-// the empty mask, which has nothing to fall back from.
-func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum commitSummary) {
-	qname := ev.Table.QName()
-	affected := r.pool.entriesOver(qname)
+// applyCommit brings every entry of the commit's table list l up to
+// date with the commit, by delta rule where rules allows and by
+// invalidation otherwise. Every entry in l holds at the version before
+// the commit (OnUpdate walks only a list that has not applied it).
+// Caller holds the writer lock. The returned summary feeds the commit
+// trace event (emitted by OnUpdate after the lock is released); it and
+// the maintenance counters stay zero under the empty mask, which has
+// nothing to fall back from.
+func (r *Recycler) applyCommit(l *tableList, ev catalog.UpdateEvent, rules ruleMask) (sum commitSummary) {
 	if rules == invalidateRules {
-		for _, e := range affected {
-			r.invalidate(e)
+		for _, e := range l.entries {
+			if e != nil {
+				r.invalidate(e)
+			}
 		}
 		return sum
 	}
 	start := time.Now()
-	defer func() {
-		r.maintained.Add(int64(sum.maintained))
-		r.maintainFallback.Add(int64(sum.fallback))
-		r.maintainNs.Add(time.Since(start).Nanoseconds())
-	}()
-
-	w := &commitWalk{r: r, ev: ev, dead: ev.Deleted, stamps: []tableStamp{{qname, ev.Stamp}}, done: map[uint64]change{}}
-	for _, e := range affected {
-		if !e.valid.Load() {
+	w := &commitWalk{r: r, l: l, ev: ev, dead: ev.Deleted}
+	for _, e := range l.entries {
+		if e == nil || !e.valid.Load() {
 			continue
 		}
 		old, oldRef := e.Result.Bat, e.Result.Ref
 		var ch change
 		var cause string
 		switch rule := deltaRules[e.deltaClass]; {
-		case e.stampOf(qname) == ev.Stamp:
-			continue // admitted at this commit's version
 		case rule == nil || !rules.has(e.deltaClass):
 			cause = "ineligible-op"
 		default:
@@ -199,18 +197,23 @@ func (r *Recycler) applyCommit(ev catalog.UpdateEvent, rules ruleMask) (sum comm
 			continue
 		}
 		sum.maintained++
-		if e.stampOf(qname) != ev.Stamp {
-			w.restamp(e)
-		}
 		n := rows(ch.added) + rows(ch.removed)
 		if n > 0 || e.Result.Bat != old || e.Result.Ref != oldRef {
-			ch.old, ch.oldRef = old, oldRef
-			w.done[e.ID] = ch
+			e.delta = &change{added: ch.added, removed: ch.removed, old: old, oldRef: oldRef}
+			w.reached = append(w.reached, e)
 		}
 		if n > 0 {
 			r.deltaRows.Add(int64(n))
 		}
 	}
+	for _, e := range w.reached {
+		e.delta = nil
+	}
+	sum.reached = len(w.reached)
+	r.maintained.Add(int64(sum.maintained))
+	r.reached.Add(int64(sum.reached))
+	r.maintainFallback.Add(int64(sum.fallback))
+	r.maintainNs.Add(time.Since(start).Nanoseconds())
 	return sum
 }
 
@@ -226,38 +229,19 @@ func rows(b *bat.BAT) int {
 // already brought up to date; a parent that fell back was invalidated
 // and so takes the child down with it.
 func (w *commitWalk) parent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
-	pe = w.r.pool.Get(e.Args[i].Prov)
-	if pe == nil || !pe.valid.Load() {
+	if pe = e.parents[i]; pe == nil || !pe.valid.Load() {
 		return nil, change{}, false
 	}
-	if ch, ok = w.done[pe.ID]; !ok {
-		ch.old, ch.oldRef = pe.Result.Bat, pe.Result.Ref // untouched by this commit
+	if pe.delta != nil {
+		return pe, *pe.delta, true
 	}
+	ch.old, ch.oldRef = pe.Result.Bat, pe.Result.Ref // untouched by this commit
 	return pe, ch, true
 }
 
 // refresh swaps e's result for v computed at the commit's version.
 func (w *commitWalk) refresh(e *Entry, v mal.Value) {
-	w.r.refreshResult(e, v, w.stampsOf(e))
-}
-
-// restamp moves e, whose result the commit left as it was, to the
-// commit's version.
-func (w *commitWalk) restamp(e *Entry) {
-	stamps := w.stampsOf(e)
-	sh := w.r.pool.shard(e.Sig)
-	sh.mu.Lock()
-	e.stamps = stamps
-	sh.mu.Unlock()
-}
-
-// stampsOf returns e's stamps moved to the commit's version: the
-// walk's shared slice when e reads the commit's table alone.
-func (w *commitWalk) stampsOf(e *Entry) []tableStamp {
-	if len(e.stamps) == 1 {
-		return w.stamps
-	}
-	return restamped(e.stamps, w.stamps[0].table, w.stamps[0].Stamp)
+	w.r.refreshResult(e, v, w.l, w.ev.Stamp.Version)
 }
 
 // still reports that the walk left parent pe's result the object — the
@@ -317,9 +301,9 @@ func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
 	return ch, true
 }
 
-// filter appends the entry's predicate (re-read from the captured
-// arguments) over the parent's insert delta and splits the tombstoned
-// heads off (with their values, kept for downstream aggregates).
+// filter runs the entry's predicate (Entry.pred) over the parent's
+// delta rows: the inserted rows it keeps are appended, the removed rows
+// it keeps are the ones that die here.
 func (w *commitWalk) filter(e *Entry) (ch change, ok bool) {
 	_, p, ok := w.rowsetParent(e, 0)
 	if !ok || e.Result.Kind != mal.VBat {
@@ -328,20 +312,27 @@ func (w *commitWalk) filter(e *Entry) (ch change, ok bool) {
 	if p.empty() {
 		return ch, true
 	}
-	if rows(p.added) > 0 {
+	if e.pred == nil {
 		pred, isFilter := mal.FilterPred(e.OpName, e.Args)
 		if !isFilter {
 			return ch, false
 		}
-		ch.added = algebra.Filter(p.added, pred)
+		e.pred = &pred
 	}
-	return w.splitAppend(e, ch.added), true
+	var dying *bat.BAT
+	if rows(p.added) > 0 {
+		ch.added = algebra.Filter(p.added, *e.pred)
+	}
+	if rows(p.removed) > 0 {
+		dying = algebra.Filter(p.removed, *e.pred)
+	}
+	return w.splitAppend(e, ch.added, dying), true
 }
 
 // project applies the semijoin rule. Old rows and fresh delta rows live
 // in disjoint oid ranges, so the only surviving cross term is δL ⋉ δR;
-// deletes tombstone both sides' rows under the same base oids, which
-// SplitHeads handles wholesale.
+// a dead head was in the result when both sides held it, so the rows
+// that die are δL− ⋉ δR−.
 func (w *commitWalk) project(e *Entry) (ch change, ok bool) {
 	_, l, okL := w.rowsetParent(e, 0)
 	_, r, okR := w.rowsetParent(e, 1)
@@ -351,17 +342,25 @@ func (w *commitWalk) project(e *Entry) (ch change, ok bool) {
 	if l.empty() && r.empty() {
 		return ch, true
 	}
+	var dying *bat.BAT
 	if rows(l.added) > 0 && rows(r.added) > 0 {
 		ch.added = algebra.Semijoin(l.added, r.added)
 	}
-	return w.splitAppend(e, ch.added), true
+	if rows(l.removed) > 0 && rows(r.removed) > 0 {
+		dying = algebra.Semijoin(l.removed, r.removed)
+	}
+	return w.splitAppend(e, ch.added, dying), true
 }
 
 // splitAppend is the rowset update shared by filter and project: drop
-// the commit's dead heads from e's result, append added, swap it in —
-// or leave e alone when the commit turns out not to reach it.
-func (w *commitWalk) splitAppend(e *Entry, added *bat.BAT) change {
-	cur, removed := algebra.SplitHeads(e.Result.Bat, w.dead)
+// the heads of the dying rows from e's result, append added, swap it
+// in — or leave e alone when neither holds a row, the commit not
+// reaching it.
+func (w *commitWalk) splitAppend(e *Entry, added, dying *bat.BAT) change {
+	cur, removed := e.Result.Bat, (*bat.BAT)(nil)
+	if rows(dying) > 0 {
+		cur, removed = algebra.SplitHeads(cur, bat.MaterialiseOids(dying.Head))
+	}
 	if rows(added) == 0 {
 		if added = nil; removed == nil {
 			return change{}

@@ -18,11 +18,12 @@
 //
 //   - The exact-match hit path is read-mostly: the signature index is
 //     sharded with per-shard RWMutexes, an entry is served only when
-//     the versions it was computed at equal the ones the query reads
-//     (one compare per dependency table, against the query's own
-//     pins), and per-entry reuse counters (LastUseTick, ReuseCount,
-//     SavedTotal, pin) are atomics. A warm pool serves concurrent hits
-//     without serialising.
+//     the query reads each dependency table at a version the entry's
+//     result holds for — from the version it last changed at up to the
+//     one the pool has applied (one compare per dependency table,
+//     against the query's own pins) — and per-entry reuse counters
+//     (LastUseTick, ReuseCount, SavedTotal, pin) are atomics. A warm
+//     pool serves concurrent hits without serialising.
 //   - A single coarse writer lock still serialises every structural
 //     change — admission, eviction, invalidation, delta propagation and
 //     the subsumption-index searches — because lineage edges, the

@@ -189,7 +189,7 @@ func (g *evictRig) admit(sig string, bytes int64, cost time.Duration, parents []
 		}
 	}
 	e := mkEntry(sig, bytes, cost)
-	e.stamps = []tableStamp{{table: "sys.t"}}
+	e.stamps = []tableStamp{stampOver(r.pool, "sys.t")}
 	for _, p := range parents {
 		if r.pool.Get(p) != nil {
 			e.DependsOn = append(e.DependsOn, p)
@@ -364,7 +364,7 @@ func runEvictionDiff(t *testing.T, cfg Config, spill bool, seed int64) {
 				for _, g := range rigs {
 					g.r.lockWriter()
 					e := g.r.pool.Get(id)
-					g.r.refreshResult(e, mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, n)))), e.stamps)
+					g.r.refreshResult(e, mal.BatV(bat.NewDenseHead(bat.NewInts(make([]int64, n)))), nil, 0)
 					g.r.mu.Unlock()
 				}
 			}

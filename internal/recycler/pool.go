@@ -1,7 +1,6 @@
 package recycler
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -23,38 +22,76 @@ type Pins interface {
 	Pin(qname string) (catalog.Snapshot, bool)
 }
 
-// tableStamp is the version of one table an entry's result was
-// computed at. An entry's stamps are its only dependency record: a
-// commit to or a drop of a table reaches exactly the entries stamped
-// with it.
-type tableStamp struct {
-	table string // schema-qualified
-	catalog.Stamp
+// tableList is one table's share of the pool: the entries stamped with
+// the table, in id order — admission order, which is topological
+// order: parents first — and the version of the table they reflect. A
+// commit to or a drop of the table reaches exactly these entries. Ids
+// rise, so Pool.Add appends; Pool.Remove finds the entry's slot by its
+// id and clears it at once, so an evicted result is not kept reachable,
+// and the list compacts when more than half of its slots are holes.
+// The ids sit in a column of their own, so neither the search nor a
+// compaction touches an entry: a compaction that rewrote an index in
+// every live entry cost up to a millisecond under the writer lock on
+// a pool of 10⁴ entries.
+type tableList struct {
+	table   string // schema-qualified
+	created uint64 // the table's creation stamp (catalog.Stamp.Created)
+	// applied is the version of the table the pool has applied: every
+	// entry is current for the versions from its since up to applied.
+	// Moved by the commit walk under the writer lock, read by the hit
+	// path under a shard read lock.
+	applied atomic.Int64
+	// The fields above are read by every hit over the table, the ones
+	// below written by every admission and eviction over it: the pad
+	// keeps them off one cache line.
+	_       [64]byte
+	entries []*Entry // nil slots are holes
+	ids     []uint64 // entries[i]'s id, kept for a hole too
+	holes   int
 }
 
-// current reports whether a result computed at stamps is what a query
-// reading q's versions would compute.
+// remove clears e's slot, compacting the list when most of it is
+// holes. Compaction copies the live slots into new arrays, so a walk
+// ranging over the old one is not disturbed.
+func (l *tableList) remove(e *Entry) {
+	i, _ := slices.BinarySearch(l.ids, e.ID)
+	l.entries[i] = nil
+	if l.holes++; l.holes <= len(l.entries)/2 {
+		return
+	}
+	n := len(l.entries) - l.holes
+	entries, ids := make([]*Entry, 0, n), make([]uint64, 0, n)
+	for i, e := range l.entries {
+		if e != nil {
+			entries, ids = append(entries, e), append(ids, l.ids[i])
+		}
+	}
+	l.entries, l.ids, l.holes = entries, ids, 0
+}
+
+// tableStamp records one table an entry's result reads: the table's
+// list, and the version since which the result is what it is. An
+// entry's stamps are its only dependency record.
+type tableStamp struct {
+	l     *tableList
+	since int64
+}
+
+// current reports whether a result with stamps is what a query reading
+// q's versions would compute: q reads each table at a version from the
+// result's since up to the one the pool has applied. The commit walk
+// proves every entry it leaves alone the same at both ends of the
+// commit; one it changes moves its since. Callers hold the entry's
+// shard lock or the writer lock, so a walk cannot swap the result
+// between the compare and the read of applied.
 func current(stamps []tableStamp, q Pins) bool {
 	for _, s := range stamps {
-		if pin, ok := q.Pin(s.table); !ok || pin.Stamp != s.Stamp {
+		pin, ok := q.Pin(s.l.table)
+		if !ok || pin.Stamp.Created != s.l.created || pin.Stamp.Version < s.since || pin.Stamp.Version > s.l.applied.Load() {
 			return false
 		}
 	}
 	return true
-}
-
-// restamped returns stamps with table's version moved to s. Stamps are
-// never edited in place: the hit path compares a copy of the slice
-// header outside the shard lock, and the commit walk gives every entry
-// over one table the same slice (commitWalk.stampsOf).
-func restamped(stamps []tableStamp, table string, s catalog.Stamp) []tableStamp {
-	out := slices.Clone(stamps)
-	for i := range out {
-		if out[i].table == table {
-			out[i].Stamp = s
-		}
-	}
-	return out
 }
 
 // Entry is one recycled intermediate: a captured instruction instance
@@ -123,6 +160,12 @@ type Entry struct {
 	// this instruction (the lineage edges).
 	DependsOn  []uint64
 	dependents int
+	// parents holds the producers of the first two arguments (nil for
+	// a non-BAT one), the only ones a delta rule reads: the commit walk
+	// reads a parent through it. A parent outlives its children in the
+	// pool — eviction takes leaves only, and a walk or a drop that
+	// removes a parent removes its children, which read the same table.
+	parents [2]*Entry
 
 	// heapPos is the entry's position in the pool's leaf frontier plus
 	// one (0 = not a leaf), heapTick the LastUseTick reading the
@@ -135,8 +178,8 @@ type Entry struct {
 	// result. Zero when not derived.
 	SubsetOf uint64
 
-	// stamps holds the version of every table the result
-	// (transitively) reads, one per table, as computed at: set at
+	// stamps holds every table the result (transitively) reads, one
+	// per table, with the version since which the result holds: set at
 	// admission, moved by the commit walk together with the result
 	// under the signature shard's write lock, and read by the hit path
 	// under its read lock. Its length never changes.
@@ -164,8 +207,11 @@ type Entry struct {
 
 	// deltaClass caches the operation's delta class, which picks the
 	// entry's rule in the commit walk (delta.go). It is computed once
-	// at admission.
+	// at admission. pred caches a filter's predicate, which its rule
+	// runs over the delta rows: read off Args by the first walk that
+	// needs it. Writer lock.
 	deltaClass plan.DeltaClass
+	pred       *algebra.Pred
 	// ownsRoom records that the commit walk itself allocated the
 	// result's vectors, for this entry alone, so the room behind them is
 	// the entry's to extend into (bat.Extend's storage contract). A
@@ -173,6 +219,10 @@ type Entry struct {
 	// result too — kernels hand inputs through — and is copied once
 	// before its first extension. Guarded by the writer lock.
 	ownsRoom bool
+	// delta is what the running commit walk did to the entry's result,
+	// nil when it left the result as it was; the walk clears it when it
+	// ends. Writer lock.
+	delta *change
 
 	valid       atomic.Bool
 	pinnedQuery atomic.Uint64 // query currently protecting the entry
@@ -181,22 +231,10 @@ type Entry struct {
 // Valid reports whether the entry may be matched.
 func (e *Entry) Valid() bool { return e.valid.Load() }
 
-// stampOf returns the version of table e's result was computed at,
-// the zero Stamp when e does not read the table. Caller holds the
-// writer lock.
-func (e *Entry) stampOf(table string) catalog.Stamp {
-	for _, s := range e.stamps {
-		if s.table == table {
-			return s.Stamp
-		}
-	}
-	return catalog.Stamp{}
-}
-
 // Reads reports whether e's result was computed from table
 // (schema-qualified). Caller holds the writer lock.
 func (e *Entry) Reads(table string) bool {
-	return slices.ContainsFunc(e.stamps, func(s tableStamp) bool { return s.table == table })
+	return slices.ContainsFunc(e.stamps, func(s tableStamp) bool { return s.l.table == table })
 }
 
 // Saved returns the accumulated estimated time saved by reuses.
@@ -246,7 +284,7 @@ type sigShard struct {
 //
 // Synchronisation: the signature index is sharded with per-shard
 // RWMutexes so concurrent hit-path lookups do not serialise. Every
-// other index (entries, frontier, selIdx, likeIdx, semiIdx),
+// other index (entries, frontier, selIdx, likeIdx, semiIdx, tables),
 // the byte accounting and the lifetime counters are guarded by the
 // owning Recycler's writer lock; methods touching them document that
 // the caller holds it.
@@ -271,6 +309,9 @@ type Pool struct {
 	// semiIdx indexes valid semijoin entries by the provenances of
 	// their (left, right) operands.
 	semiIdx map[[2]uint64]*Entry
+	// tables holds each table's entry list, made the first time an
+	// admission reads the table and dropped with the table.
+	tables map[string]*tableList
 
 	totalBytes int64
 	nextID     uint64
@@ -301,6 +342,7 @@ func NewPool() *Pool {
 		selIdx:  make(map[string]*selNode),
 		likeIdx: make(map[string][]*Entry),
 		semiIdx: make(map[[2]uint64]*Entry),
+		tables:  make(map[string]*tableList),
 	}
 	for i := range p.shards {
 		p.shards[i].bySig = make(map[string]*Entry)
@@ -351,25 +393,21 @@ func (p *Pool) ShardLockWait() (waits int64, wait time.Duration) {
 func (p *Pool) Lookup(sig string, q Pins) *Entry {
 	sh := p.shard(sig)
 	sh.mu.RLock()
-	e := sh.bySig[sig]
-	var stamps []tableStamp
-	if e != nil {
-		stamps = e.stamps
+	defer sh.mu.RUnlock()
+	if e := sh.bySig[sig]; e != nil && current(e.stamps, q) {
+		return e
 	}
-	sh.mu.RUnlock()
-	if e == nil || !current(stamps, q) {
-		return nil
-	}
-	return e
+	return nil
 }
 
 // LookupHit is the hit-path variant of Lookup: it resolves the
-// signature and copies the entry's Result and stamps out under one
-// shard read lock, so a concurrent refreshResult (which swaps both
-// under the shard's write lock) can never be observed torn, then
-// compares the stamps with q. Blocked acquisitions are counted for the
-// contention telemetry. The key is the caller's encoding buffer
-// (plan.AppendKey): indexing with string(key) does not allocate.
+// signature, compares the entry's stamps with q and copies its Result
+// out under one shard read lock, so a concurrent refreshResult (which
+// swaps both under the shard's write lock) can never be observed torn,
+// nor a result paired with an applied version its walk stored later.
+// Blocked acquisitions are counted for the contention telemetry. The
+// key is the caller's encoding buffer (plan.AppendKey): indexing with
+// string(key) does not allocate.
 func (p *Pool) LookupHit(key []byte, q Pins) (e *Entry, res mal.Value, ok bool) {
 	sh := &p.shards[sigHash(key)%numSigShards]
 	if !sh.mu.TryRLock() {
@@ -383,15 +421,11 @@ func (p *Pool) LookupHit(key []byte, q Pins) (e *Entry, res mal.Value, ok bool) 
 		}
 	}
 	e = sh.bySig[string(key)]
-	var stamps []tableStamp
-	if e != nil {
-		res, stamps = e.Result, e.stamps
+	if ok = e != nil && current(e.stamps, q); ok {
+		res = e.Result
 	}
 	sh.mu.RUnlock()
-	if e == nil || !current(stamps, q) {
-		return nil, mal.Value{}, false
-	}
-	return e, res, true
+	return e, res, ok
 }
 
 // Get returns an entry by id (valid or not yet garbage collected).
@@ -399,7 +433,8 @@ func (p *Pool) LookupHit(key []byte, q Pins) (e *Entry, res mal.Value, ok bool) 
 func (p *Pool) Get(id uint64) *Entry { return p.entries[id] }
 
 // Add inserts a fully initialised entry, indexing it for matching and
-// subsumption, and wiring lineage dependent counts.
+// subsumption, appending it to the list of every table it reads, and
+// wiring lineage dependent counts.
 // Caller holds the recycler writer lock; the signature shard's write
 // lock is taken here around the map splice.
 func (p *Pool) Add(e *Entry) {
@@ -414,6 +449,9 @@ func (p *Pool) Add(e *Entry) {
 	sh.mu.Unlock()
 	p.totalBytes += e.Bytes
 	p.Admitted++
+	for _, s := range e.stamps {
+		s.l.entries, s.l.ids = append(s.l.entries, e), append(s.l.ids, e.ID)
+	}
 	if e.IsRangeSelect {
 		p.selIdx[e.SelColKey] = selInsert(p.selIdx[e.SelColKey], &selNode{e: e, prio: selPrio(e.ID)})
 	}
@@ -451,6 +489,9 @@ func (p *Pool) Remove(e *Entry) {
 	sh.mu.Unlock()
 	p.totalBytes -= e.Bytes
 	p.Evicted++
+	for _, s := range e.stamps {
+		s.l.remove(e)
+	}
 	if e.IsRangeSelect {
 		if t := selDelete(p.selIdx[e.SelColKey], e); t != nil {
 			p.selIdx[e.SelColKey] = t
@@ -579,21 +620,23 @@ func (p *Pool) siftDown(i int) {
 	}
 }
 
-// entriesOver returns the entries stamped with table, in id order —
-// admission order, which is topological order: parents first. It scans
-// the whole pool instead of keeping a per-table index: only commits and
-// drops ask, and where commits happen the written table's entries are
-// most of the pool (docs/ARCHITECTURE.md prices the scan). Caller holds
-// the recycler writer lock.
+// entriesOver returns the entries stamped with table, in id order, as
+// its list holds them: a nil slot is a hole. Caller holds the recycler
+// writer lock.
 func (p *Pool) entriesOver(table string) []*Entry {
-	var out []*Entry
-	for _, e := range p.entries {
-		if e.Reads(table) {
-			out = append(out, e)
-		}
+	if l := p.tables[table]; l != nil {
+		return l.entries
 	}
-	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
-	return out
+	return nil
+}
+
+// addTable makes table's list, at version s. Caller holds the recycler
+// writer lock.
+func (p *Pool) addTable(table string, s catalog.Stamp) *tableList {
+	l := &tableList{table: table, created: s.Created}
+	l.applied.Store(s.Version)
+	p.tables[table] = l
+	return l
 }
 
 // SelectSupersets returns the valid range-select entries over the

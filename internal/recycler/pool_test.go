@@ -1,6 +1,9 @@
 package recycler
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -24,6 +27,16 @@ func mkEntry(sig string, bytes int64, cost time.Duration) *Entry {
 		Tuples: int(bytes / 8),
 		Cost:   cost,
 	}
+}
+
+// stampOver returns a stamp over table, since version 0, making the
+// table's list at version 0 when p has none.
+func stampOver(p *Pool, table string) tableStamp {
+	l := p.tables[table]
+	if l == nil {
+		l = p.addTable(table, catalog.Stamp{})
+	}
+	return tableStamp{l: l}
 }
 
 // pinsAt is a Pins over fixed table versions. Entries without stamps
@@ -125,13 +138,14 @@ func TestWeightAndBenefit(t *testing.T) {
 }
 
 // TestPoolEntriesOverTable: the commit walk's and drop's lookup finds
-// exactly the live entries stamped with the table, in id order.
+// exactly the live entries stamped with the table, in id order, with
+// holes where entries were removed.
 func TestPoolEntriesOverTable(t *testing.T) {
 	p := NewPool()
 	stamped := func(sig string, tables ...string) *Entry {
 		e := mkEntry(sig, 100, time.Millisecond)
 		for _, tb := range tables {
-			e.stamps = append(e.stamps, tableStamp{table: tb})
+			e.stamps = append(e.stamps, stampOver(p, tb))
 		}
 		p.Add(e)
 		return e
@@ -143,7 +157,9 @@ func TestPoolEntriesOverTable(t *testing.T) {
 	ids := func(es []*Entry) []uint64 {
 		var out []uint64
 		for _, e := range es {
-			out = append(out, e.ID)
+			if e != nil {
+				out = append(out, e.ID)
+			}
 		}
 		return out
 	}
@@ -161,6 +177,102 @@ func TestPoolEntriesOverTable(t *testing.T) {
 	if got := p.entriesOver("sys.v"); len(got) != 0 {
 		t.Fatalf("over an unread table: %v", ids(got))
 	}
+}
+
+// TestPoolTableLists: over a seeded interleaving of Add and Remove
+// across three tables, some entries over two of them, each table's
+// list with its holes skipped is, after every step, exactly the pool's
+// entries that read the table, in id order; its id column is ascending
+// and agrees with every slot; its hole count is right and at most half
+// of it.
+func TestPoolTableLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	p := NewPool()
+	tables := []string{"sys.a", "sys.b", "sys.c"}
+	var live []*Entry
+	for step := 0; step < 3000; step++ {
+		if len(live) == 0 || rng.Intn(9) < 5 {
+			e := mkEntry(fmt.Sprint("e", step), 8, time.Microsecond)
+			e.stamps = []tableStamp{stampOver(p, tables[rng.Intn(len(tables))])}
+			if s := stampOver(p, tables[rng.Intn(len(tables))]); rng.Intn(3) == 0 && s.l != e.stamps[0].l {
+				e.stamps = append(e.stamps, s)
+			}
+			p.Add(e)
+			live = append(live, e)
+		} else {
+			i := rng.Intn(len(live))
+			p.Remove(live[i])
+			live = slices.Delete(live, i, i+1)
+		}
+		for _, tb := range tables {
+			var got, want []uint64
+			holes := 0
+			for _, e := range p.entriesOver(tb) {
+				if e == nil {
+					holes++
+					continue
+				}
+				got = append(got, e.ID)
+			}
+			for _, e := range p.All() {
+				if e.Reads(tb) {
+					want = append(want, e.ID)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: list of %s holds %v, the pool %v", step, tb, got, want)
+			}
+			l := p.tables[tb]
+			if l == nil {
+				continue
+			}
+			if l.holes != holes || 2*holes > len(l.entries) {
+				t.Fatalf("step %d: list of %s has %d holes in %d slots, counts %d", step, tb, holes, len(l.entries), l.holes)
+			}
+			if len(l.ids) != len(l.entries) || !slices.IsSorted(l.ids) {
+				t.Fatalf("step %d: list of %s: id column %v over %d slots", step, tb, l.ids, len(l.entries))
+			}
+			for i, e := range l.entries {
+				if e != nil && e.ID != l.ids[i] {
+					t.Fatalf("step %d: list of %s: slot %d holds e%d, its id column says %d", step, tb, i, e.ID, l.ids[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPoolRemovedEntryCollectable: removing an entry clears its slot in
+// every list it is in at once, so nothing in the pool keeps the entry —
+// and the result it holds — reachable.
+func TestPoolRemovedEntryCollectable(t *testing.T) {
+	p := NewPool()
+	over := func(sig string) *Entry {
+		e := mkEntry(sig, 1<<20, time.Microsecond)
+		e.stamps = []tableStamp{stampOver(p, "sys.a"), stampOver(p, "sys.b")}
+		p.Add(e)
+		return e
+	}
+	for i := 0; i < 4; i++ {
+		over(fmt.Sprint("keep", i)) // the lists stay long enough not to compact
+	}
+	collected := make(chan struct{})
+	func() {
+		e := over("gone")
+		runtime.AddCleanup(e, func(c chan struct{}) { close(c) }, collected)
+		p.Remove(e)
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if n := len(p.entriesOver("sys.a")); n != 5 {
+				t.Fatalf("the removal compacted the list to %d slots; the test needs a hole", n)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a removed entry stays reachable from the pool")
 }
 
 func TestPoolSubsumptionIndexes(t *testing.T) {

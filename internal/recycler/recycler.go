@@ -102,13 +102,14 @@ type Config struct {
 // hook only from its own goroutine.
 //
 // Versions. Every query reads one version of each table (mal.Ctx.Pin)
-// and every entry records the versions of its dependency tables its
-// result was computed at (Entry.stamps). The pool serves an entry only
-// to a query whose pins carry the same versions — the pool's lookup
-// and scan accessors take the pins and do the compare — and admits a
-// result only when the query's pins equal the versions the pool has
-// applied (applied): the entries the next commit walk moves are then
-// exactly the ones computed at its predecessor.
+// and every entry records, per dependency table, the version since
+// which its result holds (Entry.stamps); the table's list holds the
+// version the pool has applied (tableList.applied). The pool serves an
+// entry only to a query whose pins fall between the two — the pool's
+// lookup and scan accessors take the pins and do the compare — and
+// admits a result only when the query's pins equal the applied
+// versions: the next commit walk then finds every entry it must prove
+// or move holding at its predecessor.
 type Recycler struct {
 	cfg  Config
 	pool *Pool
@@ -123,12 +124,6 @@ type Recycler struct {
 	writerWaits  atomic.Int64
 	writerWaitNs atomic.Int64
 
-	// applied maps a schema-qualified table to the version the pool's
-	// entries over it reflect: set lazily from the catalog the first
-	// time an admission needs it and moved by every commit walk.
-	// Guarded by the writer lock.
-	applied map[string]catalog.Stamp
-
 	// activeMu (level 2) guards active, the queries currently executing
 	// (BeginQuery .. EndQuery). Pool entries last touched by an active
 	// query are pinned against eviction.
@@ -140,9 +135,11 @@ type Recycler struct {
 	prewarmed atomic.Int64
 
 	// Delta-engine counters (see Stats): entries whose results a rule
-	// carried across commits, entries that fell back to invalidation,
-	// total time spent walking and total delta rows physically applied.
+	// carried across commits, those of them whose result it changed,
+	// entries that fell back to invalidation, total time spent walking
+	// and total delta rows physically applied.
 	maintained       atomic.Int64
+	reached          atomic.Int64
 	maintainFallback atomic.Int64
 	maintainNs       atomic.Int64
 	deltaRows        atomic.Int64
@@ -172,12 +169,11 @@ func New(cat *catalog.Catalog, cfg Config) *Recycler {
 		cfg.MaxCombined = 16
 	}
 	r := &Recycler{
-		cfg:     cfg,
-		pool:    NewPool(),
-		adm:     newAdmission(cfg.Admission, cfg.Credits),
-		cat:     cat,
-		applied: make(map[string]catalog.Stamp),
-		active:  make(map[uint64]struct{}),
+		cfg:    cfg,
+		pool:   NewPool(),
+		adm:    newAdmission(cfg.Admission, cfg.Credits),
+		cat:    cat,
+		active: make(map[uint64]struct{}),
 	}
 	if cat != nil {
 		cat.AddListener(r)
@@ -311,12 +307,14 @@ type Stats struct {
 	// a rule on (SyncPropagate, SyncMaintain) and zero under
 	// SyncInvalidate, which has no rule to fall back from and reports
 	// Invalidated only: Maintained counts entries a delta rule carried
-	// across a commit, MaintainFallback counts affected entries that
-	// invalidated instead (no rule in the preset, the rule failed, or
-	// a parent fell back), MaintainTime is the total time spent in the
-	// commit walk, and DeltaRows counts the delta rows physically
-	// applied.
+	// across a commit, Reached those of them whose result the rule
+	// changed (the rest it proved unchanged), MaintainFallback counts
+	// affected entries that invalidated instead (no rule in the
+	// preset, the rule failed, or a parent fell back), MaintainTime is
+	// the total time spent in the commit walk, and DeltaRows counts the
+	// delta rows physically applied.
 	Maintained       int64
+	Reached          int64
 	MaintainFallback int64
 	MaintainTime     time.Duration
 	DeltaRows        int64
@@ -346,6 +344,7 @@ func (r *Recycler) Snapshot() Stats {
 		Spilled:          r.spilled.Load(),
 		Prewarmed:        r.prewarmed.Load(),
 		Maintained:       r.maintained.Load(),
+		Reached:          r.reached.Load(),
 		MaintainFallback: r.maintainFallback.Load(),
 		MaintainTime:     time.Duration(r.maintainNs.Load()),
 		DeltaRows:        r.deltaRows.Load(),
@@ -421,33 +420,23 @@ func (r *Recycler) activeSnapshot(dst []uint64) []uint64 {
 	return dst
 }
 
-// appliedLocked returns the version of table qname the pool reflects,
-// taking the catalog's current one the first time the table is asked
-// about. A commit in flight at that moment is harmless: its walk finds
-// the entries admitted at its version already current (applyCommit).
-// Caller holds the writer lock.
-func (r *Recycler) appliedLocked(qname string) (catalog.Stamp, bool) {
-	if s, ok := r.applied[qname]; ok {
-		return s, true
+// appliedLocked returns table qname's list, made at the catalog's
+// current version the first time the table is asked about; nil when
+// there is no such table. A commit in flight at that moment is
+// harmless: the list has applied it already, so its walk has nothing
+// to do (OnUpdate). Caller holds the writer lock.
+func (r *Recycler) appliedLocked(qname string) *tableList {
+	if l := r.pool.tables[qname]; l != nil {
+		return l
 	}
 	if r.cat == nil {
-		return catalog.Stamp{}, false
+		return nil
 	}
 	snap, ok := r.cat.Pin(qname)
 	if !ok {
-		return catalog.Stamp{}, false
+		return nil
 	}
-	r.applied[qname] = snap.Stamp
-	return snap.Stamp, true
-}
-
-// appliedPins reads every table at the version the pool has applied:
-// what an admission's stamps must equal. Writer lock.
-type appliedPins struct{ r *Recycler }
-
-func (a appliedPins) Pin(qname string) (catalog.Snapshot, bool) {
-	s, ok := a.r.appliedLocked(qname)
-	return catalog.Snapshot{Stamp: s}, ok
+	return r.pool.addTable(qname, snap.Stamp)
 }
 
 // poolKey encodes the pool key of an instruction instance with
@@ -467,11 +456,11 @@ func poolKey(in *mal.Instr, args []mal.Value) (key string, matchable bool) {
 // matching first, then subsumption.
 //
 // The exact-match path is read-mostly: it takes no writer lock, only
-// the signature shard's read lock (to resolve the entry and copy its
-// Result and version stamps consistently), compares the stamps with
-// the query's pins, then updates the entry's reuse counters
-// atomically. A hit may race a concurrent eviction of the same entry;
-// that is benign — results are immutable and the counters of a
+// the signature shard's read lock (to resolve the entry, compare its
+// version stamps with the query's pins and copy its Result
+// consistently), then updates the entry's reuse counters atomically.
+// A hit may race a concurrent eviction of the same entry; that is
+// benign — results are immutable and the counters of a
 // just-removed entry are simply forgotten. A hit racing a commit is
 // served the result at the version the query reads or none: the walk
 // swaps result and stamps together. The subsumption paths scan pool
@@ -632,7 +621,8 @@ func operands(args []mal.Value) []mal.Value {
 }
 
 // buildEntry captures an executed instruction instance into a pool
-// entry, deriving lineage edges and subsumption metadata.
+// entry, deriving lineage edges and subsumption metadata. Caller holds
+// the writer lock (the parents are looked up in the entries map).
 func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Value, ret mal.Value, elapsed time.Duration, key string, stamps []tableStamp) *Entry {
 	now := r.pool.Tick()
 	e := &Entry{
@@ -651,6 +641,11 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 	e.LastUseTick.Store(now)
 	e.deltaClass = plan.ClassifyOp(e.OpName)
 	e.DependsOn = lineageOf(nil, args)
+	for i, a := range args[:min(len(args), len(e.parents))] {
+		if a.IsBat() && a.Prov != 0 {
+			e.parents[i] = r.pool.Get(a.Prov)
+		}
+	}
 	e.stamps = stamps
 
 	switch e.OpName {
@@ -687,20 +682,28 @@ func isNaN(v any) bool {
 // when the result must not be admitted. Caller holds the writer lock
 // (operand lookups walk the entries map).
 func (r *Recycler) stampsFor(q Pins, in *mal.Instr, args []mal.Value) (stamps []tableStamp, deny string) {
-	add := func(table string) {
-		if !slices.ContainsFunc(stamps, func(s tableStamp) bool { return s.table == table }) {
-			stamps = append(stamps, tableStamp{table: table})
+	add := func(l *tableList) {
+		if !slices.ContainsFunc(stamps, func(s tableStamp) bool { return s.l == l }) {
+			stamps = append(stamps, tableStamp{l: l})
+		}
+	}
+	unknown := false // a table the catalog does not have
+	addTable := func(qname string) {
+		if l := r.appliedLocked(qname); l != nil {
+			add(l)
+		} else {
+			unknown = true
 		}
 	}
 	switch in.Name() {
 	case "sql.bind":
-		add(args[0].S + "." + args[1].S)
+		addTable(args[0].S + "." + args[1].S)
 	case "sql.bindIdxbat":
-		add(args[0].S + "." + args[1].S)
+		addTable(args[0].S + "." + args[1].S)
 		if r.cat != nil {
 			if t := r.cat.Table(args[0].S, args[1].S); t != nil {
 				if parent := t.JoinIndexParent(args[2].S); parent != nil {
-					add(parent.QName())
+					addTable(parent.QName())
 				}
 			}
 		}
@@ -720,23 +723,23 @@ func (r *Recycler) stampsFor(q Pins, in *mal.Instr, args []mal.Value) (stamps []
 				return nil, "deny:lineage-unknown"
 			}
 			for _, s := range parent.stamps {
-				add(s.table)
+				add(s.l)
 			}
 		}
 	}
-	for i := range stamps {
-		pin, ok := q.Pin(stamps[i].table)
-		if !ok {
+	if unknown {
+		return nil, "deny:version-stale"
+	}
+	for i, s := range stamps {
+		// q must read the version the pool has applied: not one a
+		// commit already walked past, nor one whose walk is still to
+		// come — either way the next walk would not find the entry
+		// holding at its predecessor.
+		pin, ok := q.Pin(s.l.table)
+		if !ok || pin.Stamp != (catalog.Stamp{Created: s.l.created, Version: s.l.applied.Load()}) {
 			return nil, "deny:version-stale"
 		}
-		stamps[i].Stamp = pin.Stamp
-	}
-	if !current(stamps, appliedPins{r}) {
-		// q reads a version of a table the pool has not applied — one a
-		// commit already walked past, or one whose walk is still to
-		// come: either way the next walk would not find the entry at
-		// its predecessor.
-		return nil, "deny:version-stale"
+		stamps[i].since = pin.Stamp.Version
 	}
 	return stamps, ""
 }

@@ -788,23 +788,26 @@ func TestPropagationInvalidatesJoins(t *testing.T) {
 // TestCommitEventPerPreset pins what a commit reports under each
 // preset: the event is named after the mode, the invalidate preset
 // reports invalidated= only (and leaves the maintenance counters at
-// zero), and the other two report what the walk maintained and why the
-// rest fell back.
+// zero), and the other two report what the walk maintained, how many
+// of those results it changed (reached), and why the rest fell back. A
+// row outside the select's range reaches the bind alone.
 func TestCommitEventPerPreset(t *testing.T) {
 	for _, c := range []struct {
-		mode                 SyncMode
-		event, detail        string
-		maintained, fallback int64
+		mode                          SyncMode
+		v                             int64 // the committed row's v; the select keeps [10, 20]
+		event, detail                 string
+		maintained, reached, fallback int64
 	}{
-		{SyncInvalidate, "commit.invalidate", "table=sys.t invalidated=3", 0, 0},
-		{SyncPropagate, "commit.propagate", "table=sys.t invalidated=1 maintained=2 fallback=1 fallback.ineligible-op=1", 2, 1},
-		{SyncMaintain, "commit.maintain", "table=sys.t invalidated=0 maintained=3 fallback=0", 3, 0},
+		{SyncInvalidate, 15, "commit.invalidate", "table=sys.t invalidated=3", 0, 0, 0},
+		{SyncPropagate, 15, "commit.propagate", "table=sys.t invalidated=1 maintained=2 reached=2 fallback=1 fallback.ineligible-op=1", 2, 2, 1},
+		{SyncMaintain, 15, "commit.maintain", "table=sys.t invalidated=0 maintained=3 reached=3 fallback=0", 3, 3, 0},
+		{SyncMaintain, 50, "commit.maintain", "table=sys.t invalidated=0 maintained=3 reached=1 fallback=0", 3, 1, 0},
 	} {
 		f := newFixture(t, Config{Admission: KeepAll, Sync: c.mode})
 		tr := trace.New(trace.Config{})
 		f.rec.SetTracer(tr)
 		f.run(t, selectCountTemplate(), mal.IntV(10), mal.IntV(20)) // bind, select, count
-		tableOf(f).Append([]catalog.Row{{"v": int64(15), "w": int64(1)}})
+		tableOf(f).Append([]catalog.Row{{"v": c.v, "w": int64(1)}})
 		evs := tr.Events()
 		if len(evs) == 0 {
 			t.Fatalf("%s: no commit event", c.event)
@@ -813,8 +816,8 @@ func TestCommitEventPerPreset(t *testing.T) {
 			t.Errorf("commit event = %s %q, want %s %q", ev.Name, ev.Detail, c.event, c.detail)
 		}
 		st := f.rec.Snapshot()
-		if st.Maintained != c.maintained || st.MaintainFallback != c.fallback || (st.MaintainTime != 0) != (c.mode != SyncInvalidate) {
-			t.Errorf("%s: stats maintained=%d fallback=%d time=%v, want %d/%d", c.event, st.Maintained, st.MaintainFallback, st.MaintainTime, c.maintained, c.fallback)
+		if st.Maintained != c.maintained || st.Reached != c.reached || st.MaintainFallback != c.fallback || (st.MaintainTime != 0) != (c.mode != SyncInvalidate) {
+			t.Errorf("%s: stats maintained=%d reached=%d fallback=%d time=%v, want %d/%d/%d", c.event, st.Maintained, st.Reached, st.MaintainFallback, st.MaintainTime, c.maintained, c.reached, c.fallback)
 		}
 	}
 }

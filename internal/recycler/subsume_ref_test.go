@@ -121,9 +121,13 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 	cols := []string{"e1", "e2", "e3"}
 	tables := []string{"sys.a", "sys.b", "sys.c"}
 	lefts := []uint64{9001, 9002}
-	// versions holds each table's latest commit; entries are stamped
-	// with it, or one commit behind while a walk has yet to reach them.
-	versions := map[string]int64{}
+	// Each table's list holds its latest commit as the applied
+	// version. An entry holds since its admission, at the applied
+	// version, or since the last commit whose walk changed it.
+	lists := map[string]*tableList{}
+	for _, tb := range tables {
+		lists[tb] = p.addTable(tb, catalog.Stamp{Created: 1})
+	}
 
 	// bound draws an endpoint from a small domain — equal and touching
 	// bounds are the interesting cases — or leaves it open.
@@ -136,13 +140,6 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 		}
 		return int64(rng.Intn(60))
 	}
-	stampAt := func(table string) tableStamp {
-		v := versions[table]
-		if v > 0 && rng.Intn(4) == 0 {
-			v--
-		}
-		return tableStamp{table: table, Stamp: catalog.Stamp{Created: 1, Version: v}}
-	}
 	add := func(e *Entry) {
 		e.Tuples = rng.Intn(6) // few distinct sizes: ties must fall the same way
 		reads := []string{tables[rng.Intn(len(tables))]}
@@ -150,8 +147,8 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 			reads = append(reads, tables[rng.Intn(len(tables))])
 		}
 		for _, table := range reads {
-			if !e.Reads(table) {
-				e.stamps = append(e.stamps, stampAt(table))
+			if l := lists[table]; !e.Reads(table) {
+				e.stamps = append(e.stamps, tableStamp{l: l, since: l.applied.Load()})
 			}
 		}
 		p.Add(e)
@@ -187,22 +184,25 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 			if all := live(); len(all) > 0 {
 				p.Remove(all[rng.Intn(len(all))])
 			}
-		default: // a commit lands: its walk moves the entries over the table
-			tb := tables[rng.Intn(len(tables))]
-			versions[tb]++
-			for _, e := range live() {
-				if e.stampOf(tb) != (catalog.Stamp{}) {
-					e.stamps = restamped(e.stamps, tb, stampAt(tb).Stamp)
+		default: // a commit lands: its walk changes some entries over the table and proves the rest
+			l := lists[tables[rng.Intn(len(tables))]]
+			v := l.applied.Load() + 1
+			for _, e := range l.entries {
+				if e != nil && rng.Intn(3) == 0 {
+					r.refreshResult(e, e.Result, l, v)
 				}
 			}
+			l.applied.Store(v)
 		}
 
-		// A query reading each table at its latest version, one commit
-		// behind, or not at all asks.
+		// A query reading each table at a version from two commits
+		// behind to one ahead of the pool (a commit whose walk is to
+		// come), or not at all, asks.
 		q := pinsAt{}
 		for _, tb := range tables {
 			if rng.Intn(5) > 0 {
-				q[tb] = stampAt(tb).Stamp
+				v := lists[tb].applied.Load() + 1 - int64(rng.Intn(4))
+				q[tb] = catalog.Stamp{Created: 1, Version: max(v, 0)}
 			}
 		}
 

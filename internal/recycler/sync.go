@@ -13,11 +13,14 @@ import (
 // This file is the catalog.UpdateListener half of recycle pool
 // synchronisation with updates (paper §6): each commit is delivered
 // here after its mutation became visible, and the fix-up — one lineage
-// walk over a rule table — is delta.go. Between the two, queries that
-// pinned the new version find no entry current for them (every entry
-// over the table is still stamped with the previous version) and may
-// not admit (applied is still the previous version); queries that
-// pinned the old one keep hitting until the walk moves the entries.
+// walk over the table's entry list and a rule table — is delta.go.
+// Between the two, queries that pinned the new version find no entry
+// current for them and may not admit (the list's applied version is
+// still the previous one); queries that pinned the old one keep
+// hitting every entry until the walk changes its result. After the
+// walk, OnUpdate stores the new applied version once: the entries the
+// walk left alone are then current at both versions, the ones it
+// changed at the new one only.
 
 // preset resolves a SyncMode to what it is: a name for the commit
 // trace event and a mask over the one rule table (delta.go).
@@ -46,9 +49,14 @@ func (r *Recycler) OnUpdate(ev catalog.UpdateEvent) {
 	qname := ev.Table.QName()
 	invalBefore := r.pool.Invalidated
 	mode, rules := r.cfg.Sync.preset()
-	sum := r.applyCommit(ev, rules)
+	var sum commitSummary
+	// A list made after the commit published has applied it already;
+	// one of an earlier table of the same name waits for its drop.
+	if l := r.pool.tables[qname]; l != nil && l.created == ev.Stamp.Created && l.applied.Load() < ev.Stamp.Version {
+		sum = r.applyCommit(l, ev, rules)
+		l.applied.Store(ev.Stamp.Version)
+	}
 	invalidated := r.pool.Invalidated - invalBefore
-	r.applied[qname] = ev.Stamp
 	r.mu.Unlock()
 	if tr != nil {
 		tr.Event("commit."+mode, time.Since(t0), commitDetail(qname, invalidated, sum))
@@ -61,7 +69,7 @@ func commitDetail(qname string, invalidated int64, sum commitSummary) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "table=%s invalidated=%d", qname, invalidated)
 	if sum.maintained > 0 || sum.fallback > 0 {
-		fmt.Fprintf(&b, " maintained=%d fallback=%d", sum.maintained, sum.fallback)
+		fmt.Fprintf(&b, " maintained=%d reached=%d fallback=%d", sum.maintained, sum.reached, sum.fallback)
 		causes := make([]string, 0, len(sum.causes))
 		for c := range sum.causes {
 			causes = append(causes, c)
@@ -87,10 +95,12 @@ func (r *Recycler) OnDrop(t *catalog.Table) {
 	qname := t.QName()
 	invalBefore := r.pool.Invalidated
 	for _, e := range r.pool.entriesOver(qname) {
-		r.invalidate(e)
+		if e != nil {
+			r.invalidate(e)
+		}
 	}
 	invalidated := r.pool.Invalidated - invalBefore
-	delete(r.applied, qname)
+	delete(r.pool.tables, qname)
 	r.mu.Unlock()
 	if tr != nil {
 		tr.Event("commit.drop", time.Since(t0), fmt.Sprintf("table=%s invalidated=%d", qname, invalidated))
@@ -107,14 +117,15 @@ func (r *Recycler) invalidate(e *Entry) {
 	r.evict(e)
 }
 
-// refreshResult swaps an entry's result and version stamps in place,
-// keeping its id (and therefore its signature and its dependants'
-// signatures) stable while adjusting the pool's memory accounting.
-// Caller holds the writer lock; the signature shard's write lock is
-// taken around the swap so hit-path readers (who copy Result and
-// stamps under the shard read lock) never pair a result with a version
-// it was not computed at.
-func (r *Recycler) refreshResult(e *Entry, v mal.Value, stamps []tableStamp) {
+// refreshResult swaps an entry's result in place and moves its since
+// for table l (nil: none) to version since, keeping its id (and
+// therefore its signature and its dependants' signatures) stable while
+// adjusting the pool's memory accounting. Caller holds the writer
+// lock; the signature shard's write lock is taken around the swap so
+// hit-path readers (who compare the stamps and copy Result under the
+// shard read lock) never pair a result with a version it does not
+// hold at.
+func (r *Recycler) refreshResult(e *Entry, v mal.Value, l *tableList, since int64) {
 	r.pool.totalBytes -= e.Bytes
 	v.Prov = e.ID
 	sh := r.pool.shard(e.Sig)
@@ -122,7 +133,11 @@ func (r *Recycler) refreshResult(e *Entry, v mal.Value, stamps []tableStamp) {
 	e.Result = v
 	e.Bytes = v.Bytes()
 	e.Tuples = v.Tuples()
-	e.stamps = stamps
+	for i := range e.stamps {
+		if e.stamps[i].l == l {
+			e.stamps[i].since = since
+		}
+	}
 	sh.mu.Unlock()
 	r.pool.totalBytes += e.Bytes
 }

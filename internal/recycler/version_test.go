@@ -478,3 +478,74 @@ func TestBindNamesMaterialiseAtPinnedSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// TestStalePinHitsUnreachedEntries: versions are intervals. Under
+// SyncMaintain a query binds sys.t, then a commit lands inside one of
+// two disjoint box chains (an insert into, or a delete from, chain A's
+// range). The walk changes chain A and proves chain B the same at both
+// versions, so the query — still pinned before the commit — hits the
+// bind and all of chain B, misses chain A, and answers what a
+// recompute at its pin gives. A query after the commit hits both.
+func TestStalePinHitsUnreachedEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		commit func(*catalog.Table)
+	}{
+		{"insert", func(tb *catalog.Table) { tb.Append([]catalog.Row{{"v": int64(10), "w": int64(0)}}) }},
+		{"delete", func(tb *catalog.Table) { tb.Delete([]bat.Oid{10}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, Config{Admission: KeepAll, Sync: SyncMaintain})
+			var armed func()
+			op := commitOp(func(*mal.Ctx) {
+				if c := armed; c != nil {
+					armed = nil
+					c()
+				}
+			})
+			b := mal.NewBuilder("two-boxes")
+			x := b.Op1("sql", "bind", mal.C(mal.StrV("sys")), mal.C(mal.StrV("t")), mal.C(mal.StrV("v")), mal.C(mal.IntV(0)))
+			b.Op1("test", op, x)
+			for i, box := range [][2]int64{{0, 20}, {50, 70}} {
+				s := b.Op1("algebra", "select", x, mal.C(mal.IntV(box[0])), mal.C(mal.IntV(box[1])), mal.C(mal.BoolV(true)), mal.C(mal.BoolV(true)))
+				b.Do("sql", "exportValue", mal.C(mal.StrV(fmt.Sprint("box", i))), b.Op1("aggr", "count", s))
+			}
+			tmpl := markAll(b.Freeze())
+			naive := func() [2]int64 {
+				ctx := &mal.Ctx{Cat: f.cat}
+				if err := mal.Run(ctx, tmpl); err != nil {
+					t.Fatal(err)
+				}
+				return [2]int64{ctx.Results[0].Val.I, ctx.Results[1].Val.I}
+			}
+			counts := func(ctx *mal.Ctx) [2]int64 { return [2]int64{ctx.Results[0].Val.I, ctx.Results[1].Val.I} }
+
+			f.run(t, tmpl) // warm: bind, and per box a select and a count
+			want := naive()
+			armed = func() { tc.commit(tableOf(f)) }
+			ctx := f.run(t, tmpl)
+			if armed != nil {
+				t.Fatal("the commit did not run")
+			}
+			if got := counts(ctx); got != want {
+				t.Fatalf("stale query counts %v, want %v at its pin", got, want)
+			}
+			// The bind (before the commit), box B's select and count.
+			if ctx.Stats.Hits != 3 {
+				t.Fatalf("stale query took %d hits, want 3: the bind and box B's chain", ctx.Stats.Hits)
+			}
+			if st := f.rec.Snapshot(); st.Reached != 3 || st.MaintainFallback != 0 {
+				t.Fatalf("the walk reached %d entries (fallback %d), want the bind and box A's chain", st.Reached, st.MaintainFallback)
+			}
+
+			after := naive()
+			if after == want {
+				t.Fatalf("the commit did not change the answer %v", want)
+			}
+			ctx = f.run(t, tmpl)
+			if got := counts(ctx); got != after || ctx.Stats.Hits != 5 {
+				t.Fatalf("query after the commit counts %v with %d hits, want %v with 5", got, ctx.Stats.Hits, after)
+			}
+		})
+	}
+}
