@@ -73,6 +73,23 @@ func SplitHeads(b *bat.BAT, dead []bat.Oid) (kept, removed *bat.BAT) {
 	return kept, removed
 }
 
+// FilterHeads returns the heads of b's rows that p keeps, in b's row
+// order: Filter's selection without its result BAT. It allocates
+// nothing when p keeps no row — what a delete's maintenance mostly
+// learns of a filter over the dead rows: that it did not hold them.
+func FilterHeads(b *bat.BAT, p Pred) []bat.Oid {
+	var buf selBuf
+	defer buf.release()
+	switch sel := p.scan(b.Tail, &buf); {
+	case sel == nil:
+		return bat.MaterialiseOids(b.Head)
+	case len(sel) == 0:
+		return nil
+	default:
+		return bat.GatherOidsSel(b.Head, sel)
+	}
+}
+
 // DeltaCount maintains a scalar aggr.count: old plus the inserted
 // rows minus the deleted ones.
 func DeltaCount(old int64, added, removed *bat.BAT) int64 {

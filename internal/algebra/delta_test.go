@@ -153,3 +153,53 @@ func TestSplitHeadsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterHeadsMatchesFilter: FilterHeads keeps the heads Filter's
+// result has, in order, over dense, sparse and tail-sorted inputs (the
+// last take Filter's binary-searched run), and allocates nothing for a
+// dead row the predicate rejects — a delete's usual question to a
+// filter.
+func TestFilterHeadsMatchesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for round := 0; round < 2000; round++ {
+		n := rng.Intn(30)
+		tail := make([]int64, n)
+		for i := range tail {
+			tail[i] = rng.Int63n(50)
+		}
+		sorted := rng.Intn(3) == 0
+		if sorted {
+			slices.Sort(tail)
+		}
+		var b *bat.BAT
+		if rng.Intn(2) == 0 {
+			b = bat.New(bat.NewDense(bat.Oid(rng.Intn(5)), n), bat.NewInts(tail))
+		} else {
+			heads := make([]bat.Oid, n)
+			for i, next := 0, bat.Oid(0); i < n; i++ {
+				next += 1 + bat.Oid(rng.Intn(3))
+				heads[i] = next
+			}
+			b = bat.New(bat.NewOids(heads), bat.NewInts(tail))
+		}
+		b.HeadSorted, b.TailSorted = true, sorted
+		var p Pred
+		switch lo := rng.Int63n(50); rng.Intn(3) {
+		case 0:
+			p = inRange(lo, lo+rng.Int63n(20), rng.Intn(2) == 0, rng.Intn(2) == 0)
+		case 1:
+			p = equalTo(lo)
+		default:
+			p = Pred{Kind: PredNotNil}
+		}
+		want := bat.MaterialiseOids(Filter(b, p).Head)
+		if got := FilterHeads(b, p); !slices.Equal(got, want) {
+			t.Fatalf("round %d: heads of %s kept by %+v: %v, Filter keeps %v", round, b.Dump(0), p, got, want)
+		}
+	}
+	dead := bat.New(bat.NewOids([]bat.Oid{7}), bat.NewInts([]int64{99}))
+	p := inRange(int64(0), int64(10), true, true)
+	if got := medianAlloc(func() { FilterHeads(dead, p) }); got != 0 {
+		t.Fatalf("FilterHeads over a rejected row allocates %d B, want 0", got)
+	}
+}

@@ -73,7 +73,9 @@ import (
 // Versions are intervals: an entry holds for the versions of the table
 // from its since (Entry.stamps) up to the one the list has applied. A
 // rule that swaps the result moves the entry's since to the commit's
-// version with it (refresh), under the same shard lock; an entry the
+// version with it (refresh), under the same shard lock — and, for any
+// other table the entry reads, to that table's applied version, which
+// the parents the rule read hold at; an entry the
 // delta does not reach is not touched at all, and OnUpdate moves the
 // list's applied version once the walk is done.
 
@@ -303,28 +305,22 @@ func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
 
 // filter runs the entry's predicate (Entry.pred) over the parent's
 // delta rows: the inserted rows it keeps are appended, the removed rows
-// it keeps are the ones that die here.
+// it keeps are the ones that die here. Only their heads are asked for,
+// which costs no allocation when the filter did not hold them.
 func (w *commitWalk) filter(e *Entry) (ch change, ok bool) {
 	_, p, ok := w.rowsetParent(e, 0)
-	if !ok || e.Result.Kind != mal.VBat {
+	if !ok || e.pred == nil || e.Result.Kind != mal.VBat {
 		return ch, false
 	}
 	if p.empty() {
 		return ch, true
 	}
-	if e.pred == nil {
-		pred, isFilter := mal.FilterPred(e.OpName, e.Args)
-		if !isFilter {
-			return ch, false
-		}
-		e.pred = &pred
-	}
-	var dying *bat.BAT
+	var dying []bat.Oid
 	if rows(p.added) > 0 {
 		ch.added = algebra.Filter(p.added, *e.pred)
 	}
 	if rows(p.removed) > 0 {
-		dying = algebra.Filter(p.removed, *e.pred)
+		dying = algebra.FilterHeads(p.removed, *e.pred)
 	}
 	return w.splitAppend(e, ch.added, dying), true
 }
@@ -342,24 +338,24 @@ func (w *commitWalk) project(e *Entry) (ch change, ok bool) {
 	if l.empty() && r.empty() {
 		return ch, true
 	}
-	var dying *bat.BAT
+	var dying []bat.Oid
 	if rows(l.added) > 0 && rows(r.added) > 0 {
 		ch.added = algebra.Semijoin(l.added, r.added)
 	}
 	if rows(l.removed) > 0 && rows(r.removed) > 0 {
-		dying = algebra.Semijoin(l.removed, r.removed)
+		dying = bat.MaterialiseOids(algebra.Semijoin(l.removed, r.removed).Head)
 	}
 	return w.splitAppend(e, ch.added, dying), true
 }
 
 // splitAppend is the rowset update shared by filter and project: drop
-// the heads of the dying rows from e's result, append added, swap it
-// in — or leave e alone when neither holds a row, the commit not
+// the dying heads (ascending) from e's result, append added, swap
+// it in — or leave e alone when neither holds a row, the commit not
 // reaching it.
-func (w *commitWalk) splitAppend(e *Entry, added, dying *bat.BAT) change {
+func (w *commitWalk) splitAppend(e *Entry, added *bat.BAT, dying []bat.Oid) change {
 	cur, removed := e.Result.Bat, (*bat.BAT)(nil)
-	if rows(dying) > 0 {
-		cur, removed = algebra.SplitHeads(cur, bat.MaterialiseOids(dying.Head))
+	if len(dying) > 0 {
+		cur, removed = algebra.SplitHeads(cur, dying)
 	}
 	if rows(added) == 0 {
 		if added = nil; removed == nil {

@@ -206,10 +206,9 @@ type Entry struct {
 	Args []mal.Value
 
 	// deltaClass caches the operation's delta class, which picks the
-	// entry's rule in the commit walk (delta.go). It is computed once
-	// at admission. pred caches a filter's predicate, which its rule
-	// runs over the delta rows: read off Args by the first walk that
-	// needs it. Writer lock.
+	// entry's rule in the commit walk (delta.go), and pred a filter's
+	// predicate (nil for any other op), which its rule runs over the
+	// delta rows. Both are computed once at admission.
 	deltaClass plan.DeltaClass
 	pred       *algebra.Pred
 	// ownsRoom records that the commit walk itself allocated the

@@ -640,6 +640,9 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 	}
 	e.LastUseTick.Store(now)
 	e.deltaClass = plan.ClassifyOp(e.OpName)
+	if p, ok := mal.FilterPred(e.OpName, args); ok {
+		e.pred = &p
+	}
 	e.DependsOn = lineageOf(nil, args)
 	for i, a := range args[:min(len(args), len(e.parents))] {
 		if a.IsBat() && a.Prov != 0 {
@@ -650,10 +653,9 @@ func (r *Recycler) buildEntry(ctx *mal.Ctx, pc int, in *mal.Instr, args []mal.Va
 
 	switch e.OpName {
 	case "algebra.select":
-		p, _ := mal.FilterPred(e.OpName, args)
 		// The range index orders entries by their bounds, and NaN has
 		// no place in an order: such a select stays an exact-match line.
-		if !isNaN(p.Range.Lo) && !isNaN(p.Range.Hi) {
+		if p := e.pred; p != nil && !isNaN(p.Range.Lo) && !isNaN(p.Range.Hi) {
 			e.IsRangeSelect = true
 			e.SelColKey = args[0].Key()
 			e.Sel = p.Range

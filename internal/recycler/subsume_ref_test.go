@@ -123,7 +123,9 @@ func runSubsumeDiff(t *testing.T, seed int64) {
 	lefts := []uint64{9001, 9002}
 	// Each table's list holds its latest commit as the applied
 	// version. An entry holds since its admission, at the applied
-	// version, or since the last commit whose walk changed it.
+	// version, or since the last commit whose walk changed it: from
+	// that commit on for its table, from the applied version for any
+	// other it reads (refreshResult).
 	lists := map[string]*tableList{}
 	for _, tb := range tables {
 		lists[tb] = p.addTable(tb, catalog.Stamp{Created: 1})

@@ -120,11 +120,14 @@ func (r *Recycler) invalidate(e *Entry) {
 // refreshResult swaps an entry's result in place and moves its since
 // for table l (nil: none) to version since, keeping its id (and
 // therefore its signature and its dependants' signatures) stable while
-// adjusting the pool's memory accounting. Caller holds the writer
-// lock; the signature shard's write lock is taken around the swap so
-// hit-path readers (who compare the stamps and copy Result under the
-// shard read lock) never pair a result with a version it does not
-// hold at.
+// adjusting the pool's memory accounting. The new result was computed
+// from the other tables' results as the pool holds them, at their
+// applied versions, so its since for each of those moves there: a join
+// over two tables holds what it now holds only from then on. Caller
+// holds the writer lock; the signature shard's write lock is taken
+// around the swap so hit-path readers (who compare the stamps and copy
+// Result under the shard read lock) never pair a result with a version
+// it does not hold at.
 func (r *Recycler) refreshResult(e *Entry, v mal.Value, l *tableList, since int64) {
 	r.pool.totalBytes -= e.Bytes
 	v.Prov = e.ID
@@ -133,9 +136,11 @@ func (r *Recycler) refreshResult(e *Entry, v mal.Value, l *tableList, since int6
 	e.Result = v
 	e.Bytes = v.Bytes()
 	e.Tuples = v.Tuples()
-	for i := range e.stamps {
-		if e.stamps[i].l == l {
+	for i, s := range e.stamps {
+		if s.l == l {
 			e.stamps[i].since = since
+		} else {
+			e.stamps[i].since = s.l.applied.Load()
 		}
 	}
 	sh.mu.Unlock()

@@ -549,3 +549,93 @@ func TestStalePinHitsUnreachedEntries(t *testing.T) {
 		})
 	}
 }
+
+// TestStaleCrossTablePinMissesRefreshedJoin: under SyncPropagate a join X
+// of a filter over sys.a with a reversed filter over sys.b reads both
+// tables. A commit to b adds a row whose key a does not have: it
+// reaches b's chain but not X. A commit to a then adds a row with that
+// key, and the join rule appends the pair, computed against b's chain
+// as of b's applied version — so X now holds only from that version of
+// b on. A query that took b's chain from the pool before the two
+// commits and binds a after them reads b at the old version and a at
+// the new: it must miss X and answer what a run without a recycler at
+// the same pins gives.
+func TestStaleCrossTablePinMissesRefreshedJoin(t *testing.T) {
+	run := func(recycled bool) (stale, after string, hits [2]int) {
+		cat := catalog.New()
+		table := func(name string, keys ...int64) *catalog.Table {
+			tb := cat.CreateTable("sys", name, []catalog.ColDef{{Name: "k", Kind: bat.KInt}})
+			for _, k := range keys {
+				tb.Append([]catalog.Row{{"k": k}})
+			}
+			return tb
+		}
+		ta, tb := table("a", 1, 2), table("b", 2, 3)
+		var hook mal.RecyclerHook
+		var rec *Recycler
+		if recycled {
+			rec = New(cat, Config{Admission: KeepAll, Sync: SyncPropagate})
+			defer rec.Close()
+			hook = rec
+		}
+		var armed func()
+		op := commitOp(func(*mal.Ctx) {
+			if c := armed; c != nil {
+				armed = nil
+				c()
+			}
+		})
+		str := func(s string) mal.Arg { return mal.C(mal.StrV(s)) }
+		b := mal.NewBuilder("cross-table")
+		sel := func(table string, mode mal.Arg) mal.Arg {
+			x := b.Op1("sql", "bind", str("sys"), str(table), str("k"), mode)
+			return b.Op1("algebra", "select", x, mal.C(mal.IntV(0)), mal.C(mal.IntV(100)), mal.C(mal.BoolV(true)), mal.C(mal.BoolV(true)))
+		}
+		pb := b.Op1("bat", "reverse", sel("b", mal.C(mal.IntV(0))))
+		pa := sel("a", b.Op1("test", op, pb))
+		b.Do("sql", "exportCol", str("x"), b.Op1("algebra", "join", pa, pb))
+		tmpl := markAll(b.Freeze())
+
+		var qid uint64
+		query := func() (string, int) {
+			t.Helper()
+			qid++
+			ctx := &mal.Ctx{Cat: cat, Hook: hook, QueryID: qid}
+			if rec != nil {
+				rec.BeginQuery(qid, tmpl.ID)
+				defer rec.EndQuery(qid)
+			}
+			if err := mal.Run(ctx, tmpl); err != nil {
+				t.Fatal(err)
+			}
+			return ctx.Results[0].Val.Bat.Dump(10), ctx.Stats.Hits
+		}
+		query() // warm
+		armed = func() {
+			tb.Append([]catalog.Row{{"k": int64(5)}})
+			ta.Append([]catalog.Row{{"k": int64(5)}})
+		}
+		stale, hits[0] = query()
+		if armed != nil {
+			t.Fatal("the commits did not run")
+		}
+		after, hits[1] = query()
+		return stale, after, hits
+	}
+	wantStale, wantAfter, _ := run(false)
+	if wantStale == wantAfter {
+		t.Fatalf("the commits did not change the answer %s", wantStale)
+	}
+	stale, after, hits := run(true)
+	if stale != wantStale {
+		t.Fatalf("query pinned at the old b and the new a answers\n%s\nwant, at its pins,\n%s", stale, wantStale)
+	}
+	// b's bind, select and reverse before the commits, a's bind and
+	// select after them; not the join.
+	if hits[0] != 5 {
+		t.Fatalf("stale query took %d hits, want 5: every entry but the join", hits[0])
+	}
+	if after != wantAfter || hits[1] != 6 {
+		t.Fatalf("query after the commits answers\n%s\nwith %d hits, want\n%s\nwith 6", after, hits[1], wantAfter)
+	}
+}
