@@ -146,10 +146,11 @@ func run() int {
 		fmt.Println(desc)
 	}
 
-	// Building or recovering the catalog leaves its scratch (row maps,
-	// decode buffers) behind as garbage. Collect it before serving, so
-	// the collector's first goal is sized by the live catalog rather than
-	// by the build's peak, and hand the freed pages back to the OS.
+	// Building or recovering the catalog leaves its scratch (the
+	// generators' string slices and dictionary maps, decode buffers)
+	// behind as garbage. Collect it before serving, so the collector's
+	// first goal is sized by the live catalog rather than by the
+	// build's peak, and hand the freed pages back to the OS.
 	debug.FreeOSMemory()
 
 	var opts []repro.Option

@@ -150,9 +150,9 @@ type ExecResult struct {
 // template cache and executes: literals are factored into template
 // parameters, so repeated shapes share one template and the recycler
 // can match across instances (paper §2.2). An INSERT or DELETE commits
-// through the catalog (Table.Append / Table.Delete), so the recycler's
-// commit listeners and the durability hook see it like any in-process
-// update (§6).
+// through the catalog (Table.AppendColumns / Table.Delete), so the
+// recycler's commit listeners and the durability hook see it like any
+// in-process update (§6).
 //
 // A SELECT text seen before is served from the engine's exact-text
 // statement cache: the stored template and parameters re-run with no
@@ -202,12 +202,14 @@ func (e *Engine) execSQL(src string, wantTrace bool) (*ExecResult, *trace.QueryT
 
 // insert applies a parsed INSERT.
 func (e *Engine) insert(s *sqlfe.Insert) (*ExecResult, error) {
-	t, rows, err := s.Bind(e.cat)
+	t, cols, err := s.Bind(e.cat)
 	if err != nil {
 		return nil, err
 	}
-	t.Append(rows)
-	return &ExecResult{Op: "insert", RowsAffected: len(rows)}, nil
+	if _, err := t.AppendColumns(cols); err != nil {
+		return nil, err
+	}
+	return &ExecResult{Op: "insert", RowsAffected: len(s.Rows)}, nil
 }
 
 // delete applies a parsed DELETE: one probe when the column carries a

@@ -22,14 +22,14 @@ func main() {
 		{Name: "sensor", Kind: bat.KInt},
 		{Name: "value", Kind: bat.KFloat},
 	})
-	rows := make([]catalog.Row, 10000)
-	for i := range rows {
-		rows[i] = catalog.Row{
-			"sensor": int64(i % 100),
-			"value":  float64(i%1000) / 10,
-		}
+	sensors, values := make([]int64, 10000), make([]float64, 10000)
+	for i := range sensors {
+		sensors[i] = int64(i % 100)
+		values[i] = float64(i%1000) / 10
 	}
-	tb.Append(rows)
+	if _, err := tb.AppendColumns([]bat.Vector{bat.NewInts(sensors), bat.NewFloats(values)}); err != nil {
+		panic(err)
+	}
 
 	// 2. Build a query template: average reading of sensors in a
 	// range. The literal bounds are template parameters, exactly as

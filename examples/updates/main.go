@@ -33,12 +33,19 @@ func load(cat *catalog.Catalog) *catalog.Table {
 		{Name: "day", Kind: bat.KDate},
 		{Name: "amount", Kind: bat.KFloat},
 	})
-	rows := make([]catalog.Row, 50000)
-	for i := range rows {
-		rows[i] = catalog.Row{"day": bat.Date(10000 + i%365), "amount": float64(i%97) + 0.5}
+	day, amount := make([]bat.Date, 50000), make([]float64, 50000)
+	for i := range day {
+		day[i], amount[i] = bat.Date(10000+i%365), float64(i%97)+0.5
 	}
-	tb.Append(rows)
+	appendRows(tb, day, amount)
 	return tb
+}
+
+// appendRows commits the rows given by their columns, day and amount.
+func appendRows(tb *catalog.Table, day []bat.Date, amount []float64) {
+	if _, err := tb.AppendColumns([]bat.Vector{bat.NewDates(day), bat.NewFloats(amount)}); err != nil {
+		panic(err)
+	}
 }
 
 func demo(mode recycler.SyncMode, label string) {
@@ -65,10 +72,9 @@ func demo(mode recycler.SyncMode, label string) {
 
 	exec("cold run:")
 	exec("warm run:")
-	tb.Append([]catalog.Row{
-		{"day": bat.Date(10300), "amount": 1000.0},
-		{"day": bat.Date(10100), "amount": 2000.0}, // below cutoff
-	})
+	appendRows(tb,
+		[]bat.Date{10300, 10100}, // the second is below the cutoff
+		[]float64{1000, 2000})
 	fmt.Println("-- inserted 2 rows (one qualifies) --")
 	exec("after insert:")
 	exec("and again:")

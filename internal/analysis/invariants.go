@@ -129,6 +129,7 @@ var CatalogMutators = map[string]bool{
 	"repro/internal/catalog.(*Catalog).CreateTable":    true,
 	"repro/internal/catalog.(*Catalog).DropTable":      true,
 	"repro/internal/catalog.(*Table).Append":           true,
+	"repro/internal/catalog.(*Table).AppendColumns":    true,
 	"repro/internal/catalog.(*Table).Delete":           true,
 	"repro/internal/catalog.(*Table).DefineKeyIndex":   true,
 	"repro/internal/catalog.(*Table).DefineJoinIndex":  true,

@@ -18,8 +18,8 @@ import (
 // lock, then notifies the update listeners after the lock is released —
 // they may freely read the catalog, and pool maintenance therefore
 // lands momentarily after the commit itself. A statement that fails
-// before the store (a row value of the wrong type) changes nothing:
-// not the table, not the log, and no listener hears of it.
+// before the store (a column of the wrong kind or length) changes
+// nothing: not the table, not the log, and no listener hears of it.
 //
 // Readers of a version take no lock: the binds, Ref.Rows and RowsAt,
 // NumRows, HasDeletes and the Snapshot Pin returns. The lock (mu)
@@ -69,7 +69,7 @@ type CommitKind uint8
 const (
 	// CommitCreate records a CreateTable.
 	CommitCreate CommitKind = 0
-	// CommitInsert records an Append.
+	// CommitInsert records an AppendColumns.
 	CommitInsert CommitKind = 1
 	// CommitDelete records a Delete.
 	CommitDelete CommitKind = 2

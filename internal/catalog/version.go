@@ -238,23 +238,74 @@ func (t *Table) JoinIndexParent(idxName string) *Table {
 	return nil
 }
 
-// Row is a tuple addressed by column name, used by bulk loads and DML.
+// Row is a tuple addressed by column name. Only Append reads one.
 type Row map[string]any
 
-// Append inserts rows and commits them as one update event. It returns
-// the oid of the first inserted row. The rows land past the columns'
-// published length (see version), so the commit costs the rows it
-// adds, not the rows the table holds; a load into an empty table adopts
-// the row vectors as the columns, with no slack. A row value of the
-// wrong type panics with the table, the log and the listeners
-// untouched.
+// Append inserts rows through AppendColumns and returns the oid of the
+// first one. It types each column of rows to its column's kind first,
+// so a row value of the wrong type panics with the table, the log and
+// the listeners untouched. The typed path, AppendColumns, builds no map
+// per row; Append stays for callers that hold rows.
 func (t *Table) Append(rows []Row) bat.Oid {
-	if len(rows) == 0 {
-		return bat.Oid(t.cur.Load().nrows)
+	cols := make([]bat.Vector, len(t.Cols))
+	for i, c := range t.Cols {
+		switch c.KindOf {
+		case bat.KInt:
+			cols[i] = bat.NewInts(valuesOf[int64](rows, c.Name))
+		case bat.KFloat:
+			cols[i] = bat.NewFloats(valuesOf[float64](rows, c.Name))
+		case bat.KDate:
+			cols[i] = bat.NewDates(valuesOf[bat.Date](rows, c.Name))
+		case bat.KOid:
+			cols[i] = bat.NewOids(valuesOf[bat.Oid](rows, c.Name))
+		case bat.KBool:
+			cols[i] = bat.NewBools(valuesOf[bool](rows, c.Name))
+		case bat.KStr:
+			cols[i] = bat.NewStrings(valuesOf[string](rows, c.Name))
+		default:
+			panic("catalog: delta of unsupported kind")
+		}
+	}
+	first, err := t.AppendColumns(cols)
+	if err != nil {
+		panic(err)
+	}
+	return first
+}
+
+// valuesOf returns column col of rows, typed as T; a value of another
+// type panics.
+func valuesOf[T any](rows []Row, col string) []T {
+	v := make([]T, len(rows))
+	for i, r := range rows {
+		v[i] = r[col].(T)
+	}
+	return v
+}
+
+// AppendColumns inserts rows given column by column — one vector per
+// column of the table, in definition order, each of its column's kind
+// and all of one length — and commits them as one update event. It
+// returns the oid of the first inserted row. A wrong column count, kind
+// or length is an error with the table, its dictionaries, the log and
+// the listeners untouched.
+//
+// The rows land past the columns' published length (see version), so
+// the commit costs the rows it adds, not the rows the table holds. The
+// table takes the vectors over: a load into an empty column adopts its
+// vector as the column, dictionary and all, so a caller sizes it
+// exactly and does not touch it afterwards.
+func (t *Table) AppendColumns(cols []bat.Vector) (bat.Oid, error) {
+	n, err := t.checkColumns(cols)
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		return bat.Oid(t.cur.Load().nrows), nil
 	}
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
-	deltas := t.typed(rows)
+	deltas := t.encode(cols)
 	c := t.catalog
 	var first bat.Oid
 	ls, ev := func() ([]UpdateListener, UpdateEvent) {
@@ -262,9 +313,10 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		defer c.mu.Unlock()
 		cur := t.cur.Load()
 		first = bat.Oid(cur.nrows)
-		next := &version{stamp: cur.stamp, nrows: cur.nrows + len(rows), cols: make([]colVersion, len(cur.cols)), tomb: cur.tomb}
+		next := &version{stamp: cur.stamp, nrows: cur.nrows + n, cols: make([]colVersion, len(cur.cols)), tomb: cur.tomb}
 		ev := UpdateEvent{Kind: CommitInsert, Inserts: make(map[string]*bat.BAT, len(t.Cols))}
-		rec := CommitRecord{Kind: CommitInsert, FirstOid: first, NumRows: len(rows)}
+		head := bat.NewDense(first, n) // one head for every delta: vectors are immutable
+		rec := CommitRecord{Kind: CommitInsert, FirstOid: first, NumRows: n}
 		if c.commitHook != nil {
 			rec.Inserts = make(map[string]bat.Vector, len(t.Cols))
 		}
@@ -274,7 +326,7 @@ func (t *Table) Append(rows []Row) bat.Oid {
 			if old.data.Len() > 0 {
 				next.cols[i].data = bat.Extend(old.data, d)
 			}
-			ev.Inserts[col.Name] = bat.New(bat.NewDense(first, len(rows)), d)
+			ev.Inserts[col.Name] = bat.New(head, d)
 			if rec.Inserts != nil {
 				rec.Inserts[col.Name] = d
 			}
@@ -282,7 +334,7 @@ func (t *Table) Append(rows []Row) bat.Oid {
 		next.idx = t.extendIndexesLocked(cur, first, deltas)
 		if tomb := cur.tomb; tomb != nil {
 			if l := tomb.live.load(); l != nil {
-				tomb.live.store(bat.Extend(l, bat.NewDense(first, len(rows))))
+				tomb.live.store(bat.Extend(l, bat.NewDense(first, n)))
 			}
 			for i := range tomb.tails {
 				if tail := tomb.tails[i].load(); tail != nil {
@@ -295,58 +347,49 @@ func (t *Table) Append(rows []Row) bat.Oid {
 	for _, l := range ls {
 		l.OnUpdate(ev)
 	}
-	return first
+	return first, nil
 }
 
-// typed returns rows column by column, each typed to its column's kind;
-// strings are encoded into the column's dictionary, so the delta, the
-// column, its live tail and every listener share one set of codes (a
-// load into an empty column brings a dictionary of its own). Every
-// column is typed before any dictionary grows, so a value of the wrong
-// type panics with nothing changed. Caller holds commitMu.
-func (t *Table) typed(rows []Row) []bat.Vector {
-	deltas := make([]bat.Vector, len(t.Cols))
-	strs := make([][]string, len(t.Cols))
+// checkColumns returns the row count of cols, or why they cannot be
+// the table's next rows.
+func (t *Table) checkColumns(cols []bat.Vector) (int, error) {
+	if len(cols) != len(t.Cols) {
+		return 0, fmt.Errorf("catalog: append to %s: %d columns for %d", t.qname, len(cols), len(t.Cols))
+	}
+	n := 0
 	for i, c := range t.Cols {
-		switch c.KindOf {
-		case bat.KInt:
-			deltas[i] = bat.NewInts(valuesOf[int64](rows, c.Name))
-		case bat.KFloat:
-			deltas[i] = bat.NewFloats(valuesOf[float64](rows, c.Name))
-		case bat.KDate:
-			deltas[i] = bat.NewDates(valuesOf[bat.Date](rows, c.Name))
-		case bat.KOid:
-			deltas[i] = bat.NewOids(valuesOf[bat.Oid](rows, c.Name))
-		case bat.KBool:
-			deltas[i] = bat.NewBools(valuesOf[bool](rows, c.Name))
-		case bat.KStr:
-			strs[i] = valuesOf[string](rows, c.Name)
-		default:
-			panic("catalog: delta of unsupported kind")
+		v := cols[i]
+		if v == nil || v.Kind() != c.KindOf {
+			return 0, fmt.Errorf("catalog: append to %s: column %s needs %v values", t.qname, c.Name, c.KindOf)
+		}
+		if i == 0 {
+			n = v.Len()
+		} else if v.Len() != n {
+			return 0, fmt.Errorf("catalog: append to %s: column %s has %d values, %s has %d", t.qname, c.Name, v.Len(), t.Cols[0].Name, n)
 		}
 	}
+	return n, nil
+}
+
+// encode returns the checked cols as the deltas a commit publishes:
+// strings in the codes of their column's dictionary, so the delta, the
+// column, its live tail and every listener share one set of codes (a
+// load into an empty column keeps the dictionary it brings), and oids
+// materialised. Caller holds commitMu.
+func (t *Table) encode(cols []bat.Vector) []bat.Vector {
 	cur := t.cur.Load()
-	for i, v := range strs {
-		if v == nil {
-			continue
-		}
-		if s := cur.cols[i].data.(*bat.Strings); s.Len() > 0 {
-			deltas[i] = bat.StringsOf(s.D.Encode(v), s.D)
-		} else {
-			deltas[i] = bat.NewStrings(v)
+	deltas := slices.Clone(cols)
+	for i, d := range deltas {
+		switch d := d.(type) {
+		case *bat.Strings:
+			if s := cur.cols[i].data.(*bat.Strings); s.Len() > 0 && d.D != s.D {
+				deltas[i] = bat.StringsOf(s.D.Encode(d.Decode()), s.D)
+			}
+		case *bat.DenseOids:
+			deltas[i] = bat.NewOids(bat.MaterialiseOids(d))
 		}
 	}
 	return deltas
-}
-
-// valuesOf returns column col of rows, typed as T; a value of another
-// type panics.
-func valuesOf[T any](rows []Row, col string) []T {
-	v := make([]T, len(rows))
-	for i, r := range rows {
-		v[i] = r[col].(T)
-	}
-	return v
 }
 
 // staysSorted reports whether a sorted column stays non-decreasing

@@ -161,8 +161,12 @@ func (a *admission) decide(k instrKey) bool {
 	return false
 }
 
-// onLocalReuse returns the credit immediately (paper §4.2).
+// onLocalReuse returns the credit immediately (paper §4.2). KeepAll
+// keeps no state, so its hits take no lock.
 func (a *admission) onLocalReuse(k instrKey) {
+	if a.kind == KeepAll {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	s := a.get(k)
@@ -172,8 +176,12 @@ func (a *admission) onLocalReuse(k instrKey) {
 	}
 }
 
-// onGlobalReuse only updates the reuse statistics.
+// onGlobalReuse only updates the reuse statistics, which only adapt
+// reads, so the other policies' hits take no lock.
 func (a *admission) onGlobalReuse(k instrKey) {
+	if a.kind != Adapt {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.get(k).everUsed = true

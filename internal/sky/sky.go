@@ -58,24 +58,38 @@ func (db *DB) genPhotoObj() {
 	defs = append(defs, catalog.ColDef{Name: "status", Kind: bat.KInt})
 	t := db.Cat.CreateTable(Schema, "photoobj", defs)
 
-	rows := make([]catalog.Row, db.Objects)
-	for i := range rows {
-		r := catalog.Row{
-			"objid": int64(0x0500000000000000) + int64(i),
-			"ra":    db.rng.Float64() * 360,
-			"dec":   db.rng.Float64()*180 - 90,
-			"mode":  int64(db.rng.Intn(2) + 1),
-		}
-		for _, c := range propCols[:5] {
-			r[c] = int64(db.rng.Intn(10000))
-		}
-		for _, c := range propCols[5 : len(propCols)-1] {
-			r[c] = 10 + db.rng.Float64()*15
-		}
-		r["status"] = int64(db.rng.Intn(8))
-		rows[i] = r
+	n := db.Objects
+	objid, ra, dec, mode := make([]int64, n), make([]float64, n), make([]float64, n), make([]int64, n)
+	ints := make([][]int64, len(propCols[:5]))
+	for j := range ints {
+		ints[j] = make([]int64, n)
 	}
-	t.Append(rows)
+	floats := make([][]float64, len(propCols[5:len(propCols)-1]))
+	for j := range floats {
+		floats[j] = make([]float64, n)
+	}
+	status := make([]int64, n)
+	for i := range n {
+		objid[i] = int64(0x0500000000000000) + int64(i)
+		ra[i] = db.rng.Float64() * 360
+		dec[i] = db.rng.Float64()*180 - 90
+		mode[i] = int64(db.rng.Intn(2) + 1)
+		for _, v := range ints {
+			v[i] = int64(db.rng.Intn(10000))
+		}
+		for _, v := range floats {
+			v[i] = 10 + db.rng.Float64()*15
+		}
+		status[i] = int64(db.rng.Intn(8))
+	}
+	cols := []bat.Vector{bat.NewInts(objid), bat.NewFloats(ra), bat.NewFloats(dec), bat.NewInts(mode)}
+	for _, v := range ints {
+		cols = append(cols, bat.NewInts(v))
+	}
+	for _, v := range floats {
+		cols = append(cols, bat.NewFloats(v))
+	}
+	load(t, append(cols, bat.NewInts(status))...)
 	t.DefineKeyIndex("objid")
 }
 
@@ -86,15 +100,13 @@ func (db *DB) genDocs() {
 		{Name: "description", Kind: bat.KStr},
 	})
 	kinds := []string{"U", "V", "F", "P"}
-	rows := make([]catalog.Row, 400)
-	for i := range rows {
-		rows[i] = catalog.Row{
-			"name":        fmt.Sprintf("dbobj_%03d", i),
-			"type":        kinds[i%len(kinds)],
-			"description": fmt.Sprintf("documentation entry %d for the schema browser", i),
-		}
+	name, typ, desc := make([]string, 400), make([]string, 400), make([]string, 400)
+	for i := range name {
+		name[i] = fmt.Sprintf("dbobj_%03d", i)
+		typ[i] = kinds[i%len(kinds)]
+		desc[i] = fmt.Sprintf("documentation entry %d for the schema browser", i)
 	}
-	t.Append(rows)
+	load(t, bat.NewStrings(name), bat.NewStrings(typ), bat.NewStrings(desc))
 }
 
 func (db *DB) genSpecObj() {
@@ -107,15 +119,21 @@ func (db *DB) genSpecObj() {
 	if n < 100 {
 		n = 100
 	}
-	rows := make([]catalog.Row, n)
-	for i := range rows {
-		rows[i] = catalog.Row{
-			"specobjid": int64(0x0559000000000000) + int64(i),
-			"z":         db.rng.Float64(),
-			"zerr":      db.rng.Float64() / 100,
-		}
+	id, z, zerr := make([]int64, n), make([]float64, n), make([]float64, n)
+	for i := range n {
+		id[i] = int64(0x0559000000000000) + int64(i)
+		z[i] = db.rng.Float64()
+		zerr[i] = db.rng.Float64() / 100
 	}
-	t.Append(rows)
+	load(t, bat.NewInts(id), bat.NewFloats(z), bat.NewFloats(zerr))
+}
+
+// load appends the generated columns to t; a generator that builds
+// columns t does not take is a bug.
+func load(t *catalog.Table, cols ...bat.Vector) {
+	if _, err := t.AppendColumns(cols); err != nil {
+		panic(err)
+	}
 }
 
 // Table is a convenience accessor.

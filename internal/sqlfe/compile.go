@@ -136,11 +136,12 @@ func column(t *catalog.Table, name string) (*catalog.Column, error) {
 }
 
 // Bind resolves the INSERT against the catalog: the target table and
-// one row per VALUES tuple, each literal typed to its column exactly as
-// a query parameter is (paramFor). The column list must name every
-// column of the table once — together with the tuple-length check this
-// guarantees Table.Append sees every column of every row.
-func (ins *Insert) Bind(cat *catalog.Catalog) (*catalog.Table, []catalog.Row, error) {
+// its rows column by column, one vector per column of the table in its
+// order, each literal typed to its column exactly as a query parameter
+// is (paramFor). The column list must name every column of the table
+// once — together with the tuple-length check this guarantees the
+// vectors are what Table.AppendColumns takes.
+func (ins *Insert) Bind(cat *catalog.Catalog) (*catalog.Table, []bat.Vector, error) {
 	t, err := table(cat, ins.Schema, ins.Table)
 	if err != nil {
 		return nil, nil, err
@@ -157,21 +158,54 @@ func (ins *Insert) Bind(cat *catalog.Catalog) (*catalog.Table, []catalog.Row, er
 	if len(cols) != len(t.Cols) {
 		return nil, nil, fmt.Errorf("sqlfe: INSERT must list all %d columns of %s (got %d)", len(t.Cols), t.QName(), len(cols))
 	}
-	rows := make([]catalog.Row, len(ins.Rows))
 	for r, lits := range ins.Rows {
 		if len(lits) != len(cols) {
 			return nil, nil, fmt.Errorf("sqlfe: VALUES row %d has %d values for %d columns", r+1, len(lits), len(cols))
 		}
-		rows[r] = make(catalog.Row, len(cols))
-		for i, lit := range lits {
-			_, v, err := paramFor(cols[i].KindOf, lit)
-			if err != nil {
-				return nil, nil, fmt.Errorf("sqlfe: column %s: %w", cols[i].Name, err)
-			}
-			rows[r][cols[i].Name] = v.Scalar()
-		}
 	}
-	return t, rows, nil
+	vecs := make([]bat.Vector, len(t.Cols))
+	for i, c := range cols {
+		v, err := ins.column(i, c.KindOf)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sqlfe: column %s: %w", c.Name, err)
+		}
+		vecs[slices.Index(t.Cols, c)] = v
+	}
+	return t, vecs, nil
+}
+
+// column returns the i-th literal of every VALUES tuple as a vector of
+// kind.
+func (ins *Insert) column(i int, kind bat.Kind) (bat.Vector, error) {
+	switch kind {
+	case bat.KInt:
+		v, err := literals(ins.Rows, i, kind, func(v mal.Value) int64 { return v.I })
+		return bat.NewInts(v), err
+	case bat.KFloat:
+		v, err := literals(ins.Rows, i, kind, func(v mal.Value) float64 { return v.F })
+		return bat.NewFloats(v), err
+	case bat.KStr:
+		v, err := literals(ins.Rows, i, kind, func(v mal.Value) string { return v.S })
+		return bat.NewStrings(v), err
+	case bat.KDate:
+		v, err := literals(ins.Rows, i, kind, func(v mal.Value) bat.Date { return v.D })
+		return bat.NewDates(v), err
+	}
+	return nil, fmt.Errorf("unsupported column kind %v", kind)
+}
+
+// literals types the i-th literal of every tuple to kind (paramFor)
+// and returns field of each.
+func literals[T any](rows [][]Lit, i int, kind bat.Kind, field func(mal.Value) T) ([]T, error) {
+	out := make([]T, len(rows))
+	for r, lits := range rows {
+		_, v, err := paramFor(kind, lits[i])
+		if err != nil {
+			return nil, err
+		}
+		out[r] = field(v)
+	}
+	return out, nil
 }
 
 // Bind resolves the DELETE against the catalog: the table, the

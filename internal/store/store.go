@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bat"
 	"repro/internal/catalog"
 )
 
@@ -19,9 +20,10 @@ type Options struct {
 	SyncEvery time.Duration
 	// OnFsync, when set, observes every WAL fsync batch: how many
 	// commit records the batch covered and the fsync's duration. The
-	// callback runs under the WAL mutex — and, when group commit is
-	// off, inside the catalog's commit hook — so it must be cheap and
-	// wait-free (a histogram observation; never a trace-recorder call).
+	// callback runs after the fsync, one at a time but outside the
+	// lock appends take — and, when group commit is off, inside the
+	// catalog's commit hook — so it must be cheap and wait-free (a
+	// histogram observation; never a trace-recorder call).
 	OnFsync func(records int, d time.Duration)
 }
 
@@ -51,8 +53,8 @@ type Store struct {
 	mu  sync.Mutex // serialises Checkpoint/Close against each other
 	cat *catalog.Catalog
 
-	// walErr latches the first WAL append failure (e.g. disk full)
-	// since the last successful checkpoint. Commits are never blocked
+	// walErr latches the first WAL append or background fsync failure
+	// (e.g. disk full) since the last successful checkpoint. Commits are never blocked
 	// on it — the engine stays available — but Checkpoint and Close
 	// surface it as "durability was degraded in this window". A
 	// successful checkpoint clears it: the new snapshot covers every
@@ -85,8 +87,8 @@ func (s *Store) HasSnapshot() bool {
 // Spill returns the store of the recycle pool image (never nil).
 func (s *Store) Spill() *Spill { return s.spill }
 
-// Err returns the WAL append error latched since the last successful
-// checkpoint, if any.
+// Err returns the WAL append or fsync error latched since the last
+// successful checkpoint, if any.
 func (s *Store) Err() error {
 	if p := s.walErr.Load(); p != nil {
 		return *p
@@ -158,7 +160,9 @@ func (s *Store) Bootstrap(cat *catalog.Catalog) error {
 
 // attach opens the WAL for appending and installs the commit hook.
 func (s *Store) attach(cat *catalog.Catalog) error {
-	w, err := openWAL(filepath.Join(s.dir, "wal"), s.opts.SyncEvery, s.opts.OnFsync)
+	w, err := openWAL(filepath.Join(s.dir, "wal"), s.opts.SyncEvery, s.opts.OnFsync, func(err error) {
+		s.walErr.CompareAndSwap(nil, &err)
+	})
 	if err != nil {
 		return err
 	}
@@ -244,19 +248,22 @@ func applyCommit(cat *catalog.Catalog, rec catalog.CommitRecord) error {
 	}
 	switch rec.Kind {
 	case catalog.CommitInsert:
-		rows := make([]catalog.Row, rec.NumRows)
-		for i := range rows {
-			rows[i] = make(catalog.Row, len(rec.Inserts))
-		}
-		for col, vec := range rec.Inserts {
-			if vec.Len() != rec.NumRows {
-				return fmt.Errorf("store: WAL record %d: column %s has %d values for %d rows", rec.Seq, col, vec.Len(), rec.NumRows)
+		cols := make([]bat.Vector, len(t.Cols))
+		for i, c := range t.Cols {
+			if cols[i] = rec.Inserts[c.Name]; cols[i] == nil {
+				return fmt.Errorf("store: WAL record %d has no column %s", rec.Seq, c.Name)
 			}
-			for i := range rows {
-				rows[i][col] = vec.Get(i)
+			if n := cols[i].Len(); n != rec.NumRows {
+				return fmt.Errorf("store: WAL record %d: column %s has %d values for %d rows", rec.Seq, c.Name, n, rec.NumRows)
 			}
 		}
-		first := t.Append(rows)
+		if len(rec.Inserts) != len(cols) {
+			return fmt.Errorf("store: WAL record %d has %d columns for %d", rec.Seq, len(rec.Inserts), len(cols))
+		}
+		first, err := t.AppendColumns(cols)
+		if err != nil {
+			return fmt.Errorf("store: WAL record %d: %w", rec.Seq, err)
+		}
 		if first != rec.FirstOid {
 			return fmt.Errorf("store: WAL replay diverged: record %d expected first oid %d, got %d", rec.Seq, rec.FirstOid, first)
 		}

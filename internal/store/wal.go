@@ -34,7 +34,14 @@ import (
 type wal struct {
 	dir string
 
-	mu      sync.Mutex
+	// syncMu serialises the fsyncs — the syncer's, a rotation's and
+	// close's — and is what keeps the active file open while one runs:
+	// only rotate and close, which hold it, replace or close w.f. An
+	// append takes only mu, so a commit never waits out an fsync under
+	// the catalog write lock (with group commit on).
+	syncMu sync.Mutex
+
+	mu      sync.Mutex // guards f, seg, dirty, pending; taken after syncMu
 	f       *os.File
 	seg     int
 	dirty   bool
@@ -42,12 +49,16 @@ type wal struct {
 
 	syncEvery time.Duration
 	// onFsync, when set, observes each fsync: the number of records the
-	// batch covered and the fsync's own duration. It runs under w.mu —
-	// implementations must be cheap and lock-free (histogram
+	// batch covered and the fsync's own duration. It runs under syncMu,
+	// outside mu — and, with group commit off, inside the catalog's
+	// commit hook — so it must be cheap and lock-free (histogram
 	// observations; never trace-recorder calls).
 	onFsync func(records int, d time.Duration)
-	stopc   chan struct{}
-	done    chan struct{}
+	// onSyncErr latches a background fsync's failure: its records were
+	// acknowledged and may not be durable, and nothing else reports it.
+	onSyncErr func(error)
+	stopc     chan struct{}
+	done      chan struct{}
 }
 
 func segName(n int) string { return fmt.Sprintf("wal-%08d.log", n) }
@@ -76,7 +87,7 @@ func listSegments(dir string) ([]string, error) {
 // openWAL opens the log directory for appending. Existing segments are
 // left untouched (recovery reads them); appends always start a fresh
 // segment so a truncated tail is never appended after.
-func openWAL(dir string, syncEvery time.Duration, onFsync func(int, time.Duration)) (*wal, error) {
+func openWAL(dir string, syncEvery time.Duration, onFsync func(int, time.Duration), onSyncErr func(error)) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -89,7 +100,7 @@ func openWAL(dir string, syncEvery time.Duration, onFsync func(int, time.Duratio
 		fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "wal-%08d.log", &next)
 		next++
 	}
-	w := &wal{dir: dir, seg: next, syncEvery: syncEvery, onFsync: onFsync}
+	w := &wal{dir: dir, seg: next, syncEvery: syncEvery, onFsync: onFsync, onSyncErr: onSyncErr}
 	if err := w.openSegmentLocked(); err != nil {
 		return nil, err
 	}
@@ -113,8 +124,17 @@ func (w *wal) openSegmentLocked() error {
 }
 
 // append frames one payload onto the active segment. With batching
-// enabled the write is durable only after the next background fsync.
+// enabled the write is durable only after the next background fsync;
+// with it off, append fsyncs before it returns.
 func (w *wal) append(payload []byte) error {
+	if err := w.write(payload); err != nil || w.syncEvery > 0 {
+		return err
+	}
+	return w.sync()
+}
+
+// write frames one payload onto the active segment under mu.
+func (w *wal) write(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -124,34 +144,33 @@ func (w *wal) append(payload []byte) error {
 		return err
 	}
 	w.pending++
-	if w.syncEvery == 0 {
-		// Group commit off: one fsync per record.
-		w.dirty = true
-		return w.syncLocked()
-	}
 	w.dirty = true
 	return nil
 }
 
 // sync flushes the active segment if it has unsynced appends.
 func (w *wal) sync() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *wal) syncLocked() error {
-	if w.f == nil || !w.dirty {
+	f, n := w.f, w.pending
+	if f == nil || !w.dirty {
+		w.mu.Unlock()
 		return nil
 	}
-	w.dirty = false
-	n := w.pending
-	w.pending = 0
+	w.dirty, w.pending = false, 0
+	w.mu.Unlock()
+	return w.fsync(f, n)
+}
+
+// fsync flushes f, a batch of n records. Caller holds syncMu, so f
+// stays open.
+func (w *wal) fsync(f *os.File, n int) error {
 	if w.onFsync == nil {
-		return w.f.Sync()
+		return f.Sync()
 	}
 	t0 := time.Now()
-	err := w.f.Sync()
+	err := f.Sync()
 	w.onFsync(n, time.Since(t0))
 	return err
 }
@@ -163,39 +182,51 @@ func (w *wal) syncLoop() {
 	for {
 		select {
 		case <-t.C:
-			w.sync()
+			if err := w.sync(); err != nil && w.onSyncErr != nil {
+				w.onSyncErr(err)
+			}
 		case <-w.stopc:
 			return
 		}
 	}
 }
 
-// rotate syncs and retires the active segment, opens the next one and
-// returns the paths of all older segments (the checkpoint deletes them
-// once the snapshot is durable).
+// rotate makes the next segment the active one, then syncs and closes
+// the retired one, and returns the paths of all older segments (the
+// checkpoint deletes them once the snapshot is durable). Appends go to
+// the next segment while the retired one syncs.
 func (w *wal) rotate() ([]string, error) {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f == nil {
+		w.mu.Unlock()
 		return nil, fmt.Errorf("store: wal is closed")
 	}
-	if err := w.syncLocked(); err != nil {
+	retired, seg, dirty, n := w.f, w.seg, w.dirty, w.pending
+	w.seg++
+	if err := w.openSegmentLocked(); err != nil {
+		w.seg--
+		w.mu.Unlock()
 		return nil, err
 	}
-	if err := w.f.Close(); err != nil {
+	w.dirty, w.pending = false, 0
+	w.mu.Unlock()
+	if dirty {
+		if err := w.fsync(retired, n); err != nil {
+			retired.Close()
+			return nil, err
+		}
+	}
+	if err := retired.Close(); err != nil {
 		return nil, err
 	}
-	old := make([]string, 0, w.seg)
-	for n := 1; n <= w.seg; n++ {
+	old := make([]string, 0, seg)
+	for n := 1; n <= seg; n++ {
 		p := filepath.Join(w.dir, segName(n))
 		if _, err := os.Stat(p); err == nil {
 			old = append(old, p)
 		}
-	}
-	w.seg++
-	if err := w.openSegmentLocked(); err != nil {
-		w.f = nil
-		return nil, err
 	}
 	return old, nil
 }
@@ -207,16 +238,22 @@ func (w *wal) close() error {
 		<-w.done
 		w.stopc = nil
 	}
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
+	f, dirty, n := w.f, w.dirty, w.pending
+	w.f = nil
+	w.mu.Unlock()
+	if f == nil {
 		return nil
 	}
-	err := w.syncLocked()
-	if cerr := w.f.Close(); err == nil {
+	var err error
+	if dirty {
+		err = w.fsync(f, n)
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	w.f = nil
 	return err
 }
 

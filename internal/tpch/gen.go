@@ -108,22 +108,18 @@ func (db *DB) genRegionNation() {
 		{Name: "r_regionkey", Kind: bat.KInt, Sorted: true},
 		{Name: "r_name", Kind: bat.KStr},
 	})
-	rows := make([]catalog.Row, len(regionNames))
-	for i, n := range regionNames {
-		rows[i] = catalog.Row{"r_regionkey": int64(i), "r_name": n}
-	}
-	region.Append(rows)
+	load(region, bat.NewInts(seq(len(regionNames), 0)), bat.NewStrings(regionNames))
 
 	nation := db.Cat.CreateTable(Schema, "nation", []catalog.ColDef{
 		{Name: "n_nationkey", Kind: bat.KInt, Sorted: true},
 		{Name: "n_name", Kind: bat.KStr},
 		{Name: "n_regionkey", Kind: bat.KInt},
 	})
-	rows = make([]catalog.Row, len(nationDefs))
+	name, reg := make([]string, len(nationDefs)), make([]int64, len(nationDefs))
 	for i, n := range nationDefs {
-		rows[i] = catalog.Row{"n_nationkey": int64(i), "n_name": n.name, "n_regionkey": int64(n.region)}
+		name[i], reg[i] = n.name, int64(n.region)
 	}
-	nation.Append(rows)
+	load(nation, bat.NewInts(seq(len(nationDefs), 0)), bat.NewStrings(name), bat.NewInts(reg))
 }
 
 func (db *DB) genSupplier() {
@@ -134,21 +130,18 @@ func (db *DB) genSupplier() {
 		{Name: "s_acctbal", Kind: bat.KFloat},
 		{Name: "s_comment", Kind: bat.KStr},
 	})
-	rows := make([]catalog.Row, db.Suppliers)
-	for i := range rows {
-		comment := "supplier " + db.pick(nameParts)
+	n := db.Suppliers
+	name, nation, bal, comment := make([]string, n), make([]int64, n), make([]float64, n), make([]string, n)
+	for i := range n {
+		comment[i] = "supplier " + db.pick(nameParts)
 		if db.rng.Intn(200) < 1 {
-			comment = "Customer Complaints " + comment
+			comment[i] = "Customer Complaints " + comment[i]
 		}
-		rows[i] = catalog.Row{
-			"s_suppkey":   int64(i + 1),
-			"s_name":      fmt.Sprintf("Supplier#%09d", i+1),
-			"s_nationkey": int64(db.rng.Intn(len(nationDefs))),
-			"s_acctbal":   float64(db.rng.Intn(110000))/10 - 1000,
-			"s_comment":   comment,
-		}
+		name[i] = fmt.Sprintf("Supplier#%09d", i+1)
+		nation[i] = int64(db.rng.Intn(len(nationDefs)))
+		bal[i] = float64(db.rng.Intn(110000))/10 - 1000
 	}
-	t.Append(rows)
+	load(t, bat.NewInts(seq(n, 1)), bat.NewStrings(name), bat.NewInts(nation), bat.NewFloats(bal), bat.NewStrings(comment))
 }
 
 func (db *DB) genCustomer() {
@@ -160,19 +153,17 @@ func (db *DB) genCustomer() {
 		{Name: "c_acctbal", Kind: bat.KFloat},
 		{Name: "c_phone", Kind: bat.KStr},
 	})
-	rows := make([]catalog.Row, db.Customers)
-	for i := range rows {
+	n := db.Customers
+	name, nation, seg, bal, phone := make([]string, n), make([]int64, n), make([]string, n), make([]float64, n), make([]string, n)
+	for i := range n {
 		nk := db.rng.Intn(len(nationDefs))
-		rows[i] = catalog.Row{
-			"c_custkey":    int64(i + 1),
-			"c_name":       fmt.Sprintf("Customer#%09d", i+1),
-			"c_nationkey":  int64(nk),
-			"c_mktsegment": db.pick(segments),
-			"c_acctbal":    float64(db.rng.Intn(110000))/10 - 1000,
-			"c_phone":      fmt.Sprintf("%02d-%03d-%03d-%04d", nk+10, db.rng.Intn(1000), db.rng.Intn(1000), db.rng.Intn(10000)),
-		}
+		name[i] = fmt.Sprintf("Customer#%09d", i+1)
+		nation[i] = int64(nk)
+		seg[i] = db.pick(segments)
+		bal[i] = float64(db.rng.Intn(110000))/10 - 1000
+		phone[i] = fmt.Sprintf("%02d-%03d-%03d-%04d", nk+10, db.rng.Intn(1000), db.rng.Intn(1000), db.rng.Intn(10000))
 	}
-	t.Append(rows)
+	load(t, bat.NewInts(seq(n, 1)), bat.NewStrings(name), bat.NewInts(nation), bat.NewStrings(seg), bat.NewFloats(bal), bat.NewStrings(phone))
 }
 
 func (db *DB) genPart() {
@@ -185,19 +176,17 @@ func (db *DB) genPart() {
 		{Name: "p_container", Kind: bat.KStr},
 		{Name: "p_retailprice", Kind: bat.KFloat},
 	})
-	rows := make([]catalog.Row, db.Parts)
-	for i := range rows {
-		rows[i] = catalog.Row{
-			"p_partkey":     int64(i + 1),
-			"p_name":        db.pick(nameParts) + " " + db.pick(nameParts) + " " + db.pick(nameParts),
-			"p_brand":       fmt.Sprintf("Brand#%d%d", db.rng.Intn(brandNums)+1, db.rng.Intn(brandNums)+1),
-			"p_type":        db.pick(typeSyl1) + " " + db.pick(typeSyl2) + " " + db.pick(typeSyl3),
-			"p_size":        int64(db.rng.Intn(50) + 1),
-			"p_container":   db.pick(containers),
-			"p_retailprice": 900 + float64(i%1000) + float64(db.rng.Intn(100))/100,
-		}
+	n := db.Parts
+	name, brand, typ, size, container, price := make([]string, n), make([]string, n), make([]string, n), make([]int64, n), make([]string, n), make([]float64, n)
+	for i := range n {
+		name[i] = db.pick(nameParts) + " " + db.pick(nameParts) + " " + db.pick(nameParts)
+		brand[i] = fmt.Sprintf("Brand#%d%d", db.rng.Intn(brandNums)+1, db.rng.Intn(brandNums)+1)
+		typ[i] = db.pick(typeSyl1) + " " + db.pick(typeSyl2) + " " + db.pick(typeSyl3)
+		size[i] = int64(db.rng.Intn(50) + 1)
+		container[i] = db.pick(containers)
+		price[i] = 900 + float64(i%1000) + float64(db.rng.Intn(100))/100
 	}
-	t.Append(rows)
+	load(t, bat.NewInts(seq(n, 1)), bat.NewStrings(name), bat.NewStrings(brand), bat.NewStrings(typ), bat.NewInts(size), bat.NewStrings(container), bat.NewFloats(price))
 }
 
 func (db *DB) genPartsupp() {
@@ -207,18 +196,16 @@ func (db *DB) genPartsupp() {
 		{Name: "ps_availqty", Kind: bat.KInt},
 		{Name: "ps_supplycost", Kind: bat.KFloat},
 	})
-	rows := make([]catalog.Row, 0, db.Parts*4)
-	for p := 1; p <= db.Parts; p++ {
-		for s := 0; s < 4; s++ {
-			rows = append(rows, catalog.Row{
-				"ps_partkey":    int64(p),
-				"ps_suppkey":    int64((p+s*(db.Suppliers/4+1))%db.Suppliers + 1),
-				"ps_availqty":   int64(db.rng.Intn(9999) + 1),
-				"ps_supplycost": 1 + float64(db.rng.Intn(99900))/100,
-			})
-		}
+	n := db.Parts * 4
+	part, supp, qty, cost := make([]int64, n), make([]int64, n), make([]int64, n), make([]float64, n)
+	for i := range n {
+		p, s := i/4+1, i%4
+		part[i] = int64(p)
+		supp[i] = int64((p+s*(db.Suppliers/4+1))%db.Suppliers + 1)
+		qty[i] = int64(db.rng.Intn(9999) + 1)
+		cost[i] = 1 + float64(db.rng.Intn(99900))/100
 	}
-	t.Append(rows)
+	load(t, bat.NewInts(part), bat.NewInts(supp), bat.NewInts(qty), bat.NewFloats(cost))
 }
 
 func (db *DB) genOrdersLineitem() {
@@ -248,41 +235,101 @@ func (db *DB) genOrdersLineitem() {
 		{Name: "l_shipmode", Kind: bat.KStr},
 	})
 
-	oRows := make([]catalog.Row, 0, db.Orders)
-	lRows := make([]catalog.Row, 0, db.Orders*4)
-	for o := 0; o < db.Orders; o++ {
-		key := int64(o + 1)
-		oRows = append(oRows, db.orderRow(key))
+	o, l := newOrderCols(db.Orders), newLineitemCols(db.Orders*4)
+	for i := 0; i < db.Orders; i++ {
+		key := int64(i + 1)
+		date := db.addOrder(o, key)
 		db.liveOrderKeys = append(db.liveOrderKeys, key)
 		nl := db.rng.Intn(7) + 1
-		for l := 0; l < nl; l++ {
-			lRows = append(lRows, db.lineitemRow(key, l, oRows[len(oRows)-1]["o_orderdate"].(bat.Date)))
+		for line := 0; line < nl; line++ {
+			db.addLineitem(l, key, line, date)
 		}
 	}
 	db.nextOrderKey = int64(db.Orders + 1)
-	db.Lineitems = len(lRows)
-	orders.Append(oRows)
-	li.Append(lRows)
+	db.Lineitems = len(l.order)
+	load(orders, o.vectors()...)
+	load(li, l.vectors()...)
 }
 
-func (db *DB) orderRow(key int64) catalog.Row {
+// orderCols holds orders rows column by column, in the table's column
+// order.
+type orderCols struct {
+	key, cust     []int64
+	status        []string
+	total         []float64
+	date          []bat.Date
+	prio, comment []string
+}
+
+func newOrderCols(n int) *orderCols {
+	return &orderCols{
+		key: make([]int64, 0, n), cust: make([]int64, 0, n), status: make([]string, 0, n),
+		total: make([]float64, 0, n), date: make([]bat.Date, 0, n),
+		prio: make([]string, 0, n), comment: make([]string, 0, n),
+	}
+}
+
+// vectors returns the columns, each sized to its rows.
+func (o *orderCols) vectors() []bat.Vector {
+	return []bat.Vector{
+		bat.NewInts(exact(o.key)), bat.NewInts(exact(o.cust)), bat.NewStrings(o.status),
+		bat.NewFloats(exact(o.total)), bat.NewDates(exact(o.date)),
+		bat.NewStrings(o.prio), bat.NewStrings(o.comment),
+	}
+}
+
+// addOrder draws the order with the given key into o and returns its
+// date.
+func (db *DB) addOrder(o *orderCols, key int64) bat.Date {
 	d := db.date()
 	status := "O"
 	if db.rng.Intn(2) == 0 {
 		status = "F"
 	}
-	return catalog.Row{
-		"o_orderkey":      key,
-		"o_custkey":       int64(db.rng.Intn(db.Customers) + 1),
-		"o_orderstatus":   status,
-		"o_totalprice":    1000 + float64(db.rng.Intn(400000))/100,
-		"o_orderdate":     d,
-		"o_orderpriority": db.pick(priorities),
-		"o_comment":       db.pick(nameParts) + " requests " + db.pick(nameParts),
+	o.key = append(o.key, key)
+	o.cust = append(o.cust, int64(db.rng.Intn(db.Customers)+1))
+	o.status = append(o.status, status)
+	o.total = append(o.total, 1000+float64(db.rng.Intn(400000))/100)
+	o.date = append(o.date, d)
+	o.prio = append(o.prio, db.pick(priorities))
+	o.comment = append(o.comment, db.pick(nameParts)+" requests "+db.pick(nameParts))
+	return d
+}
+
+// lineitemCols holds lineitem rows column by column, in the table's
+// column order.
+type lineitemCols struct {
+	order, part, supp, qty []int64
+	price, discount, tax   []float64
+	returnflag, linestatus []string
+	ship, commit, receipt  []bat.Date
+	instruct, mode         []string
+}
+
+func newLineitemCols(n int) *lineitemCols {
+	return &lineitemCols{
+		order: make([]int64, 0, n), part: make([]int64, 0, n), supp: make([]int64, 0, n), qty: make([]int64, 0, n),
+		price: make([]float64, 0, n), discount: make([]float64, 0, n), tax: make([]float64, 0, n),
+		returnflag: make([]string, 0, n), linestatus: make([]string, 0, n),
+		ship: make([]bat.Date, 0, n), commit: make([]bat.Date, 0, n), receipt: make([]bat.Date, 0, n),
+		instruct: make([]string, 0, n), mode: make([]string, 0, n),
 	}
 }
 
-func (db *DB) lineitemRow(orderKey int64, line int, orderDate bat.Date) catalog.Row {
+// vectors returns the columns, each sized to its rows.
+func (l *lineitemCols) vectors() []bat.Vector {
+	return []bat.Vector{
+		bat.NewInts(exact(l.order)), bat.NewInts(exact(l.part)), bat.NewInts(exact(l.supp)), bat.NewInts(exact(l.qty)),
+		bat.NewFloats(exact(l.price)), bat.NewFloats(exact(l.discount)), bat.NewFloats(exact(l.tax)),
+		bat.NewStrings(l.returnflag), bat.NewStrings(l.linestatus),
+		bat.NewDates(exact(l.ship)), bat.NewDates(exact(l.commit)), bat.NewDates(exact(l.receipt)),
+		bat.NewStrings(l.instruct), bat.NewStrings(l.mode),
+	}
+}
+
+// addLineitem draws line number line of the order with the given key
+// and date into l.
+func (db *DB) addLineitem(l *lineitemCols, orderKey int64, line int, orderDate bat.Date) {
 	ship := orderDate + bat.Date(db.rng.Intn(121)+1)
 	commit := orderDate + bat.Date(db.rng.Intn(91)+30)
 	receipt := ship + bat.Date(db.rng.Intn(30)+1)
@@ -300,21 +347,45 @@ func (db *DB) lineitemRow(orderKey int64, line int, orderDate bat.Date) catalog.
 	}
 	qty := int64(db.rng.Intn(50) + 1)
 	price := float64(qty) * (900 + float64(db.rng.Intn(10000))/10)
-	return catalog.Row{
-		"l_orderkey":      orderKey,
-		"l_partkey":       int64(db.rng.Intn(db.Parts) + 1),
-		"l_suppkey":       int64(db.rng.Intn(db.Suppliers) + 1),
-		"l_quantity":      qty,
-		"l_extendedprice": price,
-		"l_discount":      float64(db.rng.Intn(11)) / 100,
-		"l_tax":           float64(db.rng.Intn(9)) / 100,
-		"l_returnflag":    rf,
-		"l_linestatus":    ls,
-		"l_shipdate":      ship,
-		"l_commitdate":    commit,
-		"l_receiptdate":   receipt,
-		"l_shipinstruct":  db.pick(instructs),
-		"l_shipmode":      db.pick(shipmodes),
+	l.order = append(l.order, orderKey)
+	l.part = append(l.part, int64(db.rng.Intn(db.Parts)+1))
+	l.supp = append(l.supp, int64(db.rng.Intn(db.Suppliers)+1))
+	l.qty = append(l.qty, qty)
+	l.price = append(l.price, price)
+	l.discount = append(l.discount, float64(db.rng.Intn(11))/100)
+	l.tax = append(l.tax, float64(db.rng.Intn(9))/100)
+	l.returnflag = append(l.returnflag, rf)
+	l.linestatus = append(l.linestatus, ls)
+	l.ship = append(l.ship, ship)
+	l.commit = append(l.commit, commit)
+	l.receipt = append(l.receipt, receipt)
+	l.instruct = append(l.instruct, db.pick(instructs))
+	l.mode = append(l.mode, db.pick(shipmodes))
+}
+
+// seq returns n consecutive keys from first.
+func seq(n int, first int64) []int64 {
+	k := make([]int64, n)
+	for i := range k {
+		k[i] = first + int64(i)
+	}
+	return k
+}
+
+// exact returns s in an array of its own length, so a column adopting
+// it carries no slack.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// load appends the generated columns to t; a generator that builds
+// columns t does not take is a bug.
+func load(t *catalog.Table, cols ...bat.Vector) {
+	if _, err := t.AppendColumns(cols); err != nil {
+		panic(err)
 	}
 }
 

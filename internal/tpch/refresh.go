@@ -1,9 +1,6 @@
 package tpch
 
-import (
-	"repro/internal/bat"
-	"repro/internal/catalog"
-)
+import "repro/internal/bat"
 
 // Refresh functions following the TPC-H specification's RF1/RF2 shape
 // at the scale the paper uses for its update experiments (§7.4): each
@@ -14,25 +11,22 @@ import (
 // RF1 inserts n new orders with their lineitems and returns the new
 // order keys.
 func (db *DB) RF1(n int) []int64 {
-	orders := db.Table("orders")
-	li := db.Table("lineitem")
-	var oRows, lRows []catalog.Row
+	o, l := newOrderCols(n), newLineitemCols(n*4)
 	keys := make([]int64, 0, n)
 	for i := 0; i < n; i++ {
 		key := db.nextOrderKey
 		db.nextOrderKey++
 		keys = append(keys, key)
-		row := db.orderRow(key)
-		oRows = append(oRows, row)
+		date := db.addOrder(o, key)
 		nl := db.rng.Intn(7) + 1
-		for l := 0; l < nl; l++ {
-			lRows = append(lRows, db.lineitemRow(key, l, row["o_orderdate"].(bat.Date)))
+		for line := 0; line < nl; line++ {
+			db.addLineitem(l, key, line, date)
 		}
 	}
-	orders.Append(oRows)
-	li.Append(lRows)
+	load(db.Table("orders"), o.vectors()...)
+	load(db.Table("lineitem"), l.vectors()...)
 	db.liveOrderKeys = append(db.liveOrderKeys, keys...)
-	db.Lineitems += len(lRows)
+	db.Lineitems += len(l.order)
 	return keys
 }
 
