@@ -26,8 +26,9 @@
 // A graceful drain also writes the recycle pool as one image file, and
 // the next boot pre-warms the pool from it — the first queries after a
 // deploy hit instead of paying full naive cost. A crash leaves the
-// previous drain's image, whose records a commit since made stale do
-// not load.
+// previous drain's image: its records are recipes, recomputed at boot
+// against the recovered catalog, so every one holds whatever committed
+// since; only records over a table that no longer exists are skipped.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: listeners close, queued
 // statements are refused, in-flight queries drain (releasing their

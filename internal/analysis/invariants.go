@@ -118,7 +118,6 @@ const ListenerInterface = "repro/internal/catalog.UpdateListener"
 
 var ListenerMethods = map[string]bool{
 	"OnUpdate": true,
-	"OnDrop":   true,
 }
 
 // CatalogMutators are the catalog methods a listener must not call:
@@ -158,7 +157,6 @@ var RequiresWriterLock = map[string]bool{
 	"repro/internal/recycler.(*Pool).pushLeaf":        true,
 	"repro/internal/recycler.(*Pool).dropLeaf":        true,
 	"repro/internal/recycler.(*Pool).popLeaf":         true,
-	"repro/internal/recycler.(*Pool).entriesOver":     true,
 	"repro/internal/recycler.(*Pool).addTable":        true,
 	"repro/internal/recycler.(*Pool).SelectSupersets": true,
 	"repro/internal/recycler.(*Pool).SelectOverlaps":  true,

@@ -9,10 +9,10 @@ import "sync"
 // Table is a minimal catalog table.
 type Table struct{ Name string }
 
-// UpdateListener mirrors the real commit-window listener interface.
+// UpdateListener mirrors the real commit-window listener interface:
+// one method, which a drop reaches too (rows < 0 here).
 type UpdateListener interface {
 	OnUpdate(tbl string, rows int)
-	OnDrop(tbl string)
 }
 
 // Catalog mirrors the real lock and hook fields.

@@ -21,7 +21,7 @@ func TestAppendColumnsRefusesBadInput(t *testing.T) {
 	}
 	tb.DefineKeyIndex("n")
 	var records, events int
-	c.SetCommitHook(func(CommitRecord) { records++ })
+	c.SetCommitHook(func(Commit) { records++ })
 	c.AddListener(countListener{n: &events})
 	d := current(tb.MustColumn("s")).data.(*bat.Strings).D
 	before, _ := c.Pin("sys.w")
@@ -75,14 +75,14 @@ func TestAppendColumnsSharesTheColumnDictionary(t *testing.T) {
 	if current(tb.MustColumn("s")).data != bat.Vector(load) {
 		t.Fatal("a load into an empty column copied its vector")
 	}
-	var got []CommitRecord
-	c.SetCommitHook(func(r CommitRecord) { got = append(got, r) })
+	var got []Commit
+	c.SetCommitHook(func(r Commit) { got = append(got, r) })
 	first, err := tb.AppendColumns([]bat.Vector{bat.NewStrings([]string{"c", "a"})})
 	if err != nil || first != 2 {
 		t.Fatalf("append: first %d, %v", first, err)
 	}
 	col := current(tb.MustColumn("s")).data.(*bat.Strings)
-	delta := got[0].Inserts["s"].(*bat.Strings)
+	delta := got[0].Inserts[0].(*bat.Strings)
 	if delta.D != col.D || !slices.Equal(delta.C, []uint32{2, 0}) {
 		t.Fatalf("delta codes %v over its own dictionary %v, want [2 0] over the column's", delta.C, delta.D != col.D)
 	}

@@ -54,18 +54,17 @@ type Catalog struct {
 	// published — hook invocation order is therefore exactly commit
 	// order, which is what a write-ahead log needs. The hook must be
 	// fast and must not call back into the catalog.
-	commitHook func(CommitRecord)
+	commitHook func(Commit)
 }
 
-// CommitKind enumerates the durable statement classes a CommitRecord
-// can describe.
+// CommitKind enumerates the statement classes a Commit can describe.
 type CommitKind uint8
 
-// Commit record kinds. The values are durable (WAL records carry
-// them), so they are spelled out: 3 numbered in-place column updates
-// and 5 a listener-only invalidation event, which nothing produces any
-// more; both stay reserved so an old log holding one fails to decode
-// rather than replaying as something else.
+// Commit kinds. The values are durable (WAL records carry them), so
+// they are spelled out: 3 numbered in-place column updates and 5 a
+// listener-only invalidation event, which nothing produces any more;
+// both stay reserved so an old log holding one fails to decode rather
+// than replaying as something else.
 const (
 	// CommitCreate records a CreateTable.
 	CommitCreate CommitKind = 0
@@ -77,11 +76,13 @@ const (
 	CommitDrop CommitKind = 4
 )
 
-// CommitRecord describes one committed statement for the durability
-// hook (SetCommitHook). Unlike UpdateEvent it is self-contained —
-// plain names and value vectors, no *Table pointers — so it can be
-// serialised and replayed against a recovered catalog.
-type CommitRecord struct {
+// Commit describes one committed statement. The catalog builds it
+// once, under its write lock, and hands the same value to the
+// durability hook (SetCommitHook) and, for DML and drops, to every
+// update listener. Its plain part — names and value vectors — is
+// self-contained, so the log can serialise it and replay it against a
+// recovered catalog.
+type Commit struct {
 	// Seq is the catalog-wide commit sequence number of the statement,
 	// assigned under the write lock.
 	Seq          uint64
@@ -91,20 +92,28 @@ type CommitRecord struct {
 	// Cols holds the column definitions (CommitCreate).
 	Cols []ColDef
 
-	// Inserts maps column name to the per-column insert delta
-	// (CommitInsert); FirstOid/NumRows locate the appended rows.
-	Inserts  map[string]bat.Vector
+	// Inserts holds the insert delta, one vector per column in
+	// Table.Cols order (CommitInsert); FirstOid and NumRows locate the
+	// appended rows. Strings come in the codes of their column's
+	// dictionary.
+	Inserts  []bat.Vector
 	FirstOid bat.Oid
 	NumRows  int
 
-	// Deleted holds the tombstoned oids (CommitDelete).
+	// Deleted holds the tombstoned oids, ascending and distinct
+	// (CommitDelete).
 	Deleted []bat.Oid
+
+	// Snapshot is the version the statement published — a created
+	// table's first, a dropped table's last. A commit decoded from the
+	// log carries none.
+	Snapshot
 }
 
 // SetCommitHook installs the durability hook. The hook is called for
 // every committed statement while the catalog write lock is held, so
 // its invocation order equals commit order. Pass nil to detach.
-func (c *Catalog) SetCommitHook(h func(CommitRecord)) {
+func (c *Catalog) SetCommitHook(h func(Commit)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.commitHook = h
@@ -158,29 +167,10 @@ func (c *Catalog) Pin(qname string) (Snapshot, bool) {
 // a query away from the entries the listener is about to bring up to
 // date.
 type UpdateListener interface {
-	// OnUpdate is called once per committed DML statement with the
-	// table changed, its new version, the per-column insert deltas
-	// (may be nil) and the deleted oids (may be empty).
-	OnUpdate(ev UpdateEvent)
-	// OnDrop is called when a table is dropped.
-	OnDrop(table *Table)
-}
-
-// UpdateEvent describes one committed DML statement.
-type UpdateEvent struct {
-	// Snapshot is the table version the statement published (Table,
-	// Stamp).
-	Snapshot
-	// Kind classifies the statement: CommitInsert (Append) or
-	// CommitDelete (Delete).
-	Kind CommitKind
-	// Inserts maps column name to the insert delta BAT (head: fresh
-	// oids, tail: appended values). Nil when the statement only
-	// deleted rows.
-	Inserts map[string]*bat.BAT
-	// Deleted holds the oids removed by the statement, ascending and
-	// distinct.
-	Deleted []bat.Oid
+	// OnUpdate is called once per committed DML statement
+	// (CommitInsert, CommitDelete) and once per dropped table
+	// (CommitDrop), with the Commit the durability hook got.
+	OnUpdate(c Commit)
 }
 
 // New creates an empty catalog.
@@ -222,24 +212,19 @@ func (c *Catalog) CreateTable(schema, name string, cols []ColDef) *Table {
 		catalog:   c,
 		colByName: make(map[string]*Column, len(cols)),
 	}
-	c.commitSeq++
-	v := &version{stamp: Stamp{Created: c.commitSeq}, cols: make([]colVersion, len(cols))}
+	v := &version{stamp: Stamp{Created: c.commitSeq + 1}, cols: make([]colVersion, len(cols))}
 	for i, d := range cols {
 		t.addColumn(d)
 		v.cols[i] = colVersion{data: bat.EmptyVector(d.Kind), sorted: d.Sorted}
 	}
 	t.cur.Store(v)
 	c.tables[key(schema, name)] = t
-	if c.commitHook != nil {
-		c.commitHook(CommitRecord{
-			Seq: c.commitSeq, Kind: CommitCreate, Schema: schema, Name: name,
-			Cols: append([]ColDef(nil), cols...),
-		})
-	}
+	c.commitLocked(Commit{Kind: CommitCreate, Schema: schema, Name: name, Cols: slices.Clone(cols), Snapshot: t.snapshot()})
 	return t
 }
 
-// DropTable removes a table and notifies listeners.
+// DropTable removes a table and delivers a CommitDrop, which carries
+// the table's last version.
 func (c *Catalog) DropTable(schema, name string) {
 	t := c.Table(schema, name)
 	if t == nil {
@@ -248,21 +233,31 @@ func (c *Catalog) DropTable(schema, name string) {
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
 	var ls []UpdateListener
+	cm := Commit{Kind: CommitDrop, Schema: schema, Name: name, Snapshot: t.snapshot()}
 	c.mu.Lock()
 	// A recreated table under the same name is not ours to drop, and a
 	// concurrent drop may have won the race.
 	if cur := c.tables[key(schema, name)]; cur == t {
-		ls = slices.Clone(c.listeners)
 		delete(c.tables, key(schema, name))
-		c.commitSeq++
-		if c.commitHook != nil {
-			c.commitHook(CommitRecord{Seq: c.commitSeq, Kind: CommitDrop, Schema: schema, Name: name})
-		}
+		cm, ls = c.commitLocked(cm)
 	}
 	c.mu.Unlock()
 	for _, l := range ls {
-		l.OnDrop(t)
+		l.OnUpdate(cm)
 	}
+}
+
+// commitLocked stamps cm with the next commit sequence, hands it to the
+// durability hook and returns it with the listeners registered now,
+// whom the caller notifies once the lock is released. Caller holds the
+// write lock.
+func (c *Catalog) commitLocked(cm Commit) (Commit, []UpdateListener) {
+	c.commitSeq++
+	cm.Seq = c.commitSeq
+	if c.commitHook != nil {
+		c.commitHook(cm)
+	}
+	return cm, slices.Clone(c.listeners)
 }
 
 // Table returns the named table or nil.

@@ -59,41 +59,28 @@ func current(c *Column) colVersion { return c.Table.cur.Load().cols[c.pos] }
 
 type countListener struct{ n *int }
 
-func (c countListener) OnUpdate(UpdateEvent) { *c.n++ }
-func (c countListener) OnDrop(*Table)        {}
+func (c countListener) OnUpdate(Commit) { *c.n++ }
 
 func TestAppendEventCarriesDeltas(t *testing.T) {
 	c, tb := twoColTable(t)
-	var got UpdateEvent
-	c.AddListener(funcListener{onUpdate: func(ev UpdateEvent) { got = ev }})
+	var got Commit
+	c.AddListener(funcListener(func(cm Commit) { got = cm }))
 	first := tb.Append([]Row{{"o_orderkey": int64(9), "o_total": 90.0}})
 	if first != 3 {
 		t.Fatalf("first oid = %d", first)
 	}
-	if got.Table != tb || len(got.Inserts) != 2 || len(got.Deleted) != 0 {
-		t.Fatalf("event wrong: %+v", got)
+	if got.Table != tb || got.Kind != CommitInsert || len(got.Inserts) != 2 || len(got.Deleted) != 0 {
+		t.Fatalf("commit wrong: %+v", got)
 	}
-	d := got.Inserts["o_orderkey"]
-	if d.Len() != 1 || bat.OidAt(d.Head, 0) != 3 || d.Tail.Get(0) != int64(9) {
-		t.Fatalf("delta wrong: %s", d.Dump(5))
+	if d := got.Inserts[0]; got.FirstOid != 3 || got.NumRows != 1 || d.Len() != 1 || d.Get(0) != int64(9) {
+		t.Fatalf("delta wrong: first %d, %d rows, o_orderkey %v", got.FirstOid, got.NumRows, d)
 	}
 }
 
-type funcListener struct {
-	onUpdate func(UpdateEvent)
-	onDrop   func(*Table)
-}
+// funcListener is a catalog listener running itself on every commit.
+type funcListener func(Commit)
 
-func (f funcListener) OnUpdate(ev UpdateEvent) {
-	if f.onUpdate != nil {
-		f.onUpdate(ev)
-	}
-}
-func (f funcListener) OnDrop(t *Table) {
-	if f.onDrop != nil {
-		f.onDrop(t)
-	}
-}
+func (f funcListener) OnUpdate(cm Commit) { f(cm) }
 
 func TestKeyIndexAndLookup(t *testing.T) {
 	_, tb := twoColTable(t)
@@ -152,7 +139,11 @@ func TestJoinIndex(t *testing.T) {
 func TestDropTableNotifies(t *testing.T) {
 	c, tb := twoColTable(t)
 	var dropped *Table
-	c.AddListener(funcListener{onDrop: func(t *Table) { dropped = t }})
+	c.AddListener(funcListener(func(cm Commit) {
+		if cm.Kind == CommitDrop {
+			dropped = cm.Table
+		}
+	}))
 	c.DropTable("sys", "orders")
 	if dropped != tb || c.Table("sys", "orders") != nil {
 		t.Fatal("drop did not notify or remove")

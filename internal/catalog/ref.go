@@ -115,6 +115,21 @@ func (r *Ref) RowsAt(oids bat.Vector) *bat.BAT {
 	return b
 }
 
+// Appended returns the rows commit c appended to what r names, at the
+// fresh oids: a column's insert vector itself, or a join index's rows
+// at r's version, which must be c's or a later one. Nil when c
+// inserted nothing.
+func (r *Ref) Appended(c Commit) *bat.BAT {
+	if c.NumRows == 0 {
+		return nil
+	}
+	head := bat.NewDense(c.FirstOid, c.NumRows)
+	if r.col != nil {
+		return bat.New(head, c.Inserts[r.col.pos])
+	}
+	return r.RowsAt(head)
+}
+
 // String renders the rows like bat.BAT.String.
 func (r *Ref) String() string {
 	kind := bat.KOid // a join index's parent oids

@@ -285,7 +285,7 @@ func valuesOf[T any](rows []Row, col string) []T {
 
 // AppendColumns inserts rows given column by column — one vector per
 // column of the table, in definition order, each of its column's kind
-// and all of one length — and commits them as one update event. It
+// and all of one length — and commits them as one Commit. It
 // returns the oid of the first inserted row. A wrong column count, kind
 // or length is an error with the table, its dictionaries, the log and
 // the listeners untouched.
@@ -307,28 +307,17 @@ func (t *Table) AppendColumns(cols []bat.Vector) (bat.Oid, error) {
 	defer t.commitMu.Unlock()
 	deltas := t.encode(cols)
 	c := t.catalog
-	var first bat.Oid
-	ls, ev := func() ([]UpdateListener, UpdateEvent) {
+	cm, ls := func() (Commit, []UpdateListener) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		cur := t.cur.Load()
-		first = bat.Oid(cur.nrows)
+		first := bat.Oid(cur.nrows)
 		next := &version{stamp: cur.stamp, nrows: cur.nrows + n, cols: make([]colVersion, len(cur.cols)), tomb: cur.tomb}
-		ev := UpdateEvent{Kind: CommitInsert, Inserts: make(map[string]*bat.BAT, len(t.Cols))}
-		head := bat.NewDense(first, n) // one head for every delta: vectors are immutable
-		rec := CommitRecord{Kind: CommitInsert, FirstOid: first, NumRows: n}
-		if c.commitHook != nil {
-			rec.Inserts = make(map[string]bat.Vector, len(t.Cols))
-		}
-		for i, col := range t.Cols {
-			old, d := cur.cols[i], deltas[i]
+		for i, d := range deltas {
+			old := cur.cols[i]
 			next.cols[i] = colVersion{data: d, sorted: old.sorted && staysSorted(old.data, d)}
 			if old.data.Len() > 0 {
 				next.cols[i].data = bat.Extend(old.data, d)
-			}
-			ev.Inserts[col.Name] = bat.New(head, d)
-			if rec.Inserts != nil {
-				rec.Inserts[col.Name] = d
 			}
 		}
 		next.idx = t.extendIndexesLocked(cur, first, deltas)
@@ -342,12 +331,12 @@ func (t *Table) AppendColumns(cols []bat.Vector) (bat.Oid, error) {
 				}
 			}
 		}
-		return t.publishLocked(next, rec, ev)
+		return t.publishLocked(next, Commit{Kind: CommitInsert, Inserts: deltas, FirstOid: first, NumRows: n})
 	}()
 	for _, l := range ls {
-		l.OnUpdate(ev)
+		l.OnUpdate(cm)
 	}
-	return first, nil
+	return cm.FirstOid, nil
 }
 
 // checkColumns returns the row count of cols, or why they cannot be
@@ -446,7 +435,7 @@ func (t *Table) extendIndexesLocked(cur *version, first bat.Oid, deltas []bat.Ve
 	return idx
 }
 
-// Delete tombstones the given oids and commits one update event, which
+// Delete tombstones the given oids and commits them as one Commit, which
 // reports the rows actually removed in ascending oid order. It costs
 // the rows it removes and the tombstone list it extends: the new list
 // starts with empty caches, which the next bind that reads them fills
@@ -461,7 +450,7 @@ func (t *Table) Delete(oids []bat.Oid) {
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
 	c := t.catalog
-	ls, ev := func() ([]UpdateListener, UpdateEvent) {
+	cm, ls := func() (Commit, []UpdateListener) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		cur := t.cur.Load()
@@ -471,7 +460,7 @@ func (t *Table) Delete(oids []bat.Oid) {
 			return gone || o >= bat.Oid(cur.nrows)
 		})
 		if len(really) == 0 {
-			return nil, UpdateEvent{}
+			return Commit{}, nil
 		}
 		next := &version{stamp: cur.stamp, nrows: cur.nrows, cols: cur.cols, tomb: newTombstones(mergeOids(dead, really), len(cur.cols))}
 		if len(cur.idx) > 0 {
@@ -480,10 +469,10 @@ func (t *Table) Delete(oids []bat.Oid) {
 				next.idx[i] = jt.at(jt.oids, false) // a version with tombstones carries no postings
 			}
 		}
-		return t.publishLocked(next, CommitRecord{Kind: CommitDelete, Deleted: really}, UpdateEvent{Kind: CommitDelete, Deleted: really})
+		return t.publishLocked(next, Commit{Kind: CommitDelete, Deleted: really})
 	}()
 	for _, l := range ls {
-		l.OnUpdate(ev)
+		l.OnUpdate(cm)
 	}
 }
 
@@ -499,19 +488,14 @@ func mergeOids(a, b []bat.Oid) []bat.Oid {
 }
 
 // publishLocked commits next, built from the current version: stamped
-// one update past it and with the next commit sequence, it becomes the
-// table's version in one store. The durability hook then gets rec, and
-// the caller notifies the returned listeners, the ones registered now,
-// of ev, which carries next. Caller holds the write lock.
-func (t *Table) publishLocked(next *version, rec CommitRecord, ev UpdateEvent) ([]UpdateListener, UpdateEvent) {
-	c := t.catalog
+// one update past it, it becomes the table's version in one store, and
+// cm, which carries it, is committed (Catalog.commitLocked). The caller
+// notifies the returned listeners of the returned commit. Caller holds
+// the write lock.
+func (t *Table) publishLocked(next *version, cm Commit) (Commit, []UpdateListener) {
 	next.stamp.Version++
-	c.commitSeq++
 	t.cur.Store(next)
-	ev.Snapshot = Snapshot{Table: t, Stamp: next.stamp, v: next}
-	if c.commitHook != nil {
-		rec.Seq, rec.Schema, rec.Name = c.commitSeq, t.Schema, t.Name
-		c.commitHook(rec)
-	}
-	return slices.Clone(c.listeners), ev
+	cm.Schema, cm.Name = t.Schema, t.Name
+	cm.Snapshot = Snapshot{Table: t, Stamp: next.stamp, v: next}
+	return t.catalog.commitLocked(cm)
 }

@@ -209,38 +209,50 @@ func BenchmarkCommitDelete(b *testing.B) {
 	run("rows=200000,tombstones=10000", 200_000, 10_000)
 }
 
+// insertAllocCeiling is the measured allocation count of one
+// single-row insert commit in TestCommitAllocations, the row's map and
+// vectors included: a commit builds nothing per column for a consumer
+// that may not read it. A -race build allocates more and is not held
+// to it.
+const insertAllocCeiling = 344
+
 // TestCommitAllocations pins the O(delta) commits against the
 // 200k-row, 23-column table with the warm maintained pool. One
 // single-row insert may allocate 64 KB (a copy-on-write append of the
-// columns alone is 37 MB). One single-row delete of an earlier insert
-// may allocate 512 KB: it copies no column (one is 1.6 MB, and the
-// bound ones plus the live oids were 7 MB a delete), only the filter
-// and project results the dead row leaves, a few thousand rows each
-// at this size. Neither may fall back.
+// columns alone is 37 MB) in insertAllocCeiling allocations. One
+// single-row delete of an earlier insert may allocate 512 KB: it
+// copies no column (one is 1.6 MB, and the bound ones plus the live
+// oids were 7 MB a delete), only the filter and project results the
+// dead row leaves, a few thousand rows each at this size. Neither may
+// fall back.
 func TestCommitAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200k-row catalog")
 	}
 	f := newCommitFixture(t, 200_000)
 	const commits = 10
-	perCommit := func(commit func(i int)) uint64 {
+	perCommit := func(commit func(i int)) (bytes, allocs uint64) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < commits; i++ {
 			commit(i)
 		}
 		runtime.ReadMemStats(&m1)
-		return (m1.TotalAlloc - m0.TotalAlloc) / commits
+		return (m1.TotalAlloc - m0.TotalAlloc) / commits, (m1.Mallocs - m0.Mallocs) / commits
 	}
 	f.insert() // the walk's own first-use allocations
-	if per := perCommit(func(int) { f.insert() }); per > 64<<10 {
+	per, allocs := perCommit(func(int) { f.insert() })
+	if per > 64<<10 {
 		t.Fatalf("one insert commit allocated %d bytes, want <= %d", per, 64<<10)
+	}
+	if allocs > insertAllocCeiling && !raceEnabled {
+		t.Fatalf("one insert commit made %d allocations, want <= %d", allocs, insertAllocCeiling)
 	}
 	var oids []bat.Oid
 	for i := 0; i < commits; i++ {
 		oids = append(oids, f.insert())
 	}
-	if per := perCommit(func(i int) { f.tb.Delete(oids[i : i+1]) }); per > 512<<10 {
+	if per, _ := perCommit(func(i int) { f.tb.Delete(oids[i : i+1]) }); per > 512<<10 {
 		t.Fatalf("one delete commit allocated %d bytes, want <= %d", per, 512<<10)
 	}
 	if st := f.rec.Snapshot(); st.MaintainFallback != 0 || st.Invalidated != 0 {

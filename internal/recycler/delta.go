@@ -125,17 +125,16 @@ type change struct {
 	oldRef         *catalog.Ref // old is a bind's name
 }
 
-// commitWalk is the state of one applyCommit over list l. dead is the
-// commit's tombstoned oids, ascending. reached holds every entry a rule
-// changed, whose Entry.delta is set until the walk ends: a valid entry
-// with none is as the commit found it — out of the delta's reach, or
-// not walked yet (impossible for a parent — parents are admitted,
-// hence walked, first); one that fell back is no longer valid.
+// commitWalk is the state of one applyCommit of commit c over list l.
+// reached holds every entry a rule changed, whose Entry.delta is set
+// until the walk ends: a valid entry with none is as the commit found
+// it — out of the delta's reach, or not walked yet (impossible for a
+// parent — parents are admitted, hence walked, first); one that fell
+// back is no longer valid.
 type commitWalk struct {
 	r       *Recycler
 	l       *tableList
-	ev      catalog.UpdateEvent
-	dead    []bat.Oid
+	c       catalog.Commit
 	reached []*Entry
 }
 
@@ -166,7 +165,7 @@ func (s *commitSummary) fellBack(cause string) {
 // trace event (emitted by OnUpdate after the lock is released); it and
 // the maintenance counters stay zero under the empty mask, which has
 // nothing to fall back from.
-func (r *Recycler) applyCommit(l *tableList, ev catalog.UpdateEvent, rules ruleMask) (sum commitSummary) {
+func (r *Recycler) applyCommit(l *tableList, c catalog.Commit, rules ruleMask) (sum commitSummary) {
 	if rules == invalidateRules {
 		for _, e := range l.entries {
 			if e != nil {
@@ -176,7 +175,7 @@ func (r *Recycler) applyCommit(l *tableList, ev catalog.UpdateEvent, rules ruleM
 		return sum
 	}
 	start := time.Now()
-	w := &commitWalk{r: r, l: l, ev: ev, dead: ev.Deleted}
+	w := &commitWalk{r: r, l: l, c: c}
 	for _, e := range l.entries {
 		if e == nil || !e.valid.Load() {
 			continue
@@ -243,7 +242,7 @@ func (w *commitWalk) parent(e *Entry, i int) (pe *Entry, ch change, ok bool) {
 
 // refresh swaps e's result for v computed at the commit's version.
 func (w *commitWalk) refresh(e *Entry, v mal.Value) {
-	w.r.refreshResult(e, v, w.l, w.ev.Stamp.Version)
+	w.r.refreshResult(e, v, w.l, w.c.Stamp.Version)
 }
 
 // still reports that the walk left parent pe's result the object — the
@@ -273,32 +272,27 @@ func (w *commitWalk) rowsetParent(e *Entry, i int) (pe *Entry, ch change, ok boo
 
 // base seeds the walk and renames: a bind entry holds a name, not rows
 // (catalog.Ref), so the rule moves it to the commit's version in O(1).
-// The commit's insert delta becomes the entry's, and the rows it
-// tombstoned are read by oid out of the column (or the index's oid
-// vector), which keeps a dead row's slot — O(δ) — for the aggregates
-// downstream. A join index (child oid → parent oid) is headed by its
-// own table's oids, so only that table's commits add or remove rows.
+// The commit's insert vector for the column, headed with the fresh
+// oids only here (Ref.Appended), becomes the entry's delta, and the
+// rows it tombstoned are read by oid out of the column (or the index's
+// oid vector), which keeps a dead row's slot — O(δ) — for the
+// aggregates downstream. A join index (child oid → parent oid) is
+// headed by its own table's oids, so only that table's commits add or
+// remove rows.
 func (w *commitWalk) base(e *Entry) (ch change, ok bool) {
 	ref := e.Result.Ref
 	if ref == nil {
 		return ch, false
 	}
-	if ref.Snapshot().Table != w.ev.Table {
+	if ref.Snapshot().Table != w.c.Table {
 		// The index's parent table committed: no row of the index moved.
 		return ch, e.OpName == "sql.bindIdxbat"
 	}
-	if len(w.dead) > 0 {
-		ch.removed = ref.RowsAt(bat.NewOids(w.dead))
+	if len(w.c.Deleted) > 0 {
+		ch.removed = ref.RowsAt(bat.NewOids(w.c.Deleted))
 	}
-	next := ref.At(w.ev.Snapshot)
-	if e.OpName == "sql.bind" {
-		ch.added = w.ev.Inserts[e.Args[2].S]
-	} else {
-		for _, d := range w.ev.Inserts { // any column: they share the inserted heads
-			ch.added = next.RowsAt(d.Head)
-			break
-		}
-	}
+	next := ref.At(w.c.Snapshot)
+	ch.added = next.Appended(w.c)
 	w.refresh(e, mal.RefV(next))
 	return ch, true
 }
@@ -446,7 +440,7 @@ func (w *commitWalk) view(e *Entry) (ch change, ok bool) {
 func (w *commitWalk) join(e *Entry) (ch change, ok bool) {
 	_, l, okL := w.parent(e, 0)
 	_, r, okR := w.parent(e, 1)
-	if len(w.dead) > 0 || !okL || !okR || e.Result.Kind != mal.VBat {
+	if len(w.c.Deleted) > 0 || !okL || !okR || e.Result.Kind != mal.VBat {
 		return ch, false
 	}
 	// A bind parent's old rows are read at the version before the

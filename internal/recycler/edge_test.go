@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/mal"
 	"repro/internal/opt"
@@ -61,16 +62,35 @@ func TestSingleQueryFillsPoolException(t *testing.T) {
 	}
 }
 
+// TestMaxCombinedCapRespected: with more overlapping pieces pooled
+// than maxCombined, Algorithm 2 is fed exactly maxCombined of them, and
+// the wide target still gets the right answer.
 func TestMaxCombinedCapRespected(t *testing.T) {
-	f := newFixture(t, Config{
-		Admission: KeepAll, Subsumption: true, CombinedSubsumption: true, MaxCombined: 4,
-	})
+	f := newFixture(t, Config{Admission: KeepAll, Subsumption: true, CombinedSubsumption: true})
 	tmpl := selectCountTemplate()
-	// Flood the pool with many overlapping small selects.
-	for i := 0; i < 20; i++ {
-		f.run(t, tmpl, mal.IntV(int64(i*4)), mal.IntV(int64(i*4+6)))
+	// Flood the pool with overlapping small selects, each reaching past
+	// the ones before it, so none is subsumed and every one is admitted.
+	for i := 0; i < 2*maxCombined+4; i++ {
+		f.run(t, tmpl, mal.IntV(int64(i*2)), mal.IntV(int64(i*2+6)))
 	}
-	// A wide target: the search must stay bounded and still produce a
+	var colKey string
+	for _, e := range f.rec.Pool().All() {
+		if e.OpName == "algebra.select" {
+			colKey = e.Args[0].Key()
+		}
+	}
+	target := algebra.Range{Lo: int64(2), Hi: int64(70), IncLo: true, IncHi: true}
+	f.rec.mu.Lock()
+	pieces := len(f.rec.pool.SelectOverlaps(colKey, target, f.cat))
+	R := f.rec.overlapSnaps(f.cat, colKey, target)
+	f.rec.mu.Unlock()
+	if pieces <= maxCombined {
+		t.Fatalf("the pool holds %d pieces overlapping the target, want more than %d", pieces, maxCombined)
+	}
+	if len(R) != maxCombined {
+		t.Fatalf("Algorithm 2 was fed %d of %d overlapping pieces, want %d", len(R), pieces, maxCombined)
+	}
+	// The wide target: the search must stay bounded and still produce a
 	// correct answer (whether combined fires or not).
 	ctx := f.run(t, tmpl, mal.IntV(2), mal.IntV(70))
 	if ctx.Results[0].Val.I != 69 {

@@ -619,16 +619,6 @@ func (p *Pool) siftDown(i int) {
 	}
 }
 
-// entriesOver returns the entries stamped with table, in id order, as
-// its list holds them: a nil slot is a hole. Caller holds the recycler
-// writer lock.
-func (p *Pool) entriesOver(table string) []*Entry {
-	if l := p.tables[table]; l != nil {
-		return l.entries
-	}
-	return nil
-}
-
 // addTable makes table's list, at version s. Caller holds the recycler
 // writer lock.
 func (p *Pool) addTable(table string, s catalog.Stamp) *tableList {

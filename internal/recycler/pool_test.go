@@ -39,6 +39,15 @@ func stampOver(p *Pool, table string) tableStamp {
 	return tableStamp{l: l}
 }
 
+// entriesOver returns the entries stamped with table, in id order, as
+// its list holds them: a nil slot is a hole.
+func (p *Pool) entriesOver(table string) []*Entry {
+	if l := p.tables[table]; l != nil {
+		return l.entries
+	}
+	return nil
+}
+
 // pinsAt is a Pins over fixed table versions. Entries without stamps
 // (every mkEntry) are current for any pins, pinsAt(nil) included.
 type pinsAt map[string]catalog.Stamp

@@ -58,8 +58,6 @@ type Config struct {
 	// Algorithm 2 search over sets of overlapping selects.
 	Subsumption         bool
 	CombinedSubsumption bool
-	// MaxCombined caps the candidate set size fed to Algorithm 2.
-	MaxCombined int
 
 	// Sync selects update synchronisation behaviour.
 	Sync SyncMode
@@ -165,9 +163,6 @@ type Recycler struct {
 
 // New creates a recycler over the given catalog.
 func New(cat *catalog.Catalog, cfg Config) *Recycler {
-	if cfg.MaxCombined <= 0 {
-		cfg.MaxCombined = 16
-	}
 	r := &Recycler{
 		cfg:    cfg,
 		pool:   NewPool(),

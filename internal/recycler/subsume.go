@@ -61,9 +61,12 @@ func (r *Recycler) smallestSuperset(q Pins, colKey string, t algebra.Range) *Ent
 	return best
 }
 
+// maxCombined caps the candidate set size fed to Algorithm 2.
+const maxCombined = 16
+
 // overlapSnaps builds R for Algorithm 2: snapshots of the range selects
 // over the column, current for q, that overlap the target, oldest
-// first, capped at MaxCombined for safety. Caller holds the writer
+// first, capped at maxCombined for safety. Caller holds the writer
 // lock.
 func (r *Recycler) overlapSnaps(q Pins, colKey string, t algebra.Range) []pieceSnap {
 	cands := r.pool.SelectOverlaps(colKey, t, q)
@@ -71,7 +74,7 @@ func (r *Recycler) overlapSnaps(q Pins, colKey string, t algebra.Range) []pieceS
 	var R []pieceSnap
 	for _, e := range cands {
 		R = append(R, pieceSnap{e: e, r: e.Sel, tuples: e.Tuples, result: e.Result})
-		if len(R) >= r.cfg.MaxCombined {
+		if len(R) >= maxCombined {
 			break
 		}
 	}

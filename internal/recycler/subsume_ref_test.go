@@ -53,7 +53,7 @@ func overlapSnapsRef(r *Recycler, q Pins, colKey string, lo, hi any) []*Entry {
 		}
 		if e.Sel.Overlaps(algebra.Range{Lo: lo, Hi: hi}) {
 			R = append(R, e)
-			if len(R) >= r.cfg.MaxCombined {
+			if len(R) >= maxCombined {
 				break
 			}
 		}
@@ -116,7 +116,7 @@ func TestSubsumptionSearchMatchesLinearScan(t *testing.T) {
 
 func runSubsumeDiff(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	r := New(nil, Config{Subsumption: true, CombinedSubsumption: true, MaxCombined: 5})
+	r := New(nil, Config{Subsumption: true, CombinedSubsumption: true})
 	p := r.pool
 	cols := []string{"e1", "e2", "e3"}
 	tables := []string{"sys.a", "sys.b", "sys.c"}

@@ -34,27 +34,37 @@ func (m SyncMode) preset() (name string, rules ruleMask) {
 	return "invalidate", invalidateRules
 }
 
-// OnUpdate implements catalog.UpdateListener. When a tracer is
-// attached, a commit summary event (preset, invalidated count, entries
-// maintained vs. fallen back with causes) is emitted AFTER the writer
-// lock is released — trace calls under the writer lock are forbidden
-// by the lockorder analyzer.
-func (r *Recycler) OnUpdate(ev catalog.UpdateEvent) {
+// OnUpdate implements catalog.UpdateListener. A drop invalidates every
+// entry over the table at once, freeing its resources without waiting
+// for eviction, and discards the table's list. When a tracer is
+// attached, a commit summary event (preset or "drop", invalidated
+// count, entries maintained vs. fallen back with causes) is emitted
+// AFTER the writer lock is released — trace calls under the writer
+// lock are forbidden by the lockorder analyzer.
+func (r *Recycler) OnUpdate(c catalog.Commit) {
 	tr := r.tracer.Load()
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 	r.lockWriter()
-	qname := ev.Table.QName()
+	qname := c.Table.QName()
 	invalBefore := r.pool.Invalidated
 	mode, rules := r.cfg.Sync.preset()
 	var sum commitSummary
+	l := r.pool.tables[qname]
+	switch {
+	case c.Kind == catalog.CommitDrop:
+		mode = "drop"
+		if l != nil {
+			r.applyCommit(l, c, invalidateRules)
+			delete(r.pool.tables, qname)
+		}
 	// A list made after the commit published has applied it already;
 	// one of an earlier table of the same name waits for its drop.
-	if l := r.pool.tables[qname]; l != nil && l.created == ev.Stamp.Created && l.applied.Load() < ev.Stamp.Version {
-		sum = r.applyCommit(l, ev, rules)
-		l.applied.Store(ev.Stamp.Version)
+	case l != nil && l.created == c.Stamp.Created && l.applied.Load() < c.Stamp.Version:
+		sum = r.applyCommit(l, c, rules)
+		l.applied.Store(c.Stamp.Version)
 	}
 	invalidated := r.pool.Invalidated - invalBefore
 	r.mu.Unlock()
@@ -80,31 +90,6 @@ func commitDetail(qname string, invalidated int64, sum commitSummary) string {
 		}
 	}
 	return b.String()
-}
-
-// OnDrop implements catalog.UpdateListener: dropping a table
-// invalidates every dependent intermediate immediately, freeing
-// resources without waiting for eviction.
-func (r *Recycler) OnDrop(t *catalog.Table) {
-	tr := r.tracer.Load()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	r.lockWriter()
-	qname := t.QName()
-	invalBefore := r.pool.Invalidated
-	for _, e := range r.pool.entriesOver(qname) {
-		if e != nil {
-			r.invalidate(e)
-		}
-	}
-	invalidated := r.pool.Invalidated - invalBefore
-	delete(r.pool.tables, qname)
-	r.mu.Unlock()
-	if tr != nil {
-		tr.Event("commit.drop", time.Since(t0), fmt.Sprintf("table=%s invalidated=%d", qname, invalidated))
-	}
 }
 
 // invalidate removes an entry because its source data changed. Caller

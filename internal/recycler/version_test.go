@@ -11,10 +11,9 @@ import (
 )
 
 // onCommit is a catalog listener running f on every commit.
-type onCommit func(catalog.UpdateEvent)
+type onCommit func(catalog.Commit)
 
-func (f onCommit) OnUpdate(ev catalog.UpdateEvent) { f(ev) }
-func (f onCommit) OnDrop(*catalog.Table)           {}
+func (f onCommit) OnUpdate(c catalog.Commit) { f(c) }
 
 // commitOps numbers the ops commitOp registers.
 var commitOps int
@@ -144,7 +143,7 @@ func TestQueryBeginningDuringCommitWindowRefused(t *testing.T) {
 	// A listener registered ahead of the recycler freezes the in-flight
 	// moment: mutation visible, walk not yet delivered.
 	var window func()
-	f := newFixture(t, Config{Admission: KeepAll}, onCommit(func(catalog.UpdateEvent) {
+	f := newFixture(t, Config{Admission: KeepAll}, onCommit(func(catalog.Commit) {
 		if w := window; w != nil {
 			window = nil
 			w()
@@ -190,7 +189,7 @@ func TestQueryBeginningDuringCommitWindowRefused(t *testing.T) {
 func TestFailedAppendChangesNothing(t *testing.T) {
 	f := newFixture(t, Config{Admission: KeepAll, Sync: SyncMaintain})
 	var records int
-	f.cat.SetCommitHook(func(catalog.CommitRecord) { records++ })
+	f.cat.SetCommitHook(func(catalog.Commit) { records++ })
 	tmpl := selectCountTemplate()
 	f.run(t, tmpl, mal.IntV(0), mal.IntV(50)) // warm the pool
 	marked := 0

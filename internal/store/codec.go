@@ -170,6 +170,29 @@ func (d *dec) str() string {
 	return string(b)
 }
 
+// kind reads a column kind; one bat does not know latches the cursor,
+// so a catalog is never asked to build a column of it.
+func (d *dec) kind() bat.Kind {
+	k := bat.Kind(d.u8())
+	if k > bat.KBool {
+		d.fail = true
+	}
+	return k
+}
+
+// count returns n, a count of elements the payload goes on to hold,
+// each at least size bytes; a count the bytes left cannot hold latches
+// the cursor and returns 0. It is what keeps a decoder from allocating
+// for the count a corrupt frame claims rather than for the bytes that
+// follow it.
+func (d *dec) count(n, size int) int {
+	if d.fail || n < 0 || n > (len(d.b)-d.off)/size {
+		d.fail = true
+		return 0
+	}
+	return n
+}
+
 // done reports whether the cursor consumed the payload exactly.
 func (d *dec) done() bool { return !d.fail && d.off == len(d.b) }
 
@@ -186,6 +209,11 @@ const (
 	tagDates
 	tagBools
 )
+
+// elemSize holds the fewest bytes one element of a vector encodes in,
+// by tag: a string is at least its length prefix. Zero marks a tag that
+// is not a vector's.
+var elemSize = [256]int{tagOids: 8, tagInts: 8, tagFloats: 8, tagStrings: 4, tagDates: 4, tagBools: 1}
 
 // encodeVector appends the per-kind encoding of v.
 func encodeVector(e *enc, v bat.Vector) {
@@ -253,11 +281,11 @@ func decodeVector(d *dec) bat.Vector {
 		}
 		return bat.NewDense(start, n)
 	}
-	n := int(d.u64())
-	if d.fail || n < 0 || n > maxFramePayload {
+	if elemSize[tag] == 0 {
 		d.fail = true
-		n = 0
+		return bat.NewOids(nil)
 	}
+	n := d.count(int(d.u64()), elemSize[tag])
 	switch tag {
 	case tagOids:
 		v := make([]bat.Oid, n)
@@ -289,15 +317,13 @@ func decodeVector(d *dec) bat.Vector {
 			v[i] = bat.Date(d.u32())
 		}
 		return bat.NewDates(v)
-	case tagBools:
+	default: // tagBools, the last tag elemSize knows
 		v := make([]bool, n)
 		for i := range v {
 			v[i] = d.u8() != 0
 		}
 		return bat.NewBools(v)
 	}
-	d.fail = true
-	return bat.NewOids(nil)
 }
 
 // --- scalar values ------------------------------------------------------

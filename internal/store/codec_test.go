@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/catalog"
 	"repro/internal/mal"
 )
 
@@ -47,10 +49,16 @@ func roundTripVector(t *testing.T, v bat.Vector) bat.Vector {
 }
 
 // vectorsEqual compares contents; float comparison is bit-exact so nil
-// sentinels (NaN) compare equal.
+// sentinels (NaN) compare equal. Two dense vectors compare by start and
+// length, which a decoded one may claim in the billions.
 func vectorsEqual(a, b bat.Vector) bool {
 	if a.Kind() != b.Kind() || a.Len() != b.Len() {
 		return false
+	}
+	if da, ok := a.(*bat.DenseOids); ok {
+		if db, ok := b.(*bat.DenseOids); ok {
+			return *da == *db
+		}
 	}
 	for i := 0; i < a.Len(); i++ {
 		av, bv := a.Get(i), b.Get(i)
@@ -248,6 +256,70 @@ func TestDecodeRejectsTruncatedPayload(t *testing.T) {
 		decodeVector(d)
 		if d.err() == nil && d.done() {
 			t.Fatalf("cut at %d decoded cleanly", cut)
+		}
+	}
+}
+
+// TestDecodeCountLieAllocatesLittle: a CRC-valid frame whose record
+// claims 1<<24 elements it does not hold — an insert's vector of ints,
+// a delete's oid list — is corrupt, and decoding it allocates about
+// what the frame holds, not what it claims (128 MiB each).
+func TestDecodeCountLieAllocatesLittle(t *testing.T) {
+	header := func(kind catalog.CommitKind) *enc {
+		e := &enc{}
+		e.u8(uint8(kind))
+		e.u64(1)
+		e.str("sys")
+		e.str("t")
+		return e
+	}
+	insert := header(catalog.CommitInsert)
+	insert.u64(0)
+	insert.u32(1 << 24)
+	insert.u32(1)
+	insert.str("v")
+	insert.u8(tagInts)
+	insert.u64(1 << 24)
+	del := header(catalog.CommitDelete)
+	del.u32(1 << 24)
+	for name, e := range map[string]*enc{"insert": insert, "delete": del} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, e.b); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := readFrame(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = decodeCommit(payload)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: decoding a frame that claims 1<<24 elements: %v, want ErrCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: decoding a %d-byte payload allocated %d bytes", name, len(payload), grew)
+		}
+	}
+}
+
+// TestDecodeRejectsUnknownColumnKind: a CRC-valid create record whose
+// column has a kind bat does not know is corrupt; replaying it would
+// ask the catalog for a column of that kind, which panics.
+func TestDecodeRejectsUnknownColumnKind(t *testing.T) {
+	for _, k := range []uint8{uint8(bat.KBool) + 1, 255} {
+		e := &enc{}
+		e.u8(uint8(catalog.CommitCreate))
+		e.u64(1)
+		e.str("sys")
+		e.str("t")
+		e.u32(1)
+		e.str("v")
+		e.u8(k)
+		e.u8(0)
+		if _, _, err := decodeCommit(e.b); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("kind %d: %v, want ErrCorrupt", k, err)
 		}
 	}
 }

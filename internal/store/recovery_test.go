@@ -400,7 +400,7 @@ func TestWALReservedKindFailsRecovery(t *testing.T) {
 	e.u32(1)
 	e.u64(0)
 	encodeVector(e, bat.NewStrings([]string{"countess"}))
-	if _, err := decodeCommit(e.b); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := decodeCommit(e.b); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decoding a kind-3 record: %v, want ErrCorrupt", err)
 	}
 
@@ -412,7 +412,7 @@ func TestWALReservedKindFailsRecovery(t *testing.T) {
 	if err := writeFrame(f, e.b); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(f, encodeCommit(catalog.CommitRecord{Seq: seq + 2, Kind: catalog.CommitDelete, Schema: "sys", Name: "people", Deleted: []bat.Oid{1}})); err != nil {
+	if err := writeFrame(f, encodeCommit(catalog.Commit{Seq: seq + 2, Kind: catalog.CommitDelete, Schema: "sys", Name: "people", Deleted: []bat.Oid{1}})); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -424,6 +424,73 @@ func TestWALReservedKindFailsRecovery(t *testing.T) {
 	defer st2.Close()
 	if _, err := st2.Recover(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("recovery over a kind-3 record: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWALReplayMatchesColumnsByName: replay puts each vector of an
+// insert record into the column it names, whatever order the record
+// lists them in, and refuses a record naming a column the table lacks.
+func TestWALReplayMatchesColumnsByName(t *testing.T) {
+	for _, tc := range []struct {
+		names []string
+		ok    bool
+	}{
+		{[]string{"name", "id"}, true},
+		{[]string{"name", "idd"}, false},
+		{[]string{"name", "name"}, false},
+	} {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := seedCatalog()
+		if err := st.Bootstrap(cat); err != nil {
+			t.Fatal(err)
+		}
+		seq := cat.CommitSeq()
+		st.Close()
+
+		e := &enc{}
+		e.u8(uint8(catalog.CommitInsert))
+		e.u64(seq + 1)
+		e.str("sys")
+		e.str("people")
+		e.u64(3)
+		e.u32(1)
+		e.u32(2)
+		e.str(tc.names[0])
+		encodeVector(e, bat.NewStrings([]string{"alan"}))
+		e.str(tc.names[1])
+		encodeVector(e, bat.NewInts([]int64{4}))
+		segs, _ := listSegments(filepath.Join(dir, "wal"))
+		f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(f, e.b); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		st2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st2.Recover()
+		st2.Close()
+		if !tc.ok {
+			if err == nil {
+				t.Fatalf("columns %q: recovery succeeded", tc.names)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("columns %q: %v", tc.names, err)
+		}
+		want := seedCatalog()
+		insertPeople([2]any{int64(4), "alan"})(want)
+		catalogsEqual(t, got, want)
 	}
 }
 

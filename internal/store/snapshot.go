@@ -170,7 +170,7 @@ func loadSnapshot(dir string) (tables []catalog.TableState, seq uint64, ok bool,
 		}
 		nCols := int(meta.u32())
 		for c := 0; c < nCols && !meta.fail; c++ {
-			ts.Cols = append(ts.Cols, catalog.ColDef{Name: meta.str(), Kind: bat.Kind(meta.u8()), Sorted: meta.u8() != 0})
+			ts.Cols = append(ts.Cols, catalog.ColDef{Name: meta.str(), Kind: meta.kind(), Sorted: meta.u8() != 0})
 		}
 		nDel := int(meta.u32())
 		for c := 0; c < nDel && !meta.fail; c++ {

@@ -200,7 +200,7 @@ func TestNoSpillDuringPendingCommit(t *testing.T) {
 	// commit window: the mutation is visible, the pool not fixed up yet.
 	var rec *recycler.Recycler
 	inWindow := -1
-	db.Cat.AddListener(onUpdate(func(catalog.UpdateEvent) {
+	db.Cat.AddListener(onUpdate(func(catalog.Commit) {
 		if rec != nil && inWindow < 0 {
 			inWindow = spillAll(t, rec)
 		}
@@ -220,10 +220,9 @@ func TestNoSpillDuringPendingCommit(t *testing.T) {
 }
 
 // onUpdate is a catalog listener running f on every commit.
-type onUpdate func(catalog.UpdateEvent)
+type onUpdate func(catalog.Commit)
 
-func (f onUpdate) OnUpdate(ev catalog.UpdateEvent) { f(ev) }
-func (f onUpdate) OnDrop(*catalog.Table)           {}
+func (f onUpdate) OnUpdate(c catalog.Commit) { f(c) }
 
 // TestRestartWarmPool is the end-to-end restart path: catalog and pool
 // survive a full store cycle (bootstrap → queries → spill + checkpoint

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,7 +128,7 @@ func (s *Store) Recover() (*catalog.Catalog, error) {
 		}
 	}
 	cat.RestoreCommitSeq(seq)
-	applied, torn, err := replayWAL(filepath.Join(s.dir, "wal"), seq, func(rec catalog.CommitRecord) error {
+	applied, torn, err := replayWAL(filepath.Join(s.dir, "wal"), seq, func(rec catalog.Commit, names []string) error {
 		// Continuity check: the log must hold every commit after the
 		// snapshot. A gap means an append failed mid-run (the latched
 		// walErr was never surfaced by a checkpoint before the crash)
@@ -136,7 +137,7 @@ func (s *Store) Recover() (*catalog.Catalog, error) {
 		if want := cat.CommitSeq() + 1; rec.Seq != want {
 			return fmt.Errorf("store: WAL gap: expected commit seq %d, found %d (an append failed before the crash)", want, rec.Seq)
 		}
-		return applyCommit(cat, rec)
+		return applyCommit(cat, rec, names)
 	})
 	if err != nil {
 		return nil, err
@@ -168,7 +169,7 @@ func (s *Store) attach(cat *catalog.Catalog) error {
 	}
 	s.wal = w
 	s.cat = cat
-	cat.SetCommitHook(func(rec catalog.CommitRecord) {
+	cat.SetCommitHook(func(rec catalog.Commit) {
 		// Runs under the catalog write lock: append order = commit
 		// order. The append lands in the page cache; the batched
 		// syncer makes it durable within SyncEvery.
@@ -230,10 +231,11 @@ func (s *Store) Close() error {
 	return err
 }
 
-// applyCommit replays one WAL record through the catalog's regular
-// mutation paths, so versions, indexes and the commit sequence advance
-// exactly as they did before the crash.
-func applyCommit(cat *catalog.Catalog, rec catalog.CommitRecord) error {
+// applyCommit replays one WAL record, whose insert vectors names lists
+// by column, through the catalog's regular mutation paths, so versions,
+// indexes and the commit sequence advance exactly as they did before
+// the crash.
+func applyCommit(cat *catalog.Catalog, rec catalog.Commit, names []string) error {
 	switch rec.Kind {
 	case catalog.CommitCreate:
 		cat.CreateTable(rec.Schema, rec.Name, rec.Cols)
@@ -248,17 +250,15 @@ func applyCommit(cat *catalog.Catalog, rec catalog.CommitRecord) error {
 	}
 	switch rec.Kind {
 	case catalog.CommitInsert:
+		// Each vector goes to the column it names; AppendColumns refuses
+		// a column left without one, and a wrong kind or length.
 		cols := make([]bat.Vector, len(t.Cols))
-		for i, c := range t.Cols {
-			if cols[i] = rec.Inserts[c.Name]; cols[i] == nil {
-				return fmt.Errorf("store: WAL record %d has no column %s", rec.Seq, c.Name)
+		for j, name := range names {
+			i := slices.IndexFunc(t.Cols, func(c *catalog.Column) bool { return c.Name == name })
+			if i < 0 || cols[i] != nil {
+				return fmt.Errorf("store: WAL record %d: %s.%s has no column %q, or the record names it twice", rec.Seq, rec.Schema, rec.Name, name)
 			}
-			if n := cols[i].Len(); n != rec.NumRows {
-				return fmt.Errorf("store: WAL record %d: column %s has %d values for %d rows", rec.Seq, c.Name, n, rec.NumRows)
-			}
-		}
-		if len(rec.Inserts) != len(cols) {
-			return fmt.Errorf("store: WAL record %d has %d columns for %d", rec.Seq, len(rec.Inserts), len(cols))
+			cols[i] = rec.Inserts[j]
 		}
 		first, err := t.AppendColumns(cols)
 		if err != nil {

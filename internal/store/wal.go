@@ -14,8 +14,8 @@ import (
 )
 
 // The write-ahead log is a directory of numbered segment files, each a
-// sequence of CRC32-checked frames holding one catalog.CommitRecord
-// per frame. Appends go to the newest segment; a checkpoint rotates to
+// sequence of CRC32-checked frames holding one catalog.Commit per
+// frame. Appends go to the newest segment; a checkpoint rotates to
 // a fresh segment before exporting the catalog, so every record in an
 // older segment is guaranteed to be covered by the snapshot (records
 // race into the *new* segment during the export, which is harmless:
@@ -261,7 +261,7 @@ func (w *wal) close() error {
 // Seq > minSeq. A torn tail in the final segment is truncated away and
 // reported through tornTail; a torn frame anywhere else fails. Returns
 // the number of records applied.
-func replayWAL(dir string, minSeq uint64, apply func(catalog.CommitRecord) error) (applied int, tornTail bool, err error) {
+func replayWAL(dir string, minSeq uint64, apply func(catalog.Commit, []string) error) (applied int, tornTail bool, err error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -283,7 +283,7 @@ func replayWAL(dir string, minSeq uint64, apply func(catalog.CommitRecord) error
 	return applied, tornTail, nil
 }
 
-func replaySegment(path string, last bool, minSeq uint64, apply func(catalog.CommitRecord) error) (applied int, torn bool, err error) {
+func replaySegment(path string, last bool, minSeq uint64, apply func(catalog.Commit, []string) error) (applied int, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
@@ -311,12 +311,12 @@ func replaySegment(path string, last bool, minSeq uint64, apply func(catalog.Com
 		if rerr != nil {
 			return applied, false, rerr
 		}
-		rec, derr := decodeCommit(payload)
+		rec, names, derr := decodeCommit(payload)
 		if derr != nil {
 			return applied, false, fmt.Errorf("store: undecodable WAL record in %s: %w", filepath.Base(path), derr)
 		}
 		if rec.Seq > minSeq {
-			if aerr := apply(rec); aerr != nil {
+			if aerr := apply(rec, names); aerr != nil {
 				return applied, false, aerr
 			}
 			applied++
@@ -331,16 +331,19 @@ func replaySegment(path string, last bool, minSeq uint64, apply func(catalog.Com
 
 // --- commit record codec --------------------------------------------------
 
-func encodeCommit(rec catalog.CommitRecord) []byte {
+// encodeCommit encodes a commit the catalog built. An insert lists its
+// vectors by column name, in the table's column order; replay matches
+// them by name, so a log that listed them in another order recovers.
+func encodeCommit(c catalog.Commit) []byte {
 	e := &enc{}
-	e.u8(uint8(rec.Kind))
-	e.u64(rec.Seq)
-	e.str(rec.Schema)
-	e.str(rec.Name)
-	switch rec.Kind {
+	e.u8(uint8(c.Kind))
+	e.u64(c.Seq)
+	e.str(c.Schema)
+	e.str(c.Name)
+	switch c.Kind {
 	case catalog.CommitCreate:
-		e.u32(uint32(len(rec.Cols)))
-		for _, d := range rec.Cols {
+		e.u32(uint32(len(c.Cols)))
+		for _, d := range c.Cols {
 			e.str(d.Name)
 			e.u8(uint8(d.Kind))
 			if d.Sorted {
@@ -350,21 +353,16 @@ func encodeCommit(rec catalog.CommitRecord) []byte {
 			}
 		}
 	case catalog.CommitInsert:
-		e.u64(uint64(rec.FirstOid))
-		e.u32(uint32(rec.NumRows))
-		cols := make([]string, 0, len(rec.Inserts))
-		for c := range rec.Inserts {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		e.u32(uint32(len(cols)))
-		for _, c := range cols {
-			e.str(c)
-			encodeVector(e, rec.Inserts[c])
+		e.u64(uint64(c.FirstOid))
+		e.u32(uint32(c.NumRows))
+		e.u32(uint32(len(c.Inserts)))
+		for i, v := range c.Inserts {
+			e.str(c.Table.Cols[i].Name)
+			encodeVector(e, v)
 		}
 	case catalog.CommitDelete:
-		e.u32(uint32(len(rec.Deleted)))
-		for _, o := range rec.Deleted {
+		e.u32(uint32(len(c.Deleted)))
+		for _, o := range c.Deleted {
 			e.u64(uint64(o))
 		}
 	case catalog.CommitDrop:
@@ -372,57 +370,54 @@ func encodeCommit(rec catalog.CommitRecord) []byte {
 	return e.b
 }
 
-func decodeCommit(payload []byte) (catalog.CommitRecord, error) {
+// decodeCommit decodes one record; for an insert, names holds the
+// column name of each of its vectors.
+func decodeCommit(payload []byte) (c catalog.Commit, names []string, err error) {
 	d := &dec{b: payload}
-	rec := catalog.CommitRecord{
+	c = catalog.Commit{
 		Kind:   catalog.CommitKind(d.u8()),
 		Seq:    d.u64(),
 		Schema: d.str(),
 		Name:   d.str(),
 	}
-	switch rec.Kind {
+	switch c.Kind {
 	case catalog.CommitCreate:
 		n := int(d.u32())
-		if n < 0 || n > maxFramePayload {
-			d.fail = true
-			n = 0
-		}
 		for i := 0; i < n && !d.fail; i++ {
-			def := catalog.ColDef{Name: d.str(), Kind: bat.Kind(d.u8()), Sorted: d.u8() != 0}
-			rec.Cols = append(rec.Cols, def)
+			def := catalog.ColDef{Name: d.str(), Kind: d.kind(), Sorted: d.u8() != 0}
+			c.Cols = append(c.Cols, def)
 		}
 	case catalog.CommitInsert:
-		rec.FirstOid = bat.Oid(d.u64())
-		rec.NumRows = int(d.u32())
-		n := int(d.u32())
-		if rec.NumRows < 0 || rec.NumRows > maxFramePayload || n < 0 || n > maxFramePayload {
-			d.fail = true
-			n = 0
-		}
-		rec.Inserts = make(map[string]bat.Vector, min(n, 1024))
+		c.FirstOid = bat.Oid(d.u64())
+		c.NumRows = int(d.u32())
+		// A column is at least its name's length prefix, a vector tag
+		// and a count.
+		n := d.count(int(d.u32()), 4+1+8)
+		names = make([]string, 0, n)
+		c.Inserts = make([]bat.Vector, 0, n)
 		for i := 0; i < n && !d.fail; i++ {
-			c := d.str()
-			rec.Inserts[c] = decodeVector(d)
+			names = append(names, d.str())
+			v := decodeVector(d)
+			if v.Len() != c.NumRows {
+				d.fail = true // a vector of another length than the record's
+			}
+			c.Inserts = append(c.Inserts, v)
 		}
 	case catalog.CommitDelete:
-		n := int(d.u32())
-		if n > maxFramePayload {
-			d.fail = true
-			n = 0
-		}
-		rec.Deleted = make([]bat.Oid, 0, n)
-		for i := 0; i < n && !d.fail; i++ {
-			rec.Deleted = append(rec.Deleted, bat.Oid(d.u64()))
+		n := d.count(int(d.u32()), 8)
+		c.Deleted = make([]bat.Oid, n)
+		for i := range c.Deleted {
+			c.Deleted[i] = bat.Oid(d.u64())
 		}
 	case catalog.CommitDrop:
 	default:
 		// Kinds 3 (in-place update) and 5 (an event for listeners
 		// only) are reserved and never written: a record carrying one,
 		// or any other kind, is corrupt, not skippable.
-		return rec, ErrCorrupt
+		return c, nil, ErrCorrupt
 	}
 	if !d.done() {
-		return rec, ErrCorrupt
+		return c, nil, ErrCorrupt
 	}
-	return rec, nil
+	return c, names, nil
 }
